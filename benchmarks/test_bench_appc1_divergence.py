@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 
+from repro.core.plan import apply_plan
 from repro.core.techniques import ProactivePrepending
 from repro.dataplane.forwarding import ForwardingPlane
 from repro.dataplane.traceroute import ReverseTraceroute
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.divergence import analyze_divergence
-from repro.topology.testbed import SECOND_PREFIX, SPECIFIC_PREFIX, SUPERPREFIX
+from repro.topology.testbed import SECOND_PREFIX, SPECIFIC_PREFIX
 
 from benchmarks.conftest import report
 
@@ -35,9 +36,7 @@ def _run(deployment):
     topology = deployment.topology
     network = topology.build_network(seed=21)
     network.announce(deployment.site_node("sea1"), SECOND_PREFIX)
-    ProactivePrepending(5).announce_normal(
-        network, deployment, "sea1", SPECIFIC_PREFIX, SUPERPREFIX
-    )
+    apply_plan(network, ProactivePrepending(5).originations(deployment, "sea1"))
     network.converge()
 
     plane = ForwardingPlane(network, topology)

@@ -15,13 +15,13 @@ proactive-prepending on both axes:
 from __future__ import annotations
 
 from repro.core.experiment import FailoverConfig, FailoverExperiment, pooled_outcomes
+from repro.core.plan import apply_plan
 from repro.core.techniques import ProactiveMed, ProactivePrepending
 from repro.measurement.catchment import anycast_catchment, catchment_from_network
 from repro.measurement.hitlist import Hitlist, select_targets
 from repro.measurement.stats import Cdf
 from repro.topology.testbed import (
     SPECIFIC_PREFIX,
-    SUPERPREFIX,
     build_deployment,
     default_site_specs,
 )
@@ -59,7 +59,7 @@ def shared_provider_deployment():
 
 def _control_under(deployment, technique, site, targets):
     network = deployment.topology.build_network(seed=31)
-    technique.announce_normal(network, deployment, site, SPECIFIC_PREFIX, SUPERPREFIX)
+    apply_plan(network, technique.originations(deployment, site))
     network.converge()
     catchment = catchment_from_network(
         network, deployment, SPECIFIC_PREFIX, list(targets.values())

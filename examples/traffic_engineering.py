@@ -15,12 +15,13 @@ Run:  python examples/traffic_engineering.py
 from collections import Counter
 
 from repro import build_deployment
+from repro.core.plan import apply_plan
 from repro.core.techniques import ProactivePrepending
 from repro.dataplane.forwarding import ForwardingPlane
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.control import measure_control
-from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
+from repro.topology.testbed import SPECIFIC_PREFIX
 
 
 def main() -> None:
@@ -42,9 +43,7 @@ def main() -> None:
 
     print(f"\n== steering one client to {intended!r} ==")
     network = topology.build_network(seed=5)
-    ProactivePrepending(3).announce_normal(
-        network, deployment, intended, SPECIFIC_PREFIX, SUPERPREFIX
-    )
+    apply_plan(network, ProactivePrepending(3).originations(deployment, intended))
     network.converge()
 
     # DNS side: the mapping policy hands this client an address in the

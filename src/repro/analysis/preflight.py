@@ -21,8 +21,8 @@ from repro.analysis.findings import Finding, FindingCollector, Severity, emit_fi
 from repro.bgp.damping import DampingConfig
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
+from repro.core.plan import Technique
 from repro.core.scenarios import ScenarioEvent
-from repro.core.techniques import Combined, ProactiveSuperprefix, Technique
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology
 from repro.topology.relationships import AsClass
@@ -199,15 +199,13 @@ def check_prefix_plan(
 
     Catches covering/overlap mistakes statically: a superprefix that does
     not actually cover the specific prefix silently removes the LPM
-    fallback that proactive-superprefix and combined depend on, and a
+    fallback that every superprefix-announcing plan depends on, and a
     probe source outside the announced specific prefix makes every reply
     unroutable (the probing would report a 100% outage).
     """
     findings: list[Finding] = []
     source = f"announcement plan ({technique.name if technique else 'common'})"
-    uses_superprefix = technique is None or isinstance(
-        technique, (ProactiveSuperprefix, Combined)
-    )
+    uses_superprefix = technique is None or technique.announces_superprefix
     if uses_superprefix:
         if prefix == superprefix:
             findings.append(_error(

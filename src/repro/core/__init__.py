@@ -1,14 +1,15 @@
 """The paper's contribution: redirection techniques and their evaluation.
 
-`repro.core.techniques` implements the five announcement strategies of
-Figure 1 (plus the combined variant §4 mentions), `repro.core.controller`
+`repro.core.techniques` states the announcement strategies of Figure 1
+(plus §4's combined and MED variants and the shed family) as one rule
+table over the plan values of `repro.core.plan`, `repro.core.controller`
 is the CDN's monitoring/orchestration loop that reacts to site failures,
 `repro.core.experiment` reproduces the §5.2 experiment protocol, and
 `repro.core.metrics` computes the §5.4.1 reconnection/failover metrics.
 """
 
+from repro.core.plan import Origination, Rule, Technique, Tradeoff, apply_plan
 from repro.core.techniques import (
-    Technique,
     Unicast,
     Anycast,
     ProactiveSuperprefix,
@@ -38,7 +39,11 @@ from repro.core.metrics import (
 )
 
 __all__ = [
+    "Origination",
+    "Rule",
     "Technique",
+    "apply_plan",
+    "Tradeoff",
     "Unicast",
     "Anycast",
     "ProactiveSuperprefix",

@@ -7,14 +7,20 @@ site fails, the site's own withdrawals go out immediately (routers do
 that on their own), the monitoring system notices after
 ``detection_delay`` seconds, and only then does the technique's reactive
 behaviour -- new announcements, DNS updates -- run.
+
+The controller holds no announcement logic of its own: every reaction
+recomputes the technique's target plan for the current ⟨deployed site,
+down set, overloaded set⟩ and moves the network onto it -- announce the
+target, then withdraw whatever is not in it. A down site is never in a
+target, so no reaction can resurrect one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bgp.network import BgpNetwork
-from repro.core.techniques import Technique
+from repro.core.plan import Origination, Technique, apply_plan
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
@@ -73,36 +79,62 @@ class CdnController:
     down_sites: set = field(default_factory=set)
     #: sites currently shed for overload (latched until cleared)
     overloaded_sites: set = field(default_factory=set)
+    #: sites drained for maintenance -> the prepend depth overlaid on
+    #: whatever the technique has them announce
+    drained_sites: dict = field(default_factory=dict)
     #: DNS addresses of failed sites, kept for restoration on recovery
     _removed_dns: dict = field(default_factory=dict)
 
-    def deploy(self, specific_site: str) -> None:
-        """Make the technique's normal-operation announcements."""
-        if specific_site not in self.deployment.sites:
-            raise KeyError(f"unknown site {specific_site!r}")
-        self.deployed_site = specific_site
-        cause = self.network.root_cause("deploy", specific_site, self.technique.name)
+    def target_plan(self) -> tuple[Origination, ...]:
+        """What the technique wants announced in the current state."""
+        if self.deployed_site is None:
+            raise RuntimeError("no target plan before deploy")
+        plan = self.technique.originations(
+            self.deployment,
+            self.deployed_site,
+            self.prefix,
+            self.superprefix,
+            down=self.down_sites,
+            overloaded=self.overloaded_sites,
+        )
+        if not self.drained_sites:
+            return plan
+        depth = {self.deployment.site_node(s): p for s, p in self.drained_sites.items()}
+        return tuple(replace(o, prepend=depth.get(o.node, o.prepend)) for o in plan)
+
+    def _reconcile(self, cause: int, grace: float = 0.0) -> None:
+        """Move the network onto the target plan: announce it now, then
+        (``grace`` seconds later) withdraw every site origination that
+        is not in the plan current *at that time*."""
+        if self.deployed_site is None:
+            return  # nothing deployed, nothing to steer
+
+        def prune() -> None:
+            wanted = {(o.node, o.prefix) for o in self.target_plan()}
+            with self.network.caused_by(cause):
+                for site in self.deployment.site_names:
+                    node = self.deployment.site_node(site)
+                    for prefix in self.network.routers[node].originated_prefixes():
+                        if (node, prefix) not in wanted:
+                            self.network.withdraw(node, prefix)
+
         with self.network.caused_by(cause):
-            self.technique.announce_normal(
-                self.network, self.deployment, specific_site, self.prefix, self.superprefix
-            )
+            apply_plan(self.network, self.target_plan())
+        if grace > 0:
+            self.network.engine.schedule(grace, prune)
+        else:
+            prune()
 
-    def deploy_specific(self, specific_site: str) -> None:
-        """Checkpoint-fork path: apply only the per-site delta.
+    def deploy(self, specific_site: str) -> None:
+        """Make the technique's normal-operation announcements.
 
-        The network this controller drives was restored from a snapshot
-        that already converged the technique's ``announce_base`` plan;
-        this applies ``announce_specific`` on top, reaching the same
-        origin configurations as :meth:`deploy` would from scratch.
+        On a network restored from the technique's checkpoint base this
+        re-originates only the per-site delta (see :func:`apply_plan`).
         """
         if specific_site not in self.deployment.sites:
             raise KeyError(f"unknown site {specific_site!r}")
         self.deployed_site = specific_site
-        cause = self.network.root_cause("deploy", specific_site, self.technique.name)
-        with self.network.caused_by(cause):
-            self.technique.announce_specific(
-                self.network, self.deployment, specific_site, self.prefix, self.superprefix
-            )
+        self._reconcile(self.network.root_cause("deploy", specific_site, self.technique.name))
 
     def recover_site(self, site: str) -> None:
         """Bring a failed site back: re-make the normal announcements and
@@ -119,28 +151,9 @@ class CdnController:
             raise RuntimeError("recover_site before deploy")
         self.down_sites.discard(site)
         cause = self.network.root_cause("site-recover", site)
-        with self.network.caused_by(cause):
-            self.technique.announce_normal(
-                self.network,
-                self.deployment,
-                self.deployed_site,
-                self.prefix,
-                self.superprefix,
-            )
-
-        def rollback() -> None:
-            with self.network.caused_by(cause):
-                self.technique.on_recovery(
-                    self.network, self.deployment, site, self.prefix, self.superprefix
-                )
-                self._enforce_down_sites()
-
-        if self.recovery_grace > 0:
-            # Make-before-break: let the recovered site's routes
-            # propagate before the emergency announcements disappear.
-            self.network.engine.schedule(self.recovery_grace, rollback)
-        else:
-            rollback()
+        # Make-before-break: with a grace, the recovered site's routes
+        # propagate before the emergency announcements disappear.
+        self._reconcile(cause, grace=self.recovery_grace)
         if self.dns is not None:
             # Restore the DNS-side record and, if this was the intended
             # site, the mapping toward it.
@@ -173,18 +186,8 @@ class CdnController:
         """
         if site not in self.deployment.sites:
             raise KeyError(f"unknown site {site!r}")
-        node = self.deployment.site_node(site)
-        router = self.network.routers[node]
-        cause = self.network.root_cause("site-drain", site, f"prepend={prepend}")
-        for prefix in router.originated_prefixes():
-            config = router.origin_config(prefix)
-            router.originate(
-                prefix,
-                prepend=prepend,
-                neighbors=config.neighbors,
-                med=config.med,
-                cause=cause,
-            )
+        self.drained_sites[site] = prepend
+        self._reconcile(self.network.root_cause("site-drain", site, f"prepend={prepend}"))
 
     def undrain_site(self, site: str) -> None:
         """Restore a drained site's normal announcements."""
@@ -192,15 +195,8 @@ class CdnController:
             raise KeyError(f"unknown site {site!r}")
         if self.deployed_site is None:
             raise RuntimeError("undrain_site before deploy")
-        with self.network.caused_by(self.network.root_cause("site-undrain", site)):
-            self.technique.announce_normal(
-                self.network,
-                self.deployment,
-                self.deployed_site,
-                self.prefix,
-                self.superprefix,
-            )
-            self._enforce_down_sites()
+        self.drained_sites.pop(site, None)
+        self._reconcile(self.network.root_cause("site-undrain", site))
 
     def site_overloaded(self, site: str) -> None:
         """The workload engine's overload signal for one site.
@@ -227,11 +223,7 @@ class CdnController:
         """The technique's delayed shedding reaction to an overload."""
         if site not in self.overloaded_sites or site in self.down_sites:
             return
-        with self.network.caused_by(cause):
-            self.technique.on_overload(
-                self.network, self.deployment, site, self.prefix, self.superprefix
-            )
-            self._enforce_down_sites()
+        self._reconcile(cause)
         fraction = self.technique.shed_dns_fraction
         if self.capacity_state is not None and fraction > 0:
             self.capacity_state.dns_divert[site] = fraction
@@ -241,12 +233,7 @@ class CdnController:
         if site not in self.overloaded_sites:
             return
         self.overloaded_sites.discard(site)
-        cause = self.network.root_cause("site-overload-cleared", site)
-        with self.network.caused_by(cause):
-            self.technique.on_overload_cleared(
-                self.network, self.deployment, site, self.prefix, self.superprefix
-            )
-            self._enforce_down_sites()
+        self._reconcile(self.network.root_cause("site-overload-cleared", site))
         if self.capacity_state is not None:
             self.capacity_state.dns_divert.pop(site, None)
 
@@ -328,23 +315,9 @@ class CdnController:
         has unwound -- ``cause`` re-enters the failure's provenance scope
         so the reactive announcements join the same chain.
         """
-        with self.network.caused_by(cause):
-            self.technique.on_failure(
-                self.network, self.deployment, site, self.prefix, self.superprefix
-            )
-            self._enforce_down_sites()
-            if self.dns is not None:
-                self._update_dns(site, cause)
-
-    def _enforce_down_sites(self) -> None:
-        """Withdraw anything a technique (re)announced from a dead site.
-
-        Techniques are stateless and deployment-wide; with overlapping
-        failures their reactions could otherwise resurrect announcements
-        at a site that is still down, blackholing its catchment.
-        """
-        for down in self.down_sites:
-            self.network.withdraw_all(self.deployment.site_node(down))
+        self._reconcile(cause)
+        if self.dns is not None:
+            self._update_dns(site, cause)
 
     def _update_dns(self, failed_site: str, cause: int = 0) -> None:
         """Repoint DNS away from the failed site (unicast's only lever)."""

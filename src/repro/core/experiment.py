@@ -28,7 +28,7 @@ from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.checkpoint import NetworkSnapshot, restore_network, snapshot_network
 from repro.core.controller import CdnController
 from repro.core.metrics import TargetOutcome, outcomes_for_run
-from repro.core.techniques import Technique
+from repro.core.plan import Technique, apply_plan
 from repro.dataplane.capture import SiteCapture
 from repro.dataplane.forwarding import ForwardingPlane
 from repro.dataplane.ping import Prober
@@ -217,8 +217,8 @@ class FailoverExperiment:
     def baseline_for(self, technique: Technique) -> NetworkSnapshot:
         """The technique's converged base snapshot, computed once.
 
-        Builds a fresh network, makes the technique's site-independent
-        ``announce_base`` plan, converges, and snapshots. Cached by
+        Builds a fresh network, applies the technique's site-independent
+        ``base_plan``, converges, and snapshots. Cached by
         ``technique.baseline_key`` -- on the 5x8 matrix this is what
         turns forty deploy+converge runs into five. The baseline seed is
         derived from the baseline key alone (crc32, like per-cell
@@ -238,8 +238,9 @@ class FailoverExperiment:
             )
             cause = network.new_cause("deploy-base", technique.name)
             with network.caused_by(cause):
-                technique.announce_base(
-                    network, self.deployment, SPECIFIC_PREFIX, SUPERPREFIX
+                apply_plan(
+                    network,
+                    technique.base_plan(self.deployment, SPECIFIC_PREFIX, SUPERPREFIX),
                 )
             network.converge()
             snapshot = snapshot_network(network)
@@ -287,41 +288,32 @@ class FailoverExperiment:
             capacity_state = CapacityState(
                 config.capacity, self.deployment.site_names
             )
-        if use_checkpoint:
-            snapshot = self.baseline_for(technique)
-            with telemetry.phase("fork-restore", **tags):
+        # Cold and forked cells deploy the same plan value; on a restored
+        # base only the per-site delta actually re-originates.
+        snapshot = self.baseline_for(technique) if use_checkpoint else None
+        phase = "fork-restore" if use_checkpoint else "deploy-converge"
+        with telemetry.phase(phase, **tags):
+            if snapshot is not None:
                 network = restore_network(snapshot)
                 # The fork draws from a fresh per-cell stream; the
                 # baseline's RNG position is shared by every cell of the
                 # technique and must not leak cell-to-cell correlations.
                 network.rng.seed(run_seed)
-                controller = CdnController(
-                    network=network,
-                    deployment=self.deployment,
-                    technique=technique,
-                    prefix=SPECIFIC_PREFIX,
-                    superprefix=SUPERPREFIX,
-                    detection_delay=config.detection_delay,
-                    capacity_state=capacity_state,
-                )
-                controller.deploy_specific(site)
-                network.converge()
-        else:
-            with telemetry.phase("deploy-converge", **tags):
+            else:
                 network = self.topology.build_network(
                     seed=run_seed, timing=config.timing, damping=config.damping
                 )
-                controller = CdnController(
-                    network=network,
-                    deployment=self.deployment,
-                    technique=technique,
-                    prefix=SPECIFIC_PREFIX,
-                    superprefix=SUPERPREFIX,
-                    detection_delay=config.detection_delay,
-                    capacity_state=capacity_state,
-                )
-                controller.deploy(site)
-                network.converge()
+            controller = CdnController(
+                network=network,
+                deployment=self.deployment,
+                technique=technique,
+                prefix=SPECIFIC_PREFIX,
+                superprefix=SUPERPREFIX,
+                detection_delay=config.detection_delay,
+                capacity_state=capacity_state,
+            )
+            controller.deploy(site)
+            network.converge()
 
         # The clock guard keeps the run network's engine bound as the
         # trace clock: target selection builds throwaway networks

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bgp.session import SessionTiming
+from repro.core.plan import apply_plan
 from repro.core.techniques import ProactivePrepending
 from repro.measurement.catchment import catchment_from_network
 from repro.measurement.hitlist import Hitlist, TargetSelection, select_targets
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology
-from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX, CdnDeployment
+from repro.topology.testbed import SPECIFIC_PREFIX, CdnDeployment
 
 
 @dataclass(slots=True)
@@ -55,7 +56,7 @@ def prepending_catchment(
     technique = ProactivePrepending(
         prepend, restrict_to_shared_neighbors=restrict_to_shared_neighbors
     )
-    technique.announce_normal(network, deployment, intended_site, prefix, SUPERPREFIX)
+    apply_plan(network, technique.originations(deployment, intended_site, prefix))
     network.converge()
     if nodes is None:
         nodes = [info.node_id for info in topology.web_client_ases()]

@@ -20,15 +20,13 @@ Entry points: ``repro verify`` (CLI), :func:`verify_world` (library),
 and the opt-out pre-run gate in :mod:`repro.cli.common`.
 """
 
+from repro.core.plan import Origination
 from repro.verify.checks import CHECKS, VerifyCheck, all_checks, resolve_codes
 from repro.verify.propagation import (
-    Origination,
-    PlanRecorder,
     PropagationResult,
     SymbolicGraph,
     ambiguous_ties,
     propagate,
-    record_plan,
 )
 from repro.verify.verifier import verify_world
 from repro.verify.world import (
@@ -43,7 +41,6 @@ __all__ = [
     "CHECKS",
     "DEFAULT_TECHNIQUE_NAMES",
     "Origination",
-    "PlanRecorder",
     "PropagationResult",
     "SymbolicGraph",
     "VerifyCheck",
@@ -53,7 +50,6 @@ __all__ = [
     "default_world",
     "load_world",
     "propagate",
-    "record_plan",
     "resolve_codes",
     "verify_world",
     "world_from_dict",

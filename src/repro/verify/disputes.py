@@ -19,9 +19,10 @@ suppress the very reconvergence a failover depends on.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
+from repro.core.plan import Origination
 from repro.verify import checks
 from repro.verify.propagation import PropagationResult
 from repro.verify.world import VerifyWorld
@@ -54,7 +55,8 @@ def check_dispute_wheel(
 
 def check_prepend_insufficient(
     world: VerifyWorld,
-    technique,
+    technique_name: str,
+    plan: Iterable[Origination],
     result: PropagationResult,
 ) -> Iterator[Finding]:
     """VER212 (strict): clients a deeper prepend would steer but this one
@@ -67,9 +69,9 @@ def check_prepend_insufficient(
     prepending's reach entirely (Appendix C.1) and are not flagged —
     that is the technique's documented trade, not a misconfiguration.
     """
-    prepend = getattr(technique, "prepend", None)
-    if prepend is None:
-        return
+    prepend = max((o.prepend for o in plan if o.prefix == result.prefix), default=0)
+    if not prepend:
+        return  # the plan steers nothing by path length
     specific = world.chosen_specific_site()
     if specific is None:
         return
@@ -93,7 +95,7 @@ def check_prepend_insufficient(
     if flippable:
         flippable.sort()
         yield checks.PREPEND_INEFFECTIVE.finding(
-            f"{technique.name} plan for {result.prefix}: prepend depth "
+            f"{technique_name} plan for {result.prefix}: prepend depth "
             f"{prepend} leaves {len(flippable)} length-decided client(s) "
             f"routed away from {specific} ({_sample(flippable)}); a "
             "deeper prepend would steer them to the intended site",

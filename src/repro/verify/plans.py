@@ -1,6 +1,6 @@
 """Announcement-plan analysis (VER22x).
 
-Checks each technique's recorded announcement plan against the world:
+Checks each technique's announcement plan against the world:
 does every planned prefix actually reach clients (VER221), do covering
 prefixes really cover (VER222), which clients sit on an arbitrary
 tie-break between sites (VER223, strict), and can every announcing
@@ -9,16 +9,13 @@ site's advertisement reach *anyone*, even in principle (VER224).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.analysis.findings import Finding
+from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
 from repro.verify import checks
-from repro.verify.propagation import (
-    Origination,
-    PropagationResult,
-    ambiguous_ties,
-)
+from repro.verify.propagation import PropagationResult, ambiguous_ties
 from repro.verify.world import VerifyWorld
 
 
@@ -51,7 +48,7 @@ def check_dead_prefix(
 def check_superprefix_cover(
     world: VerifyWorld,
     technique_name: str,
-    plan: list[Origination],
+    plan: Iterable[Origination],
 ) -> Iterator[Finding]:
     """VER222: a plan that leans on longest-prefix fallthrough needs its
     superprefix to *strictly* cover the specific prefix."""
@@ -116,7 +113,7 @@ def check_ambiguous_catchment(
 def check_site_dark(
     world: VerifyWorld,
     technique_name: str,
-    plan: list[Origination],
+    plan: Iterable[Origination],
     propagate_alone: Callable[[Origination], PropagationResult],
 ) -> Iterator[Finding]:
     """VER224: sites whose announcements cannot reach any client even in

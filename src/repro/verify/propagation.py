@@ -26,6 +26,7 @@ without any customer-cone cycle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.bgp.policy import (
@@ -35,74 +36,9 @@ from repro.bgp.policy import (
     should_export,
 )
 from repro.bgp.route import Route, select_best
+from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology
-
-
-@dataclass(frozen=True, slots=True)
-class Origination:
-    """One ``network.announce(...)`` call, as data.
-
-    Mirrors :class:`repro.bgp.router.OriginConfig` plus the announcing
-    node, so a technique's whole announcement plan is a list of these.
-    """
-
-    node: str
-    prefix: IPv4Prefix
-    prepend: int = 0
-    neighbors: frozenset[str] | None = None
-    med: int = 0
-
-    def exports_to(self, remote: str) -> bool:
-        return self.neighbors is None or remote in self.neighbors
-
-
-class PlanRecorder:
-    """A stand-in for :class:`BgpNetwork` that records announcements.
-
-    Techniques only call ``announce``/``withdraw``/``neighbors`` during
-    :meth:`announce_normal`, so driving one against this recorder yields
-    the exact origination list the real network would receive — prepend
-    counts, MEDs, and neighbor scoping included.
-    """
-
-    def __init__(self, topology: Topology) -> None:
-        self._topology = topology
-        self.originations: list[Origination] = []
-
-    def announce(
-        self,
-        node: str,
-        prefix: IPv4Prefix,
-        prepend: int = 0,
-        neighbors: frozenset[str] | None = None,
-        med: int = 0,
-    ) -> None:
-        # Re-origination replaces, as BgpRouter.originate does.
-        self.withdraw(node, prefix)
-        self.originations.append(
-            Origination(node=node, prefix=prefix, prepend=prepend,
-                        neighbors=neighbors, med=med)
-        )
-
-    def withdraw(self, node: str, prefix: IPv4Prefix) -> bool:
-        before = len(self.originations)
-        self.originations = [
-            o for o in self.originations
-            if not (o.node == node and o.prefix == prefix)
-        ]
-        return len(self.originations) != before
-
-    def neighbors(self, node: str) -> dict[str, Relationship]:
-        return self._topology.neighbors(node)
-
-
-def record_plan(technique, deployment, specific_site: str,
-                prefix: IPv4Prefix, superprefix: IPv4Prefix) -> list[Origination]:
-    """The before-failure announcement plan of ``technique`` as data."""
-    recorder = PlanRecorder(deployment.topology)
-    technique.announce_normal(recorder, deployment, specific_site, prefix, superprefix)
-    return recorder.originations
 
 
 @dataclass(slots=True)
@@ -197,7 +133,7 @@ class PropagationResult:
 
 def propagate(
     graph: SymbolicGraph,
-    originations: list[Origination],
+    originations: Iterable[Origination],
     prefix: IPv4Prefix,
     max_rounds: int | None = None,
 ) -> PropagationResult:
@@ -232,10 +168,10 @@ def propagate(
         relationship = graph.adjacency[sender][remote]
         if route.learned_from is None:
             config = origins.get(sender)
-            if config is None or not config.exports_to(remote):
+            if config is None or not (config.neighbors is None or remote in config.neighbors):
                 return None
             as_path = (graph.asn[sender],) * (1 + config.prepend)
-            med = config.med
+            med = config.med or 0
         else:
             if route.learned_from == remote:
                 return None

@@ -15,19 +15,15 @@ caller opts into the strict profile.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro import telemetry
 from repro.analysis.findings import Finding, FindingCollector, emit_findings
+from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
 from repro.verify import capacity, disputes, plans, safety, vacuity
 from repro.verify.checks import CHECKS
-from repro.verify.propagation import (
-    Origination,
-    PlanRecorder,
-    PropagationResult,
-    SymbolicGraph,
-    propagate,
-    record_plan,
-)
+from repro.verify.propagation import PropagationResult, SymbolicGraph, propagate
 from repro.verify.world import VerifyWorld
 
 
@@ -63,7 +59,7 @@ def verify_world(
     cache: dict[tuple[frozenset[Origination], object], PropagationResult] = {}
     propagations = 0
 
-    def run_propagation(originations: list[Origination], prefix) -> PropagationResult:
+    def run_propagation(originations: Iterable[Origination], prefix) -> PropagationResult:
         nonlocal propagations
         # Later originations replace earlier ones at the same node, as
         # BgpRouter.originate does; normalizing here keeps the cache key
@@ -83,8 +79,8 @@ def verify_world(
     for technique in world.techniques:
         if specific is None:
             break
-        plan = record_plan(
-            technique, deployment, specific, world.prefix, world.superprefix
+        plan = technique.originations(
+            deployment, specific, world.prefix, world.superprefix
         )
         findings += plans.check_superprefix_cover(world, technique.name, plan)
         results: dict[IPv4Prefix, PropagationResult] = {}
@@ -101,7 +97,7 @@ def verify_world(
         specific_result = results.get(world.prefix)
         if specific_result is not None and specific_result.stable:
             findings += disputes.check_prepend_insufficient(
-                world, technique, specific_result
+                world, technique.name, plan, specific_result
             )
         findings += capacity.check_site_over_capacity(
             world, technique.name, results, client_regions
@@ -112,14 +108,9 @@ def verify_world(
         )
         # Post-failure coverage for vacuity: the failed site's
         # originations are withdrawn and the technique reacts.
-        failed_node = deployment.site_node(specific)
-        reaction = PlanRecorder(world.topology)
-        technique.on_failure(
-            reaction, deployment, specific, world.prefix, world.superprefix
+        failure_plan = technique.originations(
+            deployment, specific, world.prefix, world.superprefix, down={specific}
         )
-        failure_plan = [
-            o for o in plan if o.node != failed_node
-        ] + reaction.originations
         for prefix in sorted({o.prefix for o in failure_plan}):
             result = run_propagation(failure_plan, prefix)
             if result.stable:

@@ -20,6 +20,7 @@ from repro.core.techniques import (
     Combined,
     ProactiveSuperprefix,
     ReactiveAnycast,
+    ShedWithdraw,
 )
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import TopologyParams, generate_topology
@@ -108,6 +109,20 @@ class TestPrefixPlan:
             probe_source=IPv4Address.parse("184.164.244.10"),
         )
         assert codes(findings) == ["PRE111"]
+
+    def test_covering_check_follows_the_plan_not_the_class(self):
+        """shed-withdraw announces the /23 too, so PRE110/PRE111 apply."""
+        prefix = IPv4Prefix.parse("184.164.244.0/24")
+        source = IPv4Address.parse("184.164.244.10")
+        uncovered = check_prefix_plan(
+            ShedWithdraw(), prefix=prefix,
+            superprefix=IPv4Prefix.parse("10.0.0.0/23"), probe_source=source,
+        )
+        assert codes(uncovered) == ["PRE110"]
+        equal = check_prefix_plan(
+            ShedWithdraw(), prefix=prefix, superprefix=prefix, probe_source=source
+        )
+        assert codes(equal) == ["PRE111"]
 
     def test_non_superprefix_technique_skips_covering_check(self):
         findings = check_prefix_plan(

@@ -4,9 +4,10 @@ import pytest
 
 from repro.bgp.network import BgpNetwork
 from repro.bgp.route import Route, better
+from repro.core.plan import apply_plan
 from repro.core.techniques import ProactiveMed, technique_by_name
 from repro.net.addr import IPv4Prefix
-from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
+from repro.topology.testbed import SPECIFIC_PREFIX
 
 from tests.conftest import FAST_TIMING
 
@@ -101,9 +102,7 @@ class TestProactiveMedTechnique:
 
     def test_announcements(self, deployment):
         net = deployment.topology.build_network(seed=3, timing=FAST_TIMING)
-        ProactiveMed(100).announce_normal(
-            net, deployment, "sea1", SPECIFIC_PREFIX, SUPERPREFIX
-        )
+        apply_plan(net, ProactiveMed(100).originations(deployment, "sea1"))
         net.converge()
         specific = net.router(deployment.site_node("sea1"))
         assert specific.origin_config(SPECIFIC_PREFIX).med == 0
@@ -114,9 +113,7 @@ class TestProactiveMedTechnique:
         """Unlike prepending, MED backups keep natural path lengths --
         a client's route to a backup site is as short as pure anycast's."""
         net_med = deployment.topology.build_network(seed=3, timing=FAST_TIMING)
-        ProactiveMed(100).announce_normal(
-            net_med, deployment, "sea1", SPECIFIC_PREFIX, SUPERPREFIX
-        )
+        apply_plan(net_med, ProactiveMed(100).originations(deployment, "sea1"))
         net_med.converge()
         net_any = deployment.topology.build_network(seed=3, timing=FAST_TIMING)
         for site in deployment.site_names:

@@ -10,6 +10,9 @@ from repro.core.techniques import (
     ProactivePrepending,
     ProactiveSuperprefix,
     ReactiveAnycast,
+    ShedDns,
+    ShedPrepend,
+    ShedWithdraw,
     Unicast,
 )
 from repro.topology.testbed import CDN_ASN, SPECIFIC_PREFIX, SUPERPREFIX
@@ -50,6 +53,27 @@ class TestOriginations:
         assert "bgp_med = 100;" in backup.normal
         intended = generate_bird_config(deployment, ProactiveMed(100), "sea1", "sea1")
         assert "bgp_med = 0;" in intended.normal
+
+
+class TestShedFamily:
+    """Rendered from the plan like every other technique (used to be a
+    TypeError: the renderer had no branch for them)."""
+
+    @pytest.mark.parametrize("technique", [ShedPrepend(), ShedDns()], ids=lambda t: t.name)
+    def test_prepend_and_dns_shedders_render_as_anycast(self, deployment, technique):
+        for site in ("sea1", "ams"):
+            config = generate_bird_config(deployment, technique, site, "sea1")
+            anycast = generate_bird_config(deployment, Anycast(), site, "sea1")
+            assert config.normal == anycast.normal.replace("anycast", technique.name)
+            assert config.emergency is None
+
+    def test_shed_withdraw_announces_both_prefixes_everywhere(self, deployment):
+        for site in ("sea1", "ams"):
+            config = generate_bird_config(deployment, ShedWithdraw(), site, "sea1")
+            assert f"route {SPECIFIC_PREFIX} blackhole" in config.normal
+            assert f"route {SUPERPREFIX} blackhole" in config.normal
+            assert "bgp_med" not in config.normal
+            assert config.emergency is None
 
 
 class TestEmergencyVariants:

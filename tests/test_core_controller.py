@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.controller import CdnController
-from repro.core.techniques import Anycast, ReactiveAnycast, Unicast
+from repro.core.techniques import TECHNIQUES, Anycast, Combined, ReactiveAnycast, Unicast
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
@@ -61,6 +61,55 @@ class TestFailureHandling:
             controller.deploy("lhr")
         with pytest.raises(KeyError):
             controller.fail_site("lhr")
+
+
+class TestRecoveryFollowsTargetPlan:
+    """Recovery converges on the plan for the *current* down set instead
+    of replaying stateless per-technique hooks."""
+
+    @staticmethod
+    def originated(controller, site):
+        node = controller.deployment.site_node(site)
+        return controller.network.router(node).originated_prefixes()
+
+    @pytest.mark.parametrize("factory", [ReactiveAnycast, Combined])
+    def test_other_sites_recovery_keeps_the_specific_prefix(self, deployment, factory):
+        """fail+recover of a *non-specific* site used to withdraw the
+        specific site's /24 with the emergency announcements, leaving
+        the prefix announced nowhere."""
+        controller = make_controller(deployment, factory())
+        controller.deploy("sea1")
+        controller.network.converge()
+        controller.fail_site("ams")
+        controller.network.run_for(3.0)
+        assert SPECIFIC_PREFIX in self.originated(controller, "msn")  # emergency is up
+        controller.recover_site("ams")
+        controller.network.converge()
+        assert SPECIFIC_PREFIX in self.originated(controller, "sea1")
+        for site in deployment.site_names:
+            if site != "sea1":
+                assert SPECIFIC_PREFIX not in self.originated(controller, site), site
+
+    @pytest.mark.parametrize("factory", TECHNIQUES.values())
+    def test_grace_window_never_resurrects_a_down_site(self, deployment, factory):
+        """With a make-before-break grace, recovering one site used to
+        re-announce every *other* failed site for the whole window."""
+        controller = make_controller(deployment, factory())
+        controller.recovery_grace = 30.0
+        controller.deploy("sea1")
+        controller.network.converge()
+        controller.fail_site("ams")
+        controller.fail_site("msn")
+        controller.network.run_for(3.0)
+        controller.recover_site("ams")
+        for _ in range(70):
+            assert "msn" in controller.down_sites
+            assert self.originated(controller, "msn") == []
+            controller.network.run_for(0.5)
+        # ams is back on its normal announcements
+        normal = controller.technique.originations(deployment, "sea1", down={"msn"})
+        ams = deployment.site_node("ams")
+        assert self.originated(controller, "ams") == [o.prefix for o in normal if o.node == ams]
 
 
 class TestDnsIntegration:

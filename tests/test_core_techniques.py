@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.controller import CdnController
+from repro.core.plan import apply_plan
 from repro.core.techniques import (
     TECHNIQUES,
     Anycast,
@@ -32,8 +34,80 @@ def originated(net, deployment, site):
 
 
 def deploy(technique: Technique, deployment, net, site="sea1"):
-    technique.announce_normal(net, deployment, site, SPECIFIC_PREFIX, SUPERPREFIX)
+    apply_plan(net, technique.originations(deployment, site))
     net.converge()
+
+
+P24, P23 = SPECIFIC_PREFIX, SUPERPREFIX
+_ANYCAST_ROWS = (
+    [("specific", P24, 0, None), ("other", P24, 0, None)],
+    [("other", P24, 0, None)],
+)
+#: Figure 1 (the repro.core.techniques docstring), literally: technique
+#: -> (normal rows, rows once the specific site is down); a row is
+#: ⟨site role, prefix, prepend, MED⟩ and MED None means "unset"
+FIGURE_1 = {
+    "unicast": ([("specific", P24, 0, None)], []),
+    "anycast": _ANYCAST_ROWS,
+    "proactive-superprefix": (
+        [("specific", P24, 0, None), ("specific", P23, 0, None), ("other", P23, 0, None)],
+        [("other", P23, 0, None)],
+    ),
+    "reactive-anycast": ([("specific", P24, 0, None)], [("other", P24, 0, None)]),
+    "proactive-prepending-3": (
+        [("specific", P24, 0, None), ("other", P24, 3, None)],
+        [("other", P24, 3, None)],
+    ),
+    "proactive-med-100": (
+        [("specific", P24, 0, 0), ("other", P24, 0, 100)],
+        [("other", P24, 0, 100)],
+    ),
+    "combined": (
+        [("specific", P24, 0, None), ("specific", P23, 0, None), ("other", P23, 0, None)],
+        [("other", P23, 0, None), ("other", P24, 0, None)],
+    ),
+    "shed-prepend-5": _ANYCAST_ROWS,
+    "shed-withdraw": (
+        [("specific", P24, 0, None), ("specific", P23, 0, None),
+         ("other", P24, 0, None), ("other", P23, 0, None)],
+        [("other", P24, 0, None), ("other", P23, 0, None)],
+    ),
+    "shed-dns": _ANYCAST_ROWS,
+}
+
+
+class TestFigure1GoldenTable:
+    """Every registered technique x every testbed site against the
+    literal matrix above."""
+
+    @staticmethod
+    def rows_by_site(deployment, plan):
+        rows = {site: set() for site in deployment.site_names}
+        for o in plan:
+            assert o.neighbors is None
+            rows[deployment.site_of_node(o.node)].add((o.prefix, o.prepend, o.med))
+        return rows
+
+    @pytest.mark.parametrize("factory", TECHNIQUES.values())
+    def test_plans_equal_figure_1(self, deployment, factory):
+        technique = factory()
+        for specific in deployment.site_names:
+            plans = (
+                technique.originations(deployment, specific),
+                technique.originations(deployment, specific, down={specific}),
+            )
+            for expected, plan in zip(FIGURE_1[technique.name], plans):
+                assert len(set(plan)) == len(plan)
+                assert self.rows_by_site(deployment, plan) == {
+                    site: {
+                        row[1:] for row in expected
+                        if (row[0] == "specific") == (site == specific)
+                    }
+                    for site in deployment.site_names
+                }, (technique.name, specific)
+
+    def test_table_covers_the_registry(self):
+        assert set(FIGURE_1) == {factory().name for factory in TECHNIQUES.values()}
 
 
 class TestNormalOperationAnnouncements:
@@ -84,7 +158,7 @@ class TestFailureReactions:
     def run_failure(self, technique, dep, net, site="sea1"):
         deploy(technique, dep, net, site)
         net.withdraw_all(dep.site_node(site))
-        technique.on_failure(net, dep, site, SPECIFIC_PREFIX, SUPERPREFIX)
+        apply_plan(net, technique.originations(dep, site, down={site}))
         net.converge()
 
     def test_reactive_anycast_announces_everywhere(self, setup):
@@ -96,10 +170,11 @@ class TestFailureReactions:
                 assert SPECIFIC_PREFIX in originated(net, dep, site)
 
     def test_passive_techniques_do_nothing_new(self, setup):
-        dep, net = setup
+        dep, _ = setup
+        failed = dep.site_node("sea1")
         for technique in (Unicast(), Anycast(), ProactiveSuperprefix(), ProactivePrepending(3)):
-            technique.on_failure(net, dep, "sea1", SPECIFIC_PREFIX, SUPERPREFIX)
-        assert originated(net, dep, "ams") == set()
+            survivors = [o for o in technique.originations(dep, "sea1") if o.node != failed]
+            assert list(technique.originations(dep, "sea1", down={"sea1"})) == survivors
 
     def test_combined_announces_specific_after_failure(self, setup):
         dep, net = setup
@@ -151,63 +226,76 @@ class TestTable2Attributes:
 
 
 class TestShedTechniques:
-    """The load-shedding family: announcement shape and overload hooks."""
+    """The load-shedding family: announcement shape and overload reactions."""
 
     def fresh_net(self, deployment):
         return deployment.topology.build_network(seed=2, timing=FAST_TIMING)
 
-    @pytest.mark.parametrize("factory", [ShedPrepend, ShedWithdraw, ShedDns])
+    def controller(self, deployment, net, technique):
+        controller = CdnController(
+            network=net, deployment=deployment, technique=technique,
+            prefix=SPECIFIC_PREFIX, superprefix=SUPERPREFIX, detection_delay=0.0,
+        )
+        controller.deploy("sea1")
+        net.converge()
+        return controller
+
+    def overload(self, controller, site):
+        controller.site_overloaded(site)
+        controller.network.converge()  # the reaction runs off the engine
+
+    @pytest.mark.parametrize("factory", TECHNIQUES.values())
     def test_base_plus_specific_matches_normal(self, deployment, factory):
-        """Checkpoint forking replays announce_base then announce_specific;
-        the decomposition must reproduce announce_normal exactly."""
+        """Every registered technique x site, not only the shed family:
+        checkpoint forking applies the derived base plan and then deploys
+        the normal plan on top (re-originating the per-site delta); the
+        origin tables must equal a cold deploy's exactly."""
         technique = factory()
-        normal = self.fresh_net(deployment)
-        technique.announce_normal(
-            normal, deployment, "sea1", SPECIFIC_PREFIX, SUPERPREFIX
-        )
-        forked = self.fresh_net(deployment)
-        technique.announce_base(forked, deployment, SPECIFIC_PREFIX, SUPERPREFIX)
-        technique.announce_specific(
-            forked, deployment, "sea1", SPECIFIC_PREFIX, SUPERPREFIX
-        )
         for site in deployment.site_names:
-            assert originated(normal, deployment, site) == originated(
-                forked, deployment, site
-            ), site
+            normal = self.fresh_net(deployment)
+            apply_plan(normal, technique.originations(deployment, site))
+            forked = self.fresh_net(deployment)
+            apply_plan(forked, technique.base_plan(deployment))
+            apply_plan(forked, technique.originations(deployment, site))
+            for name in deployment.site_names:
+                node = deployment.site_node(name)
+                assert (
+                    normal.router(node).export_origins()
+                    == forked.router(node).export_origins()
+                ), (technique.name, site, name)
 
     def test_shed_prepend_reoriginates_with_prepend(self, setup):
         dep, net = setup
-        technique = ShedPrepend(prepend=4)
-        deploy(technique, dep, net)
-        technique.on_overload(net, dep, "msn", SPECIFIC_PREFIX, SUPERPREFIX)
+        controller = self.controller(dep, net, ShedPrepend(prepend=4))
+        self.overload(controller, "msn")
         assert net.router(dep.site_node("msn")).origin_config(SPECIFIC_PREFIX).prepend == 4
-        technique.on_overload_cleared(net, dep, "msn", SPECIFIC_PREFIX, SUPERPREFIX)
+        controller.site_overload_cleared("msn")
         assert net.router(dep.site_node("msn")).origin_config(SPECIFIC_PREFIX).prepend == 0
 
     def test_shed_withdraw_pulls_specific_keeps_cover(self, setup):
         dep, net = setup
-        technique = ShedWithdraw()
-        deploy(technique, dep, net)
+        controller = self.controller(dep, net, ShedWithdraw())
         assert originated(net, dep, "msn") == {SPECIFIC_PREFIX, SUPERPREFIX}
-        technique.on_overload(net, dep, "msn", SPECIFIC_PREFIX, SUPERPREFIX)
+        self.overload(controller, "msn")
         assert originated(net, dep, "msn") == {SUPERPREFIX}
-        technique.on_overload_cleared(net, dep, "msn", SPECIFIC_PREFIX, SUPERPREFIX)
+        controller.site_overload_cleared("msn")
         assert originated(net, dep, "msn") == {SPECIFIC_PREFIX, SUPERPREFIX}
 
     def test_shed_dns_fraction_and_nudge(self, setup):
         dep, net = setup
         technique = ShedDns(fraction=0.4, prepend=1)
         assert technique.shed_dns_fraction == 0.4
-        deploy(technique, dep, net)
-        technique.on_overload(net, dep, "msn", SPECIFIC_PREFIX, SUPERPREFIX)
+        controller = self.controller(dep, net, technique)
+        self.overload(controller, "msn")
         assert net.router(dep.site_node("msn")).origin_config(SPECIFIC_PREFIX).prepend == 1
 
     def test_passive_techniques_have_inert_overload_hooks(self, setup):
         dep, net = setup
-        deploy(Anycast(), dep, net)
-        before = originated(net, dep, "msn")
-        Anycast().on_overload(net, dep, "msn", SPECIFIC_PREFIX, SUPERPREFIX)
-        assert originated(net, dep, "msn") == before
+        controller = self.controller(dep, net, Anycast())
+        before = {s: net.router(dep.site_node(s)).export_origins() for s in dep.site_names}
+        self.overload(controller, "msn")
+        after = {s: net.router(dep.site_node(s)).export_origins() for s in dep.site_names}
+        assert after == before
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ PFX = IPv4Prefix.parse("184.164.244.0/24")
 class TestIdempotentOrigination:
     def test_reannouncing_same_config_sends_nothing(self):
         """originate() with an unchanged config must not generate churn
-        (the controller re-runs announce_normal on recovery paths)."""
+        (the controller re-applies its whole target plan on every reaction)."""
         net = build_line_network(3)
         net.announce("r0", PFX, prepend=2)
         net.converge()

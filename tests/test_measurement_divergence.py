@@ -10,8 +10,8 @@ from repro.topology.testbed import (
     SPECIFIC_PREFIX,
     build_deployment,
 )
+from repro.core.plan import apply_plan
 from repro.core.techniques import ProactivePrepending
-from repro.topology.testbed import SUPERPREFIX
 
 from tests.conftest import FAST_TIMING
 
@@ -40,7 +40,7 @@ def c1_experiment():
     # u: second /24 announced only at sea1.
     net.announce(dep.site_node("sea1"), SECOND_PREFIX)
     # a5: specific /24 from everywhere, others prepended 5x.
-    ProactivePrepending(5).announce_normal(net, dep, "sea1", SPECIFIC_PREFIX, SUPERPREFIX)
+    apply_plan(net, ProactivePrepending(5).originations(dep, "sea1"))
     net.converge()
     plane = ForwardingPlane(net, topo)
     rt = ReverseTraceroute(plane, topo, support_prob=1.0)

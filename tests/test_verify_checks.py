@@ -100,6 +100,17 @@ class TestProfiles:
         assert len(verify_world(world, select={"VER201"}).findings) == 1
 
 
+@pytest.mark.parametrize("name", ["shed-prepend", "shed-dns"])
+def test_prepend_check_reads_the_normal_plan(name):
+    """VER212 is about the prepend the *normal* plan carries; the shed
+    family prepends only as an overload reaction, so the bad_prepend
+    world must come out clean under them."""
+    data = json.loads((FIXTURES / "bad_prepend.json").read_text())
+    data["technique"] = name
+    del data["prepend"]
+    assert "VER212" not in {f.code for f in verify_world(world_from_dict(data)).findings}
+
+
 class TestDefaultWorld:
     def test_shipped_testbed_verifies_clean(self):
         """Acceptance: zero findings on the shipped deployment, full roster."""

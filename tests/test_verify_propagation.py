@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bgp.policy import Relationship
+from repro.core.plan import apply_plan
 from repro.core.techniques import technique_by_name
 from repro.measurement.catchment import catchment_from_network
 from repro.topology.generator import TopologyParams
@@ -24,11 +24,9 @@ from repro.topology.testbed import (
 )
 from repro.verify import (
     Origination,
-    PlanRecorder,
     SymbolicGraph,
     ambiguous_ties,
     propagate,
-    record_plan,
     world_from_dict,
 )
 
@@ -57,43 +55,6 @@ def deployment():
 @pytest.fixture(scope="module")
 def clean_world():
     return load_fixture_world("clean")
-
-
-class TestPlanRecorder:
-    def test_records_prepend_and_med(self, clean_world):
-        recorder = PlanRecorder(clean_world.topology)
-        recorder.announce("site:x", SPECIFIC_PREFIX, prepend=2, med=50)
-        (origination,) = recorder.originations
-        assert origination.prepend == 2 and origination.med == 50
-
-    def test_reannouncement_replaces(self, clean_world):
-        recorder = PlanRecorder(clean_world.topology)
-        recorder.announce("site:x", SPECIFIC_PREFIX, prepend=3)
-        recorder.announce("site:x", SPECIFIC_PREFIX)
-        (origination,) = recorder.originations
-        assert origination.prepend == 0
-
-    def test_withdraw(self, clean_world):
-        recorder = PlanRecorder(clean_world.topology)
-        recorder.announce("site:x", SPECIFIC_PREFIX)
-        assert recorder.withdraw("site:x", SPECIFIC_PREFIX)
-        assert not recorder.originations
-        assert not recorder.withdraw("site:x", SPECIFIC_PREFIX)
-
-    def test_neighbors_proxies_topology(self, clean_world):
-        recorder = PlanRecorder(clean_world.topology)
-        assert recorder.neighbors("site:x") == {"p1": Relationship.PROVIDER}
-
-    def test_record_plan_matches_technique_shape(self, clean_world):
-        technique = technique_by_name("proactive-superprefix")
-        plan = record_plan(
-            technique, clean_world.deployment, "x", SPECIFIC_PREFIX, SUPERPREFIX
-        )
-        prefixes = sorted(str(o.prefix) for o in plan)
-        # the /24 at the specific site plus the /23 at both sites
-        assert prefixes == [
-            "184.164.244.0/23", "184.164.244.0/23", "184.164.244.0/24",
-        ]
 
 
 class TestPropagate:
@@ -170,9 +131,8 @@ class TestPropagate:
     def test_ambiguous_ties_detects_final_tiebreak(self):
         world = load_fixture_world("bad_ambiguous")
         graph = SymbolicGraph.from_topology(world.topology)
-        plan = record_plan(
-            world.techniques[0], world.deployment, "x",
-            world.prefix, world.superprefix,
+        plan = world.techniques[0].originations(
+            world.deployment, "x", world.prefix, world.superprefix
         )
         result = propagate(graph, plan, world.prefix)
         assert result.stable
@@ -191,8 +151,8 @@ class TestAgreementMatrix:
         for name in MATRIX_TECHNIQUES:
             technique = technique_by_name(name)
             for site in deployment.site_names:
-                plan = record_plan(
-                    technique, deployment, site, SPECIFIC_PREFIX, SUPERPREFIX
+                plan = technique.originations(
+                    deployment, site, SPECIFIC_PREFIX, SUPERPREFIX
                 )
                 result = propagate(graph, plan, SPECIFIC_PREFIX)
                 assert result.stable, f"{name}/{site} did not stabilize"
@@ -202,9 +162,7 @@ class TestAgreementMatrix:
                     for c in clients
                 }
                 network = deployment.topology.build_network(seed=0)
-                technique.announce_normal(
-                    network, deployment, site, SPECIFIC_PREFIX, SUPERPREFIX
-                )
+                apply_plan(network, plan)
                 network.converge()
                 simulated = catchment_from_network(
                     network, deployment, SPECIFIC_PREFIX, clients
