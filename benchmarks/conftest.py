@@ -7,12 +7,13 @@ prints the paper-reported value next to the measured one. Run with::
     pytest benchmarks/ --benchmark-only
 
 Reports are printed to stdout and appended to ``benchmarks/results.md``
-so they survive output capturing.
+so they survive output capturing. What the simulator itself costs
+(wall, cells/s, per-layer attribution) is measured by ``bench/``; see
+``bench/README.md``.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -44,95 +45,7 @@ def report(title: str, lines: list[str]) -> None:
         handle.write(block + "\n")
 
 
-def write_bench_json(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable bench result as BENCH_<name>.json."""
-    path = pathlib.Path(__file__).parent / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def append_performance_narrative() -> None:
-    """Summarize the BENCH_*.json trajectories as prose in results.md.
-
-    The per-figure blocks above are paper-vs-measured; this section is
-    about the *harness itself* -- what instrumenting, parallelizing, and
-    forking the simulator costs or saves -- rebuilt from the
-    machine-readable BENCH files so it survives results.md regeneration.
-    """
-    bench_dir = pathlib.Path(__file__).parent
-
-    def load(name: str) -> dict | None:
-        path = bench_dir / f"BENCH_{name}.json"
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
-
-    telemetry = load("telemetry_overhead")
-    parallel = load("parallel_sweep")
-    fork = load("checkpoint_fork")
-    if not (telemetry or parallel or fork):
-        return
-
-    lines: list[str] = []
-    if telemetry:
-        ratio = telemetry["enabled_over_disabled"]
-        events = telemetry["enabled"]["engine_events_per_run"]
-        lines += [
-            "**Telemetry overhead.** Full tracing on a Fig. 2-style run "
-            f"costs {ratio:.2f}x over the no-op backend ({events} engine "
-            "events per run). The first instrumentation pass landed at "
-            "1.16x; moving the enabled-check to one attribute read per "
-            "call site brought it to ~1.05x, inside the 5% acceptance "
-            "bound. Reproduce: `pytest "
-            "benchmarks/test_bench_telemetry_overhead.py --benchmark-only`.",
-            "",
-        ]
-    if parallel:
-        speedup = parallel["speedup"]
-        cpus = parallel["cpu_count"]
-        workers = parallel["workers"]
-        lines += [
-            f"**Parallel sweep.** {workers} workers reach {speedup:.2f}x "
-            f"over serial on this {cpus}-CPU machine -- below 1x here "
-            "because process spawn and shared-state shipping are pure "
-            "overhead when there is only one core to share; the same "
-            "bench asserts serial/parallel canonical JSON equality "
-            f"(identical: {parallel['identical']}), which is the property "
-            "the sweep actually guarantees. On multi-core hosts the "
-            "speedup scales with cores. Reproduce: `pytest "
-            "benchmarks/test_bench_parallel_sweep.py --benchmark-only`.",
-            "",
-        ]
-    if fork:
-        lines += [
-            "**Checkpoint fork.** Converging each technique's baseline "
-            "once and forking it per cell turns the "
-            f"{fork['scenario']} from "
-            f"{fork['baseline_converges_cold']} baseline convergences "
-            f"into {fork['baseline_converges_forked']}: "
-            f"{fork['cold_cells_per_s']:.2f} -> "
-            f"{fork['forked_cells_per_s']:.2f} cells/s, a "
-            f"{fork['speedup']:.2f}x speedup (floor "
-            f"{fork['min_speedup']:.1f}x) with forked repeats "
-            f"byte-identical: {fork['forked_repeats_identical']}. "
-            "Reproduce: `pytest "
-            "benchmarks/test_bench_checkpoint_fork.py --benchmark-only`.",
-            "",
-        ]
-    lines += [
-        "Together: observability is effectively free, the determinism "
-        "contract (byte-identical results across worker counts and "
-        "across forks) is bench-asserted rather than assumed, and the "
-        "converge-once/fail-many decomposition is where the real "
-        "wall-clock win lives.",
-    ]
-    report("Harness performance trajectory (from BENCH_*.json)", lines)
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_results_file():
-    """Start each bench session with a clean results.md; close it with
-    the harness-performance narrative."""
+    """Start each bench session with a clean results.md."""
     RESULTS_PATH.write_text("# Benchmark results (paper vs measured)\n\n")
-    yield
-    append_performance_narrative()

@@ -12,8 +12,9 @@ Two layers share one :class:`~repro.analysis.findings.Finding` model:
 * **Semantic pre-flight validator** (:mod:`repro.analysis.preflight`) --
   static checks on topologies, deployments, scenario timelines,
   announcement plans, and protocol parameters before any event fires.
-  Codes are ``PREnnn``; the experiment CLI refuses to run on ERROR
-  findings unless ``--no-preflight`` is given.
+  Codes are ``PREnnn``; it is stage 1 of the experiment CLI's pre-run
+  gate, which refuses to run on ERROR findings unless ``--no-check`` is
+  given.
 
 ``repro lint`` drives the linter from the command line; see
 ``docs/static-analysis.md`` for the full rule catalogue.

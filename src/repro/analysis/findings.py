@@ -21,7 +21,7 @@ from repro import telemetry
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ERROR findings block a pre-flighted run (without ``--no-preflight``)
+    ERROR findings block a gated run (without ``--no-check``)
     and fail ``repro lint``; WARNING findings are reported but advisory.
     """
 
@@ -38,7 +38,7 @@ class Finding:
     """One diagnosed hazard, from either analysis layer.
 
     Attributes:
-        code: the stable rule/check code (``DET001``, ``PRE110``, ...).
+        code: the stable rule/check code (``DET001``, ``PRE105``, ...).
         message: human-readable description of the specific occurrence.
         severity: ERROR blocks, WARNING advises.
         source: file path (linter) or logical subject (pre-flight).

@@ -9,8 +9,12 @@ and quietly corrupts the failover CDFs the paper's comparisons rest on).
 Each check returns :class:`~repro.analysis.findings.Finding` objects
 with stable ``PREnnn`` codes, the same model the determinism linter
 uses, so the CLI and CI report both layers uniformly. ERROR findings
-make the experiment commands refuse to run (``--no-preflight``
+make the experiment commands refuse to run (``--no-check``
 overrides); WARNING findings are advisory.
+
+This is stage 1 of the pre-run gate (:func:`repro.cli.common.gate`).
+Facts stage 2 (:mod:`repro.verify`) proves -- provider cycles,
+superprefix geometry, capacity vacuity -- have no PRE code.
 """
 
 from __future__ import annotations
@@ -19,19 +23,13 @@ from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding, FindingCollector, Severity, emit_findings
 from repro.bgp.damping import DampingConfig
-from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.core.plan import Technique
 from repro.core.scenarios import ScenarioEvent
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology
 from repro.topology.relationships import AsClass
-from repro.topology.testbed import (
-    PROBE_SOURCE,
-    SPECIFIC_PREFIX,
-    SUPERPREFIX,
-    CdnDeployment,
-)
+from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, CdnDeployment
 from repro.workload.capacity import CapacityProfile
 from repro.workload.profile import RATE_KINDS, WorkloadProfile
 
@@ -66,12 +64,15 @@ def check_events(
     events: Iterable[ScenarioEvent | tuple],
     deployment: CdnDeployment,
     duration: float | None = None,
+    capacity: CapacityProfile | None = None,
 ) -> list[Finding]:
     """Validate a scripted timeline against the deployment.
 
     Accepts :class:`ScenarioEvent` objects or raw ``(kind, site, at)``
     tuples (what the CLI parses), so malformed input is caught before
-    event construction can raise mid-setup.
+    event construction can raise mid-setup. ``capacity`` is the run's
+    capacity profile: brownouts scale it, so without one they are
+    no-ops (PRE107).
     """
     findings: list[Finding] = []
     normalized: list[tuple[float, str, str]] = []
@@ -106,6 +107,13 @@ def check_events(
                 "PRE104",
                 f"event at {at:g}s is after the scenario end ({duration:g}s); "
                 "it may never be observed by a probe",
+                source,
+            ))
+        if kind == "brownout" and capacity is None:
+            findings.append(_warning(
+                "PRE107",
+                "brownout event in a run with no capacity profile has no "
+                "effect",
                 source,
             ))
         normalized.append((at, kind, site))
@@ -192,46 +200,22 @@ def check_events(
 def check_prefix_plan(
     technique: Technique | None,
     prefix: IPv4Prefix = SPECIFIC_PREFIX,
-    superprefix: IPv4Prefix = SUPERPREFIX,
     probe_source: IPv4Address = PROBE_SOURCE,
 ) -> list[Finding]:
-    """Validate the announced-prefix geometry for a technique.
+    """The probe source must sit inside the announced specific prefix.
 
-    Catches covering/overlap mistakes statically: a superprefix that does
-    not actually cover the specific prefix silently removes the LPM
-    fallback that every superprefix-announcing plan depends on, and a
-    probe source outside the announced specific prefix makes every reply
-    unroutable (the probing would report a 100% outage).
+    Otherwise every reply is unroutable and the probing would report a
+    100% outage. (Whether the superprefix covers the specific prefix is
+    the verifier's VER222.)
     """
-    findings: list[Finding] = []
-    source = f"announcement plan ({technique.name if technique else 'common'})"
-    uses_superprefix = technique is None or technique.announces_superprefix
-    if uses_superprefix:
-        if prefix == superprefix:
-            findings.append(_error(
-                "PRE111",
-                f"specific prefix {prefix} equals the superprefix; longest-prefix "
-                "matching cannot distinguish the intended site from the backup",
-                source,
-            ))
-        elif not (
-            superprefix.length < prefix.length
-            and superprefix.contains(IPv4Address(prefix.network))
-        ):
-            findings.append(_error(
-                "PRE110",
-                f"superprefix {superprefix} does not cover specific prefix "
-                f"{prefix}; the covering-prefix fallback can never match",
-                source,
-            ))
-    if not prefix.contains(probe_source):
-        findings.append(_error(
-            "PRE112",
-            f"probe source {probe_source} is outside the announced specific "
-            f"prefix {prefix}; probe replies would be unroutable",
-            source,
-        ))
-    return findings
+    if prefix.contains(probe_source):
+        return []
+    return [_error(
+        "PRE112",
+        f"probe source {probe_source} is outside the announced specific "
+        f"prefix {prefix}; probe replies would be unroutable",
+        f"announcement plan ({technique.name if technique else 'common'})",
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -239,60 +223,20 @@ def check_prefix_plan(
 
 
 def check_topology(topology: Topology) -> list[Finding]:
-    """Structural sanity of a generated topology.
+    """Flags ASes with no links at all (unreachable probe targets).
 
-    The headline check is Gao-Rexford consistency: the customer->provider
-    digraph must be acyclic, or BGP's valley-free economics are violated
-    and convergence results are meaningless. Also flags ASes with no
-    links at all (unreachable probe targets).
+    Gao-Rexford consistency of the provider digraph is the verifier's
+    VER201.
     """
-    findings: list[Finding] = []
-
-    # customer -> provider edges: link(a, b, rel) stores b's role from
-    # a's perspective, so PROVIDER means a pays b.
-    providers_of: dict[str, set[str]] = {node: set() for node in topology.ases}
-    degree: dict[str, int] = {node: 0 for node in topology.ases}
-    for link in topology.links:
-        degree[link.a] += 1
-        degree[link.b] += 1
-        if link.relationship is Relationship.PROVIDER:
-            providers_of[link.a].add(link.b)
-        elif link.relationship is Relationship.CUSTOMER:
-            providers_of[link.b].add(link.a)
-
-    # Kahn's algorithm on the customer->provider digraph; leftovers are
-    # exactly the nodes on provider cycles.
-    incoming = {node: 0 for node in providers_of}
-    for node, providers in providers_of.items():
-        for provider in providers:
-            incoming[provider] += 1
-    queue = [node for node, count in incoming.items() if count == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for provider in providers_of[node]:
-            incoming[provider] -= 1
-            if incoming[provider] == 0:
-                queue.append(provider)
-    if seen < len(providers_of):
-        cyclic = sorted(node for node, count in incoming.items() if count > 0)
-        shown = ", ".join(cyclic[:8]) + ("..." if len(cyclic) > 8 else "")
-        findings.append(_error(
-            "PRE120",
-            f"provider-customer cycle involving {len(cyclic)} ASes ({shown}); "
-            "Gao-Rexford valley-free routing is violated",
+    linked = {end for link in topology.links for end in (link.a, link.b)}
+    return [
+        _warning(
+            "PRE121",
+            f"AS {node!r} has no links and is unreachable from everywhere",
             "topology",
-        ))
-
-    for node, count in sorted(degree.items()):
-        if count == 0:
-            findings.append(_warning(
-                "PRE121",
-                f"AS {node!r} has no links and is unreachable from everywhere",
-                "topology",
-            ))
-    return findings
+        )
+        for node in sorted(set(topology.ases) - linked)
+    ]
 
 
 def check_deployment(deployment: CdnDeployment) -> list[Finding]:
@@ -554,11 +498,11 @@ def check_capacity(
     """Validate a ``--capacity`` profile before any load is offered.
 
     Like workload profiles, the capacity loader only type-checks; value
-    sanity lives here: non-positive rates (PRE150), limits for sites the
-    deployment does not have (PRE151), a capacity model with no workload
-    to measure against (PRE152), and a total capacity the workload's
-    *baseline* rate already exceeds, which makes every technique --
-    shedding included -- lose requests by construction (PRE153).
+    sanity lives here: non-positive rates (PRE150) and a total capacity
+    the workload's *baseline* rate already exceeds, which makes every
+    technique -- shedding included -- lose requests by construction
+    (PRE153). Limits for undeployed sites and a profile with no workload
+    to measure against are the verifier's VER242 / VER243.
     """
     findings: list[Finding] = []
     if capacity is None:
@@ -580,23 +524,7 @@ def check_capacity(
                 "would serve nothing (fail it instead)",
                 source,
             ))
-    if deployment is not None:
-        deployed = set(deployment.site_names)
-        for site in sorted(set(capacity.site_rps) - deployed):
-            findings.append(_error(
-                "PRE151",
-                f"site_rps names unknown site {site!r}; "
-                f"deployment has {deployment.site_names}",
-                source,
-            ))
-    if workload is None:
-        findings.append(_warning(
-            "PRE152",
-            "capacity profile given without a workload; nothing offers "
-            "load, so capacity limits have no effect on this run",
-            source,
-        ))
-    elif deployment is not None and not findings:
+    if workload is not None and deployment is not None and not findings:
         limits = [capacity.capacity_for(s) for s in deployment.site_names]
         if all(limit is not None for limit in limits):
             total = sum(limit for limit in limits if limit is not None)
@@ -621,7 +549,6 @@ def preflight_run(
     technique: Technique | None = None,
     *,
     prefix: IPv4Prefix = SPECIFIC_PREFIX,
-    superprefix: IPv4Prefix = SUPERPREFIX,
     probe_source: IPv4Address = PROBE_SOURCE,
     events: Iterable[ScenarioEvent | tuple] | None = None,
     duration: float | None = None,
@@ -640,9 +567,9 @@ def preflight_run(
     collector = FindingCollector()
     collector.extend(check_topology(deployment.topology))
     collector.extend(check_deployment(deployment))
-    collector.extend(check_prefix_plan(technique, prefix, superprefix, probe_source))
+    collector.extend(check_prefix_plan(technique, prefix, probe_source))
     if events is not None:
-        collector.extend(check_events(events, deployment, duration))
+        collector.extend(check_events(events, deployment, duration, capacity))
     collector.extend(check_timing(timing, damping))
     collector.extend(check_run_shape(duration, detection_delay))
     collector.extend(check_targets(deployment.topology, target_nodes))

@@ -30,9 +30,10 @@ Every command accepts ``--seed`` and the experiment ones accept scale
 knobs, so results are reproducible and tunable without code. ``-v``
 turns on INFO-level diagnostics (``-vv`` for DEBUG) on stderr; the
 experiment commands accept ``--trace``/``--metrics`` (see
-``docs/observability.md``) and run semantic pre-flight validation
-before any event fires (``--no-preflight`` overrides; see
-``docs/static-analysis.md``).
+``docs/observability.md``) and pass the run they are about to execute
+through the pre-run gate -- pre-flight validation, then static
+control-plane verification -- before any event fires (``--no-check``
+overrides; see ``docs/static-analysis.md``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared CLI helpers: telemetry flags, sessions, and pre-flight checks.
+"""Shared CLI helpers: telemetry flags, sessions, and the pre-run gate.
 
 Every experiment subcommand (``failover``, ``compare``, ``drill``,
 ``scenario``) accepts the same observability flags::
@@ -12,13 +12,12 @@ Every experiment subcommand (``failover``, ``compare``, ``drill``,
 :class:`~repro.telemetry.Telemetry` for the duration of the command and
 handles the export on the way out.
 
-The same commands run the semantic pre-flight validator
-(:mod:`repro.analysis.preflight`) before any event fires;
-:func:`run_preflight` prints its findings and refuses the run on ERROR
-findings unless ``--no-preflight`` was given. They also run the static
-control-plane verifier (:mod:`repro.verify`) over the exact
-technique/fault configuration about to execute; :func:`run_verify`
-refuses on VER errors unless ``--no-verify`` was given.
+The same commands (and ``sweep``) describe the run they are about to
+execute as one :class:`~repro.verify.world.VerifyWorld` and pass it to
+:func:`gate` before any event fires: the semantic pre-flight validator
+(:mod:`repro.analysis.preflight`), then the static control-plane
+verifier (:mod:`repro.verify`). ERROR findings from either stage
+refuse the run unless ``--no-check`` was given.
 """
 
 from __future__ import annotations
@@ -169,98 +168,57 @@ def resolve_workload(args: argparse.Namespace):
 
 def add_preflight_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--no-preflight", action="store_true",
-        help="skip the semantic pre-flight validation (run even on errors)",
-    )
-    parser.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the static control-plane verification (run even on "
-             "VER errors)",
+        "--no-check", "--no-preflight", "--no-verify",
+        dest="no_check", action="store_true",
+        help="run even when the pre-run gate (PRE pre-flight checks, then "
+             "VER static control-plane verification) reports errors",
     )
 
 
-def run_preflight(args: argparse.Namespace, deployment, **kwargs) -> bool:
-    """Validate an experiment before running it.
+def gate(args: argparse.Namespace, world) -> bool:
+    """Check the run ``world`` describes before any event fires.
 
-    ``kwargs`` are forwarded to
-    :func:`repro.analysis.preflight.preflight_run`. Findings go to
-    stderr. Returns False (the command should exit with status 2) when
-    blocking findings exist and ``--no-preflight`` was not given.
-    """
-    from repro.analysis import preflight_run
-
-    report = preflight_run(deployment, **kwargs)
-    for finding in report.findings:
-        print(f"preflight: {finding.format()}", file=sys.stderr)
-    if report.ok:
-        return True
-    if getattr(args, "no_preflight", False):
-        print(
-            f"preflight: {len(report.errors)} error(s) overridden by --no-preflight",
-            file=sys.stderr,
-        )
-        return True
-    print(
-        f"preflight: refusing to run with {len(report.errors)} error(s); "
-        "use --no-preflight to override",
-        file=sys.stderr,
-    )
-    return False
-
-
-def run_verify(
-    args: argparse.Namespace,
-    deployment,
-    techniques,
-    fault_plan=None,
-    duration: float | None = None,
-    damping=None,
-    specific_site: str | None = None,
-    workload=None,
-    capacity=None,
-) -> bool:
-    """Statically verify the run's control-plane configuration.
-
-    Builds a :class:`~repro.verify.world.VerifyWorld` from exactly what
-    the experiment is about to run — its deployment, technique roster,
-    fault plan, and duration — and runs the VER2xx analyses. Findings go
-    to stderr alongside the pre-flight ones. Returns False (the command
-    should exit with status 2) when blocking findings exist and
-    ``--no-verify`` was not given.
+    ``world`` is the command's one
+    :class:`~repro.verify.world.VerifyWorld`, built from the objects it
+    is about to run. Stage 1 is the cheap PRE pass, stage 2 the symbolic
+    VER pass; findings go to stderr. Returns False (the command should
+    exit with status 2) at the first stage with blocking findings unless
+    ``--no-check`` was given, so stage 2 never runs after a refusal.
 
     The gate runs in the parent process before any sweep fans out, so
     its output is byte-identical for every ``--workers`` count.
     """
-    from repro.verify import VerifyWorld, verify_world
+    from repro.analysis import preflight_run
+    from repro.verify import verify_world
 
-    world = VerifyWorld(
-        deployment=deployment,
-        techniques=[t for t in techniques if t is not None],
-        specific_site=specific_site,
-        fault_plan=fault_plan,
-        duration=duration,
-        damping=damping,
-        workload=workload,
-        capacity=capacity,
-        source="<run>",
+    stages = (
+        ("preflight", lambda: preflight_run(
+            world.deployment, prefix=world.prefix, events=world.events,
+            duration=world.duration, detection_delay=world.detection_delay,
+            timing=world.timing, damping=world.damping,
+            target_nodes=world.target_nodes, workload=world.workload,
+            capacity=world.capacity,
+        )),
+        ("verify", lambda: verify_world(world)),
     )
-    report = verify_world(world)
-    for finding in report.findings:
-        print(f"verify: {finding.format()}", file=sys.stderr)
-    if report.ok:
-        return True
-    if getattr(args, "no_verify", False):
+    for label, stage in stages:
+        report = stage()
+        for finding in report.findings:
+            print(f"{label}: {finding.format()}", file=sys.stderr)
+        if report.ok:
+            continue
+        if not args.no_check:
+            print(
+                f"{label}: refusing to run with {len(report.errors)} error(s); "
+                "use --no-check to override",
+                file=sys.stderr,
+            )
+            return False
         print(
-            f"verify: {len(report.errors)} error(s) overridden by --no-verify",
+            f"{label}: {len(report.errors)} error(s) overridden by --no-check",
             file=sys.stderr,
         )
-        return True
-    print(
-        f"verify: refusing to run with {len(report.errors)} error(s); "
-        "use --no-verify to override",
-        file=sys.stderr,
-    )
-    return False
+    return True
 
 
 @contextmanager

@@ -9,13 +9,12 @@ from repro.cli.common import (
     add_preflight_arguments,
     add_telemetry_arguments,
     cell_timeout,
+    gate,
     report_sweep_failures,
-    run_preflight,
-    run_verify,
     sweep_progress,
     telemetry_session,
 )
-from repro.cli.failover import add_scale_arguments, make_experiment
+from repro.cli.failover import add_scale_arguments, experiment_world, make_experiment
 from repro.core.experiment import pooled_outcomes
 from repro.core.techniques import (
     Anycast,
@@ -68,20 +67,7 @@ def run(args: argparse.Namespace) -> int:
             # Load-shedding variants only differentiate themselves under
             # offered load; without --workload they are anycast clones.
             techniques.extend([ShedPrepend(), ShedWithdraw(), ShedDns()])
-        # technique=None validates the technique-independent plan (incl.
-        # the superprefix geometry), which covers the whole sweep.
-        if not run_preflight(
-            args, experiment.deployment, technique=None,
-            duration=args.duration, detection_delay=args.detection_delay,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, experiment.deployment, techniques, duration=args.duration,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
+        if not gate(args, experiment_world(experiment, techniques)):
             return 2
 
         # The full ⟨technique, site⟩ matrix runs as one sweep so --workers

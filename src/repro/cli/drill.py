@@ -11,10 +11,9 @@ from repro.cli.common import (
     add_telemetry_arguments,
     add_workload_arguments,
     cell_timeout,
+    gate,
     resolve_capacity,
     resolve_workload,
-    run_preflight,
-    run_verify,
     sweep_progress,
     telemetry_session,
 )
@@ -23,6 +22,7 @@ from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.faults import load_fault_plan
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
+from repro.verify import VerifyWorld
 
 
 def register(subparsers) -> None:
@@ -63,31 +63,24 @@ def run(args: argparse.Namespace) -> int:
                 print(f"cannot load fault plan: {error}", file=sys.stderr)
                 return 2
         deployment = build_deployment(params=TopologyParams(seed=args.seed))
-        technique = technique_by_name(args.technique)
         clients = [
             info.node_id for info in deployment.topology.web_client_ases()
         ][: args.clients]
-        workload = resolve_workload(args)
-        capacity = resolve_capacity(args)
-        if not run_preflight(
-            args, deployment, technique=technique,
-            duration=args.deadline, target_nodes=clients,
-            workload=workload,
-            capacity=capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, deployment, [technique],
-            fault_plan=fault_plan, duration=args.deadline,
-            workload=workload, capacity=capacity,
-        ):
-            return 2
         drill = RotationDrill(
-            deployment.topology, deployment, technique,
+            deployment.topology, deployment, technique_by_name(args.technique),
             deadline_s=args.deadline, seed=args.seed,
             fault_plan=fault_plan, check_invariants=args.check_invariants,
-            workload=workload, capacity=capacity,
+            workload=resolve_workload(args), capacity=resolve_capacity(args),
         )
+        world = VerifyWorld(
+            deployment=deployment, techniques=[drill.technique],
+            fault_plan=drill.fault_plan, duration=drill.deadline_s,
+            detection_delay=drill.detection_delay, timing=drill.timing,
+            target_nodes=clients, workload=drill.workload,
+            capacity=drill.capacity, source="<run>",
+        )
+        if not gate(args, world):
+            return 2
         try:
             outcomes = drill.run_rotation(
                 clients,

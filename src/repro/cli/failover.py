@@ -12,11 +12,10 @@ from repro.cli.common import (
     add_telemetry_arguments,
     add_workload_arguments,
     cell_timeout,
+    gate,
     report_sweep_failures,
     resolve_capacity,
     resolve_workload,
-    run_preflight,
-    run_verify,
     telemetry_session,
 )
 from repro.core.experiment import FailoverConfig, FailoverExperiment
@@ -24,6 +23,7 @@ from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.measurement.stats import summarize
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
+from repro.verify import VerifyWorld
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,20 @@ def make_experiment(args: argparse.Namespace) -> FailoverExperiment:
     )
 
 
+def experiment_world(
+    experiment: FailoverExperiment, techniques, specific_site: str | None = None
+) -> VerifyWorld:
+    """The run ``experiment`` is about to make, as the gate's one world."""
+    config = experiment.config
+    return VerifyWorld(
+        deployment=experiment.deployment, techniques=techniques,
+        specific_site=specific_site, duration=config.probe_duration,
+        detection_delay=config.detection_delay, timing=config.timing,
+        damping=config.damping, workload=config.workload,
+        capacity=config.capacity, source="<run>",
+    )
+
+
 def register(subparsers) -> None:
     parser = subparsers.add_parser(
         "failover", help="fail one site under one technique and measure recovery"
@@ -95,19 +109,7 @@ def run(args: argparse.Namespace) -> int:
         if args.site not in experiment.deployment.sites:
             print(f"unknown site {args.site!r}; have {experiment.deployment.site_names}")
             return 2
-        if not run_preflight(
-            args, experiment.deployment, technique=technique,
-            duration=args.duration, detection_delay=args.detection_delay,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, experiment.deployment, [technique],
-            duration=args.duration, specific_site=args.site,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
+        if not gate(args, experiment_world(experiment, [technique], args.site)):
             return 2
         print(f"failing {args.site} under {technique.name} "
               f"({'silent' if args.silent else 'withdrawing'} failure) ...")

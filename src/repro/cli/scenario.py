@@ -10,10 +10,9 @@ from repro.cli.common import (
     add_preflight_arguments,
     add_telemetry_arguments,
     add_workload_arguments,
+    gate,
     resolve_capacity,
     resolve_workload,
-    run_preflight,
-    run_verify,
     telemetry_session,
 )
 from repro.core.scenarios import ScenarioRunner
@@ -22,6 +21,7 @@ from repro.faults import load_fault_plan
 from repro.measurement.catchment import anycast_catchment
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
+from repro.verify import VerifyWorld
 
 logger = logging.getLogger(__name__)
 
@@ -80,34 +80,6 @@ def run(args: argparse.Namespace) -> int:
         if args.site not in deployment.sites:
             print(f"unknown site {args.site!r}; have {deployment.site_names}")
             return 2
-        events = args.event or [("fail", args.site, args.duration / 4)]
-        workload = resolve_workload(args)
-        capacity = resolve_capacity(args)
-        if not run_preflight(
-            args, deployment,
-            technique=technique_by_name(args.technique),
-            events=events, duration=args.duration,
-            workload=workload,
-            capacity=capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, deployment, [technique_by_name(args.technique)],
-            fault_plan=fault_plan, duration=args.duration,
-            specific_site=args.site,
-            workload=workload,
-            capacity=capacity,
-        ):
-            return 2
-        catchment = anycast_catchment(deployment.topology, deployment, seed=args.seed)
-        targets = [n for n, s in catchment.items() if s == args.site][:15]
-        if not targets:
-            logger.warning(
-                "site %r has an empty anycast catchment; using the default target set",
-                args.site,
-            )
-            targets = None
-
         runner = ScenarioRunner(
             topology=deployment.topology,
             deployment=deployment,
@@ -115,15 +87,36 @@ def run(args: argparse.Namespace) -> int:
             specific_site=args.site,
             duration_s=args.duration,
             bucket_s=10.0,
-            target_nodes=targets,
             recovery_grace=args.grace,
             seed=args.seed,
             fault_plan=fault_plan,
-            workload=workload,
-            capacity=capacity,
+            workload=resolve_workload(args),
+            capacity=resolve_capacity(args),
         )
+        # Raw tuples until the gate has passed: ScenarioEvent raises on
+        # the malformed input PRE102/PRE103 are there to report.
+        events = args.event or [("fail", args.site, args.duration / 4)]
+        world = VerifyWorld(
+            deployment=deployment, techniques=[runner.technique],
+            specific_site=runner.specific_site, fault_plan=runner.fault_plan,
+            damping=runner.damping, duration=runner.duration_s,
+            events=events, detection_delay=runner.detection_delay,
+            timing=runner.timing, workload=runner.workload,
+            capacity=runner.capacity, source="<run>",
+        )
+        if not gate(args, world):
+            return 2
         for kind, site, at in events:
             runner.add_event(at, kind, site)
+        catchment = anycast_catchment(deployment.topology, deployment, seed=args.seed)
+        targets = [n for n, s in catchment.items() if s == args.site][:15]
+        if targets:
+            runner.target_nodes = targets
+        else:
+            logger.warning(
+                "site %r has an empty anycast catchment; using the default target set",
+                args.site,
+            )
 
         result = runner.run()
         if fault_plan is not None:
@@ -144,7 +137,7 @@ def run(args: argparse.Namespace) -> int:
             from repro.workload import render_account
 
             print(render_account(result.workload))
-        if capacity is not None and workload is not None:
+        if runner.capacity is not None and runner.workload is not None:
             if result.capacity_violations:
                 print(
                     f"capacity invariant: "

@@ -19,13 +19,12 @@ from repro.cli.common import (
     add_preflight_arguments,
     add_telemetry_arguments,
     cell_timeout,
+    gate,
     report_sweep_failures,
-    run_preflight,
-    run_verify,
     sweep_progress,
     telemetry_session,
 )
-from repro.cli.failover import add_scale_arguments, make_experiment
+from repro.cli.failover import add_scale_arguments, experiment_world, make_experiment
 from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.measurement.export import save_json, sweep_report_to_dict
 from repro.measurement.stats import summarize
@@ -81,18 +80,7 @@ def run(args: argparse.Namespace) -> int:
             if name == "proactive-prepending" else technique_by_name(name)
             for name in args.techniques
         ]
-        if not run_preflight(
-            args, experiment.deployment, technique=None,
-            duration=args.duration, detection_delay=args.detection_delay,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, experiment.deployment, techniques, duration=args.duration,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
+        if not gate(args, experiment_world(experiment, techniques)):
             return 2
 
         cells = matrix(techniques, list(sites))

@@ -1,10 +1,12 @@
-"""The verifier's input: a *world* bundling everything it analyzes.
+"""The one description of a run: a *world* every checker reads.
 
 A :class:`VerifyWorld` is a topology + CDN deployment, the techniques
 whose announcement plans should be checked, the prefix plan, optional
-per-AS preference overrides and damping parameters, and (optionally) a
-fault plan with the experiment duration it will run under. Worlds come
-from two places:
+per-AS preference overrides and damping parameters, a fault plan, and
+the run's shape (duration, detection delay, session timing, scripted
+events, probe targets). The experiment commands build one from the
+objects they are about to run (:func:`repro.cli.common.gate`); the
+verifier's own worlds come from two places:
 
 * :func:`default_world` — the shipped testbed deployment at a seed,
   exactly what the experiment CLIs build; and
@@ -46,11 +48,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.policy import Relationship
+from repro.bgp.session import SessionTiming
+from repro.core.scenarios import ScenarioEvent
 from repro.core.techniques import Technique, technique_by_name
 from repro.faults.plan import FaultPlan, load_fault_plan
 from repro.net.addr import IPv4Prefix
@@ -100,6 +105,13 @@ class VerifyWorld:
     workload: WorkloadProfile | None = None
     #: per-site capacity the VER24x checks verify against
     capacity: CapacityProfile | None = None
+    #: run shape only the PRE stage of the gate reads: the scripted
+    #: timeline (events or raw ``(kind, site, at)`` tuples), the
+    #: controller's reaction time, session timing, probe target nodes
+    events: Sequence[ScenarioEvent | tuple] | None = None
+    detection_delay: float | None = None
+    timing: SessionTiming | None = None
+    target_nodes: Sequence[str] | None = None
     #: VER codes suppressed for this world (the fixture-level analogue
     #: of the linter's ``# repro: noqa[CODE]``)
     suppress: frozenset[str] = frozenset()
@@ -162,6 +174,16 @@ def _instantiate(name: str, prepend: int) -> Technique:
     return technique_by_name(name)
 
 
+def _list_at(data: dict, key: str, where: str = "") -> list:
+    """``data[key]`` (default empty), refused unless it is a JSON list."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(
+            f"{where}{key!r} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
 def _parse_as(entry: dict, index: int, rng: random.Random) -> AsInfo:
     if not isinstance(entry, dict):
         raise ValueError(f"ases[{index}] must be an object")
@@ -191,7 +213,7 @@ def _parse_as(entry: dict, index: int, rng: random.Random) -> AsInfo:
         as_class=as_class,
         location=place_in(region, rng),
         prefix=IPv4Prefix.parse(prefix) if prefix else None,
-        tags=set(entry.get("tags", [])),
+        tags=set(_list_at(entry, "tags", f"ases[{index}] ({node}): ")),
     )
 
 
@@ -214,9 +236,9 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
     seed = int(data.get("seed", 0))
     rng = random.Random(seed ^ 0x7E57)
     topology = Topology(params=TopologyParams(seed=seed))
-    for index, entry in enumerate(data["ases"]):
+    for index, entry in enumerate(_list_at(data, "ases")):
         topology.add_as(_parse_as(entry, index, rng))
-    for index, entry in enumerate(data.get("links", [])):
+    for index, entry in enumerate(_list_at(data, "links")):
         if not isinstance(entry, dict) or not {"a", "b", "rel"} <= set(entry):
             raise ValueError(f"links[{index}] needs 'a', 'b', and 'rel'")
         rel = _RELATIONSHIPS.get(entry["rel"])
@@ -228,7 +250,7 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
         topology.link(entry["a"], entry["b"], rel)
 
     specs = []
-    for index, entry in enumerate(data.get("sites", [])):
+    for index, entry in enumerate(_list_at(data, "sites")):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ValueError(f"sites[{index}] needs a 'name'")
         specs.append(
@@ -243,16 +265,24 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
 
     if "technique" in data and "techniques" in data:
         raise ValueError("give either 'technique' or 'techniques', not both")
-    names = data.get("techniques", [])
+    names = _list_at(data, "techniques")
     if "technique" in data:
         names = [data["technique"]]
     prepend = int(data.get("prepend", 3))
-    techniques = [_instantiate(name, prepend) for name in names]
+    try:
+        techniques = [_instantiate(name, prepend) for name in names]
+    except KeyError as error:
+        raise ValueError(f"techniques: {error.args[0]}") from error
 
-    preferences = {
-        node: {neighbor: int(pref) for neighbor, pref in per_node.items()}
-        for node, per_node in data.get("preferences", {}).items()
-    }
+    try:
+        preferences = {
+            node: {neighbor: int(pref) for neighbor, pref in per_node.items()}
+            for node, per_node in data.get("preferences", {}).items()
+        }
+    except AttributeError as error:  # a non-object where a mapping belongs
+        raise ValueError(
+            "'preferences' must map node -> {neighbor: local_pref}"
+        ) from error
     for node, per_node in preferences.items():
         if node not in topology.ases:
             raise ValueError(f"preferences: unknown node {node!r}")
@@ -265,7 +295,10 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
 
     damping = None
     if "damping" in data:
-        damping = DampingConfig(**data["damping"])
+        try:
+            damping = DampingConfig(**data["damping"])
+        except TypeError as error:
+            raise ValueError(f"damping: {error}") from error
 
     fault_plan = None
     if "faults" in data and "faults_path" in data:
@@ -305,7 +338,7 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
         fault_plan=fault_plan,
         workload=workload,
         capacity=capacity,
-        suppress=frozenset(data.get("suppress", [])),
+        suppress=frozenset(_list_at(data, "suppress")),
         strict=bool(data.get("strict", False)),
         description=data.get("description", ""),
         source=source,

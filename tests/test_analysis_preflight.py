@@ -15,13 +15,7 @@ from repro.analysis import (
 )
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
-from repro.core.techniques import (
-    Anycast,
-    Combined,
-    ProactiveSuperprefix,
-    ReactiveAnycast,
-    ShedWithdraw,
-)
+from repro.core.techniques import Anycast, Combined, ReactiveAnycast
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.geo import place_in
@@ -93,46 +87,6 @@ class TestPrefixPlan:
         for technique in (None, Anycast(), ReactiveAnycast(), Combined()):
             assert check_prefix_plan(technique) == []
 
-    def test_non_covering_superprefix(self):
-        findings = check_prefix_plan(
-            ProactiveSuperprefix(),
-            prefix=IPv4Prefix.parse("184.164.244.0/24"),
-            superprefix=IPv4Prefix.parse("10.0.0.0/23"),
-            probe_source=IPv4Address.parse("184.164.244.10"),
-        )
-        assert codes(findings) == ["PRE110"]
-
-    def test_superprefix_equal_to_prefix(self):
-        prefix = IPv4Prefix.parse("184.164.244.0/24")
-        findings = check_prefix_plan(
-            Combined(), prefix=prefix, superprefix=prefix,
-            probe_source=IPv4Address.parse("184.164.244.10"),
-        )
-        assert codes(findings) == ["PRE111"]
-
-    def test_covering_check_follows_the_plan_not_the_class(self):
-        """shed-withdraw announces the /23 too, so PRE110/PRE111 apply."""
-        prefix = IPv4Prefix.parse("184.164.244.0/24")
-        source = IPv4Address.parse("184.164.244.10")
-        uncovered = check_prefix_plan(
-            ShedWithdraw(), prefix=prefix,
-            superprefix=IPv4Prefix.parse("10.0.0.0/23"), probe_source=source,
-        )
-        assert codes(uncovered) == ["PRE110"]
-        equal = check_prefix_plan(
-            ShedWithdraw(), prefix=prefix, superprefix=prefix, probe_source=source
-        )
-        assert codes(equal) == ["PRE111"]
-
-    def test_non_superprefix_technique_skips_covering_check(self):
-        findings = check_prefix_plan(
-            Anycast(),
-            prefix=IPv4Prefix.parse("184.164.244.0/24"),
-            superprefix=IPv4Prefix.parse("10.0.0.0/23"),
-            probe_source=IPv4Address.parse("184.164.244.10"),
-        )
-        assert findings == []
-
     def test_probe_source_outside_prefix(self):
         findings = check_prefix_plan(
             Anycast(),
@@ -145,21 +99,6 @@ class TestPrefixPlan:
 class TestTopology:
     def test_generated_topology_is_clean(self, deployment):
         assert check_topology(deployment.topology) == []
-
-    def test_provider_cycle_detected(self):
-        from repro.bgp.policy import Relationship
-        from repro.topology.generator import Topology
-
-        rng = random.Random(0)
-        topo = Topology(params=TopologyParams())
-        for name in ("a", "b", "c"):
-            topo.add_as(AsInfo(name, 1, AsClass.TRANSIT, place_in("us-west", rng)))
-        # a pays b, b pays c, c pays a: a money loop
-        topo.link("a", "b", Relationship.PROVIDER)
-        topo.link("b", "c", Relationship.PROVIDER)
-        topo.link("c", "a", Relationship.PROVIDER)
-        findings = check_topology(topo)
-        assert codes(findings) == ["PRE120"]
 
     def test_isolated_as_warns(self):
         from repro.topology.generator import Topology

@@ -193,14 +193,43 @@ class TestExtendedCommands:
         assert "proactive-superprefix" in out
         assert "failover time CDF" in out
 
-    def test_compare_parallel_matches_serial(self, capsys):
-        """--workers 2 prints byte-for-byte what the serial path prints."""
-        argv = ["compare", "--sites", "msn", "--targets", "4", "--duration", "60"]
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["compare", "--duration", "20"], id="compare"),
+        pytest.param(
+            ["compare", "--duration", "20", "--include-combined"], id="combined"
+        ),
+        pytest.param(
+            ["compare", "--duration", "20", "--no-checkpoint"], id="no-checkpoint"
+        ),
+        pytest.param(
+            ["compare", "--duration", "20", "--workload", "flash-crowd"],
+            id="flash-crowd",
+        ),
+        # long enough into the surge (peak at 90 s) that the shed
+        # techniques' overload reactions are part of what must repeat
+        pytest.param(
+            ["compare", "--duration", "88", "--workload", "regional-surge",
+             "--capacity", "examples/capacity.json"],
+            id="surge-capacity",
+        ),
+        pytest.param(
+            ["drill", "--faults", "examples/faultplan.json", "--check-invariants"],
+            id="chaos-drill",
+        ),
+    ])
+    def test_determinism_matrix(self, argv, capsys):
+        """A repeat run and ``--workers 2`` print byte-for-byte what the
+        serial run prints: forked, cold-started, under load, under chaos."""
+        if argv[0] == "compare":
+            argv = argv + ["--sites", "msn", "sea1", "--targets", "3"]
         assert main(argv) == 0
         serial_out = capsys.readouterr().out
+        if argv[0] == "drill":
+            assert "\ninvariant violations: 0\n" in serial_out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial_out
         assert main(argv + ["--workers", "2", "--no-progress"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert parallel_out == serial_out
+        assert capsys.readouterr().out == serial_out
 
     def test_sweep_writes_archive(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"

@@ -1,14 +1,16 @@
-"""CLI tests for ``repro lint`` and the experiment pre-flight gate."""
+"""CLI tests for ``repro lint`` and stage 1 of the experiment pre-run gate."""
 
 import argparse
 import json
 
 import pytest
 
+from repro.bgp.damping import DampingConfig
+from repro.bgp.session import SessionTiming
 from repro.cli import build_parser, main
-from repro.cli.common import run_preflight
-from repro.topology.generator import TopologyParams
-from repro.topology.testbed import build_deployment
+from repro.cli.common import gate
+from repro.core.techniques import Anycast
+from repro.verify import VerifyWorld
 
 
 @pytest.fixture
@@ -80,50 +82,75 @@ class TestLintCommand:
         assert "analysis.lint.findings" in out
 
 
+def run_world(deployment, **fields):
+    """A gate world over the testbed running plain anycast."""
+    return VerifyWorld(
+        deployment=deployment, techniques=[Anycast()], source="<run>", **fields
+    )
+
+
 class TestPreflightGate:
+    """Stage 1 of :func:`repro.cli.common.gate` (the PRE pass)."""
+
     def test_scenario_refuses_unknown_event_site(self, capsys):
         code = main(["scenario", "-e", "fail:lhr@60"])
         assert code == 2
         err = capsys.readouterr().err
         assert "PRE101" in err
-        assert "--no-preflight" in err
+        assert "--no-check" in err
 
     def test_scenario_refuses_backwards_timeline(self, capsys):
         code = main(["scenario", "-e", "recover:sea1@10"])
         assert code == 2
         assert "PRE105" in capsys.readouterr().err
 
+    def test_scenario_brownout_needs_capacity(self, capsys):
+        """A brownout with no --capacity is a silent no-op: say so."""
+        argv = ["scenario", "-e", "brownout:sea1@10", "--duration", "30"]
+        assert main(argv) == 0
+        assert "PRE107" in capsys.readouterr().err
+        assert main(argv + ["--workload", "constant", "--capacity", "500"]) == 0
+        assert "PRE107" not in capsys.readouterr().err
+
     def test_commands_expose_no_preflight_flag(self):
         parser = build_parser()
-        for command in ("failover", "compare", "drill", "scenario"):
-            args = parser.parse_args([command, "--no-preflight"])
-            assert args.no_preflight
+        for command in ("failover", "compare", "sweep", "drill", "scenario"):
+            assert not parser.parse_args([command]).no_check
+            for flag in ("--no-check", "--no-preflight"):
+                assert parser.parse_args([command, flag]).no_check
 
-    def test_override_lets_errors_through(self, capsys):
-        deployment = build_deployment(params=TopologyParams(seed=42))
-        args = argparse.Namespace(no_preflight=True)
-        ok = run_preflight(
-            args, deployment, events=[("fail", "lhr", 60.0)], duration=300.0
-        )
-        assert ok
-        assert "overridden by --no-preflight" in capsys.readouterr().err
+    def test_override_lets_errors_through(self, deployment, capsys):
+        world = run_world(deployment, events=[("fail", "lhr", 60.0)], duration=300.0)
+        assert gate(argparse.Namespace(no_check=True), world)
+        assert "overridden by --no-check" in capsys.readouterr().err
 
-    def test_gate_blocks_without_override(self, capsys):
-        deployment = build_deployment(params=TopologyParams(seed=42))
-        args = argparse.Namespace(no_preflight=False)
-        ok = run_preflight(
-            args, deployment, events=[("fail", "lhr", 60.0)], duration=300.0
-        )
-        assert not ok
-        assert "refusing to run" in capsys.readouterr().err
+    def test_gate_blocks_without_override(self, deployment, capsys, monkeypatch):
+        """A stage-1 refusal ends the gate: the verify stage never runs."""
+        def unreachable(world):
+            raise AssertionError("stage 2 ran after a stage-1 refusal")
 
-    def test_warnings_do_not_block(self, capsys):
-        deployment = build_deployment(params=TopologyParams(seed=42))
-        args = argparse.Namespace(no_preflight=False)
-        ok = run_preflight(
-            args, deployment,
+        monkeypatch.setattr("repro.verify.verify_world", unreachable)
+        world = run_world(deployment, events=[("fail", "lhr", 60.0)], duration=300.0)
+        assert not gate(argparse.Namespace(no_check=False), world)
+        err = capsys.readouterr().err
+        assert "preflight: refusing to run" in err and "verify:" not in err
+
+    def test_warnings_do_not_block(self, deployment, capsys):
+        world = run_world(
+            deployment,
             events=[("fail", "sea1", 500.0)],  # after the end: warning only
             duration=300.0,
         )
-        assert ok
+        assert gate(argparse.Namespace(no_check=False), world)
         assert "PRE104" in capsys.readouterr().err
+
+    def test_gate_feeds_timing_and_damping(self, deployment, capsys):
+        """The run's protocol parameters reach PRE13x through the world."""
+        world = run_world(
+            deployment,
+            timing=SessionTiming(latency=0.01, jitter=0.0, mrai=0.0),
+            damping=DampingConfig(max_penalty=100.0),
+        )
+        assert gate(argparse.Namespace(no_check=False), world)
+        err = capsys.readouterr().err
+        assert "PRE130" in err and "PRE134" in err

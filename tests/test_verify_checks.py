@@ -111,6 +111,26 @@ def test_prepend_check_reads_the_normal_plan(name):
     assert "VER212" not in {f.code for f in verify_world(world_from_dict(data)).findings}
 
 
+@pytest.mark.parametrize("name, superprefix, flagged", [
+    pytest.param("proactive-superprefix", "184.164.244.0/24", True,
+                 id="proactive-superprefix-equal"),
+    pytest.param("combined", "184.164.244.0/24", True, id="combined-equal"),
+    # shed-withdraw announces the /23 too: the check follows the plan
+    pytest.param("shed-withdraw", "10.0.0.0/23", True, id="shed-withdraw-uncovered"),
+    pytest.param("shed-withdraw", "184.164.244.0/24", True, id="shed-withdraw-equal"),
+    # plans that never announce the superprefix have no geometry to get wrong
+    pytest.param("anycast", "10.0.0.0/23", False, id="anycast-skipped"),
+])
+def test_superprefix_geometry_follows_the_plan(name, superprefix, flagged):
+    """VER222 is the one statement of "the superprefix must strictly
+    cover the specific prefix", for every plan that announces it."""
+    data = json.loads((FIXTURES / "bad_superprefix.json").read_text())
+    data["techniques"] = [name]
+    data["superprefix"] = superprefix
+    codes = {f.code for f in verify_world(world_from_dict(data)).findings}
+    assert ("VER222" in codes) == flagged
+
+
 class TestDefaultWorld:
     def test_shipped_testbed_verifies_clean(self):
         """Acceptance: zero findings on the shipped deployment, full roster."""

@@ -1,20 +1,34 @@
-"""CLI tests for ``repro verify`` and the experiment verify gate."""
+"""CLI tests for ``repro verify`` and stage 2 of the experiment pre-run gate."""
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cli.common import run_verify
-from repro.verify import load_world
+from repro.cli.common import gate
+from repro.core.techniques import ProactiveSuperprefix
+from repro.net.addr import IPv4Prefix
+from repro.verify import load_world, world_from_dict
+from repro.workload.capacity import CapacityProfile
+from repro.workload.profile import builtin_profile
 
 FIXTURES = Path(__file__).parent / "fixtures" / "verify"
 
 
 def fixture(stem: str) -> str:
     return str(FIXTURES / f"{stem}.json")
+
+
+def cyclic_world():
+    """``bad_gao_cycle.json`` plus two sites: stage 1 passes, stage 2 errors."""
+    data = json.loads((FIXTURES / "bad_gao_cycle.json").read_text())
+    data["sites"] = [
+        {"name": "x", "providers": ["a"]}, {"name": "y", "providers": ["b"]},
+    ]
+    return world_from_dict(data, source="<run>")
 
 
 class TestVerifyCommand:
@@ -67,6 +81,25 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 2
         assert "unknown world keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape, key", [
+        pytest.param({"ases": 5}, "ases", id="ases-int"),
+        pytest.param({"suppress": 5}, "suppress", id="suppress-int"),
+        pytest.param(
+            {"ases": [{"node": "a", "asn": 1, "tags": 5}]}, "tags", id="tags-int"
+        ),
+        pytest.param({"damping": {"bogus": 1}}, "damping", id="damping-unknown-key"),
+        pytest.param({"preferences": {"a": 5}}, "preferences", id="preferences-int"),
+        pytest.param({"techniques": ["bogus"]}, "techniques", id="techniques-unknown"),
+        pytest.param({"techniques": "anycast"}, "techniques", id="techniques-string"),
+    ])
+    def test_malformed_shape_names_the_key(self, shape, key, tmp_path, capsys):
+        """Wrongly-typed values end as PATH: message (exit 2), not a traceback."""
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"ases": [{"node": "a", "asn": 1}], **shape}))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and key in err
+
     def test_list_checks(self, capsys):
         assert main(["verify", "--list-checks"]) == 0
         out = capsys.readouterr().out
@@ -92,32 +125,26 @@ class TestVerifyCommand:
 
 
 class TestVerifyGate:
+    """Stage 2 of :func:`repro.cli.common.gate` (the VER pass)."""
+
     def test_commands_expose_no_verify_flag(self):
         parser = build_parser()
         for command in ("failover", "compare", "sweep", "drill", "scenario"):
-            args = parser.parse_args([command, "--no-verify"])
-            assert args.no_verify
+            assert parser.parse_args([command, "--no-verify"]).no_check
 
     def test_gate_blocks_on_errors(self, capsys):
-        world = load_world(FIXTURES / "bad_gao_cycle.json")
-        args = argparse.Namespace(no_verify=False)
-        ok = run_verify(args, world.deployment, [])
-        assert not ok
+        assert not gate(argparse.Namespace(no_check=False), cyclic_world())
         err = capsys.readouterr().err
-        assert "VER201" in err and "--no-verify" in err
+        assert "VER201" in err
+        assert "verify: refusing to run with 1 error(s); use --no-check" in err
 
     def test_override_lets_errors_through(self, capsys):
-        world = load_world(FIXTURES / "bad_gao_cycle.json")
-        args = argparse.Namespace(no_verify=True)
-        ok = run_verify(args, world.deployment, [])
-        assert ok
-        assert "overridden by --no-verify" in capsys.readouterr().err
+        assert gate(argparse.Namespace(no_check=True), cyclic_world())
+        assert "verify: 1 error(s) overridden by --no-check" in capsys.readouterr().err
 
     def test_warnings_do_not_block(self, capsys):
         world = load_world(FIXTURES / "bad_site_dark.json")
-        args = argparse.Namespace(no_verify=False)
-        ok = run_verify(args, world.deployment, world.techniques)
-        assert ok
+        assert gate(argparse.Namespace(no_check=False), world)
         assert "VER224" in capsys.readouterr().err
 
     def test_gate_output_identical_across_worker_counts(self, capsys):
@@ -125,10 +152,34 @@ class TestVerifyGate:
         world = load_world(FIXTURES / "bad_site_dark.json")
         outputs = []
         for workers in (1, 2):
-            args = argparse.Namespace(no_verify=False, workers=workers)
-            assert run_verify(args, world.deployment, world.techniques)
+            assert gate(argparse.Namespace(no_check=False, workers=workers), world)
             outputs.append(capsys.readouterr().err)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("changes, code", [
+        pytest.param(
+            {"capacity": CapacityProfile(name="idle", default_rps=100.0)},
+            "VER243", id="capacity-without-workload",
+        ),
+        pytest.param(
+            {"capacity": CapacityProfile(
+                name="typo", site_rps={"x": 150.0, "zzz": 50.0}),
+             "workload": builtin_profile("constant")},
+            "VER242", id="mistyped-capacity-site",
+        ),
+        pytest.param(
+            {"techniques": [ProactiveSuperprefix()],
+             "superprefix": IPv4Prefix.parse("184.164.248.0/24")},
+            "VER222", id="non-covering-superprefix",
+        ),
+    ])
+    def test_each_fact_is_stated_once(self, changes, code, capsys):
+        """With the override set both stages run; only stage 2 states it."""
+        world = dataclasses.replace(load_world(FIXTURES / "clean.json"), **changes)
+        assert gate(argparse.Namespace(no_check=True), world)
+        err = capsys.readouterr().err
+        assert err.count(f" {code} ") == 1
+        assert " PRE" not in err
 
 
 class TestGateEndToEnd:

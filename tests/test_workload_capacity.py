@@ -305,17 +305,6 @@ class TestPreflightCapacity:
         assert self.codes(findings) == ["PRE150", "PRE150"]
         assert all(f.severity == Severity.ERROR for f in findings)
 
-    def test_unknown_site_is_error(self, deployment):
-        profile = CapacityProfile(name="typo", site_rps={"lhr": 100.0})
-        findings = check_capacity(profile, deployment, self.WORKLOAD)
-        assert self.codes(findings) == ["PRE151"]
-
-    def test_capacity_without_workload_warns(self):
-        profile = CapacityProfile(name="idle", default_rps=100.0)
-        findings = check_capacity(profile)
-        assert self.codes(findings) == ["PRE152"]
-        assert findings[0].severity == Severity.WARNING
-
     def test_total_below_baseline_warns(self, deployment):
         # 8 sites x 10 rps = 80 < the constant profile's 200 rps baseline.
         profile = CapacityProfile(name="tiny", default_rps=10.0)
@@ -324,21 +313,27 @@ class TestPreflightCapacity:
 
 
 class TestPreflightBrownoutEvents:
-    def codes(self, findings):
+    CAPACITY = CapacityProfile(name="ok", default_rps=500.0)
+
+    def codes(self, events, deployment, capacity=CAPACITY):
+        findings = check_events(events, deployment, duration=300.0, capacity=capacity)
         return [f.code for f in findings]
 
     def test_brownout_cycle_is_clean(self, deployment):
         events = [("brownout", "sea1", 60.0), ("unbrownout", "sea1", 200.0)]
-        assert check_events(events, deployment, duration=300.0) == []
+        assert self.codes(events, deployment) == []
+
+    def test_brownout_without_capacity_warns(self, deployment):
+        events = [("brownout", "sea1", 60.0), ("unbrownout", "sea1", 200.0)]
+        assert self.codes(events, deployment, capacity=None) == ["PRE107"]
 
     def test_unbrownout_without_brownout_is_error(self, deployment):
-        findings = check_events([("unbrownout", "sea1", 60.0)], deployment)
-        assert self.codes(findings) == ["PRE105"]
+        assert self.codes([("unbrownout", "sea1", 60.0)], deployment) == ["PRE105"]
 
     def test_double_brownout_warns(self, deployment):
         events = [("brownout", "sea1", 60.0), ("brownout", "sea1", 90.0)]
-        assert self.codes(check_events(events, deployment)) == ["PRE106"]
+        assert self.codes(events, deployment) == ["PRE106"]
 
     def test_brownout_of_failed_site_warns(self, deployment):
         events = [("fail", "sea1", 30.0), ("brownout", "sea1", 60.0)]
-        assert self.codes(check_events(events, deployment)) == ["PRE106"]
+        assert self.codes(events, deployment) == ["PRE106"]
