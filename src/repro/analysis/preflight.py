@@ -25,19 +25,13 @@ from repro.analysis.findings import Finding, FindingCollector, Severity, emit_fi
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import SessionTiming
 from repro.core.plan import Technique
-from repro.core.scenarios import ScenarioEvent
+from repro.core.scenarios import EVENT_KINDS, ScenarioEvent
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology
 from repro.topology.relationships import AsClass
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, CdnDeployment
 from repro.workload.capacity import CapacityProfile
 from repro.workload.profile import RATE_KINDS, WorkloadProfile
-
-#: event kinds understood by :class:`~repro.core.scenarios.ScenarioRunner`
-EVENT_KINDS = (
-    "fail", "fail-silent", "recover", "drain", "undrain",
-    "brownout", "unbrownout",
-)
 
 #: expected request volumes past this trigger a PRE145 advisory (the
 #: stream is O(1) memory regardless, but the run time is linear in it)

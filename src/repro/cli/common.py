@@ -114,6 +114,19 @@ def report_sweep_failures(report) -> None:
         )
 
 
+def print_workload_rows(report, techniques) -> None:
+    """One merged request-level account line per technique of a sweep."""
+    from repro.workload import merge_accounts, render_account
+
+    for technique in techniques:
+        accounts = [
+            r.workload for r in report.results_for(technique.name)
+            if r.workload is not None
+        ]
+        if accounts:
+            print(f"  {technique.name:26s} {render_account(merge_accounts(accounts))}")
+
+
 def add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload", metavar="PROFILE", default=None,

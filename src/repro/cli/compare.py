@@ -10,6 +10,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     cell_timeout,
     gate,
+    print_workload_rows,
     report_sweep_failures,
     sweep_progress,
     telemetry_session,
@@ -98,17 +99,8 @@ def run(args: argparse.Namespace) -> int:
                   f"{failover.median():7.1f}s {failover.quantile(0.9):7.1f}s")
 
         if experiment.config.workload is not None:
-            from repro.workload import merge_accounts, render_account
-
             print("\nworkload (requests) per technique:")
-            for technique in techniques:
-                accounts = [
-                    r.workload for r in report.results_for(technique.name)
-                    if r.workload is not None
-                ]
-                if accounts:
-                    merged = merge_accounts(accounts)
-                    print(f"  {technique.name:26s} {render_account(merged)}")
+            print_workload_rows(report, techniques)
 
         print("\nfailover time CDF across <failed site, target>:")
         print(render_cdfs(failover_cdfs))

@@ -20,6 +20,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     cell_timeout,
     gate,
+    print_workload_rows,
     report_sweep_failures,
     sweep_progress,
     telemetry_session,
@@ -103,16 +104,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"  {technique.name:26s} "
                   f"failover {summarize([o.failover_s for o in outcomes]).row()}")
         if experiment.config.workload is not None:
-            from repro.workload import merge_accounts, render_account
-
-            for technique in techniques:
-                accounts = [
-                    r.workload for r in report.results_for(technique.name)
-                    if r.workload is not None
-                ]
-                if accounts:
-                    print(f"  {technique.name:26s} "
-                          f"{render_account(merge_accounts(accounts))}")
+            print_workload_rows(report, techniques)
 
         path = save_json(args.output, sweep_report_to_dict(report))
         print(f"wrote {path}")

@@ -237,76 +237,62 @@ class CdnController:
         if self.capacity_state is not None:
             self.capacity_state.dns_divert.pop(site, None)
 
-    def fail_site(self, site: str) -> FailureEvent:
+    def fail_site(self, site: str, *, silent: bool = False) -> FailureEvent:
         """Emulate a site failure right now.
 
         The site withdraws everything immediately; the technique's (and
         DNS's) reaction is scheduled after the detection delay. Returns
         the failure record (its ``detected_at`` is in the future).
+
+        ``silent``: the site stops serving but its BGP announcements
+        stay up until the monitoring system notices. The paper's model
+        assumes the failing site withdraws its own prefixes (§4); silent
+        failures are the harder operational case where even the
+        withdrawal depends on detection -- PEERING-style deployments can
+        execute it remotely at the mux. Every technique pays the
+        detection delay before its failover clock even starts.
         """
         if site not in self.deployment.sites:
             raise KeyError(f"unknown site {site!r}")
         node = self.deployment.site_node(site)
         self.down_sites.add(site)
-        cause = self.network.root_cause("site-fail", site)
+        cause = self.network.root_cause(
+            "site-fail-silent" if silent else "site-fail", site
+        )
         # Telemetry first: the failure causally precedes the withdrawals
         # it triggers, and the trace preserves emission order.
         telemetry = telemetry_registry.current()
         if telemetry.enabled:
             telemetry.inc("controller.site_failures")
             telemetry.emit(
-                SiteFailed(t=self.network.now, site=site, silent=False, cause=cause)
+                SiteFailed(t=self.network.now, site=site, silent=silent, cause=cause)
             )
-        with self.network.caused_by(cause):
-            withdrawn = tuple(self.network.withdraw_all(node))
+        if silent:
+            withdrawn = tuple(self.network.routers[node].originated_prefixes())
+        else:
+            with self.network.caused_by(cause):
+                withdrawn = tuple(self.network.withdraw_all(node))
         event = FailureEvent(
             site=site,
             failed_at=self.network.now,
             detected_at=self.network.now + self.detection_delay,
             withdrawn_prefixes=withdrawn,
-        )
-        self.failures.append(event)
-        self.network.engine.schedule(self.detection_delay, lambda: self._react(site, cause))
-        return event
-
-    def fail_site_silently(self, site: str) -> FailureEvent:
-        """Emulate a silent failure: the site stops serving but its BGP
-        announcements stay up until the monitoring system notices.
-
-        The paper's model assumes the failing site withdraws its own
-        prefixes (§4); silent failures are the harder operational case
-        where even the withdrawal depends on detection -- PEERING-style
-        deployments can execute it remotely at the mux. Every technique
-        pays the detection delay before its failover clock even starts.
-        """
-        if site not in self.deployment.sites:
-            raise KeyError(f"unknown site {site!r}")
-        node = self.deployment.site_node(site)
-        self.down_sites.add(site)
-        cause = self.network.root_cause("site-fail-silent", site)
-        telemetry = telemetry_registry.current()
-        if telemetry.enabled:
-            telemetry.inc("controller.site_failures")
-            telemetry.emit(
-                SiteFailed(t=self.network.now, site=site, silent=True, cause=cause)
-            )
-        pending = tuple(self.network.routers[node].originated_prefixes())
-        event = FailureEvent(
-            site=site,
-            failed_at=self.network.now,
-            detected_at=self.network.now + self.detection_delay,
-            withdrawn_prefixes=pending,
-            silent=True,
+            silent=silent,
         )
         self.failures.append(event)
 
         def detect() -> None:
-            with self.network.caused_by(cause):
-                self.network.withdraw_all(node)
+            if silent:
+                with self.network.caused_by(cause):
+                    self.network.withdraw_all(node)
             self._react(site, cause)
 
         self.network.engine.schedule(self.detection_delay, detect)
         return event
+
+    def fail_site_silently(self, site: str) -> FailureEvent:
+        """:meth:`fail_site` with ``silent=True``."""
+        return self.fail_site(site, silent=True)
 
     def _react(self, site: str, cause: int = 0) -> None:
         """The technique's (and DNS's) delayed reaction to a failure.

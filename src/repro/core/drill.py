@@ -12,24 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import zlib
-
 from repro.bgp.session import SessionTiming
-from repro.core.controller import CdnController
+from repro.core.rig import RunRig
 from repro.core.techniques import Technique
-from repro.dataplane.forwarding import ForwardingPlane
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    check_invariants,
-    check_site_capacity,
-)
+from repro.faults import FaultPlan, check_invariants
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.testbed import SECOND_PREFIX, SUPERPREFIX, CdnDeployment
-from repro.workload.capacity import CapacityProfile, CapacityState
-from repro.workload.engine import WorkloadAccount, WorkloadEngine
+from repro.topology.testbed import SECOND_PREFIX, CdnDeployment
+from repro.workload.capacity import CapacityProfile
+from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
 
 
@@ -105,53 +97,23 @@ class RotationDrill:
 
     def _run_site(self, site: str, clients: list[str]) -> DrillOutcome:
         network = self.topology.build_network(seed=self.seed, timing=self.timing)
-        capacity_state: CapacityState | None = None
-        if self.capacity is not None and self.workload is not None:
-            capacity_state = CapacityState(
-                self.capacity, self.deployment.site_names
-            )
-        controller = CdnController(
-            network=network,
-            deployment=self.deployment,
-            technique=self.technique,
+        rig = RunRig(
+            network,
+            self.deployment,
+            self.technique,
+            site,
             prefix=self.test_prefix,
-            superprefix=SUPERPREFIX,
+            dst=self.test_prefix.address(1),
             detection_delay=self.detection_delay,
-            capacity_state=capacity_state,
+            workload=self.workload,
+            capacity=self.capacity,
+            fault_plan=self.fault_plan,
         )
-        controller.deploy(site)
-        network.converge()
-        injector = None
-        if self.fault_plan is not None and len(self.fault_plan):
-            injector = FaultInjector(network, self.fault_plan, capacity=capacity_state)
-            injector.arm()
-        controller.fail_site(site)
-        workload_engine: WorkloadEngine | None = None
-        if self.workload is not None:
-            workload_seed = (self.seed * 1000003) ^ zlib.crc32(
-                f"drill/{self.technique.name}/{site}/workload".encode()
-            )
-            workload_engine = WorkloadEngine(
-                ForwardingPlane(network, self.topology),
-                self.deployment,
-                self.workload,
-                seed=workload_seed,
-                clients=clients,
-                technique=self.technique.name,
-                site=site,
-                dead_sites={site},
-                dst=self.test_prefix.address(1),
-                capacity=capacity_state,
-                on_overload=(
-                    controller.site_overloaded
-                    if capacity_state is not None
-                    else None
-                ),
-            )
-            workload_engine.start(self.deadline_s)
+        rig.fail(site)
+        tag = f"drill/{self.technique.name}/{site}"
+        rig.start_workload(self.deadline_s, self.seed, tag, clients=clients)
         network.run_for(self.deadline_s)
 
-        recovered = 0
         stranded: list[str] = []
         for client in clients:
             route = network.router(client).best_route(self.test_prefix)
@@ -161,44 +123,23 @@ class RotationDrill:
             landing = self.deployment.site_of_node(route.origin_node)
             if landing is None or landing == site:
                 stranded.append(client)
-            else:
-                recovered += 1
         violations: tuple[str, ...] = ()
         if self.check_invariants:
             # Let in-flight convergence (and any fault events scheduled
             # past the deadline) drain before auditing: the invariants
             # are only meaningful on a quiet network.
             network.converge(max_seconds=self.settle_s)
-            found = check_invariants(network).violations
-            if capacity_state is not None and workload_engine is not None:
-                engine = workload_engine
-
-                def resolve(client: str) -> str | None:
-                    resolution = engine.cache.resolve(client)
-                    if resolution.reason is not None or resolution.site is None:
-                        return None
-                    if resolution.site in engine.dead_sites:
-                        return None
-                    return resolution.site
-
-                found = found + check_site_capacity(
-                    self.deployment,
-                    self.workload,
-                    capacity_state,
-                    engine.clients,
-                    resolve,
-                    regions=engine.regions,
-                )
+            found = check_invariants(network).violations + rig.capacity_violations()
             violations = tuple(v.format() for v in found)
         outcome = DrillOutcome(
             site=site,
-            recovered=recovered,
+            recovered=len(clients) - len(stranded),
             stranded=len(stranded),
             stranded_clients=tuple(stranded),
             violations=violations,
-            faults_injected=injector.injected if injector is not None else 0,
-            faults_skipped=injector.skipped if injector is not None else 0,
-            workload=workload_engine.account if workload_engine is not None else None,
+            faults_injected=rig.injector.injected,
+            faults_skipped=rig.injector.skipped,
+            workload=rig.engine.account if rig.engine is not None else None,
         )
         self.outcomes.append(outcome)
         return outcome

@@ -20,31 +20,22 @@ only on the topology) across techniques.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.checkpoint import NetworkSnapshot, restore_network, snapshot_network
-from repro.core.controller import CdnController
 from repro.core.metrics import TargetOutcome, outcomes_for_run
 from repro.core.plan import Technique, apply_plan
-from repro.dataplane.capture import SiteCapture
-from repro.dataplane.forwarding import ForwardingPlane
-from repro.dataplane.ping import Prober
+from repro.core.rig import RunRig, tagged_seed
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.hitlist import Hitlist, TargetSelection, select_targets
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.testbed import (
-    PROBE_SOURCE,
-    SPECIFIC_PREFIX,
-    SUPERPREFIX,
-    CdnDeployment,
-)
-from repro.workload.capacity import CapacityProfile, CapacityState
-from repro.workload.engine import WorkloadAccount, WorkloadEngine
+from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX, CdnDeployment
+from repro.workload.capacity import CapacityProfile
+from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
 
 
@@ -172,37 +163,26 @@ class FailoverExperiment:
         selection = self._selections.get(key)
         if selection is not None:
             return selection
-        if mode == "beyond-anycast":
-            selection = select_targets(
-                self.topology,
-                self.deployment,
-                site,
-                self.catchment,
-                self.hitlist,
-                max_targets=self.config.targets_per_site,
-                rtt_limit_ms=self.config.rtt_limit_ms,
-                exclude_anycast_routed=self.config.exclude_anycast_routed,
-                seed=self.config.seed,
-            )
-        elif mode == "anycast-catchment":
-            selection = select_targets(
-                self.topology,
-                self.deployment,
-                site,
-                self.catchment,
-                self.hitlist,
-                max_targets=self.config.targets_per_site,
-                rtt_limit_ms=self.config.rtt_limit_ms,
-                exclude_anycast_routed=False,
-                seed=self.config.seed,
-            )
+        if mode not in ("beyond-anycast", "anycast-catchment"):
+            raise ValueError(f"unknown selection mode {mode!r}")
+        beyond = mode == "beyond-anycast"
+        selection = select_targets(
+            self.topology,
+            self.deployment,
+            site,
+            self.catchment,
+            self.hitlist,
+            max_targets=self.config.targets_per_site,
+            rtt_limit_ms=self.config.rtt_limit_ms,
+            exclude_anycast_routed=beyond and self.config.exclude_anycast_routed,
+            seed=self.config.seed,
+        )
+        if not beyond:
             selection.targets = {
                 address: node
                 for address, node in selection.targets.items()
                 if self.catchment.get(node) == site
             }
-        else:
-            raise ValueError(f"unknown selection mode {mode!r}")
         self._selections[key] = selection
         return selection
 
@@ -231,7 +211,7 @@ class FailoverExperiment:
             return snapshot
         config = self.config
         telemetry = telemetry_registry.current()
-        base_seed = (config.seed * 1000003) ^ zlib.crc32(f"{key}/baseline".encode())
+        base_seed = tagged_seed(config.seed, f"{key}/baseline")
         with telemetry.phase("baseline-converge", technique=technique.name):
             network = self.topology.build_network(
                 seed=base_seed, timing=config.timing, damping=config.damping
@@ -278,16 +258,8 @@ class FailoverExperiment:
         # phase timestamps restart from this run's engine epoch.
         telemetry.bind_clock(None)
         tags = {"technique": technique.name, "site": site}
-        # str hashes are salted per process; crc32 keeps runs reproducible.
-        run_tag = zlib.crc32(f"{technique.name}/{site}".encode())
-        run_seed = (config.seed * 1000003) ^ run_tag
-        # Capacity only binds when load is actually offered; without a
-        # workload the state would sit unread all run.
-        capacity_state: CapacityState | None = None
-        if config.capacity is not None and config.workload is not None:
-            capacity_state = CapacityState(
-                config.capacity, self.deployment.site_names
-            )
+        run_tag = f"{technique.name}/{site}"
+        run_seed = tagged_seed(config.seed, run_tag)
         # Cold and forked cells deploy the same plan value; on a restored
         # base only the per-site delta actually re-originates.
         snapshot = self.baseline_for(technique) if use_checkpoint else None
@@ -303,77 +275,41 @@ class FailoverExperiment:
                 network = self.topology.build_network(
                     seed=run_seed, timing=config.timing, damping=config.damping
                 )
-            controller = CdnController(
-                network=network,
-                deployment=self.deployment,
-                technique=technique,
-                prefix=SPECIFIC_PREFIX,
-                superprefix=SUPERPREFIX,
+            rig = RunRig(
+                network,
+                self.deployment,
+                technique,
+                site,
                 detection_delay=config.detection_delay,
-                capacity_state=capacity_state,
+                workload=config.workload,
+                capacity=config.capacity,
             )
-            controller.deploy(site)
-            network.converge()
 
         # The clock guard keeps the run network's engine bound as the
         # trace clock: target selection builds throwaway networks
         # (catchment, hitlist) that would otherwise steal the binding.
         with telemetry.phase("select-targets", **tags), telemetry.clock_guard():
             selection = self.selection_for(site, mode=technique.selection_mode)
-            plane = ForwardingPlane(network, self.topology)
-            capture = SiteCapture()
-            vantage = next(s for s in self.deployment.site_names if s != site)
-            prober = Prober(plane, self.deployment, capture, PROBE_SOURCE, vantage)
-
             # Step 3: pre-failure reachability -> controllable targets.
-            controllable: dict[IPv4Address, str] = {}
-            for address, node in selection.targets.items():
-                result = plane.snapshot_path(node, PROBE_SOURCE)
-                if result.delivered and self.deployment.site_of_node(result.delivered_to) == site:
-                    controllable[address] = node
+            controllable = {
+                address: node
+                for address, node in selection.targets.items()
+                if rig.live_site(node) == site
+            }
 
         # Step 4: fail the site, probe the controllable targets. The
         # failed site is dead on the data plane: replies that stale FIBs
         # still steer there are lost, not captured.
         with telemetry.phase("fail-probe", **tags):
-            if config.silent_failure:
-                event = controller.fail_site_silently(site)
-            else:
-                event = controller.fail_site(site)
-            prober.dead_sites.add(site)
-            capture.clear()
-            prober.start(
+            event = rig.fail(site, silent=config.silent_failure)
+            rig.prober.start(
                 controllable, interval=config.probe_interval, duration=config.probe_duration
             )
-            workload_engine: WorkloadEngine | None = None
-            if config.workload is not None:
-                # Its own RNG (never the network's) and read-only use of
-                # FIB state keep the workload from perturbing the run;
-                # sharing the prober's dead_sites set makes recoveries
-                # visible to requests the moment probing sees them.
-                workload_seed = (config.seed * 1000003) ^ zlib.crc32(
-                    f"{technique.name}/{site}/workload".encode()
-                )
-                workload_engine = WorkloadEngine(
-                    plane,
-                    self.deployment,
-                    config.workload,
-                    seed=workload_seed,
-                    technique=technique.name,
-                    site=site,
-                    dead_sites=prober.dead_sites,
-                    capacity=capacity_state,
-                    on_overload=(
-                        controller.site_overloaded
-                        if capacity_state is not None
-                        else None
-                    ),
-                )
-                workload_engine.start(config.probe_duration)
+            rig.start_workload(config.probe_duration, config.seed, run_tag)
             network.run_for(config.probe_duration + config.drain_slack)
 
         with telemetry.phase("analyze", **tags):
-            outcomes = outcomes_for_run(prober.logs, capture, site, event.failed_at)
+            outcomes = outcomes_for_run(rig.prober.logs, rig.prober.capture, site, event.failed_at)
         return SiteFailoverResult(
             technique=technique.name,
             site=site,
@@ -381,7 +317,7 @@ class FailoverExperiment:
             selection=selection,
             controllable=controllable,
             outcomes=outcomes,
-            workload=workload_engine.account if workload_engine is not None else None,
+            workload=rig.engine.account if rig.engine is not None else None,
         )
 
     def run_all_sites(

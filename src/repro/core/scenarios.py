@@ -17,33 +17,27 @@ e.g. a few minutes per month").
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
-from repro.core.controller import CdnController
+from repro.core.rig import RunRig
 from repro.core.techniques import Technique
-from repro.dataplane.capture import SiteCapture
-from repro.dataplane.forwarding import ForwardingPlane
-from repro.dataplane.ping import Prober
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.testbed import (
-    PROBE_SOURCE,
-    SPECIFIC_PREFIX,
-    SUPERPREFIX,
-    CdnDeployment,
-)
-from repro.workload.capacity import (
-    CapacityProfile,
-    CapacityState,
-    expected_site_load,
-)
-from repro.workload.engine import WorkloadAccount, WorkloadEngine
+from repro.topology.testbed import CdnDeployment
+from repro.workload.capacity import CapacityProfile
+from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
+
+
+#: the scripted actions a timeline may hold (PRE102 reports others)
+EVENT_KINDS = (
+    "fail", "fail-silent", "recover", "drain", "undrain",
+    "brownout", "unbrownout",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,22 +51,13 @@ class ScenarioEvent:
     """
 
     at: float
-    kind: str  # "fail" | "fail-silent" | "recover" | "drain" | "undrain"
-    #        | "brownout" | "unbrownout"
+    kind: str  # one of EVENT_KINDS
     site: str
     #: capacity multiplier for "brownout" events (ignored otherwise)
     factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            "fail",
-            "fail-silent",
-            "recover",
-            "drain",
-            "undrain",
-            "brownout",
-            "unbrownout",
-        ):
+        if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.at < 0:
             raise ValueError("event time must be non-negative")
@@ -192,182 +177,88 @@ class ScenarioRunner:
         network = self.topology.build_network(
             seed=self.seed, timing=self.timing, damping=self.damping
         )
-        capacity_state: CapacityState | None = None
-        if self.capacity is not None:
-            capacity_state = CapacityState(
-                self.capacity, self.deployment.site_names
-            )
-        controller = CdnController(
-            network=network,
-            deployment=self.deployment,
-            technique=self.technique,
-            prefix=SPECIFIC_PREFIX,
-            superprefix=SUPERPREFIX,
+        rig = RunRig(
+            network,
+            self.deployment,
+            self.technique,
+            self.specific_site,
             detection_delay=self.detection_delay,
             recovery_grace=self.recovery_grace,
-            capacity_state=capacity_state,
+            workload=self.workload,
+            capacity=self.capacity,
+            fault_plan=self.fault_plan,
         )
-        controller.deploy(self.specific_site)
-        network.converge()
-        injector = None
-        if self.fault_plan is not None and len(self.fault_plan):
-            injector = FaultInjector(network, self.fault_plan, capacity=capacity_state)
-            injector.arm()
 
-        plane = ForwardingPlane(network, self.topology)
-        capture = SiteCapture()
-        vantage = next(
-            s for s in self.deployment.site_names if s != self.specific_site
-        )
-        prober = Prober(plane, self.deployment, capture, PROBE_SOURCE, vantage)
-
+        nodes = self.target_nodes
+        if nodes is None:
+            nodes = [i.node_id for i in self.topology.web_client_ases()[: self.n_targets]]
         targets: dict[IPv4Address, str] = {}
-        if self.target_nodes is not None:
-            for node in self.target_nodes:
-                info = self.topology.ases[node]
-                if info.prefix is None:
-                    raise ValueError(f"target AS {node!r} has no client prefix")
-                targets[info.prefix.address(1)] = node
-        else:
-            for info in self.topology.web_client_ases()[: self.n_targets]:
-                targets[info.prefix.address(1)] = info.node_id
+        for node in nodes:
+            prefix = self.topology.ases[node].prefix
+            if prefix is None:
+                raise ValueError(f"target AS {node!r} has no client prefix")
+            targets[prefix.address(1)] = node
 
         start = network.now
-        # Mutable cell: scripted events are scheduled before the
-        # workload engine exists, but brownout events must reach it.
-        engine_cell: list[WorkloadEngine | None] = [None]
         ordered = sorted(self.events, key=lambda e: e.at)
         for event in ordered:
-            self._schedule(
-                network, controller, prober, event, capacity_state, engine_cell
-            )
+            self._schedule(rig, event)
         # The phase tags give the availability ledger its run context
         # (technique, site); the scenario's focus site is the first
         # scripted event's target, or the deploy site for a quiet run.
         focus_site = ordered[0].site if ordered else self.specific_site
-        telemetry = telemetry_registry.current()
-        with telemetry.phase(
+        with telemetry_registry.current().phase(
             "scenario", technique=self.technique.name, site=focus_site
         ):
-            prober.start(
+            rig.prober.start(
                 targets, interval=self.probe_interval, duration=self.duration_s
             )
-            workload_engine: WorkloadEngine | None = None
-            if self.workload is not None:
-                workload_seed = (self.seed * 1000003) ^ zlib.crc32(
-                    f"scenario/{self.technique.name}/{focus_site}/workload".encode()
-                )
-                workload_engine = WorkloadEngine(
-                    plane,
-                    self.deployment,
-                    self.workload,
-                    seed=workload_seed,
-                    technique=self.technique.name,
-                    site=focus_site,
-                    dead_sites=prober.dead_sites,
-                    capacity=capacity_state,
-                    on_overload=(
-                        controller.site_overloaded
-                        if capacity_state is not None
-                        else None
-                    ),
-                )
-                engine_cell[0] = workload_engine
-                workload_engine.start(self.duration_s)
+            tag = f"scenario/{self.technique.name}/{focus_site}"
+            rig.start_workload(self.duration_s, self.seed, tag, site=focus_site)
             network.run_for(self.duration_s + 30.0)
 
-        report = self._report(prober, capture, start)
-        if injector is not None:
-            report.faults_injected = injector.injected
-            report.faults_skipped = injector.skipped
-        if workload_engine is not None:
-            report.workload = workload_engine.account
-            if capacity_state is not None:
-                report.capacity_violations = self._check_capacity(
-                    network, workload_engine, capacity_state, prober
-                )
+        report = self._report(rig, start)
+        report.faults_injected = rig.injector.injected
+        report.faults_skipped = rig.injector.skipped
+        if rig.engine is not None:
+            report.workload = rig.engine.account
+        if rig.capacity_state is not None:
+            # The capacity invariant is about the settled catchment.
+            network.converge()
+            report.capacity_violations = tuple(v.format() for v in rig.capacity_violations())
         return report
 
-    def _check_capacity(
-        self,
-        network,
-        workload_engine: WorkloadEngine,
-        capacity_state: CapacityState,
-        prober: Prober,
-    ) -> tuple[str, ...]:
-        """The post-convergence "no site over capacity" invariant.
-
-        Lets routing settle, then asks: if the workload's *peak* rate
-        were applied to the converged catchment, would any live site
-        exceed its effective capacity? Plain anycast under a regional
-        surge fails this (its catchment never moves); a converged shed
-        passes it.
-        """
-        from repro.faults.invariants import check_site_capacity
-
-        network.converge()
-
-        def resolve(client: str) -> str | None:
-            resolution = workload_engine.cache.resolve(client)
-            if resolution.reason is not None:
-                return None
-            site = resolution.site
-            if site is None or site in prober.dead_sites:
-                return None
-            return site
-
-        violations = check_site_capacity(
-            self.deployment,
-            self.workload,
-            capacity_state,
-            workload_engine.clients,
-            resolve,
-            regions=workload_engine.regions,
-        )
-        return tuple(v.format() for v in violations)
-
-    def _schedule(
-        self,
-        network,
-        controller,
-        prober,
-        event: ScenarioEvent,
-        capacity_state: CapacityState | None,
-        engine_cell: list,
-    ) -> None:
+    def _schedule(self, rig: RunRig, event: ScenarioEvent) -> None:
         def fire() -> None:
-            if event.kind == "fail":
-                controller.fail_site(event.site)
-                prober.dead_sites.add(event.site)
-            elif event.kind == "fail-silent":
-                controller.fail_site_silently(event.site)
-                prober.dead_sites.add(event.site)
+            capacity_state = rig.capacity_state
+            if event.kind in ("fail", "fail-silent"):
+                rig.fail(event.site, silent=event.kind == "fail-silent")
             elif event.kind == "drain":
-                controller.drain_site(event.site)
+                rig.controller.drain_site(event.site)
             elif event.kind == "undrain":
-                controller.undrain_site(event.site)
+                rig.controller.undrain_site(event.site)
             elif event.kind == "brownout":
                 if capacity_state is not None:
                     capacity_state.scale(event.site, event.factor)
             elif event.kind == "unbrownout":
                 if capacity_state is not None:
                     capacity_state.restore(event.site)
-                    controller.site_overload_cleared(event.site)
-                    engine = engine_cell[0]
-                    if engine is not None:
-                        engine.clear_overload(event.site)
+                    rig.controller.site_overload_cleared(event.site)
+                    # Bound capacity implies a workload, and the engine
+                    # is started before the clock reaches any event.
+                    rig.engine.clear_overload(event.site)
             else:
-                controller.recover_site(event.site)
-                prober.dead_sites.discard(event.site)
+                rig.controller.recover_site(event.site)
+                rig.dead_sites.discard(event.site)
 
-        network.engine.schedule(event.at, fire)
+        rig.network.engine.schedule(event.at, fire)
 
-    def _report(self, prober: Prober, capture: SiteCapture, start: float) -> ScenarioReport:
+    def _report(self, rig: RunRig, start: float) -> ScenarioReport:
         n_buckets = int(self.duration_s // self.bucket_s) + 1
         sent = [0] * n_buckets
         answered = [0] * n_buckets
-        answered_seqs = {entry.seq for entry in capture.entries}
-        for log in prober.logs.values():
+        answered_seqs = {entry.seq for entry in rig.prober.capture.entries}
+        for log in rig.prober.logs.values():
             for probe in log.sent:
                 bucket = int((probe.sent_at - start) // self.bucket_s)
                 if 0 <= bucket < n_buckets:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.bgp.network import BgpNetwork
 from repro.net.addr import IPv4Address
@@ -27,6 +27,9 @@ from repro.net.packet import Packet
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
 from repro.topology.static_routes import StaticRoutes, static_routes_for
+
+if TYPE_CHECKING:
+    from repro.topology.testbed import CdnDeployment
 
 #: Packets are dropped after this many AS hops (transient loops).
 MAX_HOPS = 64
@@ -56,6 +59,43 @@ class ForwardResult:
     @property
     def delivered(self) -> bool:
         return self.delivered_to is not None
+
+
+#: loss reason -> outage class: the one table the availability ledger
+#: (per lost probe) and the workload engine (per lost request) share.
+#: The first five reasons come from :func:`delivery_verdict`; the prober
+#: adds ``unreachable`` (no static path to the target) and the ledger
+#: ``unanswered`` (no reply ever captured).
+CLASS_BY_REASON = {
+    "no-route": "blackhole",
+    "unreachable": "blackhole",
+    "unanswered": "blackhole",
+    "loop": "loop",
+    "ttl-exceeded": "loop",
+    "off-net": "wrong-site",
+    "dead-site": "wrong-site",
+}
+
+
+def delivery_verdict(
+    result: ForwardResult,
+    deployment: "CdnDeployment",
+    dead_sites: Collection[str] = (),
+) -> tuple[str | None, str | None]:
+    """Did this delivery count? ⟨landing site, loss reason⟩.
+
+    The reason is None exactly when the forward reached a *live CDN
+    site*; otherwise it is the drop reason, ``off-net`` (someone else's
+    covering prefix) or ``dead-site`` (a down site stale FIBs still
+    point at; returned with the reason).
+    """
+    if result.delivered_to is None:
+        # An undelivered forward always carries its drop reason.
+        return None, result.drop_reason.value  # type: ignore[union-attr]
+    site = deployment.site_of_node(result.delivered_to)
+    if site is None or site in dead_sites:
+        return site, "off-net" if site is None else "dead-site"
+    return site, None
 
 
 class ForwardingPlane:

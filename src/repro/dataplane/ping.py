@@ -14,10 +14,16 @@ site currently attracts them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dataplane.capture import SiteCapture
-from repro.dataplane.forwarding import ForwardingPlane, ForwardResult
+from repro.dataplane.forwarding import (
+    DROP_LOG_LIMIT,
+    ForwardingPlane,
+    ForwardResult,
+    delivery_verdict,
+)
 from repro.net.addr import IPv4Address, cached_str
 from repro.net.packet import IcmpEcho, IcmpEchoReply
 from repro.telemetry import registry as telemetry_registry
@@ -66,8 +72,12 @@ class Prober:
         self.vantage_site = vantage_site
         self.logs: dict[IPv4Address, ProbeLog] = {}
         self._seq = 0
-        #: replies that were dropped in flight (diagnostics)
-        self.lost_replies: list[ForwardResult] = []
+        #: the newest replies that were lost (diagnostics; ring buffer
+        #: like ``ForwardingPlane.drops`` -- ``lost_total`` keeps the
+        #: full count)
+        self.lost_replies: deque[ForwardResult] = deque(maxlen=DROP_LOG_LIMIT)
+        #: every lost reply ever recorded, evicted or not
+        self.lost_total = 0
         #: failed sites: a reply forwarded to one of these is lost, since
         #: the site is down even while stale FIB entries still point at it
         self.dead_sites: set[str] = set()
@@ -114,37 +124,18 @@ class Prober:
 
     def _reply_done(self, reply: IcmpEchoReply, result: ForwardResult) -> None:
         telemetry = self._telemetry
-        if not result.delivered:
+        site, reason = delivery_verdict(result, self.deployment, self.dead_sites)
+        if reason is not None:
             self.lost_replies.append(result)
+            self.lost_total += 1
             if telemetry.enabled:
                 telemetry.inc("probe.replies_lost")
-                reason = (
-                    result.drop_reason.value
-                    if result.drop_reason is not None
-                    else "unreachable"
-                )
                 telemetry.emit(
                     ProbeLost(
                         t=result.completed_at,
                         target=cached_str(reply.src),
                         seq=reply.seq,
                         reason=reason,
-                    )
-                )
-            return
-        site = self.deployment.site_of_node(result.delivered_to)
-        if site is None or site in self.dead_sites:
-            # Delivered to a non-site node (someone else's covering
-            # prefix) or to a site that is down: the reply is lost.
-            self.lost_replies.append(result)
-            if telemetry.enabled:
-                telemetry.inc("probe.replies_lost")
-                telemetry.emit(
-                    ProbeLost(
-                        t=result.completed_at,
-                        target=cached_str(reply.src),
-                        seq=reply.seq,
-                        reason="off-net" if site is None else "dead-site",
                         site=site or "",
                     )
                 )

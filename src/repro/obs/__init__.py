@@ -14,7 +14,6 @@ See ``docs/observability.md`` for the full guide.
 """
 
 from repro.obs.ledger import (
-    CLASS_BY_REASON,
     LEDGER_SCHEMA,
     OUTAGE_CLASSES,
     AvailabilityLedger,
@@ -35,7 +34,6 @@ from repro.obs.provenance import (
 )
 
 __all__ = [
-    "CLASS_BY_REASON",
     "LEDGER_SCHEMA",
     "OUTAGE_CLASSES",
     "AvailabilityLedger",

@@ -24,10 +24,10 @@ Outage model (one simulated "user" per probed target):
   from the first failed probe's send time to the send time of the next
   answered probe (the bound on when service returned); a trailing
   outage is closed one probe gap after the last failed send;
-* the interval's class is the majority failure reason, folded into
-  ``blackhole`` (no route / unreachable / unanswered), ``loop``
-  (forwarding loop or TTL burn), or ``wrong-site`` (delivered off-net
-  or to a dead site); ties break in that order.
+* the interval's class is the majority failure reason, folded through
+  :data:`repro.dataplane.forwarding.CLASS_BY_REASON` (the table the
+  workload engine's request classes come from too) into ``blackhole``,
+  ``loop`` or ``wrong-site``; ties break in that order.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.dataplane.forwarding import CLASS_BY_REASON
 from repro.telemetry.trace import (
     PhaseStart,
     ProbeLost,
@@ -49,17 +50,6 @@ LEDGER_SCHEMA = "repro.availability-ledger/1"
 
 #: outage classes, in tie-break priority order
 OUTAGE_CLASSES = ("blackhole", "loop", "wrong-site")
-
-#: probe-loss reason -> outage class
-CLASS_BY_REASON = {
-    "no-route": "blackhole",
-    "unreachable": "blackhole",
-    "unanswered": "blackhole",
-    "loop": "loop",
-    "ttl-exceeded": "loop",
-    "off-net": "wrong-site",
-    "dead-site": "wrong-site",
-}
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,14 +18,22 @@ anyway, and in steady state the version never moves.
 
 Liveness (dead sites) is *not* cached here: a silent site failure kills
 service without touching any FIB, so the workload engine re-checks its
-``dead_sites`` set per request against the cached landing site.
+``dead_sites`` set per request against the cached landing site. What
+*is* cached is the routing half of the verdict
+(:func:`~repro.dataplane.forwarding.delivery_verdict` with nobody dead):
+the loss reason and its outage class are computed once per miss, so the
+per-request loop only reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dataplane.forwarding import ForwardingPlane
+from repro.dataplane.forwarding import (
+    CLASS_BY_REASON,
+    ForwardingPlane,
+    delivery_verdict,
+)
 from repro.net.addr import IPv4Address
 from repro.topology.testbed import PROBE_SOURCE, CdnDeployment
 
@@ -38,9 +46,11 @@ class Resolution:
     site: str | None
     #: delivering node (a non-site node means an off-net covering prefix)
     node: str | None
-    #: forwarding drop reason ("no-route" | "loop" | "ttl-exceeded")
-    #: when the request was not delivered at all
+    #: why routing alone loses the request ("no-route" | "loop" |
+    #: "ttl-exceeded" | "off-net"); None when it reaches a CDN site
     reason: str | None = None
+    #: ``CLASS_BY_REASON[reason]``, precomputed for the per-request loop
+    loss_class: str | None = None
 
 
 class CatchmentCache:
@@ -80,18 +90,13 @@ class CatchmentCache:
             return cached
         self.misses += 1
         result = self.plane.snapshot_path(client_node, self.dst)
-        if result.delivered:
-            node = result.delivered_to
-            resolution = Resolution(
-                site=self.deployment.site_of_node(node), node=node
-            )
-        else:
-            reason = (
-                result.drop_reason.value
-                if result.drop_reason is not None
-                else "no-route"
-            )
-            resolution = Resolution(site=None, node=None, reason=reason)
+        site, reason = delivery_verdict(result, self.deployment)
+        resolution = Resolution(
+            site=site,
+            node=result.delivered_to,
+            reason=reason,
+            loss_class=CLASS_BY_REASON[reason] if reason is not None else None,
+        )
         self._cache[client_node] = resolution
         return resolution
 

@@ -5,19 +5,16 @@ to a running simulation. A self-rescheduling tick event (cadence
 ``profile.tick_s`` on the simulation clock) drains the arrivals that
 fell due since the previous tick and classifies each against the
 *current* FIB state via the route-version-keyed
-:class:`~repro.workload.catchment.CatchmentCache`:
-
-* **served** -- delivered to a live CDN site with serving capacity;
-* **lost (blackhole)** -- no route while withdrawals converge;
-* **lost (loop)** -- caught in a transient forwarding loop (or TTL burn);
-* **lost (wrong-site)** -- delivered off-net under someone else's
-  covering prefix, or to a site that is down (stale FIBs, silent
-  failures);
-* **lost (overload)** -- delivered to a live site whose serving
-  capacity (:class:`~repro.workload.capacity.CapacityState`) is
-  exhausted for the tick. Only modelled when a capacity profile is
-  attached; without one every live site is unlimited and the outcome
-  never occurs.
+:class:`~repro.workload.catchment.CatchmentCache`: **served** when
+:func:`~repro.dataplane.forwarding.delivery_verdict` lands it at a live
+CDN site with serving capacity, otherwise lost to the outage class
+(**blackhole**, **loop**, **wrong-site**) that
+:data:`~repro.dataplane.forwarding.CLASS_BY_REASON` gives the verdict's
+loss reason -- the same table the availability ledger classifies lost
+probes with. With a capacity profile attached there is a fifth outcome,
+**lost (overload)**: delivered to a live site whose serving capacity
+(:class:`~repro.workload.capacity.CapacityState`) is exhausted for the
+tick; without one every live site is unlimited and it never occurs.
 
 When capacity is attached the engine also drives the *load-shedding
 control loop*: the first tick that pushes a site past its effective
@@ -51,7 +48,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.dataplane.forwarding import ForwardingPlane
+from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import SiteOverloaded, WorkloadSample
@@ -323,20 +320,21 @@ class WorkloadEngine:
                 for site in self.deployment.site_names
             }
             divert = capacity.dns_divert
-        offered = served = blackhole = loop = wrong_site = overload = 0
+        offered = served = overload = 0
+        lost = dict.fromkeys(CLASS_BY_REASON.values(), 0)
         hot: set[str] = set()
         request = self._pending
         arrivals = self._arrivals
         while request is not None and request.t <= elapsed:
             offered += 1
             resolution = resolve(request.client)
-            if resolution.reason is not None:
-                if resolution.reason == "no-route":
-                    blackhole += 1
-                else:
-                    loop += 1
-            elif resolution.site is None or resolution.site in dead_sites:
-                wrong_site += 1
+            loss = resolution.loss_class
+            if loss is not None:
+                lost[loss] += 1
+            elif resolution.site in dead_sites:
+                # Liveness is the one half of the verdict the cache
+                # cannot hold (a silent failure moves no FIB).
+                lost["wrong-site"] += 1
             elif budgets is None:
                 served += 1
                 by_site = account.served_by_site
@@ -361,6 +359,7 @@ class WorkloadEngine:
             request = next(arrivals, None)  # type: ignore[call-overload]
         self._pending = request
         if offered:
+            blackhole, loop, wrong_site = lost["blackhole"], lost["loop"], lost["wrong-site"]
             failed = blackhole + loop + wrong_site
             user_s = (failed + overload) * think
             account.offered += offered

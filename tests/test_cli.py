@@ -216,20 +216,67 @@ class TestExtendedCommands:
             ["drill", "--faults", "examples/faultplan.json", "--check-invariants"],
             id="chaos-drill",
         ),
+        pytest.param(["failover", "--duration", "40"], id="failover"),
+        pytest.param(
+            ["failover", "--duration", "40", "--no-checkpoint"],
+            id="failover-no-checkpoint",
+        ),
+        pytest.param(
+            ["failover", "--duration", "40", "--silent", "--workload", "flash-crowd"],
+            id="failover-silent-flash-crowd",
+        ),
+        pytest.param(["scenario", "--duration", "60"], id="scenario"),
+        pytest.param(
+            ["scenario", "--duration", "60", "--faults", "examples/faultplan.json"],
+            id="scenario-faults",
+        ),
+        pytest.param(
+            ["scenario", "-t", "shed-prepend", "-s", "msn", "--duration", "100",
+             "--workload", "regional-surge", "--capacity", "examples/capacity.json",
+             "-e", "brownout:msn@30", "-e", "unbrownout:msn@90"],
+            id="scenario-surge-brownout",
+        ),
     ])
     def test_determinism_matrix(self, argv, capsys):
         """A repeat run and ``--workers 2`` print byte-for-byte what the
-        serial run prints: forked, cold-started, under load, under chaos."""
+        serial run prints: forked, cold-started, under load, under chaos
+        -- for every runner (the scenario has no pool path to compare)."""
         if argv[0] == "compare":
             argv = argv + ["--sites", "msn", "sea1", "--targets", "3"]
+        elif argv[0] == "failover":
+            argv = argv + ["-s", "msn", "--targets", "3"]
         assert main(argv) == 0
         serial_out = capsys.readouterr().out
         if argv[0] == "drill":
             assert "\ninvariant violations: 0\n" in serial_out
         assert main(argv) == 0
         assert capsys.readouterr().out == serial_out
-        assert main(argv + ["--workers", "2", "--no-progress"]) == 0
-        assert capsys.readouterr().out == serial_out
+        if argv[0] != "scenario":
+            assert main(argv + ["--workers", "2", "--no-progress"]) == 0
+            assert capsys.readouterr().out == serial_out
+
+    def test_capacity_binds_only_with_a_workload_on_both_commands(self, capsys, tmp_path):
+        """A brownout fault under ``--capacity`` without ``--workload``
+        has no capacity state to act on: skipped, by drill and scenario
+        alike; with a workload both inject it."""
+        plan = tmp_path / "brownout.json"
+        plan.write_text(
+            '{"faults": [{"kind": "brownout", "at": 2.0, "site": "sea1", "down_for": 5.0}]}'
+        )
+        chaos = ["--capacity", "examples/capacity.json", "--faults", str(plan)]
+        load = ["--workload", "constant"]
+        scenario = ["scenario", "--duration", "20", *chaos]
+        drill = ["drill", "--clients", "2", "--deadline", "20", *chaos]
+
+        assert main(scenario) == 0
+        assert "faults injected: 0 (2 skipped)\n" in capsys.readouterr().out
+        assert main(drill) in (0, 1)
+        assert "  faults 0 (+2 skipped)  " in capsys.readouterr().out
+
+        assert main(scenario + load) == 0
+        assert "faults injected: 2\n" in capsys.readouterr().out
+        assert main(drill + load) in (0, 1)
+        assert "  faults 2  " in capsys.readouterr().out
 
     def test_sweep_writes_archive(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"

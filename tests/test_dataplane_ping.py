@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataplane.capture import SiteCapture
-from repro.dataplane.forwarding import ForwardingPlane
+from repro.dataplane.forwarding import DROP_LOG_LIMIT, ForwardingPlane
 from repro.dataplane.ping import Prober
 from repro.topology.generator import generate_topology
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
@@ -73,6 +73,15 @@ class TestProbing:
         net.converge()
         assert len(capture) == 0
         assert prober.lost_replies
+
+    def test_lost_reply_log_is_bounded_but_the_count_is_not(self, small_deployment):
+        net, prober, capture, targets = start_probing(small_deployment, [])
+        (addr, node), *_ = targets.items()
+        for _ in range(DROP_LOG_LIMIT + 5):
+            prober.probe_once(addr, node)
+        net.converge()
+        assert len(prober.lost_replies) == DROP_LOG_LIMIT
+        assert prober.lost_total == prober.plane.dropped_total == DROP_LOG_LIMIT + 5
 
     def test_start_paces_probes(self, small_deployment):
         net, prober, capture, targets = start_probing(small_deployment, ["west"])
