@@ -25,7 +25,7 @@ from repro.analysis.findings import Finding, FindingCollector, Severity, emit_fi
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import SessionTiming
 from repro.core.plan import Technique
-from repro.core.scenarios import EVENT_KINDS, ScenarioEvent
+from repro.faults.plan import Action
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology
 from repro.topology.relationships import AsClass
@@ -55,71 +55,23 @@ def _warning(code: str, message: str, source: str) -> Finding:
 
 
 def check_events(
-    events: Iterable[ScenarioEvent | tuple],
-    deployment: CdnDeployment,
-    duration: float | None = None,
-    capacity: CapacityProfile | None = None,
+    timeline: Iterable[Action], capacity: CapacityProfile | None = None
 ) -> list[Finding]:
-    """Validate a scripted timeline against the deployment.
+    """Audit the order of a run's timeline (scripted events and fault
+    plan edges alike).
 
-    Accepts :class:`ScenarioEvent` objects or raw ``(kind, site, at)``
-    tuples (what the CLI parses), so malformed input is caught before
-    event construction can raise mid-setup. ``capacity`` is the run's
-    capacity profile: brownouts scale it, so without one they are
-    no-ops (PRE107).
+    Replays the time-sorted actions, the order the scheduler fires them
+    in, through a per-site state machine. Brownouts are orthogonal to
+    up/drained/failed (a failed site's capacity is moot), so they get
+    their own overlay set; they scale ``capacity``, the run's profile,
+    so without one they are no-ops (PRE107). Whether each target exists
+    and fires before the run ends is the verifier's VER231 / VER233.
     """
     findings: list[Finding] = []
-    normalized: list[tuple[float, str, str]] = []
-    for index, event in enumerate(events):
-        if isinstance(event, ScenarioEvent):
-            kind, site, at = event.kind, event.site, event.at
-        else:
-            kind, site, at = event
-        source = f"scenario event #{index + 1} ({kind}:{site}@{at:g})"
-        if kind not in EVENT_KINDS:
-            findings.append(_error(
-                "PRE102",
-                f"unknown event kind {kind!r}; have {', '.join(EVENT_KINDS)}",
-                source,
-            ))
-            continue
-        if site not in deployment.sites:
-            findings.append(_error(
-                "PRE101",
-                f"event references unknown site {site!r}; "
-                f"deployment has {deployment.site_names}",
-                source,
-            ))
-            continue
-        if at < 0:
-            findings.append(_error(
-                "PRE103", f"event scheduled at negative time {at:g}s", source
-            ))
-            continue
-        if duration is not None and at > duration:
-            findings.append(_warning(
-                "PRE104",
-                f"event at {at:g}s is after the scenario end ({duration:g}s); "
-                "it may never be observed by a probe",
-                source,
-            ))
-        if kind == "brownout" and capacity is None:
-            findings.append(_warning(
-                "PRE107",
-                "brownout event in a run with no capacity profile has no "
-                "effect",
-                source,
-            ))
-        normalized.append((at, kind, site))
-
-    # Timeline consistency: replay the (time-sorted) events through a
-    # per-site state machine, the order ScenarioRunner will use.
-    # Brownouts are orthogonal to up/drained/failed (a failed site's
-    # capacity is moot), so they get their own overlay set.
     state: dict[str, str] = {}
     browned: set[str] = set()
-    for at, kind, site in sorted(normalized, key=lambda item: item[0]):
-        source = f"scenario event ({kind}:{site}@{at:g})"
+    for entry in sorted(timeline, key=lambda entry: entry.at):
+        at, kind, site, source = entry.at, entry.action, entry.target, entry.origin
         current = state.get(site, "up")
         if kind in ("fail", "fail-silent"):
             if current == "failed":
@@ -159,7 +111,14 @@ def check_events(
                     source,
                 ))
             state[site] = "up"
-        elif kind == "brownout":
+        elif kind == "brownout-start":
+            if capacity is None:
+                findings.append(_warning(
+                    "PRE107",
+                    "brownout event in a run with no capacity profile has no "
+                    "effect",
+                    source,
+                ))
             if current == "failed":
                 findings.append(_warning(
                     "PRE106",
@@ -175,7 +134,7 @@ def check_events(
                     source,
                 ))
             browned.add(site)
-        elif kind == "unbrownout":
+        elif kind == "brownout-end":
             if site not in browned:
                 findings.append(_error(
                     "PRE105",
@@ -544,7 +503,7 @@ def preflight_run(
     *,
     prefix: IPv4Prefix = SPECIFIC_PREFIX,
     probe_source: IPv4Address = PROBE_SOURCE,
-    events: Iterable[ScenarioEvent | tuple] | None = None,
+    events: Iterable[Action | tuple[str, str, float]] | None = None,
     duration: float | None = None,
     detection_delay: float | None = None,
     timing: SessionTiming | None = None,
@@ -555,15 +514,20 @@ def preflight_run(
 ) -> FindingCollector:
     """Run every applicable pre-flight check for one experiment.
 
-    Findings are also emitted through the telemetry counters
-    (``analysis.preflight.*``) when a backend is installed.
+    ``events`` is the run's timeline; a ``(kind, site, at)`` triple
+    stands for the action it spells. Findings are also emitted through
+    the telemetry counters (``analysis.preflight.*``) when a backend is
+    installed.
     """
     collector = FindingCollector()
     collector.extend(check_topology(deployment.topology))
     collector.extend(check_deployment(deployment))
     collector.extend(check_prefix_plan(technique, prefix, probe_source))
     if events is not None:
-        collector.extend(check_events(events, deployment, duration, capacity))
+        timeline = [
+            e if isinstance(e, Action) else Action(e[2], e[0], e[1]) for e in events
+        ]
+        collector.extend(check_events(timeline, capacity))
     collector.extend(check_timing(timing, damping))
     collector.extend(check_run_shape(duration, detection_delay))
     collector.extend(check_targets(deployment.topology, target_nodes))

@@ -206,7 +206,7 @@ def gate(args: argparse.Namespace, world) -> bool:
 
     stages = (
         ("preflight", lambda: preflight_run(
-            world.deployment, prefix=world.prefix, events=world.events,
+            world.deployment, prefix=world.prefix, events=world.timeline,
             duration=world.duration, detection_delay=world.detection_delay,
             timing=world.timing, damping=world.damping,
             target_nodes=world.target_nodes, workload=world.workload,

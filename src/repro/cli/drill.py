@@ -19,7 +19,7 @@ from repro.cli.common import (
 )
 from repro.core.drill import RotationDrill
 from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.faults import load_fault_plan
+from repro.faults import load_fault_plan, timeline
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 from repro.verify import VerifyWorld
@@ -74,7 +74,7 @@ def run(args: argparse.Namespace) -> int:
         )
         world = VerifyWorld(
             deployment=deployment, techniques=[drill.technique],
-            fault_plan=drill.fault_plan, duration=drill.deadline_s,
+            timeline=timeline(drill.fault_plan), duration=drill.deadline_s,
             detection_delay=drill.detection_delay, timing=drill.timing,
             target_nodes=clients, workload=drill.workload,
             capacity=drill.capacity, source="<run>",

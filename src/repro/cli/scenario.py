@@ -17,7 +17,7 @@ from repro.cli.common import (
 )
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.faults import load_fault_plan
+from repro.faults import ACTIONS, Action, load_fault_plan, timeline
 from repro.measurement.catchment import anycast_catchment
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
@@ -26,16 +26,21 @@ from repro.verify import VerifyWorld
 logger = logging.getLogger(__name__)
 
 
-def _parse_event(text: str):
-    """Parse ``KIND:SITE@TIME`` (e.g. ``fail:sea1@60``)."""
+def _parse_event(text: str) -> Action:
+    """Parse ``KIND:SITE@TIME`` (e.g. ``fail:sea1@60``) into the site
+    action it spells."""
+    kind_site, _, at_text = text.partition("@")
+    kind, _, site = kind_site.partition(":")
     try:
-        kind_site, _, at_text = text.partition("@")
-        kind, _, site = kind_site.partition(":")
-        return kind, site, float(at_text)
+        event = Action(float(at_text), kind, site)
+        if ACTIONS[event.action] != "site":
+            raise ValueError(f"{kind!r} does not act on a site")
     except ValueError as error:
         raise argparse.ArgumentTypeError(
-            f"bad event {text!r}; expected KIND:SITE@TIME (e.g. fail:sea1@60)"
+            f"bad event {text!r} ({error}); expected KIND:SITE@TIME "
+            "(e.g. fail:sea1@60)"
         ) from error
+    return event
 
 
 def register(subparsers) -> None:
@@ -80,11 +85,17 @@ def run(args: argparse.Namespace) -> int:
         if args.site not in deployment.sites:
             print(f"unknown site {args.site!r}; have {deployment.site_names}")
             return 2
+        try:
+            events = args.event or [Action(args.duration / 4, "fail", args.site)]
+        except ValueError as error:
+            print(f"bad --duration {args.duration:g}: {error}", file=sys.stderr)
+            return 2
         runner = ScenarioRunner(
             topology=deployment.topology,
             deployment=deployment,
             technique=technique_by_name(args.technique),
             specific_site=args.site,
+            events=events,
             duration_s=args.duration,
             bucket_s=10.0,
             recovery_grace=args.grace,
@@ -93,21 +104,17 @@ def run(args: argparse.Namespace) -> int:
             workload=resolve_workload(args),
             capacity=resolve_capacity(args),
         )
-        # Raw tuples until the gate has passed: ScenarioEvent raises on
-        # the malformed input PRE102/PRE103 are there to report.
-        events = args.event or [("fail", args.site, args.duration / 4)]
         world = VerifyWorld(
             deployment=deployment, techniques=[runner.technique],
-            specific_site=runner.specific_site, fault_plan=runner.fault_plan,
+            specific_site=runner.specific_site,
+            timeline=timeline(runner.fault_plan, runner.events),
             damping=runner.damping, duration=runner.duration_s,
-            events=events, detection_delay=runner.detection_delay,
+            detection_delay=runner.detection_delay,
             timing=runner.timing, workload=runner.workload,
             capacity=runner.capacity, source="<run>",
         )
         if not gate(args, world):
             return 2
-        for kind, site, at in events:
-            runner.add_event(at, kind, site)
         catchment = anycast_catchment(deployment.topology, deployment, seed=args.seed)
         targets = [n for n, s in catchment.items() if s == args.site][:15]
         if targets:
@@ -129,7 +136,7 @@ def run(args: argparse.Namespace) -> int:
         spark = "".join(
             glyphs[min(len(glyphs) - 1, int(v * (len(glyphs) - 1)))] for v in availability
         )
-        print("events: " + ", ".join(f"{e.kind} {e.site}@{e.at:.0f}s" for e in result.events))
+        print("events: " + ", ".join(f"{e.spelling} {e.target}@{e.at:.0f}s" for e in result.events))
         print(f"availability |{spark}| (one char per {result.bucket_s:.0f}s)")
         print(f"mean availability: {result.mean_availability():.1%}")
         print(f"downtime (<50% served): {result.downtime_s():.0f}s")
@@ -137,7 +144,7 @@ def run(args: argparse.Namespace) -> int:
             from repro.workload import render_account
 
             print(render_account(result.workload))
-        if runner.capacity is not None and runner.workload is not None:
+        if result.capacity_evaluated:
             if result.capacity_violations:
                 print(
                     f"capacity invariant: "

@@ -23,7 +23,7 @@ from repro.core.techniques import (
 from repro.core.controller import CdnController, FailureEvent
 from repro.core.drill import DrillOutcome, RotationDrill
 from repro.core.playbook import Playbook, PlaybookEntry
-from repro.core.scenarios import ScenarioEvent, ScenarioReport, ScenarioRunner
+from repro.core.scenarios import ScenarioReport, ScenarioRunner
 from repro.core.unicast_failover import (
     UnicastFailoverConfig,
     UnicastFailoverResult,
@@ -59,7 +59,6 @@ __all__ = [
     "RotationDrill",
     "Playbook",
     "PlaybookEntry",
-    "ScenarioEvent",
     "ScenarioReport",
     "ScenarioRunner",
     "UnicastFailoverConfig",

@@ -9,6 +9,7 @@ is in ``docs/architecture.md`` ("The run rig").
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterable
 
 from repro.bgp.network import BgpNetwork
 from repro.core.controller import CdnController, FailureEvent
@@ -18,7 +19,7 @@ from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
 from repro.dataplane.ping import Prober
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import Violation, check_site_capacity
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import Action, FaultPlan
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.testbed import (
     PROBE_SOURCE,
@@ -40,9 +41,10 @@ class RunRig:
     """Everything one ⟨technique, site⟩ run needs, deployed and converged.
 
     Construction deploys ``technique`` with ``site`` as its specific
-    site, runs the event queue dry, then arms ``fault_plan`` (its times
-    count from that instant). ``dst`` is the address in ``prefix`` that
-    draws traffic: the prober's source, the workload's destination.
+    site, runs the event queue dry, then arms the timeline -- ``fault_plan``
+    and the scripted ``events``; their times count from that instant.
+    ``dst`` is the address in ``prefix`` that draws traffic: the prober's
+    source, the workload's destination.
     """
 
     def __init__(
@@ -59,6 +61,7 @@ class RunRig:
         workload: WorkloadProfile | None = None,
         capacity: CapacityProfile | None = None,
         fault_plan: FaultPlan | None = None,
+        events: Iterable[Action] = (),
     ) -> None:
         # §5.2: probes leave from a site other than the one under test.
         vantage = next((s for s in deployment.site_names if s != site), None)
@@ -90,9 +93,9 @@ class RunRig:
         )
         self.controller.deploy(site)
         network.converge()
-        # An empty plan arms nothing, so every run carries an injector.
+        # An empty timeline arms nothing, so every run carries an injector.
         self.injector = FaultInjector(
-            network, fault_plan or FaultPlan(), capacity=self.capacity_state
+            network, fault_plan or FaultPlan(), rig=self, events=events
         )
         self.injector.arm()
         self.plane = ForwardingPlane(network, deployment.topology)
@@ -108,6 +111,19 @@ class RunRig:
         event = self.controller.fail_site(site, silent=silent)
         self.dead_sites.add(site)
         return event
+
+    def recover(self, site: str) -> None:
+        """``site`` is back on both planes."""
+        self.controller.recover_site(site)
+        self.dead_sites.discard(site)
+
+    def end_brownout(self, site: str) -> None:
+        """``site``'s capacity is back: release the shed its overload
+        latched on every layer that holds a piece of it."""
+        self.capacity_state.restore(site)
+        self.controller.site_overload_cleared(site)
+        if self.engine is not None:
+            self.engine.clear_overload(site)
 
     def start_workload(
         self,

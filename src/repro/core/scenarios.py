@@ -6,8 +6,9 @@ flap, maintenance drains -- and a CDN evaluating a redirection technique
 wants to see *service availability over time* through such an episode.
 
 :class:`ScenarioRunner` drives one deployment through a scripted event
-timeline (site failures, silent failures, recoveries) while probing a
-client population continuously, then reports availability per time
+timeline (site failures, silent failures, recoveries, drains,
+brownouts -- :class:`~repro.faults.plan.Action` entries) while probing
+a client population continuously, then reports availability per time
 bucket: the fraction of probes answered by a live site. The §5.4.1
 per-target metrics answer "how fast did each client recover"; the
 availability series answers "how much service was lost over the whole
@@ -23,7 +24,7 @@ from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.core.rig import RunRig
 from repro.core.techniques import Technique
-from repro.faults import FaultPlan
+from repro.faults.plan import Action, FaultPlan
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
@@ -33,45 +34,11 @@ from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
 
 
-#: the scripted actions a timeline may hold (PRE102 reports others)
-EVENT_KINDS = (
-    "fail", "fail-silent", "recover", "drain", "undrain",
-    "brownout", "unbrownout",
-)
-
-
-@dataclass(frozen=True, slots=True)
-class ScenarioEvent:
-    """One scripted action at an absolute scenario time.
-
-    ``brownout`` scales the site's serving capacity down to ``factor``
-    of its configured value (the site keeps routing, just serves less);
-    ``unbrownout`` restores it and clears any shed the overload latched.
-    Both require a capacity profile to have any effect.
-    """
-
-    at: float
-    kind: str  # one of EVENT_KINDS
-    site: str
-    #: capacity multiplier for "brownout" events (ignored otherwise)
-    factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError("event time must be non-negative")
-        if self.kind == "brownout" and not 0.0 <= self.factor < 1.0:
-            raise ValueError(
-                f"brownout factor must be in [0, 1), got {self.factor}"
-            )
-
-
 @dataclass(slots=True)
 class ScenarioReport:
     """Availability over time plus the raw event log."""
 
-    events: list[ScenarioEvent]
+    events: list[Action]
     bucket_s: float
     #: per bucket: (answered probes, sent probes)
     buckets: list[tuple[int, int]]
@@ -80,9 +47,10 @@ class ScenarioReport:
     faults_skipped: int = 0
     #: request-level accounting (None unless the runner had a workload)
     workload: WorkloadAccount | None = None
-    #: post-convergence "no site over capacity" violations, formatted
-    #: (empty without a capacity profile + workload)
+    #: post-convergence "no site over capacity" violations, formatted;
+    #: the invariant is evaluated iff the run bound a capacity model
     capacity_violations: tuple[str, ...] = ()
+    capacity_evaluated: bool = False
 
     def availability(self) -> list[float]:
         """Per-bucket fraction of probes answered."""
@@ -114,7 +82,7 @@ class ScenarioRunner:
     deployment: CdnDeployment
     technique: Technique
     specific_site: str
-    events: list[ScenarioEvent] = field(default_factory=list)
+    events: list[Action] = field(default_factory=list)
     duration_s: float = 600.0
     probe_interval: float = 1.5
     bucket_s: float = 10.0
@@ -128,8 +96,8 @@ class ScenarioRunner:
     timing: SessionTiming | None = DEFAULT_INTERNET_TIMING
     damping: DampingConfig | None = None
     seed: int = 0
-    #: optional chaos: armed after the initial convergence, so fault
-    #: times share the epoch of the scripted :class:`ScenarioEvent`s
+    #: optional chaos: armed after the initial convergence, on the
+    #: same timeline (and epoch) as the scripted ``events``
     fault_plan: FaultPlan | None = None
     #: optional client traffic streamed through the episode
     workload: WorkloadProfile | None = None
@@ -140,11 +108,9 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
 
     def add_event(
-        self, at: float, kind: str, site: str, factor: float = 0.5
+        self, at: float, kind: str, site: str, **params: float
     ) -> "ScenarioRunner":
-        self.events.append(
-            ScenarioEvent(at=at, kind=kind, site=site, factor=factor)
-        )
+        self.events.append(Action(at, kind, site, params))
         return self
 
     def fail(self, at: float, site: str) -> "ScenarioRunner":
@@ -187,6 +153,7 @@ class ScenarioRunner:
             workload=self.workload,
             capacity=self.capacity,
             fault_plan=self.fault_plan,
+            events=self.events,
         )
 
         nodes = self.target_nodes
@@ -201,12 +168,10 @@ class ScenarioRunner:
 
         start = network.now
         ordered = sorted(self.events, key=lambda e: e.at)
-        for event in ordered:
-            self._schedule(rig, event)
         # The phase tags give the availability ledger its run context
         # (technique, site); the scenario's focus site is the first
         # scripted event's target, or the deploy site for a quiet run.
-        focus_site = ordered[0].site if ordered else self.specific_site
+        focus_site = ordered[0].target if ordered else self.specific_site
         with telemetry_registry.current().phase(
             "scenario", technique=self.technique.name, site=focus_site
         ):
@@ -217,7 +182,7 @@ class ScenarioRunner:
             rig.start_workload(self.duration_s, self.seed, tag, site=focus_site)
             network.run_for(self.duration_s + 30.0)
 
-        report = self._report(rig, start)
+        report = self._report(rig, start, ordered)
         report.faults_injected = rig.injector.injected
         report.faults_skipped = rig.injector.skipped
         if rig.engine is not None:
@@ -226,34 +191,12 @@ class ScenarioRunner:
             # The capacity invariant is about the settled catchment.
             network.converge()
             report.capacity_violations = tuple(v.format() for v in rig.capacity_violations())
+            report.capacity_evaluated = True
         return report
 
-    def _schedule(self, rig: RunRig, event: ScenarioEvent) -> None:
-        def fire() -> None:
-            capacity_state = rig.capacity_state
-            if event.kind in ("fail", "fail-silent"):
-                rig.fail(event.site, silent=event.kind == "fail-silent")
-            elif event.kind == "drain":
-                rig.controller.drain_site(event.site)
-            elif event.kind == "undrain":
-                rig.controller.undrain_site(event.site)
-            elif event.kind == "brownout":
-                if capacity_state is not None:
-                    capacity_state.scale(event.site, event.factor)
-            elif event.kind == "unbrownout":
-                if capacity_state is not None:
-                    capacity_state.restore(event.site)
-                    rig.controller.site_overload_cleared(event.site)
-                    # Bound capacity implies a workload, and the engine
-                    # is started before the clock reaches any event.
-                    rig.engine.clear_overload(event.site)
-            else:
-                rig.controller.recover_site(event.site)
-                rig.dead_sites.discard(event.site)
-
-        rig.network.engine.schedule(event.at, fire)
-
-    def _report(self, rig: RunRig, start: float) -> ScenarioReport:
+    def _report(
+        self, rig: RunRig, start: float, ordered: list[Action]
+    ) -> ScenarioReport:
         n_buckets = int(self.duration_s // self.bucket_s) + 1
         sent = [0] * n_buckets
         answered = [0] * n_buckets
@@ -266,7 +209,7 @@ class ScenarioRunner:
                     if probe.seq in answered_seqs:
                         answered[bucket] += 1
         return ScenarioReport(
-            events=sorted(self.events, key=lambda e: e.at),
+            events=ordered,
             bucket_s=self.bucket_s,
             buckets=list(zip(answered, sent)),
         )

@@ -1,9 +1,10 @@
 """Deterministic fault injection and runtime invariant checking.
 
-See ``docs/faults.md``: a :class:`FaultPlan` (JSON-loadable timeline of
+See ``docs/faults.md``: a :class:`FaultPlan` (JSON-loadable list of
 link flaps, session resets, message loss, delayed FIB downloads,
-partial site failures, and capacity brownouts) is armed by a
-:class:`FaultInjector` onto a network's event engine, and
+partial site failures, and capacity brownouts) expands into the timed
+:class:`Action` edges of the run's :func:`timeline`, which a
+:class:`FaultInjector` schedules onto a network's event engine, and
 :func:`check_invariants` audits global consistency once the network
 goes quiet again (:func:`check_site_capacity` adds the workload-aware
 "no site over capacity" audit, see ``docs/load.md``).
@@ -18,7 +19,9 @@ from repro.faults.invariants import (
     known_prefixes,
 )
 from repro.faults.plan import (
+    ACTIONS,
     FAULT_KINDS,
+    Action,
     Brownout,
     Fault,
     FaultPlan,
@@ -29,10 +32,13 @@ from repro.faults.plan import (
     PartialSiteFailure,
     SessionReset,
     load_fault_plan,
+    timeline,
 )
 
 __all__ = [
+    "ACTIONS",
     "FAULT_KINDS",
+    "Action",
     "Brownout",
     "Fault",
     "FaultInjector",
@@ -49,4 +55,5 @@ __all__ = [
     "check_site_capacity",
     "known_prefixes",
     "load_fault_plan",
+    "timeline",
 ]

@@ -1,14 +1,15 @@
-"""Schedules a :class:`~repro.faults.plan.FaultPlan` onto a network.
+"""The timeline's scheduler: fires each action onto one network.
 
-The injector is a thin, deterministic translator: every fault becomes
-one or more callbacks on the network's existing :class:`EventEngine`,
-so faults interleave with BGP message delivery, MRAI expiry, and
-probing on the single simulated clock. Determinism rules:
+The injector is a thin, deterministic translator: every
+:class:`~repro.faults.plan.Action` of the run's timeline becomes one
+callback on the network's existing :class:`EventEngine`, so faults and
+scripted site events interleave with BGP message delivery, MRAI expiry,
+and probing on the single simulated clock. Determinism rules:
 
-* the injector's own RNG (plan seed) is consulted only inside fault
+* the injector's own RNG (plan seed) is consulted only inside action
   callbacks, whose firing order the engine fixes -- the *network* RNG
-  is never touched, so arming an empty plan perturbs nothing;
-* a fault whose target is in an incompatible state (flapping a link
+  is never touched, so arming an empty timeline perturbs nothing;
+* an action whose target is in an incompatible state (flapping a link
   something else already tore down, resetting a session that is gone)
   is *skipped*, counted, and traced -- never raised -- because fault
   drills intentionally stack failures.
@@ -18,29 +19,21 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 
 from repro.bgp.network import BgpNetwork
-from repro.bgp.router import BgpRouter
-from repro.faults.plan import (
-    Brownout,
-    FaultPlan,
-    FibDelay,
-    LinkFlap,
-    MessageLoss,
-    PartialSiteFailure,
-    SessionReset,
-)
+from repro.faults.plan import Action, FaultPlan, link_ends, timeline
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import FaultInjected, FaultSkipped
-from repro.workload.capacity import CapacityState
-
-
-def _link_id(a: str, b: str) -> str:
-    return f"{a}<->{b}"
 
 
 class FaultInjector:
-    """Arms one fault plan against one network.
+    """Arms one timeline (a fault plan's edges, then the scripted
+    ``events``) against one network.
+
+    ``rig`` is the :class:`~repro.core.rig.RunRig` site actions act
+    through; without one (a bare network) only link and node actions
+    can fire, and brownouts skip.
 
     Counters: :attr:`injected` / :attr:`skipped` mirror the
     ``faults.injected`` / ``faults.skipped`` telemetry counters for
@@ -51,177 +44,99 @@ class FaultInjector:
         self,
         network: BgpNetwork,
         plan: FaultPlan,
-        capacity: CapacityState | None = None,
+        rig=None,
+        events: Iterable[Action] = (),
     ) -> None:
         self.network = network
-        self.plan = plan
-        #: capacity state brownout faults act on; None = no capacity
-        #: model in this run, so brownout faults skip
-        self.capacity = capacity
+        self.rig = rig
+        #: capacity state brownouts act on; None = no capacity model
+        #: bound in this run, so brownouts skip
+        self.capacity = rig.capacity_state if rig is not None else None
+        self.timeline = timeline(plan, events)
         self.rng = random.Random(plan.seed)
         self.injected = 0
         self.skipped = 0
         self.armed = False
+        #: node -> neighbors a partial-site-down took away from it
+        self._partial: dict[str, list[str]] = {}
         self._telemetry = telemetry_registry.current()
 
     # ------------------------------------------------------------------
 
     def arm(self) -> None:
-        """Schedule every fault, relative to the current simulated time."""
+        """Schedule every action, relative to the current simulated time."""
         if self.armed:
             raise RuntimeError("fault plan already armed")
         self.armed = True
-        for fault in self.plan.faults:
-            if isinstance(fault, LinkFlap):
-                self._arm_link_flap(fault)
-            elif isinstance(fault, SessionReset):
-                self._arm_session_reset(fault)
-            elif isinstance(fault, MessageLoss):
-                self._arm_message_loss(fault)
-            elif isinstance(fault, FibDelay):
-                self._arm_fib_delay(fault)
-            elif isinstance(fault, PartialSiteFailure):
-                self._arm_partial_site_failure(fault)
-            elif isinstance(fault, Brownout):
-                self._arm_brownout(fault)
-            else:  # pragma: no cover - plan validation rejects these
-                raise TypeError(f"unknown fault {fault!r}")
+        for entry in self.timeline:
+            self.network.engine.schedule(entry.at, lambda e=entry: self._fire(e))
 
-    # ------------------------------------------------------------------
+    def _fire(self, entry: Action) -> None:
+        """Apply ``entry``'s effect; an effect that cannot apply returns
+        why, and is counted and traced as skipped."""
+        reason = _EFFECTS[entry.action](self, entry)
+        if isinstance(reason, str):
+            self.skipped += 1
+            if self._telemetry.enabled:
+                self._telemetry.inc("faults.skipped")
+                self._telemetry.emit(
+                    FaultSkipped(
+                        t=self.network.now, fault=entry.action,
+                        target=entry.target, reason=reason,
+                    )
+                )
 
-    def _fired(self, fault: str, target: str, detail: str = "", cause: int = 0) -> None:
+    def _fired(self, entry: Action, detail: str = "", cause: int = 0) -> None:
         self.injected += 1
         if self._telemetry.enabled:
             self._telemetry.inc("faults.injected")
             self._telemetry.emit(
                 FaultInjected(
                     t=self.network.now,
-                    fault=fault,
-                    target=target,
+                    fault=entry.action,
+                    target=entry.target,
                     detail=detail,
                     cause=cause,
                 )
             )
 
-    def _skip(self, fault: str, target: str, reason: str) -> None:
-        self.skipped += 1
-        if self._telemetry.enabled:
-            self._telemetry.inc("faults.skipped")
-            self._telemetry.emit(
-                FaultSkipped(
-                    t=self.network.now, fault=fault, target=target, reason=reason
-                )
-            )
+    def _cause(self, entry: Action) -> int:
+        """A fresh root cause for ``entry`` (starts drop their suffix)."""
+        name = entry.action.removesuffix("-start")
+        return self.network.new_cause(f"fault:{name}", entry.target)
 
     # ------------------------------------------------------------------
 
-    def _arm_link_flap(self, fault: LinkFlap) -> None:
-        for occurrence in range(fault.repeat):
-            start = fault.at + occurrence * fault.period
-            self.network.engine.schedule(start, lambda f=fault: self._link_down(f))
-            self.network.engine.schedule(
-                start + fault.down_for, lambda f=fault: self._link_up(f)
-            )
-
-    def _link_down(self, fault: LinkFlap) -> None:
-        target = _link_id(fault.a, fault.b)
-        if not self.network.has_link(fault.a, fault.b):
-            self._skip("link-down", target, "link not up")
-            return
+    def _link(self, entry: Action) -> str | None:
+        ready, reason, mutate = _LINK_EFFECTS[entry.action]
+        a, b = link_ends(entry.target)
+        if not ready(self.network, a, b):
+            return reason
         # The fault is the root action: allocate its cause before the
         # mutation so the network's own provenance hooks inherit it and
         # all resulting churn lands in one chain.
-        cause = self.network.new_cause("fault:link-down", target)
+        cause = self._cause(entry)
         with self.network.caused_by(cause):
-            self.network.fail_link(fault.a, fault.b)
-        self._fired("link-down", target, cause=cause)
+            mutate(self.network, a, b)
+        self._fired(entry, cause=cause)
 
-    def _link_up(self, fault: LinkFlap) -> None:
-        target = _link_id(fault.a, fault.b)
-        if not self.network.is_link_failed(fault.a, fault.b):
-            self._skip("link-up", target, "link not in failed state")
-            return
-        cause = self.network.new_cause("fault:link-up", target)
-        with self.network.caused_by(cause):
-            self.network.restore_link(fault.a, fault.b)
-        self._fired("link-up", target, cause=cause)
+    def _message_loss(self, entry: Action) -> None:
+        a, b = link_ends(entry.target)
+        odds = entry.params  # empty on the -end edge: back to lossless
+        self.network.set_message_loss(a, b, **odds)
+        detail = f"loss={odds['loss_prob']} dup={odds['dup_prob']}" if odds else ""
+        self._fired(entry, detail, self._cause(entry))
 
-    def _arm_session_reset(self, fault: SessionReset) -> None:
-        self.network.engine.schedule(fault.at, lambda: self._session_reset(fault))
-
-    def _session_reset(self, fault: SessionReset) -> None:
-        target = _link_id(fault.a, fault.b)
-        if not self.network.has_link(fault.a, fault.b):
-            self._skip("session-reset", target, "link not up")
-            return
-        cause = self.network.new_cause("fault:session-reset", target)
-        with self.network.caused_by(cause):
-            self.network.reset_session(fault.a, fault.b)
-        self._fired("session-reset", target, cause=cause)
-
-    def _arm_message_loss(self, fault: MessageLoss) -> None:
-        engine = self.network.engine
-        engine.schedule(fault.at, lambda: self._loss_start(fault))
-        engine.schedule(fault.at + fault.duration, lambda: self._loss_end(fault))
-
-    def _loss_start(self, fault: MessageLoss) -> None:
-        target = _link_id(fault.a, fault.b)
-        self.network.set_message_loss(
-            fault.a, fault.b, loss_prob=fault.loss_prob, dup_prob=fault.dup_prob
-        )
-        self._fired(
-            "message-loss-start",
-            target,
-            f"loss={fault.loss_prob} dup={fault.dup_prob}",
-            cause=self.network.new_cause("fault:message-loss", target),
-        )
-
-    def _loss_end(self, fault: MessageLoss) -> None:
-        target = _link_id(fault.a, fault.b)
-        self.network.set_message_loss(fault.a, fault.b)
-        self._fired(
-            "message-loss-end",
-            target,
-            cause=self.network.new_cause("fault:message-loss-end", target),
-        )
-
-    def _arm_fib_delay(self, fault: FibDelay) -> None:
-        engine = self.network.engine
-        engine.schedule(fault.at, lambda: self._fib_delay_start(fault))
-        engine.schedule(fault.at + fault.duration, lambda: self._fib_delay_end(fault))
-
-    def _fib_delay_start(self, fault: FibDelay) -> None:
-        router = self.network.routers.get(fault.node)
+    def _fib_delay_start(self, entry: Action) -> str | None:
+        router = self.network.routers.get(entry.target)
         if router is None:
-            self._skip("fib-delay-start", fault.node, "unknown node")
-            return
-        self._push_fib_delay(router, fault.extra_delay)
-        self._fired(
-            "fib-delay-start",
-            fault.node,
-            f"extra={fault.extra_delay}",
-            cause=self.network.new_cause("fault:fib-delay", fault.node),
-        )
-
-    def _fib_delay_end(self, fault: FibDelay) -> None:
-        router = self.network.routers.get(fault.node)
-        if router is None or not self._pop_fib_delay(router):
-            self._skip("fib-delay-end", fault.node, "no delay window active")
-            return
-        self._fired(
-            "fib-delay-end",
-            fault.node,
-            cause=self.network.new_cause("fault:fib-delay-end", fault.node),
-        )
-
-    def _push_fib_delay(self, router: BgpRouter, extra: float) -> None:
-        """Wrap the router's FIB-delay sampler to add ``extra`` seconds.
-
-        The original sampler (if any) still runs, so its RNG draw count
-        -- and therefore every later draw in the run -- is unchanged.
-        """
+            return "unknown node"
+        # Wrap the router's FIB-delay sampler. The original sampler (if
+        # any) still runs, so its RNG draw count -- and therefore every
+        # later draw in the run -- is unchanged.
         original = router.fib_delay_source
         engine = self.network.engine
+        extra = entry.params["extra_delay"]
 
         def delayed():
             if original is None:
@@ -231,99 +146,96 @@ class FaultInjector:
 
         delayed._fault_original = original  # type: ignore[attr-defined]
         router.fib_delay_source = delayed
+        self._fired(entry, f"extra={extra}", self._cause(entry))
 
-    def _pop_fib_delay(self, router: BgpRouter) -> bool:
-        source = router.fib_delay_source
-        if source is None or not hasattr(source, "_fault_original"):
-            return False
+    def _fib_delay_end(self, entry: Action) -> str | None:
+        router = self.network.routers.get(entry.target)
+        source = router.fib_delay_source if router is not None else None
+        if not hasattr(source, "_fault_original"):
+            return "no delay window active"
         router.fib_delay_source = source._fault_original
-        return True
+        self._fired(entry, cause=self._cause(entry))
 
-    def _arm_brownout(self, fault: Brownout) -> None:
-        engine = self.network.engine
-        engine.schedule(fault.at, lambda: self._brownout_start(fault))
-        engine.schedule(
-            fault.at + fault.down_for, lambda: self._brownout_end(fault)
-        )
-
-    def _brownout_start(self, fault: Brownout) -> None:
-        capacity = self.capacity
+    def _brownout_start(self, entry: Action) -> str | None:
+        capacity, site = self.capacity, entry.target
         if capacity is None:
-            self._skip("brownout-start", fault.site, "no capacity model armed")
-            return
-        if fault.site not in capacity.sites:
-            self._skip("brownout-start", fault.site, "unknown site")
-            return
-        if capacity.browned_out(fault.site):
-            self._skip("brownout-start", fault.site, "already browned out")
-            return
-        capacity.scale(fault.site, fault.factor)
-        self._fired(
-            "brownout-start",
-            fault.site,
-            f"factor={fault.factor}",
-            cause=self.network.new_cause("fault:brownout", fault.site),
-        )
+            return "no capacity model armed"
+        if site not in capacity.sites:
+            return "unknown site"
+        if capacity.browned_out(site):
+            return "already browned out"
+        factor = entry.params.get("factor", 0.5)
+        capacity.scale(site, factor)
+        self._fired(entry, f"factor={factor}", self._cause(entry))
 
-    def _brownout_end(self, fault: Brownout) -> None:
-        capacity = self.capacity
-        if capacity is None or not capacity.browned_out(fault.site):
-            self._skip("brownout-end", fault.site, "no brownout active")
-            return
-        capacity.restore(fault.site)
-        self._fired(
-            "brownout-end",
-            fault.site,
-            cause=self.network.new_cause("fault:brownout-end", fault.site),
-        )
+    def _brownout_end(self, entry: Action) -> str | None:
+        if self.capacity is None or not self.capacity.browned_out(entry.target):
+            return "no brownout active"
+        # The un-shed the controller answers with belongs to this chain.
+        cause = self._cause(entry)
+        with self.network.caused_by(cause):
+            self.rig.end_brownout(entry.target)
+        self._fired(entry, cause=cause)
 
-    def _arm_partial_site_failure(self, fault: PartialSiteFailure) -> None:
-        engine = self.network.engine
+    def _partial_down(self, entry: Action) -> str | None:
         # The neighbor subset is chosen at fire time (over the sorted,
         # then-current adjacency) so earlier faults are accounted for.
-        chosen: list[tuple[str, str]] = []
-        engine.schedule(fault.at, lambda: self._partial_down(fault, chosen))
-        engine.schedule(
-            fault.at + fault.down_for, lambda: self._partial_up(fault, chosen)
-        )
-
-    def _partial_down(
-        self, fault: PartialSiteFailure, chosen: list[tuple[str, str]]
-    ) -> None:
-        neighbors = sorted(self.network.adjacency.get(fault.node, {}))
+        node = entry.target
+        neighbors = sorted(self.network.adjacency.get(node, {}))
         if not neighbors:
-            self._skip("partial-site-down", fault.node, "node has no live links")
-            return
-        count = max(1, min(len(neighbors) - 1, math.ceil(fault.fraction * len(neighbors))))
+            return "node has no live links"
+        fraction = entry.params["fraction"]
+        count = max(1, min(len(neighbors) - 1, math.ceil(fraction * len(neighbors))))
         if len(neighbors) == 1:
             count = 1  # a single-homed node's "partial" failure is total
-        picked = self.rng.sample(neighbors, count)
-        cause = self.network.new_cause("fault:partial-site-down", fault.node)
+        picked = sorted(self.rng.sample(neighbors, count))
+        cause = self._cause(entry)
         with self.network.caused_by(cause):
-            for neighbor in sorted(picked):
-                self.network.fail_link(fault.node, neighbor)
-                chosen.append((fault.node, neighbor))
-        self._fired(
-            "partial-site-down",
-            fault.node,
-            f"links={','.join(n for _, n in chosen)}",
-            cause=cause,
-        )
+            for neighbor in picked:
+                self.network.fail_link(node, neighbor)
+        self._partial.setdefault(node, []).extend(picked)
+        self._fired(entry, f"links={','.join(picked)}", cause)
 
-    def _partial_up(
-        self, fault: PartialSiteFailure, chosen: list[tuple[str, str]]
-    ) -> None:
-        if not chosen:
-            self._skip("partial-site-up", fault.node, "nothing was failed")
-            return
+    def _partial_up(self, entry: Action) -> str | None:
+        node = entry.target
+        failed = self._partial.pop(node, None)
+        if not failed:
+            return "nothing was failed"
         restored = []
-        cause = self.network.new_cause("fault:partial-site-up", fault.node)
+        cause = self._cause(entry)
         with self.network.caused_by(cause):
-            for node, neighbor in chosen:
+            for neighbor in failed:
                 if self.network.is_link_failed(node, neighbor):
                     self.network.restore_link(node, neighbor)
                     restored.append(neighbor)
-        chosen.clear()
-        self._fired(
-            "partial-site-up", fault.node, f"links={','.join(restored)}", cause=cause
-        )
+        self._fired(entry, f"links={','.join(restored)}", cause)
+
+
+#: link action -> (precondition, why it skips otherwise, mutation)
+_LINK_EFFECTS = {
+    "link-down": (BgpNetwork.has_link, "link not up", BgpNetwork.fail_link),
+    "link-up": (
+        BgpNetwork.is_link_failed, "link not in failed state", BgpNetwork.restore_link,
+    ),
+    "session-reset": (BgpNetwork.has_link, "link not up", BgpNetwork.reset_session),
+}
+
+#: action -> effect(injector, entry): the one place an action becomes a
+#: change to the run. Site actions trace themselves (the controller's
+#: own events), so they are neither counted nor emitted as faults.
+_EFFECTS = {
+    **dict.fromkeys(_LINK_EFFECTS, FaultInjector._link),
+    "message-loss-start": FaultInjector._message_loss,
+    "message-loss-end": FaultInjector._message_loss,
+    "fib-delay-start": FaultInjector._fib_delay_start,
+    "fib-delay-end": FaultInjector._fib_delay_end,
+    "partial-site-down": FaultInjector._partial_down,
+    "partial-site-up": FaultInjector._partial_up,
+    "brownout-start": FaultInjector._brownout_start,
+    "brownout-end": FaultInjector._brownout_end,
+    "fail": lambda self, entry: self.rig.fail(entry.target),
+    "fail-silent": lambda self, entry: self.rig.fail(entry.target, silent=True),
+    "recover": lambda self, entry: self.rig.recover(entry.target),
+    "drain": lambda self, entry: self.rig.controller.drain_site(entry.target),
+    "undrain": lambda self, entry: self.rig.controller.undrain_site(entry.target),
+}

@@ -1,26 +1,111 @@
-"""Declarative fault timelines.
+"""The run's timeline: timed actions on the one simulated clock.
 
-A :class:`FaultPlan` is a list of scheduled faults -- link flaps,
-session resets, per-link message loss/duplication, delayed FIB
-downloads, partial site failures -- expressed as plain data so a plan
-can live in a JSON file, travel across the parallel sweep's process
-boundary unchanged, and inject byte-identically into every run that
-shares a seed (see ``docs/faults.md`` for the schema and the
-determinism guarantees).
+Everything scheduled onto a run is an :class:`Action` -- an *edge*
+``<at, action, target, params>`` over one vocabulary (:data:`ACTIONS`).
+The two ways to write a timeline both build actions through that one
+constructor, which owns the kind and time rule:
 
-Fault times are *relative to arming*: the injector schedules every
-fault as a delay from the simulated instant :meth:`FaultInjector.arm`
-is called (the drill arms after its initial convergence, the scenario
-runner at the start of its timeline), so one plan is meaningful across
-experiments whose absolute clocks differ.
+* a :class:`FaultPlan` is a list of *interval* faults -- link flaps,
+  session resets, per-link message loss/duplication, delayed FIB
+  downloads, partial site failures, capacity brownouts -- expressed as
+  plain data so a plan can live in a JSON file, travel across the
+  parallel sweep's process boundary unchanged, and inject
+  byte-identically into every run that shares a seed; each fault
+  expands into its start/end edges (:meth:`FaultSpec.actions`);
+* a scenario's ``-e KIND:SITE@TIME`` event is one site action.
+
+:func:`timeline` merges them into the ordered tuple the scheduler
+(:class:`~repro.faults.injector.FaultInjector`) fires and the pre-run
+gate checks (see ``docs/faults.md`` for the schema, the action table
+and the determinism guarantees).
+
+Times are *relative to arming*: the injector schedules every action as
+a delay from the simulated instant :meth:`FaultInjector.arm` is called
+(the run rig arms right after its initial convergence), so one plan is
+meaningful across experiments whose absolute clocks differ.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar, Type, Union
+
+#: the timeline's vocabulary (the names the trace uses): action -> what
+#: its target names (a ``a<->b`` link, a topology node, a CDN site)
+ACTIONS = {
+    "link-down": "link", "link-up": "link", "session-reset": "link",
+    "message-loss-start": "link", "message-loss-end": "link",
+    "fib-delay-start": "node", "fib-delay-end": "node",
+    "partial-site-down": "node", "partial-site-up": "node",
+    "brownout-start": "site", "brownout-end": "site",
+    "fail": "site", "fail-silent": "site", "recover": "site",
+    "drain": "site", "undrain": "site",
+}
+
+#: the ``-e`` spellings that are sugar for an action
+SUGAR = {"brownout": "brownout-start", "unbrownout": "brownout-end"}
+_SPELLING = {action: sugar for sugar, action in SUGAR.items()}
+
+
+def link_target(a: str, b: str) -> str:
+    """How an action names the ``a <-> b`` adjacency (the trace's form)."""
+    return f"{a}<->{b}"
+
+
+def link_ends(target: str) -> tuple[str, str]:
+    """The two ends a :func:`link_target` names."""
+    a, _, b = target.partition("<->")
+    return a, b
+
+
+@dataclass(frozen=True, slots=True)
+class Action:
+    """One edge of the timeline: ``action`` happens to ``target``,
+    ``at`` seconds after arming.
+
+    ``brownout-start`` scales a site's serving capacity down to
+    ``params["factor"]`` of its configured value (the site keeps
+    routing, just serves less); ``brownout-end`` restores it and clears
+    any shed the overload latched. Both need a bound capacity model to
+    have any effect.
+    """
+
+    at: float
+    action: str  # one of ACTIONS (or its SUGAR spelling)
+    target: str
+    params: Mapping[str, float] = field(default_factory=dict)
+    #: the entry this edge belongs to, as findings name it
+    origin: str = ""
+
+    def __post_init__(self) -> None:
+        action = SUGAR.get(self.action, self.action)
+        if action not in ACTIONS:
+            raise ValueError(
+                f"unknown action {self.action!r}; have {', '.join([*ACTIONS, *SUGAR])}"
+            )
+        if not 0 <= self.at < math.inf:
+            raise ValueError(f"time must be finite and non-negative, got {self.at}")
+        if not 0.0 <= self.params.get("factor", 0.0) < 1.0:
+            raise ValueError(
+                f"factor must be in [0, 1) -- a blackout is a fail event, "
+                f"not a brownout -- got {self.params['factor']}"
+            )
+        object.__setattr__(self, "action", action)
+        if not self.origin:
+            object.__setattr__(
+                self, "origin",
+                f"scenario event ({self.spelling}:{self.target}@{self.at:g})",
+            )
+
+    @property
+    def spelling(self) -> str:
+        """The action as ``-e`` spells it."""
+        return _SPELLING.get(self.action, self.action)
+
 
 #: kind string -> fault dataclass, populated by ``_register``
 FAULT_KINDS: dict[str, Type["FaultSpec"]] = {}
@@ -33,15 +118,21 @@ def _register(cls):
 
 @dataclass(frozen=True, slots=True)
 class FaultSpec:
-    """Base fault: ``at`` is seconds after the injector arms."""
+    """Base interval fault: ``at`` is seconds after the injector arms."""
 
     kind: ClassVar[str] = "fault"
 
     at: float
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError(f"fault time must be non-negative, got {self.at}")
+        # Building the edges puts every one of them -- the start and the
+        # end(s) -- through the Action constructor's kind and time rule.
+        for _ in self.actions():
+            pass
+
+    def actions(self) -> Iterator[Action]:
+        """The fault's edges, in the order they are scheduled."""
+        return iter(())
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -64,7 +155,6 @@ class LinkFlap(FaultSpec):
     period: float = 0.0
 
     def __post_init__(self) -> None:
-        FaultSpec.__post_init__(self)
         if not self.a or not self.b:
             raise ValueError("link_flap needs both link ends 'a' and 'b'")
         if self.down_for <= 0:
@@ -76,6 +166,14 @@ class LinkFlap(FaultSpec):
                 f"period ({self.period}) must exceed down_for ({self.down_for}) "
                 "when repeating, or flaps would overlap"
             )
+        FaultSpec.__post_init__(self)
+
+    def actions(self) -> Iterator[Action]:
+        link = link_target(self.a, self.b)
+        for occurrence in range(self.repeat):
+            start = self.at + occurrence * self.period
+            yield Action(start, "link-down", link)
+            yield Action(start + self.down_for, "link-up", link)
 
 
 @_register
@@ -91,9 +189,12 @@ class SessionReset(FaultSpec):
     b: str = ""
 
     def __post_init__(self) -> None:
-        FaultSpec.__post_init__(self)
         if not self.a or not self.b:
             raise ValueError("session_reset needs both link ends 'a' and 'b'")
+        FaultSpec.__post_init__(self)
+
+    def actions(self) -> Iterator[Action]:
+        yield Action(self.at, "session-reset", link_target(self.a, self.b))
 
 
 @_register
@@ -119,7 +220,6 @@ class MessageLoss(FaultSpec):
     dup_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        FaultSpec.__post_init__(self)
         if not self.a or not self.b:
             raise ValueError("message_loss needs both link ends 'a' and 'b'")
         if self.duration <= 0:
@@ -131,6 +231,13 @@ class MessageLoss(FaultSpec):
             )
         if self.loss_prob == 0.0 and self.dup_prob == 0.0:
             raise ValueError("message_loss with zero probabilities does nothing")
+        FaultSpec.__post_init__(self)
+
+    def actions(self) -> Iterator[Action]:
+        link = link_target(self.a, self.b)
+        odds = {"loss_prob": self.loss_prob, "dup_prob": self.dup_prob}
+        yield Action(self.at, "message-loss-start", link, odds)
+        yield Action(self.at + self.duration, "message-loss-end", link)
 
 
 @_register
@@ -147,13 +254,18 @@ class FibDelay(FaultSpec):
     extra_delay: float = 5.0
 
     def __post_init__(self) -> None:
-        FaultSpec.__post_init__(self)
         if not self.node:
             raise ValueError("fib_delay needs a 'node'")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.extra_delay <= 0:
             raise ValueError(f"extra_delay must be positive, got {self.extra_delay}")
+        FaultSpec.__post_init__(self)
+
+    def actions(self) -> Iterator[Action]:
+        extra = {"extra_delay": self.extra_delay}
+        yield Action(self.at, "fib-delay-start", self.node, extra)
+        yield Action(self.at + self.duration, "fib-delay-end", self.node)
 
 
 @_register
@@ -174,7 +286,6 @@ class PartialSiteFailure(FaultSpec):
     down_for: float = 30.0
 
     def __post_init__(self) -> None:
-        FaultSpec.__post_init__(self)
         if not self.node:
             raise ValueError("partial_site_failure needs a 'node'")
         if not 0.0 < self.fraction < 1.0:
@@ -184,6 +295,12 @@ class PartialSiteFailure(FaultSpec):
             )
         if self.down_for <= 0:
             raise ValueError(f"down_for must be positive, got {self.down_for}")
+        FaultSpec.__post_init__(self)
+
+    def actions(self) -> Iterator[Action]:
+        share = {"fraction": self.fraction}
+        yield Action(self.at, "partial-site-down", self.node, share)
+        yield Action(self.at + self.down_for, "partial-site-up", self.node)
 
 
 @_register
@@ -204,16 +321,15 @@ class Brownout(FaultSpec):
     down_for: float = 60.0
 
     def __post_init__(self) -> None:
-        FaultSpec.__post_init__(self)
         if not self.site:
             raise ValueError("brownout needs a 'site'")
-        if not 0.0 <= self.factor < 1.0:
-            raise ValueError(
-                f"factor must be in [0, 1) -- a blackout is a fail event, "
-                f"not a brownout -- got {self.factor}"
-            )
         if self.down_for <= 0:
             raise ValueError(f"down_for must be positive, got {self.down_for}")
+        FaultSpec.__post_init__(self)
+
+    def actions(self) -> Iterator[Action]:
+        yield Action(self.at, "brownout-start", self.site, {"factor": self.factor})
+        yield Action(self.at + self.down_for, "brownout-end", self.site)
 
 
 Fault = Union[
@@ -237,6 +353,14 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.faults)
 
+    def actions(self) -> tuple[Action, ...]:
+        """Every fault's edges in plan order, labelled with their entry."""
+        return tuple(
+            replace(edge, origin=f"faults[{index}] ({fault.kind})")
+            for index, fault in enumerate(self.faults)
+            for edge in fault.actions()
+        )
+
     def to_dict(self) -> dict:
         return {"seed": self.seed, "faults": [f.to_dict() for f in self.faults]}
 
@@ -250,12 +374,18 @@ class FaultPlan:
         unknown = set(data) - {"seed", "faults"}
         if unknown:
             raise ValueError(f"unknown fault-plan keys {sorted(unknown)}")
+        seed = data.get("seed", 0)
+        if not isinstance(seed, int):
+            raise ValueError(f"'seed' must be an integer, got {seed!r}")
+        entries = data.get("faults", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"'faults' must be a list, got {type(entries).__name__}")
         faults = []
-        for index, entry in enumerate(data.get("faults", [])):
+        for index, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"faults[{index}] must be an object")
             kind = entry.get("kind")
-            fault_cls = FAULT_KINDS.get(kind)
+            fault_cls = FAULT_KINDS.get(kind) if isinstance(kind, str) else None
             if fault_cls is None:
                 raise ValueError(
                     f"faults[{index}]: unknown fault kind {kind!r}; "
@@ -266,11 +396,24 @@ class FaultPlan:
                 faults.append(fault_cls(**kwargs))
             except (TypeError, ValueError) as error:
                 raise ValueError(f"faults[{index}] ({kind}): {error}") from error
-        return cls(faults=tuple(faults), seed=int(data.get("seed", 0)))
+        return cls(faults=tuple(faults), seed=seed)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
+
+
+def timeline(
+    plan: FaultPlan | None, events: Iterable[Action] = ()
+) -> tuple[Action, ...] | None:
+    """The run's one schedule: the plan's edges in plan order, then the
+    scripted events by time -- the order the scheduler queues them, so
+    the order the engine breaks same-instant ties in. None when the run
+    has neither a plan nor events (an empty plan is an empty timeline).
+    """
+    if plan is None and not events:
+        return None
+    return (*(plan.actions() if plan else ()), *sorted(events, key=lambda e: e.at))
 
 
 def load_fault_plan(path: str | Path) -> FaultPlan:

@@ -1,15 +1,16 @@
-"""Fault-plan vacuity analysis (VER23x).
+"""Timeline vacuity analysis (VER23x).
 
-A fault plan earns its runtime only if it can change something. Three
-ways it provably cannot:
+A timeline entry -- a fault of the plan, a scripted ``-e`` event --
+earns its runtime only if it can change something. Three ways it
+provably cannot:
 
-* it names links or nodes the world does not contain (VER231 — the
-  injector would skip them, so the drill silently tests nothing);
+* it names a link, node or site the world does not contain (VER231 —
+  the scheduler would skip it, so the run silently tests nothing);
 * every route the planned prefixes produce flows elsewhere: a fault on
   a link that carries no planned-prefix route at any analyzed stable
   state — before failure or after the technique's reaction — cannot
   change forwarding toward those prefixes (VER232);
-* the plan is empty, or a fault fires at/after the experiment ends
+* the plan is empty, or the entry fires at/after the experiment ends
   (VER233).
 
 VER232's claim is deliberately scoped: such a fault can still perturb
@@ -19,93 +20,26 @@ it warns instead of erroring.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import ACTIONS, link_ends
 from repro.verify import checks
 from repro.verify.world import VerifyWorld
 
 
-def _fault_links(fault: FaultSpec) -> list[tuple[str, str]]:
-    a = getattr(fault, "a", None)
-    b = getattr(fault, "b", None)
-    return [(a, b)] if a and b else []
-
-
-def _fault_nodes(fault: FaultSpec) -> list[str]:
-    node = getattr(fault, "node", None)
-    return [node] if node else []
-
-
-def check_fault_targets(world: VerifyWorld, plan: FaultPlan) -> Iterator[Finding]:
-    topology = world.topology
-    for index, fault in enumerate(plan.faults):
-        for a, b in _fault_links(fault):
-            missing = [n for n in (a, b) if n not in topology.ases]
-            if missing:
-                yield checks.FAULT_UNKNOWN_TARGET.finding(
-                    f"faults[{index}] ({fault.kind}): unknown node(s) "
-                    f"{', '.join(sorted(missing))}; the injector would "
-                    "skip this fault and the drill would test nothing",
-                    world.source,
-                )
-            elif not topology.has_link(a, b):
-                yield checks.FAULT_UNKNOWN_TARGET.finding(
-                    f"faults[{index}] ({fault.kind}): no link between "
-                    f"{a} and {b} exists in this topology; the injector "
-                    "would skip this fault",
-                    world.source,
-                )
-        for node in _fault_nodes(fault):
-            if node not in topology.ases:
-                yield checks.FAULT_UNKNOWN_TARGET.finding(
-                    f"faults[{index}] ({fault.kind}): unknown node "
-                    f"{node!r}; the injector would skip this fault",
-                    world.source,
-                )
-
-
-def check_fault_vacuity(
+def check_timeline(
     world: VerifyWorld,
-    plan: FaultPlan,
-    covered_links: set[frozenset[str]],
-    covered_nodes: set[str],
+    coverage: tuple[set[frozenset[str]], set[str]] | None = None,
 ) -> Iterator[Finding]:
-    """VER232 against the union coverage of every analyzed propagation
-    (all techniques, normal and post-failure plans)."""
-    topology = world.topology
-    for index, fault in enumerate(plan.faults):
-        for a, b in _fault_links(fault):
-            if a not in topology.ases or b not in topology.ases:
-                continue  # VER231's problem
-            if not topology.has_link(a, b):
-                continue
-            if frozenset((a, b)) not in covered_links:
-                yield checks.FAULT_VACUOUS.finding(
-                    f"faults[{index}] ({fault.kind}) targets link "
-                    f"{a} <-> {b}, which carries no route for the planned "
-                    "prefixes in any analyzed configuration: the fault "
-                    "cannot affect forwarding toward the CDN prefixes "
-                    "(other prefixes may still notice)",
-                    world.source,
-                )
-        for node in _fault_nodes(fault):
-            if node not in topology.ases:
-                continue
-            if node not in covered_nodes:
-                yield checks.FAULT_VACUOUS.finding(
-                    f"faults[{index}] ({fault.kind}) targets node "
-                    f"{node}, which holds no route for the planned "
-                    "prefixes in any analyzed configuration: delaying or "
-                    "degrading it cannot affect forwarding toward the "
-                    "CDN prefixes",
-                    world.source,
-                )
+    """One walk over ``world.timeline``, entry by entry.
 
-
-def check_plan_vacuity(world: VerifyWorld, plan: FaultPlan) -> Iterator[Finding]:
-    if not plan.faults:
+    ``coverage`` is the (links, nodes) union coverage of every analyzed
+    propagation (all techniques, normal and post-failure plans); None
+    when nothing was analyzed, which turns VER232 off.
+    """
+    if not world.timeline:
         yield checks.PLAN_VACUOUS.finding(
             "fault plan contains no faults: the drill exercises the "
             "no-fault baseline and every invariant check is vacuously "
@@ -113,13 +47,61 @@ def check_plan_vacuity(world: VerifyWorld, plan: FaultPlan) -> Iterator[Finding]
             world.source,
         )
         return
-    if world.duration is None:
-        return
-    for index, fault in enumerate(plan.faults):
-        if fault.at >= world.duration:
+    topology = world.topology
+    for origin, group in groupby(world.timeline, key=lambda edge: edge.origin):
+        edges = list(group)
+        if world.duration is not None and edges[0].at >= world.duration:
             yield checks.PLAN_VACUOUS.finding(
-                f"faults[{index}] ({fault.kind}) fires at t={fault.at:g}s "
+                f"{origin} fires at t={edges[0].at:g}s "
                 f">= the {world.duration:g}s experiment duration: it can "
                 "never be observed by this run",
                 world.source,
             )
+        for target, names in dict.fromkeys(
+            (edge.target, ACTIONS[edge.action]) for edge in edges
+        ):
+            a, b = link_ends(target)
+            if names == "site":
+                if target not in world.deployment.sites:
+                    yield checks.FAULT_UNKNOWN_TARGET.finding(
+                        f"{origin}: unknown site {target!r}; deployment has "
+                        f"{world.deployment.site_names}",
+                        world.source,
+                    )
+            elif names == "node":
+                if target not in topology.ases:
+                    yield checks.FAULT_UNKNOWN_TARGET.finding(
+                        f"{origin}: unknown node {target!r}; the injector "
+                        "would skip this fault",
+                        world.source,
+                    )
+                elif coverage is not None and target not in coverage[1]:
+                    yield checks.FAULT_VACUOUS.finding(
+                        f"{origin} targets node {target}, which holds no "
+                        "route for the planned prefixes in any analyzed "
+                        "configuration: delaying or degrading it cannot "
+                        "affect forwarding toward the CDN prefixes",
+                        world.source,
+                    )
+            elif missing := sorted({a, b} - topology.ases.keys()):
+                yield checks.FAULT_UNKNOWN_TARGET.finding(
+                    f"{origin}: unknown node(s) {', '.join(missing)}; the "
+                    "injector would skip this fault and the drill would "
+                    "test nothing",
+                    world.source,
+                )
+            elif not topology.has_link(a, b):
+                yield checks.FAULT_UNKNOWN_TARGET.finding(
+                    f"{origin}: no link between {a} and {b} exists in this "
+                    "topology; the injector would skip this fault",
+                    world.source,
+                )
+            elif coverage is not None and frozenset((a, b)) not in coverage[0]:
+                yield checks.FAULT_VACUOUS.finding(
+                    f"{origin} targets link {a} <-> {b}, which carries no "
+                    "route for the planned prefixes in any analyzed "
+                    "configuration: the fault cannot affect forwarding "
+                    "toward the CDN prefixes (other prefixes may still "
+                    "notice)",
+                    world.source,
+                )

@@ -119,13 +119,11 @@ def verify_world(
 
     findings += disputes.check_damping_starvation(world)
 
-    if world.fault_plan is not None:
-        findings += vacuity.check_fault_targets(world, world.fault_plan)
-        findings += vacuity.check_plan_vacuity(world, world.fault_plan)
-        if world.techniques and specific is not None:
-            findings += vacuity.check_fault_vacuity(
-                world, world.fault_plan, covered_links, covered_nodes
-            )
+    if world.timeline is not None:
+        analyzed = world.techniques and specific is not None
+        findings += vacuity.check_timeline(
+            world, (covered_links, covered_nodes) if analyzed else None
+        )
 
     kept: list[Finding] = []
     suppressed = 0

@@ -2,9 +2,9 @@
 
 A :class:`VerifyWorld` is a topology + CDN deployment, the techniques
 whose announcement plans should be checked, the prefix plan, optional
-per-AS preference overrides and damping parameters, a fault plan, and
-the run's shape (duration, detection delay, session timing, scripted
-events, probe targets). The experiment commands build one from the
+per-AS preference overrides and damping parameters, the timeline (the
+fault plan's edges and the scripted events, one tuple), and the run's
+shape (duration, detection delay, session timing, probe targets). The experiment commands build one from the
 objects they are about to run (:func:`repro.cli.common.gate`); the
 verifier's own worlds come from two places:
 
@@ -55,9 +55,8 @@ from pathlib import Path
 from repro.bgp.damping import DampingConfig
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
-from repro.core.scenarios import ScenarioEvent
 from repro.core.techniques import Technique, technique_by_name
-from repro.faults.plan import FaultPlan, load_fault_plan
+from repro.faults.plan import Action, FaultPlan, load_fault_plan, timeline
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology, TopologyParams
 from repro.topology.geo import REGIONS, place_in
@@ -98,17 +97,17 @@ class VerifyWorld:
     #: per-(node, neighbor) LOCAL_PREF overrides (Gao-Rexford deviations)
     preferences: dict[str, dict[str, int]] = field(default_factory=dict)
     damping: DampingConfig | None = None
-    #: experiment duration the fault plan / damping run under, seconds
+    #: experiment duration the timeline / damping run under, seconds
     duration: float | None = None
-    fault_plan: FaultPlan | None = None
+    #: everything scheduled onto the run, as
+    #: :func:`repro.faults.plan.timeline` orders it (None: nothing is)
+    timeline: tuple[Action, ...] | None = None
     #: workload profile the capacity analysis evaluates load under
     workload: WorkloadProfile | None = None
     #: per-site capacity the VER24x checks verify against
     capacity: CapacityProfile | None = None
-    #: run shape only the PRE stage of the gate reads: the scripted
-    #: timeline (events or raw ``(kind, site, at)`` tuples), the
-    #: controller's reaction time, session timing, probe target nodes
-    events: Sequence[ScenarioEvent | tuple] | None = None
+    #: run shape only the PRE stage of the gate reads: the controller's
+    #: reaction time, session timing, probe target nodes
     detection_delay: float | None = None
     timing: SessionTiming | None = None
     target_nodes: Sequence[str] | None = None
@@ -157,7 +156,7 @@ def default_world(
         deployment=deployment,
         techniques=techniques,
         specific_site=specific_site,
-        fault_plan=fault_plan,
+        timeline=timeline(fault_plan),
         duration=duration,
         damping=damping,
         strict=strict,
@@ -335,7 +334,7 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
         preferences=preferences,
         damping=damping,
         duration=float(data["duration"]) if "duration" in data else None,
-        fault_plan=fault_plan,
+        timeline=timeline(fault_plan),
         workload=workload,
         capacity=capacity,
         suppress=frozenset(_list_at(data, "suppress")),

@@ -16,6 +16,7 @@ from repro.analysis import (
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.core.techniques import Anycast, Combined, ReactiveAnycast
+from repro.faults import Action, Brownout, FaultPlan, timeline
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.geo import place_in
@@ -34,52 +35,47 @@ def codes(findings):
     return [f.code for f in findings]
 
 
+def events(*triples):
+    """``(kind, site, at)`` triples as the actions ``-e`` builds."""
+    return [Action(at, kind, site) for kind, site, at in triples]
+
+
 class TestEvents:
-    def test_valid_timeline_is_clean(self, deployment):
-        events = [("fail", "sea1", 60.0), ("recover", "sea1", 200.0)]
-        assert check_events(events, deployment, duration=300.0) == []
+    def test_valid_timeline_is_clean(self):
+        assert check_events(events(("fail", "sea1", 60.0), ("recover", "sea1", 200.0))) == []
 
-    def test_unknown_site(self, deployment):
-        findings = check_events([("fail", "lhr", 60.0)], deployment)
-        assert codes(findings) == ["PRE101"]
-
-    def test_unknown_kind(self, deployment):
-        findings = check_events([("explode", "sea1", 60.0)], deployment)
-        assert codes(findings) == ["PRE102"]
-
-    def test_negative_time(self, deployment):
-        findings = check_events([("fail", "sea1", -5.0)], deployment)
-        assert codes(findings) == ["PRE103"]
-
-    def test_event_after_end_warns(self, deployment):
-        findings = check_events([("fail", "sea1", 500.0)], deployment, duration=300.0)
-        assert codes(findings) == ["PRE104"]
-        assert not findings[0].severity.blocking
-
-    def test_recover_before_fail_is_error(self, deployment):
-        events = [("recover", "sea1", 10.0), ("fail", "sea1", 60.0)]
-        findings = check_events(events, deployment, duration=300.0)
+    def test_recover_before_fail_is_error(self):
+        findings = check_events(events(("recover", "sea1", 10.0), ("fail", "sea1", 60.0)))
         assert "PRE105" in codes(findings)
 
-    def test_undrain_without_drain_is_error(self, deployment):
-        findings = check_events([("undrain", "ams", 50.0)], deployment)
+    def test_undrain_without_drain_is_error(self):
+        findings = check_events(events(("undrain", "ams", 50.0)))
         assert codes(findings) == ["PRE105"]
 
-    def test_double_fail_warns(self, deployment):
-        events = [("fail", "sea1", 10.0), ("fail-silent", "sea1", 20.0)]
-        findings = check_events(events, deployment)
+    def test_double_fail_warns(self):
+        findings = check_events(events(("fail", "sea1", 10.0), ("fail-silent", "sea1", 20.0)))
         assert codes(findings) == ["PRE106"]
         assert not findings[0].severity.blocking
 
-    def test_drain_then_undrain_is_clean(self, deployment):
-        events = [("drain", "ams", 10.0), ("undrain", "ams", 60.0)]
-        assert check_events(events, deployment) == []
+    def test_drain_then_undrain_is_clean(self):
+        assert check_events(events(("drain", "ams", 10.0), ("undrain", "ams", 60.0))) == []
 
-    def test_accepts_scenario_event_objects(self, deployment):
-        from repro.core.scenarios import ScenarioEvent
+    def test_accepts_scenario_event_objects(self):
+        assert check_events([Action(at=60.0, action="fail", target="sea1")]) == []
 
-        events = [ScenarioEvent(at=60.0, kind="fail", site="sea1")]
-        assert check_events(events, deployment) == []
+    def test_ordering_sees_plan_edges_and_events_as_one_timeline(self):
+        """A plan brownout is the same two edges ``-e`` spells: an event
+        inside its window collides with it, one after its end does not."""
+        plan = FaultPlan(faults=(Brownout(at=10.0, site="msn", down_for=50.0),))
+        inside = timeline(plan, events(("brownout", "msn", 30.0)))
+        findings = check_events(inside, capacity=object())
+        assert codes(findings) == ["PRE106"]
+        assert findings[0].source == "scenario event (brownout:msn@30)"
+        after = timeline(plan, events(("brownout", "msn", 70.0), ("unbrownout", "msn", 90.0)))
+        assert check_events(after, capacity=object()) == []
+        # ... and a plan brownout with no capacity profile is PRE107 too
+        assert codes(check_events(timeline(plan))) == ["PRE107"]
+        assert check_events(timeline(plan))[0].source == "faults[0] (brownout)"
 
 
 class TestPrefixPlan:
@@ -200,16 +196,16 @@ class TestPreflightRun:
     def test_bad_run_collects_across_checks(self, deployment):
         report = preflight_run(
             deployment, ReactiveAnycast(),
-            events=[("fail", "lhr", 60.0)],
+            events=[("recover", "sea1", 60.0)],
             duration=-1.0,
         )
         assert not report.ok
-        assert {"PRE101", "PRE135"} <= set(codes(report.findings))
+        assert {"PRE105", "PRE135"} <= set(codes(report.findings))
 
     def test_findings_reach_telemetry_counters(self, deployment):
         with telemetry.using(telemetry.Telemetry()) as active:
-            preflight_run(deployment, events=[("fail", "lhr", 60.0)])
+            preflight_run(deployment, events=[("recover", "sea1", 60.0)])
             snapshot = active.snapshot()
         assert snapshot["counters"]["analysis.preflight.findings"] == 1
         assert snapshot["counters"]["analysis.preflight.errors"] == 1
-        assert snapshot["counters"]["analysis.finding.PRE101"] == 1
+        assert snapshot["counters"]["analysis.finding.PRE105"] == 1

@@ -6,6 +6,9 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: a link flap and a brownout, to share a timeline with ``-e`` events
+MIXED_PLAN = "tests/fixtures/faults/one_timeline.json"
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -121,12 +124,16 @@ class TestExtendedCommands:
     def test_scenario_event_parsing(self):
         from repro.cli.scenario import _parse_event
 
-        assert _parse_event("fail:sea1@60") == ("fail", "sea1", 60.0)
-        assert _parse_event("recover:msn@200.5") == ("recover", "msn", 200.5)
+        from repro.faults import Action
+
+        assert _parse_event("fail:sea1@60") == Action(60.0, "fail", "sea1")
+        assert _parse_event("recover:msn@200.5") == Action(200.5, "recover", "msn")
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_event("fail:sea1")
+        # no time, an unknown kind, an action -e cannot spell a target for
+        for bad in ("fail:sea1", "explode:sea1@5", "link-down:sea1@5"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_event(bad)
 
     def test_scenario_command(self, capsys):
         code = main([
@@ -236,6 +243,14 @@ class TestExtendedCommands:
              "-e", "brownout:msn@30", "-e", "unbrownout:msn@90"],
             id="scenario-surge-brownout",
         ),
+        # both spellings on one timeline: -e brownout on msn, a plan
+        # link flap and a plan brownout on sea1
+        pytest.param(
+            ["scenario", "-t", "shed-prepend", "-e", "brownout:msn@20",
+             "-e", "unbrownout:msn@80", "--faults", MIXED_PLAN, "--duration", "100",
+             "--workload", "constant", "--capacity", "400"],
+            id="scenario-one-timeline",
+        ),
     ])
     def test_determinism_matrix(self, argv, capsys):
         """A repeat run and ``--workers 2`` print byte-for-byte what the
@@ -249,11 +264,27 @@ class TestExtendedCommands:
         serial_out = capsys.readouterr().out
         if argv[0] == "drill":
             assert "\ninvariant violations: 0\n" in serial_out
+        if MIXED_PLAN in argv:  # 2 per entry, -e brownout/unbrownout included
+            assert serial_out.startswith("faults injected: 6\n")
         assert main(argv) == 0
         assert capsys.readouterr().out == serial_out
         if argv[0] != "scenario":
             assert main(argv + ["--workers", "2", "--no-progress"]) == 0
             assert capsys.readouterr().out == serial_out
+
+    def test_plan_entry_on_an_unknown_site_is_refused(self, capsys, tmp_path):
+        """A brownout on a site that does not exist used to pass the gate
+        and print ``faults injected: 0 (2 skipped)``."""
+        plan = tmp_path / "nosuch.json"
+        plan.write_text(
+            '{"faults": [{"kind": "brownout", "at": 2.0, "site": "nosuch", "down_for": 5.0}]}'
+        )
+        argv = ["scenario", "--duration", "20", "--faults", str(plan),
+                "--workload", "constant", "--capacity", "400"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "VER231" in captured.err and "unknown site 'nosuch'" in captured.err
+        assert "faults injected" not in captured.out
 
     def test_capacity_binds_only_with_a_workload_on_both_commands(self, capsys, tmp_path):
         """A brownout fault under ``--capacity`` without ``--workload``

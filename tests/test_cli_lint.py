@@ -10,6 +10,7 @@ from repro.bgp.session import SessionTiming
 from repro.cli import build_parser, main
 from repro.cli.common import gate
 from repro.core.techniques import Anycast
+from repro.faults import Action
 from repro.verify import VerifyWorld
 
 
@@ -96,7 +97,7 @@ class TestPreflightGate:
         code = main(["scenario", "-e", "fail:lhr@60"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "PRE101" in err
+        assert "VER231" in err and "unknown site 'lhr'" in err
         assert "--no-check" in err
 
     def test_scenario_refuses_backwards_timeline(self, capsys):
@@ -120,7 +121,9 @@ class TestPreflightGate:
                 assert parser.parse_args([command, flag]).no_check
 
     def test_override_lets_errors_through(self, deployment, capsys):
-        world = run_world(deployment, events=[("fail", "lhr", 60.0)], duration=300.0)
+        world = run_world(
+            deployment, timeline=(Action(60.0, "recover", "lhr"),), duration=300.0
+        )
         assert gate(argparse.Namespace(no_check=True), world)
         assert "overridden by --no-check" in capsys.readouterr().err
 
@@ -130,7 +133,9 @@ class TestPreflightGate:
             raise AssertionError("stage 2 ran after a stage-1 refusal")
 
         monkeypatch.setattr("repro.verify.verify_world", unreachable)
-        world = run_world(deployment, events=[("fail", "lhr", 60.0)], duration=300.0)
+        world = run_world(
+            deployment, timeline=(Action(60.0, "recover", "lhr"),), duration=300.0
+        )
         assert not gate(argparse.Namespace(no_check=False), world)
         err = capsys.readouterr().err
         assert "preflight: refusing to run" in err and "verify:" not in err
@@ -138,11 +143,11 @@ class TestPreflightGate:
     def test_warnings_do_not_block(self, deployment, capsys):
         world = run_world(
             deployment,
-            events=[("fail", "sea1", 500.0)],  # after the end: warning only
+            timeline=(Action(500.0, "fail", "sea1"),),  # after the end: warning only
             duration=300.0,
         )
         assert gate(argparse.Namespace(no_check=False), world)
-        assert "PRE104" in capsys.readouterr().err
+        assert "VER233" in capsys.readouterr().err
 
     def test_gate_feeds_timing_and_damping(self, deployment, capsys):
         """The run's protocol parameters reach PRE13x through the world."""

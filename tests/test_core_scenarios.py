@@ -4,9 +4,10 @@ import pytest
 
 from repro.bgp.session import SessionTiming
 from repro.core.controller import CdnController
-from repro.core.scenarios import ScenarioEvent, ScenarioRunner
+from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import Anycast, ReactiveAnycast, Unicast
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
+from repro.faults import Action
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
 from tests.conftest import FAST_TIMING
@@ -89,9 +90,9 @@ class TestRecovery:
 class TestScenarioEvents:
     def test_event_validation(self):
         with pytest.raises(ValueError):
-            ScenarioEvent(at=-1.0, kind="fail", site="sea1")
+            Action(at=-1.0, action="fail", target="sea1")
         with pytest.raises(ValueError):
-            ScenarioEvent(at=0.0, kind="explode", site="sea1")
+            Action(at=0.0, action="explode", target="sea1")
 
 
 class TestScenarioRunner:
@@ -171,7 +172,7 @@ class TestScenarioRunner:
         runner = self.make_runner(deployment, Anycast())
         runner.fail(30.0, "sea1")
         result = runner.run()
-        assert [e.kind for e in result.events] == ["fail"]
+        assert [e.action for e in result.events] == ["fail"]
         sent_total = sum(sent for _, sent in result.buckets)
         assert sent_total > 0
 

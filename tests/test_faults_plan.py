@@ -1,7 +1,12 @@
 """Tests for declarative fault plans (validation + JSON round-trip)."""
 
-import pytest
+import json
+import re
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.cli import main
 from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -12,6 +17,31 @@ from repro.faults import (
     SessionReset,
     load_fault_plan,
 )
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+#: plan-shaped documents: real kinds and field names, arbitrary values
+FIELDS = ("at", "a", "b", "node", "site", "down_for", "duration", "repeat",
+          "period", "loss_prob", "dup_prob", "extra_delay", "fraction", "factor")
+PLAN_SHAPED = st.fixed_dictionaries({}, optional={
+    "seed": JSON_VALUES,
+    "faults": st.lists(
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(sorted(FAULT_KINDS)) | JSON_VALUES},
+            optional={name: JSON_VALUES for name in FIELDS},
+        ),
+        max_size=3,
+    ),
+})
 
 
 def full_plan() -> FaultPlan:
@@ -86,6 +116,38 @@ class TestSerialization:
                 {"faults": [{"kind": "link_flap", "at": 1.0, "a": "r0",
                              "b": "r1", "down_for": -1.0}]}
             )
+
+    @pytest.mark.parametrize("shape, key", [
+        pytest.param({"seed": None}, "seed", id="seed-null"),
+        pytest.param({"seed": "7"}, "seed", id="seed-string"),
+        pytest.param({"faults": 5}, "faults", id="faults-int"),
+        pytest.param({"faults": {"kind": "brownout"}}, "faults", id="faults-object"),
+        pytest.param({"faults": [{"kind": ["x"], "at": 1}]}, "kind", id="kind-unhashable"),
+        pytest.param({"faults": [{"kind": "link_flap", "at": 1, "a": "x", "b": "y",
+                                  "repeat": 1.5, "period": 20}]}, "faults[0]", id="repeat-float"),
+    ])
+    def test_malformed_shape_names_the_key(self, shape, key, tmp_path, capsys):
+        """Wrongly-typed values end as ``cannot load fault plan: PATH:
+        message`` (exit 2) on every command that takes a plan, not a
+        traceback."""
+        with pytest.raises(ValueError, match=re.escape(key)):
+            FaultPlan.from_dict(shape)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(shape))
+        for command in ("scenario", "drill", "verify"):
+            assert main([command, "--faults", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot load fault plan: {path}: ") and key in err
+
+    @given(st.one_of(JSON_VALUES, PLAN_SHAPED))
+    def test_arbitrary_json_raises_only_value_error(self, data):
+        try:
+            plan = FaultPlan.from_dict(data)
+        except ValueError:
+            return
+        # Whatever loads also expands: the scheduler never meets an
+        # entry the constructor would have refused.
+        assert all(edge.at >= 0 for edge in plan.actions())
 
     def test_empty_plan(self):
         plan = FaultPlan.from_dict({})

@@ -7,11 +7,13 @@ and collateral false positives in one assertion.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bgp.damping import DampingConfig
+from repro.faults import Action, Brownout, FaultPlan, timeline
 from repro.verify import (
     CHECKS,
     all_checks,
@@ -129,6 +131,40 @@ def test_superprefix_geometry_follows_the_plan(name, superprefix, flagged):
     data["superprefix"] = superprefix
     codes = {f.code for f in verify_world(world_from_dict(data)).findings}
     assert ("VER222" in codes) == flagged
+
+
+class TestTimelineTargets:
+    """VER231 / VER233 read every timeline entry, whichever way it was
+    written (they cover what PRE101 / PRE104 said about ``-e`` only)."""
+
+    def findings(self, **timeline_kwargs):
+        world = replace(
+            load_world(FIXTURES / "clean.json"),
+            timeline=timeline(**timeline_kwargs), duration=100.0,
+        )
+        return [(f.code, f.message) for f in verify_world(world).findings]
+
+    @pytest.mark.parametrize("written, label", [
+        pytest.param({"plan": None, "events": [Action(10.0, "fail", "nosuch")]},
+                     "scenario event (fail:nosuch@10)", id="event"),
+        pytest.param({"plan": FaultPlan(faults=(
+                         Brownout(at=10.0, site="nosuch", down_for=5.0),))},
+                     "faults[0] (brownout)", id="plan-brownout"),
+    ])
+    def test_unknown_site_is_ver231_in_any_spelling(self, written, label):
+        found = self.findings(**written)
+        assert [code for code, _ in found] == ["VER231"]  # once per entry
+        assert found[0][1].startswith(f"{label}: unknown site 'nosuch'")
+
+    def test_known_site_is_clean(self):
+        site = load_world(FIXTURES / "clean.json").sites()[0]
+        assert self.findings(plan=None, events=[Action(10.0, "fail", site)]) == []
+
+    def test_event_at_or_after_the_end_is_ver233(self):
+        site = load_world(FIXTURES / "clean.json").sites()[0]
+        found = self.findings(plan=None, events=[Action(100.0, "fail", site)])
+        assert [code for code, _ in found] == ["VER233"]
+        assert "fires at t=100s >= the 100s" in found[0][1]
 
 
 class TestDefaultWorld:

@@ -14,6 +14,7 @@ from repro.core.controller import CdnController
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import Anycast, ShedPrepend, technique_by_name
 from repro.dataplane.forwarding import ForwardingPlane
+from repro.faults import Action
 from repro.parallel import matrix, run_sweep
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 from repro.workload import (
@@ -316,8 +317,8 @@ class TestPreflightBrownoutEvents:
     CAPACITY = CapacityProfile(name="ok", default_rps=500.0)
 
     def codes(self, events, deployment, capacity=CAPACITY):
-        findings = check_events(events, deployment, duration=300.0, capacity=capacity)
-        return [f.code for f in findings]
+        timeline = [Action(at, kind, site) for kind, site, at in events]
+        return [f.code for f in check_events(timeline, capacity=capacity)]
 
     def test_brownout_cycle_is_clean(self, deployment):
         events = [("brownout", "sea1", 60.0), ("unbrownout", "sea1", 200.0)]
