@@ -43,7 +43,7 @@ def _run(deployment):
     traceroute = ReverseTraceroute(
         plane, topology, support_prob=PAPER["rr_support"], rng=random.Random(3)
     )
-    catchment = anycast_catchment(topology, deployment, seed=21)
+    catchment = anycast_catchment(topology, deployment)
     u_addr = SECOND_PREFIX.address(10)
     a_addr = SPECIFIC_PREFIX.address(10)
     pairs = []

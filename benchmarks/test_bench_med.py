@@ -78,7 +78,7 @@ def _run():
         FailoverConfig(probe_duration=400.0, targets_per_site=20),
     )
     topology = deployment.topology
-    anycast = anycast_catchment(topology, deployment, seed=31)
+    anycast = anycast_catchment(topology, deployment)
     hitlist = Hitlist(topology, seed=31)
     control = {}
     for site in SITES:

@@ -463,6 +463,54 @@ class UnsortedFsIteration(LintRule):
             )
 
 
+#: callee name -> the only modules under ``repro/`` that may call it.
+#: Each row is a fact the tree states once: a run's components are
+#: assembled by the rig, a brownout's end is released by the rig, and a
+#: network is simulated only by the four runners -- settled catchments
+#: come from the symbolic fixed point (docs/architecture.md, "Three
+#: regimes"), never from a scratch network.
+_SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(
+        ("CdnController", "WorkloadEngine", "CapacityState", "FaultInjector", "Prober",
+         "site_overload_cleared", "clear_overload"),
+        ("core/rig.py",),
+    ),
+    "build_network": (
+        "core/experiment.py", "core/drill.py", "core/scenarios.py", "measurement/appendix.py",
+    ),
+}
+
+
+@register
+class SingleCallSite(LintRule):
+    """Calls that only designated modules of the package may make.
+
+    A second assembler of a run's components, or a fifth place that
+    builds a network, restates what the rig or the solvers already
+    state. Code outside the ``repro`` package (tests, examples) may
+    call anything.
+    """
+
+    code = "DET011"
+    name = "single-call-site"
+    summary = "call to a rig/runner-only callable from another module"
+    node_types = (ast.Call,)
+
+    def check(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
+        assert isinstance(node, ast.Call)
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        allowed = _SINGLE_CALL_SITES.get(callee)
+        if allowed is None or "repro" not in ctx.path_parts:
+            return
+        if "/".join(ctx.path_parts[-2:]) not in allowed:
+            yield self.finding(
+                node, ctx,
+                f"{callee}() may only be called from {', '.join(allowed)}; go through "
+                "that module instead of stating the same fact a second time",
+            )
+
+
 def all_rules() -> list[LintRule]:
     """Fresh instances of every registered rule."""
     return [cls() for cls in RULES.values()]

@@ -181,8 +181,7 @@ def resolve_workload(args: argparse.Namespace):
 
 def add_preflight_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--no-check", "--no-preflight", "--no-verify",
-        dest="no_check", action="store_true",
+        "--no-check", action="store_true",
         help="run even when the pre-run gate (PRE pre-flight checks, then "
              "VER static control-plane verification) reports errors",
     )

@@ -32,7 +32,7 @@ def register(subparsers) -> None:
 def run(args: argparse.Namespace) -> int:
     deployment = build_deployment(params=TopologyParams(seed=args.seed))
     logger.info("computing anycast catchment ...")
-    catchment = anycast_catchment(deployment.topology, deployment, seed=args.seed)
+    catchment = anycast_catchment(deployment.topology, deployment)
     results = measure_control_all_sites(
         deployment.topology,
         deployment,

@@ -33,7 +33,7 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     deployment = build_deployment(params=TopologyParams(seed=args.seed))
-    playbook = Playbook(deployment.topology, deployment, seed=args.seed)
+    playbook = Playbook(deployment.topology, deployment)
     logger.info("precomputing drain plays at levels %s ...", args.levels)
     playbook.build_drain_plays(prepend_levels=tuple(args.levels))
 

@@ -115,7 +115,7 @@ def run(args: argparse.Namespace) -> int:
         )
         if not gate(args, world):
             return 2
-        catchment = anycast_catchment(deployment.topology, deployment, seed=args.seed)
+        catchment = anycast_catchment(deployment.topology, deployment)
         targets = [n for n, s in catchment.items() if s == args.site][:15]
         if targets:
             runner.target_nodes = targets

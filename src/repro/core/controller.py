@@ -290,10 +290,6 @@ class CdnController:
         self.network.engine.schedule(self.detection_delay, detect)
         return event
 
-    def fail_site_silently(self, site: str) -> FailureEvent:
-        """:meth:`fail_site` with ``silent=True``."""
-        return self.fail_site(site, silent=True)
-
     def _react(self, site: str, cause: int = 0) -> None:
         """The technique's (and DNS's) delayed reaction to a failure.
 

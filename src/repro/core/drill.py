@@ -30,9 +30,9 @@ class DrillOutcome:
     """Result of one site's drill rotation."""
 
     site: str
-    #: clients that reached a surviving site by the deadline
+    #: clients the FIBs deliver to a live site at the deadline
     recovered: int
-    #: clients still routed nowhere (or to the drilled site)
+    #: clients dropped, off-net or still landing at a dead site
     stranded: int
     #: node ids of the stranded clients, for operator follow-up
     stranded_clients: tuple[str, ...] = ()
@@ -114,15 +114,9 @@ class RotationDrill:
         rig.start_workload(self.deadline_s, self.seed, tag, clients=clients)
         network.run_for(self.deadline_s)
 
-        stranded: list[str] = []
-        for client in clients:
-            route = network.router(client).best_route(self.test_prefix)
-            if route is None:
-                stranded.append(client)
-                continue
-            landing = self.deployment.site_of_node(route.origin_node)
-            if landing is None or landing == site:
-                stranded.append(client)
+        # The audit is the FIB walk: a client is stranded when the data
+        # plane delivers it nowhere live, whichever prefix carries it.
+        stranded = [client for client in clients if rig.live_site(client) is None]
         violations: tuple[str, ...] = ()
         if self.check_invariants:
             # Let in-flight convergence (and any fault events scheduled

@@ -137,12 +137,7 @@ class FailoverExperiment:
     def catchment(self) -> dict[str, str | None]:
         """Pure-anycast catchment, computed once (§5.1 criterion)."""
         if self._catchment is None:
-            self._catchment = anycast_catchment(
-                self.topology,
-                self.deployment,
-                seed=self.config.seed,
-                timing=self.config.timing,
-            )
+            self._catchment = anycast_catchment(self.topology, self.deployment)
         return self._catchment
 
     @property
@@ -235,23 +230,18 @@ class FailoverExperiment:
     # ------------------------------------------------------------------
     # One run
 
-    def run_site(
-        self, technique: Technique, site: str, *, checkpoint: bool | None = None
-    ) -> SiteFailoverResult:
+    def run_site(self, technique: Technique, site: str) -> SiteFailoverResult:
         """Fail ``site`` under ``technique`` and measure every target.
 
-        ``checkpoint`` overrides the experiment-wide ``use_checkpoint``
-        for this one cell. On the checkpoint path the cell forks the
-        technique's converged base snapshot (:meth:`baseline_for`),
-        reseeds the forked RNG from the cell's crc32 tag, applies the
-        per-site announcement delta, and converges only that delta --
-        the failure+probe window then runs exactly as on the legacy
-        path. Forked cells are self-deterministic (byte-identical across
-        repeats and worker counts) but numerically different from
-        cold-started cells: the per-cell RNG no longer spends draws on
-        baseline convergence.
+        With ``use_checkpoint`` the cell forks the technique's converged
+        base snapshot (:meth:`baseline_for`), reseeds the forked RNG
+        from the cell's crc32 tag, applies the per-site announcement
+        delta, and converges only that delta -- the failure+probe window
+        then runs exactly as on the legacy path. Forked cells are
+        self-deterministic (byte-identical across repeats and worker
+        counts) but numerically different from cold-started cells: the
+        per-cell RNG no longer spends draws on baseline convergence.
         """
-        use_checkpoint = self.use_checkpoint if checkpoint is None else checkpoint
         config = self.config
         telemetry = telemetry_registry.current()
         # Each run gets a fresh network; drop any previous run's clock so
@@ -262,8 +252,8 @@ class FailoverExperiment:
         run_seed = tagged_seed(config.seed, run_tag)
         # Cold and forked cells deploy the same plan value; on a restored
         # base only the per-site delta actually re-originates.
-        snapshot = self.baseline_for(technique) if use_checkpoint else None
-        phase = "fork-restore" if use_checkpoint else "deploy-converge"
+        snapshot = self.baseline_for(technique) if self.use_checkpoint else None
+        phase = "fork-restore" if self.use_checkpoint else "deploy-converge"
         with telemetry.phase(phase, **tags):
             if snapshot is not None:
                 network = restore_network(snapshot)
@@ -285,10 +275,7 @@ class FailoverExperiment:
                 capacity=config.capacity,
             )
 
-        # The clock guard keeps the run network's engine bound as the
-        # trace clock: target selection builds throwaway networks
-        # (catchment, hitlist) that would otherwise steal the binding.
-        with telemetry.phase("select-targets", **tags), telemetry.clock_guard():
+        with telemetry.phase("select-targets", **tags):
             selection = self.selection_for(site, mode=technique.selection_mode)
             # Step 3: pre-failure reachability -> controllable targets.
             controllable = {

@@ -18,11 +18,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.bgp.session import SessionTiming
-from repro.measurement.catchment import catchment_from_network
+from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
-from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
+from repro.topology.propagation import settled_catchment
 from repro.topology.testbed import SPECIFIC_PREFIX, CdnDeployment
 
 
@@ -55,27 +54,20 @@ class Playbook:
     topology: Topology
     deployment: CdnDeployment
     prefix: IPv4Prefix = SPECIFIC_PREFIX
-    timing: SessionTiming | None = None
-    seed: int = 0
     entries: list[PlaybookEntry] = field(default_factory=list)
 
     # ------------------------------------------------------------------
 
     def evaluate(self, prepends: dict[str, int]) -> PlaybookEntry:
-        """Announce with the given per-site prepending and record the
-        catchment. Sites absent from ``prepends`` announce plain."""
-        # Offline what-if evaluation: stay out of any active trace.
-        with telemetry_registry.using(telemetry_registry.NULL):
-            network = self.topology.build_network(seed=self.seed, timing=self.timing)
-            for site in self.deployment.site_names:
-                network.announce(
-                    self.deployment.site_node(site),
-                    self.prefix,
-                    prepend=prepends.get(site, 0),
-                )
-            network.converge()
+        """Record the catchment every site announcing with the given
+        per-site prepending settles to. Sites absent from ``prepends``
+        announce plain."""
+        plan = [
+            Origination(self.deployment.site_node(site), self.prefix, prepends.get(site, 0))
+            for site in self.deployment.site_names
+        ]
         clients = [info.node_id for info in self.topology.web_client_ases()]
-        catchment = catchment_from_network(network, self.deployment, self.prefix, clients)
+        catchment = settled_catchment(self.deployment, plan, clients)
         counts = Counter(site for site in catchment.values() if site is not None)
         entry = PlaybookEntry(
             prepends=tuple(sorted(prepends.items())),

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bgp.session import SessionTiming
-from repro.core.plan import apply_plan
 from repro.core.techniques import ProactivePrepending
-from repro.measurement.catchment import catchment_from_network
 from repro.measurement.hitlist import Hitlist, TargetSelection, select_targets
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology
+from repro.topology.propagation import settled_catchment
 from repro.topology.testbed import SPECIFIC_PREFIX, CdnDeployment
 
 
@@ -46,21 +44,16 @@ def prepending_catchment(
     intended_site: str,
     prepend: int,
     prefix: IPv4Prefix = SPECIFIC_PREFIX,
-    seed: int = 0,
-    timing: SessionTiming | None = None,
     nodes: list[str] | None = None,
     restrict_to_shared_neighbors: bool = False,
 ) -> dict[str, str | None]:
-    """Catchment under proactive-prepending with one intended site."""
-    network = topology.build_network(seed=seed, timing=timing)
+    """Settled catchment under proactive-prepending with one intended
+    site (``topology`` is ``deployment.topology``)."""
     technique = ProactivePrepending(
         prepend, restrict_to_shared_neighbors=restrict_to_shared_neighbors
     )
-    apply_plan(network, technique.originations(deployment, intended_site, prefix))
-    network.converge()
-    if nodes is None:
-        nodes = [info.node_id for info in topology.web_client_ases()]
-    return catchment_from_network(network, deployment, prefix, nodes)
+    plan = technique.originations(deployment, intended_site, prefix)
+    return settled_catchment(deployment, plan, nodes)
 
 
 def measure_control(
@@ -72,7 +65,6 @@ def measure_control(
     prepends: tuple[int, ...] = (3, 5),
     rtt_limit_ms: float = 50.0,
     seed: int = 0,
-    timing: SessionTiming | None = None,
     restrict_to_shared_neighbors: bool = False,
 ) -> ControlResult:
     """Measure one Table 1 column.
@@ -108,8 +100,6 @@ def measure_control(
             deployment,
             site,
             prepend,
-            seed=seed,
-            timing=timing,
             nodes=target_nodes,
             restrict_to_shared_neighbors=restrict_to_shared_neighbors,
         )

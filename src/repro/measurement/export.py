@@ -11,12 +11,16 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.experiment import SiteFailoverResult
-from repro.core.metrics import TargetOutcome
 from repro.measurement.control import ControlResult
 from repro.measurement.stats import Cdf
+
+if TYPE_CHECKING:
+    # Annotation-only: core.experiment imports this package for the
+    # catchment and hitlist, so a runtime import here would be a cycle.
+    from repro.core.experiment import SiteFailoverResult
+    from repro.core.metrics import TargetOutcome
 
 
 def _finite(value: float | None) -> float | None:

@@ -67,10 +67,6 @@ class NullTelemetry:
     def phase(self, name: str, **tags) -> Iterator[None]:
         yield
 
-    @contextmanager
-    def clock_guard(self) -> Iterator[None]:
-        yield
-
     def snapshot(self) -> dict:
         return {"enabled": False, "counters": {}, "gauges": {}, "histograms": {}}
 
@@ -152,21 +148,6 @@ class Telemetry:
     def bind_clock(self, clock: Callable[[], float] | None) -> None:
         """Point :meth:`now` at an engine (the newest network wins)."""
         self._clock = clock
-
-    @contextmanager
-    def clock_guard(self) -> Iterator[None]:
-        """Restore the current clock binding on exit.
-
-        Helper computations (catchment, hitlists) build short-lived
-        networks whose engines would otherwise stay bound as the trace
-        clock after they finish; wrap them in this guard so the caller's
-        simulated-time source survives.
-        """
-        saved = self._clock
-        try:
-            yield
-        finally:
-            self._clock = saved
 
     @contextmanager
     def phase(self, name: str, **tags) -> Iterator[None]:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
@@ -26,6 +25,9 @@ from repro.bgp.session import SessionTiming
 from repro.net.addr import IPv4Prefix
 from repro.topology.geo import REGIONS, link_latency_s, place_in
 from repro.topology.relationships import AsClass, AsInfo, RelationshipDataset
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Base of the address pool handed to client networks (one /24 each).
 CLIENT_POOL = IPv4Prefix.parse("10.0.0.0/8")
@@ -214,6 +216,10 @@ class Topology:
 
     def to_networkx(self) -> nx.Graph:
         """Undirected view with class/relationship attributes, for analysis."""
+        # Imported here: this exporter is networkx's only user, and the
+        # import is a quarter of ``import repro.cli``.
+        import networkx as nx
+
         graph = nx.Graph()
         for info in self.ases.values():
             graph.add_node(

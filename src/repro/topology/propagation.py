@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.bgp.policy import (
     LOCAL_ORIGIN_PREF,
@@ -36,9 +37,14 @@ from repro.bgp.policy import (
     should_export,
 )
 from repro.bgp.route import Route, select_best
-from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology
+
+if TYPE_CHECKING:
+    # Plans are read by attribute only; importing them at runtime would
+    # put this solver above the core package it sits below.
+    from repro.core.plan import Origination
+    from repro.topology.testbed import CdnDeployment
 
 
 @dataclass(slots=True)
@@ -116,19 +122,6 @@ class PropagationResult:
             for neighbor in per_neighbor:
                 links.add(frozenset((node, neighbor)))
         return links
-
-    def forwarding_nodes(self) -> set[str]:
-        """Nodes that lie on some node's forwarding chain to the origin."""
-        on_path: set[str] = set()
-        for node in self.best:
-            current: str | None = node
-            seen: set[str] = set()
-            while current is not None and current not in seen:
-                seen.add(current)
-                on_path.add(current)
-                route = self.best.get(current)
-                current = route.learned_from if route is not None else None
-        return on_path
 
 
 def propagate(
@@ -250,6 +243,54 @@ def propagate(
             if best.get(node) != previous_best.get(node)
         )),
     )
+
+
+def catchment_of(
+    deployment: CdnDeployment,
+    results: Iterable[PropagationResult],
+    nodes: Iterable[str],
+) -> dict[str, str | None]:
+    """node -> site under the given per-prefix fixed points, resolved
+    longest-prefix-first (the specific prefix wins over the superprefix)
+    as forwarding would; None where no planned prefix reaches the node."""
+    ordered = sorted(results, key=lambda result: result.prefix.length, reverse=True)
+
+    def resolve(node: str) -> str | None:
+        for result in ordered:
+            origin = result.origin_of(node)
+            if origin is not None:
+                return deployment.site_of_node(origin)
+        return None
+
+    return {node: resolve(node) for node in nodes}
+
+
+def settled_catchment(
+    deployment: CdnDeployment,
+    originations: Iterable[Origination],
+    nodes: Iterable[str] | None = None,
+) -> dict[str, str | None]:
+    """The catchment the plan ``originations`` converges to: one fixed
+    point per planned prefix, read through :func:`catchment_of`.
+
+    ``nodes`` defaults to the web-client ASes (the §5.1 population).
+    Raises ``ValueError`` (prefix + oscillating nodes) when a prefix has
+    no stable state to report.
+    """
+    originations = tuple(originations)
+    graph = SymbolicGraph.from_topology(deployment.topology)
+    results = []
+    for prefix in sorted({o.prefix for o in originations}):
+        result = propagate(graph, originations, prefix)
+        if not result.stable:
+            raise ValueError(
+                f"{prefix} has no settled state: routing oscillates at "
+                f"{', '.join(result.oscillating)}"
+            )
+        results.append(result)
+    if nodes is None:
+        nodes = [info.node_id for info in deployment.topology.web_client_ases()]
+    return catchment_of(deployment, results, nodes)
 
 
 def ambiguous_ties(result: PropagationResult, node: str) -> list[Route]:

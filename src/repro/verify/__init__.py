@@ -11,10 +11,11 @@ running the event engine:
   catchment analysis (VER22x)
 * :mod:`repro.verify.vacuity` — fault-plan vacuity (VER23x)
 
-The symbolic engine (:mod:`repro.verify.propagation`) reuses the
-simulator's own route selection and export policy, so its fixed point
-*is* the state the event simulation converges to — verified against the
-full 5x8 technique/site matrix in ``tests/test_verify_propagation.py``.
+The symbolic engine (:mod:`repro.topology.propagation`, shared with the
+settled-catchment measurements) reuses the simulator's own route
+selection and export policy, so its fixed point *is* the state the
+event simulation converges to — verified against the full
+technique/site matrix in ``tests/test_verify_propagation.py``.
 
 Entry points: ``repro verify`` (CLI), :func:`verify_world` (library),
 and the opt-out pre-run gate in :mod:`repro.cli.common`.
@@ -22,12 +23,6 @@ and the opt-out pre-run gate in :mod:`repro.cli.common`.
 
 from repro.core.plan import Origination
 from repro.verify.checks import CHECKS, VerifyCheck, all_checks, resolve_codes
-from repro.verify.propagation import (
-    PropagationResult,
-    SymbolicGraph,
-    ambiguous_ties,
-    propagate,
-)
 from repro.verify.verifier import verify_world
 from repro.verify.world import (
     DEFAULT_TECHNIQUE_NAMES,
@@ -41,15 +36,11 @@ __all__ = [
     "CHECKS",
     "DEFAULT_TECHNIQUE_NAMES",
     "Origination",
-    "PropagationResult",
-    "SymbolicGraph",
     "VerifyCheck",
     "VerifyWorld",
     "all_checks",
-    "ambiguous_ties",
     "default_world",
     "load_world",
-    "propagate",
     "resolve_codes",
     "verify_world",
     "world_from_dict",

@@ -24,8 +24,8 @@ from typing import Iterator, Mapping
 
 from repro.analysis.findings import Finding
 from repro.net.addr import IPv4Prefix
+from repro.topology.propagation import PropagationResult, catchment_of
 from repro.verify import checks
-from repro.verify.propagation import PropagationResult
 from repro.verify.world import VerifyWorld
 from repro.workload.capacity import expected_site_load
 
@@ -88,28 +88,17 @@ def check_site_over_capacity(
 ) -> Iterator[Finding]:
     """VER241: sites the initial symbolic catchment overloads at peak.
 
-    ``results`` maps each planned prefix to its propagation fixed
-    point; clients resolve longest-prefix-first (the specific prefix
-    wins over the superprefix), exactly as forwarding would.
+    ``results`` maps each planned prefix to the verifier's propagation
+    fixed point (world preferences included); prefixes VER211 found
+    unstable have no catchment to read and are left out.
     """
     if world.capacity is None or world.workload is None:
         return
-    deployment = world.deployment
-    ordered = sorted(
-        (p for p in results if results[p].stable),
-        key=lambda p: p.length,
-        reverse=True,
-    )
-
-    def resolve(client: str) -> str | None:
-        for prefix in ordered:
-            origin = results[prefix].origin_of(client)
-            if origin is not None:
-                return deployment.site_of_node(origin)
-        return None
-
     clients = [info.node_id for info in world.topology.web_client_ases()]
-    loads = expected_site_load(world.workload, clients, resolve, regions)
+    catchment = catchment_of(
+        world.deployment, [r for r in results.values() if r.stable], clients
+    )
+    loads = expected_site_load(world.workload, clients, catchment.get, regions)
     for site in sorted(loads):
         limit = world.capacity.capacity_for(site)
         if limit is None or loads[site] <= limit:

@@ -3,7 +3,7 @@
 The SPVP result this leans on (Griffin, Shepherd & Wilfong): if a
 policy system has no dispute wheel, it has a unique stable state and
 every fair activation schedule converges to it — in particular the
-synchronous schedule :func:`repro.verify.propagation.propagate` runs.
+synchronous schedule :func:`repro.topology.propagation.propagate` runs.
 Conversely, when the synchronous evaluation revisits a state without
 stabilizing, that state cycle *is* a persistent oscillation, so a
 dispute wheel exists. Propagation therefore doubles as a sound and
@@ -23,8 +23,8 @@ from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
 from repro.core.plan import Origination
+from repro.topology.propagation import PropagationResult
 from repro.verify import checks
-from repro.verify.propagation import PropagationResult
 from repro.verify.world import VerifyWorld
 
 

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Iterator
 from repro.analysis.findings import Finding
 from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
+from repro.topology.propagation import PropagationResult, ambiguous_ties
 from repro.verify import checks
-from repro.verify.propagation import PropagationResult, ambiguous_ties
 from repro.verify.world import VerifyWorld
 
 

@@ -17,8 +17,8 @@ from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.bgp.policy import Relationship
+from repro.topology.propagation import SymbolicGraph
 from repro.verify import checks
-from repro.verify.propagation import SymbolicGraph
 from repro.verify.world import VerifyWorld
 
 
@@ -116,7 +116,7 @@ def valley_free_reach(graph: SymbolicGraph, origins: set[str]) -> set[str]:
     origin hops so far, possibly ending with one peer hop) may cross to
     providers and peers; once it has been exported to a peer or down to
     a customer it may only continue downhill. This is exactly the set of
-    nodes :func:`repro.verify.propagation.propagate` can deliver a route
+    nodes :func:`repro.topology.propagation.propagate` can deliver a route
     to, computed without selecting best paths — so it is preference- and
     technique-independent.
     """

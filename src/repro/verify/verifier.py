@@ -21,9 +21,9 @@ from repro import telemetry
 from repro.analysis.findings import Finding, FindingCollector, emit_findings
 from repro.core.plan import Origination
 from repro.net.addr import IPv4Prefix
+from repro.topology.propagation import PropagationResult, SymbolicGraph, propagate
 from repro.verify import capacity, disputes, plans, safety, vacuity
 from repro.verify.checks import CHECKS
-from repro.verify.propagation import PropagationResult, SymbolicGraph, propagate
 from repro.verify.world import VerifyWorld
 
 

@@ -185,3 +185,27 @@ class TestMutableDefaultArgument:
 
     def test_noqa(self):
         assert codes("def f(x=[]):  # repro: noqa[DET007]\n    return x\n") == []
+
+
+class TestSingleCallSite:
+    SOURCE = (
+        "network = topology.build_network(seed=1)\n"
+        "controller = CdnController(network=network)\n"
+    )
+
+    def test_bad_fourth_scratch_solver(self):
+        """A network built (or a controller assembled) outside the
+        runners is a second statement of what the rig / the settled
+        solver already state."""
+        findings = ENGINE.lint_source(self.SOURCE, path="src/repro/measurement/catchment.py")
+        assert [f.code for f in findings] == ["DET011", "DET011"]
+        assert "core/experiment.py" in findings[0].message
+        assert "core/rig.py" in findings[1].message
+
+    def test_good_designated_modules_and_code_outside_the_package(self):
+        build, construct = self.SOURCE.splitlines(keepends=True)
+        assert ENGINE.lint_source(build, path="src/repro/core/drill.py") == []
+        assert ENGINE.lint_source(construct, path="src/repro/core/rig.py") == []
+        assert ENGINE.lint_source(self.SOURCE, path="tests/test_core_drill.py") == []
+        # defining the callable is not calling it
+        assert codes("def build_network(self):\n    return None\n") == []

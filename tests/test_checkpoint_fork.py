@@ -2,8 +2,8 @@
 
 The sweep's hot path converges each technique's base announcement plan
 once, snapshots it, and forks the snapshot per cell
-(``FailoverExperiment.baseline_for`` / ``run_site(checkpoint=True)``).
-These tests pin the contract: forked runs are reproducible across
+(``FailoverExperiment.baseline_for``, ``use_checkpoint=True``). These
+tests pin the contract: forked runs are reproducible across
 experiments and worker counts, baselines are computed once per
 technique, and the legacy cold-start path stays the default for library
 users.
@@ -149,16 +149,6 @@ class TestPhasesAndDefaults:
         assert names.count("baseline-converge") == 1  # shared by both cells
         assert names.count("fork-restore") == 2
         assert "deploy-converge" not in names
-
-    def test_run_site_checkpoint_override(self, deployment):
-        experiment = make_experiment(deployment)  # legacy default
-        tracer = telemetry.TraceRecorder()
-        with telemetry.using(telemetry.Telemetry(tracer=tracer)):
-            experiment.run_site(
-                Anycast(), deployment.site_names[0], checkpoint=True
-            )
-        assert "fork-restore" in phase_names(tracer)
-        assert "deploy-converge" not in phase_names(tracer)
 
     def test_sweep_precomputes_baselines_in_parent(self, deployment):
         from repro.parallel.sweep import shared_state

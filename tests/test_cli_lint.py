@@ -113,12 +113,16 @@ class TestPreflightGate:
         assert main(argv + ["--workload", "constant", "--capacity", "500"]) == 0
         assert "PRE107" not in capsys.readouterr().err
 
-    def test_commands_expose_no_preflight_flag(self):
+    def test_commands_expose_no_check_flag(self, capsys):
         parser = build_parser()
         for command in ("failover", "compare", "sweep", "drill", "scenario"):
             assert not parser.parse_args([command]).no_check
-            for flag in ("--no-check", "--no-preflight"):
-                assert parser.parse_args([command, flag]).no_check
+            assert parser.parse_args([command, "--no-check"]).no_check
+            # the pre-PR-13 spelling is gone, not aliased
+            with pytest.raises(SystemExit) as usage:
+                parser.parse_args([command, "--no-preflight"])
+            assert usage.value.code == 2
+            assert "unrecognized arguments: --no-preflight" in capsys.readouterr().err
 
     def test_override_lets_errors_through(self, deployment, capsys):
         world = run_world(

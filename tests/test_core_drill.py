@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core import drill as drill_module
 from repro.core.drill import RotationDrill
-from repro.core.techniques import ReactiveAnycast, Unicast
+from repro.core.rig import RunRig
+from repro.core.techniques import TECHNIQUES, ReactiveAnycast, Unicast, technique_by_name
+from repro.dataplane.forwarding import delivery_verdict
+from repro.net.packet import Packet
 from repro.topology.testbed import SECOND_PREFIX
 
 from tests.conftest import FAST_TIMING
@@ -35,6 +39,44 @@ class TestRotationDrill:
         outcome = drill.run_site("sea1", clients)
         assert not outcome.passed
         assert outcome.stranded == len(clients)
+
+    @pytest.mark.parametrize("name", sorted(TECHNIQUES))
+    def test_recovered_counts_what_the_data_plane_delivers(
+        self, monkeypatch, deployment, topology, clients, name
+    ):
+        """The audit is the FIB walk: ``recovered`` is the number of
+        monitored clients whose packets, sent at the deadline, reach a
+        live site over whichever prefix covers the test address.
+        proactive-superprefix fails over onto the covering /23, which a
+        Loc-RIB read of the test /24 alone scored as 0 recovered."""
+        rigs = []
+
+        class KeptRig(RunRig):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rigs.append(self)
+
+        monkeypatch.setattr(drill_module, "RunRig", KeptRig)
+        drill = RotationDrill(
+            topology, deployment, technique_by_name(name),
+            deadline_s=60.0, timing=FAST_TIMING,
+        )
+        outcome = drill.run_site("sea1", clients)
+        (rig,) = rigs
+        forwards = []
+        for client in clients:
+            source = topology.ases[client].prefix.address(1)
+            rig.plane.forward(client, Packet(source, rig.dst), forwards.append)
+        rig.network.run_for(5.0)
+        delivered = sum(
+            delivery_verdict(result, deployment, rig.dead_sites)[1] is None
+            for result in forwards
+        )
+        assert len(forwards) == len(clients)
+        assert outcome.recovered == delivered
+        assert outcome.stranded == len(clients) - delivered
+        if name == "proactive-superprefix":
+            assert outcome.passed and delivered == len(clients)
 
     def test_rotation_covers_all_sites(self, deployment, topology, clients):
         drill = RotationDrill(

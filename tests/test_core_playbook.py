@@ -4,12 +4,10 @@ import pytest
 
 from repro.core.playbook import Playbook
 
-from tests.conftest import FAST_TIMING
-
 
 @pytest.fixture(scope="module")
 def playbook(deployment):
-    book = Playbook(deployment.topology, deployment, timing=FAST_TIMING)
+    book = Playbook(deployment.topology, deployment)
     book.build_drain_plays(prepend_levels=(0, 3, 5))
     return book
 
@@ -73,7 +71,7 @@ class TestPlaybook:
             playbook.best_drain("sea1", max_overload=0.01)
 
     def test_baseline_before_building_raises(self, deployment):
-        empty = Playbook(deployment.topology, deployment, timing=FAST_TIMING)
+        empty = Playbook(deployment.topology, deployment)
         with pytest.raises(LookupError):
             empty.baseline()
 

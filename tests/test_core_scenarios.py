@@ -122,9 +122,7 @@ class TestScenarioRunner:
         stays up after recovery."""
         from repro.measurement.catchment import anycast_catchment
 
-        catchment = anycast_catchment(
-            deployment.topology, deployment, timing=FAST_TIMING
-        )
+        catchment = anycast_catchment(deployment.topology, deployment)
         sea1_clients = [n for n, s in catchment.items() if s == "sea1"][:10]
         assert sea1_clients, "sea1 must have a catchment"
         runner = self.make_runner(
@@ -185,9 +183,7 @@ class TestRecoveryGrace:
         from repro.bgp.session import DEFAULT_INTERNET_TIMING
         from repro.measurement.catchment import anycast_catchment
 
-        catchment = anycast_catchment(
-            deployment.topology, deployment, timing=FAST_TIMING
-        )
+        catchment = anycast_catchment(deployment.topology, deployment)
         sea1_clients = [n for n, s in catchment.items() if s == "sea1"][:10]
 
         def run(grace):
@@ -217,9 +213,7 @@ class TestDrain:
         after undrain."""
         from repro.measurement.catchment import anycast_catchment
 
-        catchment = anycast_catchment(
-            deployment.topology, deployment, timing=FAST_TIMING
-        )
+        catchment = anycast_catchment(deployment.topology, deployment)
         sea1_clients = [n for n, s in catchment.items() if s == "sea1"][:10]
         runner = ScenarioRunner(
             topology=deployment.topology,

@@ -31,7 +31,7 @@ class TestSilentFailureController:
         controller = make_controller(deployment, Anycast(), detection_delay=5.0)
         controller.deploy("sea1")
         controller.network.converge()
-        event = controller.fail_site_silently("sea1")
+        event = controller.fail_site("sea1", silent=True)
         assert event.silent
         node = deployment.site_node("sea1")
         controller.network.run_for(4.0)
@@ -43,7 +43,7 @@ class TestSilentFailureController:
         controller = make_controller(deployment, ReactiveAnycast(), detection_delay=5.0)
         controller.deploy("sea1")
         controller.network.converge()
-        controller.fail_site_silently("sea1")
+        controller.fail_site("sea1", silent=True)
         ams = deployment.site_node("ams")
         controller.network.run_for(4.0)
         assert SPECIFIC_PREFIX not in controller.network.routers[ams].originated_prefixes()
@@ -54,13 +54,13 @@ class TestSilentFailureController:
         controller = make_controller(deployment, Anycast())
         controller.deploy("sea1")
         controller.network.converge()
-        event = controller.fail_site_silently("sea1")
+        event = controller.fail_site("sea1", silent=True)
         assert SPECIFIC_PREFIX in event.withdrawn_prefixes
 
     def test_unknown_site_rejected(self, deployment):
         controller = make_controller(deployment, Anycast())
         with pytest.raises(KeyError):
-            controller.fail_site_silently("lhr")
+            controller.fail_site("lhr", silent=True)
 
 
 class TestSilentFailureExperiment:

@@ -93,12 +93,9 @@ class TestSteeringPlan:
         strictly reduces the inflated fraction."""
         from repro.measurement.catchment import anycast_catchment
         from repro.measurement.performance import SiteRttTable, analyze_performance
-        from tests.conftest import FAST_TIMING
 
         table = SiteRttTable(deployment.topology, deployment)
-        catchment = anycast_catchment(
-            deployment.topology, deployment, timing=FAST_TIMING
-        )
+        catchment = anycast_catchment(deployment.topology, deployment)
         before = analyze_performance(deployment.topology, deployment, catchment, table)
         plan = build_steering_plan(before, inflation_threshold_ms=5.0)
         assert plan, "deployment should have steerable clients"

@@ -17,14 +17,12 @@ from tests.conftest import FAST_TIMING
 
 @pytest.fixture(scope="module")
 def catchment(deployment):
-    return anycast_catchment(deployment.topology, deployment, timing=FAST_TIMING)
+    return anycast_catchment(deployment.topology, deployment)
 
 
 @pytest.fixture(scope="module")
 def control(deployment, catchment):
-    return measure_control_all_sites(
-        deployment.topology, deployment, catchment, timing=FAST_TIMING
-    )
+    return measure_control_all_sites(deployment.topology, deployment, catchment)
 
 
 class TestAnycastCatchment:
@@ -65,9 +63,7 @@ class TestPrependingCatchment:
         """Prepending at other sites strictly grows the intended site's
         catchment relative to anycast."""
         nodes = [a.node_id for a in topology.web_client_ases()]
-        prep = prepending_catchment(
-            topology, deployment, "ath", prepend=3, timing=FAST_TIMING, nodes=nodes
-        )
+        prep = prepending_catchment(topology, deployment, "ath", prepend=3, nodes=nodes)
         anycast_count = sum(1 for n in nodes if catchment.get(n) == "ath")
         prep_count = sum(1 for n in nodes if prep.get(n) == "ath")
         assert prep_count > anycast_count
@@ -105,7 +101,7 @@ class TestControlSingleSite:
     def test_explicit_prepend_list(self, deployment, catchment):
         result = measure_control(
             deployment.topology, deployment, "msn", catchment,
-            prepends=(1,), timing=FAST_TIMING,
+            prepends=(1,),
         )
         assert set(result.controllable) == {1}
 
@@ -116,11 +112,11 @@ class TestControlSingleSite:
         (backup routes reach fewer networks)."""
         open_result = measure_control(
             deployment.topology, deployment, "msn", catchment,
-            prepends=(3,), timing=FAST_TIMING,
+            prepends=(3,),
         )
         restricted = measure_control(
             deployment.topology, deployment, "msn", catchment,
-            prepends=(3,), timing=FAST_TIMING,
+            prepends=(3,),
             restrict_to_shared_neighbors=True,
         )
         assert restricted.controllable[3] >= open_result.controllable[3] - 1e-9

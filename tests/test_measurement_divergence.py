@@ -50,7 +50,7 @@ def c1_experiment():
     # pure anycast routes to a *different* site.
     from repro.measurement.catchment import anycast_catchment
 
-    catchment = anycast_catchment(topo, dep, timing=FAST_TIMING)
+    catchment = anycast_catchment(topo, dep)
     pairs = []
     for info in topo.web_client_ases():
         if not info.location.region.startswith("us-"):

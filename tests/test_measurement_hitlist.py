@@ -5,12 +5,10 @@ import pytest
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.hitlist import Hitlist, select_targets
 
-from tests.conftest import FAST_TIMING
-
 
 @pytest.fixture(scope="module")
 def catchment(deployment):
-    return anycast_catchment(deployment.topology, deployment, timing=FAST_TIMING)
+    return anycast_catchment(deployment.topology, deployment)
 
 
 class TestHitlist:

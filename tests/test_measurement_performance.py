@@ -10,8 +10,6 @@ from repro.measurement.performance import (
     analyze_performance,
 )
 
-from tests.conftest import FAST_TIMING
-
 
 @pytest.fixture(scope="module")
 def rtt_table(deployment):
@@ -20,7 +18,7 @@ def rtt_table(deployment):
 
 @pytest.fixture(scope="module")
 def anycast_report(deployment, rtt_table):
-    catchment = anycast_catchment(deployment.topology, deployment, timing=FAST_TIMING)
+    catchment = anycast_catchment(deployment.topology, deployment)
     return analyze_performance(deployment.topology, deployment, catchment, rtt_table)
 
 

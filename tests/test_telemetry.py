@@ -339,8 +339,6 @@ class TestRegistry:
         assert null.now() == 0.0
         with null.phase("p", site="s"):
             pass
-        with null.clock_guard():
-            pass
         snapshot = null.snapshot()
         assert snapshot["enabled"] is False
         assert snapshot["counters"] == {}
@@ -367,15 +365,13 @@ class TestRegistry:
         assert ends[0].wall_s >= 0.0
         assert active.histogram("phase.demo.wall_s").count == 1
 
-    def test_clock_binding_and_guard(self):
+    def test_clock_binding(self):
         active = telemetry.Telemetry()
         assert active.now() == 0.0
         active.bind_clock(lambda: 42.0)
         assert active.now() == 42.0
-        with active.clock_guard():
-            active.bind_clock(lambda: 7.0)
-            assert active.now() == 7.0
-        assert active.now() == 42.0
+        active.bind_clock(None)
+        assert active.now() == 0.0
 
     def test_snapshot_and_render(self):
         active = telemetry.Telemetry(tracer=telemetry.TraceRecorder())

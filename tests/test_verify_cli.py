@@ -127,10 +127,13 @@ class TestVerifyCommand:
 class TestVerifyGate:
     """Stage 2 of :func:`repro.cli.common.gate` (the VER pass)."""
 
-    def test_commands_expose_no_verify_flag(self):
+    def test_legacy_no_verify_flag_is_a_usage_error(self, capsys):
         parser = build_parser()
         for command in ("failover", "compare", "sweep", "drill", "scenario"):
-            assert parser.parse_args([command, "--no-verify"]).no_check
+            with pytest.raises(SystemExit) as usage:
+                parser.parse_args([command, "--no-verify"])
+            assert usage.value.code == 2
+            assert "unrecognized arguments: --no-verify" in capsys.readouterr().err
 
     def test_gate_blocks_on_errors(self, capsys):
         assert not gate(argparse.Namespace(no_check=False), cyclic_world())

