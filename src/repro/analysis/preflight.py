@@ -19,6 +19,8 @@ superprefix geometry, capacity vacuity -- have no PRE code.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding, FindingCollector, Severity, emit_findings
@@ -48,6 +50,20 @@ def _error(code: str, message: str, source: str) -> Finding:
 
 def _warning(code: str, message: str, source: str) -> Finding:
     return Finding(code=code, message=message, severity=Severity.WARNING, source=source)
+
+
+def _nonfinite(values: Iterable[tuple[str, str, float]], source: str) -> list[Finding]:
+    """One error per ⟨code, label, value⟩ whose value is NaN or ±inf.
+
+    The range checks below compare with ``<=``, which NaN always fails
+    and +inf always passes; an infinite rate then never advances the
+    stream clock and a NaN one poisons every sum it enters.
+    """
+    return [
+        _error(code, f"{label} {value:g} is not finite", source)
+        for code, label, value in values
+        if not math.isfinite(value)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +343,17 @@ def check_run_shape(
 # Workload profiles
 
 
+#: float-valued profile field -> the code its range check reports under
+_PROFILE_CODES = {
+    "base_rps": "PRE140",
+    "zipf_s": "PRE141",
+    "content_zipf_s": "PRE141",
+    "surge_weight": "PRE141",
+    "think_time_s": "PRE142",
+    "tick_s": "PRE142",
+}
+
+
 def check_workload(
     profile: WorkloadProfile | None, duration: float | None = None
 ) -> list[Finding]:
@@ -341,6 +368,10 @@ def check_workload(
     if profile is None:
         return findings
     source = f"workload profile {profile.name!r}"
+    findings.extend(_nonfinite(
+        [(code, name, getattr(profile, name)) for name, code in _PROFILE_CODES.items()],
+        source,
+    ))
     if profile.base_rps <= 0:
         findings.append(_error(
             "PRE140",
@@ -388,6 +419,13 @@ def check_workload(
                 shape_source,
             ))
             continue
+        findings.extend(_nonfinite(
+            [
+                ("PRE140" if f.name == "factor" else "PRE144", f.name, getattr(shape, f.name))
+                for f in fields(shape) if f.name != "kind"
+            ],
+            shape_source,
+        ))
         if shape.kind == "constant" and shape.factor <= 0:
             findings.append(_error(
                 "PRE140",
@@ -461,6 +499,14 @@ def check_capacity(
     if capacity is None:
         return findings
     source = f"capacity profile {capacity.name!r}"
+    stated = [
+        ("PRE150", f"site_rps[{site!r}]", rps)
+        for site, rps in sorted(capacity.site_rps.items())
+    ]
+    # An absent default (None) is how a profile says unlimited; inf is not.
+    if capacity.default_rps is not None:
+        stated.insert(0, ("PRE150", "default_rps", capacity.default_rps))
+    findings.extend(_nonfinite(stated, source))
     if capacity.default_rps is not None and capacity.default_rps <= 0:
         findings.append(_error(
             "PRE150",

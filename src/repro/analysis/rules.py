@@ -136,30 +136,49 @@ _MODULE_RANDOM_FNS = frozenset({
 })
 
 
+#: names in numpy's ``random`` module that build a generator instead of
+#: drawing from its hidden global ``RandomState``; only a call with no
+#: seed material is a hazard
+_NUMPY_RNG_CONSTRUCTORS = frozenset({
+    "default_rng", "RandomState", "Generator", "SeedSequence", "BitGenerator",
+    "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+})
+
+
 @register
 class ModuleLevelRandom(LintRule):
-    """Calls into :mod:`random`'s hidden global RNG."""
+    """Calls into the hidden global RNG of :mod:`random` or of numpy's
+    ``random`` module (and numpy generators built without a seed)."""
 
     code = "DET002"
     name = "module-random"
-    summary = "module-level random.* call shares the hidden global RNG"
+    summary = "module-level random.* / numpy random call shares the hidden global RNG"
 
     node_types = (ast.Call,)
 
     def check(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
         assert isinstance(node, ast.Call)
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "random"
-            and func.attr in _MODULE_RANDOM_FNS
-        ):
+        parts = (_dotted_name(node.func) or "").split(".")
+        if len(parts) == 2 and parts[0] == "random" and parts[1] in _MODULE_RANDOM_FNS:
             yield self.finding(
                 node, ctx,
-                f"random.{func.attr}() uses the process-global RNG, whose state "
+                f"random.{parts[1]}() uses the process-global RNG, whose state "
                 "any import can perturb; use a seeded random.Random instance",
             )
+        elif len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
+            call = ".".join(parts)
+            if parts[2] not in _NUMPY_RNG_CONSTRUCTORS:
+                yield self.finding(
+                    node, ctx,
+                    f"{call}() draws from numpy's process-global RandomState; "
+                    "draw from the run's seeded random.Random instead",
+                )
+            elif not node.args and not node.keywords:
+                yield self.finding(
+                    node, ctx,
+                    f"{call}() without a seed draws entropy from the OS; "
+                    "pass an explicit seed",
+                )
 
 
 @register

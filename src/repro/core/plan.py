@@ -136,12 +136,6 @@ class Technique:
         scoped = any(rule.shared_neighbors for rule in self.normal)
         return f"{self.name}+shared" if scoped else self.name
 
-    @property
-    def announces_superprefix(self) -> bool:
-        """True when any lifecycle of the plan announces the covering /23."""
-        rules = self.normal + self.on_failure + self.on_overload
-        return any("super" in rule.prefixes for rule in rules)
-
 
 def apply_plan(network, plan: Iterable[Origination]) -> None:
     """Originate ``plan`` on ``network``, in plan order. Re-originating

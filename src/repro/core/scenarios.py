@@ -116,9 +116,6 @@ class ScenarioRunner:
     def fail(self, at: float, site: str) -> "ScenarioRunner":
         return self.add_event(at, "fail", site)
 
-    def fail_silently(self, at: float, site: str) -> "ScenarioRunner":
-        return self.add_event(at, "fail-silent", site)
-
     def recover(self, at: float, site: str) -> "ScenarioRunner":
         return self.add_event(at, "recover", site)
 

@@ -6,15 +6,16 @@ accounting. See ``docs/workload.md`` and ``docs/load.md``.
 
 * :mod:`repro.workload.profile` -- pure-data workload descriptions
   (rates, shapes, Zipf popularity, think time, regional surges);
-* :mod:`repro.workload.stream` -- seed-stable iterator request
-  generation (never materializes the schedule);
+* :mod:`repro.workload.stream` -- seed-stable request generation, one
+  numpy chunk at a time (never materializes the schedule);
 * :mod:`repro.workload.catchment` -- route-version-keyed resolution
   cache over the live FIBs;
 * :mod:`repro.workload.capacity` -- per-site serving capacity profiles,
   brownout state, and expected-load arithmetic;
-* :mod:`repro.workload.engine` -- tick-driven classification into
-  served / lost / wrong-site / overload and user-minutes-lost
-  accounting, plus the load-shedding overload latch.
+* :mod:`repro.workload.engine` -- tick-driven classification (once per
+  distinct client per tick) into served / lost / wrong-site / overload
+  and user-minutes-lost accounting, plus the load-shedding overload
+  latch.
 """
 
 from repro.workload.capacity import (

@@ -5,7 +5,10 @@ to a running simulation. A self-rescheduling tick event (cadence
 ``profile.tick_s`` on the simulation clock) drains the arrivals that
 fell due since the previous tick and classifies each against the
 *current* FIB state via the route-version-keyed
-:class:`~repro.workload.catchment.CatchmentCache`: **served** when
+:class:`~repro.workload.catchment.CatchmentCache` -- once per distinct
+client per tick, since nothing a request's outcome depends on (the
+client's route, site liveness, site budgets) moves inside a tick:
+**served** when
 :func:`~repro.dataplane.forwarding.delivery_verdict` lands it at a live
 CDN site with serving capacity, otherwise lost to the outage class
 (**blackhole**, **loop**, **wrong-site**) that
@@ -46,7 +49,9 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane
 from repro.net.addr import IPv4Address
@@ -56,7 +61,7 @@ from repro.topology.testbed import PROBE_SOURCE, CdnDeployment
 from repro.workload.capacity import CapacityState
 from repro.workload.catchment import CatchmentCache
 from repro.workload.profile import WorkloadProfile
-from repro.workload.stream import Request, RequestStream
+from repro.workload.stream import RequestStream
 
 
 @dataclass(slots=True)
@@ -173,6 +178,19 @@ def render_account(account: WorkloadAccount) -> str:
     return line
 
 
+def served_within(attempts: int, budget: float) -> int:
+    """How many of ``attempts`` requests a tick's serving credit covers.
+
+    The closed form of admitting requests one at a time while ``spent +
+    1.0 <= budget + 1e-9``; an unlimited site (``inf``) serves all, a
+    NaN or negative budget none.
+    """
+    credit = budget + 1e-9
+    if credit >= attempts:
+        return attempts
+    return math.floor(credit) if credit >= 1.0 else 0
+
+
 class WorkloadEngine:
     """Drives one run's request stream on the simulation clock."""
 
@@ -220,8 +238,12 @@ class WorkloadEngine:
         self._epoch = 0.0
         self._duration = 0.0
         self._drained_to = 0.0
-        self._arrivals: "object | None" = None
-        self._pending: Request | None = None
+        self._batches: Iterator[tuple[np.ndarray, ...]] = iter(())
+        #: what is left of the stream chunk being drained (None once the
+        #: stream is dry)
+        self._chunk: tuple[np.ndarray, ...] | None = None
+        #: the order diversion scans alternative sites in
+        self._site_order = sorted(deployment.site_names)
         #: sites whose overload callback already fired (latched; cleared
         #: only by :meth:`clear_overload`, never by load dropping)
         self._overload_notified: set[str] = set()
@@ -244,9 +266,8 @@ class WorkloadEngine:
         stream = RequestStream(
             self.profile, self.clients, duration_s, self.seed, self.regions
         )
-        arrivals = iter(stream)
-        self._arrivals = arrivals
-        self._pending = next(arrivals, None)
+        self._batches = stream.batches()
+        self._chunk = next(self._batches, None)
         engine.schedule(min(self.profile.tick_s, duration_s), self._tick)
 
     def _tick(self) -> None:
@@ -265,15 +286,33 @@ class WorkloadEngine:
             return
         # Once the stream is dry there is nothing left to drain: stop
         # rescheduling instead of spawning no-op ticks to the horizon.
-        if self._pending is None:
+        if self._chunk is None:
             return
         remaining = self._duration - elapsed
         engine.schedule(min(self.profile.tick_s, remaining), self._tick)
 
+    def _drain(self, elapsed: float) -> None:
+        """Cut the arrivals due by ``elapsed`` off the stream and book them."""
+        times = [np.empty(0)]
+        clients = [np.empty(0, dtype=np.intp)]
+        while self._chunk is not None:
+            chunk_times, chunk_clients, _ = self._chunk
+            due = int(np.searchsorted(chunk_times, elapsed, "right"))
+            times.append(chunk_times[:due])
+            clients.append(chunk_clients[:due])
+            if due < len(chunk_times):
+                self._chunk = tuple(column[due:] for column in self._chunk)
+                break
+            self._chunk = next(self._batches, None)
+        self._book(
+            np.concatenate(times), np.concatenate(clients), elapsed - self._drained_to
+        )
+
     def _divert_target(
         self,
         site: str,
-        request: Request,
+        t: float,
+        client: str,
         fraction: float,
         budgets: dict[str, float],
         used: dict[str, float],
@@ -285,12 +324,12 @@ class WorkloadEngine:
         diverted fraction; diverted requests go to the live site with
         the most spare capacity left this tick. Returns the final site.
         """
-        draw = zlib.crc32(f"{request.t!r}/{request.client}".encode()) % 10_000
+        draw = zlib.crc32(f"{t!r}/{client}".encode()) % 10_000
         if draw >= fraction * 10_000:
             return site
         best = site
         best_spare = 0.0
-        for alt in sorted(budgets):
+        for alt in self._site_order:
             if alt == site or alt in self.dead_sites:
                 continue
             spare = budgets[alt] - used.get(alt, 0.0)
@@ -299,20 +338,73 @@ class WorkloadEngine:
                 best_spare = spare
         return best
 
-    def _drain(self, elapsed: float) -> None:
-        """Classify every arrival due by ``elapsed`` against current FIBs."""
+    def _serve_in_order(
+        self,
+        times: np.ndarray,
+        clients: np.ndarray,
+        landed: dict[int, str],
+        budgets: dict[str, float],
+        divert: dict[str, float],
+    ) -> tuple[dict[str, int], dict[str, int]]:
+        """Admit a tick's requests one at a time, in arrival order.
+
+        Only needed while some site diverts: where a diverted request
+        goes depends on the credit the requests before it have spent.
+        ``landed`` maps a client index to the live site its requests
+        reach; the rest were lost on the way and take no credit.
+        Returns ⟨served, attempts⟩ per site after diversion.
+        """
+        served: dict[str, int] = {}
+        attempts: dict[str, int] = {}
+        used: dict[str, float] = {}
+        for t, index in zip(times.tolist(), clients.tolist()):
+            site = landed.get(index)
+            if site is None:
+                continue
+            fraction = divert.get(site, 0.0)
+            if fraction > 0.0:
+                site = self._divert_target(
+                    site, t, self.clients[index], fraction, budgets, used
+                )
+            attempts[site] = attempts.get(site, 0) + 1
+            spent = used.get(site, 0.0)
+            if spent + 1.0 <= budgets.get(site, math.inf) + 1e-9:
+                used[site] = spent + 1.0
+                served[site] = served.get(site, 0) + 1
+        return served, attempts
+
+    def _book(self, times: np.ndarray, clients: np.ndarray, dt: float) -> None:
+        """Classify one tick's arrivals (parallel arrays: arrival time,
+        index into ``self.clients``) against current FIBs; ``dt`` is the
+        tick's length, which sets each site's serving credit."""
         account = self.account
         account.ticks += 1
-        resolve = self.cache.resolve
+        cache = self.cache
         dead_sites = self.dead_sites
-        think = self.profile.think_time_s
         capacity = self.capacity
-        budgets: dict[str, float] | None = None
-        used: dict[str, float] = {}
+        lost = dict.fromkeys(CLASS_BY_REASON.values(), 0)
+        #: client index -> the live site its requests reach
+        landed: dict[int, str] = {}
         attempts: dict[str, int] = {}
-        divert: dict[str, float] = {}
-        dt = elapsed - self._drained_to
-        if capacity is not None:
+        per_client = np.bincount(clients, minlength=len(self.clients))
+        distinct = np.flatnonzero(per_client)
+        for index, count in zip(distinct.tolist(), per_client[distinct].tolist()):
+            resolution = cache.resolve(self.clients[index])
+            # hits / misses keep counting requests, not lookups
+            cache.hits += count - 1
+            loss = resolution.loss_class
+            if loss is not None:
+                lost[loss] += count
+            elif resolution.site in dead_sites:
+                # Liveness is the one half of the verdict the cache
+                # cannot hold (a silent failure moves no FIB).
+                lost["wrong-site"] += count
+            else:
+                landed[index] = resolution.site
+                attempts[resolution.site] = attempts.get(resolution.site, 0) + count
+        if capacity is None:
+            served = attempts
+        else:
             # Per-tick serving credit; recomputed every tick so brownout
             # scaling applies from the tick after the event fires.
             budgets = {
@@ -320,50 +412,29 @@ class WorkloadEngine:
                 for site in self.deployment.site_names
             }
             divert = capacity.dns_divert
-        offered = served = overload = 0
-        lost = dict.fromkeys(CLASS_BY_REASON.values(), 0)
-        hot: set[str] = set()
-        request = self._pending
-        arrivals = self._arrivals
-        while request is not None and request.t <= elapsed:
-            offered += 1
-            resolution = resolve(request.client)
-            loss = resolution.loss_class
-            if loss is not None:
-                lost[loss] += 1
-            elif resolution.site in dead_sites:
-                # Liveness is the one half of the verdict the cache
-                # cannot hold (a silent failure moves no FIB).
-                lost["wrong-site"] += 1
-            elif budgets is None:
-                served += 1
-                by_site = account.served_by_site
-                by_site[resolution.site] = by_site.get(resolution.site, 0) + 1
+            if any(divert.get(site, 0.0) > 0.0 for site in attempts):
+                served, attempts = self._serve_in_order(
+                    times, clients, landed, budgets, divert
+                )
             else:
-                site = resolution.site
-                fraction = divert.get(site, 0.0)
-                if fraction > 0.0:
-                    site = self._divert_target(
-                        site, request, fraction, budgets, used
-                    )
-                attempts[site] = attempts.get(site, 0) + 1
-                spent = used.get(site, 0.0)
-                if spent + 1.0 <= budgets.get(site, math.inf) + 1e-9:
-                    used[site] = spent + 1.0
-                    served += 1
-                    by_site = account.served_by_site
-                    by_site[site] = by_site.get(site, 0) + 1
-                else:
-                    overload += 1
-                    hot.add(site)
-            request = next(arrivals, None)  # type: ignore[call-overload]
-        self._pending = request
+                served = {
+                    site: served_within(count, budgets.get(site, math.inf))
+                    for site, count in attempts.items()
+                }
+        offered = len(clients)
         if offered:
+            by_site = account.served_by_site
+            for site, count in served.items():
+                if count:
+                    by_site[site] = by_site.get(site, 0) + count
+            think = self.profile.think_time_s
+            served_n = sum(served.values())
+            overload = sum(attempts.values()) - served_n
             blackhole, loop, wrong_site = lost["blackhole"], lost["loop"], lost["wrong-site"]
             failed = blackhole + loop + wrong_site
             user_s = (failed + overload) * think
             account.offered += offered
-            account.served += served
+            account.served += served_n
             account.lost_blackhole += blackhole
             account.lost_loop += loop
             account.lost_wrong_site += wrong_site
@@ -379,7 +450,7 @@ class WorkloadEngine:
                     WorkloadSample(
                         t=telemetry.now(),
                         offered=offered,
-                        served=served,
+                        served=served_n,
                         blackhole=blackhole,
                         loop=loop,
                         wrong_site=wrong_site,
@@ -390,16 +461,17 @@ class WorkloadEngine:
         # Fire the overload latch *after* the tick's accounting so the
         # control reaction (announcements, DNS divert) starts on later
         # ticks, never mid-drain.
-        if hot and budgets is not None and capacity is not None:
+        hot = sorted(
+            site for site, count in attempts.items() if served.get(site, 0) < count
+        )
+        if hot and capacity is not None:
             telemetry = self._telemetry
-            for site in sorted(hot):
+            for site in hot:
                 if site in self._overload_notified:
                     continue
                 self._overload_notified.add(site)
                 if telemetry.enabled:
-                    rate = (
-                        (attempts.get(site, 0) / dt) if dt > 0 else 0.0
-                    )
+                    rate = (attempts[site] / dt) if dt > 0 else 0.0
                     telemetry.emit(
                         SiteOverloaded(
                             t=telemetry.now(),

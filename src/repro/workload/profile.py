@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 #: schema tag expected in JSON profile files
 PROFILE_SCHEMA = "repro.workload-profile/1"
 
@@ -80,6 +82,40 @@ class RateShape:
                 frac = (t - self.peak_at_s) / self.decay_s
                 return self.peak_multiplier - (self.peak_multiplier - 1.0) * frac
             return 1.0
+        raise ValueError(f"unknown rate shape kind {self.kind!r}; have {RATE_KINDS}")
+
+    def values_at(self, t: np.ndarray) -> np.ndarray | float:
+        """:meth:`value_at` over an array of times, bit for bit.
+
+        Same operations in the same order per element, and a branch is
+        only evaluated for the elements :meth:`value_at` would take it
+        for (a zero-length ramp or decay divides nothing). ``math.sin``
+        rather than ``np.sin``: the two differ in the last bit.
+        """
+        if self.kind == "constant":
+            return self.factor
+        if self.kind == "diurnal":
+            angle = 2.0 * math.pi * (t + self.phase_s) / self.period_s
+            return 1.0 + self.amplitude * np.array(list(map(math.sin, angle.tolist())))
+        if self.kind == "flash-crowd":
+            out = np.ones(len(t))
+            if self.peak_multiplier <= 1.0:
+                return out
+            ramp_start = self.peak_at_s - self.ramp_s
+            rising = np.flatnonzero((t > ramp_start) & (t < self.peak_at_s))
+            if rising.size:
+                frac = (t[rising] - ramp_start) / self.ramp_s if self.ramp_s > 0 else 1.0
+                out[rising] = 1.0 + (self.peak_multiplier - 1.0) * frac
+            # t > ramp_start: with a zero-length ramp value_at(peak_at_s)
+            # is still 1.0 (its first test wins), not the peak.
+            falling = np.flatnonzero(
+                (t > ramp_start) & (t >= self.peak_at_s)
+                & (t < self.peak_at_s + self.decay_s)
+            )
+            if falling.size:
+                frac = (t[falling] - self.peak_at_s) / self.decay_s
+                out[falling] = self.peak_multiplier - (self.peak_multiplier - 1.0) * frac
+            return out
         raise ValueError(f"unknown rate shape kind {self.kind!r}; have {RATE_KINDS}")
 
     def peak(self) -> float:
@@ -144,6 +180,14 @@ class WorkloadProfile:
         rate = self.base_rps
         for shape in self.shapes:
             rate *= shape.value_at(t)
+        return rate
+
+    def rates(self, t: np.ndarray) -> np.ndarray | float:
+        """:meth:`rate` over an array of times, bit for bit (a bare
+        float when no shape depends on ``t``)."""
+        rate = self.base_rps
+        for shape in self.shapes:
+            rate = rate * shape.values_at(t)
         return rate
 
     def max_rate(self) -> float:

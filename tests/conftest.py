@@ -7,6 +7,7 @@ modules only read them.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bgp.network import BgpNetwork
@@ -64,3 +65,14 @@ def build_line_network(n: int, seed: int = 0, timing: SessionTiming | None = Non
     for i in range(n - 1):
         net.add_provider(f"r{i}", f"r{i + 1}")
     return net
+
+
+def hand_chunk(engine, arrivals):
+    """A hand-made stream chunk for ``engine``: ``arrivals`` is a list of
+    ⟨t, client node id⟩ in arrival order; returns the ⟨times, client
+    indices, contents⟩ arrays ``RequestStream.batches()`` would yield.
+    Feed it by patching ``batches`` before ``engine.start``, or hand the
+    first two arrays straight to ``engine._book``."""
+    times = np.array([t for t, _ in arrivals], dtype=np.float64)
+    clients = np.array([engine.clients.index(c) for _, c in arrivals], dtype=np.intp)
+    return times, clients, np.zeros(len(arrivals), dtype=np.intp)

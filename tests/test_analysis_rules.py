@@ -55,6 +55,25 @@ class TestModuleLevelRandom:
     def test_negative_other_module(self):
         assert codes("value = numpy.random(3)\n") == []
 
+    @pytest.mark.parametrize("call", [
+        "np.random.rand(3)",
+        "numpy.random.poisson(4.0, size=10)",
+        "np.random.seed(42)",
+        "np.random.default_rng()",
+        "numpy.random.RandomState()",
+    ])
+    def test_numpy_global_or_unseeded(self, call):
+        assert codes(f"import numpy as np\nvalue = {call}\n") == ["DET002"]
+
+    @pytest.mark.parametrize("call", [
+        "np.random.default_rng(42)",
+        "numpy.random.RandomState(seed=7)",
+        "np.random.Generator(np.random.PCG64(3))",
+        "rng.poisson(4.0)",
+    ])
+    def test_numpy_seeded_generator_is_clean(self, call):
+        assert codes(f"import numpy as np\nvalue = {call}\n") == []
+
     def test_noqa(self):
         source = "import random\nvalue = random.random()  # repro: noqa[DET002]\n"
         assert codes(source) == []

@@ -113,6 +113,31 @@ class TestPreflightGate:
         assert main(argv + ["--workload", "constant", "--capacity", "500"]) == 0
         assert "PRE107" not in capsys.readouterr().err
 
+    NONFINITE = "tests/fixtures/workload/bad_nonfinite.json"
+
+    def test_workload_command_refuses_nonfinite_profile(self, capsys):
+        """Used to print OK (--check) or die in int(nan) (without)."""
+        for argv in (["workload", self.NONFINITE, "--check"], ["workload", self.NONFINITE]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "PRE140 error: base_rps inf is not finite" in captured.err
+            assert "rate |" not in captured.out
+
+    def test_runs_refuse_nonfinite_workload_and_capacity(self, capsys):
+        """Used to hang (every gap 0.0, one unbounded drain) or report
+        100% loss under "capacity invariant: ok"."""
+        run = ["scenario", "-t", "anycast", "-e", "fail:sea1@30", "--duration", "60"]
+        assert main(run + ["--workload", self.NONFINITE]) == 2
+        captured = capsys.readouterr()
+        assert "PRE140" in captured.err and "refusing to run" in captured.err
+        assert captured.out == ""
+        bad_capacity = "tests/fixtures/workload/bad_capacity_nonfinite.json"
+        for capacity in ("nan", "inf", bad_capacity):
+            assert main(run + ["--workload", "constant", "--capacity", capacity]) == 2
+            captured = capsys.readouterr()
+            assert "PRE150" in captured.err and "is not finite" in captured.err
+            assert captured.out == ""
+
     def test_commands_expose_no_check_flag(self, capsys):
         parser = build_parser()
         for command in ("failover", "compare", "sweep", "drill", "scenario"):

@@ -28,9 +28,8 @@ from repro.telemetry.trace import ProbeLost, ProbeReply
 from repro.topology.testbed import SUPERPREFIX, CdnDeployment, SiteSpec
 from repro.workload import builtin_profile, load_capacity
 from repro.workload.engine import WorkloadEngine
-from repro.workload.stream import Request
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, hand_chunk
 
 
 def make_rig(deployment, technique=None, site="sea1", **kwargs):
@@ -169,9 +168,8 @@ class TestOneVerdict:
             }
 
         before = buckets()
-        engine._pending = Request(t=0.0, client=client, content=0)
-        engine._arrivals = iter(())
-        engine._drain(0.0)
+        times, clients, _ = hand_chunk(engine, [(0.0, client)])
+        engine._book(times, clients, 0.0)
         (moved,) = [name for name, count in buckets().items() if count != before[name]]
         return moved
 

@@ -28,9 +28,9 @@ from repro.workload import (
     load_capacity,
     merge_accounts,
 )
-from repro.workload.stream import Request
+from repro.workload.stream import RequestStream
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, hand_chunk
 
 
 def anycast_plane(deployment, seed=5):
@@ -129,7 +129,7 @@ class TestExpectedLoad:
 
 
 class TestTickBugfixes:
-    def test_arrival_at_exact_duration_is_offered(self, deployment):
+    def test_arrival_at_exact_duration_is_offered(self, deployment, monkeypatch):
         """Regression: the final tick's ``now - epoch`` can land a float
         residue short of the nominal duration, stranding an arrival at
         exactly ``t == duration_s``. The snap-to-duration fix offers it."""
@@ -137,15 +137,14 @@ class TestTickBugfixes:
         profile = builtin_profile("constant")
         engine = WorkloadEngine(plane, deployment, profile, seed=3)
         duration = 10.0
+        # The stream is a single arrival exactly at the horizon, after a
+        # stretch of empty ticks.
+        chunk = hand_chunk(engine, [(duration, engine.clients[0])])
+        monkeypatch.setattr(RequestStream, "batches", lambda self: iter([chunk]))
         engine.start(duration)
-        client = engine.clients[0]
-        # White-box: replace the stream with a single arrival exactly at
-        # the horizon, after a stretch of empty ticks.
-        engine._pending = Request(t=duration, client=client, content=0)
-        engine._arrivals = iter(())
         plane.network.run_for(duration + 1.0)
         assert engine.account.offered == 1
-        assert engine._pending is None
+        assert engine._chunk is None
 
     def test_dry_stream_stops_ticking(self, deployment):
         """Regression: once the stream is exhausted the engine used to
@@ -159,7 +158,7 @@ class TestTickBugfixes:
         engine = WorkloadEngine(plane, deployment, profile, seed=3)
         engine.start(100.0)
         plane.network.run_for(101.0)
-        assert engine._pending is None
+        assert engine._chunk is None
         assert engine.account.ticks < 200
 
     def test_full_stream_still_ticks_to_horizon(self, deployment):
@@ -305,6 +304,19 @@ class TestPreflightCapacity:
         findings = check_capacity(profile, workload=self.WORKLOAD)
         assert self.codes(findings) == ["PRE150", "PRE150"]
         assert all(f.severity == Severity.ERROR for f in findings)
+
+    def test_nonfinite_rates_are_errors(self, deployment):
+        """``nan <= 0`` and ``inf <= 0`` are both false; a NaN budget
+        serves nobody and prints "capacity invariant: ok"."""
+        profile = load_capacity("tests/fixtures/workload/bad_capacity_nonfinite.json")
+        findings = check_capacity(profile, deployment, self.WORKLOAD)
+        assert [(f.code, f.message) for f in findings] == [
+            ("PRE150", "default_rps inf is not finite"),
+            ("PRE150", "site_rps['msn'] nan is not finite"),
+        ]
+        assert self.codes(check_capacity(load_capacity("nan"))) == ["PRE150"]
+        # an absent limit is still how a profile says unlimited
+        assert check_capacity(CapacityProfile(name="open", site_rps={"msn": 5.0})) == []
 
     def test_total_below_baseline_warns(self, deployment):
         # 8 sites x 10 rps = 80 < the constant profile's 200 rps baseline.

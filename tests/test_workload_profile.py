@@ -129,6 +129,37 @@ class TestPreflight:
         assert codes == {"PRE140", "PRE141", "PRE144"}
         assert all(f.severity is Severity.ERROR for f in findings)
 
+    def test_nonfinite_fixture_is_refused_field_by_field(self):
+        """NaN fails every ``<=`` range check and +inf passes them, so
+        non-finite values get their own finding under the field's code."""
+        profile = load_profile(str(FIXTURES / "bad_nonfinite.json"))
+        findings = check_workload(profile, duration=300.0)
+        assert [(f.code, f.message) for f in findings] == [
+            ("PRE140", "base_rps inf is not finite"),
+            ("PRE141", "zipf_s nan is not finite"),
+            ("PRE142", "tick_s nan is not finite"),
+            ("PRE144", "peak_multiplier inf is not finite"),
+            ("PRE144", "decay_s nan is not finite"),
+        ]
+        assert all(f.severity is Severity.ERROR for f in findings)
+
+    @pytest.mark.parametrize("field, code", [
+        ("base_rps", "PRE140"), ("zipf_s", "PRE141"), ("content_zipf_s", "PRE141"),
+        ("surge_weight", "PRE141"), ("think_time_s", "PRE142"), ("tick_s", "PRE142"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_every_float_field_must_be_finite(self, field, code, value):
+        profile = WorkloadProfile(name="x", **{field: value})
+        assert code in [f.code for f in check_workload(profile, duration=60.0)]
+
+    def test_shape_fields_must_be_finite(self):
+        shapes = (
+            RateShape(kind="constant", factor=float("inf")),
+            RateShape(kind="diurnal", period_s=float("nan"), phase_s=float("-inf")),
+        )
+        codes = [f.code for f in check_workload(WorkloadProfile(name="x", shapes=shapes))]
+        assert codes == ["PRE140", "PRE144", "PRE144"]
+
     def test_fixture_schema_tag_current(self):
         data = json.loads((FIXTURES / "bad_negative_rate.json").read_text())
         assert data["schema"] == PROFILE_SCHEMA
