@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.policy import (
     LOCAL_ORIGIN_PREF,
-    Relationship,
     import_local_pref,
     should_export,
 )
@@ -26,7 +25,7 @@ from repro.bgp.rib import AdjRibIn, LocRib, decide
 from repro.bgp.route import Route
 from repro.bgp.session import Session
 from repro.net.addr import IPv4Prefix, cached_str
-from repro.net.lpm import LpmTrie
+from repro.net.lpm import LpmTable
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import FibInstalled, RouteSelected
 
@@ -69,8 +68,10 @@ class BgpRouter:
         self.adj_rib_in = AdjRibIn()
         self.loc_rib = LocRib()
         #: FIB mapping prefix -> next-hop node id; ``node_id`` itself means
-        #: locally delivered (the prefix is originated here).
-        self.fib: LpmTrie[str] = LpmTrie()
+        #: locally delivered (the prefix is originated here). A settled
+        #: FIB holds at most two prefixes, a /24 and its covering /23, so
+        #: a lookup is two dict probes (docs/architecture.md, "FIB shape").
+        self.fib: LpmTable[str] = LpmTable()
         self._origins: dict[IPv4Prefix, OriginConfig] = {}
         #: optional RIB->FIB download lag, wired by BgpNetwork: returns
         #: (engine, delay sampler). When unset, FIB updates are immediate.
@@ -389,9 +390,6 @@ class BgpRouter:
         """
         session = self.sessions[remote]
         return self._build_export(session, prefix, self.loc_rib.get(prefix))
-
-    def relationship_to(self, remote: str) -> Relationship:
-        return self.sessions[remote].relationship
 
     def __repr__(self) -> str:
         return f"BgpRouter({self.node_id!r}, AS{self.asn})"

@@ -49,47 +49,9 @@ from repro.bgp.route import Route
 from repro.bgp.router import OriginConfig
 from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Prefix
-from repro.net.lpm import LpmTrie
 
 #: bumped on incompatible snapshot layout changes
 SNAPSHOT_SCHEMA = "repro.checkpoint/1"
-
-
-class _LazyFib:
-    """A restored router's FIB, materialized on first touch.
-
-    A forked cell disturbs only the paths through the one failed site,
-    so most routers' FIBs are never looked up or reinstalled before the
-    fork is discarded -- yet eagerly rebuilding every per-router trie
-    (a ~24-node chain per /24 entry) dominated restore cost. The proxy
-    carries the snapshotted ``(prefix, next_hop)`` entries and builds
-    the real :class:`LpmTrie` the first time any operation lands,
-    delegating everything afterwards. Materialization allocates from no
-    RNG and schedules nothing, so it cannot perturb determinism.
-    """
-
-    __slots__ = ("_entries", "_trie")
-
-    def __init__(self, entries: tuple) -> None:
-        self._entries = entries
-        self._trie: LpmTrie | None = None
-
-    def _real(self) -> LpmTrie:
-        trie = self._trie
-        if trie is None:
-            trie = self._trie = LpmTrie()
-            for prefix, next_hop in self._entries:
-                trie.insert(prefix, next_hop)
-        return trie
-
-    def __getattr__(self, name: str):
-        return getattr(self._real(), name)
-
-    def __len__(self) -> int:
-        return len(self._real())
-
-    def __contains__(self, prefix) -> bool:
-        return prefix in self._real()
 
 
 class CheckpointError(RuntimeError):
@@ -248,7 +210,8 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
         router = network.add_router(state.node_id, state.asn)
         router.adj_rib_in.import_state(state.adj_rib_in)
         router.loc_rib.import_state(state.loc_rib)
-        router.fib = _LazyFib(state.fib)  # type: ignore[assignment]
+        for prefix, next_hop in state.fib:
+            router.fib.insert(prefix, next_hop)
         router.import_origins(state.origins)
     # Sessions are placed directly instead of via add_session: the
     # establishment resync must not re-send the Loc-RIB the remote end

@@ -1,4 +1,5 @@
-"""Shared CLI helpers: telemetry flags, sessions, and the pre-run gate.
+"""Shared CLI helpers: telemetry flags, sessions, the pre-run gate, and
+the trace-file reader / result printer of the trace-consuming commands.
 
 Every experiment subcommand (``failover``, ``compare``, ``drill``,
 ``scenario``) accepts the same observability flags::
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator
@@ -231,6 +233,27 @@ def gate(args: argparse.Namespace, world) -> bool:
             file=sys.stderr,
         )
     return True
+
+
+def print_result(text: str) -> None:
+    """Print a command's result; a closed pipe (pager, ``head``) is not an error."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        # Silence the interpreter's shutdown flush too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def read_trace(path: str) -> list | None:
+    """The events of a ``--trace`` JSONL file, or None after saying on
+    stderr why it cannot be read (the caller exits 2)."""
+    try:
+        return telemetry.read_jsonl(path)
+    except FileNotFoundError:
+        print(f"no such trace file: {path}", file=sys.stderr)
+    except ValueError as error:
+        print(f"unreadable trace: {error}", file=sys.stderr)
+    return None
 
 
 @contextmanager

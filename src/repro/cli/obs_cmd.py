@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
+from repro.cli.common import print_result, read_trace
 from repro.obs import (
     AvailabilityLedger,
     explain,
@@ -25,7 +25,6 @@ from repro.obs import (
     render_profile,
     render_report,
 )
-from repro.telemetry import read_jsonl
 
 
 def register(subparsers) -> None:
@@ -67,46 +66,26 @@ def register(subparsers) -> None:
     profile_parser.set_defaults(func=run_profile)
 
 
-def _print(text: str) -> None:
-    try:
-        print(text)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; silence the
-        # interpreter's shutdown flush too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _read_trace(path: str):
-    try:
-        return read_jsonl(path)
-    except FileNotFoundError:
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return None
-    except ValueError as error:
-        print(f"unreadable trace: {error}", file=sys.stderr)
-        return None
-
-
 def run_explain(args: argparse.Namespace) -> int:
-    events = _read_trace(args.path)
+    events = read_trace(args.path)
     if events is None:
         return 2
     chains = explain(events, prefix=args.prefix, site=args.site)
-    _print(render_explanation(chains, prefix=args.prefix, site=args.site))
+    print_result(render_explanation(chains, prefix=args.prefix, site=args.site))
     # No matching chain is a finding in itself (and lets CI assert the
     # opposite cheaply): exit nonzero so scripts can branch on it.
     return 0 if chains else 1
 
 
 def run_report(args: argparse.Namespace) -> int:
-    events = _read_trace(args.path)
+    events = read_trace(args.path)
     if events is None:
         return 2
     ledger = AvailabilityLedger.from_events(events)
     if args.json_path == "-":
         sys.stdout.write(ledger.to_json())
     else:
-        _print(render_report(ledger))
+        print_result(render_report(ledger))
         if args.json_path is not None:
             with open(args.json_path, "w") as handle:
                 handle.write(ledger.to_json())
@@ -126,5 +105,5 @@ def run_profile(args: argparse.Namespace) -> int:
     if not isinstance(state, dict) or "callbacks" not in state:
         print(f"not a profile file (missing 'callbacks'): {args.path}", file=sys.stderr)
         return 2
-    _print(render_profile(state, top=args.top))
+    print_result(render_profile(state, top=args.top))
     return 0

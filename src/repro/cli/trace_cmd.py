@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 
-from repro.telemetry import filter_events, read_jsonl, render_summary, summarize_trace
+from repro.cli.common import print_result, read_trace
+from repro.telemetry import filter_events, render_summary, summarize_trace
 
 
 def register(subparsers) -> None:
@@ -39,13 +38,8 @@ def register(subparsers) -> None:
 
 
 def run_summarize(args: argparse.Namespace) -> int:
-    try:
-        events = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"no such trace file: {args.path}")
-        return 2
-    except ValueError as error:
-        print(f"unreadable trace: {error}")
+    events = read_trace(args.path)
+    if events is None:
         return 2
     filters = {
         "prefix": getattr(args, "prefix", None),
@@ -61,10 +55,5 @@ def run_summarize(args: argparse.Namespace) -> int:
         )
         header = f"filtered to {len(events)} of {before} events ({scope})\n"
     summary = summarize_trace(events)
-    try:
-        print(header + render_summary(summary, top=args.top))
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; silence the interpreter's
-        # shutdown flush too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print_result(header + render_summary(summary, top=args.top))
     return 0

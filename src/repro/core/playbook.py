@@ -43,9 +43,6 @@ class PlaybookEntry:
         per_site = dict(self.catchment)
         return per_site.get(site, 0) / total
 
-    def max_share(self) -> float:
-        return max((self.load_share(site) for site, _ in self.catchment), default=0.0)
-
 
 @dataclass(slots=True)
 class Playbook:

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.bgp.network import BgpNetwork
 from repro.net.addr import IPv4Address
-from repro.net.lpm import LpmTrie
 from repro.net.packet import Packet
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
@@ -109,9 +108,6 @@ class ForwardingPlane:
         self.drops: deque[ForwardResult] = deque(maxlen=DROP_LOG_LIMIT)
         #: every drop ever recorded, evicted or not
         self.dropped_total = 0
-        #: client-prefix ownership trie, built lazily from the topology
-        self._owner_trie: LpmTrie[str] | None = None
-        self._owner_trie_ases = -1
         self._telemetry = telemetry_registry.current()
 
     # ------------------------------------------------------------------
@@ -125,24 +121,6 @@ class ForwardingPlane:
         plane per cell -- per-plane caching re-solved the same
         destinations for every cell of the matrix."""
         return static_routes_for(self.topology, dest_node)
-
-    def owner_of(self, address: IPv4Address) -> str | None:
-        """The AS node whose client prefix contains ``address``.
-
-        Backed by a longest-prefix-match trie over the topology's client
-        prefixes (one walk per call) instead of a linear scan of every
-        AS; the trie is rebuilt if ASes were added since it was built.
-        """
-        trie = self._owner_trie
-        if trie is None or self._owner_trie_ases != len(self.topology.ases):
-            trie = LpmTrie()
-            for info in self.topology.ases.values():
-                if info.prefix is not None:
-                    trie.insert(info.prefix, info.node_id)
-            self._owner_trie = trie
-            self._owner_trie_ases = len(self.topology.ases)
-        match = trie.lookup(address)
-        return match[1] if match is not None else None
 
     def latency_to_client(self, src_node: str, dest_node: str) -> float | None:
         """One-way latency along the static policy path, seconds."""

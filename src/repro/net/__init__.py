@@ -1,13 +1,13 @@
 """Addressing and packet substrate.
 
 This package provides the low-level building blocks shared by the BGP
-simulator and the data plane: IPv4 addresses and prefixes (`repro.net.addr`),
-a longest-prefix-match trie (`repro.net.lpm`), and packet dataclasses
-(`repro.net.packet`).
+simulator and the data plane: IPv4/IPv6 addresses and prefixes
+(`repro.net.addr`), a length-bucketed longest-prefix-match table
+(`repro.net.lpm`), and packet dataclasses (`repro.net.packet`).
 """
 
 from repro.net.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
-from repro.net.lpm import LpmTrie
+from repro.net.lpm import LpmTable
 from repro.net.packet import IcmpEcho, IcmpEchoReply, Packet
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "IPv4Prefix",
     "IPv6Address",
     "IPv6Prefix",
-    "LpmTrie",
+    "LpmTable",
     "Packet",
     "IcmpEcho",
     "IcmpEchoReply",

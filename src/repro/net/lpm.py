@@ -1,205 +1,105 @@
-"""Longest-prefix-match trie.
+"""Longest-prefix-match table, the backing store for router FIBs.
 
-A binary (one bit per level) trie mapping prefixes to arbitrary values.
-Used as the backing store for router FIBs: forwarding a packet is one
-:meth:`LpmTrie.lookup` per hop, so lookup walks at most ``bits`` nodes
-and remembers the deepest match.
+Entries are bucketed by prefix length, ``{length: {network: (prefix,
+value)}}``, and a lookup masks the address once per length *present*,
+longest first: its cost is the number of distinct lengths stored, not
+the address width. Measured FIBs hold at most two entries over at most
+two lengths (docs/architecture.md, "FIB shape"), so forwarding one hop
+is at most two dict probes.
 
-The trie is address-family generic: ``bits=32`` (the default) stores
+The table is address-family generic: ``bits=32`` (the default) stores
 :class:`~repro.net.addr.IPv4Prefix` keys, ``bits=128`` stores
-:class:`~repro.net.addr.IPv6Prefix` keys. Mixing families in one trie is
-rejected, as real FIBs keep separate v4/v6 tables.
+:class:`~repro.net.addr.IPv6Prefix` keys. Mixing families in one table
+is rejected, as real FIBs keep separate v4/v6 tables.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Protocol, TypeVar
+from typing import Generic, Iterator, TypeVar
 
-from repro.net.addr import IPv4Prefix, IPv6Prefix
+from repro.net.addr import Address, Prefix
 
 V = TypeVar("V")
 
 
-class _AddressLike(Protocol):
-    value: int
-
-    @property
-    def bits(self) -> int: ...
-
-
-class _PrefixLike(Protocol):
-    network: int
-    length: int
-
-    @property
-    def bits(self) -> int: ...
-
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[_Node[V] | None] = [None, None]
-        self.value: V | None = None
-        self.has_value = False
-
-
-class LpmTrie(Generic[V]):
-    """Binary trie with longest-prefix-match lookup.
-
-    >>> trie = LpmTrie()
-    >>> trie.insert(IPv4Prefix.parse("10.0.0.0/8"), "coarse")
-    >>> trie.insert(IPv4Prefix.parse("10.1.0.0/16"), "fine")
-    >>> trie.lookup(IPv4Address.parse("10.1.2.3"))
-    (IPv4Prefix('10.1.0.0/16'), 'fine')
-    """
+class LpmTable(Generic[V]):
+    """Length-bucketed prefix table with longest-prefix-match lookup."""
 
     def __init__(self, bits: int = 32) -> None:
         if bits not in (32, 128):
             raise ValueError(f"bits must be 32 or 128, got {bits}")
-        self._bits = bits
-        self._prefix_type = IPv4Prefix if bits == 32 else IPv6Prefix
-        self._root: _Node[V] = _Node()
-        self._size = 0
-
-    @property
-    def bits(self) -> int:
-        return self._bits
+        self.bits = bits
+        self._buckets: dict[int, dict[int, tuple[Prefix, V]]] = {}
+        #: (netmask, bucket) per length present, longest first
+        self._probes: tuple[tuple[int, dict[int, tuple[Prefix, V]]], ...] = ()
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._buckets.values()))
 
-    def __contains__(self, prefix: _PrefixLike) -> bool:
-        return self._has_exact(prefix)
+    def __contains__(self, prefix: Prefix) -> bool:
+        return self.get(prefix) is not None
 
     def _check_family(self, bits: int) -> None:
-        if bits != self._bits:
+        if bits != self.bits:
             raise ValueError(
-                f"address family mismatch: trie is {self._bits}-bit, key is {bits}-bit"
+                f"address family mismatch: table is {self.bits}-bit, key is {bits}-bit"
             )
 
-    def _walk(self, prefix: _PrefixLike, create: bool) -> _Node[V] | None:
-        node = self._root
-        top = self._bits - 1
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (top - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        return node
+    def _reindex(self) -> None:
+        """Rebuild the probe order after a bucket appeared or vanished."""
+        full = (1 << self.bits) - 1
+        self._probes = tuple(
+            (full >> (self.bits - length) << (self.bits - length), self._buckets[length])
+            for length in sorted(self._buckets, reverse=True)
+        )
 
-    def _has_exact(self, prefix: _PrefixLike) -> bool:
-        self._check_family(prefix.bits)
-        node = self._walk(prefix, create=False)
-        return node is not None and node.has_value
-
-    def insert(self, prefix: _PrefixLike, value: V) -> None:
-        """Insert or replace the value at ``prefix``.
-
-        ``None`` is rejected: :meth:`get` returns ``None`` for "absent",
-        so a stored ``None`` would be indistinguishable from a miss.
-        """
+    def insert(self, prefix: Prefix, value: V) -> None:
+        """Insert or replace the value at ``prefix``. ``None`` is
+        rejected: :meth:`get` answers ``None`` for "absent"."""
         if value is None:
-            raise ValueError("LpmTrie cannot store None (get() uses None for 'absent')")
+            raise ValueError("LpmTable cannot store None (get() uses None for 'absent')")
         self._check_family(prefix.bits)
-        node = self._walk(prefix, create=True)
-        assert node is not None
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        bucket = self._buckets.get(prefix.length)
+        if bucket is None:
+            bucket = self._buckets[prefix.length] = {}
+            self._reindex()
+        bucket[prefix.network] = (prefix, value)
 
-    def remove(self, prefix: _PrefixLike) -> bool:
-        """Remove ``prefix``; returns True if it was present.
-
-        Interior nodes left without a value or children are pruned, so
-        announce/withdraw churn (reactive-anycast's steady state) cannot
-        grow the trie without bound.
-        """
+    def remove(self, prefix: Prefix) -> bool:
+        """Remove ``prefix``; True if it was present. An emptied bucket
+        is dropped, so announce/withdraw churn (reactive-anycast's steady
+        state) cannot grow the table or the lengths a lookup probes."""
         self._check_family(prefix.bits)
-        path: list[tuple[_Node[V], int]] = []  # (parent, bit taken from it)
-        node = self._root
-        top = self._bits - 1
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (top - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
+        bucket = self._buckets.get(prefix.length)
+        if bucket is None or bucket.pop(prefix.network, None) is None:
             return False
-        node.value = None
-        node.has_value = False
-        self._size -= 1
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None
-            if child.has_value or child.children[0] is not None or child.children[1] is not None:
-                break
-            parent.children[bit] = None
+        if not bucket:
+            del self._buckets[prefix.length]
+            self._reindex()
         return True
 
-    def get(self, prefix: _PrefixLike) -> V | None:
+    def get(self, prefix: Prefix) -> V | None:
         """Exact-match lookup (no LPM); None means absent."""
         self._check_family(prefix.bits)
-        node = self._walk(prefix, create=False)
-        if node is None or not node.has_value:
-            return None
-        return node.value
+        entry = self._buckets.get(prefix.length, {}).get(prefix.network)
+        return None if entry is None else entry[1]
 
-    def node_count(self) -> int:
-        """Number of trie nodes, the root included (a churn diagnostic:
-        after every prefix is removed this returns to 1)."""
-        count = 0
-        stack: list[_Node[V]] = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            for child in node.children:
-                if child is not None:
-                    stack.append(child)
-        return count
-
-    def lookup(self, address: _AddressLike) -> tuple[_PrefixLike, V] | None:
-        """Longest-prefix match for ``address``; None if nothing matches."""
+    def lookup(self, address: Address) -> tuple[Prefix, V] | None:
+        """Longest-prefix match: the stored ⟨prefix, value⟩, or None."""
         self._check_family(address.bits)
-        node = self._root
-        best: tuple[_PrefixLike, V] | None = None
-        if node.has_value:
-            best = (self._prefix_type(0, 0), node.value)  # type: ignore[arg-type]
         value = address.value
-        network = 0
-        top = self._bits - 1
-        for depth in range(self._bits):
-            bit = (value >> (top - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            network |= bit << (top - depth)
-            node = child
-            if node.has_value:
-                best = (self._prefix_type(network, depth + 1), node.value)  # type: ignore[arg-type]
-        return best
+        for mask, bucket in self._probes:
+            entry = bucket.get(value & mask)
+            if entry is not None:
+                return entry
+        return None
 
-    def items(self) -> Iterator[tuple[_PrefixLike, V]]:
-        """Iterate all (prefix, value) pairs in depth-first order."""
-        top = self._bits - 1
-        stack: list[tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, network, depth = stack.pop()
-            if node.has_value:
-                yield self._prefix_type(network, depth), node.value  # type: ignore[misc]
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append((child, network | (bit << (top - depth)), depth + 1))
+    def items(self) -> Iterator[tuple[Prefix, V]]:
+        """All (prefix, value) pairs; callers that need an order sort."""
+        for bucket in self._buckets.values():
+            yield from bucket.values()
 
     def clear(self) -> None:
         """Remove all entries."""
-        self._root = _Node()
-        self._size = 0
+        self._buckets.clear()
+        self._probes = ()

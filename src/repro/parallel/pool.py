@@ -87,9 +87,7 @@ class CellResult:
         return self.status == STATUS_OK
 
 
-def _pick_context(name: str | None) -> mp.context.BaseContext:
-    if name is not None:
-        return mp.get_context(name)
+def _pick_context() -> mp.context.BaseContext:
     # fork keeps worker start cheap and needs no importable __main__;
     # everywhere it is unavailable (Windows, some macOS setups) spawn
     # works because cells and context are shipped pickled either way.
@@ -187,9 +185,7 @@ def map_cells(
     *,
     workers: int = 1,
     timeout_s: float | None = None,
-    collect_telemetry: bool | None = None,
     progress: Callable[[int, int, CellResult], None] | None = None,
-    mp_context: str | None = None,
 ) -> list[CellResult]:
     """Run ``worker_fn(context, payload)`` for every ``(cell_id,
     payload)`` in ``cells`` and return one :class:`CellResult` per cell,
@@ -197,15 +193,14 @@ def map_cells(
 
     ``worker_fn`` must be a module-level function and ``context``/
     ``payload`` picklable: both cross a process boundary when
-    ``workers > 1``. ``collect_telemetry=None`` auto-detects from the
-    active backend. ``progress`` is called after each completion with
-    ``(done, total, result)``.
+    ``workers > 1``. Workers collect per-cell telemetry exactly when the
+    parent's active backend is enabled. ``progress`` is called after
+    each completion with ``(done, total, result)``.
     """
     total = len(cells)
     results: dict[int, CellResult] = {}
     parent_backend = telemetry_registry.current()
-    if collect_telemetry is None:
-        collect_telemetry = bool(parent_backend.enabled)
+    collect = bool(parent_backend.enabled)
 
     if workers <= 1 or total == 0:
         for index, (cell_id, payload) in enumerate(cells):
@@ -223,15 +218,9 @@ def map_cells(
                 progress(len(results), total, result)
         return [results[i] for i in range(total)]
 
-    ctx = _pick_context(mp_context)
-    want_trace = bool(
-        collect_telemetry
-        and getattr(parent_backend, "tracer", None) is not None
-    )
-    want_profile = bool(
-        collect_telemetry
-        and getattr(parent_backend, "profiler", None) is not None
-    )
+    ctx = _pick_context()
+    want_trace = collect and getattr(parent_backend, "tracer", None) is not None
+    want_profile = collect and getattr(parent_backend, "profiler", None) is not None
     pool_size = min(workers, total)
     pending: deque[int] = deque(range(total))
     next_worker_id = 0
@@ -244,7 +233,7 @@ def map_cells(
         process = ctx.Process(
             target=_worker_main,
             args=(worker_id, child_conn, worker_fn, context, list(cells),
-                  collect_telemetry, want_trace, want_profile),
+                  collect, want_trace, want_profile),
             daemon=True,
         )
         process.start()
@@ -343,7 +332,7 @@ def map_cells(
             worker.process.join()
 
     ordered = [results[i] for i in range(total)]
-    if collect_telemetry and parent_backend.enabled:
+    if collect:
         merge_telemetry(parent_backend, ordered)
     return ordered
 

@@ -135,15 +135,13 @@ class Topology:
         """ASes that host web clients (the paper's target population)."""
         return [info for info in self.ases.values() if info.hosts_web_clients]
 
-    def in_region(self, region: str) -> list[AsInfo]:
-        return [info for info in self.ases.values() if info.location.region == region]
-
     def static_routes_cache(self) -> dict:
         """The shared static-route memo, cleared if the topology grew.
 
-        Callers (``ForwardingPlane.static_routes_to``) treat this as a
-        plain ``{dest_node: StaticRoutes}`` dict; the validity check
-        mirrors ``ForwardingPlane.owner_of``'s trie rebuild."""
+        The one caller (``static_routes_for``) treats this as a plain
+        ``{dest_node: StaticRoutes}`` dict; a solve is a pure function
+        of the AS graph, so the AS and link counts key its validity,
+        as they do for ``_link_index``."""
         key = (len(self.ases), len(self.links))
         if self._static_routes_key != key:
             self._static_routes = {}

@@ -68,16 +68,6 @@ class AsInfo:
         return "web-clients" in self.tags
 
 
-@dataclass(frozen=True, slots=True)
-class InferredRelationship:
-    """One entry of the CAIDA-style dataset: the relationship of ``b``
-    from ``a``'s perspective (CUSTOMER means b is a's customer)."""
-
-    a: int
-    b: int
-    relationship: Relationship
-
-
 class RelationshipDataset:
     """AS-relationship data as an external inference would see it.
 

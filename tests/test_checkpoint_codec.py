@@ -18,6 +18,7 @@ from repro.checkpoint import (
     snapshot_network,
 )
 from repro.net.addr import IPv4Prefix
+from repro.net.lpm import LpmTable
 
 from tests.conftest import build_line_network
 
@@ -93,6 +94,20 @@ class TestRoundTrip:
         net = converged_net()
         clone = restore_network(snapshot_network(net))
         assert fingerprint(clone) == fingerprint(net)
+
+    def test_restored_fibs_are_the_snapshot_in_plain_tables(self):
+        """Restore inserts RouterState.fib's pairs into each router's
+        own table: no stand-in type, nothing deferred to first use."""
+        net = converged_net()
+        net.announce("r0", PFX.supernet())  # a second length under the /24
+        net.converge()
+        snapshot = snapshot_network(net)
+        fork = restore_network(snapshot)
+        assert [len(state.fib) for state in snapshot.routers] == [2, 2, 2, 2]
+        for state in snapshot.routers:
+            fib = fork.router(state.node_id).fib
+            assert type(fib) is LpmTable
+            assert tuple(sorted(fib.items())) == state.fib
 
     def test_snapshot_does_not_disturb_original(self):
         net = converged_net()

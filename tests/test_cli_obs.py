@@ -127,6 +127,24 @@ class TestReport:
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 2
 
 
+class TestUnreadableTrace:
+    @pytest.mark.parametrize("command", [["explain"], ["report"], ["trace", "summarize"]])
+    def test_reason_goes_to_stderr(self, capsys, tmp_path, command):
+        """Every trace consumer reads through one helper: a missing or
+        corrupt file exits 2 with the reason on stderr, stdout empty
+        (``trace summarize`` used to print it on stdout)."""
+        corrupt = tmp_path / "bad.jsonl"
+        corrupt.write_text("not json\n")
+        for path, reason in (
+            (tmp_path / "absent.jsonl", "no such trace file"),
+            (corrupt, "unreadable trace"),
+        ):
+            assert main([*command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert reason in captured.err
+
+
 class TestProfileCommand:
     def test_renders_profile(self, capsys, tmp_path):
         path = write_profile(tmp_path / "p.json")

@@ -153,11 +153,6 @@ class TestEventDrivenForward:
 
 
 class TestClientDirection:
-    def test_owner_of(self):
-        topo, net, plane = make_plane()
-        assert plane.owner_of(IPv4Address.parse("10.0.0.1")) == "r0"
-        assert plane.owner_of(IPv4Address.parse("11.0.0.1")) is None
-
     def test_latency_to_client(self):
         topo, net, plane = make_plane()
         latency = plane.latency_to_client("r3", "r0")
@@ -177,34 +172,3 @@ class TestClientDirection:
         first = plane.static_routes_to("r0")
         second = plane.static_routes_to("r0")
         assert first is second
-
-    def test_owner_of_matches_linear_scan(self, topology):
-        """The LPM-trie lookup must agree with a scan of every AS's
-        client prefix, including longest-match and miss cases."""
-        net = topology.build_network(seed=0, timing=FAST_TIMING)
-        plane = ForwardingPlane(net, topology)
-
-        def scan(address):
-            best = None
-            for info in topology.ases.values():
-                if info.prefix is not None and info.prefix.contains(address):
-                    if best is None or info.prefix.length > best[0]:
-                        best = (info.prefix.length, info.node_id)
-            return best[1] if best is not None else None
-
-        probes = [IPv4Address.parse("11.11.11.11")]  # guaranteed miss
-        for info in topology.ases.values():
-            if info.prefix is not None:
-                probes.append(info.prefix.address(1))
-        for address in probes:
-            assert plane.owner_of(address) == scan(address)
-
-    def test_owner_trie_rebuilds_when_ases_added(self):
-        topo, net, plane = make_plane()
-        late_prefix = IPv4Prefix.parse("12.0.0.0/24")
-        assert plane.owner_of(late_prefix.address(1)) is None  # trie built
-        topo.add_as(
-            AsInfo("late", 900, AsClass.STUB, Location("us-west", 0, 0),
-                   prefix=late_prefix)
-        )
-        assert plane.owner_of(late_prefix.address(1)) == "late"

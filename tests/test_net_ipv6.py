@@ -1,4 +1,4 @@
-"""Tests for IPv6 addressing and the family-generic LPM trie.
+"""Tests for IPv6 addressing and the family-generic LPM table.
 
 The paper's techniques are family-agnostic ("a distinct prefix (e.g.,
 /24 or /48)"); these tests verify the substrate handles /48-style IPv6
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.addr import IPv6Address, IPv6Prefix
-from repro.net.lpm import LpmTrie
+from repro.net.lpm import LpmTable
 
 
 class TestIPv6Address:
@@ -93,42 +93,42 @@ class TestIPv6Prefix:
 class TestDualStackTrie:
     def test_v6_trie_lpm(self):
         """The proactive-superprefix mechanism at /47 vs /48."""
-        trie = LpmTrie(bits=128)
+        table = LpmTable(bits=128)
         site = IPv6Prefix.parse("2001:db8::/48")
         covering = IPv6Prefix.parse("2001:db8::/47")
-        trie.insert(covering, "backup")
-        trie.insert(site, "specific")
+        table.insert(covering, "backup")
+        table.insert(site, "specific")
         probe = IPv6Address.parse("2001:db8::10")
-        assert trie.lookup(probe)[1] == "specific"
-        trie.remove(site)
-        assert trie.lookup(probe)[1] == "backup"
+        assert table.lookup(probe)[1] == "specific"
+        table.remove(site)
+        assert table.lookup(probe)[1] == "backup"
 
     def test_family_mixing_rejected(self):
         from repro.net.addr import IPv4Prefix
 
-        trie = LpmTrie(bits=128)
+        table = LpmTable(bits=128)
         with pytest.raises(ValueError, match="family mismatch"):
-            trie.insert(IPv4Prefix.parse("10.0.0.0/8"), "x")
+            table.insert(IPv4Prefix.parse("10.0.0.0/8"), "x")
 
     def test_v4_trie_rejects_v6(self):
-        trie = LpmTrie()
+        table = LpmTable()
         with pytest.raises(ValueError, match="family mismatch"):
-            trie.insert(IPv6Prefix.parse("2001:db8::/48"), "x")
+            table.insert(IPv6Prefix.parse("2001:db8::/48"), "x")
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
-            LpmTrie(bits=64)
+            LpmTable(bits=64)
 
     def test_v6_items_roundtrip(self):
-        trie = LpmTrie(bits=128)
+        table = LpmTable(bits=128)
         prefixes = [
             IPv6Prefix.parse("2001:db8::/48"),
             IPv6Prefix.parse("2001:db8:1::/48"),
             IPv6Prefix.parse("2001:db8::/32"),
         ]
         for i, prefix in enumerate(prefixes):
-            trie.insert(prefix, i)
-        assert dict(trie.items()) == {p: i for i, p in enumerate(prefixes)}
+            table.insert(prefix, i)
+        assert dict(table.items()) == {p: i for i, p in enumerate(prefixes)}
 
 
 class TestV6BgpEndToEnd:
@@ -141,7 +141,7 @@ class TestV6BgpEndToEnd:
         net = BgpNetwork(seed=0, default_timing=FAST_TIMING)
         for i, name in enumerate(("site", "transit", "client")):
             router = net.add_router(name, 100 + i)
-            router.fib = LpmTrie(bits=128)
+            router.fib = LpmTable(bits=128)
         net.add_provider("site", "transit")
         net.add_provider("client", "transit")
         prefix = IPv6Prefix.parse("2001:db8:1::/48")
