@@ -327,7 +327,15 @@ def check_run_shape(
     duration: float | None = None, detection_delay: float | None = None
 ) -> list[Finding]:
     """Scalar run parameters that must be sane before scheduling."""
-    findings: list[Finding] = []
+    stated = [
+        (code, label, value)
+        for code, label, value in (
+            ("PRE135", "run duration", duration),
+            ("PRE136", "detection delay", detection_delay),
+        )
+        if value is not None
+    ]
+    findings = _nonfinite(stated, "run")
     if duration is not None and duration <= 0:
         findings.append(_error(
             "PRE135", f"run duration {duration:g}s is not positive", "run",

@@ -36,10 +36,17 @@ from repro import telemetry
 logger = logging.getLogger(__name__)
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
     return value
 
 
@@ -50,7 +57,7 @@ def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         help="write a JSONL trace of the run's events to PATH",
     )
     group.add_argument(
-        "--trace-limit", type=_positive_int, default=None, metavar="N",
+        "--trace-limit", type=positive_int, default=None, metavar="N",
         help="bound the trace to the newest N events (ring buffer)",
     )
     group.add_argument(
@@ -67,7 +74,7 @@ def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
 def add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("parallel execution")
     group.add_argument(
-        "--workers", type=_positive_int, default=1, metavar="N",
+        "--workers", type=positive_int, default=1, metavar="N",
         help="worker processes for the sweep (default 1 = in-process serial; "
              "results are identical for any N)",
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 
+from repro.cli.common import positive_int
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.control import measure_control_all_sites
 from repro.topology.generator import TopologyParams
@@ -18,7 +19,7 @@ def register(subparsers) -> None:
         "control", help="measure proactive-prepending traffic control (Table 1)"
     )
     parser.add_argument(
-        "--prepends", type=int, nargs="*", default=[3, 5],
+        "--prepends", type=positive_int, nargs="*", default=[3, 5],
         help="prepend counts to evaluate",
     )
     parser.add_argument(

@@ -12,6 +12,7 @@ from repro.cli.common import (
     add_workload_arguments,
     cell_timeout,
     gate,
+    positive_int,
     resolve_capacity,
     resolve_workload,
     sweep_progress,
@@ -34,7 +35,7 @@ def register(subparsers) -> None:
     )
     parser.add_argument("--deadline", type=float, default=120.0,
                         help="recovery deadline per site (sim s)")
-    parser.add_argument("--clients", type=int, default=25,
+    parser.add_argument("--clients", type=positive_int, default=25,
                         help="monitored client ASes")
     parser.add_argument(
         "--faults", metavar="PLAN", default=None,

@@ -13,6 +13,7 @@ from repro.cli.common import (
     add_workload_arguments,
     cell_timeout,
     gate,
+    positive_int,
     report_sweep_failures,
     resolve_capacity,
     resolve_workload,
@@ -29,7 +30,9 @@ logger = logging.getLogger(__name__)
 
 
 def add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--targets", type=int, default=20, help="targets per site")
+    parser.add_argument(
+        "--targets", type=positive_int, default=20, help="targets per site"
+    )
     parser.add_argument(
         "--duration", type=float, default=300.0, help="probing window (sim s)"
     )
@@ -91,7 +94,7 @@ def register(subparsers) -> None:
         "-t", "--technique", choices=sorted(TECHNIQUES), default="reactive-anycast"
     )
     parser.add_argument("-s", "--site", default="sea1")
-    parser.add_argument("--prepend", type=int, default=3,
+    parser.add_argument("--prepend", type=positive_int, default=3,
                         help="prepend count for proactive-prepending")
     add_scale_arguments(parser)
     add_parallel_arguments(parser)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 
+from repro.cli.common import non_negative_int
 from repro.core.playbook import Playbook
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
@@ -25,7 +26,7 @@ def register(subparsers) -> None:
         help="max load share any other site may take (default 0.6)",
     )
     parser.add_argument(
-        "--levels", type=int, nargs="*", default=[0, 3, 5],
+        "--levels", type=non_negative_int, nargs="*", default=[0, 3, 5],
         help="prepend levels to precompute",
     )
     parser.set_defaults(func=run)

@@ -20,6 +20,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     cell_timeout,
     gate,
+    positive_int,
     print_workload_rows,
     report_sweep_failures,
     sweep_progress,
@@ -59,7 +60,7 @@ def register(subparsers) -> None:
         "-o", "--output", default="sweep.json", metavar="PATH",
         help="JSON archive path (default: sweep.json)",
     )
-    parser.add_argument("--prepend", type=int, default=3,
+    parser.add_argument("--prepend", type=positive_int, default=3,
                         help="prepend count for proactive-prepending")
     add_scale_arguments(parser)
     add_parallel_arguments(parser)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.analysis import render_json, render_text
 from repro.analysis.findings import Finding
-from repro.cli.common import add_telemetry_arguments, telemetry_session
+from repro.cli.common import add_telemetry_arguments, positive_int, telemetry_session
 from repro.core.techniques import TECHNIQUES
 from repro.faults import load_fault_plan
 from repro.verify import (
@@ -43,7 +43,7 @@ def register(subparsers) -> None:
              "Figure-2 roster plus unicast); ignored for fixture worlds",
     )
     parser.add_argument(
-        "--prepend", type=int, default=3,
+        "--prepend", type=positive_int, default=3,
         help="prepend count for proactive-prepending plans",
     )
     parser.add_argument(

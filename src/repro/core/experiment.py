@@ -109,7 +109,6 @@ class FailoverExperiment:
         catchment: dict[str, str | None] | None = None,
         hitlist: Hitlist | None = None,
         selections: dict[str, TargetSelection] | None = None,
-        baselines: dict[str, NetworkSnapshot] | None = None,
         use_checkpoint: bool = False,
     ) -> None:
         self.topology = topology
@@ -122,13 +121,12 @@ class FailoverExperiment:
         #: legacy cold-start path: per-cell runs no longer spend RNG
         #: draws on their own baseline convergence.
         self.use_checkpoint = use_checkpoint
-        # The keyword arguments pre-seed the topology-only caches; sweep
-        # workers use them so shared state computed once in the parent is
-        # never silently recomputed per process.
+        # The keyword arguments pre-seed the topology-only caches, so a
+        # second experiment over the same world need not recompute them.
         self._catchment: dict[str, str | None] | None = catchment
         self._hitlist: Hitlist | None = hitlist
         self._selections: dict[str, TargetSelection] = dict(selections or {})
-        self._baselines: dict[str, NetworkSnapshot] = dict(baselines or {})
+        self._baselines: dict[str, NetworkSnapshot] = {}
 
     # ------------------------------------------------------------------
     # Shared, topology-only state
@@ -182,8 +180,8 @@ class FailoverExperiment:
         return selection
 
     def cached_selections(self) -> dict[str, TargetSelection]:
-        """A copy of the per-⟨site, mode⟩ selection cache (for shipping
-        to sweep workers)."""
+        """A copy of the per-⟨site, mode⟩ selection cache (to pre-seed
+        another experiment over the same world)."""
         return dict(self._selections)
 
     # ------------------------------------------------------------------
@@ -223,8 +221,7 @@ class FailoverExperiment:
         return snapshot
 
     def cached_baselines(self) -> dict[str, NetworkSnapshot]:
-        """A copy of the per-technique baseline cache (for shipping to
-        sweep workers)."""
+        """A copy of the per-technique baseline cache."""
         return dict(self._baselines)
 
     # ------------------------------------------------------------------
@@ -296,7 +293,7 @@ class FailoverExperiment:
             network.run_for(config.probe_duration + config.drain_slack)
 
         with telemetry.phase("analyze", **tags):
-            outcomes = outcomes_for_run(rig.prober.logs, rig.prober.capture, site, event.failed_at)
+            outcomes = outcomes_for_run(rig.prober.logs, site, event.failed_at)
         return SiteFailoverResult(
             technique=technique.name,
             site=site,

@@ -8,18 +8,17 @@ Definitions, verbatim from the paper:
   first ping response after which the target does not switch sites or
   experience disconnection again".
 
-Both are computed per ⟨failed site, target⟩ from the probe bookkeeping
-(sent sequence numbers) joined with the site captures (received sequence
-numbers and receiving sites). Targets that never restabilize within the
-probing window are *censored*: their metric is None and CDF code treats
-them as beyond-window mass.
+Both are computed per ⟨failed site, target⟩ from the target's probe
+records (:class:`~repro.dataplane.ping.Probe`: sent at, reply arrived
+at, receiving site), which the prober completes as replies land.
+Targets that never restabilize within the probing window are *censored*:
+their metric is None and CDF code treats them as beyond-window mass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dataplane.capture import SiteCapture
 from repro.dataplane.ping import ProbeLog
 from repro.net.addr import IPv4Address
 
@@ -48,63 +47,44 @@ class TargetOutcome:
 
 
 def target_outcome(
-    log: ProbeLog,
-    capture: SiteCapture,
-    failed_site: str,
-    withdrawal_time: float,
+    log: ProbeLog, failed_site: str, withdrawal_time: float
 ) -> TargetOutcome:
     """Compute the §5.4.1 metrics for one target.
 
-    Only probes sent at or after the withdrawal count; the reply to each
-    is located by sequence number in the capture.
+    Only probes sent at or after the withdrawal count; a probe was
+    answered iff its record names the site its reply reached.
     """
-    replies_by_seq: dict[int, tuple[float, str]] = {}
-    for entry in capture.for_target(log.target):
-        # Keep the first arrival per seq (duplicates cannot happen with
-        # unicast delivery, but be defensive).
-        replies_by_seq.setdefault(entry.seq, (entry.time, entry.site))
-
-    probes = [p for p in log.sent if p.sent_at >= withdrawal_time]
-    probes.sort(key=lambda p: p.seq)
-    statuses: list[tuple[float, str] | None] = [replies_by_seq.get(p.seq) for p in probes]
+    probes = [p for p in log.probes if p.sent_at >= withdrawal_time]
 
     reconnection_s: float | None = None
-    for status in statuses:
-        if status is not None:
-            reconnection_s = status[0] - withdrawal_time
+    for probe in probes:
+        if probe.site is not None:
+            reconnection_s = probe.reply_at - withdrawal_time  # type: ignore[operator]
             break
 
     # Stable suffix: the earliest k from which every probe was answered,
     # all by the same site.
     failover_s: float | None = None
     final_site: str | None = None
-    if statuses and statuses[-1] is not None:
-        final_site = statuses[-1][1]
-        k = len(statuses) - 1
-        while k > 0:
-            prev = statuses[k - 1]
-            if prev is None or prev[1] != final_site:
-                break
+    if probes and probes[-1].site is not None:
+        final_site = probes[-1].site
+        k = len(probes) - 1
+        while k > 0 and probes[k - 1].site == final_site:
             k -= 1
-        if all(
-            s is not None and s[1] == final_site for s in statuses[k:]
-        ):
-            failover_s = statuses[k][0] - withdrawal_time  # type: ignore[index]
+        failover_s = probes[k].reply_at - withdrawal_time  # type: ignore[operator]
 
     # Bounce/disconnection accounting after first reconnection.
     bounces = 0
     disconnections = 0
-    seen_first = False
     last_site: str | None = None
-    for status in statuses:
-        if status is None:
-            if seen_first:
+    for probe in probes:
+        if probe.site is None:
+            if last_site is not None:
                 disconnections += 1
             continue
-        if seen_first and last_site is not None and status[1] != last_site:
+        if last_site is not None and probe.site != last_site:
             bounces += 1
-        seen_first = True
-        last_site = status[1]
+        last_site = probe.site
 
     return TargetOutcome(
         target=log.target,
@@ -118,15 +98,11 @@ def target_outcome(
 
 
 def outcomes_for_run(
-    logs: dict[IPv4Address, ProbeLog],
-    capture: SiteCapture,
-    failed_site: str,
-    withdrawal_time: float,
+    logs: dict[IPv4Address, ProbeLog], failed_site: str, withdrawal_time: float
 ) -> list[TargetOutcome]:
     """Per-target outcomes for one site-failure run."""
     return [
-        target_outcome(log, capture, failed_site, withdrawal_time)
-        for log in logs.values()
+        target_outcome(log, failed_site, withdrawal_time) for log in logs.values()
     ]
 
 

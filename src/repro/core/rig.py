@@ -14,7 +14,6 @@ from collections.abc import Iterable
 from repro.bgp.network import BgpNetwork
 from repro.core.controller import CdnController, FailureEvent
 from repro.core.plan import Technique
-from repro.dataplane.capture import SiteCapture
 from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
 from repro.dataplane.ping import Prober
 from repro.faults.injector import FaultInjector
@@ -99,7 +98,7 @@ class RunRig:
         )
         self.injector.arm()
         self.plane = ForwardingPlane(network, deployment.topology)
-        self.prober = Prober(self.plane, deployment, SiteCapture(), dst, vantage)
+        self.prober = Prober(self.plane, deployment, dst, vantage)
         #: failed sites (traffic stale FIBs still steer there is lost):
         #: one set, so probes and requests see a failure at one instant
         self.dead_sites = self.prober.dead_sites

@@ -197,13 +197,12 @@ class ScenarioRunner:
         n_buckets = int(self.duration_s // self.bucket_s) + 1
         sent = [0] * n_buckets
         answered = [0] * n_buckets
-        answered_seqs = {entry.seq for entry in rig.prober.capture.entries}
         for log in rig.prober.logs.values():
-            for probe in log.sent:
+            for probe in log.probes:
                 bucket = int((probe.sent_at - start) // self.bucket_s)
                 if 0 <= bucket < n_buckets:
                     sent[bucket] += 1
-                    if probe.seq in answered_seqs:
+                    if probe.site is not None:
                         answered[bucket] += 1
         return ScenarioReport(
             events=ordered,

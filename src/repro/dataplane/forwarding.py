@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.bgp.network import BgpNetwork
 from repro.net.addr import IPv4Address
-from repro.net.packet import Packet
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
 from repro.topology.static_routes import StaticRoutes, static_routes_for
@@ -135,21 +134,22 @@ class ForwardingPlane:
     def forward(
         self,
         start_node: str,
-        packet: Packet,
+        dst: IPv4Address,
         on_complete: Callable[[ForwardResult], None],
     ) -> None:
-        """Forward ``packet`` from ``start_node`` using live FIBs.
+        """Forward a packet for ``dst`` from ``start_node`` using live FIBs.
 
         Each hop consumes the link's latency on the simulation clock and
         re-resolves the next hop at that future instant. ``on_complete``
         fires exactly once, with delivery or a drop.
         """
-        self._hop(packet, start_node, (start_node,), on_complete, {})
+        self._hop(dst, start_node, start_node, (start_node,), on_complete, {})
 
     def _hop(
         self,
-        packet: Packet,
+        dst: IPv4Address,
         node: str,
+        last_concrete: str,
         path: tuple[str, ...],
         on_complete: Callable[[ForwardResult], None],
         seen: dict[str, str],
@@ -160,14 +160,17 @@ class ForwardingPlane:
         dropped immediately as ``LOOP`` instead of burning all
         ``MAX_HOPS`` hops of simulated latency first. A revisit whose
         FIB entry changed mid-flight is a transient loop (convergence in
-        progress) and keeps going under the hop-count fallback."""
+        progress) and keeps going under the hop-count fallback.
+        ``last_concrete`` is the most recent non-distributed node on
+        ``path`` (its first node until one is crossed), carried from hop
+        to hop by the rule :meth:`Topology.path_latency` states."""
         engine = self.network.engine
         if len(path) > MAX_HOPS:
             self._finish(
                 ForwardResult(None, path, engine.now, DropReason.TTL_EXCEEDED), on_complete
             )
             return
-        next_hop = self.network.next_hop(node, packet.dst)
+        next_hop = self.network.next_hop(node, dst)
         if next_hop is None:
             self._finish(
                 ForwardResult(None, path, engine.now, DropReason.NO_ROUTE), on_complete
@@ -183,19 +186,16 @@ class ForwardingPlane:
             )
             return
         seen[node] = next_hop
-        last_concrete = self._last_concrete(path)
-        latency = self.topology.hop_latency(last_concrete, node, next_hop)
+        topology = self.topology
+        latency = topology.hop_latency(last_concrete, node, next_hop)
+        if not topology.ases[next_hop].as_class.is_distributed:
+            last_concrete = next_hop
         engine.schedule(
             latency,
-            lambda: self._hop(packet, next_hop, path + (next_hop,), on_complete, seen),
+            lambda: self._hop(
+                dst, next_hop, last_concrete, path + (next_hop,), on_complete, seen
+            ),
         )
-
-    def _last_concrete(self, path: tuple[str, ...]) -> str:
-        """Most recent non-distributed node on the path (see geo model)."""
-        for node in reversed(path):
-            if not self.topology.ases[node].as_class.is_distributed:
-                return node
-        return path[0]
 
     def _finish(
         self, result: ForwardResult, on_complete: Callable[[ForwardResult], None]

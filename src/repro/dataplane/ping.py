@@ -7,46 +7,53 @@ numbers match responses to requests and expose disconnections.
 
 The prober sends requests from a healthy site over the static policy
 path (client prefixes are not part of the dynamic simulation), and the
-replies travel hop-by-hop over live FIBs toward the probe source address,
-landing in the :class:`~repro.dataplane.capture.SiteCapture` at whichever
-site currently attracts them.
+replies travel hop-by-hop over live FIBs toward the probe source address.
+What the paper assembles afterwards from send logs and per-site tcpdump
+-- per target, ⟨probe sent at, reply arrived at, receiving site⟩ matched
+by sequence number -- is written here as it happens: each echo is one
+:class:`Probe`, and its reply's fate lands in the record of its send.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from repro.dataplane.capture import SiteCapture
-from repro.dataplane.forwarding import (
-    DROP_LOG_LIMIT,
-    ForwardingPlane,
-    ForwardResult,
-    delivery_verdict,
-)
+from repro.dataplane.forwarding import ForwardingPlane, ForwardResult, delivery_verdict
 from repro.net.addr import IPv4Address, cached_str
-from repro.net.packet import IcmpEcho, IcmpEchoReply
 from repro.telemetry import registry as telemetry_registry
-from repro.telemetry.trace import ProbeLost, ProbeReply, ProbeSent
+from repro.telemetry.trace import ProbeLost, ProbeReply, ProbeSent, SiteSwitched
 from repro.topology.testbed import CdnDeployment
 
 
-@dataclass(frozen=True, slots=True)
-class SentProbe:
-    """Bookkeeping for one transmitted echo request."""
+@dataclass(slots=True)
+class Probe:
+    """One echo request and what became of its reply.
 
-    target: IPv4Address
+    Answered means ``site`` is set (the live site the reply reached, at
+    ``reply_at``); lost means ``reason`` is set (a
+    :func:`~repro.dataplane.forwarding.delivery_verdict` loss reason, or
+    ``unreachable``); neither means the reply was still in flight when
+    the run ended.
+    """
+
     seq: int
     sent_at: float
+    reply_at: float | None = None
+    site: str | None = None
+    reason: str | None = None
 
 
 @dataclass(slots=True)
 class ProbeLog:
-    """All probes sent toward one target."""
+    """All probes sent toward one target, in send (= seq) order."""
 
     target: IPv4Address
     target_node: str
-    sent: list[SentProbe] = field(default_factory=list)
+    #: one-way latency of the request leg; None when the vantage has no
+    #: static path to the target. Fixed per target: the request follows
+    #: static policy routes, which cannot move during a run.
+    request_latency: float | None
+    probes: list[Probe] = field(default_factory=list)
 
 
 class Prober:
@@ -61,26 +68,20 @@ class Prober:
         self,
         plane: ForwardingPlane,
         deployment: CdnDeployment,
-        capture: SiteCapture,
         source: IPv4Address,
         vantage_site: str,
     ) -> None:
         self.plane = plane
         self.deployment = deployment
-        self.capture = capture
         self.source = source
         self.vantage_site = vantage_site
         self.logs: dict[IPv4Address, ProbeLog] = {}
         self._seq = 0
-        #: the newest replies that were lost (diagnostics; ring buffer
-        #: like ``ForwardingPlane.drops`` -- ``lost_total`` keeps the
-        #: full count)
-        self.lost_replies: deque[ForwardResult] = deque(maxlen=DROP_LOG_LIMIT)
-        #: every lost reply ever recorded, evicted or not
-        self.lost_total = 0
         #: failed sites: a reply forwarded to one of these is lost, since
         #: the site is down even while stale FIB entries still point at it
         self.dead_sites: set[str] = set()
+        #: last site each target's replies arrived at (site-switch telemetry)
+        self._last_site: dict[IPv4Address, str] = {}
         self._telemetry = telemetry_registry.current()
 
     # ------------------------------------------------------------------
@@ -90,67 +91,86 @@ class Prober:
         engine = self.plane.network.engine
         log = self.logs.get(target)
         if log is None:
-            log = ProbeLog(target=target, target_node=target_node)
-            self.logs[target] = log
+            vantage_node = self.deployment.site_node(self.vantage_site)
+            latency = self.plane.latency_to_client(vantage_node, target_node)
+            log = self.logs[target] = ProbeLog(target, target_node, latency)
         self._seq += 1
-        seq = self._seq
-        log.sent.append(SentProbe(target=target, seq=seq, sent_at=engine.now))
+        probe = Probe(self._seq, engine.now)
+        log.probes.append(probe)
         telemetry = self._telemetry
         if telemetry.enabled:
             telemetry.inc("probe.sent")
-            telemetry.emit(ProbeSent(t=engine.now, target=cached_str(target), seq=seq))
-        vantage_node = self.deployment.site_node(self.vantage_site)
-        latency = self.plane.latency_to_client(vantage_node, target_node)
-        if latency is None:
+            telemetry.emit(
+                ProbeSent(t=engine.now, target=cached_str(target), seq=probe.seq)
+            )
+        if log.request_latency is None:
             # Target unreachable from the vantage: no reply ever.
+            probe.reason = "unreachable"
             if telemetry.enabled:
                 telemetry.emit(
                     ProbeLost(
                         t=engine.now,
                         target=cached_str(target),
-                        seq=seq,
+                        seq=probe.seq,
                         reason="unreachable",
                     )
                 )
             return
-        request = IcmpEcho(src=self.source, dst=target, seq=seq)
-        engine.schedule(latency, lambda: self._reply(request, target_node))
+        engine.schedule(log.request_latency, lambda: self._reply(log, probe))
 
-    def _reply(self, request: IcmpEcho, target_node: str) -> None:
-        reply = request.reply_from(responder=request.dst)
+    def _reply(self, log: ProbeLog, probe: Probe) -> None:
+        """The target answers: its reply is addressed to the request's
+        *source*, which is how §5.2 steers replies toward the prefix
+        under test."""
         self.plane.forward(
-            target_node, reply, lambda result: self._reply_done(reply, result)
+            log.target_node,
+            self.source,
+            lambda result: self._reply_done(log.target, probe, result),
         )
 
-    def _reply_done(self, reply: IcmpEchoReply, result: ForwardResult) -> None:
+    def _reply_done(
+        self, target: IPv4Address, probe: Probe, result: ForwardResult
+    ) -> None:
         telemetry = self._telemetry
         site, reason = delivery_verdict(result, self.deployment, self.dead_sites)
         if reason is not None:
-            self.lost_replies.append(result)
-            self.lost_total += 1
+            probe.reason = reason
             if telemetry.enabled:
                 telemetry.inc("probe.replies_lost")
                 telemetry.emit(
                     ProbeLost(
                         t=result.completed_at,
-                        target=cached_str(reply.src),
-                        seq=reply.seq,
+                        target=cached_str(target),
+                        seq=probe.seq,
                         reason=reason,
                         site=site or "",
                     )
                 )
             return
+        probe.site = site
+        probe.reply_at = result.completed_at
         if telemetry.enabled:
             telemetry.inc("probe.replies")
             telemetry.emit(
                 ProbeReply(
                     t=result.completed_at,
-                    target=cached_str(reply.src),
-                    seq=reply.seq,
+                    target=cached_str(target),
+                    seq=probe.seq,
                     site=site,
                 )
             )
-        self.capture.record(result.completed_at, site, reply.src, reply.seq)
+            previous = self._last_site.get(target)
+            if previous is not None and previous != site:
+                telemetry.inc("probe.site_switches")
+                telemetry.emit(
+                    SiteSwitched(
+                        t=result.completed_at,
+                        target=cached_str(target),
+                        from_site=previous,
+                        to_site=site,
+                    )
+                )
+            self._last_site[target] = site
 
     # ------------------------------------------------------------------
 

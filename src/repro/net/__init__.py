@@ -1,14 +1,13 @@
-"""Addressing and packet substrate.
+"""Addressing substrate.
 
 This package provides the low-level building blocks shared by the BGP
 simulator and the data plane: IPv4/IPv6 addresses and prefixes
-(`repro.net.addr`), a length-bucketed longest-prefix-match table
-(`repro.net.lpm`), and packet dataclasses (`repro.net.packet`).
+(`repro.net.addr`) and a length-bucketed longest-prefix-match table
+(`repro.net.lpm`).
 """
 
 from repro.net.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
 from repro.net.lpm import LpmTable
-from repro.net.packet import IcmpEcho, IcmpEchoReply, Packet
 
 __all__ = [
     "IPv4Address",
@@ -16,7 +15,4 @@ __all__ = [
     "IPv6Address",
     "IPv6Prefix",
     "LpmTable",
-    "Packet",
-    "IcmpEcho",
-    "IcmpEchoReply",
 ]

@@ -5,9 +5,11 @@ technique (Fig. 2): how many user-seconds were lost, and to what --
 packets blackholed while withdrawals converge, caught in transient
 forwarding loops, or delivered to the wrong (dead) site. The telemetry
 layer records every probe's fate (:class:`ProbeSent` / :class:`ProbeReply`
-/ :class:`ProbeLost`); :class:`AvailabilityLedger` folds that stream into
-classified outage intervals and aggregates user-seconds-lost per
-technique and site. ``repro report`` renders the result.
+/ :class:`ProbeLost`); :class:`AvailabilityLedger` rebuilds the prober's
+per-target :class:`~repro.dataplane.ping.Probe` records from that
+stream, folds them into classified outage intervals and aggregates
+user-seconds-lost per technique and site. ``repro report`` renders the
+result.
 
 Determinism: the ledger is a pure fold over the event list. A parallel
 (``--workers N``) run merges each cell's identical event subsequence in
@@ -33,9 +35,10 @@ Outage model (one simulated "user" per probed target):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dataplane.forwarding import CLASS_BY_REASON
+from repro.dataplane.ping import Probe
 from repro.telemetry.trace import (
     PhaseStart,
     ProbeLost,
@@ -69,15 +72,6 @@ class Outage:
         return max(0.0, self.end - self.start)
 
 
-@dataclass(slots=True)
-class _TargetLog:
-    """Per-⟨run, target⟩ probe bookkeeping during the fold."""
-
-    sends: list[tuple[float, int]] = field(default_factory=list)
-    #: seq -> "ok" or a loss reason
-    outcomes: dict[int, str] = field(default_factory=dict)
-
-
 def _workload_bucket() -> dict:
     return {
         "offered": 0, "served": 0, "blackhole": 0, "loop": 0,
@@ -103,6 +97,9 @@ class AvailabilityLedger:
         self.outages: list[Outage] = outages or []
         #: (technique, site) -> workload aggregate (see _workload_bucket)
         self.workload: dict[tuple[str, str], dict] = workload or {}
+        #: (technique, site, target) -> the prober's records for that
+        #: target, in send order, as :meth:`from_events` rebuilt them
+        self.probes: dict[tuple[str, str, str], list[Probe]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -117,7 +114,9 @@ class AvailabilityLedger:
         within their run only.
         """
         technique, site = "", ""
-        logs: dict[tuple[str, str, str], _TargetLog] = {}
+        logs: dict[tuple[str, str, str], list[Probe]] = {}
+        #: the same records, by (technique, site, target, seq)
+        sent: dict[tuple[str, str, str, int], Probe] = {}
         workload: dict[tuple[str, str], dict] = {}
         for event in events:
             if isinstance(event, PhaseStart):
@@ -135,22 +134,23 @@ class AvailabilityLedger:
                 bucket["user_seconds_lost"] += event.user_seconds_lost
                 bucket["samples"] += 1
             elif isinstance(event, ProbeSent):
-                log = logs.setdefault((technique, site, event.target), _TargetLog())
-                log.sends.append((event.t, event.seq))
+                probe = Probe(event.seq, event.t)
+                logs.setdefault((technique, site, event.target), []).append(probe)
+                sent[(technique, site, event.target, event.seq)] = probe
             elif isinstance(event, ProbeReply):
-                log = logs.get((technique, site, event.target))
-                if log is not None:
-                    log.outcomes[event.seq] = "ok"
+                probe = sent.get((technique, site, event.target, event.seq))
+                if probe is not None:
+                    probe.site, probe.reply_at = event.site, event.t
             elif isinstance(event, ProbeLost):
-                log = logs.get((technique, site, event.target))
-                if log is not None:
-                    log.outcomes[event.seq] = event.reason
+                probe = sent.get((technique, site, event.target, event.seq))
+                if probe is not None:
+                    probe.reason = event.reason
         outages: list[Outage] = []
-        for (run_technique, run_site, target), log in logs.items():
-            outages.extend(
-                _intervals(run_technique, run_site, target, log)
-            )
-        return cls(outages, workload)
+        for (run_technique, run_site, target), probes in logs.items():
+            outages.extend(_intervals(run_technique, run_site, target, probes))
+        ledger = cls(outages, workload)
+        ledger.probes = logs
+        return ledger
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -269,12 +269,11 @@ class AvailabilityLedger:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _intervals(technique: str, site: str, target: str, log: _TargetLog) -> list[Outage]:
-    """Classified outage intervals for one target's probe log."""
-    sends = log.sends
-    if not sends:
+def _intervals(technique: str, site: str, target: str, probes: list[Probe]) -> list[Outage]:
+    """Classified outage intervals for one target's probe records."""
+    if not probes:
         return []
-    gaps = sorted(b[0] - a[0] for a, b in zip(sends, sends[1:]))
+    gaps = sorted(b.sent_at - a.sent_at for a, b in zip(probes, probes[1:]))
     median_gap = gaps[len(gaps) // 2] if gaps else 0.0
     outages: list[Outage] = []
     run_start: float | None = None
@@ -302,16 +301,15 @@ def _intervals(technique: str, site: str, target: str, log: _TargetLog) -> list[
         )
         run_start, run_reasons = None, []
 
-    for t, seq in sends:
-        outcome = log.outcomes.get(seq, "unanswered")
-        if outcome == "ok":
-            close(end=t)
+    for probe in probes:
+        if probe.site is not None:
+            close(end=probe.sent_at)
         else:
             if run_start is None:
-                run_start = t
-            run_reasons.append(outcome)
+                run_start = probe.sent_at
+            run_reasons.append(probe.reason or "unanswered")
     if run_start is not None:
-        close(end=sends[-1][0] + median_gap)
+        close(end=probes[-1].sent_at + median_gap)
     return outages
 
 

@@ -6,8 +6,8 @@ Two layers:
   (:func:`map_cells`): per-cell timeouts, dead-worker replacement, and
   telemetry snapshot/trace merge, with results returned in cell order;
 * :mod:`repro.parallel.sweep` -- the failover-experiment sweep built on
-  it: the ⟨technique, failed site⟩ matrix, the precomputed shared-state
-  snapshot shipped to workers, and the :class:`SweepReport` the CLI and
+  it: the ⟨technique, failed site⟩ matrix, the cache-warm experiment
+  shipped to workers, and the :class:`SweepReport` the CLI and
   exporters consume.
 
 See ``docs/parallel.md`` for the worker model and the determinism
@@ -28,7 +28,6 @@ from repro.parallel.progress import ProgressPrinter
 from repro.parallel.sweep import (
     SweepCell,
     SweepReport,
-    SweepShared,
     matrix,
     run_sweep,
     shared_state,
@@ -46,7 +45,6 @@ __all__ = [
     "ProgressPrinter",
     "SweepCell",
     "SweepReport",
-    "SweepShared",
     "matrix",
     "run_sweep",
     "shared_state",

@@ -9,36 +9,28 @@ Determinism guarantees (what makes ``--workers N`` byte-identical to
 ``--workers 1``):
 
 * every piece of state a cell depends on -- topology, deployment,
-  config, the anycast catchment, the hitlist, and each site's target
-  selection -- is computed **once in the parent** and shipped to the
-  workers inside a :class:`SweepShared` snapshot, so no worker ever
-  recomputes (or worse, re-derives differently) shared state;
+  config, the anycast catchment, the hitlist, each site's target
+  selection and each technique's baseline snapshot -- is computed
+  **once in the parent**, on the experiment itself, and the experiment
+  is what the workers are shipped (:func:`shared_state`), so no worker
+  ever recomputes (or worse, re-derives differently) shared state;
 * the per-cell seed is derived in :meth:`run_site` from the cell's own
   ⟨technique, site⟩ name via crc32, never from worker identity,
   scheduling order, or wall time;
 * results are merged in cell order, not completion order.
 
-A fresh :class:`FailoverExperiment` is rebuilt around the snapshot in
-each worker, which is exactly what the serial path does per cell minus
-the shared-state computation.
+A worker runs a cell by calling ``run_site`` on its copy of that
+experiment, which is exactly what the serial path does on the original.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.checkpoint import NetworkSnapshot
-from repro.core.experiment import (
-    FailoverConfig,
-    FailoverExperiment,
-    SiteFailoverResult,
-)
+from repro.core.experiment import FailoverExperiment, SiteFailoverResult
 from repro.core.techniques import Technique
-from repro.measurement.hitlist import Hitlist, TargetSelection
 from repro.parallel.pool import CellResult, map_cells
-from repro.topology.generator import Topology
-from repro.topology.testbed import CdnDeployment
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,25 +50,10 @@ def matrix(techniques: list[Technique], sites: list[str]) -> list[SweepCell]:
     return [SweepCell(technique, site) for technique in techniques for site in sites]
 
 
-@dataclass(slots=True)
-class SweepShared:
-    """Everything a worker needs to run any cell, precomputed once."""
-
-    topology: Topology
-    deployment: CdnDeployment
-    config: FailoverConfig
-    catchment: dict[str, str | None]
-    hitlist: Hitlist
-    selections: dict[str, TargetSelection]
-    #: per-technique converged base snapshots (checkpoint path); like
-    #: the selections, computed once in the parent so every worker forks
-    #: byte-identical baselines.
-    baselines: dict[str, NetworkSnapshot] = field(default_factory=dict)
-    use_checkpoint: bool = False
-
-
-def shared_state(experiment: FailoverExperiment, cells: list[SweepCell]) -> SweepShared:
-    """Precompute the topology-only state every cell in ``cells`` needs.
+def shared_state(
+    experiment: FailoverExperiment, cells: list[SweepCell]
+) -> FailoverExperiment:
+    """``experiment`` with everything ``cells`` share already computed.
 
     Forces the experiment's catchment/hitlist/selection caches for each
     cell's ⟨site, selection mode⟩ -- and, on the checkpoint path, each
@@ -88,30 +65,11 @@ def shared_state(experiment: FailoverExperiment, cells: list[SweepCell]) -> Swee
     if experiment.use_checkpoint:
         for cell in cells:
             experiment.baseline_for(cell.technique)
-    return SweepShared(
-        topology=experiment.topology,
-        deployment=experiment.deployment,
-        config=experiment.config,
-        catchment=experiment.catchment,
-        hitlist=experiment.hitlist,
-        selections=experiment.cached_selections(),
-        baselines=experiment.cached_baselines(),
-        use_checkpoint=experiment.use_checkpoint,
-    )
+    return experiment
 
 
-def _run_cell(shared: SweepShared, cell: SweepCell) -> SiteFailoverResult:
-    """Worker entry point: one cell on a fresh experiment shell."""
-    experiment = FailoverExperiment(
-        shared.topology,
-        shared.deployment,
-        shared.config,
-        catchment=shared.catchment,
-        hitlist=shared.hitlist,
-        selections=shared.selections,
-        baselines=shared.baselines,
-        use_checkpoint=shared.use_checkpoint,
-    )
+def _run_cell(experiment: FailoverExperiment, cell: SweepCell) -> SiteFailoverResult:
+    """Worker entry point: one cell."""
     return experiment.run_site(cell.technique, cell.site)
 
 

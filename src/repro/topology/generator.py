@@ -89,19 +89,21 @@ class Topology:
     params: TopologyParams
     ases: dict[str, AsInfo] = field(default_factory=dict)
     links: list[Link] = field(default_factory=list)
+    #: ``links`` by endpoint, kept by :meth:`add_as` / :meth:`link`:
+    #: {node: {neighbor: the neighbor's relationship from node's view}}
+    #: (ASes in ``ases`` order, neighbors in ``links`` order; shared,
+    #: read-only to callers) and {(a, b): latency}, both directions
+    adjacency: dict[str, dict[str, Relationship]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _latencies: dict[tuple[str, str], float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: memoized all-ASes static-route solves, keyed by destination node.
     #: A solve depends only on the AS graph, never on BGP state, so it
     #: is shared by every forwarding plane (and sweep cell) over this
-    #: topology instead of being re-solved per cell.
+    #: topology instead of being re-solved per cell; growth clears it.
     _static_routes: dict = field(default_factory=dict, repr=False, compare=False)
-    #: (n_ases, n_links) the memo was built against; growth invalidates
-    _static_routes_key: tuple = field(default=(0, 0), repr=False, compare=False)
-    #: lazily built {node: {neighbor: relationship}} adjacency index and
-    #: {(a, b): latency} link index -- pure functions of ``links``, so
-    #: they share the same growth-invalidation key as the route memo.
-    _adjacency: dict = field(default_factory=dict, repr=False, compare=False)
-    _latencies: dict = field(default_factory=dict, repr=False, compare=False)
-    _index_key: tuple = field(default=(-1, -1), repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction helpers (used by the generator and the testbed)
@@ -110,20 +112,25 @@ class Topology:
         if info.node_id in self.ases:
             raise ValueError(f"duplicate AS node {info.node_id!r}")
         self.ases[info.node_id] = info
+        self.adjacency[info.node_id] = {}
+        self._static_routes.clear()
         return info
 
     def link(self, a: str, b: str, relationship_of_b: Relationship) -> None:
         """Connect ``a`` and ``b`` with geo-derived latency."""
         if a not in self.ases or b not in self.ases:
             raise ValueError(f"unknown AS in link {a!r} <-> {b!r}")
-        for existing in self.links:
-            if {existing.a, existing.b} == {a, b}:
-                raise ValueError(f"link {a!r} <-> {b!r} already exists")
+        if self.has_link(a, b):
+            raise ValueError(f"link {a!r} <-> {b!r} already exists")
         latency = link_latency_s(self.ases[a].location, self.ases[b].location)
         self.links.append(Link(a, b, relationship_of_b, latency))
+        self.adjacency[a][b] = relationship_of_b
+        self.adjacency[b][a] = relationship_of_b.inverse()
+        self._latencies[(a, b)] = self._latencies[(b, a)] = latency
+        self._static_routes.clear()
 
     def has_link(self, a: str, b: str) -> bool:
-        return any({link.a, link.b} == {a, b} for link in self.links)
+        return (a, b) in self._latencies
 
     # ------------------------------------------------------------------
     # Queries
@@ -136,50 +143,20 @@ class Topology:
         return [info for info in self.ases.values() if info.hosts_web_clients]
 
     def static_routes_cache(self) -> dict:
-        """The shared static-route memo, cleared if the topology grew.
-
-        The one caller (``static_routes_for``) treats this as a plain
-        ``{dest_node: StaticRoutes}`` dict; a solve is a pure function
-        of the AS graph, so the AS and link counts key its validity,
-        as they do for ``_link_index``."""
-        key = (len(self.ases), len(self.links))
-        if self._static_routes_key != key:
-            self._static_routes = {}
-            self._static_routes_key = key
+        """The shared static-route memo: the plain ``{dest_node:
+        StaticRoutes}`` dict its one caller (``static_routes_for``)
+        fills. A solve is a pure function of the AS graph, so
+        :meth:`add_as` and :meth:`link` clear it."""
         return self._static_routes
-
-    def _link_index(self) -> tuple[dict, dict]:
-        """Adjacency/latency indexes, rebuilt if the topology grew.
-
-        ``neighbors`` and ``link_latency`` used to scan ``links`` on
-        every call -- O(links) each, and both sit on the forwarding hot
-        path (every simulated hop resolves a latency), which dominated
-        per-cell cost in sweep profiles. One O(links) build amortises
-        them to dict lookups."""
-        key = (len(self.ases), len(self.links))
-        if self._index_key != key:
-            adjacency: dict[str, dict[str, Relationship]] = {}
-            latencies: dict[tuple[str, str], float] = {}
-            for link in self.links:
-                adjacency.setdefault(link.a, {})[link.b] = link.relationship
-                adjacency.setdefault(link.b, {})[link.a] = link.relationship.inverse()
-                latencies[(link.a, link.b)] = link.latency_s
-                latencies[(link.b, link.a)] = link.latency_s
-            self._adjacency = adjacency
-            self._latencies = latencies
-            self._index_key = key
-        return self._adjacency, self._latencies
 
     def neighbors(self, node_id: str) -> dict[str, Relationship]:
         """Neighbors of ``node_id`` with the relationship of each neighbor
         from ``node_id``'s perspective (a fresh copy; mutate freely)."""
-        adjacency, _ = self._link_index()
-        return dict(adjacency.get(node_id, {}))
+        return dict(self.adjacency.get(node_id, {}))
 
     def link_latency(self, a: str, b: str) -> float:
-        _, latencies = self._link_index()
         try:
-            return latencies[(a, b)]
+            return self._latencies[(a, b)]
         except KeyError:
             raise KeyError(f"no link {a!r} <-> {b!r}") from None
 
@@ -386,8 +363,12 @@ def generate_topology(params: TopologyParams | None = None) -> Topology:
                 elif rng.random() < local_prob:
                     topo.link(re_node, transit, Relationship.PEER)
 
-    # --- Client /24 pool ------------------------------------------------
-    client_prefixes = iter(CLIENT_POOL.subnets(24))
+    # --- Client /24 pool (drawn as needed: ~150 of its 65,536) ----------
+    pool_end = CLIENT_POOL.network + CLIENT_POOL.num_addresses()
+    client_prefixes = (
+        IPv4Prefix(network, 24)
+        for network in range(CLIENT_POOL.network, pool_end, 1 << (32 - 24))
+    )
 
     # --- Universities (R&E edge, host web clients) ----------------------
     for region in regions:

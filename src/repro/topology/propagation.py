@@ -64,11 +64,9 @@ class SymbolicGraph:
         preferences: dict[str, dict[str, int]] | None = None,
     ) -> "SymbolicGraph":
         asn = {node: info.asn for node, info in topology.ases.items()}
-        adjacency: dict[str, dict[str, Relationship]] = {node: {} for node in asn}
-        for link in topology.links:
-            adjacency[link.a][link.b] = link.relationship
-            adjacency[link.b][link.a] = link.relationship.inverse()
-        return cls(asn=asn, adjacency=adjacency, preferences=dict(preferences or {}))
+        return cls(
+            asn=asn, adjacency=topology.adjacency, preferences=dict(preferences or {})
+        )
 
     def local_pref(self, node: str, neighbor: str) -> int:
         """LOCAL_PREF ``node`` assigns to routes imported from ``neighbor``."""

@@ -71,9 +71,7 @@ class StaticRoutes:
 
     def _solve(self) -> None:
         topo = self.topology
-        neighbors: dict[str, dict[str, Relationship]] = {
-            node: topo.neighbors(node) for node in topo.ases
-        }
+        neighbors = topo.adjacency
 
         # Stage 1: customer routes. An AS x has a customer route if some
         # neighbor y that is x's *customer* has one (or is the destination).

@@ -181,6 +181,16 @@ class TestRunShape:
     def test_negative_detection_delay(self):
         assert codes(check_run_shape(detection_delay=-1.0)) == ["PRE136"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_are_refused_under_their_own_codes(self, value):
+        """NaN fails ``<= 0`` and +inf passes it: neither is a window
+        the prober can schedule against."""
+        assert codes(check_run_shape(duration=value)) == ["PRE135"]
+        assert codes(check_run_shape(detection_delay=value)) == ["PRE136"]
+        findings = check_run_shape(duration=value, detection_delay=value)
+        assert codes(findings) == ["PRE135", "PRE136"]
+        assert all("is not finite" in f.message for f in findings)
+
 
 class TestPreflightRun:
     def test_good_run_is_ok(self, deployment):

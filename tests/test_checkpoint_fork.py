@@ -158,7 +158,7 @@ class TestPhasesAndDefaults:
         experiment = make_experiment(deployment, use_checkpoint=True)
         shared = shared_state(experiment, cells)
         assert shared.use_checkpoint is True
-        assert sorted(shared.baselines) == sorted(t.baseline_key for t in techniques)
+        assert sorted(shared.cached_baselines()) == sorted(t.baseline_key for t in techniques)
 
     def test_legacy_sweep_ships_no_baselines(self, deployment):
         from repro.parallel.sweep import shared_state
@@ -166,4 +166,4 @@ class TestPhasesAndDefaults:
         cells = matrix([technique_by_name("anycast")], deployment.site_names[:1])
         shared = shared_state(make_experiment(deployment), cells)
         assert shared.use_checkpoint is False
-        assert shared.baselines == {}
+        assert shared.cached_baselines() == {}

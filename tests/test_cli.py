@@ -61,6 +61,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "-t", "quantum"])
 
+    @pytest.mark.parametrize("argv", [
+        ["failover", "--targets", "-1"],
+        ["control", "--prepends", "-1"],
+        ["failover", "-t", "proactive-prepending", "--prepend", "0"],
+        ["sweep", "-t", "proactive-prepending", "--prepend", "0"],
+        ["playbook", "--levels", "-1"],
+        ["drill", "--clients", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_hostile_counts_are_usage_errors(self, argv, capsys):
+        """Each used to end in a traceback (``Sample larger than
+        population or is negative``, ``prepend must be >= 1``), pass
+        silently, or print ``recovered 0/0 PASS`` with exit 0."""
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(argv)
+        assert refused.value.code == 2
+        assert f"argument {argv[-2]}: must " in capsys.readouterr().err
+
+    def test_level_zero_is_the_baseline_play(self):
+        assert build_parser().parse_args(["playbook", "--levels", "0"]).levels == [0]
+
 
 class TestCommands:
     def test_topology_summary(self, capsys):
@@ -288,6 +308,25 @@ class TestExtendedCommands:
         captured = capsys.readouterr()
         assert "VER231" in captured.err and "unknown site 'nosuch'" in captured.err
         assert "faults injected" not in captured.out
+
+    def test_non_finite_run_shape_is_refused_at_the_gate(self, capsys):
+        """``--duration nan`` used to print an all-censored table with
+        exit 0 (NaN fails the ``<= 0`` test) and ``inf`` never returned."""
+        argv = ["failover", "-s", "msn", "--targets", "3"]
+        for flag, value, code in (
+            ("--duration", "nan", "PRE135"),
+            ("--duration", "inf", "PRE135"),
+            ("--detection-delay", "nan", "PRE136"),
+        ):
+            assert main(argv + [flag, value]) == 2
+            captured = capsys.readouterr()
+            assert f"{code} error" in captured.err and "is not finite" in captured.err
+            assert "failing msn" not in captured.out
+        assert main(["drill", "--clients", "2", "--deadline", "nan"]) == 2
+        assert "PRE135" in capsys.readouterr().err
+        # --no-check still overrides, as for every other gate finding
+        assert main(argv + ["--duration", "nan", "--no-check"]) == 0
+        assert "overridden by --no-check" in capsys.readouterr().err
 
     def test_capacity_binds_only_with_a_workload_on_both_commands(self, capsys, tmp_path):
         """A brownout fault under ``--capacity`` without ``--workload``

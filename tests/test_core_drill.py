@@ -7,7 +7,6 @@ from repro.core.drill import RotationDrill
 from repro.core.rig import RunRig
 from repro.core.techniques import TECHNIQUES, ReactiveAnycast, Unicast, technique_by_name
 from repro.dataplane.forwarding import delivery_verdict
-from repro.net.packet import Packet
 from repro.topology.testbed import SECOND_PREFIX
 
 from tests.conftest import FAST_TIMING
@@ -65,8 +64,7 @@ class TestRotationDrill:
         (rig,) = rigs
         forwards = []
         for client in clients:
-            source = topology.ases[client].prefix.address(1)
-            rig.plane.forward(client, Packet(source, rig.dst), forwards.append)
+            rig.plane.forward(client, rig.dst, forwards.append)
         rig.network.run_for(5.0)
         delivered = sum(
             delivery_verdict(result, deployment, rig.dead_sites)[1] is None

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from repro.core.metrics import TargetOutcome, bounce_statistics, outcomes_for_run, target_outcome
-from repro.dataplane.capture import SiteCapture
-from repro.dataplane.ping import ProbeLog, SentProbe
+from repro.dataplane.ping import Probe, ProbeLog
 from repro.net.addr import IPv4Address
 
 TARGET = IPv4Address.parse("10.0.0.1")
@@ -14,32 +13,32 @@ T_FAIL = 100.0
 
 
 def scenario(statuses, interval=1.5, rtt=0.1):
-    """Build a ProbeLog + SiteCapture from a list of per-probe outcomes:
-    each entry is a site name (reply arrives) or None (lost)."""
-    log = ProbeLog(target=TARGET, target_node="eye")
-    capture = SiteCapture()
+    """Build a ProbeLog from a list of per-probe outcomes: each entry is
+    a site name (reply arrives) or None (lost)."""
+    log = ProbeLog(target=TARGET, target_node="eye", request_latency=rtt / 2)
     for i, status in enumerate(statuses):
         sent_at = T_FAIL + i * interval
-        log.sent.append(SentProbe(target=TARGET, seq=i + 1, sent_at=sent_at))
-        if status is not None:
-            capture.record(sent_at + rtt, status, TARGET, i + 1)
-    return log, capture
+        if status is None:
+            log.probes.append(Probe(i + 1, sent_at, reason="no-route"))
+        else:
+            log.probes.append(Probe(i + 1, sent_at, reply_at=sent_at + rtt, site=status))
+    return log
 
 
 class TestReconnection:
     def test_immediate_reply(self):
-        log, capture = scenario(["ams", "ams", "ams"])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", "ams", "ams"])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s == pytest.approx(0.1)
 
     def test_reconnection_after_losses(self):
-        log, capture = scenario([None, None, "ams", "ams"])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario([None, None, "ams", "ams"])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s == pytest.approx(3.1)
 
     def test_never_reconnects(self):
-        log, capture = scenario([None, None, None])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario([None, None, None])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s is None
         assert outcome.failover_s is None
         assert not outcome.stabilized
@@ -47,47 +46,47 @@ class TestReconnection:
 
 class TestFailover:
     def test_stable_from_start(self):
-        log, capture = scenario(["ams", "ams", "ams"])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", "ams", "ams"])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.failover_s == outcome.reconnection_s
         assert outcome.final_site == "ams"
 
     def test_bounce_delays_failover(self):
         """§5.4.1: clients may bounce between sites after reconnecting;
         failover counts from the *last* change."""
-        log, capture = scenario(["ams", "bos", "ams", "ams"])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", "bos", "ams", "ams"])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s == pytest.approx(0.1)
         assert outcome.failover_s == pytest.approx(3.1)
         assert outcome.bounces == 2
 
     def test_disconnection_delays_failover(self):
-        log, capture = scenario(["ams", None, "ams", "ams"])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", None, "ams", "ams"])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.failover_s == pytest.approx(3.1)
         assert outcome.disconnections == 1
 
     def test_unstable_at_window_end_is_censored(self):
-        log, capture = scenario(["ams", "ams", "ams", None])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", "ams", "ams", None])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s == pytest.approx(0.1)
         assert outcome.failover_s is None
 
     def test_final_switch_counts(self):
-        log, capture = scenario(["ams", "ams", "bos"])
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", "ams", "bos"])
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.final_site == "bos"
         assert outcome.failover_s == pytest.approx(3.1)
 
     def test_pre_failure_probes_ignored(self):
-        log, capture = scenario(["ams", "ams"])
-        log.sent.insert(0, SentProbe(target=TARGET, seq=0, sent_at=T_FAIL - 10))
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(["ams", "ams"])
+        log.probes.insert(0, Probe(0, T_FAIL - 10))
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s == pytest.approx(0.1)
 
     def test_empty_log(self):
-        log = ProbeLog(target=TARGET, target_node="eye")
-        outcome = target_outcome(log, SiteCapture(), "sea1", T_FAIL)
+        log = ProbeLog(target=TARGET, target_node="eye", request_latency=0.05)
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.reconnection_s is None
         assert outcome.failover_s is None
 
@@ -97,22 +96,22 @@ class TestProperties:
 
     @given(st.lists(sites, min_size=1, max_size=30))
     def test_failover_never_before_reconnection(self, statuses):
-        log, capture = scenario(statuses)
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(statuses)
+        outcome = target_outcome(log, "sea1", T_FAIL)
         if outcome.failover_s is not None:
             assert outcome.reconnection_s is not None
             assert outcome.failover_s >= outcome.reconnection_s
 
     @given(st.lists(sites, min_size=1, max_size=30))
     def test_stabilized_iff_clean_suffix(self, statuses):
-        log, capture = scenario(statuses)
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(statuses)
+        outcome = target_outcome(log, "sea1", T_FAIL)
         assert outcome.stabilized == (statuses[-1] is not None)
 
     @given(st.lists(sites, min_size=1, max_size=30))
     def test_failover_marks_start_of_stable_suffix(self, statuses):
-        log, capture = scenario(statuses)
-        outcome = target_outcome(log, capture, "sea1", T_FAIL)
+        log = scenario(statuses)
+        outcome = target_outcome(log, "sea1", T_FAIL)
         if outcome.failover_s is None:
             return
         # Index of the probe whose reply time matches failover_s.
@@ -125,14 +124,11 @@ class TestProperties:
 
 class TestOutcomesForRun:
     def test_multiple_targets(self):
-        log1, capture = scenario(["ams", "ams"])
+        log1 = scenario(["ams", "ams"])
         other = IPv4Address.parse("10.0.1.1")
-        log2 = ProbeLog(target=other, target_node="eye2")
-        log2.sent.append(SentProbe(target=other, seq=99, sent_at=T_FAIL))
-        capture.record(T_FAIL + 0.2, "bos", other, 99)
-        outcomes = outcomes_for_run(
-            {TARGET: log1, other: log2}, capture, "sea1", T_FAIL
-        )
+        log2 = ProbeLog(target=other, target_node="eye2", request_latency=0.1)
+        log2.probes.append(Probe(99, T_FAIL, reply_at=T_FAIL + 0.2, site="bos"))
+        outcomes = outcomes_for_run({TARGET: log1, other: log2}, "sea1", T_FAIL)
         assert len(outcomes) == 2
         by_target = {o.target: o for o in outcomes}
         assert by_target[TARGET].final_site == "ams"

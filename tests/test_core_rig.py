@@ -18,11 +18,9 @@ from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.rig import RunRig
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import Anycast, ProactiveSuperprefix, ReactiveAnycast
-from repro.dataplane.capture import SiteCapture
 from repro.dataplane.forwarding import CLASS_BY_REASON, delivery_verdict
-from repro.dataplane.ping import Prober
+from repro.dataplane.ping import Probe, Prober
 from repro.faults import Brownout, FaultPlan
-from repro.net.packet import IcmpEcho
 from repro.obs.ledger import OUTAGE_CLASSES
 from repro.telemetry.trace import ProbeLost, ProbeReply
 from repro.topology.testbed import SUPERPREFIX, CdnDeployment, SiteSpec
@@ -180,11 +178,16 @@ class TestOneVerdict:
         with telemetry.using(telemetry.Telemetry(tracer=tracer)):
             # Built inside the session: a prober binds its telemetry
             # when constructed.
-            prober = Prober(rig.plane, rig.deployment, SiteCapture(), rig.dst, "ams")
+            prober = Prober(rig.plane, rig.deployment, rig.dst, "ams")
             prober.dead_sites = rig.dead_sites
-            reply = IcmpEcho(src=rig.dst, dst=rig.dst, seq=1).reply_from(responder=rig.dst)
-            prober._reply_done(reply, result)
+            probe = Probe(seq=1, sent_at=0.0)
+            prober._reply_done(rig.dst, probe, result)
         (event,) = [e for e in tracer.events if isinstance(e, (ProbeLost, ProbeReply))]
+        # The record carries the verdict the event states.
+        if isinstance(event, ProbeReply):
+            assert (probe.site, probe.reply_at, probe.reason) == (event.site, event.t, None)
+        else:
+            assert (probe.site, probe.reply_at, probe.reason) == (None, None, event.reason)
         return event
 
 

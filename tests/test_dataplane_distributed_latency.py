@@ -3,10 +3,13 @@
 import pytest
 
 from repro.dataplane.forwarding import ForwardingPlane
-from repro.net.packet import Packet
+from repro.net.addr import IPv4Prefix
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
 
 from tests.conftest import FAST_TIMING
+
+#: routed only by the FIB entries a test installs by hand
+TEST_PREFIX = IPv4Prefix.parse("198.51.100.0/24")
 
 
 @pytest.fixture(scope="module")
@@ -18,21 +21,60 @@ def converged_plane():
     return deployment, network, ForwardingPlane(network, deployment.topology)
 
 
-class TestLastConcrete:
-    def test_concrete_only_path(self, converged_plane):
-        deployment, network, plane = converged_plane
-        assert plane._last_concrete(("eye-us-west-0", "tr-us-west-0")) == "tr-us-west-0"
+def one_way(plane, network, path):
+    """Simulated latency of a forward along ``path``, whose FIB entries
+    are installed by hand (the last node delivers locally) so the path
+    is the test's choice, not BGP's."""
+    for node, next_hop in zip(path, path[1:] + path[-1:]):
+        network.router(node).fib.insert(TEST_PREFIX, next_hop)
+    results = []
+    start = network.now
+    plane.forward(path[0], TEST_PREFIX.address(1), results.append)
+    network.converge()
+    assert results[0].path == path and results[0].delivered_to == path[-1]
+    return results[0].completed_at - start
 
-    def test_distributed_tail_skipped(self, converged_plane):
+
+class TestLastConcrete:
+    """The event-driven walk carries its most recent non-distributed
+    node from hop to hop: leaving a distributed network is charged from
+    there (``Topology.hop_latency``)."""
+
+    @pytest.fixture()
+    def access_path(self, converged_plane):
+        """A client and the (concrete) upstream it really links to."""
         deployment, network, plane = converged_plane
-        # tier-1 (t1-0) and R&E (re-0) are distributed: the last concrete
-        # node is the transit before them.
-        path = ("eye-us-west-0", "tr-us-west-0", "t1-0", "re-0")
-        assert plane._last_concrete(path) == "tr-us-west-0"
+        client = "eye-us-west-0"
+        return client, next(iter(deployment.topology.neighbors(client)))
+
+    def test_concrete_only_path(self, converged_plane, access_path):
+        deployment, network, plane = converged_plane
+        client, upstream = access_path
+        assert one_way(plane, network, access_path) == pytest.approx(
+            deployment.topology.link_latency(client, upstream)
+        )
+
+    def test_distributed_tail_skipped(self, converged_plane, access_path):
+        deployment, network, plane = converged_plane
+        topology = deployment.topology
+        # tier-1 (t1-0) and R&E (re-0) are distributed: the hop out of
+        # them is charged from the upstream before them.
+        inside = access_path + ("t1-0", "re-0")
+        path = inside + ("tr-eu-south-0",)
+        leaving = one_way(plane, network, path) - one_way(plane, network, inside)
+        assert leaving == pytest.approx(
+            topology.hop_latency(access_path[1], "re-0", "tr-eu-south-0")
+        )
+        assert leaving != pytest.approx(topology.hop_latency("re-0", "re-0", "tr-eu-south-0"))
 
     def test_all_distributed_falls_back_to_origin(self, converged_plane):
         deployment, network, plane = converged_plane
-        assert plane._last_concrete(("t1-0", "t1-1")) == "t1-0"
+        topology = deployment.topology
+        inside = ("t1-0", "t1-1")
+        path = inside + ("tr-eu-south-0",)
+        leaving = one_way(plane, network, path) - one_way(plane, network, inside)
+        assert leaving == pytest.approx(topology.hop_latency("t1-0", "t1-1", "tr-eu-south-0"))
+        assert leaving != pytest.approx(topology.hop_latency("t1-1", "t1-1", "tr-eu-south-0"))
 
 
 class TestForwardingLatencyConsistency:
@@ -49,9 +91,7 @@ class TestForwardingLatencyConsistency:
 
         results = []
         start = network.now
-        plane.forward(
-            target, Packet(src=PROBE_SOURCE, dst=PROBE_SOURCE), results.append
-        )
+        plane.forward(target, PROBE_SOURCE, results.append)
         network.converge()
         assert results[0].delivered
         measured = results[0].completed_at - start

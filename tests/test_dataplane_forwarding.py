@@ -8,7 +8,6 @@ from repro.dataplane.forwarding import (
     ForwardingPlane,
 )
 from repro.net.addr import IPv4Address, IPv4Prefix
-from repro.net.packet import Packet
 from repro.topology.generator import Topology, TopologyParams
 from repro.topology.geo import Location
 from repro.topology.relationships import AsClass, AsInfo
@@ -77,7 +76,7 @@ class TestEventDrivenForward:
         net.converge()
         results = []
         start = net.now
-        plane.forward("r3", Packet(src=ADDR, dst=ADDR), results.append)
+        plane.forward("r3", ADDR, results.append)
         net.converge()
         assert len(results) == 1
         assert results[0].delivered_to == "r0"
@@ -86,7 +85,7 @@ class TestEventDrivenForward:
     def test_drop_on_no_route_records_diagnostics(self):
         topo, net, plane = make_plane()
         results = []
-        plane.forward("r3", Packet(src=ADDR, dst=ADDR), results.append)
+        plane.forward("r3", ADDR, results.append)
         net.converge()
         assert not results[0].delivered
         assert plane.drops
@@ -99,7 +98,7 @@ class TestEventDrivenForward:
         net.router("r0").fib.insert(PFX, "r1")
         net.router("r1").fib.insert(PFX, "r0")
         results = []
-        plane.forward("r0", Packet(src=ADDR, dst=ADDR), results.append)
+        plane.forward("r0", ADDR, results.append)
         net.converge()
         assert not results[0].delivered
         assert results[0].drop_reason is DropReason.LOOP
@@ -113,7 +112,7 @@ class TestEventDrivenForward:
         net.router("r0").fib.insert(PFX, "r1")
         net.router("r1").fib.insert(PFX, "r0")
         results = []
-        plane.forward("r0", Packet(src=ADDR, dst=ADDR), results.append)
+        plane.forward("r0", ADDR, results.append)
         # Reroute r0 while the packet is on its way to r1 and back: the
         # revisit of r0 sees a *different* next hop (itself -- a local
         # delivery), so it is not treated as a stable loop.
@@ -129,7 +128,7 @@ class TestEventDrivenForward:
         topo, net, plane = make_plane(2)  # no route announced: every
         results = []                      # forward is a NO_ROUTE drop
         for _ in range(DROP_LOG_LIMIT + 100):
-            plane.forward("r1", Packet(src=ADDR, dst=ADDR), results.append)
+            plane.forward("r1", ADDR, results.append)
         net.converge()
         assert len(results) == DROP_LOG_LIMIT + 100
         assert plane.dropped_total == DROP_LOG_LIMIT + 100
@@ -145,7 +144,7 @@ class TestEventDrivenForward:
         net.announce("r0", PFX)
         net.converge()
         results = []
-        plane.forward("r3", Packet(src=ADDR, dst=ADDR), results.append)
+        plane.forward("r3", ADDR, results.append)
         # Flip r1's FIB toward a local origin while the packet is at r2.
         net.router("r1").fib.insert(PFX, "r1")
         net.converge()

@@ -85,27 +85,54 @@ class TestEngineEdges:
 
 
 class TestProberEdges:
-    def test_unreachable_target_counts_as_sent_never_answered(self, deployment):
+    def test_unreachable_target_counts_as_sent_never_answered(self):
         """A target with no policy path from the vantage still gets its
-        probe logged (so it shows up censored in the metrics)."""
-        from repro.dataplane.capture import SiteCapture
+        probe logged (so it shows up censored in the metrics): the
+        record says why, nothing is scheduled, and the counters balance."""
+        from repro import telemetry
+        from repro.core.metrics import target_outcome
         from repro.dataplane.forwarding import ForwardingPlane
         from repro.dataplane.ping import Prober
+        from repro.topology.geo import Location
+        from repro.topology.relationships import AsClass, AsInfo
+        from repro.topology.testbed import SPECIFIC_PREFIX, build_deployment
 
+        deployment = build_deployment()  # private copy: it grows an island
         topology = deployment.topology
-        network = topology.build_network(seed=33, timing=FAST_TIMING)
-        plane = ForwardingPlane(network, topology)
-        capture = SiteCapture()
-        prober = Prober(plane, deployment, capture, PROBE_SOURCE, "ams")
-        # An address whose owner AS does not exist in the topology at all:
-        # latency_to_client is None, no reply is ever scheduled.
-        ghost = IPv4Prefix.parse("10.250.0.0/24").address(1)
-        prober.probe_once(ghost, "eye-us-west-0")  # node exists, addr anywhere
-        # Use a node that IS disconnected from the vantage: none exists in
-        # the default topology, so instead verify the bookkeeping shape.
-        assert len(prober.logs) == 1
+        ghost_prefix = IPv4Prefix.parse("10.250.0.0/24")
+        topology.add_as(AsInfo(
+            "island", 64999, AsClass.STUB, Location("us-west", 0, 0), prefix=ghost_prefix,
+        ))
+        ghost = ghost_prefix.address(1)
+        reachable = topology.ases["eye-us-west-0"].prefix.address(1)
+        tracer = telemetry.TraceRecorder()
+        with telemetry.using(telemetry.Telemetry(tracer=tracer)) as active:
+            network = topology.build_network(seed=33, timing=FAST_TIMING)
+            network.announce(deployment.site_node("sea1"), SPECIFIC_PREFIX)
+            network.converge()
+            prober = Prober(ForwardingPlane(network, topology), deployment, PROBE_SOURCE, "ams")
+            pending = network.engine.pending
+            prober.probe_once(ghost, "island")
+            assert network.engine.pending == pending  # no reply ever scheduled
+            prober.probe_once(reachable, "eye-us-west-0")
+            prober.probe_once(ghost, "island")
+            network.converge()
         log = prober.logs[ghost]
-        assert len(log.sent) == 1
+        assert log.request_latency is None
+        assert [(p.seq, p.site, p.reply_at, p.reason) for p in log.probes] == [
+            (1, None, None, "unreachable"), (3, None, None, "unreachable"),
+        ]
+        assert prober.logs[reachable].probes[0].site == "sea1"
+        outcome = target_outcome(log, "ams", 0.0)
+        assert outcome.reconnection_s is None and not outcome.stabilized
+        counters = active.snapshot()["counters"]
+        unreachable = sum(
+            1 for e in tracer.events if e.kind == "probe_lost" and e.reason == "unreachable"
+        )
+        assert unreachable == 2
+        assert counters["probe.sent"] == 3 == (
+            counters["probe.replies"] + counters.get("probe.replies_lost", 0) + unreachable
+        )
 
 
 class TestWithdrawDuringConvergence:

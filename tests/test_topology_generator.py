@@ -8,6 +8,7 @@ import pytest
 from repro.bgp.policy import Relationship
 from repro.topology.generator import (
     ACCESS_LATENCY_S,
+    CLIENT_POOL,
     Topology,
     TopologyParams,
     generate_topology,
@@ -15,6 +16,7 @@ from repro.topology.generator import (
 from repro.topology.geo import REGIONS
 from repro.topology.relationships import AsClass, AsInfo
 from repro.topology.geo import Location
+from repro.topology.static_routes import static_routes_for
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,36 @@ class TestTopologyApi:
     def test_link_latency_missing(self, topo):
         with pytest.raises(KeyError):
             topo.link_latency("t1-0", "no-such-node")
+
+    def test_indexes_follow_growth(self):
+        """``adjacency``, ``has_link`` and the static-route memo are kept
+        by ``add_as`` / ``link`` themselves: no rebuild, no stale read."""
+        topo = Topology(params=TopologyParams())
+        loc = Location("us-west", 0, 0)
+        for node in ("a", "b", "c"):
+            topo.add_as(AsInfo(node, ord(node), AsClass.TRANSIT, loc))
+        topo.link("b", "a", Relationship.PROVIDER)
+        assert topo.has_link("a", "b") and topo.has_link("b", "a")
+        assert not topo.has_link("a", "c")
+        assert static_routes_for(topo, "a").route("c") is None
+        topo.link("c", "a", Relationship.PROVIDER)
+        assert static_routes_for(topo, "a").route("c").next_hop == "a"
+        assert topo.adjacency == {
+            "a": {"b": Relationship.CUSTOMER, "c": Relationship.CUSTOMER},
+            "b": {"a": Relationship.PROVIDER},
+            "c": {"a": Relationship.PROVIDER},
+        }
+        assert list(topo.adjacency) == list(topo.ases)
+        topo.neighbors("a").clear()  # a copy: the index is untouched
+        assert len(topo.adjacency["a"]) == 2
+
+    def test_client_prefixes_are_the_pools_first_subnets(self, topo):
+        drawn = [
+            info.prefix for info in topo.ases.values()
+            if info.prefix is not None and CLIENT_POOL.covers(info.prefix)
+        ]
+        assert drawn == CLIENT_POOL.subnets(24)[: len(drawn)]
+        assert len(drawn) > 100
 
 
 class TestDistributedLatency:
