@@ -19,29 +19,33 @@ superprefix geometry, capacity vacuity -- have no PRE code.
 
 from __future__ import annotations
 
-import math
-from dataclasses import fields
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.findings import Finding, FindingCollector, Severity, emit_findings
 from repro.bgp.damping import DampingConfig
-from repro.bgp.session import SessionTiming
+from repro.bgp.session import TIMING_FIELDS, SessionTiming
 from repro.core.plan import Technique
 from repro.faults.plan import Action
+from repro.fields import Field, violations
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology
 from repro.topology.relationships import AsClass
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, CdnDeployment
-from repro.workload.capacity import CapacityProfile
-from repro.workload.profile import RATE_KINDS, WorkloadProfile
+from repro.workload.capacity import CAPACITY_FIELDS, CapacityProfile
+from repro.workload.profile import PROFILE_FIELDS, RATE_KINDS, SHAPE_FIELDS, WorkloadProfile
 
 #: expected request volumes past this trigger a PRE145 advisory (the
 #: stream is O(1) memory regardless, but the run time is linear in it)
 WORKLOAD_VOLUME_CEILING = 20_000_000
 
 #: MRAI values beyond this are treated as a misconfiguration smell (the
-#: RFC 4271 default is 30 s; the paper's profile uses a few seconds).
+#: RFC 4271 default is 30 s; ``DEFAULT_INTERNET_TIMING`` uses 50 s).
 MRAI_SANITY_CEILING_S = 60.0
+
+#: the rows of a run's shape: ``--duration`` (``drill --deadline``, a
+#: world document's ``duration``) and ``--detection-delay``
+DURATION = Field("duration", lo=0, lo_open=True, code="PRE135")
+RUN_SHAPE = (DURATION, Field("detection_delay", lo=0, code="PRE136"))
 
 
 def _error(code: str, message: str, source: str) -> Finding:
@@ -52,18 +56,10 @@ def _warning(code: str, message: str, source: str) -> Finding:
     return Finding(code=code, message=message, severity=Severity.WARNING, source=source)
 
 
-def _nonfinite(values: Iterable[tuple[str, str, float]], source: str) -> list[Finding]:
-    """One error per ⟨code, label, value⟩ whose value is NaN or ±inf.
-
-    The range checks below compare with ``<=``, which NaN always fails
-    and +inf always passes; an infinite rate then never advances the
-    stream clock and a NaN one poisons every sum it enters.
-    """
-    return [
-        _error(code, f"{label} {value:g} is not finite", source)
-        for code, label, value in values
-        if not math.isfinite(value)
-    ]
+def audit(rows: tuple[Field, ...], record: Any, source: str) -> list[Finding]:
+    """One error, under its row's code, per number of ``record`` that
+    :func:`repro.fields.violations` refuses."""
+    return [_error(row.code, message, source) for row, message in violations(rows, record)]
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +277,7 @@ def check_timing(
     """MRAI / latency / damping parameter sanity."""
     findings: list[Finding] = []
     if timing is not None:
-        for attr in ("latency", "jitter", "mrai"):
-            value = getattr(timing, attr)
-            if value < 0:
-                findings.append(_error(
-                    "PRE131", f"session timing {attr}={value:g} is negative",
-                    "timing",
-                ))
+        findings.extend(audit(TIMING_FIELDS, timing, "timing"))
         if timing.mrai == 0:
             findings.append(_warning(
                 "PRE130",
@@ -327,39 +317,12 @@ def check_run_shape(
     duration: float | None = None, detection_delay: float | None = None
 ) -> list[Finding]:
     """Scalar run parameters that must be sane before scheduling."""
-    stated = [
-        (code, label, value)
-        for code, label, value in (
-            ("PRE135", "run duration", duration),
-            ("PRE136", "detection delay", detection_delay),
-        )
-        if value is not None
-    ]
-    findings = _nonfinite(stated, "run")
-    if duration is not None and duration <= 0:
-        findings.append(_error(
-            "PRE135", f"run duration {duration:g}s is not positive", "run",
-        ))
-    if detection_delay is not None and detection_delay < 0:
-        findings.append(_error(
-            "PRE136", f"detection delay {detection_delay:g}s is negative", "run",
-        ))
-    return findings
+    shape = {"duration": duration, "detection_delay": detection_delay}
+    return audit(RUN_SHAPE, shape, "run")
 
 
 # ----------------------------------------------------------------------
 # Workload profiles
-
-
-#: float-valued profile field -> the code its range check reports under
-_PROFILE_CODES = {
-    "base_rps": "PRE140",
-    "zipf_s": "PRE141",
-    "content_zipf_s": "PRE141",
-    "surge_weight": "PRE141",
-    "think_time_s": "PRE142",
-    "tick_s": "PRE142",
-}
 
 
 def check_workload(
@@ -372,107 +335,25 @@ def check_workload(
     Zipf exponent is refused with a stable code instead of raising (or
     silently generating nothing) mid-run.
     """
-    findings: list[Finding] = []
     if profile is None:
-        return findings
+        return []
     source = f"workload profile {profile.name!r}"
-    findings.extend(_nonfinite(
-        [(code, name, getattr(profile, name)) for name, code in _PROFILE_CODES.items()],
-        source,
-    ))
-    if profile.base_rps <= 0:
-        findings.append(_error(
-            "PRE140",
-            f"base_rps {profile.base_rps:g} is not positive; the stream "
-            "would never produce a request",
-            source,
-        ))
-    if profile.zipf_s <= 0:
-        findings.append(_error(
-            "PRE141",
-            f"zipf_s {profile.zipf_s:g} must be positive (Zipf popularity "
-            "needs a decaying rank weight)",
-            source,
-        ))
-    if profile.content_zipf_s <= 0:
-        findings.append(_error(
-            "PRE141",
-            f"content_zipf_s {profile.content_zipf_s:g} must be positive",
-            source,
-        ))
-    if profile.n_contents < 1:
-        findings.append(_error(
-            "PRE141",
-            f"n_contents {profile.n_contents} must be at least 1",
-            source,
-        ))
-    if profile.tick_s <= 0:
-        findings.append(_error(
-            "PRE142", f"tick_s {profile.tick_s:g} is not positive", source
-        ))
-    if profile.think_time_s <= 0:
-        findings.append(_error(
-            "PRE142",
-            f"think_time_s {profile.think_time_s:g} is not positive; "
-            "user-minutes-lost would be zero or negative by construction",
-            source,
-        ))
+    findings = audit(PROFILE_FIELDS, profile, source)
     for index, shape in enumerate(profile.shapes):
         shape_source = f"{source} shape #{index + 1} ({shape.kind})"
-        if shape.kind not in RATE_KINDS:
+        if shape.kind in SHAPE_FIELDS:
+            findings.extend(audit(SHAPE_FIELDS[shape.kind], shape, shape_source))
+        else:
             findings.append(_error(
                 "PRE143",
                 f"unknown rate shape kind {shape.kind!r}; "
                 f"have {', '.join(RATE_KINDS)}",
                 shape_source,
             ))
-            continue
-        findings.extend(_nonfinite(
-            [
-                ("PRE140" if f.name == "factor" else "PRE144", f.name, getattr(shape, f.name))
-                for f in fields(shape) if f.name != "kind"
-            ],
-            shape_source,
-        ))
-        if shape.kind == "constant" and shape.factor <= 0:
-            findings.append(_error(
-                "PRE140",
-                f"constant shape factor {shape.factor:g} is not positive",
-                shape_source,
-            ))
-        elif shape.kind == "diurnal":
-            if not 0 <= shape.amplitude < 1:
-                findings.append(_error(
-                    "PRE144",
-                    f"diurnal amplitude {shape.amplitude:g} outside [0, 1); "
-                    "the rate would go negative at the trough",
-                    shape_source,
-                ))
-            if shape.period_s <= 0:
-                findings.append(_error(
-                    "PRE144",
-                    f"diurnal period_s {shape.period_s:g} is not positive",
-                    shape_source,
-                ))
-        elif shape.kind == "flash-crowd":
-            if shape.peak_multiplier < 1:
-                findings.append(_error(
-                    "PRE144",
-                    f"flash-crowd peak_multiplier {shape.peak_multiplier:g} "
-                    "is below 1 (a flash crowd raises load)",
-                    shape_source,
-                ))
-            for attr in ("peak_at_s", "ramp_s", "decay_s"):
-                value = getattr(shape, attr)
-                if value < 0:
-                    findings.append(_error(
-                        "PRE144",
-                        f"flash-crowd {attr} {value:g} is negative",
-                        shape_source,
-                    ))
-    # Volume advisory only when the profile is otherwise valid: rate()
-    # on a malformed profile could raise or be meaningless.
-    if not findings and duration is not None and duration > 0:
+    # Volume advisory only when the profile and the window are otherwise
+    # valid: rate() on a malformed profile, or a trapezoid over an
+    # infinite window, could raise or be meaningless.
+    if not findings and duration is not None and not check_run_shape(duration):
         expected = profile.expected_requests(duration)
         if expected > WORKLOAD_VOLUME_CEILING:
             findings.append(_warning(
@@ -503,34 +384,10 @@ def check_capacity(
     (PRE153). Limits for undeployed sites and a profile with no workload
     to measure against are the verifier's VER242 / VER243.
     """
-    findings: list[Finding] = []
     if capacity is None:
-        return findings
+        return []
     source = f"capacity profile {capacity.name!r}"
-    stated = [
-        ("PRE150", f"site_rps[{site!r}]", rps)
-        for site, rps in sorted(capacity.site_rps.items())
-    ]
-    # An absent default (None) is how a profile says unlimited; inf is not.
-    if capacity.default_rps is not None:
-        stated.insert(0, ("PRE150", "default_rps", capacity.default_rps))
-    findings.extend(_nonfinite(stated, source))
-    if capacity.default_rps is not None and capacity.default_rps <= 0:
-        findings.append(_error(
-            "PRE150",
-            f"default_rps {capacity.default_rps:g} is not positive; every "
-            "unlisted site would serve nothing",
-            source,
-        ))
-    for site in sorted(capacity.site_rps):
-        rps = capacity.site_rps[site]
-        if rps <= 0:
-            findings.append(_error(
-                "PRE150",
-                f"site_rps[{site!r}] {rps:g} is not positive; the site "
-                "would serve nothing (fail it instead)",
-                source,
-            ))
+    findings = audit(CAPACITY_FIELDS, capacity, source)
     if workload is not None and deployment is not None and not findings:
         limits = [capacity.capacity_for(s) for s in deployment.site_names]
         if all(limit is not None for limit in limits):

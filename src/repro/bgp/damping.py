@@ -19,12 +19,28 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.fields import Field, violations
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import FlapDamped
 
 if TYPE_CHECKING:
     from repro.bgp.engine import EventEngine
+
+
+#: the rows of :class:`DampingConfig` (the ``damping`` object of a
+#: world document); construction refuses a bad value. Penalties are pure
+#: numbers and ``half_life`` is seconds: the one band keeps every ratio
+#: the decay and the verifier take (threshold / per-flap penalty,
+#: ceiling / reuse) a finite, non-zero float.
+_BAND = {"lo": 1e-6, "hi": 1e12}
+DAMPING_FIELDS = (
+    Field("penalty_per_flap", **_BAND),
+    Field("suppress_threshold", **_BAND),
+    Field("reuse_threshold", **_BAND),
+    Field("half_life", **_BAND),
+    Field("max_penalty", **_BAND),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,12 +56,10 @@ class DampingConfig:
     max_penalty: float = 12000.0
 
     def __post_init__(self) -> None:
-        if self.half_life <= 0:
-            raise ValueError("half_life must be positive")
+        for _, message in violations(DAMPING_FIELDS, self):
+            raise ValueError(message)
         if self.reuse_threshold >= self.suppress_threshold:
             raise ValueError("reuse_threshold must be below suppress_threshold")
-        if self.penalty_per_flap <= 0:
-            raise ValueError("penalty_per_flap must be positive")
 
 
 @dataclass(slots=True)

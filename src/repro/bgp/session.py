@@ -24,12 +24,30 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.policy import Relationship
+from repro.fields import Field, violations
 from repro.net.addr import IPv4Prefix, cached_str
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import BgpUpdateSent
 
 if TYPE_CHECKING:
     from repro.bgp.engine import EventEngine
+
+
+#: the rows of :class:`SessionTiming`, all reported under PRE131 by the
+#: pre-run gate. Construction refuses only what every session's draws
+#: read; the pacing fields a profile may hold out of range, so that the
+#: gate has something to report.
+_PACING = (
+    Field("latency", lo=0, code="PRE131"),
+    Field("jitter", lo=0, code="PRE131"),
+    Field("mrai", lo=0, code="PRE131"),
+)
+_DRAWS = (
+    Field("busy_prob", lo=0, hi=1, code="PRE131"),
+    Field("mrai_sigma", lo=0, code="PRE131"),
+    Field("fib_delay", lo=0, code="PRE131"),
+)
+TIMING_FIELDS = (*_PACING, *_DRAWS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,12 +84,8 @@ class SessionTiming:
     fib_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.busy_prob <= 1.0:
-            raise ValueError(f"busy_prob must be in [0, 1], got {self.busy_prob}")
-        if self.mrai_sigma < 0:
-            raise ValueError(f"mrai_sigma must be >= 0, got {self.mrai_sigma}")
-        if self.fib_delay < 0:
-            raise ValueError(f"fib_delay must be >= 0, got {self.fib_delay}")
+        for _, message in violations(_DRAWS, self):
+            raise ValueError(message)
 
 
 #: Timing profile calibrated so the simulated Internet reproduces the

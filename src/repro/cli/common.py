@@ -242,6 +242,19 @@ def gate(args: argparse.Namespace, world) -> bool:
     return True
 
 
+def known_sites(deployment, names) -> bool:
+    """Whether the deployment has every named site; says which it lacks
+    on stderr (the caller exits 2)."""
+    unknown = [name for name in names if name not in deployment.sites]
+    if unknown:
+        print(
+            f"unknown site {', '.join(map(repr, unknown))}; "
+            f"have {deployment.site_names}",
+            file=sys.stderr,
+        )
+    return not unknown
+
+
 def print_result(text: str) -> None:
     """Print a command's result; a closed pipe (pager, ``head``) is not an error."""
     try:

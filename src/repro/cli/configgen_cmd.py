@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+from repro.cli.common import known_sites
 from repro.configgen.bird import generate_bird_config
 from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.topology.generator import TopologyParams
@@ -31,10 +32,9 @@ def run(args: argparse.Namespace) -> int:
     deployment = build_deployment(params=TopologyParams(seed=args.seed))
     technique = technique_by_name(args.technique)
     sites = [args.site] if args.site else deployment.site_names
+    if not known_sites(deployment, sites):
+        return 2
     for site in sites:
-        if site not in deployment.sites:
-            print(f"unknown site {site!r}; have {deployment.site_names}")
-            return 2
         config = generate_bird_config(deployment, technique, site, args.specific_site)
         if args.out_dir:
             out = pathlib.Path(args.out_dir)

@@ -13,6 +13,7 @@ from repro.cli.common import (
     add_workload_arguments,
     cell_timeout,
     gate,
+    known_sites,
     positive_int,
     report_sweep_failures,
     resolve_capacity,
@@ -109,8 +110,7 @@ def run(args: argparse.Namespace) -> int:
 
     with telemetry_session(args):
         experiment = make_experiment(args)
-        if args.site not in experiment.deployment.sites:
-            print(f"unknown site {args.site!r}; have {experiment.deployment.site_names}")
+        if not known_sites(experiment.deployment, [args.site]):
             return 2
         if not gate(args, experiment_world(experiment, [technique], args.site)):
             return 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 
-from repro.cli.common import non_negative_int
+from repro.cli.common import known_sites, non_negative_int
 from repro.core.playbook import Playbook
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
@@ -47,8 +47,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"\n{len(playbook.entries)} plays evaluated; "
               "use --drain SITE to query one")
         return 0
-    if args.drain not in deployment.sites:
-        print(f"unknown site {args.drain!r}; have {deployment.site_names}")
+    if not known_sites(deployment, [args.drain]):
         return 2
     try:
         play = playbook.best_drain(args.drain, max_overload=args.max_overload)

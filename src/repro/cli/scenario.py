@@ -11,6 +11,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     add_workload_arguments,
     gate,
+    known_sites,
     resolve_capacity,
     resolve_workload,
     telemetry_session,
@@ -82,8 +83,7 @@ def run(args: argparse.Namespace) -> int:
                 print(f"cannot load fault plan: {error}", file=sys.stderr)
                 return 2
         deployment = build_deployment(params=TopologyParams(seed=args.seed))
-        if args.site not in deployment.sites:
-            print(f"unknown site {args.site!r}; have {deployment.site_names}")
+        if not known_sites(deployment, [args.site]):
             return 2
         try:
             events = args.event or [Action(args.duration / 4, "fail", args.site)]

@@ -20,6 +20,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     cell_timeout,
     gate,
+    known_sites,
     positive_int,
     print_workload_rows,
     report_sweep_failures,
@@ -73,9 +74,7 @@ def run(args: argparse.Namespace) -> int:
     with telemetry_session(args):
         experiment = make_experiment(args)
         sites = args.sites or experiment.deployment.site_names
-        unknown = [s for s in sites if s not in experiment.deployment.sites]
-        if unknown:
-            print(f"unknown site(s) {unknown}; have {experiment.deployment.site_names}")
+        if not known_sites(experiment.deployment, sites):
             return 2
         techniques = [
             technique_by_name(name, prepend=args.prepend)

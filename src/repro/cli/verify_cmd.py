@@ -14,7 +14,12 @@ from pathlib import Path
 
 from repro.analysis import render_json, render_text
 from repro.analysis.findings import Finding
-from repro.cli.common import add_telemetry_arguments, positive_int, telemetry_session
+from repro.cli.common import (
+    add_telemetry_arguments,
+    known_sites,
+    positive_int,
+    telemetry_session,
+)
 from repro.core.techniques import TECHNIQUES
 from repro.faults import load_fault_plan
 from repro.verify import (
@@ -136,9 +141,7 @@ def run(args: argparse.Namespace) -> int:
                 fault_plan=fault_plan,
                 duration=args.duration,
             )
-            if args.site is not None and args.site not in world.deployment.sites:
-                print(f"unknown site {args.site!r}; "
-                      f"have {world.deployment.site_names}", file=sys.stderr)
+            if args.site is not None and not known_sites(world.deployment, [args.site]):
                 return 2
             report = verify_world(
                 world, select=select, ignore=ignore, strict=args.strict

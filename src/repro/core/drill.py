@@ -25,6 +25,10 @@ from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
 
 
+#: bound on the post-deadline settle time before the invariant audit
+SETTLE_S = 3600.0
+
+
 @dataclass(frozen=True, slots=True)
 class DrillOutcome:
     """Result of one site's drill rotation."""
@@ -75,8 +79,6 @@ class RotationDrill:
     #: RIB/FIB coherence) once each site's drill settles; violations are
     #: recorded on the outcome and fail it
     check_invariants: bool = False
-    #: bound on the post-deadline settle time before the invariant audit
-    settle_s: float = 3600.0
     #: optional client traffic streamed through each site's deadline
     #: window (resolved against the *test* prefix, like the drill itself)
     workload: WorkloadProfile | None = None
@@ -122,7 +124,7 @@ class RotationDrill:
             # Let in-flight convergence (and any fault events scheduled
             # past the deadline) drain before auditing: the invariants
             # are only meaningful on a quiet network.
-            network.converge(max_seconds=self.settle_s)
+            network.converge(max_seconds=SETTLE_S)
             found = check_invariants(network).violations + rig.capacity_violations()
             violations = tuple(v.format() for v in found)
         outcome = DrillOutcome(

@@ -34,6 +34,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar, Type, Union
 
+from repro.fields import Field, read, violations
+
 #: the timeline's vocabulary (the names the trace uses): action -> what
 #: its target names (a ``a<->b`` link, a topology node, a CDN site)
 ACTIONS = {
@@ -121,10 +123,17 @@ class FaultSpec:
     """Base interval fault: ``at`` is seconds after the injector arms."""
 
     kind: ClassVar[str] = "fault"
+    #: one row per constructor argument, which is one per JSON key
+    FIELDS: ClassVar[tuple[Field, ...]] = (Field("at", lo=0, required=True),)
 
     at: float
 
     def __post_init__(self) -> None:
+        for row in self.FIELDS:
+            if row.kind is str and not getattr(self, row.name):
+                raise ValueError(f"{self.kind} needs {row.name!r}")
+        for _, message in violations(self.FIELDS, self):
+            raise ValueError(message)
         # Building the edges puts every one of them -- the start and the
         # end(s) -- through the Action constructor's kind and time rule.
         for _ in self.actions():
@@ -140,6 +149,9 @@ class FaultSpec:
         return data
 
 
+_LINK_ENDS = (Field("a", str, required=True), Field("b", str, required=True))
+
+
 @_register
 @dataclass(frozen=True, slots=True)
 class LinkFlap(FaultSpec):
@@ -147,6 +159,10 @@ class LinkFlap(FaultSpec):
     ``repeat`` times, one flap every ``period`` seconds."""
 
     kind: ClassVar[str] = "link_flap"
+    FIELDS = (
+        *FaultSpec.FIELDS, *_LINK_ENDS, Field("down_for", lo=0, lo_open=True),
+        Field("repeat", int, lo=1), Field("period"),
+    )
 
     a: str = ""
     b: str = ""
@@ -155,18 +171,12 @@ class LinkFlap(FaultSpec):
     period: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.a or not self.b:
-            raise ValueError("link_flap needs both link ends 'a' and 'b'")
-        if self.down_for <= 0:
-            raise ValueError(f"down_for must be positive, got {self.down_for}")
-        if self.repeat < 1:
-            raise ValueError(f"repeat must be >= 1, got {self.repeat}")
+        FaultSpec.__post_init__(self)
         if self.repeat > 1 and self.period <= self.down_for:
             raise ValueError(
                 f"period ({self.period}) must exceed down_for ({self.down_for}) "
                 "when repeating, or flaps would overlap"
             )
-        FaultSpec.__post_init__(self)
 
     def actions(self) -> Iterator[Action]:
         link = link_target(self.a, self.b)
@@ -184,14 +194,10 @@ class SessionReset(FaultSpec):
     each side re-advertises its Loc-RIB (full re-establishment)."""
 
     kind: ClassVar[str] = "session_reset"
+    FIELDS = (*FaultSpec.FIELDS, *_LINK_ENDS)
 
     a: str = ""
     b: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.a or not self.b:
-            raise ValueError("session_reset needs both link ends 'a' and 'b'")
-        FaultSpec.__post_init__(self)
 
     def actions(self) -> Iterator[Action]:
         yield Action(self.at, "session-reset", link_target(self.a, self.b))
@@ -212,6 +218,10 @@ class MessageLoss(FaultSpec):
     """
 
     kind: ClassVar[str] = "message_loss"
+    FIELDS = (
+        *FaultSpec.FIELDS, *_LINK_ENDS, Field("duration", lo=0, lo_open=True),
+        Field("loss_prob", lo=0, hi=1), Field("dup_prob", lo=0, hi=1),
+    )
 
     a: str = ""
     b: str = ""
@@ -220,18 +230,9 @@ class MessageLoss(FaultSpec):
     dup_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.a or not self.b:
-            raise ValueError("message_loss needs both link ends 'a' and 'b'")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not 0.0 <= self.loss_prob <= 1.0 or not 0.0 <= self.dup_prob <= 1.0:
-            raise ValueError(
-                f"probabilities must be in [0, 1], got loss={self.loss_prob} "
-                f"dup={self.dup_prob}"
-            )
+        FaultSpec.__post_init__(self)
         if self.loss_prob == 0.0 and self.dup_prob == 0.0:
             raise ValueError("message_loss with zero probabilities does nothing")
-        FaultSpec.__post_init__(self)
 
     def actions(self) -> Iterator[Action]:
         link = link_target(self.a, self.b)
@@ -248,19 +249,14 @@ class FibDelay(FaultSpec):
     slow BGP speaker)."""
 
     kind: ClassVar[str] = "fib_delay"
+    FIELDS = (
+        *FaultSpec.FIELDS, Field("node", str, required=True),
+        Field("duration", lo=0, lo_open=True), Field("extra_delay", lo=0, lo_open=True),
+    )
 
     node: str = ""
     duration: float = 30.0
     extra_delay: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not self.node:
-            raise ValueError("fib_delay needs a 'node'")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.extra_delay <= 0:
-            raise ValueError(f"extra_delay must be positive, got {self.extra_delay}")
-        FaultSpec.__post_init__(self)
 
     def actions(self) -> Iterator[Action]:
         extra = {"extra_delay": self.extra_delay}
@@ -280,22 +276,16 @@ class PartialSiteFailure(FaultSpec):
     """
 
     kind: ClassVar[str] = "partial_site_failure"
+    FIELDS = (
+        *FaultSpec.FIELDS, Field("node", str, required=True),
+        Field("fraction", lo=0, hi=1, lo_open=True, hi_open=True,
+              why="use link_flap for a total failure"),
+        Field("down_for", lo=0, lo_open=True),
+    )
 
     node: str = ""
     fraction: float = 0.5
     down_for: float = 30.0
-
-    def __post_init__(self) -> None:
-        if not self.node:
-            raise ValueError("partial_site_failure needs a 'node'")
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError(
-                f"fraction must be in (0, 1) -- use link_flap/fail_node for "
-                f"total failures -- got {self.fraction}"
-            )
-        if self.down_for <= 0:
-            raise ValueError(f"down_for must be positive, got {self.down_for}")
-        FaultSpec.__post_init__(self)
 
     def actions(self) -> Iterator[Action]:
         share = {"fraction": self.fraction}
@@ -315,22 +305,27 @@ class Brownout(FaultSpec):
     """
 
     kind: ClassVar[str] = "brownout"
+    FIELDS = (
+        *FaultSpec.FIELDS, Field("site", str, required=True),
+        Field("factor", lo=0, hi=1, hi_open=True,
+              why="a blackout is a fail event, not a brownout"),
+        Field("down_for", lo=0, lo_open=True),
+    )
 
     site: str = ""
     factor: float = 0.5
     down_for: float = 60.0
 
-    def __post_init__(self) -> None:
-        if not self.site:
-            raise ValueError("brownout needs a 'site'")
-        if self.down_for <= 0:
-            raise ValueError(f"down_for must be positive, got {self.down_for}")
-        FaultSpec.__post_init__(self)
-
     def actions(self) -> Iterator[Action]:
         yield Action(self.at, "brownout-start", self.site, {"factor": self.factor})
         yield Action(self.at + self.down_for, "brownout-end", self.site)
 
+
+#: the rows of a plan document; an entry's ``kind`` picks its class's rows
+PLAN_FIELDS = (
+    Field("seed", int),
+    Field("faults", [{kind: fault.FIELDS for kind, fault in FAULT_KINDS.items()}]),
+)
 
 Fault = Union[
     LinkFlap, SessionReset, MessageLoss, FibDelay, PartialSiteFailure, Brownout
@@ -369,34 +364,15 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise ValueError(f"fault plan must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"seed", "faults"}
-        if unknown:
-            raise ValueError(f"unknown fault-plan keys {sorted(unknown)}")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ValueError(f"'seed' must be an integer, got {seed!r}")
-        entries = data.get("faults", [])
-        if not isinstance(entries, list):
-            raise ValueError(f"'faults' must be a list, got {type(entries).__name__}")
+        parsed = read(PLAN_FIELDS, data)
         faults = []
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"faults[{index}] must be an object")
-            kind = entry.get("kind")
-            fault_cls = FAULT_KINDS.get(kind) if isinstance(kind, str) else None
-            if fault_cls is None:
-                raise ValueError(
-                    f"faults[{index}]: unknown fault kind {kind!r}; "
-                    f"have {sorted(FAULT_KINDS)}"
-                )
-            kwargs = {k: v for k, v in entry.items() if k != "kind"}
+        for index, entry in enumerate(parsed.get("faults", ())):
+            kind = entry.pop("kind")
             try:
-                faults.append(fault_cls(**kwargs))
-            except (TypeError, ValueError) as error:
+                faults.append(FAULT_KINDS[kind](**entry))
+            except ValueError as error:
                 raise ValueError(f"faults[{index}] ({kind}): {error}") from error
-        return cls(faults=tuple(faults), seed=seed)
+        return cls(faults=tuple(faults), seed=parsed.get("seed", 0))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

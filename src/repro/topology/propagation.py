@@ -126,7 +126,6 @@ def propagate(
     graph: SymbolicGraph,
     originations: Iterable[Origination],
     prefix: IPv4Prefix,
-    max_rounds: int | None = None,
 ) -> PropagationResult:
     """Run the synchronous SPVP evaluation for one prefix to its fixed
     point (or to a proven oscillation).
@@ -180,7 +179,7 @@ def propagate(
             for node, route in sorted(best.items())
         )
 
-    cap = max_rounds if max_rounds is not None else 4 * len(nodes) + 16
+    cap = 4 * len(nodes) + 16
     seen_states = {state_key()}
     rounds = 0
     previous_best = dict(best)

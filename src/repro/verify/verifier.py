@@ -32,7 +32,6 @@ def verify_world(
     select: set[str] | None = None,
     ignore: set[str] | None = None,
     strict: bool = False,
-    max_rounds: int | None = None,
 ) -> FindingCollector:
     """Run all static analyses over ``world``.
 
@@ -68,7 +67,7 @@ def verify_world(
         key = (frozenset(per_node.values()), prefix)
         if key not in cache:
             propagations += 1
-            cache[key] = propagate(graph, list(per_node.values()), prefix, max_rounds)
+            cache[key] = propagate(graph, list(per_node.values()), prefix)
         return cache[key]
 
     covered_links: set[frozenset[str]] = set()

@@ -52,11 +52,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.bgp.damping import DampingConfig
+from repro.analysis.preflight import DURATION
+from repro.bgp.damping import DAMPING_FIELDS, DampingConfig
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.core.techniques import Technique, technique_by_name
 from repro.faults.plan import Action, FaultPlan, load_fault_plan, timeline
+from repro.fields import Field, read, violations
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology, TopologyParams
 from repro.topology.geo import REGIONS, place_in
@@ -173,115 +175,98 @@ def _instantiate(name: str, prepend: int) -> Technique:
     return technique_by_name(name)
 
 
-def _list_at(data: dict, key: str, where: str = "") -> list:
-    """``data[key]`` (default empty), refused unless it is a JSON list."""
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(
-            f"{where}{key!r} must be a list, got {type(value).__name__}"
-        )
-    return value
+#: the rows of a world document (the schema in the module docstring).
+#: ``workload`` (a builtin name or a profile) and ``capacity`` (a number
+#: or a profile) are unions, and ``faults`` is a plan document:
+#: :func:`world_from_dict` hands each to the loader that owns its rows.
+WORLD_FIELDS = (
+    Field("description", str),
+    Field("seed", int),
+    Field("ases", [(
+        Field("node", str, required=True), Field("asn", int, required=True),
+        Field("class", str), Field("region", str),
+        Field("prefix", str, nullable=True), Field("tags", [str]),
+    )], required=True),
+    Field("links", [(
+        Field("a", str, required=True), Field("b", str, required=True),
+        Field("rel", str, required=True),
+    )]),
+    Field("sites", [(
+        Field("name", str, required=True), Field("region", str),
+        Field("providers", [str]), Field("peers", [str]),
+    )]),
+    Field("techniques", [str]),
+    Field("technique", str),
+    Field("specific_site", str, nullable=True),
+    Field("prepend", int),
+    Field("prefix", str),
+    Field("superprefix", str),
+    Field("preferences", {str: {str: int}}),
+    Field("damping", DAMPING_FIELDS),
+    DURATION,
+    Field("faults", object),
+    Field("faults_path", str),
+    Field("workload", object),
+    Field("capacity", object),
+    Field("suppress", [str]),
+    Field("strict", bool),
+)
 
 
-def _parse_as(entry: dict, index: int, rng: random.Random) -> AsInfo:
-    if not isinstance(entry, dict):
-        raise ValueError(f"ases[{index}] must be an object")
-    try:
-        node = entry["node"]
-        asn = int(entry["asn"])
-    except KeyError as error:
-        raise ValueError(f"ases[{index}] missing required key {error}") from error
-    class_name = entry.get("class", "transit")
-    try:
-        as_class = AsClass(class_name)
-    except ValueError as error:
-        raise ValueError(
-            f"ases[{index}] ({node}): unknown class {class_name!r}; "
-            f"have {sorted(c.value for c in AsClass)}"
-        ) from error
-    region = entry.get("region", "us-east")
-    if region not in REGIONS:
-        raise ValueError(
-            f"ases[{index}] ({node}): unknown region {region!r}; "
-            f"have {sorted(REGIONS)}"
-        )
-    prefix = entry.get("prefix")
-    return AsInfo(
-        node_id=node,
-        asn=asn,
-        as_class=as_class,
-        location=place_in(region, rng),
-        prefix=IPv4Prefix.parse(prefix) if prefix else None,
-        tags=set(_list_at(entry, "tags", f"ases[{index}] ({node}): ")),
-    )
+def _one_of(what: str, name: str, known) -> None:
+    if name not in known:
+        raise ValueError(f"{what} {name!r}; have {sorted(known)}")
 
 
 def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
     """Build a :class:`VerifyWorld` from the JSON fixture schema."""
-    if not isinstance(data, dict):
-        raise ValueError(f"world must be a JSON object, got {type(data).__name__}")
-    known = {
-        "description", "ases", "links", "sites", "techniques", "technique",
-        "specific_site", "prepend", "prefix", "superprefix", "preferences",
-        "damping", "duration", "faults", "faults_path", "suppress", "strict",
-        "seed", "workload", "capacity",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown world keys {sorted(unknown)}")
-    if "ases" not in data:
-        raise ValueError("world needs an 'ases' list")
+    doc = read(WORLD_FIELDS, data)
+    for _, message in violations(WORLD_FIELDS, doc):
+        raise ValueError(message)
+    for one, other in (("technique", "techniques"), ("faults", "faults_path")):
+        if one in doc and other in doc:
+            raise ValueError(f"give either {one!r} or {other!r}, not both")
 
-    seed = int(data.get("seed", 0))
+    seed = doc.get("seed", 0)
     rng = random.Random(seed ^ 0x7E57)
     topology = Topology(params=TopologyParams(seed=seed))
-    for index, entry in enumerate(_list_at(data, "ases")):
-        topology.add_as(_parse_as(entry, index, rng))
-    for index, entry in enumerate(_list_at(data, "links")):
-        if not isinstance(entry, dict) or not {"a", "b", "rel"} <= set(entry):
-            raise ValueError(f"links[{index}] needs 'a', 'b', and 'rel'")
-        rel = _RELATIONSHIPS.get(entry["rel"])
-        if rel is None:
-            raise ValueError(
-                f"links[{index}]: unknown relationship {entry['rel']!r}; "
-                f"have {sorted(_RELATIONSHIPS)}"
-            )
-        topology.link(entry["a"], entry["b"], rel)
+    for index, entry in enumerate(doc["ases"]):
+        where = f"ases[{index}] ({entry['node']})"
+        as_class = entry.get("class", "transit")
+        _one_of(f"{where}: unknown class", as_class, [c.value for c in AsClass])
+        region = entry.get("region", "us-east")
+        _one_of(f"{where}: unknown region", region, REGIONS)
+        prefix = entry.get("prefix")
+        topology.add_as(AsInfo(
+            node_id=entry["node"],
+            asn=entry["asn"],
+            as_class=AsClass(as_class),
+            location=place_in(region, rng),
+            prefix=IPv4Prefix.parse(prefix) if prefix else None,
+            tags=set(entry.get("tags", ())),
+        ))
+    for index, entry in enumerate(doc.get("links", ())):
+        _one_of(f"links[{index}]: unknown relationship", entry["rel"], _RELATIONSHIPS)
+        topology.link(entry["a"], entry["b"], _RELATIONSHIPS[entry["rel"]])
 
-    specs = []
-    for index, entry in enumerate(_list_at(data, "sites")):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ValueError(f"sites[{index}] needs a 'name'")
-        specs.append(
-            SiteSpec(
-                name=entry["name"],
-                region=entry.get("region", "us-east"),
-                providers=tuple(entry.get("providers", [])),
-                peers=tuple(entry.get("peers", [])),
-            )
+    specs = [
+        SiteSpec(
+            name=entry["name"],
+            region=entry.get("region", "us-east"),
+            providers=tuple(entry.get("providers", ())),
+            peers=tuple(entry.get("peers", ())),
         )
+        for entry in doc.get("sites", ())
+    ]
     deployment = build_deployment(topology=topology, specs=specs)
 
-    if "technique" in data and "techniques" in data:
-        raise ValueError("give either 'technique' or 'techniques', not both")
-    names = _list_at(data, "techniques")
-    if "technique" in data:
-        names = [data["technique"]]
-    prepend = int(data.get("prepend", 3))
+    names = [doc["technique"]] if "technique" in doc else doc.get("techniques", [])
     try:
-        techniques = [_instantiate(name, prepend) for name in names]
+        techniques = [_instantiate(name, doc.get("prepend", 3)) for name in names]
     except KeyError as error:
         raise ValueError(f"techniques: {error.args[0]}") from error
 
-    try:
-        preferences = {
-            node: {neighbor: int(pref) for neighbor, pref in per_node.items()}
-            for node, per_node in data.get("preferences", {}).items()
-        }
-    except AttributeError as error:  # a non-object where a mapping belongs
-        raise ValueError(
-            "'preferences' must map node -> {neighbor: local_pref}"
-        ) from error
+    preferences = doc.get("preferences", {})
     for node, per_node in preferences.items():
         if node not in topology.ases:
             raise ValueError(f"preferences: unknown node {node!r}")
@@ -292,54 +277,39 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
                     f"preferences[{node}]: {neighbor!r} is not a neighbor"
                 )
 
-    damping = None
-    if "damping" in data:
-        try:
-            damping = DampingConfig(**data["damping"])
-        except TypeError as error:
-            raise ValueError(f"damping: {error}") from error
-
     fault_plan = None
-    if "faults" in data and "faults_path" in data:
-        raise ValueError("give either 'faults' or 'faults_path', not both")
-    if "faults" in data:
-        fault_plan = FaultPlan.from_dict(data["faults"])
-    elif "faults_path" in data:
-        fault_plan = load_fault_plan(data["faults_path"])
+    if "faults" in doc:
+        fault_plan = FaultPlan.from_dict(doc["faults"])
+    elif "faults_path" in doc:
+        fault_plan = load_fault_plan(doc["faults_path"])
 
-    workload = None
-    if "workload" in data:
-        raw = data["workload"]
-        if isinstance(raw, str):
-            workload = builtin_profile(raw)
-        else:
-            workload = profile_from_dict(raw, source=f"{source}:workload")
+    workload = doc.get("workload")
+    if isinstance(workload, str):
+        workload = builtin_profile(workload)
+    elif workload is not None:
+        workload = profile_from_dict(workload, source=f"{source}:workload")
 
-    capacity = None
-    if "capacity" in data:
-        raw = data["capacity"]
-        if isinstance(raw, bool):
-            raise ValueError("capacity must be a number or a profile object")
-        if isinstance(raw, (int, float)):
-            capacity = CapacityProfile(name=f"uniform-{raw}", default_rps=float(raw))
-        else:
-            capacity = capacity_from_dict(raw, source=f"{source}:capacity")
+    capacity = doc.get("capacity")
+    if isinstance(capacity, (int, float)) and not isinstance(capacity, bool):
+        capacity = CapacityProfile(name=f"uniform-{capacity}", default_rps=float(capacity))
+    elif capacity is not None:
+        capacity = capacity_from_dict(capacity, source=f"{source}:capacity")
 
     return VerifyWorld(
         deployment=deployment,
         techniques=techniques,
-        specific_site=data.get("specific_site"),
-        prefix=IPv4Prefix.parse(data.get("prefix", str(SPECIFIC_PREFIX))),
-        superprefix=IPv4Prefix.parse(data.get("superprefix", str(SUPERPREFIX))),
+        specific_site=doc.get("specific_site"),
+        prefix=IPv4Prefix.parse(doc.get("prefix", str(SPECIFIC_PREFIX))),
+        superprefix=IPv4Prefix.parse(doc.get("superprefix", str(SUPERPREFIX))),
         preferences=preferences,
-        damping=damping,
-        duration=float(data["duration"]) if "duration" in data else None,
+        damping=DampingConfig(**doc["damping"]) if "damping" in doc else None,
+        duration=doc.get("duration"),
         timeline=timeline(fault_plan),
         workload=workload,
         capacity=capacity,
-        suppress=frozenset(_list_at(data, "suppress")),
-        strict=bool(data.get("strict", False)),
-        description=data.get("description", ""),
+        suppress=frozenset(doc.get("suppress", ())),
+        strict=doc.get("strict", False),
+        description=doc.get("description", ""),
         source=source,
     )
 

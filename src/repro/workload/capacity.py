@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.fields import Field, read
 from repro.workload.profile import WorkloadProfile
 from repro.workload.stream import client_weight_table
 
@@ -66,6 +67,17 @@ class CapacityProfile:
             "default_rps": self.default_rps,
             "site_rps": dict(sorted(self.site_rps.items())),
         }
+
+
+#: the rows of :class:`CapacityProfile`; an absent or ``null``
+#: ``default_rps`` is how a profile says unlimited (inf is not)
+CAPACITY_FIELDS = (
+    Field("name", str),
+    Field("default_rps", lo=0, lo_open=True, nullable=True, code="PRE150",
+          why="every unlisted site would serve nothing"),
+    Field("site_rps", {str: float}, lo=0, lo_open=True, code="PRE150",
+          why="the site would serve nothing (fail it instead)"),
+)
 
 
 class CapacityState:
@@ -158,35 +170,13 @@ def capacity_from_dict(data: dict, source: str = "<dict>") -> CapacityProfile:
     for :func:`repro.analysis.preflight.check_capacity`, so bad-profile
     fixtures load and produce PRE findings rather than parse errors.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: capacity profile must be a JSON object")
-    schema = data.get("schema")
-    if schema is not None and schema != CAPACITY_SCHEMA:
+    parsed = read((Field("schema", str), *CAPACITY_FIELDS), data, source)
+    schema = parsed.pop("schema", CAPACITY_SCHEMA)
+    if schema != CAPACITY_SCHEMA:
         raise ValueError(
             f"{source}: capacity schema {schema!r} != {CAPACITY_SCHEMA!r}"
         )
-    unknown = set(data) - {"schema", "name", "default_rps", "site_rps"}
-    if unknown:
-        raise ValueError(f"{source}: unknown capacity keys {sorted(unknown)}")
-    name = data.get("name", source)
-    if not isinstance(name, str):
-        raise ValueError(f"{source}: name must be a string")
-    default_rps = data.get("default_rps")
-    if default_rps is not None:
-        if isinstance(default_rps, bool) or not isinstance(default_rps, (int, float)):
-            raise ValueError(f"{source}: default_rps must be a number or null")
-        default_rps = float(default_rps)
-    site_rps: dict[str, float] = {}
-    raw_sites = data.get("site_rps", {})
-    if not isinstance(raw_sites, dict):
-        raise ValueError(f"{source}: site_rps must be an object")
-    for site, value in raw_sites.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"{source}: site_rps[{site!r}] must be a number, got {value!r}"
-            )
-        site_rps[str(site)] = float(value)
-    return CapacityProfile(name=name, default_rps=default_rps, site_rps=site_rps)
+    return CapacityProfile(**{"name": source, **parsed})
 
 
 def load_capacity(spec: str) -> CapacityProfile:

@@ -21,16 +21,38 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.fields import Field, read
+
 #: schema tag expected in JSON profile files
 PROFILE_SCHEMA = "repro.workload-profile/1"
 
+#: rate-shape kind -> the rows of the parameters that kind reads (its
+#: JSON keys, their intervals, the code pre-flight reports them under)
+SHAPE_FIELDS = {
+    "constant": (Field("factor", lo=0, lo_open=True, code="PRE140"),),
+    "diurnal": (
+        Field("amplitude", lo=0, hi=1, hi_open=True, code="PRE144",
+              why="the rate would go negative at the trough"),
+        # a microsecond period or a 30000-year phase is no diurnal cycle,
+        # and past ~1e300 their quotient overflows into math.sin(inf)
+        Field("period_s", lo=1e-6, code="PRE144"),
+        Field("phase_s", lo=-1e12, hi=1e12, code="PRE144"),
+    ),
+    "flash-crowd": (
+        Field("peak_multiplier", lo=1, code="PRE144", why="a flash crowd raises load"),
+        Field("peak_at_s", lo=0, code="PRE144"),
+        Field("ramp_s", lo=0, code="PRE144"),
+        Field("decay_s", lo=0, code="PRE144"),
+    ),
+}
+
 #: rate-shape kinds understood by :meth:`RateShape.value_at`
-RATE_KINDS = ("constant", "diurnal", "flash-crowd")
+RATE_KINDS = tuple(SHAPE_FIELDS)
 
 #: builtin profile names (``--workload NAME``)
 BUILTIN_PROFILES = ("constant", "diurnal", "flash-crowd", "regional-surge")
@@ -129,18 +151,8 @@ class RateShape:
         raise ValueError(f"unknown rate shape kind {self.kind!r}; have {RATE_KINDS}")
 
     def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": self.kind, "factor": self.factor}
-        if self.kind == "diurnal":
-            return {
-                "kind": self.kind, "amplitude": self.amplitude,
-                "period_s": self.period_s, "phase_s": self.phase_s,
-            }
-        return {
-            "kind": self.kind, "peak_multiplier": self.peak_multiplier,
-            "peak_at_s": self.peak_at_s, "ramp_s": self.ramp_s,
-            "decay_s": self.decay_s,
-        }
+        rows = SHAPE_FIELDS.get(self.kind, ())
+        return {"kind": self.kind, **{row.name: getattr(self, row.name) for row in rows}}
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,20 +224,28 @@ class WorkloadProfile:
         return total
 
     def to_dict(self) -> dict:
-        return {
-            "schema": PROFILE_SCHEMA,
-            "name": self.name,
-            "base_rps": self.base_rps,
-            "shapes": [shape.to_dict() for shape in self.shapes],
-            "zipf_s": self.zipf_s,
-            "content_zipf_s": self.content_zipf_s,
-            "n_contents": self.n_contents,
-            "think_time_s": self.think_time_s,
-            "tick_s": self.tick_s,
-            "seed_salt": self.seed_salt,
-            "surge_region": self.surge_region,
-            "surge_weight": self.surge_weight,
-        }
+        data = {row.name: getattr(self, row.name) for row in PROFILE_FIELDS}
+        data["shapes"] = [shape.to_dict() for shape in self.shapes]
+        return {"schema": PROFILE_SCHEMA, **data}
+
+
+#: the rows of :class:`WorkloadProfile` (one per JSON key of a profile)
+PROFILE_FIELDS = (
+    Field("name", str),
+    Field("base_rps", lo=0, lo_open=True, code="PRE140",
+          why="the stream would never produce a request"),
+    Field("shapes", [SHAPE_FIELDS]),
+    Field("zipf_s", lo=0, lo_open=True, code="PRE141",
+          why="Zipf popularity needs a decaying rank weight"),
+    Field("content_zipf_s", lo=0, lo_open=True, code="PRE141"),
+    Field("n_contents", int, lo=1, code="PRE141"),
+    Field("think_time_s", lo=0, lo_open=True, code="PRE142",
+          why="user-minutes-lost would be zero or negative by construction"),
+    Field("tick_s", lo=0, lo_open=True, code="PRE142"),
+    Field("seed_salt", int),
+    Field("surge_region", str),
+    Field("surge_weight", code="PRE141"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -278,32 +298,6 @@ def builtin_profile(name: str) -> WorkloadProfile:
 # JSON loading
 
 
-_SHAPE_FIELDS = {f.name: f.type for f in fields(RateShape)}
-_PROFILE_FIELDS = {f.name: f.type for f in fields(WorkloadProfile)}
-
-
-def _numeric(value, what: str, source: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{source}: {what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _shape_from_dict(data: dict, source: str) -> RateShape:
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: each shape must be an object, got {data!r}")
-    kind = data.get("kind")
-    if not isinstance(kind, str):
-        raise ValueError(f"{source}: shape is missing a string 'kind'")
-    kwargs: dict = {"kind": kind}
-    for key, value in data.items():
-        if key == "kind":
-            continue
-        if key not in _SHAPE_FIELDS:
-            raise ValueError(f"{source}: unknown shape key {key!r}")
-        kwargs[key] = _numeric(value, f"shape {key}", source)
-    return RateShape(**kwargs)
-
-
 def profile_from_dict(data: dict, source: str = "<dict>") -> WorkloadProfile:
     """Build a profile from parsed JSON, checking structure only.
 
@@ -311,36 +305,14 @@ def profile_from_dict(data: dict, source: str = "<dict>") -> WorkloadProfile:
     for :func:`repro.analysis.preflight.check_workload`, so bad-profile
     fixtures load and produce PRE findings rather than parse errors.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: profile must be a JSON object")
-    schema = data.get("schema")
-    if schema is not None and schema != PROFILE_SCHEMA:
+    parsed = read((Field("schema", str), *PROFILE_FIELDS), data, source)
+    schema = parsed.pop("schema", PROFILE_SCHEMA)
+    if schema != PROFILE_SCHEMA:
         raise ValueError(
             f"{source}: profile schema {schema!r} != {PROFILE_SCHEMA!r}"
         )
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key == "schema":
-            continue
-        if key not in _PROFILE_FIELDS:
-            raise ValueError(f"{source}: unknown profile key {key!r}")
-        if key in ("name", "surge_region"):
-            if not isinstance(value, str):
-                raise ValueError(f"{source}: {key} must be a string")
-            kwargs[key] = value
-        elif key == "shapes":
-            if not isinstance(value, list):
-                raise ValueError(f"{source}: shapes must be a list")
-            kwargs[key] = tuple(_shape_from_dict(item, source) for item in value)
-        elif key in ("n_contents", "seed_salt"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{source}: {key} must be an integer")
-            kwargs[key] = value
-        else:
-            kwargs[key] = _numeric(value, key, source)
-    if "name" not in kwargs:
-        kwargs["name"] = source
-    return WorkloadProfile(**kwargs)
+    shapes = tuple(RateShape(**shape) for shape in parsed.pop("shapes", ()))
+    return WorkloadProfile(**{"name": source, **parsed, "shapes": shapes})
 
 
 def load_profile(spec: str) -> WorkloadProfile:

@@ -140,7 +140,7 @@ class TestCommands:
         plan.write_text('{"faults": [{"kind": "meteor_strike", "at": 1.0}]}')
         code = main(["drill", "--faults", str(plan), "--clients", "3"])
         assert code == 2
-        assert "unknown fault kind" in capsys.readouterr().err
+        assert "unknown kind 'meteor_strike'" in capsys.readouterr().err
 
 
 class TestExtendedCommands:
@@ -371,7 +371,20 @@ class TestExtendedCommands:
     def test_sweep_unknown_site(self, capsys, tmp_path):
         code = main(["sweep", "--sites", "lhr", "-o", str(tmp_path / "s.json")])
         assert code == 2
-        assert "unknown site" in capsys.readouterr().out
+        assert "unknown site" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["failover", "-s", "lhr"], ["compare", "--sites", "lhr"],
+        ["sweep", "--sites", "lhr"], ["scenario", "-s", "lhr"],
+        ["configgen", "--site", "lhr"], ["playbook", "--drain", "lhr", "--levels", "0"],
+        ["verify", "-s", "lhr"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_site_is_one_sentence_on_stderr(self, argv, capsys):
+        """``failover`` ... ``playbook --drain`` used to print it to stdout."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unknown site" not in captured.out
+        assert captured.err.startswith("unknown site 'lhr'; have ['ams', ")
 
     def test_failover_silent_flag(self, capsys):
         code = main([

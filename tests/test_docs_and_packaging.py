@@ -5,6 +5,7 @@ tests keep README/DESIGN/EXPERIMENTS references, the public API surface,
 and the packaging metadata honest.
 """
 
+import functools
 import importlib
 import pathlib
 import re
@@ -51,6 +52,48 @@ class TestPublicApi:
 
     def test_version(self):
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+@functools.lru_cache(maxsize=None)
+def _text_lines(path: pathlib.Path) -> tuple[str, ...]:
+    """The lines of a text file (none for a binary one), read once."""
+    try:
+        return tuple(path.read_text().splitlines())
+    except UnicodeDecodeError:
+        return ()
+
+
+def _deleted_names():
+    """⟨pattern, scope paths, PR⟩ per entry of ``tests/deleted_names.txt``."""
+    for line in (ROOT / "tests" / "deleted_names.txt").read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            pattern, *scope, pr = line.split()
+            yield pytest.param(pattern, scope, id=f"{pr}-{pattern}")
+
+
+class TestDeletedNames:
+    """What CI's lint job used to grep for, under the tier-1 command."""
+
+    @pytest.mark.parametrize("pattern, scope", _deleted_names())
+    def test_deleted_name_stays_deleted(self, pattern, scope):
+        excluded = [ROOT / path[1:] for path in scope if path.startswith("!")]
+        roots = [ROOT / path for path in scope if not path.startswith("!")]
+        assert roots and all(root.exists() for root in roots), scope
+        hits = []
+        for root in roots:
+            for path in sorted(root.rglob("*")) if root.is_dir() else [root]:
+                if (
+                    not path.is_file() or "__pycache__" in path.parts
+                    or path.name == "deleted_names.txt"
+                    or any(skip in path.parents for skip in excluded)
+                ):
+                    continue
+                hits += [
+                    f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+                    for number, line in enumerate(_text_lines(path), 1)
+                    if re.search(pattern, line)
+                ]
+        assert not hits, hits
 
 
 class TestDocsExist:

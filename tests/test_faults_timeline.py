@@ -44,22 +44,24 @@ class TestOneConstructor:
             Action(5.0, "explode", "msn")
         with pytest.raises(ValueError, match=r"factor must be in \[0, 1\)"):
             Action(5.0, "brownout", "msn", {"factor": 1.5})
-        with pytest.raises(ValueError, match=r"factor must be in \[0, 1\)"):
+        with pytest.raises(ValueError, match=r"factor 1 is outside \[0, 1\)"):
             Brownout(at=5.0, site="msn", factor=1.0)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "1e999", "-1"])
     def test_non_finite_times_rejected_where_the_entry_is_built(
         self, text, tmp_path, capsys
     ):
-        """Both spellings, library and CLI: an argparse error for ``-e``,
-        a load error naming the entry for a plan."""
+        """Both spellings, library and CLI: an argparse error for ``-e``
+        (the action's own time rule), a load error naming the entry for
+        a plan (the fault's ``at`` row)."""
         at = float(text)
+        refusal = "at -1 is negative" if at < 0 else f"at {at:g} is not finite"
         with pytest.raises(ValueError, match="finite and non-negative"):
             Action(at, "fail", "sea1")
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match=refusal):
             SessionReset(at=at, a="r0", b="r1")
         if at > 0:  # a finite start whose end edge is not
-            with pytest.raises(ValueError, match="finite and non-negative"):
+            with pytest.raises(ValueError, match=f"down_for {at:g} is not finite"):
                 LinkFlap(at=1.0, a="r0", b="r1", down_for=at)
 
         with pytest.raises(SystemExit) as usage:
@@ -75,7 +77,7 @@ class TestOneConstructor:
         assert main(["scenario", "--faults", str(plan)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cannot load fault plan: {plan}: faults[0] ")
-        assert "finite and non-negative" in err
+        assert refusal in err
 
 
 class TestOneSchedule:

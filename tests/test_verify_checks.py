@@ -55,8 +55,10 @@ def test_fixture_set_covers_every_check():
 
 
 def test_no_stray_fixtures():
+    """Every fixture is a verdict pinned above or a ``malformed_*``
+    document that does not load (``tests/test_fields.py`` runs those)."""
     stems = {path.stem for path in FIXTURES.glob("*.json")}
-    assert stems == set(EXPECTED)
+    assert {stem for stem in stems if not stem.startswith("malformed_")} == set(EXPECTED)
 
 
 @pytest.mark.parametrize("stem", sorted(EXPECTED))
@@ -181,7 +183,7 @@ class TestDefaultWorld:
 
 class TestWorldSchema:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown world keys"):
+        with pytest.raises(ValueError, match="unknown key 'nope'"):
             world_from_dict({"ases": [], "nope": 1})
 
     def test_ases_required(self):

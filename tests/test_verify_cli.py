@@ -79,7 +79,7 @@ class TestVerifyCommand:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"ases": [], "wat": 1}))
         assert main(["verify", str(path)]) == 2
-        assert "unknown world keys" in capsys.readouterr().err
+        assert "unknown key 'wat'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shape, key", [
         pytest.param({"ases": 5}, "ases", id="ases-int"),

@@ -73,7 +73,7 @@ class TestProfileLoading:
             load_capacity("no/such/file.json")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown capacity keys"):
+        with pytest.raises(ValueError, match="unknown key 'sites'"):
             capacity_from_dict({"default_rps": 10, "sites": {}})
 
     def test_wrong_schema_rejected(self):

@@ -104,7 +104,7 @@ class TestLoading:
             load_profile(str(path))
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile key"):
+        with pytest.raises(ValueError, match="unknown key 'rps'"):
             profile_from_dict({"name": "x", "rps": 5})
 
     def test_wrong_schema_rejected(self):
