@@ -97,6 +97,10 @@ class EventEngine:
             raise ValueError(f"cannot warp to {now} < now {self._now}")
         self._now = now
 
+    def clear(self) -> None:
+        """Drop every queued event unrun (the owning network is closing)."""
+        self._queue.clear()
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from the current time."""
         if delay < 0:

@@ -75,6 +75,30 @@ class BgpNetwork:
         self.route_version += 1
 
     # ------------------------------------------------------------------
+    # Lifetime
+
+    def close(self) -> None:
+        """Release the network at the end of its run (idempotent).
+
+        A live network is one reference cycle (router -> sessions -> the
+        remote router's ``receive``; queued callbacks -> sessions; router
+        hooks -> this network). With those edges dropped, reference
+        counting frees it the moment its owner lets go -- no collector
+        pass. Whoever builds or restores a network closes it.
+        """
+        self.engine.clear()
+        for router in self.routers.values():
+            router.sessions.clear()
+            router.fib_delay_source = router.on_fib_change = router.damping = None
+        self.routers.clear()
+
+    def __enter__(self) -> "BgpNetwork":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
     # Provenance
 
     def new_cause(self, action: str, target: str, detail: str = "") -> int:

@@ -107,6 +107,15 @@ DEFAULT_INTERNET_TIMING = SessionTiming(
 class Session:
     """One direction of an eBGP adjacency, with MRAI-paced delivery."""
 
+    # A wide network holds ~1,800 of these and every forked cell rebuilds
+    # them all: slots spare each one its dict.
+    __slots__ = (
+        "engine", "rng", "local", "remote", "relationship", "timing", "_deliver",
+        "mrai", "_pending", "_mrai_running", "_last_delivery", "closed", "epoch",
+        "advertised", "sent_updates", "loss_prob", "dup_prob", "_telemetry",
+        "_updates_sent_counter", "_mrai_deferrals", "_updates_suppressed",
+    )
+
     def __init__(
         self,
         engine: "EventEngine",

@@ -112,7 +112,10 @@ class NetworkSnapshot:
 
     @staticmethod
     def loads(data: bytes) -> "NetworkSnapshot":
-        snapshot = pickle.loads(data)
+        try:
+            snapshot = pickle.loads(data)
+        except Exception as error:  # pickle raises a dozen unrelated types
+            raise CheckpointError(f"not a snapshot: {error!r}") from error
         if not isinstance(snapshot, NetworkSnapshot):
             raise CheckpointError(f"not a NetworkSnapshot: {type(snapshot).__name__}")
         if snapshot.schema != SNAPSHOT_SCHEMA:
@@ -216,21 +219,21 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
     # Sessions are placed directly instead of via add_session: the
     # establishment resync must not re-send the Loc-RIB the remote end
     # already holds. The fresh Session binds the remote router's live
-    # receive() and the restored engine/RNG.
+    # receive() -- one bound method per router, shared by every session
+    # toward it -- and the restored engine/RNG.
+    receive = {node: router.receive for node, router in network.routers.items()}
     for state in snapshot.sessions:
-        local_router = network.routers[state.local]
-        remote_router = network.routers[state.remote]
         session = Session(
             network.engine,
             network.rng,
             state.local,
             state.remote,
             state.relationship,
-            remote_router.receive,
+            receive[state.remote],
             state.timing,
         )
         session.restore_transfer_state(state.transfer)
-        local_router.sessions[state.remote] = session
+        network.routers[state.local].sessions[state.remote] = session
     network.adjacency = {node: dict(nbrs) for node, nbrs in snapshot.adjacency.items()}
     network.link_latency = dict(snapshot.link_latency)
     network._link_timing = dict(snapshot.link_timing)

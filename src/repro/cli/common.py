@@ -303,13 +303,11 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[telemetry.Telemetry 
             raise SystemExit(2) from error
     if trace_path is not None:
         tracer = telemetry.TraceRecorder(capacity=getattr(args, "trace_limit", None))
-    profiler = None
-    if profile_path is not None:
-        from repro.obs.profiler import EventProfiler
+    from repro.obs.profiler import EventProfiler, watch_collector
 
-        profiler = EventProfiler()
+    profiler = EventProfiler() if profile_path is not None else None
     active = telemetry.Telemetry(tracer=tracer, profiler=profiler)
-    with telemetry.using(active):
+    with telemetry.using(active), watch_collector(profiler):
         yield active
     if tracer is not None:
         count = tracer.write_jsonl(trace_path)

@@ -98,47 +98,49 @@ class RotationDrill:
             return self._run_site(site, clients)
 
     def _run_site(self, site: str, clients: list[str]) -> DrillOutcome:
-        network = self.topology.build_network(seed=self.seed, timing=self.timing)
-        rig = RunRig(
-            network,
-            self.deployment,
-            self.technique,
-            site,
-            prefix=self.test_prefix,
-            dst=self.test_prefix.address(1),
-            detection_delay=self.detection_delay,
-            workload=self.workload,
-            capacity=self.capacity,
-            fault_plan=self.fault_plan,
-        )
-        rig.fail(site)
-        tag = f"drill/{self.technique.name}/{site}"
-        rig.start_workload(self.deadline_s, self.seed, tag, clients=clients)
-        network.run_for(self.deadline_s)
+        with (
+            self.topology.build_network(seed=self.seed, timing=self.timing) as network,
+            RunRig(
+                network,
+                self.deployment,
+                self.technique,
+                site,
+                prefix=self.test_prefix,
+                dst=self.test_prefix.address(1),
+                detection_delay=self.detection_delay,
+                workload=self.workload,
+                capacity=self.capacity,
+                fault_plan=self.fault_plan,
+            ) as rig,
+        ):
+            rig.fail(site)
+            tag = f"drill/{self.technique.name}/{site}"
+            rig.start_workload(self.deadline_s, self.seed, tag, clients=clients)
+            network.run_for(self.deadline_s)
 
-        # The audit is the FIB walk: a client is stranded when the data
-        # plane delivers it nowhere live, whichever prefix carries it.
-        stranded = [client for client in clients if rig.live_site(client) is None]
-        violations: tuple[str, ...] = ()
-        if self.check_invariants:
-            # Let in-flight convergence (and any fault events scheduled
-            # past the deadline) drain before auditing: the invariants
-            # are only meaningful on a quiet network.
-            network.converge(max_seconds=SETTLE_S)
-            found = check_invariants(network).violations + rig.capacity_violations()
-            violations = tuple(v.format() for v in found)
-        outcome = DrillOutcome(
-            site=site,
-            recovered=len(clients) - len(stranded),
-            stranded=len(stranded),
-            stranded_clients=tuple(stranded),
-            violations=violations,
-            faults_injected=rig.injector.injected,
-            faults_skipped=rig.injector.skipped,
-            workload=rig.engine.account if rig.engine is not None else None,
-        )
-        self.outcomes.append(outcome)
-        return outcome
+            # The audit is the FIB walk: a client is stranded when the data
+            # plane delivers it nowhere live, whichever prefix carries it.
+            stranded = [client for client in clients if rig.live_site(client) is None]
+            violations: tuple[str, ...] = ()
+            if self.check_invariants:
+                # Let in-flight convergence (and any fault events scheduled
+                # past the deadline) drain before auditing: the invariants
+                # are only meaningful on a quiet network.
+                network.converge(max_seconds=SETTLE_S)
+                found = check_invariants(network).violations + rig.capacity_violations()
+                violations = tuple(v.format() for v in found)
+            outcome = DrillOutcome(
+                site=site,
+                recovered=len(clients) - len(stranded),
+                stranded=len(stranded),
+                stranded_clients=tuple(stranded),
+                violations=violations,
+                faults_injected=rig.injector.injected,
+                faults_skipped=rig.injector.skipped,
+                workload=rig.engine.account if rig.engine is not None else None,
+            )
+            self.outcomes.append(outcome)
+            return outcome
 
     def run_rotation(
         self,

@@ -20,6 +20,7 @@ only on the topology) across techniques.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.bgp.damping import DampingConfig
@@ -206,17 +207,17 @@ class FailoverExperiment:
         telemetry = telemetry_registry.current()
         base_seed = tagged_seed(config.seed, f"{key}/baseline")
         with telemetry.phase("baseline-converge", technique=technique.name):
-            network = self.topology.build_network(
+            with self.topology.build_network(
                 seed=base_seed, timing=config.timing, damping=config.damping
-            )
-            cause = network.new_cause("deploy-base", technique.name)
-            with network.caused_by(cause):
-                apply_plan(
-                    network,
-                    technique.base_plan(self.deployment, SPECIFIC_PREFIX, SUPERPREFIX),
-                )
-            network.converge()
-            snapshot = snapshot_network(network)
+            ) as network:
+                cause = network.new_cause("deploy-base", technique.name)
+                with network.caused_by(cause):
+                    apply_plan(
+                        network,
+                        technique.base_plan(self.deployment, SPECIFIC_PREFIX, SUPERPREFIX),
+                    )
+                network.converge()
+                snapshot = snapshot_network(network)
         self._baselines[key] = snapshot
         return snapshot
 
@@ -251,58 +252,63 @@ class FailoverExperiment:
         # base only the per-site delta actually re-originates.
         snapshot = self.baseline_for(technique) if self.use_checkpoint else None
         phase = "fork-restore" if self.use_checkpoint else "deploy-converge"
-        with telemetry.phase(phase, **tags):
-            if snapshot is not None:
-                network = restore_network(snapshot)
-                # The fork draws from a fresh per-cell stream; the
-                # baseline's RNG position is shared by every cell of the
-                # technique and must not leak cell-to-cell correlations.
-                network.rng.seed(run_seed)
-            else:
-                network = self.topology.build_network(
-                    seed=run_seed, timing=config.timing, damping=config.damping
+        # The cell owns its network and rig: both are released on every
+        # way out, so plain reference counting frees them with the cell.
+        with ExitStack() as release:
+            with telemetry.phase(phase, **tags):
+                if snapshot is not None:
+                    network = restore_network(snapshot)
+                    # The fork draws from a fresh per-cell stream; the
+                    # baseline's RNG position is shared by every cell of the
+                    # technique and must not leak cell-to-cell correlations.
+                    network.rng.seed(run_seed)
+                else:
+                    network = self.topology.build_network(
+                        seed=run_seed, timing=config.timing, damping=config.damping
+                    )
+                release.enter_context(network)
+                rig = RunRig(
+                    network,
+                    self.deployment,
+                    technique,
+                    site,
+                    detection_delay=config.detection_delay,
+                    workload=config.workload,
+                    capacity=config.capacity,
                 )
-            rig = RunRig(
-                network,
-                self.deployment,
-                technique,
-                site,
-                detection_delay=config.detection_delay,
-                workload=config.workload,
-                capacity=config.capacity,
+                release.enter_context(rig)
+
+            with telemetry.phase("select-targets", **tags):
+                selection = self.selection_for(site, mode=technique.selection_mode)
+                # Step 3: pre-failure reachability -> controllable targets.
+                controllable = {
+                    address: node
+                    for address, node in selection.targets.items()
+                    if rig.live_site(node) == site
+                }
+
+            # Step 4: fail the site, probe the controllable targets. The
+            # failed site is dead on the data plane: replies that stale FIBs
+            # still steer there are lost, not captured.
+            with telemetry.phase("fail-probe", **tags):
+                event = rig.fail(site, silent=config.silent_failure)
+                rig.prober.start(
+                    controllable, interval=config.probe_interval, duration=config.probe_duration
+                )
+                rig.start_workload(config.probe_duration, config.seed, run_tag)
+                network.run_for(config.probe_duration + config.drain_slack)
+
+            with telemetry.phase("analyze", **tags):
+                outcomes = outcomes_for_run(rig.prober.logs, site, event.failed_at)
+            return SiteFailoverResult(
+                technique=technique.name,
+                site=site,
+                withdrawal_time=event.failed_at,
+                selection=selection,
+                controllable=controllable,
+                outcomes=outcomes,
+                workload=rig.engine.account if rig.engine is not None else None,
             )
-
-        with telemetry.phase("select-targets", **tags):
-            selection = self.selection_for(site, mode=technique.selection_mode)
-            # Step 3: pre-failure reachability -> controllable targets.
-            controllable = {
-                address: node
-                for address, node in selection.targets.items()
-                if rig.live_site(node) == site
-            }
-
-        # Step 4: fail the site, probe the controllable targets. The
-        # failed site is dead on the data plane: replies that stale FIBs
-        # still steer there are lost, not captured.
-        with telemetry.phase("fail-probe", **tags):
-            event = rig.fail(site, silent=config.silent_failure)
-            rig.prober.start(
-                controllable, interval=config.probe_interval, duration=config.probe_duration
-            )
-            rig.start_workload(config.probe_duration, config.seed, run_tag)
-            network.run_for(config.probe_duration + config.drain_slack)
-
-        with telemetry.phase("analyze", **tags):
-            outcomes = outcomes_for_run(rig.prober.logs, site, event.failed_at)
-        return SiteFailoverResult(
-            technique=technique.name,
-            site=site,
-            withdrawal_time=event.failed_at,
-            selection=selection,
-            controllable=controllable,
-            outcomes=outcomes,
-            workload=rig.engine.account if rig.engine is not None else None,
-        )
 
     def run_all_sites(
         self,

@@ -104,6 +104,18 @@ class RunRig:
         self.dead_sites = self.prober.dead_sites
         self.engine: WorkloadEngine | None = None  # set by start_workload
 
+    def close(self) -> None:
+        """Release the rig at the end of its run (idempotent): break the
+        rig <-> injector ring, the twin of :meth:`BgpNetwork.close`
+        (which the network's owner calls; the rig only borrows it)."""
+        self.injector.rig = None
+
+    def __enter__(self) -> "RunRig":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def fail(self, site: str, *, silent: bool = False) -> FailureEvent:
         """``site`` goes down on both planes: the controller withdraws
         (at detection when ``silent``) and the data plane stops serving."""

@@ -137,59 +137,61 @@ class ScenarioRunner:
 
     def run(self) -> ScenarioReport:
         """Execute the timeline and collect the availability series."""
-        network = self.topology.build_network(
-            seed=self.seed, timing=self.timing, damping=self.damping
-        )
-        rig = RunRig(
-            network,
-            self.deployment,
-            self.technique,
-            self.specific_site,
-            detection_delay=self.detection_delay,
-            recovery_grace=self.recovery_grace,
-            workload=self.workload,
-            capacity=self.capacity,
-            fault_plan=self.fault_plan,
-            events=self.events,
-        )
-
-        nodes = self.target_nodes
-        if nodes is None:
-            nodes = [i.node_id for i in self.topology.web_client_ases()[: self.n_targets]]
-        targets: dict[IPv4Address, str] = {}
-        for node in nodes:
-            prefix = self.topology.ases[node].prefix
-            if prefix is None:
-                raise ValueError(f"target AS {node!r} has no client prefix")
-            targets[prefix.address(1)] = node
-
-        start = network.now
-        ordered = sorted(self.events, key=lambda e: e.at)
-        # The phase tags give the availability ledger its run context
-        # (technique, site); the scenario's focus site is the first
-        # scripted event's target, or the deploy site for a quiet run.
-        focus_site = ordered[0].target if ordered else self.specific_site
-        with telemetry_registry.current().phase(
-            "scenario", technique=self.technique.name, site=focus_site
+        with (
+            self.topology.build_network(
+                seed=self.seed, timing=self.timing, damping=self.damping
+            ) as network,
+            RunRig(
+                network,
+                self.deployment,
+                self.technique,
+                self.specific_site,
+                detection_delay=self.detection_delay,
+                recovery_grace=self.recovery_grace,
+                workload=self.workload,
+                capacity=self.capacity,
+                fault_plan=self.fault_plan,
+                events=self.events,
+            ) as rig,
         ):
-            rig.prober.start(
-                targets, interval=self.probe_interval, duration=self.duration_s
-            )
-            tag = f"scenario/{self.technique.name}/{focus_site}"
-            rig.start_workload(self.duration_s, self.seed, tag, site=focus_site)
-            network.run_for(self.duration_s + 30.0)
 
-        report = self._report(rig, start, ordered)
-        report.faults_injected = rig.injector.injected
-        report.faults_skipped = rig.injector.skipped
-        if rig.engine is not None:
-            report.workload = rig.engine.account
-        if rig.capacity_state is not None:
-            # The capacity invariant is about the settled catchment.
-            network.converge()
-            report.capacity_violations = tuple(v.format() for v in rig.capacity_violations())
-            report.capacity_evaluated = True
-        return report
+            nodes = self.target_nodes
+            if nodes is None:
+                nodes = [i.node_id for i in self.topology.web_client_ases()[: self.n_targets]]
+            targets: dict[IPv4Address, str] = {}
+            for node in nodes:
+                prefix = self.topology.ases[node].prefix
+                if prefix is None:
+                    raise ValueError(f"target AS {node!r} has no client prefix")
+                targets[prefix.address(1)] = node
+
+            start = network.now
+            ordered = sorted(self.events, key=lambda e: e.at)
+            # The phase tags give the availability ledger its run context
+            # (technique, site); the scenario's focus site is the first
+            # scripted event's target, or the deploy site for a quiet run.
+            focus_site = ordered[0].target if ordered else self.specific_site
+            with telemetry_registry.current().phase(
+                "scenario", technique=self.technique.name, site=focus_site
+            ):
+                rig.prober.start(
+                    targets, interval=self.probe_interval, duration=self.duration_s
+                )
+                tag = f"scenario/{self.technique.name}/{focus_site}"
+                rig.start_workload(self.duration_s, self.seed, tag, site=focus_site)
+                network.run_for(self.duration_s + 30.0)
+
+            report = self._report(rig, start, ordered)
+            report.faults_injected = rig.injector.injected
+            report.faults_skipped = rig.injector.skipped
+            if rig.engine is not None:
+                report.workload = rig.engine.account
+            if rig.capacity_state is not None:
+                # The capacity invariant is about the settled catchment.
+                network.converge()
+                report.capacity_violations = tuple(v.format() for v in rig.capacity_violations())
+                report.capacity_evaluated = True
+            return report
 
     def _report(
         self, rig: RunRig, start: float, ordered: list[Action]

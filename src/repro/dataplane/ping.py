@@ -185,14 +185,17 @@ class Prober:
         Probes start immediately and repeat every ``interval`` seconds
         until ``duration`` has elapsed on the simulation clock.
         """
-        engine = self.plane.network.engine
-        stop_at = engine.now + duration
-
-        def tick(target: IPv4Address, node: str) -> None:
-            if engine.now > stop_at:
-                return
-            self.probe_once(target, node)
-            engine.schedule(interval, lambda: tick(target, node))
-
+        stop_at = self.plane.network.engine.now + duration
         for target, node in targets.items():
-            tick(target, node)
+            self._tick(target, node, interval, stop_at)
+
+    def _tick(
+        self, target: IPv4Address, node: str, interval: float, stop_at: float
+    ) -> None:
+        # A method, not a closure that names itself: a self-referencing
+        # closure is a reference cycle that would outlive the run.
+        engine = self.plane.network.engine
+        if engine.now > stop_at:
+            return
+        self.probe_once(target, node)
+        engine.schedule(interval, lambda: self._tick(target, node, interval, stop_at))

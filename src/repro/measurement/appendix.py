@@ -81,37 +81,37 @@ def run_withdrawal_study(
     # Hypergiant withdrawals: one event per (giant, prefix).
     for giant, prefixes in _hypergiant_prefixes(topology).items():
         for prefix in prefixes:
-            network = topology.build_network(seed=rng.getrandbits(30), timing=timing)
-            collector = _collector_over_core(network)
-            network.announce(giant, prefix)
-            network.converge()
-            collector.clear()
-            true_time = network.now
-            network.withdraw(giant, prefix)
-            network.converge()
-            event_time: float | None = true_time
-            if use_estimator:
-                event_time = estimate_event_time(collector.entries, prefix, announce=False)
-            if event_time is None:
-                continue
-            samples.hypergiant.extend(
-                withdrawal_convergence_times(collector, prefix, event_time).values()
-            )
+            with topology.build_network(seed=rng.getrandbits(30), timing=timing) as network:
+                collector = _collector_over_core(network)
+                network.announce(giant, prefix)
+                network.converge()
+                collector.clear()
+                true_time = network.now
+                network.withdraw(giant, prefix)
+                network.converge()
+                event_time: float | None = true_time
+                if use_estimator:
+                    event_time = estimate_event_time(collector.entries, prefix, announce=False)
+                if event_time is None:
+                    continue
+                samples.hypergiant.extend(
+                    withdrawal_convergence_times(collector, prefix, event_time).values()
+                )
 
     # Testbed withdrawals: one event per site, ground-truth times.
     for site in sites:
-        network = topology.build_network(seed=rng.getrandbits(30), timing=timing)
-        collector = _collector_over_core(network)
-        node = deployment.site_node(site)
-        network.announce(node, SPECIFIC_PREFIX)
-        network.converge()
-        collector.clear()
-        true_time = network.now
-        network.withdraw(node, SPECIFIC_PREFIX)
-        network.converge()
-        samples.testbed.extend(
-            withdrawal_convergence_times(collector, SPECIFIC_PREFIX, true_time).values()
-        )
+        with topology.build_network(seed=rng.getrandbits(30), timing=timing) as network:
+            collector = _collector_over_core(network)
+            node = deployment.site_node(site)
+            network.announce(node, SPECIFIC_PREFIX)
+            network.converge()
+            collector.clear()
+            true_time = network.now
+            network.withdraw(node, SPECIFIC_PREFIX)
+            network.converge()
+            samples.testbed.extend(
+                withdrawal_convergence_times(collector, SPECIFIC_PREFIX, true_time).values()
+            )
     return samples
 
 
@@ -142,27 +142,27 @@ def run_propagation_study(
     for i, giant in enumerate(giants):
         prefix = topology.ases[giant].prefix.subnets(24)[-1]
         origins = [giant] + rng.sample(transits, k=min(anycast_origins - 1, len(transits)))
-        network = topology.build_network(seed=rng.getrandbits(30), timing=timing)
-        collector = _collector_over_core(network)
-        event_time = network.now
-        for origin in origins:
-            network.announce(origin, prefix)
-        network.converge()
-        samples.hypergiant.extend(
-            propagation_times(collector, prefix, event_time).values()
-        )
+        with topology.build_network(seed=rng.getrandbits(30), timing=timing) as network:
+            collector = _collector_over_core(network)
+            event_time = network.now
+            for origin in origins:
+                network.announce(origin, prefix)
+            network.converge()
+            samples.hypergiant.extend(
+                propagation_times(collector, prefix, event_time).values()
+            )
 
     # Testbed anycast announcements: all sites at once.
     for trial in range(max(1, len(sites) // 2)):
-        network = topology.build_network(seed=rng.getrandbits(30), timing=timing)
-        collector = _collector_over_core(network)
-        event_time = network.now
-        for site in sites:
-            network.announce(deployment.site_node(site), SPECIFIC_PREFIX)
-        network.converge()
-        samples.testbed.extend(
-            propagation_times(collector, SPECIFIC_PREFIX, event_time).values()
-        )
+        with topology.build_network(seed=rng.getrandbits(30), timing=timing) as network:
+            collector = _collector_over_core(network)
+            event_time = network.now
+            for site in sites:
+                network.announce(deployment.site_node(site), SPECIFIC_PREFIX)
+            network.converge()
+            samples.testbed.extend(
+                propagation_times(collector, SPECIFIC_PREFIX, event_time).values()
+            )
     return samples
 
 

@@ -25,6 +25,7 @@ from repro.obs.profiler import (
     EventProfiler,
     callback_name,
     render_profile,
+    watch_collector,
 )
 from repro.obs.provenance import (
     CauseChain,
@@ -43,6 +44,7 @@ __all__ = [
     "EventProfiler",
     "callback_name",
     "render_profile",
+    "watch_collector",
     "CauseChain",
     "build_chains",
     "explain",

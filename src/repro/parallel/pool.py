@@ -36,10 +36,12 @@ those lines.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import time
 import traceback
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable, Sequence
@@ -107,14 +109,16 @@ def _run_one(
 ) -> tuple[str, Any, str | None, float, CellTelemetry | None]:
     """Run one cell under a private telemetry backend (worker side)."""
     profiler = None
+    watch = nullcontext()
     if collect:
         tracer = TraceRecorder() if want_trace else None
         if want_profile:
             # Local import: keeps repro.parallel importable without
             # repro.obs for callers that never profile.
-            from repro.obs.profiler import EventProfiler
+            from repro.obs.profiler import EventProfiler, watch_collector
 
             profiler = EventProfiler()
+            watch = watch_collector(profiler)
         backend: telemetry_registry.Telemetry | telemetry_registry.NullTelemetry
         backend = telemetry_registry.Telemetry(tracer=tracer, profiler=profiler)
     else:
@@ -125,7 +129,8 @@ def _run_one(
     telemetry_registry.install(backend)
     start = time.perf_counter()  # repro: noqa[DET004]
     try:
-        value = worker_fn(context, payload)
+        with watch:
+            value = worker_fn(context, payload)
         status, error = STATUS_OK, None
     except Exception:
         value, status, error = None, STATUS_ERROR, traceback.format_exc()
@@ -202,20 +207,27 @@ def map_cells(
     parent_backend = telemetry_registry.current()
     collect = bool(parent_backend.enabled)
 
+    # Cells run against a frozen heap (docs/parallel.md): the world they
+    # share is read-only from here on, so collector passes walk a cell's
+    # own objects only; forked workers inherit it. Every exit unfreezes.
     if workers <= 1 or total == 0:
-        for index, (cell_id, payload) in enumerate(cells):
-            start = time.perf_counter()  # repro: noqa[DET004]
-            try:
-                value = worker_fn(context, payload)
-                result = CellResult(index, cell_id, STATUS_OK, value=value)
-            except Exception:
-                result = CellResult(
-                    index, cell_id, STATUS_ERROR, error=traceback.format_exc()
-                )
-            result.wall_s = time.perf_counter() - start  # repro: noqa[DET004]
-            results[index] = result
-            if progress is not None:
-                progress(len(results), total, result)
+        gc.freeze()
+        try:
+            for index, (cell_id, payload) in enumerate(cells):
+                start = time.perf_counter()  # repro: noqa[DET004]
+                try:
+                    value = worker_fn(context, payload)
+                    result = CellResult(index, cell_id, STATUS_OK, value=value)
+                except Exception:
+                    result = CellResult(
+                        index, cell_id, STATUS_ERROR, error=traceback.format_exc()
+                    )
+                result.wall_s = time.perf_counter() - start  # repro: noqa[DET004]
+                results[index] = result
+                if progress is not None:
+                    progress(len(results), total, result)
+        finally:
+            gc.unfreeze()
         return [results[i] for i in range(total)]
 
     ctx = _pick_context()
@@ -280,6 +292,7 @@ def map_cells(
             assign_or_retire(replacement)
 
     active: list[_Worker] = []
+    gc.freeze()
     try:
         for _ in range(pool_size):
             active.append(spawn())
@@ -322,6 +335,7 @@ def map_cells(
                             f"cell exceeded the per-cell timeout of {timeout_s:g}s",
                         )
     finally:
+        gc.unfreeze()
         for worker in active:
             try:
                 worker.conn.close()

@@ -254,6 +254,37 @@ class TestSerialization:
         with pytest.raises(CheckpointError, match="NetworkSnapshot"):
             NetworkSnapshot.loads(pickle.dumps({"not": "a snapshot"}))
 
+    @pytest.mark.parametrize(
+        "blob, names",
+        [
+            (b"", "EOFError"),
+            (b"garbage", "UnpicklingError"),
+            (pickle.dumps({"half": "a pickle"})[:-4], "UnpicklingError"),
+            (pickle.dumps(None), "NoneType"),
+            (b"crepro.checkpoint\nNoSuchClass\n.", "AttributeError"),
+            (
+                dataclasses.replace(
+                    snapshot_network(converged_net()), schema="repro.checkpoint/0"
+                ).dumps(),
+                "schema",
+            ),
+        ],
+        ids=["empty", "non-pickle", "truncated", "pickled-none", "unknown-class",
+             "wrong-schema"],
+    )
+    def test_loads_turns_every_malformed_blob_into_checkpoint_error(self, blob, names):
+        """``CheckpointError`` is "snapshot or restore failed": a blob
+        that is not a snapshot at all must not escape as whichever of
+        pickle's own exception types the bytes happened to trip."""
+        with pytest.raises(CheckpointError, match=names):
+            NetworkSnapshot.loads(blob)
+
+    def test_loads_of_a_truncated_snapshot_names_the_cause(self):
+        data = snapshot_network(converged_net()).dumps()
+        with pytest.raises(CheckpointError, match="truncated") as caught:
+            NetworkSnapshot.loads(data[: len(data) // 2])
+        assert isinstance(caught.value.__cause__, pickle.UnpicklingError)
+
     def test_schema_constant_matches(self):
         assert snapshot_network(converged_net()).schema == SNAPSHOT_SCHEMA
 

@@ -7,6 +7,7 @@ outputs through all three commands plus the filtered summarizer.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -204,6 +205,10 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "engine callbacks" in out
         assert "phases" in out
+        # The run's collector passes are a row of the same artefact, and
+        # the hook that counted them left with the run.
+        assert state["collector"] and "collector" in out
+        assert not [h for h in gc.callbacks if "watch_collector" in h.__qualname__]
 
     def test_summarize_filters_narrow_the_trace(self, capsys, recorded_run):
         trace, _ = recorded_run

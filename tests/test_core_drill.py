@@ -48,26 +48,26 @@ class TestRotationDrill:
         live site over whichever prefix covers the test address.
         proactive-superprefix fails over onto the covering /23, which a
         Loc-RIB read of the test /24 alone scored as 0 recovered."""
-        rigs = []
+        forwards, dead_sites = [], set()
 
-        class KeptRig(RunRig):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                rigs.append(self)
+        class AuditedRig(RunRig):
+            def close(self):
+                # The network dies with the run: send the audit packets
+                # into the deadline state, just before it is released.
+                for client in clients:
+                    self.plane.forward(client, self.dst, forwards.append)
+                self.network.run_for(5.0)
+                dead_sites.update(self.dead_sites)
+                super().close()
 
-        monkeypatch.setattr(drill_module, "RunRig", KeptRig)
+        monkeypatch.setattr(drill_module, "RunRig", AuditedRig)
         drill = RotationDrill(
             topology, deployment, technique_by_name(name),
             deadline_s=60.0, timing=FAST_TIMING,
         )
         outcome = drill.run_site("sea1", clients)
-        (rig,) = rigs
-        forwards = []
-        for client in clients:
-            rig.plane.forward(client, rig.dst, forwards.append)
-        rig.network.run_for(5.0)
         delivered = sum(
-            delivery_verdict(result, deployment, rig.dead_sites)[1] is None
+            delivery_verdict(result, deployment, dead_sites)[1] is None
             for result in forwards
         )
         assert len(forwards) == len(clients)

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import functools
+import gc
 
 from repro.net.addr import IPv4Prefix
-from repro.obs import PROFILE_SCHEMA, EventProfiler, callback_name, render_profile
+from repro.obs import (
+    PROFILE_SCHEMA,
+    EventProfiler,
+    callback_name,
+    render_profile,
+    watch_collector,
+)
 from repro.telemetry import Telemetry, using
 
 from tests.conftest import build_line_network
@@ -35,6 +42,68 @@ class TestRecording:
         profiler.record_callback("zeta", 0.1)
         profiler.record_callback("alpha", 0.1)
         assert list(profiler.state()["callbacks"]) == ["alpha", "zeta"]
+
+
+class TestCollector:
+    def test_passes_accumulate_per_generation(self):
+        profiler = EventProfiler()
+        profiler.record_collection(2, 0.25, 1000)
+        profiler.record_collection(2, 0.5, 24)
+        profiler.record_collection(0, 0.001, 0)
+        assert profiler.state()["collector"] == {
+            "gen0": {"passes": 1, "wall_s": 0.001, "collected": 0},
+            "gen2": {"passes": 2, "wall_s": 0.75, "collected": 1024},
+        }
+
+    def test_merge_sums_and_tolerates_a_state_without_the_key(self):
+        profiler = EventProfiler()
+        profiler.record_collection(2, 0.5, 10)
+        other = EventProfiler()
+        other.record_collection(2, 0.25, 5)
+        profiler.merge_state(other.state())
+        # A /1 file written before the table existed has no such key.
+        profiler.merge_state({"schema": PROFILE_SCHEMA, "callbacks": {}, "phases": {}})
+        assert profiler.state()["collector"] == {
+            "gen2": {"passes": 2, "wall_s": 0.75, "collected": 15}
+        }
+
+    def test_watch_feeds_every_pass_and_unhooks_on_the_way_out(self):
+        profiler = EventProfiler()
+        hooks = list(gc.callbacks)
+        with watch_collector(profiler):
+            ring = []
+            ring.append(ring)
+            del ring
+            gc.collect()
+        assert gc.callbacks == hooks
+        gc.collect()  # outside the block: not counted
+        full = profiler.state()["collector"]["gen2"]
+        assert full["passes"] == 1 and full["collected"] >= 1 and full["wall_s"] > 0.0
+
+    def test_watch_unhooks_when_the_block_raises(self):
+        hooks = list(gc.callbacks)
+        try:
+            with watch_collector(EventProfiler()):
+                raise RuntimeError
+        except RuntimeError:
+            pass
+        assert gc.callbacks == hooks
+
+    def test_watch_without_a_profiler_hooks_nothing(self):
+        hooks = list(gc.callbacks)
+        with watch_collector(None):
+            assert gc.callbacks == hooks
+
+    def test_rendered_under_the_phase_table(self):
+        profiler = EventProfiler()
+        profiler.record_phase("fail-probe", 1.0, 240.0)
+        profiler.record_collection(2, 0.125, 4321)
+        text = render_profile(profiler.state())
+        assert text.index("fail-probe") < text.index("collector")
+        assert "gen2" in text and "4321" in text and "0.125s" in text
+
+    def test_absent_table_renders_nothing(self):
+        assert "collector" not in render_profile({"callbacks": {}, "phases": {}})
 
 
 class TestCallbackName:
