@@ -43,9 +43,14 @@ WORKLOAD_VOLUME_CEILING = 20_000_000
 MRAI_SANITY_CEILING_S = 60.0
 
 #: the rows of a run's shape: ``--duration`` (``drill --deadline``, a
-#: world document's ``duration``) and ``--detection-delay``
+#: world document's ``duration``), ``--detection-delay`` and
+#: ``scenario --grace``
 DURATION = Field("duration", lo=0, lo_open=True, code="PRE135")
-RUN_SHAPE = (DURATION, Field("detection_delay", lo=0, code="PRE136"))
+RUN_SHAPE = (
+    DURATION,
+    Field("detection_delay", lo=0, code="PRE136"),
+    Field("recovery_grace", lo=0, code="PRE137"),
+)
 
 
 def _error(code: str, message: str, source: str) -> Finding:
@@ -314,10 +319,12 @@ def check_timing(
 
 
 def check_run_shape(
-    duration: float | None = None, detection_delay: float | None = None
+    duration: float | None = None, detection_delay: float | None = None,
+    recovery_grace: float | None = None,
 ) -> list[Finding]:
     """Scalar run parameters that must be sane before scheduling."""
-    shape = {"duration": duration, "detection_delay": detection_delay}
+    shape = {"duration": duration, "detection_delay": detection_delay,
+             "recovery_grace": recovery_grace}
     return audit(RUN_SHAPE, shape, "run")
 
 
@@ -417,6 +424,7 @@ def preflight_run(
     events: Iterable[Action | tuple[str, str, float]] | None = None,
     duration: float | None = None,
     detection_delay: float | None = None,
+    recovery_grace: float | None = None,
     timing: SessionTiming | None = None,
     damping: DampingConfig | None = None,
     target_nodes: Sequence[str] | None = None,
@@ -440,7 +448,7 @@ def preflight_run(
         ]
         collector.extend(check_events(timeline, capacity))
     collector.extend(check_timing(timing, damping))
-    collector.extend(check_run_shape(duration, detection_delay))
+    collector.extend(check_run_shape(duration, detection_delay, recovery_grace))
     collector.extend(check_targets(deployment.topology, target_nodes))
     collector.extend(check_workload(workload, duration))
     collector.extend(check_capacity(capacity, deployment, workload))

@@ -100,7 +100,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logs.configure(args.verbose)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemExit as refusal:
+        # common.resolve_* / claim_output said why on stderr
+        return refusal.code
 
 
 if __name__ == "__main__":  # pragma: no cover

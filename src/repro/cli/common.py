@@ -153,39 +153,38 @@ def add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def resolve_capacity(args: argparse.Namespace):
-    """The parsed ``--capacity`` profile, or None when the flag is absent.
-
-    Load errors print to stderr and exit 2, like ``--workload``.
-    """
-    spec = getattr(args, "capacity", None)
+def _load_or_exit(spec, load, what: str):
+    """``load(spec)``, or None when the flag was not given; a load error
+    (unknown builtin, unreadable or malformed JSON) is one line on stderr
+    and exit 2."""
     if spec is None:
         return None
+    try:
+        return load(spec)
+    except (OSError, ValueError) as error:
+        print(f"cannot load {what}: {error}", file=sys.stderr)
+        raise SystemExit(2) from error
+
+
+def resolve_capacity(args: argparse.Namespace):
+    """The parsed ``--capacity`` profile, or None when the flag is absent."""
     from repro.workload import load_capacity
 
-    try:
-        return load_capacity(spec)
-    except (OSError, ValueError) as error:
-        print(f"cannot load capacity profile: {error}", file=sys.stderr)
-        raise SystemExit(2) from error
+    return _load_or_exit(getattr(args, "capacity", None), load_capacity, "capacity profile")
 
 
 def resolve_workload(args: argparse.Namespace):
-    """The parsed ``--workload`` profile, or None when the flag is absent.
-
-    Load errors (unknown builtin, unreadable/malformed JSON) print to
-    stderr and exit 2, matching the fault-plan loader convention.
-    """
-    spec = getattr(args, "workload", None)
-    if spec is None:
-        return None
+    """The parsed ``--workload`` profile, or None when the flag is absent."""
     from repro.workload import load_profile
 
-    try:
-        return load_profile(spec)
-    except (OSError, ValueError) as error:
-        print(f"cannot load workload profile: {error}", file=sys.stderr)
-        raise SystemExit(2) from error
+    return _load_or_exit(getattr(args, "workload", None), load_profile, "workload profile")
+
+
+def resolve_faults(args: argparse.Namespace):
+    """The parsed ``--faults`` plan, or None when the flag is absent."""
+    from repro.faults import load_fault_plan
+
+    return _load_or_exit(getattr(args, "faults", None), load_fault_plan, "fault plan")
 
 
 def add_preflight_arguments(parser: argparse.ArgumentParser) -> None:
@@ -216,9 +215,9 @@ def gate(args: argparse.Namespace, world) -> bool:
         ("preflight", lambda: preflight_run(
             world.deployment, prefix=world.prefix, events=world.timeline,
             duration=world.duration, detection_delay=world.detection_delay,
-            timing=world.timing, damping=world.damping,
-            target_nodes=world.target_nodes, workload=world.workload,
-            capacity=world.capacity,
+            recovery_grace=world.recovery_grace, timing=world.timing,
+            damping=world.damping, target_nodes=world.target_nodes,
+            workload=world.workload, capacity=world.capacity,
         )),
         ("verify", lambda: verify_world(world)),
     )
@@ -253,6 +252,18 @@ def known_sites(deployment, names) -> bool:
             file=sys.stderr,
         )
     return not unknown
+
+
+def claim_output(path: str, label: str) -> None:
+    """Create ``path`` (and its directory) empty before the run that is
+    to fill it, or say on stderr why it cannot be written and exit 2."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w"):
+            pass
+    except OSError as error:
+        print(f"cannot write {label} file {path}: {error}", file=sys.stderr)
+        raise SystemExit(2) from error
 
 
 def print_result(text: str) -> None:
@@ -292,15 +303,8 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[telemetry.Telemetry 
         return
     tracer = None
     for path, label in ((trace_path, "trace"), (profile_path, "profile")):
-        if path is None:
-            continue
-        # Fail fast on an unwritable path rather than after the run.
-        try:
-            with open(path, "w"):
-                pass
-        except OSError as error:
-            print(f"cannot write {label} file {path}: {error}", file=sys.stderr)
-            raise SystemExit(2) from error
+        if path is not None:
+            claim_output(path, label)
     if trace_path is not None:
         tracer = telemetry.TraceRecorder(capacity=getattr(args, "trace_limit", None))
     from repro.obs.profiler import EventProfiler, watch_collector

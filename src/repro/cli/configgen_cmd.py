@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from repro.cli.common import known_sites
+from repro.cli.common import claim_output, known_sites
 from repro.configgen.bird import generate_bird_config
 from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.topology.generator import TopologyParams
@@ -38,7 +38,7 @@ def run(args: argparse.Namespace) -> int:
         config = generate_bird_config(deployment, technique, site, args.specific_site)
         if args.out_dir:
             out = pathlib.Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
+            claim_output(str(out / f"{site}.conf"), "config")
             (out / f"{site}.conf").write_text(config.normal + "\n")
             if config.emergency:
                 (out / f"{site}.emergency.conf").write_text(config.emergency + "\n")

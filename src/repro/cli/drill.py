@@ -14,13 +14,14 @@ from repro.cli.common import (
     gate,
     positive_int,
     resolve_capacity,
+    resolve_faults,
     resolve_workload,
     sweep_progress,
     telemetry_session,
 )
 from repro.core.drill import RotationDrill
 from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.faults import load_fault_plan, timeline
+from repro.faults import timeline
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 from repro.verify import VerifyWorld
@@ -56,13 +57,7 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     with telemetry_session(args):
-        fault_plan = None
-        if args.faults is not None:
-            try:
-                fault_plan = load_fault_plan(args.faults)
-            except (OSError, ValueError) as error:
-                print(f"cannot load fault plan: {error}", file=sys.stderr)
-                return 2
+        fault_plan = resolve_faults(args)
         deployment = build_deployment(params=TopologyParams(seed=args.seed))
         clients = [
             info.node_id for info in deployment.topology.web_client_ases()
@@ -90,7 +85,7 @@ def run(args: argparse.Namespace) -> int:
                 progress=sweep_progress(args, len(deployment.site_names)),
             )
         except RuntimeError as error:
-            print(f"drill aborted: {error}")
+            print(f"drill aborted: {error}", file=sys.stderr)
             return 2
         total_violations = 0
         for outcome in outcomes:

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from repro.cli.common import print_result, read_trace
+from repro.cli.common import claim_output, print_result, read_trace
 from repro.obs import (
     AvailabilityLedger,
     explain,
@@ -81,6 +81,8 @@ def run_report(args: argparse.Namespace) -> int:
     events = read_trace(args.path)
     if events is None:
         return 2
+    if args.json_path not in (None, "-"):
+        claim_output(args.json_path, "ledger")
     ledger = AvailabilityLedger.from_events(events)
     if args.json_path == "-":
         sys.stdout.write(ledger.to_json())

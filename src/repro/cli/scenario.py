@@ -13,12 +13,13 @@ from repro.cli.common import (
     gate,
     known_sites,
     resolve_capacity,
+    resolve_faults,
     resolve_workload,
     telemetry_session,
 )
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.faults import ACTIONS, Action, load_fault_plan, timeline
+from repro.faults import ACTIONS, Action, timeline
 from repro.measurement.catchment import anycast_catchment
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
@@ -75,13 +76,7 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     with telemetry_session(args):
-        fault_plan = None
-        if args.faults is not None:
-            try:
-                fault_plan = load_fault_plan(args.faults)
-            except (OSError, ValueError) as error:
-                print(f"cannot load fault plan: {error}", file=sys.stderr)
-                return 2
+        fault_plan = resolve_faults(args)
         deployment = build_deployment(params=TopologyParams(seed=args.seed))
         if not known_sites(deployment, [args.site]):
             return 2
@@ -110,8 +105,8 @@ def run(args: argparse.Namespace) -> int:
             timeline=timeline(runner.fault_plan, runner.events),
             damping=runner.damping, duration=runner.duration_s,
             detection_delay=runner.detection_delay,
-            timing=runner.timing, workload=runner.workload,
-            capacity=runner.capacity, source="<run>",
+            recovery_grace=runner.recovery_grace, timing=runner.timing,
+            workload=runner.workload, capacity=runner.capacity, source="<run>",
         )
         if not gate(args, world):
             return 2

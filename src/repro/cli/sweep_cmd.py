@@ -19,6 +19,7 @@ from repro.cli.common import (
     add_preflight_arguments,
     add_telemetry_arguments,
     cell_timeout,
+    claim_output,
     gate,
     known_sites,
     positive_int,
@@ -83,6 +84,7 @@ def run(args: argparse.Namespace) -> int:
         ]
         if not gate(args, experiment_world(experiment, techniques)):
             return 2
+        claim_output(args.output, "archive")
 
         cells = matrix(techniques, list(sites))
         report = run_sweep(

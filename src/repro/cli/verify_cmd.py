@@ -18,10 +18,10 @@ from repro.cli.common import (
     add_telemetry_arguments,
     known_sites,
     positive_int,
+    resolve_faults,
     telemetry_session,
 )
 from repro.core.techniques import TECHNIQUES
-from repro.faults import load_fault_plan
 from repro.verify import (
     CHECKS,
     default_world,
@@ -108,51 +108,38 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     with telemetry_session(args):
-        findings: list[Finding] = []
-        errors = False
         if args.worlds:
-            for path in args.worlds:
-                try:
-                    world = load_world(path)
-                except ValueError as error:
-                    print(str(error), file=sys.stderr)
-                    return 2
-                report = verify_world(
-                    world, select=select, ignore=ignore, strict=args.strict
-                )
-                findings.extend(report.findings)
-                errors = errors or not report.ok
+            try:
+                worlds = [load_world(path) for path in args.worlds]
+            except ValueError as error:
+                print(str(error), file=sys.stderr)
+                return 2
         else:
-            fault_plan = None
-            if args.faults is not None:
-                try:
-                    fault_plan = load_fault_plan(args.faults)
-                except (OSError, ValueError) as error:
-                    print(f"cannot load fault plan: {error}", file=sys.stderr)
-                    return 2
             technique_names = (
                 tuple(args.techniques) if args.techniques is not None else None
             )
-            world = default_world(
+            worlds = [default_world(
                 seed=args.seed,
                 technique_names=technique_names,
                 prepend=args.prepend,
                 specific_site=args.site,
-                fault_plan=fault_plan,
+                fault_plan=resolve_faults(args),
                 duration=args.duration,
-            )
-            if args.site is not None and not known_sites(world.deployment, [args.site]):
+            )]
+            if args.site is not None and not known_sites(worlds[0].deployment, [args.site]):
                 return 2
+        findings: list[Finding] = []
+        errors = False
+        for world in worlds:
             report = verify_world(
                 world, select=select, ignore=ignore, strict=args.strict
             )
             findings.extend(report.findings)
             errors = errors or not report.ok
 
-        checked = len(args.worlds) if args.worlds else 1
         if args.format == "json":
             print(render_json(findings))
         else:
-            print(f"{checked} world(s) checked")
+            print(f"{len(worlds)} world(s) checked")
             print(render_text(findings))
     return 1 if errors else 0

@@ -16,7 +16,7 @@ import json
 import sys
 
 from repro.analysis.findings import Severity
-from repro.analysis.preflight import check_workload
+from repro.analysis.preflight import check_run_shape, check_workload
 from repro.cli.common import resolve_workload
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
@@ -58,7 +58,8 @@ def run(args: argparse.Namespace) -> int:
     # resolve_workload reads args.workload; alias the positional onto it.
     args.workload = args.profile
     profile = resolve_workload(args)
-    findings = check_workload(profile, duration=args.duration)
+    shape = check_run_shape(args.duration)
+    findings = shape + check_workload(profile, duration=args.duration)
     for finding in findings:
         print(f"preflight: {finding.format()}", file=sys.stderr)
     errors = [f for f in findings if f.severity is Severity.ERROR]
@@ -75,7 +76,8 @@ def run(args: argparse.Namespace) -> int:
           f"think={profile.think_time_s:g}s, tick={profile.tick_s:g}s")
     if errors:
         # The rate curve on a malformed profile may raise or mislead.
-        print(f"{len(errors)} error(s); fix the profile before running")
+        print(f"{len(errors)} error(s); "
+              f"fix {'--duration' if shape else 'the profile'} before running")
         return 2
 
     duration = args.duration

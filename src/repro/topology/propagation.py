@@ -26,6 +26,7 @@ without any customer-cone cycle.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -262,6 +263,29 @@ def catchment_of(
     return {node: resolve(node) for node in nodes}
 
 
+def solve_plan(
+    graph: SymbolicGraph,
+    originations: Iterable[Origination],
+    solved: dict[tuple, PropagationResult],
+) -> dict[IPv4Prefix, PropagationResult]:
+    """One fixed point per prefix the plan announces, in prefix order
+    (:func:`propagate`'s one caller). A later origination replaces an
+    earlier one at the same node, as ``BgpRouter.originate`` does.
+    ``solved`` memoises over one graph: plans that share a prefix's
+    originations, in any announce order, solve it once."""
+    per_prefix: dict[IPv4Prefix, dict[str, Origination]] = {}
+    for origination in originations:
+        per_prefix.setdefault(origination.prefix, {})[origination.node] = origination
+    results = {}
+    for prefix in sorted(per_prefix):
+        announced = per_prefix[prefix].values()
+        key = (prefix, frozenset(announced))
+        if key not in solved:
+            solved[key] = propagate(graph, announced, prefix)
+        results[prefix] = solved[key]
+    return results
+
+
 def settled_catchment(
     deployment: CdnDeployment,
     originations: Iterable[Origination],
@@ -274,20 +298,56 @@ def settled_catchment(
     Raises ``ValueError`` (prefix + oscillating nodes) when a prefix has
     no stable state to report.
     """
-    originations = tuple(originations)
     graph = SymbolicGraph.from_topology(deployment.topology)
-    results = []
-    for prefix in sorted({o.prefix for o in originations}):
-        result = propagate(graph, originations, prefix)
+    results = solve_plan(graph, originations, {}).values()
+    for result in results:
         if not result.stable:
             raise ValueError(
-                f"{prefix} has no settled state: routing oscillates at "
+                f"{result.prefix} has no settled state: routing oscillates at "
                 f"{', '.join(result.oscillating)}"
             )
-        results.append(result)
     if nodes is None:
         nodes = [info.node_id for info in deployment.topology.web_client_ases()]
     return catchment_of(deployment, results, nodes)
+
+
+def valley_free_reach(
+    graph: SymbolicGraph, origin: str, neighbors: frozenset[str] | None
+) -> set[str]:
+    """Nodes an announcement originated at ``origin`` and exported to
+    ``neighbors`` (None: every session) can reach over valley-free
+    export chains.
+
+    Two-state BFS: a route still "ascending" (only customer->provider
+    hops so far) may cross to providers and peers; once it has been
+    exported to a peer or down to a customer it may only continue
+    downhill. On a Gao-Rexford world this is the set of nodes a lone
+    :func:`propagate` offers the route to, computed without selecting
+    best paths; a ``preferences`` override can hide a customer route
+    behind a less exportable one, so there it is an upper bound.
+    """
+    # state: (node, downhill_only)
+    seen: set[tuple[str, bool]] = {(origin, False)}
+    queue = deque([(origin, False)])
+    while queue:
+        node, downhill = queue.popleft()
+        scope = neighbors if node == origin else None
+        for neighbor, relationship in graph.adjacency[node].items():
+            if relationship is Relationship.COLLECTOR:
+                continue
+            if scope is not None and neighbor not in scope:
+                continue  # the origin exports its own route here only
+            if relationship is Relationship.CUSTOMER:
+                state = (neighbor, True)
+            elif downhill:
+                continue  # peer/provider export of a non-customer route: valley
+            else:
+                # crossing sideways ends the ascent, crossing up continues it
+                state = (neighbor, relationship is not Relationship.PROVIDER)
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return {node for node, _ in seen}
 
 
 def ambiguous_ties(result: PropagationResult, node: str) -> list[Route]:

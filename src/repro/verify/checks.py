@@ -45,6 +45,14 @@ class VerifyCheck:
         )
 
 
+def sample(names: list[str], limit: int = 6) -> str:
+    """The first ``limit`` names of a finding's message, and how many more."""
+    shown = ", ".join(names[:limit])
+    if len(names) > limit:
+        shown += f", ... ({len(names) - limit} more)"
+    return shown
+
+
 #: registry of check code -> descriptor, in catalogue order
 CHECKS: dict[str, VerifyCheck] = {}
 

@@ -28,13 +28,6 @@ from repro.verify import checks
 from repro.verify.world import VerifyWorld
 
 
-def _sample(names: list[str], limit: int = 6) -> str:
-    shown = ", ".join(names[:limit])
-    if len(names) > limit:
-        shown += f", ... ({len(names) - limit} more)"
-    return shown
-
-
 def check_dispute_wheel(
     world: VerifyWorld,
     technique_name: str,
@@ -47,7 +40,7 @@ def check_dispute_wheel(
         f"{technique_name} plan for {result.prefix}: best-path evaluation "
         f"revisited a prior state after {result.rounds} rounds without "
         f"converging — the preference/export policies form a dispute "
-        f"wheel through {_sample(involved)}; the event simulation would "
+        f"wheel through {checks.sample(involved)}; the event simulation would "
         "oscillate indefinitely",
         world.source,
     )
@@ -97,7 +90,7 @@ def check_prepend_insufficient(
         yield checks.PREPEND_INEFFECTIVE.finding(
             f"{technique_name} plan for {result.prefix}: prepend depth "
             f"{prepend} leaves {len(flippable)} length-decided client(s) "
-            f"routed away from {specific} ({_sample(flippable)}); a "
+            f"routed away from {specific} ({checks.sample(flippable)}); a "
             "deeper prepend would steer them to the intended site",
             world.source,
         )

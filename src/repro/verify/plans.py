@@ -19,13 +19,6 @@ from repro.verify import checks
 from repro.verify.world import VerifyWorld
 
 
-def _sample(names: list[str], limit: int = 6) -> str:
-    shown = ", ".join(names[:limit])
-    if len(names) > limit:
-        shown += f", ... ({len(names) - limit} more)"
-    return shown
-
-
 def check_dead_prefix(
     world: VerifyWorld,
     technique_name: str,
@@ -103,7 +96,7 @@ def check_ambiguous_catchment(
             f"{technique_name} plan for {result.prefix}: "
             f"{len(ambiguous)} client(s) tie between sites on "
             f"(LOCAL_PREF, path length, MED) and land on the arbitrary "
-            f"final tie-break ({_sample(ambiguous)}); their catchment is "
+            f"final tie-break ({checks.sample(ambiguous)}); their catchment is "
             "not a property of the configuration and may differ on real "
             "routers",
             world.source,
@@ -114,7 +107,7 @@ def check_site_dark(
     world: VerifyWorld,
     technique_name: str,
     plan: Iterable[Origination],
-    propagate_alone: Callable[[Origination], PropagationResult],
+    reach: Callable[[str, frozenset[str] | None], set[str]],
 ) -> Iterator[Finding]:
     """VER224: sites whose announcements cannot reach any client even in
     isolation.
@@ -123,8 +116,9 @@ def check_site_dark(
     what prepending is for); a site whose announcement alone — with no
     competing sites — still reaches no client is genuinely dark: no
     withdrawal sequence can ever shift traffic to it, so its presence in
-    the plan is a false sense of redundancy. Isolated propagation is an
-    upper bound on what the site can ever serve.
+    the plan is a false sense of redundancy. Valley-free ``reach`` through
+    the origination's scoped first hops is an upper bound on what the
+    site can ever serve.
     """
     clients = [info.node_id for info in world.topology.web_client_ases()]
     if not clients:
@@ -136,8 +130,7 @@ def check_site_dark(
         if site is None or (site, origination.prefix) in seen:
             continue
         seen.add((site, origination.prefix))
-        alone = propagate_alone(origination)
-        if not any(node in alone.best for node in clients):
+        if reach(origination.node, origination.neighbors).isdisjoint(clients):
             dark.append((site, origination.prefix))
     for site, prefix in sorted(dark):
         yield checks.SITE_DARK.finding(

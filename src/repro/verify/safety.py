@@ -13,20 +13,13 @@ actually reach over valley-free paths (VER203).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.analysis.findings import Finding
 from repro.bgp.policy import Relationship
 from repro.topology.propagation import SymbolicGraph
 from repro.verify import checks
 from repro.verify.world import VerifyWorld
-
-
-def _sample(names: list[str], limit: int = 6) -> str:
-    shown = ", ".join(names[:limit])
-    if len(names) > limit:
-        shown += f", ... ({len(names) - limit} more)"
-    return shown
 
 
 def customer_cycle_members(graph: SymbolicGraph) -> list[str]:
@@ -58,7 +51,7 @@ def check_gao_cycle(world: VerifyWorld, graph: SymbolicGraph) -> Iterator[Findin
     members = customer_cycle_members(graph)
     if members:
         yield checks.GAO_CYCLE.finding(
-            f"provider-customer cycle through {_sample(members)}: the "
+            f"provider-customer cycle through {checks.sample(members)}: the "
             "customer-cone hierarchy is circular, so Gao-Rexford "
             "convergence guarantees do not apply to this topology",
             world.source,
@@ -100,7 +93,7 @@ def core_components(graph: SymbolicGraph) -> list[list[str]]:
 def check_core_partition(world: VerifyWorld, graph: SymbolicGraph) -> Iterator[Finding]:
     components = core_components(graph)
     if len(components) > 1:
-        parts = "; ".join(_sample(c, limit=4) for c in components)
+        parts = "; ".join(checks.sample(c, limit=4) for c in components)
         yield checks.CORE_PARTITION.finding(
             f"provider-free core splits into {len(components)} "
             f"peering-disconnected fragments ({parts}): traffic cannot "
@@ -109,51 +102,20 @@ def check_core_partition(world: VerifyWorld, graph: SymbolicGraph) -> Iterator[F
         )
 
 
-def valley_free_reach(graph: SymbolicGraph, origins: set[str]) -> set[str]:
-    """Nodes reachable from ``origins`` over valley-free export chains.
-
-    Two-state BFS: a route still "ascending" (only customer->provider /
-    origin hops so far, possibly ending with one peer hop) may cross to
-    providers and peers; once it has been exported to a peer or down to
-    a customer it may only continue downhill. This is exactly the set of
-    nodes :func:`repro.topology.propagation.propagate` can deliver a route
-    to, computed without selecting best paths — so it is preference- and
-    technique-independent.
-    """
-    # state: (node, downhill_only)
-    seen: set[tuple[str, bool]] = {(node, False) for node in origins}
-    queue = deque(seen)
-    while queue:
-        node, downhill = queue.popleft()
-        for neighbor, relationship in graph.adjacency[node].items():
-            if relationship is Relationship.COLLECTOR:
-                continue
-            if relationship is Relationship.CUSTOMER:
-                state = (neighbor, True)
-            elif downhill:
-                continue  # peer/provider export of a non-customer route: valley
-            else:
-                state = (neighbor, True)  # crossing up or sideways ends ascent
-                if relationship is Relationship.PROVIDER:
-                    state = (neighbor, False)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return {node for node, _ in seen}
-
-
-def check_client_reach(world: VerifyWorld, graph: SymbolicGraph) -> Iterator[Finding]:
+def check_client_reach(
+    world: VerifyWorld, reach: Callable[[str, frozenset[str] | None], set[str]]
+) -> Iterator[Finding]:
+    """VER203: clients outside every site's unscoped valley-free reach."""
     sites = world.sites()
     clients = [info.node_id for info in world.topology.web_client_ases()]
     if not sites or not clients:
         return
-    origins = {world.deployment.site_node(name) for name in sites}
-    reach = valley_free_reach(graph, origins)
-    dark = sorted(node for node in clients if node not in reach)
+    reached = set().union(*(reach(world.deployment.site_node(s), None) for s in sites))
+    dark = sorted(node for node in clients if node not in reached)
     if dark:
         yield checks.CLIENT_UNREACHABLE.finding(
             f"{len(dark)} web-client AS(es) no valley-free path from any "
-            f"CDN site can reach: {_sample(dark)}; every technique will "
+            f"CDN site can reach: {checks.sample(dark)}; every technique will "
             "leave them without a route",
             world.source,
         )

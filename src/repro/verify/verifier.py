@@ -15,13 +15,16 @@ caller opts into the strict profile.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
 
 from repro import telemetry
 from repro.analysis.findings import Finding, FindingCollector, emit_findings
-from repro.core.plan import Origination
-from repro.net.addr import IPv4Prefix
-from repro.topology.propagation import PropagationResult, SymbolicGraph, propagate
+from repro.topology.propagation import (
+    PropagationResult,
+    SymbolicGraph,
+    solve_plan,
+    valley_free_reach,
+)
 from repro.verify import capacity, disputes, plans, safety, vacuity
 from repro.verify.checks import CHECKS
 from repro.verify.world import VerifyWorld
@@ -43,11 +46,15 @@ def verify_world(
     effective_strict = strict or world.strict
     suppressed_codes = set(world.suppress) | set(ignore or ())
     graph = SymbolicGraph.from_topology(world.topology, world.preferences)
+    #: a site node's reach through one first-hop scope, solved once
+    reach = functools.cache(functools.partial(valley_free_reach, graph))
+    #: every fixed point this call computes, shared across techniques
+    solved: dict[tuple, PropagationResult] = {}
 
     findings: list[Finding] = []
     findings += safety.check_gao_cycle(world, graph)
     findings += safety.check_core_partition(world, graph)
-    findings += safety.check_client_reach(world, graph)
+    findings += safety.check_client_reach(world, reach)
     findings += capacity.check_capacity_sites(world)
     findings += capacity.check_capacity_vacuity(world)
     client_regions = {
@@ -55,23 +62,6 @@ def verify_world(
         for info in world.topology.web_client_ases()
     }
 
-    cache: dict[tuple[frozenset[Origination], object], PropagationResult] = {}
-    propagations = 0
-
-    def run_propagation(originations: Iterable[Origination], prefix) -> PropagationResult:
-        nonlocal propagations
-        # Later originations replace earlier ones at the same node, as
-        # BgpRouter.originate does; normalizing here keeps the cache key
-        # canonical across plans that only differ in announce order.
-        per_node = {o.node: o for o in originations if o.prefix == prefix}
-        key = (frozenset(per_node.values()), prefix)
-        if key not in cache:
-            propagations += 1
-            cache[key] = propagate(graph, list(per_node.values()), prefix)
-        return cache[key]
-
-    covered_links: set[frozenset[str]] = set()
-    covered_nodes: set[str] = set()
     specific = world.chosen_specific_site()
     deployment = world.deployment
 
@@ -82,15 +72,11 @@ def verify_world(
             deployment, specific, world.prefix, world.superprefix
         )
         findings += plans.check_superprefix_cover(world, technique.name, plan)
-        results: dict[IPv4Prefix, PropagationResult] = {}
-        for prefix in sorted({o.prefix for o in plan}):
-            result = run_propagation(plan, prefix)
-            results[prefix] = result
+        results = solve_plan(graph, plan, solved)
+        for result in results.values():
             findings += disputes.check_dispute_wheel(world, technique.name, result)
             if not result.stable:
                 continue
-            covered_links |= result.carried_links()
-            covered_nodes |= result.reached()
             findings += plans.check_dead_prefix(world, technique.name, result)
             findings += plans.check_ambiguous_catchment(world, technique.name, result)
         specific_result = results.get(world.prefix)
@@ -101,28 +87,25 @@ def verify_world(
         findings += capacity.check_site_over_capacity(
             world, technique.name, results, client_regions
         )
-        findings += plans.check_site_dark(
-            world, technique.name, plan,
-            lambda o: run_propagation([o], o.prefix),
-        )
-        # Post-failure coverage for vacuity: the failed site's
-        # originations are withdrawn and the technique reacts.
-        failure_plan = technique.originations(
-            deployment, specific, world.prefix, world.superprefix, down={specific}
-        )
-        for prefix in sorted({o.prefix for o in failure_plan}):
-            result = run_propagation(failure_plan, prefix)
-            if result.stable:
-                covered_links |= result.carried_links()
-                covered_nodes |= result.reached()
+        findings += plans.check_site_dark(world, technique.name, plan, reach)
+        if world.timeline is not None:
+            # Post-failure coverage for vacuity: the failed site's
+            # originations are withdrawn and the technique reacts.
+            solve_plan(graph, technique.originations(
+                deployment, specific, world.prefix, world.superprefix, down={specific}
+            ), solved)
 
     findings += disputes.check_damping_starvation(world)
 
     if world.timeline is not None:
-        analyzed = world.techniques and specific is not None
-        findings += vacuity.check_timeline(
-            world, (covered_links, covered_nodes) if analyzed else None
-        )
+        coverage = None
+        if world.techniques and specific is not None:
+            settled = [result for result in solved.values() if result.stable]
+            coverage = (
+                set().union(*(result.carried_links() for result in settled)),
+                set().union(*(result.reached() for result in settled)),
+            )
+        findings += vacuity.check_timeline(world, coverage)
 
     kept: list[Finding] = []
     suppressed = 0
@@ -141,7 +124,7 @@ def verify_world(
     if tel.enabled:
         tel.inc("verify.runs")
         tel.inc("verify.techniques", len(world.techniques))
-        tel.inc("verify.propagations", propagations)
+        tel.inc("verify.propagations", len(solved))
         tel.inc("verify.findings", len(kept))
         tel.inc("verify.errors", sum(1 for f in kept if f.severity.blocking))
         if suppressed:

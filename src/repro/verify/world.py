@@ -109,8 +109,9 @@ class VerifyWorld:
     #: per-site capacity the VER24x checks verify against
     capacity: CapacityProfile | None = None
     #: run shape only the PRE stage of the gate reads: the controller's
-    #: reaction time, session timing, probe target nodes
+    #: reaction time and recovery grace, session timing, probe target nodes
     detection_delay: float | None = None
+    recovery_grace: float | None = None
     timing: SessionTiming | None = None
     target_nodes: Sequence[str] | None = None
     #: VER codes suppressed for this world (the fixture-level analogue

@@ -452,3 +452,126 @@ class TestTelemetryFlags:
         args = build_parser().parse_args(["-vv", "topology"])
         assert args.verbose == 2
         assert build_parser().parse_args(["topology"]).verbose == 0
+
+
+SMALL_RUN = ["-s", "msn", "--targets", "3", "--duration", "30"]
+
+
+class TestOutputPaths:
+    """Results are not lost after the work is done: every flag that names
+    a file to write is probed before any event fires."""
+
+    @pytest.mark.parametrize("argv, label", [
+        (["failover", "-t", "anycast", *SMALL_RUN, "--trace", "{blocked}/t.jsonl"], "trace"),
+        (["failover", "-t", "anycast", *SMALL_RUN, "--profile", "{blocked}/p.json"], "profile"),
+        (["sweep", "-t", "anycast", "--sites", "msn", "--targets", "3", "--duration", "30",
+          "-o", "{blocked}/s.json"], "archive"),
+        (["report", "{trace}", "--json", "{blocked}/ledger.json"], "ledger"),
+        (["configgen", "--site", "msn", "-o", "{blocked}/conf"], "config"),
+    ], ids=("trace", "profile", "sweep-o", "report-json", "configgen-o"))
+    def test_an_unwritable_output_is_one_line_and_exit_2(self, argv, label, capsys, tmp_path):
+        """``sweep -o`` used to run the whole sweep and then die in
+        ``save_json``; ``report --json`` and ``configgen -o`` ended in
+        ``NotADirectoryError`` tracebacks (``--trace`` / ``--profile``
+        already failed fast: the probe is theirs, lifted)."""
+        blocked = tmp_path / "a-file"
+        blocked.write_text("")
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        argv = [arg.format(blocked=blocked, trace=trace) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"cannot write {label} file {blocked}/")
+
+    def test_a_new_directory_is_created_for_every_flag(self, capsys, tmp_path):
+        trace = tmp_path / "new" / "t.jsonl"
+        archive = tmp_path / "newer" / "s.json"
+        assert main(["sweep", "-t", "anycast", "--sites", "msn", "--targets", "3",
+                     "--duration", "30", "--trace", str(trace), "-o", str(archive)]) == 0
+        assert trace.stat().st_size and json.loads(archive.read_text())["cells"]
+
+
+class TestHostileRunShape:
+    """The two flags the gate's run-shape rows had missed."""
+
+    @pytest.mark.parametrize("value, refusal", [
+        ("nan", "is not finite"), ("inf", "is not finite"), ("-5", "is not positive"),
+    ])
+    def test_workload_duration(self, value, refusal, capsys):
+        """``nan`` / ``inf`` used to be tracebacks from
+        ``expected_requests``; ``-5`` printed a ``0..-5s`` sparkline."""
+        assert main(["workload", "flash-crowd", "--duration", value]) == 2
+        captured = capsys.readouterr()
+        assert f"PRE135 error: duration {value} {refusal}" in captured.err
+        assert "rate |" not in captured.out
+
+    @pytest.mark.parametrize("value, refusal", [
+        ("nan", "is not finite"), ("-5", "is negative"),
+    ])
+    def test_scenario_grace(self, value, refusal, capsys):
+        argv = ["scenario", "--duration", "30", "--grace", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"PRE137 error: recovery_grace {value} {refusal}" in captured.err
+        assert "availability" not in captured.out
+        assert main(argv + ["--no-check"]) == 0
+        assert "overridden by --no-check" in capsys.readouterr().err
+
+
+class TestPoolFailureAtTheCli:
+    """A dying or hung worker ends in per-cell lines and an exit code at
+    the command, not only inside ``map_cells`` (the patches are made
+    before the pool forks, so the workers inherit them)."""
+
+    def test_sweep_keeps_the_surviving_cells(self, capsys, tmp_path, monkeypatch):
+        import os
+        import time
+
+        from repro.core.experiment import FailoverExperiment
+
+        real = FailoverExperiment.run_site
+
+        def hostile(self, technique, site):
+            if site == "msn":
+                os._exit(3)
+            if site == "sea1":
+                time.sleep(60)
+            return real(self, technique, site)
+
+        monkeypatch.setattr(FailoverExperiment, "run_site", hostile)
+        archive = tmp_path / "sweep.json"
+        code = main([
+            "sweep", "-t", "anycast", "--sites", "msn", "sea1", "ams",
+            "--targets", "3", "--duration", "30", "--workers", "2",
+            "--cell-timeout", "4", "--no-progress", "-o", str(archive),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "sweep: cell anycast/msn crashed" in captured.err
+        assert "sweep: cell anycast/sea1 timeout" in captured.err
+        assert "(1 crashed, 1 ok, 1 timeout)" in captured.out
+        cells = {cell["cell"]: cell["status"] for cell in json.loads(archive.read_text())["cells"]}
+        assert cells == {"anycast/msn": "crashed", "anycast/sea1": "timeout", "anycast/ams": "ok"}
+
+    def test_drill_aborts_on_stderr(self, capsys, monkeypatch):
+        import os
+
+        from repro.core.drill import RotationDrill
+
+        real = RotationDrill.run_site
+
+        def hostile(self, site, clients):
+            if site == "msn":
+                os._exit(3)
+            return real(self, site, clients)
+
+        monkeypatch.setattr(RotationDrill, "run_site", hostile)
+        assert main(["drill", "--clients", "2", "--deadline", "20",
+                     "--workers", "2", "--no-progress"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "drill aborted: 1 drill cell(s) failed: drill/msn: crashed"
+        )
+        assert "drill aborted" not in captured.out and "rotation verdict" not in captured.out
