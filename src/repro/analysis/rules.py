@@ -487,7 +487,9 @@ class UnsortedFsIteration(LintRule):
 #: assembled by the rig, a brownout's end is released by the rig, and a
 #: network is simulated only by the four runners -- settled catchments
 #: come from the symbolic fixed point (docs/architecture.md, "Three
-#: regimes"), never from a scratch network.
+#: regimes"), never from a scratch network; and the valley-free rule is
+#: read through ``policy.exported`` / ``relayed``, which both engines
+#: and the reachability walk call, never restated beside them.
 _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(
         ("CdnController", "WorkloadEngine", "CapacityState", "FaultInjector", "Prober",
@@ -497,6 +499,7 @@ _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
     "build_network": (
         "core/experiment.py", "core/drill.py", "core/scenarios.py", "measurement/appendix.py",
     ),
+    "should_export": ("bgp/policy.py",),
 }
 
 

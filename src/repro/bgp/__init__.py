@@ -10,20 +10,18 @@ hinge on -- emerge from these mechanics rather than being scripted.
 """
 
 from repro.bgp.engine import EventEngine
-from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
-from repro.bgp.route import Route
+from repro.bgp.route import Route, Update
 from repro.bgp.router import BgpRouter
 from repro.bgp.collector import RouteCollector, CollectorEntry
 
 __all__ = [
     "EventEngine",
-    "Announcement",
-    "Withdrawal",
     "BgpNetwork",
     "Relationship",
     "Route",
+    "Update",
     "BgpRouter",
     "RouteCollector",
     "CollectorEntry",

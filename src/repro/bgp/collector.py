@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.messages import Announcement, Update
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
+from repro.bgp.route import Update
 from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Prefix
 
@@ -52,25 +52,11 @@ class RouteCollector:
         remote_id = f"{self.name}@{node_id}"
 
         def record(update: Update, peer: str = node_id, asn: int = router.asn) -> None:
-            if isinstance(update, Announcement):
-                entry = CollectorEntry(
-                    time=self.network.engine.now,
-                    peer=peer,
-                    peer_asn=asn,
-                    announce=True,
-                    prefix=update.prefix,
-                    as_path=update.as_path,
-                )
-            else:
-                entry = CollectorEntry(
-                    time=self.network.engine.now,
-                    peer=peer,
-                    peer_asn=asn,
-                    announce=False,
-                    prefix=update.prefix,
-                    as_path=(),
-                )
-            self.entries.append(entry)
+            route = update.route
+            as_path = route.as_path if route is not None else ()
+            self.entries.append(CollectorEntry(
+                self.network.engine.now, peer, asn, route is not None, update.prefix, as_path,
+            ))
 
         session = Session(
             self.network.engine,

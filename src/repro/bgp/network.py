@@ -306,12 +306,8 @@ class BgpNetwork:
         # (sends toward the closed session are swallowed).
         session_ab.closed = True
         session_ba.closed = True
-        router_a._current_cause = cause
-        for prefix in router_a.adj_rib_in.drop_neighbor(b):
-            router_a._reselect(prefix)
-        router_b._current_cause = cause
-        for prefix in router_b.adj_rib_in.drop_neighbor(a):
-            router_b._reselect(prefix)
+        router_a.flush_neighbor(b, cause)
+        router_b.flush_neighbor(a, cause)
         # Up phase: reset session state and exchange full tables, as at
         # initial establishment. The resync exports carry the reset's
         # cause across the new delivery epoch, so provenance survives

@@ -3,12 +3,14 @@
 A :class:`Route` is an immutable record of one path to one prefix as seen
 at one router: the AS path, the session it was learned on, and the
 LOCAL_PREF assigned by import policy. Routes are compared by the standard
-BGP decision process implemented in :func:`better`.
+BGP decision process implemented in :func:`better`. An :class:`Update` is
+what one router tells a neighbor about one prefix: the route, as the
+neighbor will hold it, or nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.net.addr import IPv4Prefix
 
@@ -41,30 +43,24 @@ class Route:
     origin_node: str
     med: int = 0
 
-    def contains_asn(self, asn: int) -> bool:
-        """Loop check: True if ``asn`` already appears in the AS path."""
-        return asn in self.as_path
 
-    def extended_by(self, asn: int, prepend: int = 0) -> Route:
-        """The route as exported by ``asn``: path prepended with the ASN.
+@dataclass(frozen=True, slots=True)
+class Update:
+    """One BGP update on the wire: ``sender`` now offers ``route`` for
+    ``prefix``, or nothing (``route is None``: a withdrawal).
 
-        ``prepend`` adds that many *extra* copies of ``asn`` (AS-path
-        prepending as used by proactive-prepending).
-        """
-        if prepend < 0:
-            raise ValueError(f"prepend must be >= 0, got {prepend}")
-        return replace(self, as_path=(asn,) * (1 + prepend) + self.as_path)
+    ``route`` is written by :func:`repro.bgp.policy.exported` in the form
+    the receiver stores it: learned from the sender, the sender's ASN
+    first in the path, the receiver's LOCAL_PREF. ``cause`` is the
+    provenance id of the root action the update descends from (0 =
+    uncaused); it travels hop to hop for ``repro explain`` and the
+    protocol never reads it.
+    """
 
-    @property
-    def path_length(self) -> int:
-        return len(self.as_path)
-
-    @property
-    def origin_asn(self) -> int:
-        """The ASN that originated the route (last element of the path)."""
-        if not self.as_path:
-            raise ValueError("locally originated route has an empty AS path")
-        return self.as_path[-1]
+    sender: str
+    prefix: IPv4Prefix
+    route: Route | None
+    cause: int
 
 
 def better(a: Route, b: Route) -> bool:

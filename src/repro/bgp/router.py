@@ -5,24 +5,28 @@ one *site*: PEERING announces from a single ASN at many sites, so several
 routers may share an ASN while keeping independent sessions and RIBs
 (there is no iBGP between PEERING sites).
 
-The router implements the standard update-processing loop: import filter
-(AS-path loop rejection), Adj-RIB-In maintenance, best-path selection,
-FIB installation, and policy-filtered export with per-session MRAI pacing.
+The router implements the standard update-processing loop: import,
+Adj-RIB-In maintenance, best-path selection, FIB installation, and
+export with per-session MRAI pacing. Policy is not here: what it keeps
+of an update and what it tells which neighbor are
+:func:`repro.bgp.policy.imported` and :func:`~repro.bgp.policy.exported`.
+
+The Adj-RIB-In is ``{prefix: {neighbor: route}}`` (what each neighbor
+advertised and has not withdrawn; no entry for a prefix nobody
+advertises), the Loc-RIB ``{prefix: selected route}``. Withdrawal path
+hunting exists because Adj-RIB-In entries from other neighbors remain
+valid-looking after the origin withdraws: the decision process keeps
+promoting them until withdrawals arrive on every session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
-from repro.bgp.messages import Announcement, Update, Withdrawal
-from repro.bgp.policy import (
-    LOCAL_ORIGIN_PREF,
-    import_local_pref,
-    should_export,
-)
-from repro.bgp.rib import AdjRibIn, LocRib, decide
-from repro.bgp.route import Route
+from repro.bgp.policy import LOCAL_ORIGIN_PREF, exported, imported
+from repro.bgp.route import Route, Update, select_best
 from repro.bgp.session import Session
 from repro.net.addr import IPv4Prefix, cached_str
 from repro.net.lpm import LpmTable
@@ -54,9 +58,6 @@ class OriginConfig:
     neighbors: frozenset[str] | None = None
     med: int = 0
 
-    def exports_to(self, remote: str) -> bool:
-        return self.neighbors is None or remote in self.neighbors
-
 
 class BgpRouter:
     """A BGP speaker identified by ``node_id`` and owned by AS ``asn``."""
@@ -65,14 +66,15 @@ class BgpRouter:
         self.node_id = node_id
         self.asn = asn
         self.sessions: dict[str, Session] = {}
-        self.adj_rib_in = AdjRibIn()
-        self.loc_rib = LocRib()
+        self.adj_rib_in: dict[IPv4Prefix, dict[str, Route]] = {}
+        self.loc_rib: dict[IPv4Prefix, Route] = {}
         #: FIB mapping prefix -> next-hop node id; ``node_id`` itself means
         #: locally delivered (the prefix is originated here). A settled
         #: FIB holds at most two prefixes, a /24 and its covering /23, so
         #: a lookup is two dict probes (docs/architecture.md, "FIB shape").
         self.fib: LpmTable[str] = LpmTable()
-        self._origins: dict[IPv4Prefix, OriginConfig] = {}
+        #: how each originated prefix is announced
+        self.origins: dict[IPv4Prefix, OriginConfig] = {}
         #: optional RIB->FIB download lag, wired by BgpNetwork: returns
         #: (engine, delay sampler). When unset, FIB updates are immediate.
         self.fib_delay_source: Callable[[], tuple["EventEngine", float]] | None = None
@@ -125,9 +127,9 @@ class BgpRouter:
         provenance id, so causal chains span the reopen epoch.
         """
         self._current_cause = cause
-        session = self.sessions[remote]
+        sessions = (self.sessions[remote],)
         for prefix, best in self.loc_rib.items():
-            self._export_to(session, prefix, best)
+            self._export(prefix, best, sessions)
 
     def remove_session(self, remote: str, cause: int = 0) -> None:
         """Tear down the adjacency toward ``remote`` (link/node failure).
@@ -140,9 +142,20 @@ class BgpRouter:
         if session is None:
             raise KeyError(f"{self.node_id!r} has no session to {remote!r}")
         session.closed = True
+        self.flush_neighbor(remote, cause)
+
+    def flush_neighbor(self, remote: str, cause: int) -> None:
+        """Forget every route ``remote`` advertised (its session went
+        down) and rerun the decision process for each prefix it had."""
         self._current_cause = cause
-        for prefix in self.adj_rib_in.drop_neighbor(remote):
+        for prefix in [p for p, heard in self.adj_rib_in.items() if remote in heard]:
+            self._forget(prefix, remote)
             self._reselect(prefix)
+
+    def _forget(self, prefix: IPv4Prefix, neighbor: str) -> None:
+        heard = self.adj_rib_in.get(prefix)
+        if heard is not None and heard.pop(neighbor, None) is not None and not heard:
+            del self.adj_rib_in[prefix]
 
     # ------------------------------------------------------------------
     # Origination (the CDN controller's knobs)
@@ -162,58 +175,38 @@ class BgpRouter:
         route is unchanged -- draining a live site works by exactly this
         kind of in-place re-origination.
         """
-        previous = self._origins.get(prefix)
+        if prepend < 0:
+            raise ValueError(f"prepend must be >= 0, got {prepend}")
+        previous = self.origins.get(prefix)
         config = OriginConfig(prepend=prepend, neighbors=neighbors, med=med)
-        self._origins[prefix] = config
+        self.origins[prefix] = config
         self._current_cause = cause
         self._reselect(prefix)
         if previous is not None and previous != config:
-            best = self.loc_rib.get(prefix)
-            for session in self.sessions.values():
-                self._export_to(session, prefix, best)
+            self._export(prefix, self.loc_rib.get(prefix), self.sessions.values())
 
     def withdraw_origin(self, prefix: IPv4Prefix, cause: int = 0) -> bool:
         """Stop originating ``prefix``; True if it was originated."""
-        if prefix not in self._origins:
+        if prefix not in self.origins:
             return False
-        del self._origins[prefix]
+        del self.origins[prefix]
         self._current_cause = cause
         self._reselect(prefix)
         return True
 
     def originated_prefixes(self) -> list[IPv4Prefix]:
-        return list(self._origins)
-
-    def origin_config(self, prefix: IPv4Prefix) -> OriginConfig | None:
-        return self._origins.get(prefix)
-
-    def export_origins(self) -> dict[IPv4Prefix, OriginConfig]:
-        """A copy of the origination table (checkpoint snapshots)."""
-        return dict(self._origins)
-
-    def import_origins(self, origins: dict[IPv4Prefix, OriginConfig]) -> None:
-        """Replace the origination table *without* reselecting/exporting
-        (checkpoint restore repopulates RIBs and FIB directly)."""
-        self._origins = dict(origins)
-
-    def _local_route(self, prefix: IPv4Prefix) -> Route | None:
-        if prefix not in self._origins:
-            return None
-        return Route(
-            prefix=prefix,
-            as_path=(),
-            learned_from=None,
-            local_pref=LOCAL_ORIGIN_PREF,
-            origin_node=self.node_id,
-        )
+        """A copy: callers withdraw while they iterate."""
+        return list(self.origins)
 
     # ------------------------------------------------------------------
     # Update processing
 
     def receive(self, update: Update) -> None:
         """Process one update from a neighbor (called by session delivery)."""
-        if update.sender not in self.sessions:
-            raise ValueError(f"{self.node_id!r}: update from unknown neighbor {update.sender!r}")
+        sender = update.sender
+        session = self.sessions.get(sender)
+        if session is None:
+            raise ValueError(f"{self.node_id!r}: update from unknown neighbor {sender!r}")
         # Inherit the update's provenance: whatever this router now
         # re-selects, installs, or re-exports descends from the same root.
         self._current_cause = update.cause
@@ -221,36 +214,25 @@ class BgpRouter:
             self._updates_received.inc()
         if self.damping is not None:
             self._account_flap(update)
-        if isinstance(update, Announcement):
-            if self.asn in update.as_path:
-                # AS-path loop: reject, treating the announcement as an
-                # implicit withdrawal of whatever this neighbor sent before.
-                self.adj_rib_in.withdraw(update.prefix, update.sender)
-            else:
-                session = self.sessions[update.sender]
-                route = Route(
-                    prefix=update.prefix,
-                    as_path=update.as_path,
-                    learned_from=update.sender,
-                    local_pref=import_local_pref(session.relationship),
-                    origin_node=update.origin_node,
-                    med=update.med,
-                )
-                self.adj_rib_in.update(update.prefix, update.sender, route)
+        prefix = update.prefix
+        route = update.route
+        if route is not None:
+            route = imported(route, self.asn, session.relationship)
+        if route is None:
+            self._forget(prefix, sender)
         else:
-            self.adj_rib_in.withdraw(update.prefix, update.sender)
-        self._reselect(update.prefix)
+            self.adj_rib_in.setdefault(prefix, {})[sender] = route
+        self._reselect(prefix)
 
     def _account_flap(self, update: Update) -> None:
         """RFC 2439 accounting: a withdrawal of a held route, or an
         announcement replacing one, is a flap. Initial reachability is
         not charged."""
-        existing = self.adj_rib_in.route_from(update.prefix, update.sender)
+        existing = self.adj_rib_in.get(update.prefix, {}).get(update.sender)
         if existing is None:
             return
-        if isinstance(update, Withdrawal):
-            self.damping.record_flap(update.prefix, update.sender)
-        elif (update.as_path, update.med) != (existing.as_path, existing.med):
+        route = update.route
+        if route is None or (route.as_path, route.med) != (existing.as_path, existing.med):
             self.damping.record_flap(update.prefix, update.sender)
 
     def reselect_uncaused(self, prefix: IPv4Prefix) -> None:
@@ -264,15 +246,28 @@ class BgpRouter:
         self._reselect(prefix)
 
     def _reselect(self, prefix: IPv4Prefix) -> None:
-        """Re-run the decision process and propagate any best-path change."""
-        exclude = None
+        """Re-run the decision process and propagate any best-path change.
+
+        The candidates are what the neighbors advertise -- minus those
+        route flap damping currently suppresses, whose Adj-RIB-In entries
+        stay -- plus the local route while this router originates the
+        prefix; that one carries LOCAL_ORIGIN_PREF and so always wins.
+        """
+        candidates = list(self.adj_rib_in.get(prefix, {}).values())
         if self.damping is not None:
-            exclude = self.damping.suppressed_neighbors(prefix)
-        best = decide(prefix, self.adj_rib_in, self._local_route(prefix), exclude)
+            suppressed = self.damping.suppressed_neighbors(prefix)
+            if suppressed:
+                candidates = [r for r in candidates if r.learned_from not in suppressed]
+        if prefix in self.origins:
+            candidates.append(Route(prefix, (), None, LOCAL_ORIGIN_PREF, self.node_id))
+        best = select_best(candidates)
         previous = self.loc_rib.get(prefix)
         if best == previous:
             return
-        self.loc_rib.set(prefix, best)
+        if best is None:
+            del self.loc_rib[prefix]
+        else:
+            self.loc_rib[prefix] = best
         telemetry = self._telemetry
         if telemetry.enabled:
             self._rib_churn.inc()
@@ -287,8 +282,7 @@ class BgpRouter:
                 )
             )
         self._schedule_fib_install(prefix)
-        for session in self.sessions.values():
-            self._export_to(session, prefix, best)
+        self._export(prefix, best, self.sessions.values())
 
     def _schedule_fib_install(self, prefix: IPv4Prefix) -> None:
         """Install the current best into the FIB, after the RIB->FIB lag.
@@ -335,43 +329,27 @@ class BgpRouter:
     # ------------------------------------------------------------------
     # Export
 
-    def _export_to(self, session: Session, prefix: IPv4Prefix, best: Route | None) -> None:
-        """Send ``best`` (or a withdrawal) to one neighbor, per policy."""
-        update = self._build_export(session, prefix, best)
-        session.send(update)
-
-    def _build_export(
-        self, session: Session, prefix: IPv4Prefix, best: Route | None
-    ) -> Update:
+    def _export(
+        self, prefix: IPv4Prefix, best: Route | None, sessions: Iterable[Session]
+    ) -> None:
+        """Tell each of ``sessions`` what export policy lets its far end
+        hear of ``best``: a route, or the withdrawal of whatever was."""
         cause = self._current_cause
-        withdrawal = Withdrawal(sender=self.node_id, prefix=prefix, cause=cause)
+        for session in sessions:
+            session.send(prefix, self.offer(session, prefix, best), cause)
+
+    def offer(self, session: Session, prefix: IPv4Prefix, best: Route | None) -> Route | None:
+        """``best`` as the far end of ``session`` hears it (None: not at
+        all). Every Loc-RIB change exports at once, so on a quiet network
+        the offer of the Loc-RIB's route is the last update the session
+        sent: what the invariant checker holds the peer's Adj-RIB-In to."""
         if best is None:
-            return withdrawal
-        med = 0
-        if best.learned_from is None:
-            # Locally originated: apply per-origin prepending/neighbor
-            # scope and MED.
-            config = self._origins.get(prefix)
-            if config is None or not config.exports_to(session.remote):
-                return withdrawal
-            exported = best.extended_by(self.asn, prepend=config.prepend)
-            med = config.med
-        else:
-            # Transit route: sender-side loop suppression plus valley-free
-            # export policy.
-            if best.learned_from == session.remote:
-                return withdrawal
-            learned_over = self.sessions[best.learned_from].relationship
-            if not should_export(learned_over, session.relationship):
-                return withdrawal
-            exported = best.extended_by(self.asn)
-        return Announcement(
-            sender=self.node_id,
-            prefix=prefix,
-            as_path=exported.as_path,
-            origin_node=best.origin_node,
-            med=med,
-            cause=cause,
+            return None
+        via = self.sessions.get(best.learned_from)
+        return exported(
+            best, self.node_id, self.asn, self.origins.get(prefix),
+            via.relationship if via is not None else None,
+            session.remote, session.relationship,
         )
 
     # ------------------------------------------------------------------
@@ -380,16 +358,6 @@ class BgpRouter:
     def best_route(self, prefix: IPv4Prefix) -> Route | None:
         """The currently selected route for ``prefix`` (exact match)."""
         return self.loc_rib.get(prefix)
-
-    def would_export(self, remote: str, prefix: IPv4Prefix) -> Update:
-        """What this router would send ``remote`` for ``prefix`` right now.
-
-        Post-convergence this equals the last update actually sent on the
-        session (every Loc-RIB change exports immediately), which is what
-        the invariant checker compares against the peer's Adj-RIB-In.
-        """
-        session = self.sessions[remote]
-        return self._build_export(session, prefix, self.loc_rib.get(prefix))
 
     def __repr__(self) -> str:
         return f"BgpRouter({self.node_id!r}, AS{self.asn})"

@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.policy import Relationship
+from repro.bgp.route import Route, Update
 from repro.fields import Field, violations
 from repro.net.addr import IPv4Prefix, cached_str
 from repro.telemetry import registry as telemetry_registry
@@ -181,7 +181,7 @@ class Session:
         discarded on arrival. The owning router must follow up by
         re-advertising its Loc-RIB (``BgpRouter.resync_session``), and
         the remote router must have flushed this session's routes from
-        its Adj-RIB-In (``AdjRibIn.drop_neighbor``) during the down
+        its Adj-RIB-In (``BgpRouter.flush_neighbor``) during the down
         phase, mirroring real session re-establishment.
         """
         self.closed = False
@@ -191,23 +191,24 @@ class Session:
         self._mrai_running = False
         self._last_delivery = 0.0
 
-    def send(self, update: Update) -> None:
-        """Queue ``update`` for the remote end, respecting MRAI pacing.
+    def send(self, prefix: IPv4Prefix, route: Route | None, cause: int) -> None:
+        """Queue an update for the remote end -- ``route``, or a withdrawal
+        when None -- respecting MRAI pacing.
 
         Updates for the same prefix coalesce while the MRAI timer runs:
         only the latest state is flushed. A withdrawal for a prefix the
         remote end has never seen cancels any unsent announcement instead
-        of going on the wire.
+        of going on the wire; most exports are that, so the update is
+        only built once it is known to leave.
         """
         if self.closed:
             return
-        prefix = update.prefix
-        if isinstance(update, Withdrawal) and prefix not in self.advertised:
+        if route is None and prefix not in self.advertised:
             self._pending.pop(prefix, None)
             if self._updates_suppressed is not None:
                 self._updates_suppressed.inc()
             return
-        self._pending[prefix] = update
+        self._pending[prefix] = Update(self.local, prefix, route, cause)
         if self._mrai_running and self._mrai_deferrals is not None:
             self._mrai_deferrals.inc()
         if not self._mrai_running:
@@ -232,7 +233,8 @@ class Session:
             return
         telemetry = self._telemetry
         for update in self._pending.values():
-            if isinstance(update, Announcement):
+            route = update.route
+            if route is not None:
                 self.advertised.add(update.prefix)
             else:
                 self.advertised.discard(update.prefix)
@@ -248,10 +250,8 @@ class Session:
                         sender=self.local,
                         receiver=self.remote,
                         prefix=cached_str(update.prefix),
-                        update="announce" if isinstance(update, Announcement) else "withdraw",
-                        as_path_len=len(update.as_path)
-                        if isinstance(update, Announcement)
-                        else 0,
+                        update="announce" if route is not None else "withdraw",
+                        as_path_len=len(route.as_path) if route is not None else 0,
                         cause=update.cause,
                     )
                 )

@@ -64,7 +64,8 @@ class NotQuiescentError(CheckpointError):
 
 @dataclass(frozen=True, slots=True)
 class RouterState:
-    """One router's value-like state."""
+    """One router's value-like state: copies of its three dicts (their
+    values are immutable), the FIB's entries, and the damping state."""
 
     node_id: str
     asn: int
@@ -152,10 +153,10 @@ def snapshot_network(network: BgpNetwork) -> NetworkSnapshot:
             RouterState(
                 node_id=node_id,
                 asn=router.asn,
-                adj_rib_in=router.adj_rib_in.export_state(),
-                loc_rib=router.loc_rib.export_state(),
+                adj_rib_in={p: dict(heard) for p, heard in router.adj_rib_in.items()},
+                loc_rib=dict(router.loc_rib),
                 fib=tuple(sorted(router.fib.items())),
-                origins=router.export_origins(),
+                origins=dict(router.origins),
                 damping=damping_state,
             )
         )
@@ -211,11 +212,11 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
     # (no reselect, no exports -- the snapshot is already converged).
     for state in snapshot.routers:
         router = network.add_router(state.node_id, state.asn)
-        router.adj_rib_in.import_state(state.adj_rib_in)
-        router.loc_rib.import_state(state.loc_rib)
+        router.adj_rib_in = {p: dict(heard) for p, heard in state.adj_rib_in.items()}
+        router.loc_rib = dict(state.loc_rib)
         for prefix, next_hop in state.fib:
             router.fib.insert(prefix, next_hop)
-        router.import_origins(state.origins)
+        router.origins = dict(state.origins)
     # Sessions are placed directly instead of via add_session: the
     # establishment resync must not re-send the Loc-RIB the remote end
     # already holds. The fresh Session binds the remote router's live

@@ -9,10 +9,12 @@ consistency properties must hold no matter what fault sequence ran:
   may cause but a quiet network never may;
 * **advertised-sync** -- each session's ``advertised`` set matches what
   the peer's Adj-RIB-In actually holds from this router. The one
-  legitimate asymmetry is AS-path loop rejection (the peer discards an
-  announcement carrying its own ASN -- routine between CDN sites that
-  share one ASN), which the checker recognises by re-deriving the
-  export;
+  legitimate asymmetry is an advertised route the peer's import
+  policy keeps nothing of (AS-path loop rejection: an announcement
+  carrying the peer's own ASN -- routine between CDN sites that share
+  one ASN), which the checker recognises by asking the router's own
+  export policy what the session carried and the shared import policy
+  what the peer keeps of it;
 * **rib-fib-coherence** -- every Loc-RIB best route is installed in the
   FIB (next hop matching ``learned_from``) and the FIB holds nothing
   the Loc-RIB does not -- i.e. all delayed RIB->FIB downloads landed
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.messages import Announcement
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import imported
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import InvariantViolated
@@ -77,9 +79,7 @@ def known_prefixes(network: BgpNetwork) -> list[IPv4Prefix]:
     """Every prefix any router has selected or originates, sorted."""
     prefixes: set[IPv4Prefix] = set()
     for router in network.routers.values():
-        prefixes.update(router.originated_prefixes())
-        for prefix, _ in router.loc_rib.items():
-            prefixes.add(prefix)
+        prefixes.update(router.origins, router.loc_rib)
     return sorted(prefixes)
 
 
@@ -241,9 +241,7 @@ def _advertised_sync(network: BgpNetwork, violations: list[Violation]) -> int:
             checked += 1
             peer = network.routers[remote]
             peer_has = {
-                prefix
-                for prefix in peer.adj_rib_in.prefixes()
-                if peer.adj_rib_in.route_from(prefix, node_id) is not None
+                prefix for prefix, heard in peer.adj_rib_in.items() if node_id in heard
             }
             for prefix in sorted(peer_has - session.advertised):
                 violations.append(
@@ -255,9 +253,12 @@ def _advertised_sync(network: BgpNetwork, violations: list[Violation]) -> int:
                     )
                 )
             for prefix in sorted(session.advertised - peer_has):
-                update = router.would_export(remote, prefix)
-                if isinstance(update, Announcement) and peer.asn in update.as_path:
-                    continue  # peer rejected the announcement as an AS-path loop
+                # What the session last carried, by the router's own export
+                # policy -- and the peer's import policy kept nothing of it?
+                offer = router.offer(session, prefix, router.loc_rib.get(prefix))
+                import_over = session.relationship.inverse()
+                if offer is not None and imported(offer, peer.asn, import_over) is None:
+                    continue  # e.g. rejected as an AS-path loop
                 violations.append(
                     Violation(
                         ADVERTISED_SYNC,
@@ -276,7 +277,7 @@ def _advertised_sync(network: BgpNetwork, violations: list[Violation]) -> int:
 def _rib_fib_coherence(network: BgpNetwork, violations: list[Violation]) -> None:
     for node_id in sorted(network.routers):
         router = network.routers[node_id]
-        loc = dict(router.loc_rib.items())
+        loc = router.loc_rib
         for prefix in sorted(loc):
             best = loc[prefix]
             expected = best.learned_from or node_id

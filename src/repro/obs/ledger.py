@@ -13,9 +13,9 @@ result.
 
 Determinism: the ledger is a pure fold over the event list. A parallel
 (``--workers N``) run merges each cell's identical event subsequence in
-cell order, bracketed by ``CellStart``/``CellEnd`` markers the ledger
-ignores -- so ledger output is byte-identical between serial and
-parallel runs of the same experiment.
+cell order, bracketed by ``CellStart``/``CellEnd`` markers that change
+no run's technique or site -- so ledger output is byte-identical between
+serial and parallel runs of the same experiment.
 
 Outage model (one simulated "user" per probed target):
 
@@ -40,12 +40,12 @@ from dataclasses import dataclass
 from repro.dataplane.forwarding import CLASS_BY_REASON
 from repro.dataplane.ping import Probe
 from repro.telemetry.trace import (
-    PhaseStart,
     ProbeLost,
     ProbeReply,
     ProbeSent,
     TraceEvent,
     WorkloadSample,
+    split_runs,
 )
 
 #: schema tag carried by the JSON rendering (``repro report --json``)
@@ -108,22 +108,19 @@ class AvailabilityLedger:
     def from_events(cls, events: list[TraceEvent]) -> "AvailabilityLedger":
         """Fold a trace into a ledger.
 
-        Run context (technique, site) comes from ``PhaseStart`` tags:
-        experiment, drill, and scenario runs all tag their phases, and
-        probe sequence numbers restart per run, so probes are matched
-        within their run only.
+        Run context (technique, site) comes from ``PhaseStart`` tags,
+        through :func:`repro.telemetry.trace.split_runs`: experiment,
+        drill, and scenario runs all tag their phases, and probe
+        sequence numbers restart per run, so probes are matched within
+        their run only.
         """
-        technique, site = "", ""
         logs: dict[tuple[str, str, str], list[Probe]] = {}
         #: the same records, by (technique, site, target, seq)
         sent: dict[tuple[str, str, str, int], Probe] = {}
         workload: dict[tuple[str, str], dict] = {}
-        for event in events:
-            if isinstance(event, PhaseStart):
-                tags = event.tags
-                if "technique" in tags and "site" in tags:
-                    technique, site = str(tags["technique"]), str(tags["site"])
-            elif isinstance(event, WorkloadSample):
+        for run, event in split_runs(events):
+            technique, site = run.technique, run.site
+            if isinstance(event, WorkloadSample):
                 bucket = workload.setdefault((technique, site), _workload_bucket())
                 bucket["offered"] += event.offered
                 bucket["served"] += event.served

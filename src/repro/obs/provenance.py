@@ -34,9 +34,11 @@ from repro.telemetry.trace import (
     FibInstalled,
     RootCause,
     RouteSelected,
+    Run,
     SiteFailed,
     SiteSwitched,
     TraceEvent,
+    split_runs,
 )
 
 #: canonical step order of a failover chain, used for rendering
@@ -58,6 +60,8 @@ class CauseChain:
     """Everything one root action caused, in trace order."""
 
     cause: int
+    #: the run whose network allocated the id (ids restart per network)
+    run: Run
     root: RootCause | None = None
     events: list[TraceEvent] = field(default_factory=list)
     #: catchment shifts attributed to this cause (temporal attribution)
@@ -119,38 +123,39 @@ class CauseChain:
         return [step for step in _STEP_ORDER if step in present]
 
 
-def build_chains(events: list[TraceEvent]) -> dict[int, CauseChain]:
-    """Group a trace into per-cause chains, keyed by cause id.
+def build_chains(events: list[TraceEvent]) -> dict[tuple[int, int], CauseChain]:
+    """Group a trace into per-cause chains, keyed by <run index, cause id>.
 
     Only nonzero causes form chains; cause 0 marks uncaused background
-    activity (e.g. damping releases). Cause ids restart per simulation,
-    so a merged parallel trace keys chains by id *within* each cell's
-    event block -- pass one cell's events (or a serial trace) for exact
-    results.
+    activity (e.g. damping releases). Cause ids restart with every
+    network, so an id names a chain only within its run
+    (:func:`repro.telemetry.trace.split_runs`: the rule the availability
+    ledger reads its run context by); a catchment shift is attributed to
+    the last FIB change of its own run.
     """
-    chains: dict[int, CauseChain] = {}
+    chains: dict[tuple[int, int], CauseChain] = {}
 
-    def chain_for(cause: int) -> CauseChain:
-        chain = chains.get(cause)
+    def chain_for(run: Run, cause: int) -> CauseChain:
+        chain = chains.get((run.index, cause))
         if chain is None:
-            chain = chains[cause] = CauseChain(cause=cause)
+            chain = chains[run.index, cause] = CauseChain(cause=cause, run=run)
         return chain
 
-    last_fib_cause = 0
-    for event in events:
+    last_fib: tuple[Run, int] | None = None
+    for run, event in split_runs(events):
         if isinstance(event, RootCause):
-            chain_for(event.cause).root = event
+            chain_for(run, event.cause).root = event
             continue
         if isinstance(event, SiteSwitched):
-            if last_fib_cause:
-                chain_for(last_fib_cause).shifts.append(event)
+            if last_fib is not None and last_fib[0] is run:
+                chain_for(*last_fib).shifts.append(event)
             continue
         cause = getattr(event, "cause", 0)
         if not cause:
             continue
-        chain_for(cause).events.append(event)
+        chain_for(run, cause).events.append(event)
         if isinstance(event, FibInstalled):
-            last_fib_cause = cause
+            last_fib = (run, cause)
     return chains
 
 
@@ -159,13 +164,13 @@ def explain(
     prefix: str | None = None,
     site: str | None = None,
 ) -> list[CauseChain]:
-    """Chains matching the filters, in cause order.
+    """Chains matching the filters, in <run, cause> order.
 
     ``prefix`` keeps chains that moved that prefix (updates, selections,
     or FIB installs naming it); ``site`` keeps chains rooted at, failing,
     or shifting catchment to/from that site. Both filters AND together.
     """
-    chains = sorted(build_chains(events).values(), key=lambda c: c.cause)
+    chains = [chain for _, chain in sorted(build_chains(events).items())]
     if prefix is not None:
         chains = [c for c in chains if prefix in c.prefixes()]
     if site is not None:
@@ -237,7 +242,8 @@ def render_explanation(
     prefix: str | None = None,
     site: str | None = None,
 ) -> str:
-    """Format chains as the ``repro explain`` report."""
+    """Format chains as the ``repro explain`` report. Chains of a trace
+    that holds several runs name theirs: ``cause 3 of anycast/sea1``."""
     scope = []
     if prefix is not None:
         scope.append(f"prefix {prefix}")
@@ -247,16 +253,20 @@ def render_explanation(
         f" for {', '.join(scope)}" if scope else ""
     )
     lines = [header]
+    several_runs = len({chain.run.index for chain in chains}) > 1
     for chain in chains:
         lines.append("")
+        name = f"cause {chain.cause}"
+        if several_runs:
+            name += f" of {chain.run.label or 'run ' + str(chain.run.index)}"
         if chain.root is not None:
             detail = f" [{chain.root.detail}]" if chain.root.detail else ""
             lines.append(
-                f"cause {chain.cause}: {chain.root.action} {chain.root.target}"
+                f"{name}: {chain.root.action} {chain.root.target}"
                 f"{detail} @ t={chain.root.t:.2f}s"
             )
         else:
-            lines.append(f"cause {chain.cause}: (root event not in trace)")
+            lines.append(f"{name}: (root event not in trace)")
         lines.append("  chain: " + " -> ".join(chain.steps()))
         lines.extend(_summarize_group(chain))
     return "\n".join(lines)

@@ -357,6 +357,52 @@ class CellEnd(TraceEvent):
     events: int = 0
 
 
+@dataclass(slots=True)
+class Run:
+    """One simulation's stretch of a trace (:func:`split_runs`);
+    ``technique`` / ``site`` fill in as its phases name them."""
+
+    index: int
+    technique: str = ""
+    site: str = ""
+    last_root: int = 0  # ids are monotone within a network
+
+    @property
+    def label(self) -> str:
+        return "/".join(part for part in (self.technique, self.site) if part)
+
+
+def split_runs(events: Iterable[TraceEvent]) -> Iterator[tuple[Run, TraceEvent]]:
+    """Pair each event with the run it belongs to.
+
+    A trace holds one run after another (a sweep's baselines and cells,
+    a drill's sites), and what numbers itself per network -- cause ids,
+    probe sequence numbers -- restarts with each. A new run starts at a
+    ``CellStart``, at a ``PhaseStart`` whose ``technique`` or ``site`` tag
+    contradicts the run's phases so far (a tag it lacked only completes
+    its label), and at a ``RootCause`` whose id does not exceed the run's
+    last one.
+    """
+    run = Run(0)
+    for event in events:
+        if isinstance(event, CellStart):
+            run = Run(run.index + 1)
+        elif isinstance(event, PhaseStart):
+            technique = str(event.tags.get("technique", ""))
+            site = str(event.tags.get("site", ""))
+            if (technique and run.technique not in ("", technique)) or (
+                site and run.site not in ("", site)
+            ):
+                run = Run(run.index + 1)
+            run.technique = technique or run.technique
+            run.site = site or run.site
+        elif isinstance(event, RootCause):
+            if event.cause <= run.last_root:
+                run = Run(run.index + 1)
+            run.last_root = event.cause
+        yield run, event
+
+
 @_register
 @dataclass(frozen=True, slots=True)
 class TraceMeta(TraceEvent):

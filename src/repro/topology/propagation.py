@@ -4,13 +4,15 @@ Computes the stable routing state a set of originations converges to —
 *without running the event engine*. The engine here is a synchronous
 SPVP evaluation: every router simultaneously recomputes its best route
 from its neighbors' previous-round exports, using the *simulator's own*
-decision process (:func:`repro.bgp.route.select_best`), import policy
-(:func:`repro.bgp.policy.import_local_pref`), and export policy
-(:func:`repro.bgp.policy.should_export`). Reusing those functions is
-what makes the result exact by construction: for Gao-Rexford-compliant
-worlds the stable state is unique (Griffin–Shepherd–Wilfong), so the
-symbolic fixed point equals whatever the asynchronous event simulation
-converges to, message timing notwithstanding.
+decision process (:func:`repro.bgp.route.select_best`) and the router's
+own policy pair (:func:`repro.bgp.policy.exported`: what a neighbor
+hears; :func:`repro.bgp.policy.imported`: what it keeps of that). Those
+are the very functions :class:`repro.bgp.router.BgpRouter` calls, so the
+two engines share policy by construction and can differ in timing only:
+for Gao-Rexford-compliant worlds the stable state is unique
+(Griffin–Shepherd–Wilfong), so the symbolic fixed point equals whatever
+the asynchronous event simulation converges to, message timing
+notwithstanding.
 
 When the evaluation does *not* stabilize, the synchronous state
 sequence must revisit a state (the state space is finite) — a proven
@@ -31,12 +33,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.bgp.policy import (
-    LOCAL_ORIGIN_PREF,
-    Relationship,
-    import_local_pref,
-    should_export,
-)
+from repro.bgp.policy import LOCAL_ORIGIN_PREF, Relationship, exported, imported, relayed
 from repro.bgp.route import Route, select_best
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology
@@ -68,13 +65,6 @@ class SymbolicGraph:
         return cls(
             asn=asn, adjacency=topology.adjacency, preferences=dict(preferences or {})
         )
-
-    def local_pref(self, node: str, neighbor: str) -> int:
-        """LOCAL_PREF ``node`` assigns to routes imported from ``neighbor``."""
-        override = self.preferences.get(node)
-        if override is not None and neighbor in override:
-            return override[neighbor]
-        return import_local_pref(self.adjacency[node][neighbor])
 
 
 @dataclass(slots=True)
@@ -142,37 +132,11 @@ def propagate(
             raise KeyError(f"origination at unknown node {node!r}")
 
     local: dict[str, Route] = {
-        node: Route(prefix=prefix, as_path=(), learned_from=None,
-                    local_pref=LOCAL_ORIGIN_PREF, origin_node=node)
-        for node in origins
+        node: Route(prefix, (), None, LOCAL_ORIGIN_PREF, node) for node in origins
     }
     nodes = sorted(graph.asn)
     best: dict[str, Route] = dict(local)
     candidates: dict[str, dict[str, Route]] = {node: {} for node in nodes}
-
-    def export(sender: str, remote: str) -> Route | None:
-        """What ``sender`` advertises to ``remote``, mirroring
-        :meth:`BgpRouter._build_export` (None = withdrawal/no route)."""
-        route = best.get(sender)
-        if route is None:
-            return None
-        relationship = graph.adjacency[sender][remote]
-        if route.learned_from is None:
-            config = origins.get(sender)
-            if config is None or not (config.neighbors is None or remote in config.neighbors):
-                return None
-            as_path = (graph.asn[sender],) * (1 + config.prepend)
-            med = config.med or 0
-        else:
-            if route.learned_from == remote:
-                return None
-            learned_over = graph.adjacency[sender][route.learned_from]
-            if not should_export(learned_over, relationship):
-                return None
-            as_path = (graph.asn[sender],) + route.as_path
-            med = 0
-        return Route(prefix=prefix, as_path=as_path, learned_from=sender,
-                     local_pref=0, origin_node=route.origin_node, med=med)
 
     def state_key() -> tuple:
         return tuple(
@@ -183,28 +147,28 @@ def propagate(
     cap = 4 * len(nodes) + 16
     seen_states = {state_key()}
     rounds = 0
-    previous_best = dict(best)
     while rounds < cap:
         rounds += 1
         new_candidates: dict[str, dict[str, Route]] = {node: {} for node in nodes}
         for node in nodes:
+            asn = graph.asn[node]
+            preferences = graph.preferences.get(node, {})
             for neighbor in sorted(graph.adjacency[node]):
-                relationship = graph.adjacency[node][neighbor]
-                if relationship is Relationship.COLLECTOR:
-                    continue  # collector sessions never import routes
-                advertised = export(neighbor, node)
-                if advertised is None:
+                route = best.get(neighbor)
+                if route is None:
                     continue
-                if graph.asn[node] in advertised.as_path:
-                    continue  # AS-path loop rejection
-                new_candidates[node][neighbor] = Route(
-                    prefix=prefix,
-                    as_path=advertised.as_path,
-                    learned_from=neighbor,
-                    local_pref=graph.local_pref(node, neighbor),
-                    origin_node=advertised.origin_node,
-                    med=advertised.med,
+                links = graph.adjacency[neighbor]
+                heard = exported(
+                    route, neighbor, graph.asn[neighbor], origins.get(neighbor),
+                    links.get(route.learned_from), node, links[node],
                 )
+                if heard is None:
+                    continue
+                kept = imported(
+                    heard, asn, graph.adjacency[node][neighbor], preferences.get(neighbor)
+                )
+                if kept is not None:
+                    new_candidates[node][neighbor] = kept
         new_best: dict[str, Route] = {}
         for node in nodes:
             chosen = select_best(
@@ -222,23 +186,14 @@ def propagate(
             )
         key = state_key()
         if key in seen_states:
-            oscillating = tuple(sorted(
-                node for node in nodes
-                if best.get(node) != previous_best.get(node)
-            ))
-            return PropagationResult(
-                prefix=prefix, best=best, candidates=candidates,
-                stable=False, rounds=rounds, oscillating=oscillating,
-            )
+            break
         seen_states.add(key)
-    # The cap is a belt over the state-cycle braces; hitting it still
-    # means no fixed point was reached.
+    # No fixed point: the synchronous states revisited one -- a proven
+    # oscillation -- or hit the cap, a belt over those braces.
     return PropagationResult(
-        prefix=prefix, best=best, candidates=candidates,
-        stable=False, rounds=rounds,
+        prefix=prefix, best=best, candidates=candidates, stable=False, rounds=rounds,
         oscillating=tuple(sorted(
-            node for node in nodes
-            if best.get(node) != previous_best.get(node)
+            node for node in nodes if best.get(node) != previous_best.get(node)
         )),
     )
 
@@ -318,32 +273,26 @@ def valley_free_reach(
     ``neighbors`` (None: every session) can reach over valley-free
     export chains.
 
-    Two-state BFS: a route still "ascending" (only customer->provider
-    hops so far) may cross to providers and peers; once it has been
-    exported to a peer or down to a customer it may only continue
-    downhill. On a Gao-Rexford world this is the set of nodes a lone
+    A BFS over <node, relationship the route was learned over> that
+    steps by the routers' own policy (:func:`repro.bgp.policy.relayed`).
+    On a Gao-Rexford world this is the set of nodes a lone
     :func:`propagate` offers the route to, computed without selecting
     best paths; a ``preferences`` override can hide a customer route
     behind a less exportable one, so there it is an upper bound.
     """
-    # state: (node, downhill_only)
-    seen: set[tuple[str, bool]] = {(origin, False)}
-    queue = deque([(origin, False)])
+    start: tuple[str, Relationship | None] = (origin, None)
+    seen = {start}
+    queue = deque(seen)
     while queue:
-        node, downhill = queue.popleft()
+        node, learned_over = queue.popleft()
         scope = neighbors if node == origin else None
         for neighbor, relationship in graph.adjacency[node].items():
-            if relationship is Relationship.COLLECTOR:
-                continue
             if scope is not None and neighbor not in scope:
                 continue  # the origin exports its own route here only
-            if relationship is Relationship.CUSTOMER:
-                state = (neighbor, True)
-            elif downhill:
-                continue  # peer/provider export of a non-customer route: valley
-            else:
-                # crossing sideways ends the ascent, crossing up continues it
-                state = (neighbor, relationship is not Relationship.PROVIDER)
+            learned_there = relayed(learned_over, relationship)
+            if learned_there is None:
+                continue
+            state = (neighbor, learned_there)
             if state not in seen:
                 seen.add(state)
                 queue.append(state)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bgp.network import BgpNetwork
+from repro.bgp.route import Route, Update
 from repro.bgp.session import SessionTiming
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.testbed import build_deployment
@@ -34,6 +35,20 @@ SMALL_PARAMS = TopologyParams(
     n_hypergiant=2,
     transit_providers=2,
 )
+
+
+def heard(sender, prefix, as_path, origin_node="x", med=0) -> Route:
+    """A route as ``sender`` advertises it. LOCAL_PREF 0: whoever imports
+    it assigns its own (``repro.bgp.policy.imported``)."""
+    return Route(prefix, tuple(as_path), sender, 0, origin_node, med)
+
+
+def announcement(sender, prefix, as_path, origin_node="x", med=0) -> Update:
+    return Update(sender, prefix, heard(sender, prefix, as_path, origin_node, med), 0)
+
+
+def withdrawal(sender, prefix) -> Update:
+    return Update(sender, prefix, None, 0)
 
 
 @pytest.fixture(scope="session")

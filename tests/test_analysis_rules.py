@@ -228,3 +228,12 @@ class TestSingleCallSite:
         assert ENGINE.lint_source(self.SOURCE, path="tests/test_core_drill.py") == []
         # defining the callable is not calling it
         assert codes("def build_network(self):\n    return None\n") == []
+
+    def test_the_valley_free_rule_is_read_through_policy(self):
+        """The next copy of the valley-free rule -- a solver that calls
+        ``should_export`` itself instead of ``exported`` / ``relayed``."""
+        source = "if should_export(learned_over, relationship):\n    pass\n"
+        (finding,) = ENGINE.lint_source(source, path="src/repro/topology/propagation.py")
+        assert finding.code == "DET011" and "bgp/policy.py" in finding.message
+        assert ENGINE.lint_source(source, path="src/repro/bgp/policy.py") == []
+        assert ENGINE.lint_source(source, path="tests/policy_oracle.py") == []

@@ -76,10 +76,10 @@ class TestLinkFailure:
         net.converge()
         net.restore_link("origin", "left")
         net.converge()
-        assert net.router("left").adj_rib_in.route_from(PFX, "origin") is not None
+        assert "origin" in net.router("left").adj_rib_in[PFX]
         # top should again prefer whichever tie-break chooses, but both
         # paths exist in its Adj-RIB-In.
-        assert len(net.router("top").adj_rib_in.candidates(PFX)) == 2
+        assert len(net.router("top").adj_rib_in[PFX]) == 2
 
     def test_restore_preserves_relationship(self):
         net = diamond()

@@ -105,9 +105,9 @@ class TestProactiveMedTechnique:
         apply_plan(net, ProactiveMed(100).originations(deployment, "sea1"))
         net.converge()
         specific = net.router(deployment.site_node("sea1"))
-        assert specific.origin_config(SPECIFIC_PREFIX).med == 0
+        assert specific.origins.get(SPECIFIC_PREFIX).med == 0
         other = net.router(deployment.site_node("ams"))
-        assert other.origin_config(SPECIFIC_PREFIX).med == 100
+        assert other.origins.get(SPECIFIC_PREFIX).med == 100
 
     def test_no_path_length_penalty(self, deployment):
         """Unlike prepending, MED backups keep natural path lengths --

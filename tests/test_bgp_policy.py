@@ -1,14 +1,14 @@
 """Unit tests for Gao-Rexford policy functions."""
 
-import pytest
-
 from repro.bgp.policy import (
     LOCAL_ORIGIN_PREF,
     LOCAL_PREF,
     Relationship,
-    import_local_pref,
+    imported,
     should_export,
 )
+from repro.bgp.route import Route
+from repro.net.addr import IPv4Prefix
 
 C, P, PR, COL = (
     Relationship.CUSTOMER,
@@ -33,14 +33,16 @@ class TestLocalPref:
         """Customer > peer > provider, with local origination on top."""
         assert LOCAL_ORIGIN_PREF > LOCAL_PREF[C] > LOCAL_PREF[P] > LOCAL_PREF[PR]
 
+    HEARD = Route(IPv4Prefix.parse("184.164.244.0/24"), (1, 2), "n", 0, "o")
+
     def test_import_local_pref(self):
-        assert import_local_pref(C) == 300
-        assert import_local_pref(P) == 200
-        assert import_local_pref(PR) == 100
+        assert imported(self.HEARD, 9, C).local_pref == 300
+        assert imported(self.HEARD, 9, P).local_pref == 200
+        assert imported(self.HEARD, 9, PR).local_pref == 100
+        assert imported(self.HEARD, 9, PR, 250).local_pref == 250  # a world's override
 
     def test_collector_sessions_never_import(self):
-        with pytest.raises(ValueError):
-            import_local_pref(COL)
+        assert imported(self.HEARD, 9, COL) is None
 
 
 class TestValleyFreeExport:

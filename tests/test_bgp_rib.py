@@ -1,102 +1,135 @@
-"""Unit tests for Adj-RIB-In / Loc-RIB and the per-prefix decision."""
+"""The router's tables -- Adj-RIB-In ``{prefix: {neighbor: route}}`` and
+Loc-RIB ``{prefix: route}`` -- and the per-prefix decision, driven the
+way the simulator drives them: through ``receive`` and the session ops."""
 
-from repro.bgp.policy import LOCAL_ORIGIN_PREF
-from repro.bgp.rib import AdjRibIn, LocRib, decide
-from repro.bgp.route import Route
+from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import LOCAL_ORIGIN_PREF, LOCAL_PREF, Relationship
+from repro.bgp.router import BgpRouter
 from repro.net.addr import IPv4Prefix
+
+from tests.conftest import FAST_TIMING, announcement, withdrawal
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 PFX2 = IPv4Prefix.parse("184.164.245.0/24")
 
 
-def route(neighbor: str, pref: int = 200, path=(1,)) -> Route:
-    return Route(PFX, tuple(path), neighbor, pref, origin_node="o")
+def hub() -> BgpRouter:
+    """A router (AS 10) with two peers ``a`` (AS 1) and ``b`` (AS 2)."""
+    net = BgpNetwork(seed=0, default_timing=FAST_TIMING)
+    net.add_router("hub", 10)
+    net.add_router("a", 1)
+    net.add_router("b", 2)
+    net.connect("hub", "a", Relationship.PEER)
+    net.connect("hub", "b", Relationship.PEER)
+    return net.router("hub")
 
 
 class TestAdjRibIn:
     def test_update_and_candidates(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a"))
-        rib.update(PFX, "b", route("b"))
-        assert {r.learned_from for r in rib.candidates(PFX)} == {"a", "b"}
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.receive(announcement("b", PFX, (2,)))
+        assert set(router.adj_rib_in[PFX]) == {"a", "b"}
+        assert {r.learned_from for r in router.adj_rib_in[PFX].values()} == {"a", "b"}
 
     def test_update_replaces_previous_advertisement(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a", path=(1,)))
-        rib.update(PFX, "a", route("a", path=(1, 2)))
-        assert len(rib.candidates(PFX)) == 1
-        assert rib.route_from(PFX, "a").as_path == (1, 2)
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.receive(announcement("a", PFX, (1, 2)))
+        assert len(router.adj_rib_in[PFX]) == 1
+        assert router.adj_rib_in[PFX]["a"].as_path == (1, 2)
 
     def test_withdraw(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a"))
-        assert rib.withdraw(PFX, "a")
-        assert rib.candidates(PFX) == []
-        assert not rib.withdraw(PFX, "a")
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.receive(withdrawal("a", PFX))
+        assert PFX not in router.adj_rib_in
+        router.receive(withdrawal("a", PFX))  # nothing left to forget
+        assert PFX not in router.adj_rib_in
 
     def test_withdraw_unknown_prefix(self):
-        assert not AdjRibIn().withdraw(PFX, "a")
+        router = hub()
+        router.receive(withdrawal("a", PFX))
+        assert router.adj_rib_in == {} == router.loc_rib
 
     def test_prefixes(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a"))
-        assert rib.prefixes() == [PFX]
-        rib.withdraw(PFX, "a")
-        assert rib.prefixes() == []
+        """A prefix nobody advertises has no entry (snapshots and the
+        invariant checker read the keys)."""
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        assert list(router.adj_rib_in) == [PFX]
+        router.receive(withdrawal("a", PFX))
+        assert list(router.adj_rib_in) == []
 
     def test_drop_neighbor(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a"))
-        rib.update(PFX2, "a", Route(PFX2, (1,), "a", 200, "o"))
-        rib.update(PFX, "b", route("b"))
-        affected = rib.drop_neighbor("a")
-        assert set(affected) == {PFX, PFX2}
-        assert {r.learned_from for r in rib.candidates(PFX)} == {"b"}
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.receive(announcement("a", PFX2, (1,)))
+        router.receive(announcement("b", PFX, (2,)))
+        router.flush_neighbor("a", cause=0)
+        assert set(router.adj_rib_in) == {PFX}
+        assert set(router.adj_rib_in[PFX]) == {"b"}
+        # ... and the decision process reran for both prefixes
+        assert router.loc_rib[PFX].learned_from == "b"
+        assert PFX2 not in router.loc_rib
 
     def test_stale_routes_remain_until_withdrawn(self):
         """The invariant path hunting depends on: nothing expires
         implicitly; only explicit withdrawals remove alternates."""
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a"))
-        rib.update(PFX, "b", route("b"))
-        rib.withdraw(PFX, "a")
-        assert [r.learned_from for r in rib.candidates(PFX)] == ["b"]
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.receive(announcement("b", PFX, (2,)))
+        router.receive(withdrawal("a", PFX))
+        assert list(router.adj_rib_in[PFX]) == ["b"]
 
 
 class TestLocRib:
     def test_set_get(self):
-        loc = LocRib()
-        r = route("a")
-        loc.set(PFX, r)
-        assert loc.get(PFX) == r
-        assert len(loc) == 1
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        assert router.loc_rib[PFX] is router.adj_rib_in[PFX]["a"]
+        assert router.best_route(PFX) is router.loc_rib[PFX]
+        assert len(router.loc_rib) == 1
 
     def test_set_none_removes(self):
-        loc = LocRib()
-        loc.set(PFX, route("a"))
-        loc.set(PFX, None)
-        assert loc.get(PFX) is None
-        assert len(loc) == 0
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.receive(withdrawal("a", PFX))
+        assert router.best_route(PFX) is None
+        assert len(router.loc_rib) == 0
 
     def test_items(self):
-        loc = LocRib()
-        r = route("a")
-        loc.set(PFX, r)
-        assert loc.items() == [(PFX, r)]
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        assert list(router.loc_rib.items()) == [(PFX, router.adj_rib_in[PFX]["a"])]
 
 
 class TestDecide:
     def test_local_route_always_wins(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a", pref=300))
-        local = Route(PFX, (), None, LOCAL_ORIGIN_PREF, "self")
-        assert decide(PFX, rib, local) == local
+        router = hub()
+        router.receive(announcement("a", PFX, (1,)))
+        router.originate(PFX)
+        local = router.loc_rib[PFX]
+        assert (local.learned_from, local.as_path, local.local_pref) == (
+            None, (), LOCAL_ORIGIN_PREF)
+        assert local.origin_node == "hub"
+        router.withdraw_origin(PFX)
+        assert router.loc_rib[PFX].learned_from == "a"
 
     def test_without_local_route(self):
-        rib = AdjRibIn()
-        rib.update(PFX, "a", route("a", pref=100))
-        rib.update(PFX, "b", route("b", pref=300))
-        assert decide(PFX, rib, None).learned_from == "b"
+        net = BgpNetwork(seed=0, default_timing=FAST_TIMING)
+        for node, asn in (("hub", 10), ("prov", 1), ("cust", 2)):
+            net.add_router(node, asn)
+        net.connect("hub", "prov", Relationship.PROVIDER)
+        net.connect("hub", "cust", Relationship.CUSTOMER)
+        router = net.router("hub")
+        router.receive(announcement("prov", PFX, (1,)))
+        router.receive(announcement("cust", PFX, (2, 3, 4)))
+        assert router.loc_rib[PFX].learned_from == "cust"
+        assert router.loc_rib[PFX].local_pref == LOCAL_PREF[Relationship.CUSTOMER]
 
     def test_empty(self):
-        assert decide(PFX, AdjRibIn(), None) is None
+        router = hub()
+        router.reselect_uncaused(PFX)
+        assert router.best_route(PFX) is None
+        assert router.loc_rib == {}

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bgp.policy import LOCAL_PREF, Relationship, exported, imported
 from repro.bgp.route import Route, better, select_best
+from repro.bgp.router import BgpRouter, OriginConfig
 from repro.net.addr import IPv4Prefix
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
@@ -77,29 +79,29 @@ class TestDecisionProcess:
 
 
 class TestRouteOps:
+    """What used to be ``Route`` helpers is export / import policy now;
+    the differential against the parent's code is test_policy_pair.py."""
+
     def test_extended_by_prepends_once(self):
-        r = route(as_path=(2, 3))
-        assert r.extended_by(1).as_path == (1, 2, 3)
+        r = route(as_path=(2, 3), learned_from="n1")
+        out = exported(r, "me", 1, None, Relationship.CUSTOMER, "n2", Relationship.PEER)
+        assert out.as_path == (1, 2, 3)
+        assert (out.learned_from, out.origin_node, out.prefix) == ("me", "o", PFX)
 
     def test_extended_by_with_prepending(self):
-        r = route(as_path=())
-        assert r.extended_by(47065, prepend=3).as_path == (47065,) * 4
+        r = route(as_path=(), learned_from=None)
+        out = exported(r, "me", 47065, OriginConfig(prepend=3), None, "n", Relationship.PROVIDER)
+        assert out.as_path == (47065,) * 4
 
     def test_extended_by_rejects_negative(self):
+        router = BgpRouter("me", 47065)
         with pytest.raises(ValueError):
-            route().extended_by(1, prepend=-1)
+            router.originate(PFX, prepend=-1)
+        assert router.originated_prefixes() == []
 
     def test_contains_asn(self):
-        r = route(as_path=(1, 2, 3))
-        assert r.contains_asn(2)
-        assert not r.contains_asn(9)
-
-    def test_origin_asn(self):
-        assert route(as_path=(1, 2, 3)).origin_asn == 3
-
-    def test_origin_asn_empty_path_raises(self):
-        with pytest.raises(ValueError):
-            route(as_path=()).origin_asn
-
-    def test_path_length(self):
-        assert route(as_path=(1, 1, 1, 2)).path_length == 4
+        """The loop check: a route with the importer's ASN in its path is
+        not kept; any other is."""
+        r = route(as_path=(1, 2, 3), local_pref=LOCAL_PREF[Relationship.PEER])
+        assert imported(r, 2, Relationship.PEER) is None
+        assert imported(r, 9, Relationship.PEER) is r

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.net.addr import IPv4Address, IPv4Prefix
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, announcement, withdrawal
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 SUPER = IPv4Prefix.parse("184.164.244.0/23")
@@ -135,23 +134,23 @@ class TestLoopPrevention:
     def test_as_path_loop_rejected(self):
         net = star_network()
         router = net.router("hub")
-        looped = Announcement(sender="cust", prefix=PFX, as_path=(20, 10, 5), origin_node="x")
+        looped = announcement("cust", PFX, (20, 10, 5))
         router.receive(looped)
         assert router.best_route(PFX) is None
 
     def test_looped_announcement_acts_as_implicit_withdraw(self):
         net = star_network()
         router = net.router("hub")
-        router.receive(Announcement(sender="cust", prefix=PFX, as_path=(20, 5), origin_node="x"))
+        router.receive(announcement("cust", PFX, (20, 5)))
         assert router.best_route(PFX) is not None
-        router.receive(Announcement(sender="cust", prefix=PFX, as_path=(20, 10, 5), origin_node="x"))
+        router.receive(announcement("cust", PFX, (20, 10, 5)))
         assert router.best_route(PFX) is None
 
     def test_unknown_neighbor_rejected(self):
         net = star_network()
         with pytest.raises(ValueError):
             net.router("hub").receive(
-                Announcement(sender="stranger", prefix=PFX, as_path=(9,), origin_node="x")
+                announcement("stranger", PFX, (9,))
             )
 
     def test_anycast_sites_do_not_adopt_each_other(self):
@@ -172,19 +171,19 @@ class TestBestPathMaintenance:
     def test_fallback_to_worse_route_on_withdraw(self):
         net = star_network()
         hub = net.router("hub")
-        hub.receive(Announcement(sender="cust", prefix=PFX, as_path=(20, 5), origin_node="x"))
-        hub.receive(Announcement(sender="prov", prefix=PFX, as_path=(40, 5), origin_node="x"))
+        hub.receive(announcement("cust", PFX, (20, 5)))
+        hub.receive(announcement("prov", PFX, (40, 5)))
         assert hub.best_route(PFX).learned_from == "cust"
-        hub.receive(Withdrawal(sender="cust", prefix=PFX))
+        hub.receive(withdrawal("cust", PFX))
         assert hub.best_route(PFX).learned_from == "prov"
 
     def test_fib_follows_best(self):
         net = star_network()
         hub = net.router("hub")
-        hub.receive(Announcement(sender="prov", prefix=PFX, as_path=(40, 5), origin_node="x"))
+        hub.receive(announcement("prov", PFX, (40, 5)))
         net.converge()
         assert net.next_hop("hub", ADDR) == "prov"
-        hub.receive(Announcement(sender="cust", prefix=PFX, as_path=(20, 5), origin_node="x"))
+        hub.receive(announcement("cust", PFX, (20, 5)))
         net.converge()
         assert net.next_hop("hub", ADDR) == "cust"
 

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro.bgp.engine import EventEngine
-from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.policy import Relationship
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, Session, SessionTiming
 from repro.net.addr import IPv4Prefix
+
+from tests.conftest import heard
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 PFX2 = IPv4Prefix.parse("184.164.245.0/24")
@@ -29,12 +30,14 @@ def make_session(timing: SessionTiming, seed: int = 0):
     return engine, session, received
 
 
-def ann(prefix=PFX, path=(1,)) -> Announcement:
-    return Announcement(sender="a", prefix=prefix, as_path=tuple(path), origin_node="a")
+def ann(prefix=PFX, path=(1,)):
+    """``Session.send`` arguments for an announcement: prefix, route, cause."""
+    return prefix, heard("a", prefix, path, origin_node="a"), 0
 
 
-def wd(prefix=PFX) -> Withdrawal:
-    return Withdrawal(sender="a", prefix=prefix)
+def wd(prefix=PFX):
+    """``Session.send`` arguments for a withdrawal."""
+    return prefix, None, 0
 
 
 class TestDelivery:
@@ -42,7 +45,7 @@ class TestDelivery:
         engine, session, received = make_session(
             SessionTiming(latency=0.1, jitter=0.0, mrai=30.0)
         )
-        session.send(ann())
+        session.send(*ann())
         engine.run_until_idle()
         assert len(received) == 1
         assert engine.now >= 0.1
@@ -54,16 +57,16 @@ class TestDelivery:
             SessionTiming(latency=0.01, jitter=1.0, mrai=0.0), seed=3
         )
         for i in range(20):
-            session.send(ann(path=(i + 1,)))
+            session.send(*ann(path=(i + 1,)))
             engine.run_until(engine.now + 0.001)
         engine.run_until_idle()
-        paths = [u.as_path for u in received]
+        paths = [u.route.as_path for u in received]
         assert paths == sorted(paths)
 
     def test_sent_updates_counter(self):
         engine, session, _ = make_session(SessionTiming(mrai=0.0))
-        session.send(ann())
-        session.send(wd())
+        session.send(*ann())
+        session.send(*wd())
         engine.run_until_idle()
         assert session.sent_updates == 2
 
@@ -75,22 +78,22 @@ class TestMraiCoalescing:
         engine, session, received = make_session(
             SessionTiming(latency=0.01, jitter=0.0, mrai=10.0)
         )
-        session.send(ann(path=(1,)))  # leaves immediately, starts timer
-        session.send(ann(path=(2,)))
-        session.send(ann(path=(3,)))
+        session.send(*ann(path=(1,)))  # leaves immediately, starts timer
+        session.send(*ann(path=(2,)))
+        session.send(*ann(path=(3,)))
         engine.run_until_idle()
-        assert [u.as_path for u in received] == [(1,), (3,)]
+        assert [u.route.as_path for u in received] == [(1,), (3,)]
 
     def test_mrai_zero_disables_pacing(self):
         engine, session, received = make_session(SessionTiming(mrai=0.0))
         for i in range(3):
-            session.send(ann(path=(i,)))
+            session.send(*ann(path=(i,)))
         engine.run_until_idle()
         assert len(received) == 3
 
     def test_withdrawal_for_unadvertised_prefix_is_dropped(self):
         engine, session, received = make_session(SessionTiming(mrai=0.0))
-        session.send(wd())
+        session.send(*wd())
         engine.run_until_idle()
         assert received == []
 
@@ -100,25 +103,25 @@ class TestMraiCoalescing:
         engine, session, received = make_session(
             SessionTiming(latency=0.01, jitter=0.0, mrai=10.0)
         )
-        session.send(ann(PFX2))  # flushed immediately; timer now running
-        session.send(ann(PFX))   # pending
-        session.send(wd(PFX))    # cancels the pending announcement
+        session.send(*ann(PFX2))  # flushed immediately; timer now running
+        session.send(*ann(PFX))   # pending
+        session.send(*wd(PFX))    # cancels the pending announcement
         engine.run_until_idle()
         assert [u.prefix for u in received] == [PFX2]
 
     def test_withdrawal_after_advertisement_goes_out(self):
         engine, session, received = make_session(SessionTiming(mrai=0.0))
-        session.send(ann())
-        session.send(wd())
+        session.send(*ann())
+        session.send(*wd())
         engine.run_until_idle()
-        assert isinstance(received[-1], Withdrawal)
+        assert received[-1].route is None
 
     def test_advertised_tracks_wire_state(self):
         engine, session, _ = make_session(SessionTiming(mrai=0.0))
-        session.send(ann())
+        session.send(*ann())
         engine.run_until_idle()
         assert PFX in session.advertised
-        session.send(wd())
+        session.send(*wd())
         engine.run_until_idle()
         assert PFX not in session.advertised
 
@@ -134,8 +137,8 @@ class TestMraiCoalescing:
             lambda u: arrivals.append(engine.now),
             SessionTiming(latency=0.0, jitter=0.0, mrai=10.0),
         )
-        session.send(ann(path=(1,)))
-        session.send(ann(path=(2,)))
+        session.send(*ann(path=(1,)))
+        session.send(*ann(path=(2,)))
         engine.run_until_idle()
         assert len(arrivals) == 2
         # Second flush happens at MRAI expiry: within [7.5, 12.5].
@@ -157,7 +160,7 @@ class TestTimingModel:
                 lambda u: arrivals.append(engine.now),
                 SessionTiming(latency=0.0, jitter=0.0, mrai=10.0, busy_prob=0.5),
             )
-            session.send(ann())
+            session.send(*ann())
             engine.run_until_idle()
             delays.append(arrivals[0])
         immediate = sum(1 for d in delays if d < 0.01)
@@ -233,19 +236,19 @@ class TestEpochGuardsMraiTimer:
             lambda u: arrivals.append((engine.now, u)),
             SessionTiming(latency=0.05, jitter=0.0, mrai=10.0),
         )
-        session.send(ann(path=(1,)))        # flushed; stale timer armed @12
+        session.send(*ann(path=(1,)))        # flushed; stale timer armed @12
         session.reopen()
-        session.send(ann(path=(2,)))        # flushed; new timer armed @8
-        session.send(ann(PFX2, path=(3,)))  # pending under the new timer
+        session.send(*ann(path=(2,)))        # flushed; new timer armed @8
+        session.send(*ann(PFX2, path=(3,)))  # pending under the new timer
         engine.run_until(9.0)               # t=8: timer fires, flushes PFX2,
         #                                     re-arms @20
-        session.send(ann(path=(4,)))        # pending under the t=20 timer
+        session.send(*ann(path=(4,)))        # pending under the t=20 timer
         engine.run_until(13.0)              # stale t=12 timer fires
         # The stale timer must not have flushed path=(4,).
-        assert [u.as_path for _, u in arrivals] == [(2,), (3,)]
+        assert [u.route.as_path for _, u in arrivals] == [(2,), (3,)]
         assert session._mrai_running
         assert session._pending
         engine.run_until_idle()
         when, last = arrivals[-1]
-        assert last.as_path == (4,)
+        assert last.route.as_path == (4,)
         assert when >= 20.0

@@ -11,10 +11,11 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.engine import EventEngine
-from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.policy import Relationship
 from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Prefix
+
+from tests.conftest import heard
 
 PREFIXES = [IPv4Prefix.parse(f"184.164.{i}.0/24") for i in range(4)]
 
@@ -51,24 +52,15 @@ def drive(actions, timing, seed, gap=0.3):
     sender_state: dict = {}
     for i, (prefix_index, announce) in enumerate(actions):
         prefix = PREFIXES[prefix_index]
-        if announce:
-            update = Announcement(
-                sender="a", prefix=prefix, as_path=(100, i), origin_node="a"
-            )
-            sender_state[prefix] = update
-        else:
-            update = Withdrawal(sender="a", prefix=prefix)
-            sender_state[prefix] = None
-        session.send(update)
+        route = heard("a", prefix, (100, i), origin_node="a") if announce else None
+        sender_state[prefix] = route
+        session.send(prefix, route, 0)
         engine.run_until(engine.now + gap)
     engine.run_until_idle()
 
     receiver_state: dict = {}
     for update in received:
-        if isinstance(update, Announcement):
-            receiver_state[update.prefix] = update
-        else:
-            receiver_state[update.prefix] = None
+        receiver_state[update.prefix] = update.route
     return sender_state, receiver_state, received
 
 
@@ -94,7 +86,7 @@ class TestEventualConsistency:
         _, _, received = drive(actions, timing, seed)
         known: set = set()
         for update in received:
-            if isinstance(update, Announcement):
+            if update.route is not None:
                 known.add(update.prefix)
             else:
                 assert update.prefix in known
@@ -110,8 +102,8 @@ class TestEventualConsistency:
         # intermediate deliveries only ever move forward in send order.
         last_path: dict = {}
         for update in received:
-            if isinstance(update, Announcement):
+            if update.route is not None:
                 previous = last_path.get(update.prefix)
                 if previous is not None:
-                    assert update.as_path[1] >= previous
-                last_path[update.prefix] = update.as_path[1]
+                    assert update.route.as_path[1] >= previous
+                last_path[update.prefix] = update.route.as_path[1]

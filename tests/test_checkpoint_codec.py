@@ -40,10 +40,10 @@ def fingerprint(net: BgpNetwork) -> dict:
         "next_cause": net._next_cause,
         "routers": {
             name: {
-                "loc_rib": net.router(name).loc_rib.export_state(),
-                "adj_rib_in": net.router(name).adj_rib_in.export_state(),
+                "loc_rib": dict(net.router(name).loc_rib),
+                "adj_rib_in": {p: dict(h) for p, h in net.router(name).adj_rib_in.items()},
                 "fib": sorted(net.router(name).fib.items()),
-                "origins": net.router(name).export_origins(),
+                "origins": dict(net.router(name).origins),
             }
             for name in net.routers
         },

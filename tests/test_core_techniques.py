@@ -141,9 +141,9 @@ class TestNormalOperationAnnouncements:
         dep, net = setup
         deploy(ProactivePrepending(3), dep, net)
         specific = net.router(dep.site_node("sea1"))
-        assert specific.origin_config(SPECIFIC_PREFIX).prepend == 0
+        assert specific.origins.get(SPECIFIC_PREFIX).prepend == 0
         other = net.router(dep.site_node("ams"))
-        assert other.origin_config(SPECIFIC_PREFIX).prepend == 3
+        assert other.origins.get(SPECIFIC_PREFIX).prepend == 3
 
     def test_combined(self, setup):
         dep, net = setup
@@ -193,7 +193,7 @@ class TestPrependedScopeRestriction:
         for site in dep.site_names:
             if site == "sea1":
                 continue
-            config = net.router(dep.site_node(site)).origin_config(SPECIFIC_PREFIX)
+            config = net.router(dep.site_node(site)).origins.get(SPECIFIC_PREFIX)
             assert config.neighbors is not None
             assert config.neighbors <= sea1_neighbors
 
@@ -260,17 +260,17 @@ class TestShedTechniques:
             for name in deployment.site_names:
                 node = deployment.site_node(name)
                 assert (
-                    normal.router(node).export_origins()
-                    == forked.router(node).export_origins()
+                    normal.router(node).origins
+                    == forked.router(node).origins
                 ), (technique.name, site, name)
 
     def test_shed_prepend_reoriginates_with_prepend(self, setup):
         dep, net = setup
         controller = self.controller(dep, net, ShedPrepend(prepend=4))
         self.overload(controller, "msn")
-        assert net.router(dep.site_node("msn")).origin_config(SPECIFIC_PREFIX).prepend == 4
+        assert net.router(dep.site_node("msn")).origins.get(SPECIFIC_PREFIX).prepend == 4
         controller.site_overload_cleared("msn")
-        assert net.router(dep.site_node("msn")).origin_config(SPECIFIC_PREFIX).prepend == 0
+        assert net.router(dep.site_node("msn")).origins.get(SPECIFIC_PREFIX).prepend == 0
 
     def test_shed_withdraw_pulls_specific_keeps_cover(self, setup):
         dep, net = setup
@@ -287,14 +287,14 @@ class TestShedTechniques:
         assert technique.shed_dns_fraction == 0.4
         controller = self.controller(dep, net, technique)
         self.overload(controller, "msn")
-        assert net.router(dep.site_node("msn")).origin_config(SPECIFIC_PREFIX).prepend == 1
+        assert net.router(dep.site_node("msn")).origins.get(SPECIFIC_PREFIX).prepend == 1
 
     def test_passive_techniques_have_inert_overload_hooks(self, setup):
         dep, net = setup
         controller = self.controller(dep, net, Anycast())
-        before = {s: net.router(dep.site_node(s)).export_origins() for s in dep.site_names}
+        before = {s: dict(net.router(dep.site_node(s)).origins) for s in dep.site_names}
         self.overload(controller, "msn")
-        after = {s: net.router(dep.site_node(s)).export_origins() for s in dep.site_names}
+        after = {s: dict(net.router(dep.site_node(s)).origins) for s in dep.site_names}
         assert after == before
 
     def test_validation(self):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.bgp.engine import EventEngine
-from repro.bgp.messages import Announcement
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.session import Session, SessionTiming
@@ -20,7 +19,7 @@ from repro.faults import (
 )
 from repro.net.addr import IPv4Prefix
 
-from tests.conftest import FAST_TIMING, build_line_network
+from tests.conftest import FAST_TIMING, build_line_network, heard
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 
@@ -87,11 +86,11 @@ class TestSessionReset:
         # Down/up happened atomically: the epoch advanced, the flushed
         # Adj-RIB-In is empty, and the re-advertisement is in flight.
         assert session.epoch == epoch_before + 1
-        assert rib_r2.route_from(PFX, "r1") is None
+        assert PFX not in rib_r2
 
         net.converge()
         assert PFX in session.advertised
-        assert rib_r2.route_from(PFX, "r1") is not None
+        assert "r1" in rib_r2[PFX]
         assert net.router("r3").best_route(PFX) is not None
 
     def test_reset_on_missing_link_skipped(self):
@@ -109,9 +108,7 @@ class TestSessionReset:
             engine, random.Random(0), "a", "b", Relationship.PEER,
             delivered.append, SessionTiming(latency=1.0, jitter=0.0, mrai=0.0),
         )
-        session.send(
-            Announcement(sender="a", prefix=PFX, as_path=(1,), origin_node="a")
-        )
+        session.send(PFX, heard("a", PFX, (1,)), 0)
         assert session.sent_updates == 1
         session.reopen()  # reset while the update is still in flight
         engine.run_until_idle()
@@ -124,14 +121,10 @@ class TestSessionReset:
             engine, random.Random(0), "a", "b", Relationship.PEER,
             lambda update: None, SessionTiming(latency=0.01, jitter=0.0, mrai=30.0),
         )
-        session.send(
-            Announcement(sender="a", prefix=PFX, as_path=(1,), origin_node="a")
-        )
+        session.send(PFX, heard("a", PFX, (1,)), 0)
         # First update flushed immediately; MRAI timer now runs.
         assert session._mrai_running
-        session.send(
-            Announcement(sender="a", prefix=PFX, as_path=(1, 1), origin_node="a")
-        )
+        session.send(PFX, heard("a", PFX, (1, 1)), 0)
         assert session._pending
         session.reopen()
         assert not session._mrai_running

@@ -69,7 +69,7 @@ class TestSessionResetReconvergence:
         epoch_before = session.epoch
         net.run_for(5.0 + 1e-3)
         assert injector.injected == 1
-        assert provider_rib.route_from(SECOND_PREFIX, self.SITE) is None
+        assert self.SITE not in provider_rib.get(SECOND_PREFIX, {})
         assert session.epoch == epoch_before + 1
 
         # After convergence the reopened session has re-advertised its
@@ -77,7 +77,7 @@ class TestSessionResetReconvergence:
         # client is back at the restored site.
         net.converge()
         assert SECOND_PREFIX in session.advertised
-        assert provider_rib.route_from(SECOND_PREFIX, self.SITE) is not None
+        assert self.SITE in provider_rib[SECOND_PREFIX]
         for client in watched:
             route = net.router(client).best_route(SECOND_PREFIX)
             assert route is not None

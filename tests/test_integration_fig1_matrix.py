@@ -58,7 +58,7 @@ def simulator_originations(deployment, technique, site, specific_site, emergency
     router = network.routers[deployment.site_node(site)]
     result = {}
     for prefix in router.originated_prefixes():
-        config = router.origin_config(prefix)
+        config = router.origins.get(prefix)
         result[prefix] = (config.prepend, config.med)
     return result
 

@@ -55,8 +55,8 @@ def failover_events() -> list:
 class TestBuildChains:
     def test_groups_by_cause_and_attaches_root(self):
         chains = build_chains(failover_events())
-        assert set(chains) == {1}
-        chain = chains[1]
+        assert set(chains) == {(0, 1)}
+        chain = chains[0, 1]
         assert chain.root is not None
         assert chain.root.action == "site-fail"
         assert chain.t == 10.0
@@ -64,17 +64,17 @@ class TestBuildChains:
 
     def test_cause_zero_events_form_no_chain(self):
         chains = build_chains(failover_events())
-        assert all(e.cause != 0 for e in chains[1].events)
+        assert all(e.cause != 0 for e in chains[0, 1].events)
 
     def test_steps_in_canonical_order(self):
-        chain = build_chains(failover_events())[1]
+        chain = build_chains(failover_events())[0, 1]
         assert chain.steps() == [
             "root", "site-failed", "withdrawal", "reselect",
             "fib-install", "dns-update", "catchment-shift",
         ]
 
     def test_shift_attributed_to_last_fib_cause(self):
-        chain = build_chains(failover_events())[1]
+        chain = build_chains(failover_events())[0, 1]
         assert len(chain.shifts) == 1
         assert chain.shifts[0].to_site == "msn"
 
@@ -86,7 +86,7 @@ class TestBuildChains:
         events = [
             FibInstalled(t=1.0, node="n", prefix=PREFIX, next_hop="m", cause=7),
         ]
-        chain = build_chains(events)[7]
+        chain = build_chains(events)[0, 7]
         assert chain.root is None
         assert chain.t == 1.0
         assert chain.steps() == ["fib-install"]
@@ -96,7 +96,7 @@ class TestBuildChains:
             RootCause(t=1.0, cause=2, action="fault:link-down", target="a<->b"),
             FaultInjected(t=1.0, fault="link-down", target="a<->b", cause=2),
         ]
-        assert build_chains(events)[2].steps() == ["root", "fault"]
+        assert build_chains(events)[0, 2].steps() == ["root", "fault"]
 
 
 class TestExplainFilters:
@@ -225,10 +225,10 @@ class TestChainIntegrityAcrossSessionReset:
         down = self.find_root(recorded, "fault:link-down")
         chains = build_chains(recorded)
         assert reset.cause != down.cause
-        assert chains[reset.cause].events
-        assert chains[down.cause].events
+        assert chains[0, reset.cause].events
+        assert chains[0, down.cause].events
         # no event leaks between the chains
-        reset_ts = {e.t for e in chains[reset.cause].events}
+        reset_ts = {e.t for e in chains[0, reset.cause].events}
         assert all(t < down.t for t in reset_ts)
 
     def test_explain_resolves_the_reset_chain(self, recorded):
@@ -239,3 +239,70 @@ class TestChainIntegrityAcrossSessionReset:
         assert "fault" in steps
         assert "announcement" in steps
         assert "fib-install" in steps
+
+
+class TestChainsStayInsideTheirRun:
+    """Cause ids restart with every network, so a trace that holds
+    several runs (a sweep's baselines and cells, a drill's sites) must
+    key chains by <run, cause>: the parent keyed by id alone and printed
+    3 chains for this sweep's 10 roots, one of them "site-fail ams" with
+    four site failures under it."""
+
+    SWEEP = ("sweep", "-t", "anycast", "reactive-anycast", "--sites", "sea1", "ams",
+             "--targets", "5", "--duration", "60", "--no-progress")
+
+    @pytest.fixture(scope="class")
+    def sweep_traces(self, tmp_path_factory):
+        """The sweep's trace, serial and over two workers."""
+        from repro.cli import main
+        from repro.telemetry import read_jsonl
+
+        out = tmp_path_factory.mktemp("sweep")
+        traces = []
+        for extra in ((), ("--workers", "2")):
+            path = str(out / f"t{len(traces)}.jsonl")
+            assert main([*self.SWEEP, *extra, "--trace", path, "-o", str(out / "s.json")]) == 0
+            traces.append(read_jsonl(path))
+        return traces
+
+    def test_one_chain_per_root_cause_event(self, sweep_traces):
+        for trace in sweep_traces:
+            roots = [e for e in trace if isinstance(e, RootCause)]
+            chains = explain(trace)
+            assert len(roots) == 10
+            assert [chain.root for chain in chains] == roots  # each once, in trace order
+            assert len({(chain.run.index, chain.cause) for chain in chains}) == 10
+
+    def test_every_site_fail_chain_names_exactly_one_failed_site(self, sweep_traces):
+        for trace in sweep_traces:
+            fails = [c for c in explain(trace) if c.root.action == "site-fail"]
+            for chain in fails:
+                failed = [e.site for e in chain.events if isinstance(e, SiteFailed)]
+                assert failed == [chain.root.target]
+                assert chain.run.label.endswith("/" + chain.root.target)
+            assert sorted(c.run.label for c in fails) == [
+                "anycast/ams", "anycast/sea1", "reactive-anycast/ams", "reactive-anycast/sea1",
+            ]
+
+    def test_serial_and_parallel_traces_explain_alike(self, sweep_traces):
+        """The brackets of a merged --workers trace change no chain."""
+        serial, parallel = (render_explanation(explain(trace)) for trace in sweep_traces)
+        assert serial == parallel
+        assert "cause 3 of reactive-anycast/ams: site-fail ams" in serial
+
+    def test_shift_is_not_attributed_across_runs(self):
+        events = [
+            RootCause(t=0.0, cause=1, action="deploy", target="sea1"),
+            FibInstalled(t=1.0, node="n", prefix=PREFIX, next_hop="m", cause=1),
+            RootCause(t=0.0, cause=1, action="deploy", target="ams"),  # id restarts: a new run
+            SiteSwitched(t=0.5, target="10.0.0.1", from_site="a", to_site="b"),
+        ]
+        chains = build_chains(events)
+        assert set(chains) == {(0, 1), (1, 1)}
+        assert not chains[0, 1].shifts and not chains[1, 1].shifts
+
+    def test_single_run_trace_prints_what_it_printed(self):
+        """One run: no run label in the header, byte for byte the old text."""
+        text = render_explanation(explain(failover_events()))
+        assert text.splitlines()[2] == "cause 1: site-fail sea1 @ t=10.00s"
+        assert " of " not in text

@@ -134,8 +134,12 @@ class TestPropagate:
         graph = SymbolicGraph.from_topology(
             clean_world.topology, {"c1": {"p1": 50}}
         )
-        assert graph.local_pref("c1", "p1") == 50
-        assert graph.local_pref("c2", "p2") == 100  # provider default
+        result = propagate(
+            graph, [Origination(node="site:x", prefix=SPECIFIC_PREFIX)],
+            SPECIFIC_PREFIX,
+        )
+        assert result.candidates["c1"]["p1"].local_pref == 50
+        assert result.candidates["c2"]["p2"].local_pref == 100  # provider default
 
     def test_ambiguous_ties_detects_final_tiebreak(self):
         world = load_fixture_world("bad_ambiguous")
