@@ -487,9 +487,12 @@ class UnsortedFsIteration(LintRule):
 #: assembled by the rig, a brownout's end is released by the rig, and a
 #: network is simulated only by the four runners -- settled catchments
 #: come from the symbolic fixed point (docs/architecture.md, "Three
-#: regimes"), never from a scratch network; and the valley-free rule is
+#: regimes"), never from a scratch network; the valley-free rule is
 #: read through ``policy.exported`` / ``relayed``, which both engines
-#: and the reachability walk call, never restated beside them.
+#: and the reachability walk call, never restated beside them; and a
+#: FIB is written by the router's install, whose hook re-walks the
+#: packets in the air, or filled by a restore (no packet is in the air
+#: yet). A dotted row names the attribute the method is called on.
 _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(
         ("CdnController", "WorkloadEngine", "CapacityState", "FaultInjector", "Prober",
@@ -500,7 +503,22 @@ _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
         "core/experiment.py", "core/drill.py", "core/scenarios.py", "measurement/appendix.py",
     ),
     "should_export": ("bgp/policy.py",),
+    **dict.fromkeys(("fib.insert", "fib.remove"), ("bgp/router.py", "checkpoint/codec.py")),
 }
+
+
+def _callee_names(func: ast.AST) -> tuple[str, ...]:
+    """``insert`` and ``fib.insert`` for ``router.fib.insert(...)``."""
+    if isinstance(func, ast.Name):
+        return (func.id,)
+    if not isinstance(func, ast.Attribute):
+        return ()
+    owner = func.value
+    if isinstance(owner, ast.Attribute):
+        return func.attr, f"{owner.attr}.{func.attr}"
+    if isinstance(owner, ast.Name):
+        return func.attr, f"{owner.id}.{func.attr}"
+    return (func.attr,)
 
 
 @register
@@ -520,17 +538,17 @@ class SingleCallSite(LintRule):
 
     def check(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
         assert isinstance(node, ast.Call)
-        func = node.func
-        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        allowed = _SINGLE_CALL_SITES.get(callee)
-        if allowed is None or "repro" not in ctx.path_parts:
+        if "repro" not in ctx.path_parts:
             return
-        if "/".join(ctx.path_parts[-2:]) not in allowed:
-            yield self.finding(
-                node, ctx,
-                f"{callee}() may only be called from {', '.join(allowed)}; go through "
-                "that module instead of stating the same fact a second time",
-            )
+        module = "/".join(ctx.path_parts[-2:])
+        for callee in _callee_names(node.func):
+            allowed = _SINGLE_CALL_SITES.get(callee)
+            if allowed is not None and module not in allowed:
+                yield self.finding(
+                    node, ctx,
+                    f"{callee}() may only be called from {', '.join(allowed)}; go through "
+                    "that module instead of stating the same fact a second time",
+                )
 
 
 def all_rules() -> list[LintRule]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.bgp.damping import DampingConfig, RouteDamping
 from repro.bgp.engine import EventEngine
@@ -53,6 +53,9 @@ class BgpNetwork:
         #: checkpoint snapshot: a restored network starts at 0 and any
         #: cache built against it starts cold.
         self.route_version = 0
+        #: called after every bump: a forwarding plane with packets in
+        #: the air re-walks them (empty while nothing is in flight)
+        self.on_route_change: list[Callable[[], None]] = []
         self.default_timing = default_timing or SessionTiming()
         self.damping_config = damping
         self.routers: dict[str, BgpRouter] = {}
@@ -73,6 +76,8 @@ class BgpNetwork:
 
     def _bump_route_version(self) -> None:
         self.route_version += 1
+        for rewalk in self.on_route_change:
+            rewalk()
 
     # ------------------------------------------------------------------
     # Lifetime
@@ -82,11 +87,13 @@ class BgpNetwork:
 
         A live network is one reference cycle (router -> sessions -> the
         remote router's ``receive``; queued callbacks -> sessions; router
-        hooks -> this network). With those edges dropped, reference
+        hooks -> this network; the route-change hook -> a forwarding
+        plane with packets in the air). With those edges dropped, reference
         counting frees it the moment its owner lets go -- no collector
         pass. Whoever builds or restores a network closes it.
         """
         self.engine.clear()
+        self.on_route_change.clear()
         for router in self.routers.values():
             router.sessions.clear()
             router.fib_delay_source = router.on_fib_change = router.damping = None
@@ -210,11 +217,12 @@ class BgpNetwork:
         )
         self.adjacency[a][b] = relationship_of_b
         self.adjacency[b][a] = relationship_of_b.inverse()
-        self.link_latency[frozenset((a, b))] = (
-            latency if latency is not None else timing.latency
-        )
-        self._link_timing[frozenset((a, b))] = timing
-        loss = self._link_loss.get(frozenset((a, b)))
+        # One key object per link, shared by the three tables (a
+        # snapshot copies them and pickles the key once).
+        link = frozenset((a, b))
+        self.link_latency[link] = latency if latency is not None else timing.latency
+        self._link_timing[link] = timing
+        loss = self._link_loss.get(link)
         if loss is not None:
             session_ab.loss_prob = session_ba.loss_prob = loss[0]
             session_ab.dup_prob = session_ba.dup_prob = loss[1]

@@ -305,43 +305,50 @@ class Session:
     # ------------------------------------------------------------------
     # Checkpointing (see repro.checkpoint)
 
-    def transfer_state(self) -> dict:
+    def transfer_state(self) -> tuple:
         """Plain-data transfer state for a *quiescent* session.
 
         With the event queue drained there are no pending updates and no
         running MRAI timer, so the effective MRAI, delivery epoch,
         advertised set, and delivery/loss bookkeeping are the whole
-        state. Raises if the session still has live timers or pending
-        updates (the caller snapshotted a non-quiescent network).
+        state: ⟨mrai, epoch, advertised (sorted), sent_updates,
+        last_delivery, loss_prob, dup_prob, closed⟩, a tuple because a
+        snapshot holds one per session direction (an empty advertised
+        set becomes the interpreter's one empty tuple). Raises if the
+        session still has live timers or pending updates (the caller
+        snapshotted a non-quiescent network).
         """
         if self._pending or self._mrai_running:
             raise RuntimeError(
                 f"session {self.local!r}->{self.remote!r} is not quiescent "
                 f"(pending={len(self._pending)}, mrai_running={self._mrai_running})"
             )
-        return {
-            "mrai": self.mrai,
-            "epoch": self.epoch,
-            "advertised": sorted(self.advertised),
-            "sent_updates": self.sent_updates,
-            "last_delivery": self._last_delivery,
-            "loss_prob": self.loss_prob,
-            "dup_prob": self.dup_prob,
-            "closed": self.closed,
-        }
+        return (
+            self.mrai,
+            self.epoch,
+            tuple(sorted(self.advertised)),
+            self.sent_updates,
+            self._last_delivery,
+            self.loss_prob,
+            self.dup_prob,
+            self.closed,
+        )
 
-    def restore_transfer_state(self, state: dict) -> None:
+    def restore_transfer_state(self, state: tuple) -> None:
         """Overwrite this session's transfer state from a snapshot.
 
         In particular the *effective* MRAI is restored verbatim: the
         constructor's heterogeneity draw (``mrai_sigma``) is discarded so
         a restored session paces exactly like the one snapshotted.
         """
-        self.mrai = state["mrai"]
-        self.epoch = state["epoch"]
-        self.advertised = set(state["advertised"])
-        self.sent_updates = state["sent_updates"]
-        self._last_delivery = state["last_delivery"]
-        self.loss_prob = state["loss_prob"]
-        self.dup_prob = state["dup_prob"]
-        self.closed = state["closed"]
+        (
+            self.mrai,
+            self.epoch,
+            advertised,
+            self.sent_updates,
+            self._last_delivery,
+            self.loss_prob,
+            self.dup_prob,
+            self.closed,
+        ) = state
+        self.advertised = set(advertised)

@@ -51,7 +51,7 @@ from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Prefix
 
 #: bumped on incompatible snapshot layout changes
-SNAPSHOT_SCHEMA = "repro.checkpoint/1"
+SNAPSHOT_SCHEMA = "repro.checkpoint/2"
 
 
 class CheckpointError(RuntimeError):
@@ -85,7 +85,8 @@ class SessionState:
     remote: str
     relationship: Relationship
     timing: SessionTiming
-    transfer: dict
+    #: ``Session.transfer_state()``
+    transfer: tuple
 
 
 @dataclass(frozen=True, slots=True)

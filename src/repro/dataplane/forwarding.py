@@ -1,4 +1,4 @@
-"""Hop-by-hop packet forwarding over live FIBs.
+"""Packet forwarding over live FIBs.
 
 Two forwarding paths exist, matching how the experiment uses them:
 
@@ -8,9 +8,17 @@ Two forwarding paths exist, matching how the experiment uses them:
   :mod:`repro.topology.static_routes`) and arrive after its one-way
   latency;
 * **toward the CDN** (probe replies): each hop does a longest-prefix-match
-  lookup in that router's *current* FIB and the packet advances as an
-  event on the simulation clock. Convergence can therefore reroute,
-  loop, or blackhole a reply mid-flight.
+  lookup in the FIB that router holds *when the packet arrives there*, so
+  convergence can reroute, loop, or blackhole a reply mid-flight.
+
+A reply is one *flight*: :meth:`ForwardingPlane.forward` walks the FIBs
+as they stand, times each hop with the engine's own float additions, and
+schedules a single landing event at the last hop. Every FIB write
+reaches the plane through the hook that bumps
+:attr:`~repro.bgp.network.BgpNetwork.route_version`; each flight still
+in the air is then cut after the hops it has taken and re-walked from
+there, so every hop reads the FIB that stood at its arrival time. A walk
+from the first hop is memoised until ``route_version`` moves.
 """
 
 from __future__ import annotations
@@ -96,6 +104,37 @@ def delivery_verdict(
     return site, None
 
 
+#: ⟨path, latency of each hop, delivered to, drop reason⟩ of one walk
+_Walk = tuple[tuple[str, ...], tuple[float, ...], str | None, DropReason | None]
+
+
+class _Flight:
+    """A packet between :meth:`ForwardingPlane.forward` and its landing:
+    the hops it takes unless a FIB changes under it first."""
+
+    __slots__ = (
+        "dst", "on_complete", "departs_at", "path", "latencies",
+        "delivered_to", "reason", "lands_at",
+    )
+    # Set by ForwardingPlane._fly, and again by a re-walk that moves it.
+    path: tuple[str, ...]
+    latencies: tuple[float, ...]
+    delivered_to: str | None
+    reason: DropReason | None
+    lands_at: float
+
+    def __init__(
+        self,
+        dst: IPv4Address,
+        on_complete: Callable[[ForwardResult], None],
+        departs_at: float,
+    ) -> None:
+        self.dst = dst
+        self.on_complete = on_complete
+        #: arrival time at the first node
+        self.departs_at = departs_at
+
+
 class ForwardingPlane:
     """Forwards packets over a network built from a topology."""
 
@@ -108,6 +147,11 @@ class ForwardingPlane:
         #: every drop ever recorded, evicted or not
         self.dropped_total = 0
         self._telemetry = telemetry_registry.current()
+        #: flights in the air, in forward order (landing order on ties)
+        self._flights: dict[_Flight, None] = {}
+        #: ⟨start node, dst⟩ -> walk on the FIBs of ``_memo_version``
+        self._memo: dict[tuple[str, IPv4Address], _Walk] = {}
+        self._memo_version = network.route_version
 
     # ------------------------------------------------------------------
     # Static direction (CDN -> client)
@@ -129,72 +173,137 @@ class ForwardingPlane:
         return self.topology.path_latency(path)
 
     # ------------------------------------------------------------------
-    # Dynamic direction (client -> CDN prefix), event-driven
+    # Dynamic direction (client -> CDN prefix): flights over live FIBs
 
     def forward(
         self,
         start_node: str,
         dst: IPv4Address,
         on_complete: Callable[[ForwardResult], None],
+        delay: float = 0.0,
     ) -> None:
-        """Forward a packet for ``dst`` from ``start_node`` using live FIBs.
+        """Send a packet for ``dst`` from ``start_node``, ``delay`` seconds
+        from now, over live FIBs.
 
-        Each hop consumes the link's latency on the simulation clock and
-        re-resolves the next hop at that future instant. ``on_complete``
-        fires exactly once, with delivery or a drop.
+        Each hop consumes its link's latency on the simulation clock and
+        reads the FIB that stands when the packet arrives there.
+        ``on_complete`` fires exactly once, at the delivery or drop.
         """
-        self._hop(dst, start_node, start_node, (start_node,), on_complete, {})
+        flight = _Flight(dst, on_complete, self.network.engine.now + delay)
+        self._fly(flight, *self._walk_from(start_node, dst))
+        if not self._flights:
+            self.network.on_route_change.append(self._rewalk)
+        self._flights[flight] = None
 
-    def _hop(
+    def _walk_from(self, start_node: str, dst: IPv4Address) -> _Walk:
+        """The walk from ``start_node`` on the current FIBs, memoised
+        until ``route_version`` moves (the catchment cache's rule)."""
+        version = self.network.route_version
+        if version != self._memo_version:
+            self._memo.clear()
+            self._memo_version = version
+        key = (start_node, dst)
+        walk = self._memo.get(key)
+        if walk is None:
+            walk = self._memo[key] = self._timed_walk(dst, [start_node], {})
+        return walk
+
+    def _timed_walk(self, dst: IPv4Address, path: list[str], seen: dict[str, str]) -> _Walk:
+        """:meth:`_walk` from ``path``, with the latency of every hop."""
+        delivered_to, reason = self._walk(dst, path, seen)
+        return tuple(path), tuple(self.topology.hop_latencies(path)), delivered_to, reason
+
+    def _walk(
+        self, dst: IPv4Address, path: list[str], seen: dict[str, str]
+    ) -> tuple[str | None, DropReason | None]:
+        """Extend ``path`` from its last node, on the FIBs as they stand,
+        until the packet is delivered or dropped: ⟨delivered to, drop
+        reason⟩.
+
+        ``seen`` maps each node the packet has left to the next hop its
+        FIB resolved then: leaving a node toward the same next hop again
+        means the packet is in a *stable* loop and is dropped at once as
+        ``LOOP`` instead of burning all ``MAX_HOPS`` hops of simulated
+        latency first. A revisit whose FIB entry changed in between is a
+        transient loop (convergence in progress) and keeps going under
+        the hop-count fallback.
+        """
+        next_hop_of = self.network.next_hop
+        node = path[-1]
+        while True:
+            if len(path) > MAX_HOPS:
+                return None, DropReason.TTL_EXCEEDED
+            next_hop = next_hop_of(node, dst)
+            if next_hop is None:
+                return None, DropReason.NO_ROUTE
+            if next_hop == node:
+                # Locally originated covering prefix: delivered here.
+                return node, None
+            if seen.get(node) == next_hop:
+                return None, DropReason.LOOP
+            seen[node] = next_hop
+            path.append(next_hop)
+            node = next_hop
+
+    def _fly(
         self,
-        dst: IPv4Address,
-        node: str,
-        last_concrete: str,
+        flight: _Flight,
         path: tuple[str, ...],
-        on_complete: Callable[[ForwardResult], None],
-        seen: dict[str, str],
+        latencies: tuple[float, ...],
+        delivered_to: str | None,
+        reason: DropReason | None,
     ) -> None:
-        """One forwarding step. ``seen`` maps each visited node to the
-        next hop its FIB resolved at visit time: revisiting a node whose
-        entry is unchanged means the packet is in a *stable* loop and is
-        dropped immediately as ``LOOP`` instead of burning all
-        ``MAX_HOPS`` hops of simulated latency first. A revisit whose
-        FIB entry changed mid-flight is a transient loop (convergence in
-        progress) and keeps going under the hop-count fallback.
-        ``last_concrete`` is the most recent non-distributed node on
-        ``path`` (its first node until one is crossed), carried from hop
-        to hop by the rule :meth:`Topology.path_latency` states."""
-        engine = self.network.engine
-        if len(path) > MAX_HOPS:
-            self._finish(
-                ForwardResult(None, path, engine.now, DropReason.TTL_EXCEEDED), on_complete
-            )
-            return
-        next_hop = self.network.next_hop(node, dst)
-        if next_hop is None:
-            self._finish(
-                ForwardResult(None, path, engine.now, DropReason.NO_ROUTE), on_complete
-            )
-            return
-        if next_hop == node:
-            # Locally originated covering prefix: delivered here.
-            self._finish(ForwardResult(node, path, engine.now), on_complete)
-            return
-        if seen.get(node) == next_hop:
-            self._finish(
-                ForwardResult(None, path, engine.now, DropReason.LOOP), on_complete
-            )
-            return
-        seen[node] = next_hop
-        topology = self.topology
-        latency = topology.hop_latency(last_concrete, node, next_hop)
-        if not topology.ases[next_hop].as_class.is_distributed:
-            last_concrete = next_hop
-        engine.schedule(
-            latency,
-            lambda: self._hop(
-                dst, next_hop, last_concrete, path + (next_hop,), on_complete, seen
-            ),
+        """Put ``flight`` on ``path`` and schedule its landing. Arrival
+        times are the engine's own float additions, hop by hop,
+        ``t[k+1] = t[k] + latency``: the instants do not depend on how
+        many events carry the hops."""
+        flight.path = path
+        flight.latencies = latencies
+        flight.delivered_to = delivered_to
+        flight.reason = reason
+        lands_at = flight.departs_at
+        for latency in latencies:
+            lands_at += latency
+        flight.lands_at = lands_at
+        self.network.engine.schedule_at(lands_at, lambda: self._land(flight))
+
+    def _rewalk(self) -> None:
+        """A FIB was written (the network's route-change hook): cut each
+        flight in the air after its last hop already taken -- arrival
+        time <= now -- and walk the rest on the FIBs as they now stand,
+        with ``seen`` rebuilt from the hops it keeps. A flight whose path
+        moved lands at its new time; the old landing event goes stale."""
+        now = self.network.engine.now
+        for flight in self._flights:
+            arrives_at = flight.departs_at
+            if arrives_at > now:
+                walk = self._walk_from(flight.path[0], flight.dst)
+            else:
+                for taken, latency in enumerate(flight.latencies, 1):
+                    arrives_at += latency
+                    if arrives_at > now:
+                        break
+                else:
+                    continue  # every hop taken: it lands now
+                path = list(flight.path[:taken + 1])
+                seen = dict(zip(path[:taken], path[1:]))
+                walk = self._timed_walk(flight.dst, path, seen)
+            if walk[0] != flight.path:
+                self._fly(flight, *walk)
+            else:
+                # Same hops, same landing time: only the verdict at the
+                # last node can have changed.
+                flight.delivered_to, flight.reason = walk[2], walk[3]
+
+    def _land(self, flight: _Flight) -> None:
+        if flight.lands_at > self.network.engine.now or flight not in self._flights:
+            return  # stale: a re-walk moved this landing
+        del self._flights[flight]
+        if not self._flights:
+            self.network.on_route_change.remove(self._rewalk)
+        self._finish(
+            ForwardResult(flight.delivered_to, flight.path, flight.lands_at, flight.reason),
+            flight.on_complete,
         )
 
     def _finish(
@@ -216,23 +325,10 @@ class ForwardingPlane:
         Used by traceroute emulation and catchment checks, where the
         question is "where would a packet go *right now*".
         """
-        node = start_node
-        path = [node]
-        while True:
-            if len(path) > MAX_HOPS:
-                return ForwardResult(
-                    None, tuple(path), self.network.engine.now, DropReason.TTL_EXCEEDED
-                )
-            next_hop = self.network.next_hop(node, dst)
-            if next_hop is None:
-                return ForwardResult(
-                    None, tuple(path), self.network.engine.now, DropReason.NO_ROUTE
-                )
-            if next_hop == node:
-                return ForwardResult(node, tuple(path), self.network.engine.now)
-            if next_hop in path:
-                return ForwardResult(
-                    None, tuple(path + [next_hop]), self.network.engine.now, DropReason.LOOP
-                )
-            node = next_hop
-            path.append(node)
+        path = [start_node]
+        delivered_to, reason = self._walk(dst, path, {})
+        if reason is DropReason.TTL_EXCEEDED and path[-1] in path[:-1]:
+            # On FIBs that stand still the first revisit is a stable loop;
+            # one closing on the last hop the TTL allows is still a loop.
+            reason = DropReason.LOOP
+        return ForwardResult(delivered_to, tuple(path), self.network.engine.now, reason)

@@ -116,16 +116,14 @@ class Prober:
                     )
                 )
             return
-        engine.schedule(log.request_latency, lambda: self._reply(log, probe))
-
-    def _reply(self, log: ProbeLog, probe: Probe) -> None:
-        """The target answers: its reply is addressed to the request's
-        *source*, which is how §5.2 steers replies toward the prefix
-        under test."""
+        # The target answers when the request reaches it; the reply is
+        # addressed to the request's *source*, which is how §5.2 steers
+        # replies toward the prefix under test.
         self.plane.forward(
             log.target_node,
             self.source,
             lambda result: self._reply_done(log.target, probe, result),
+            delay=log.request_latency,
         )
 
     def _reply_done(

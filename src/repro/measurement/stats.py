@@ -9,6 +9,7 @@ explicit so medians and tail quantiles are honest.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,11 @@ class Cdf:
             raise ValueError("empty CDF has no quantiles")
         if q == 0.0:
             return float(self._sorted[0]) if self.observed else math.inf
-        rank = math.ceil(q * self.n)
+        # The smallest rank whose CDF step, rank / n as `at` computes it,
+        # reaches q. ceil(q * n) is one too high whenever q * n rounds to
+        # an ulp above an integer (q = 7 / 25: 7 / 25 * 25 = 7.000000000000001).
+        n = self.n
+        rank = bisect.bisect_left(range(1, n + 1), q, key=lambda r: r / n) + 1
         if rank > self.observed:
             return math.inf
         return float(self._sorted[rank - 1])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
@@ -179,14 +179,23 @@ class Topology:
             return link_latency_s(entry, b_info.location)
         return self.link_latency(a, b)
 
+    def hop_latencies(self, path: Sequence[str]) -> list[float]:
+        """The latency of each hop along a node path, distributed-aware:
+        each hop is charged from the most recent non-distributed node
+        before it (the path's first node until one is crossed)."""
+        latencies = []
+        last_concrete = path[0]
+        for a, b in zip(path, path[1:]):
+            latencies.append(self.hop_latency(last_concrete, a, b))
+            if not self.ases[b].as_class.is_distributed:
+                last_concrete = b
+        return latencies
+
     def path_latency(self, path: list[str]) -> float:
         """One-way latency along a node path, distributed-aware."""
         total = 0.0
-        last_concrete = path[0]
-        for a, b in zip(path, path[1:]):
-            total += self.hop_latency(last_concrete, a, b)
-            if not self.ases[b].as_class.is_distributed:
-                last_concrete = b
+        for latency in self.hop_latencies(path):
+            total += latency
         return total
 
     def to_networkx(self) -> nx.Graph:

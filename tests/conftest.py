@@ -51,6 +51,21 @@ def withdrawal(sender, prefix) -> Update:
     return Update(sender, prefix, None, 0)
 
 
+def install_fib(network, node, prefix, next_hop) -> None:
+    """Point ``node``'s FIB entry for ``prefix`` at ``next_hop`` (``node``
+    itself: delivered there; None: no entry) the way the router does --
+    through its Loc-RIB and ``_install_fib``, the one FIB write that bumps
+    ``route_version`` and re-walks the packets in the air. A bare
+    ``fib.insert`` would leave both stale."""
+    router = network.router(node)
+    if next_hop is None:
+        router.loc_rib.pop(prefix, None)
+    else:
+        learned_from = None if next_hop == node else next_hop
+        router.loc_rib[prefix] = Route(prefix, (), learned_from, 0, node)
+    router._install_fib(prefix)
+
+
 @pytest.fixture(scope="session")
 def small_topology():
     return generate_topology(SMALL_PARAMS)

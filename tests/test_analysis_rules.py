@@ -237,3 +237,26 @@ class TestSingleCallSite:
         assert finding.code == "DET011" and "bgp/policy.py" in finding.message
         assert ENGINE.lint_source(source, path="src/repro/bgp/policy.py") == []
         assert ENGINE.lint_source(source, path="tests/policy_oracle.py") == []
+
+    def test_a_fib_is_written_through_the_router(self):
+        """A FIB write that skips the router's install skips the hook
+        that re-walks the packets in the air: only the router (and a
+        restore, before any packet flies) may call ``fib.insert`` /
+        ``fib.remove``, however the FIB is reached."""
+        source = (
+            "network.routers[node].fib.insert(prefix, next_hop)\n"
+            "router.fib.remove(prefix)\n"
+            "fib.insert(prefix, node)\n"
+        )
+        findings = ENGINE.lint_source(source, path="src/repro/faults/injector.py")
+        assert [f.code for f in findings] == ["DET011"] * 3
+        assert "fib.insert() may only be called from bgp/router.py" in findings[0].message
+        assert "fib.remove()" in findings[1].message
+        for allowed in ("src/repro/bgp/router.py", "src/repro/checkpoint/codec.py",
+                        "tests/test_faults_invariants.py"):
+            assert ENGINE.lint_source(source, path=allowed) == []
+        # other tables' insert / remove are someone else's business
+        assert ENGINE.lint_source(
+            "table.insert(prefix, 1)\nself._cache.remove(key)\n",
+            path="src/repro/net/lpm.py",
+        ) == []

@@ -6,7 +6,7 @@ from repro.dataplane.forwarding import ForwardingPlane
 from repro.net.addr import IPv4Prefix
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, install_fib
 
 #: routed only by the FIB entries a test installs by hand
 TEST_PREFIX = IPv4Prefix.parse("198.51.100.0/24")
@@ -23,10 +23,10 @@ def converged_plane():
 
 def one_way(plane, network, path):
     """Simulated latency of a forward along ``path``, whose FIB entries
-    are installed by hand (the last node delivers locally) so the path
-    is the test's choice, not BGP's."""
+    are written by hand through the router (the last node delivers
+    locally) so the path is the test's choice, not BGP's."""
     for node, next_hop in zip(path, path[1:] + path[-1:]):
-        network.router(node).fib.insert(TEST_PREFIX, next_hop)
+        install_fib(network, node, TEST_PREFIX, next_hop)
     results = []
     start = network.now
     plane.forward(path[0], TEST_PREFIX.address(1), results.append)

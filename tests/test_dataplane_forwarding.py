@@ -12,7 +12,7 @@ from repro.topology.generator import Topology, TopologyParams
 from repro.topology.geo import Location
 from repro.topology.relationships import AsClass, AsInfo
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, install_fib
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 ADDR = IPv4Address.parse("184.164.244.10")
@@ -61,9 +61,9 @@ class TestSnapshotPath:
 
     def test_loop_detected(self):
         topo, net, plane = make_plane(2)
-        # Manufacture a transient loop by hand-editing FIBs.
-        net.router("r0").fib.insert(PFX, "r1")
-        net.router("r1").fib.insert(PFX, "r0")
+        # Manufacture a loop by writing FIBs by hand.
+        install_fib(net, "r0", PFX, "r1")
+        install_fib(net, "r1", PFX, "r0")
         result = plane.snapshot_path("r0", ADDR)
         assert not result.delivered
         assert result.drop_reason is DropReason.LOOP
@@ -95,8 +95,8 @@ class TestEventDrivenForward:
         unchanged) is dropped as LOOP on the first revisit instead of
         burning all MAX_HOPS hops to a TTL_EXCEEDED drop."""
         topo, net, plane = make_plane(2)
-        net.router("r0").fib.insert(PFX, "r1")
-        net.router("r1").fib.insert(PFX, "r0")
+        install_fib(net, "r0", PFX, "r1")
+        install_fib(net, "r1", PFX, "r0")
         results = []
         plane.forward("r0", ADDR, results.append)
         net.converge()
@@ -109,18 +109,45 @@ class TestEventDrivenForward:
         transient loop (convergence in progress): the packet keeps going
         and can still be delivered."""
         topo, net, plane = make_plane(2)
-        net.router("r0").fib.insert(PFX, "r1")
-        net.router("r1").fib.insert(PFX, "r0")
+        install_fib(net, "r0", PFX, "r1")
+        install_fib(net, "r1", PFX, "r0")
         results = []
         plane.forward("r0", ADDR, results.append)
         # Reroute r0 while the packet is on its way to r1 and back: the
         # revisit of r0 sees a *different* next hop (itself -- a local
         # delivery), so it is not treated as a stable loop.
-        net.router("r0").fib.insert(PFX, "r0")
+        install_fib(net, "r0", PFX, "r0")
         net.converge()
         assert results[0].delivered_to == "r0"
         assert results[0].drop_reason is None
         assert results[0].path.count("r0") == 2
+
+    def test_a_write_behind_the_packet_does_not_reach_back(self):
+        """A FIB written after the packet left that router changes
+        nothing: the hops already taken keep what they read."""
+        topo, net, plane = make_plane(2)
+        install_fib(net, "r0", PFX, "r1")
+        install_fib(net, "r1", PFX, "r0")
+        results = []
+        plane.forward("r0", ADDR, results.append)
+        hop = topo.link_latency("r0", "r1")
+        # r1 would now deliver, but the packet left it at t = hop and is
+        # back at r0 (unchanged: a stable loop) at t = 2 * hop.
+        net.engine.schedule(1.5 * hop, lambda: install_fib(net, "r1", PFX, "r1"))
+        net.converge()
+        assert results[0].drop_reason is DropReason.LOOP
+        assert results[0].path == ("r0", "r1", "r0")
+
+    def test_a_hop_at_the_write_instant_counts_as_taken(self):
+        """The tie rule: a hop whose arrival time equals a FIB write's
+        time has read the FIB before the write."""
+        topo, net, plane = make_plane(2)
+        install_fib(net, "r1", PFX, "r1")
+        results = []
+        plane.forward("r1", ADDR, results.append)
+        install_fib(net, "r1", PFX, None)  # same instant as hop 0
+        net.converge()
+        assert results[0].delivered_to == "r1"
 
     def test_drop_log_bounded_under_churn(self):
         """Long sweeps churn out drops forever; the diagnostic log is a
@@ -145,10 +172,27 @@ class TestEventDrivenForward:
         net.converge()
         results = []
         plane.forward("r3", ADDR, results.append)
-        # Flip r1's FIB toward a local origin while the packet is at r2.
-        net.router("r1").fib.insert(PFX, "r1")
+        # Flip r1's FIB toward a local origin while the packet is at r3.
+        install_fib(net, "r1", PFX, "r1")
         net.converge()
         assert results[0].delivered_to == "r1"
+        assert results[0].path == ("r3", "r2", "r1")
+
+    def test_departure_delay_reads_the_fibs_at_arrival(self):
+        """A packet sent ``delay`` seconds ahead (the reply leg after the
+        request leg) reads the FIBs of its arrival, not of its send."""
+        topo = chain_topology(4)
+        net = topo.build_network(seed=0, timing=FAST_TIMING)
+        plane = ForwardingPlane(net, topo)
+        net.announce("r0", PFX)
+        net.converge()
+        results = []
+        start = net.now
+        plane.forward("r3", ADDR, results.append, delay=5.0)
+        net.engine.schedule(1.0, lambda: install_fib(net, "r2", PFX, "r2"))
+        net.converge()
+        assert results[0].delivered_to == "r2"
+        assert results[0].completed_at == start + 5.0 + topo.link_latency("r3", "r2")
 
 
 class TestClientDirection:

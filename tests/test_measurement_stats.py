@@ -100,6 +100,35 @@ class TestCdf:
         if p > 0:
             assert cdf.quantile(p) <= x
 
+    #: every ⟨k, n⟩ up to n = 50 where k / n * n lands an ulp above k, so
+    #: a rank of ceil(q * n) is one too high; (7, 25) is the shrunk
+    #: example Hypothesis found for the property above
+    ULP_ABOVE = [
+        (7, 25), (14, 25), (15, 29), (29, 35), (21, 38), (25, 39), (7, 41),
+        (14, 41), (23, 41), (28, 41), (23, 42), (27, 42), (7, 43), (14, 43),
+        (28, 43), (25, 44), (29, 45), (27, 46), (27, 47), (7, 50), (14, 50),
+        (28, 50),
+    ]
+
+    @pytest.mark.parametrize("k, n", ULP_ABOVE)
+    def test_quantile_of_a_step_is_the_step(self, k, n):
+        cdf = Cdf([0.0] * k + [1.0] * (n - k))
+        assert cdf.at(0.0) == k / n
+        assert cdf.quantile(k / n) == 0.0
+
+    def test_ulp_above_cases_are_all_of_them(self):
+        every = [
+            (k, n) for n in range(1, 51) for k in range(1, n + 1)
+            if math.ceil(k / n * n) != k
+        ]
+        assert every == sorted(self.ULP_ABOVE, key=lambda kn: (kn[1], kn[0]))
+        for n in range(1, 51):
+            for k in range(1, n + 1):
+                cdf = Cdf([0.0] * k + [1.0] * (n - k))
+                assert cdf.quantile(k / n) == 0.0
+                if k < n:
+                    assert cdf.quantile(math.nextafter(k / n, 1.0)) == 1.0
+
 
 class TestSummarize:
     def test_summary_fields(self):

@@ -5,9 +5,10 @@ structure the benchmark's exact counts rest on.
   from the prober's records equal the same arithmetic over the re-join by
   sequence number kept in ``tests/probe_oracle.py``, and the availability
   ledger rebuilds those very records from the trace;
-* census: one forked cell schedules exactly two ``Prober.`` callbacks
-  per probe and one ``ForwardingPlane.`` callback per hop -- the numbers
-  recorded from the commit before the record existed.
+* census: one forked cell schedules exactly one ``Prober.`` callback per
+  probe and one ``ForwardingPlane.`` callback per reply landing (plus any
+  landing a FIB write made stale) -- the numbers the benchmark's exact
+  counts rest on.
 """
 
 import pytest
@@ -70,10 +71,13 @@ def test_records_equal_the_join_by_sequence_number(monkeypatch, deployment, tech
 
 
 def test_callback_census_of_one_forked_cell(deployment):
-    """Two ``Prober.`` callbacks per probe (the paced tick, the target's
-    reply) and one ``ForwardingPlane.`` callback per hop: what
-    ``dataplane.probe_n`` / ``dataplane.hop_n`` count in ``bench/``. A
-    change that batches, merges or drops probe events moves these."""
+    """One ``Prober.`` callback per probe (the paced tick; the reply leg is
+    the flight's departure delay, not an event) and one
+    ``ForwardingPlane.`` callback per reply landing, plus any landing a
+    FIB write made stale: what ``dataplane.probe_n`` / ``dataplane.hop_n``
+    count in ``bench/``. Before replies became flights this cell made
+    3280 and 6283 (a reply event per probe, an event per hop). A change
+    that batches, merges or drops probe events moves these."""
     profiler = EventProfiler()
     with telemetry.using(telemetry.Telemetry(profiler=profiler)) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
@@ -86,7 +90,7 @@ def test_callback_census_of_one_forked_cell(deployment):
     assert all("Prober." in name or "ForwardingPlane." in name for name in data_plane)
     probe_n = sum(count for name, count in data_plane.items() if "Prober." in name)
     hop_n = sum(count for name, count in data_plane.items() if "ForwardingPlane." in name)
-    assert counters["probe.sent"] == 1640
-    assert probe_n == 2 * counters["probe.sent"] == 3280
-    assert hop_n == 6283
-    assert counters["probe.sent"] == counters["probe.replies"] + counters["probe.replies_lost"]
+    landings = counters["probe.replies"] + counters["probe.replies_lost"]
+    assert counters["probe.sent"] == landings == 1640
+    assert probe_n == counters["probe.sent"] == 1640
+    assert hop_n == landings + 0 == 1640  # no stale landing in this cell
