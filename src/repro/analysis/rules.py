@@ -551,6 +551,43 @@ class SingleCallSite(LintRule):
                 )
 
 
+#: numpy ufuncs whose vectorised kernels can differ from libm in the last
+#: bit, and from one CPU's dispatch path to another's
+_NUMPY_TRANSCENDENTALS = frozenset(
+    f"{module}.{name}"
+    for module in ("np", "numpy")
+    for name in ("log", "log2", "log10", "log1p", "exp", "expm1", "sin", "cos", "tan", "power")
+)
+
+
+@register
+class NumpyTranscendental(LintRule):
+    """numpy's ``log`` / ``exp`` / ``sin`` / ... inside the package.
+
+    A value they compute can reach a pinned digest (an arrival time, a
+    rate) and change it on another host. ``math`` calls libm, whose
+    results the digests are pinned on.
+    """
+
+    code = "DET012"
+    name = "numpy-transcendental"
+    summary = "numpy log/exp/sin/... ufunc inside the repro package (last bit varies by CPU)"
+    # An Attribute, not a Call: `map(np.log, ...)` computes as much as `np.log(x)`.
+    node_types = (ast.Attribute,)
+
+    def check(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
+        if "repro" not in ctx.path_parts:
+            return
+        dotted = _dotted_name(node)
+        if dotted in _NUMPY_TRANSCENDENTALS:
+            yield self.finding(
+                node, ctx,
+                f"{dotted} can differ from libm in the last bit depending on the "
+                "CPU numpy dispatches to; map the math module's function over the "
+                "values instead",
+            )
+
+
 def all_rules() -> list[LintRule]:
     """Fresh instances of every registered rule."""
     return [cls() for cls in RULES.values()]

@@ -238,10 +238,10 @@ class WorkloadEngine:
         self._epoch = 0.0
         self._duration = 0.0
         self._drained_to = 0.0
-        self._batches: Iterator[tuple[np.ndarray, ...]] = iter(())
-        #: what is left of the stream chunk being drained (None once the
-        #: stream is dry)
-        self._chunk: tuple[np.ndarray, ...] | None = None
+        self._batches: Iterator[tuple[np.ndarray, np.ndarray]] = iter(())
+        #: what is left of the stream chunk being drained, ⟨arrival times,
+        #: client indices⟩ (None once the stream is dry)
+        self._chunk: tuple[np.ndarray, np.ndarray] | None = None
         #: the order diversion scans alternative sites in
         self._site_order = sorted(deployment.site_names)
         #: sites whose overload callback already fired (latched; cleared
@@ -296,12 +296,12 @@ class WorkloadEngine:
         times = [np.empty(0)]
         clients = [np.empty(0, dtype=np.intp)]
         while self._chunk is not None:
-            chunk_times, chunk_clients, _ = self._chunk
+            chunk_times, chunk_clients = self._chunk
             due = int(np.searchsorted(chunk_times, elapsed, "right"))
             times.append(chunk_times[:due])
             clients.append(chunk_clients[:due])
             if due < len(chunk_times):
-                self._chunk = tuple(column[due:] for column in self._chunk)
+                self._chunk = chunk_times[due:], chunk_clients[due:]
                 break
             self._chunk = next(self._batches, None)
         self._book(

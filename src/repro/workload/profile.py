@@ -244,7 +244,8 @@ PROFILE_FIELDS = (
     Field("tick_s", lo=0, lo_open=True, code="PRE142"),
     Field("seed_salt", int),
     Field("surge_region", str),
-    Field("surge_weight", code="PRE141"),
+    Field("surge_weight", lo=0, code="PRE141",
+          why="client popularity would not be a distribution"),
 )
 
 

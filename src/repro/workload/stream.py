@@ -1,31 +1,30 @@
 """Streaming request generation: Poisson arrivals, Zipf popularity.
 
-:class:`RequestStream` never materializes the schedule: it produces one
+:class:`RequestStream` never materializes the schedule: it draws one
 numpy chunk of arrivals at a time (:meth:`RequestStream.batches`), so a
 1M-request flash crowd costs the same memory as a 10-request one. The
 per-stream state is the RNG, the two cumulative Zipf weight tables
-(O(clients) and O(catalogue)) and one chunk of :data:`CHUNK_PAIRS`
-candidate pairs.
+(O(clients) and O(catalogue)) and one chunk of :data:`CHUNK_CANDIDATES`
+candidates.
 
-Arrivals follow an inhomogeneous Poisson process via thinning: draw
-candidate arrivals at the profile's constant envelope rate
-``max_rate()`` (exponential inter-arrival gaps), then accept each
-candidate with probability ``rate(t) / max_rate()``. Accepted arrivals
-are exactly Poisson with intensity ``rate(t)``, and -- crucially for
-determinism -- the RNG draw sequence is a pure function of (profile,
-seed), never of network state.
-
-The draw sequence is the one a per-candidate loop over
-``random.Random(seed)`` makes -- gap and acceptance uniforms for every
-candidate, client and content uniforms for every accepted one -- and the
-chunks replay it bit for bit (``tests/stream_oracle.py`` keeps that loop
-as the reference). See ``docs/workload.md`` for how.
+Arrivals are an inhomogeneous Poisson process drawn by thinning a
+homogeneous one at the profile's envelope rate ``max_rate()``, a chunk
+of K candidates at a time: the span to the chunk's last candidate is a
+Gamma(K, 1 / max_rate) draw, the K - 1 candidates before it are sorted
+uniforms over that span, and a candidate at ``t`` is accepted when a
+uniform times ``max_rate()`` is at most ``rate(t)``. That is exactly
+Poisson with intensity ``rate(t)`` (``docs/workload.md``, "Arrival
+model"), and the draw is a pure function of (profile, seed), never of
+network state. ``tests/stream_oracle.py`` keeps the per-candidate loop
+the stream is tested against as a distribution.
 
 Popularity: clients and contents are ranked by list position and
-sampled from Zipf(``zipf_s``) / Zipf(``content_zipf_s``) by a
-leftmost binary search of a precomputed cumulative-weight table.
+sampled from Zipf(``zipf_s``) / Zipf(``content_zipf_s``) by a binary
+search of a precomputed cumulative-weight table. Content ids come from a
+second generator and are drawn only when a caller iterates requests:
+the engine reads times and clients only.
 
-The stream owns a dedicated ``random.Random(seed)``; it never touches
+The stream owns dedicated ``random.Random`` generators; it never touches
 the network RNG. That isolation is what keeps the request stream
 byte-identical across serial vs ``--workers N`` runs and across a
 checkpoint fork (workload state is not part of the network snapshot).
@@ -33,7 +32,6 @@ checkpoint fork (workload state is not part of the network snapshot).
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -43,10 +41,11 @@ import numpy as np
 
 from repro.workload.profile import WorkloadProfile
 
-#: Pairs of uniforms drawn per chunk. Measured on flash-crowd at 1600 rps
-#: (1.08 M arrivals in 1.08 s): 8192 pairs add 2.8 MB RSS; 2048 add
-#: 1.1 MB and take 8 % longer; 32768 add 9 MB and take 3 % less.
-CHUNK_PAIRS = 8192
+#: Candidates drawn per chunk. Measured on flash-crowd at 1600 rps (1.08 M
+#: arrivals from 2.88 M candidates, 0.19 s on a 2-vCPU Intel Xeon): 8192
+#: candidates add 0.9 MB RSS; 4096 to 32768 take the same time within
+#: 5 %, and the memory grows with the chunk (+0.4 MB to +3.5 MB).
+CHUNK_CANDIDATES = 8192
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +79,7 @@ def client_weight_table(
 
     Regional surges (``profile.surge_region``) bias the table *values*
     only -- never the number or order of RNG draws -- so a surging and a
-    non-surging stream with the same seed stay draw-for-draw aligned.
+    non-surging stream with the same seed draw the same arrival times.
     Shared by :class:`RequestStream` and the capacity invariant's
     expected-load arithmetic so the two can never disagree.
     """
@@ -97,36 +96,29 @@ def client_weight_table(
     return out
 
 
+def _words(rng: random.Random, count: int, width: int) -> np.ndarray:
+    """The generator's next ``count`` random ``width``-bit (32 or 64)
+    unsigned integers."""
+    raw = rng.getrandbits(width * count).to_bytes(width // 8 * count, "little")
+    return np.frombuffer(raw, f"<u{width // 8}")
+
+
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` values of ``rng.random()``, as one array.
-
-    ``getrandbits`` emits the generator's 32-bit words in order, lowest
-    first, and ``random()`` builds each double from two of them.
-    """
-    words = np.frombuffer(
-        rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
-    )
-    high = (words[0::2] >> 5).astype(np.float64)
-    low = (words[1::2] >> 6).astype(np.float64)
-    return (high * 67108864.0 + low) / 9007199254740992.0
+    """``count`` uniforms on [0, 1) with 53 random bits each, as fine as
+    a float64 in [0, 1) resolves them."""
+    return (_words(rng, count, 64) >> 11) * 2.0**-53
 
 
-def _accepted_starts(would_accept: np.ndarray, owed: bool) -> np.ndarray:
-    """Which pairs open a candidate that is accepted.
+def _fractions(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` uniforms on [0, 1) with 32 random bits each: enough to
+    pick a client or accept a candidate, at half the bits."""
+    return _words(rng, count, 32) * 2.0**-32
 
-    A pair opens a candidate unless the pair before it opened an
-    accepted one (then it is that arrival's client/content payload). So
-    inside a run of pairs that would be accepted if they opened a
-    candidate, the ones that do alternate from the run's first. Element
-    0 of the result stands for the pair before the chunk (``owed``: it
-    was an accepted start whose payload is the chunk's first pair).
-    """
-    would = np.concatenate(([owed], would_accept))
-    run_begins = would.copy()
-    run_begins[1:] &= ~would[:-1]
-    position = np.arange(len(would))
-    run_first = np.maximum.accumulate(np.where(run_begins, position, 0))
-    return would & ((position - run_first) & 1 == 0)
+
+def _marks(cumulative: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Weighted indices: the first cumulative weight above each fraction
+    of the total, so a zero-weight entry is never picked."""
+    return np.searchsorted(cumulative, fractions * cumulative[-1], "right")
 
 
 class RequestStream:
@@ -148,72 +140,49 @@ class RequestStream:
         self.duration_s = duration_s
         self.seed = seed ^ profile.seed_salt
         self._client_cum = np.array(client_weight_table(profile, self.clients, regions))
+        if not self._client_cum[-1] > 0 or (np.diff(self._client_cum, prepend=0.0) < 0).any():
+            raise ValueError(
+                f"workload profile {profile.name!r}: client weights must be non-negative "
+                "and not all zero (check surge_weight against the clients' regions)"
+            )
         self._content_cum = np.array(
             zipf_cumulative(max(1, profile.n_contents), profile.content_zipf_s)
         )
 
-    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The arrivals in order, as chunks of parallel arrays ⟨arrival
-        time, index into ``clients``, content id⟩ (never an empty chunk).
+        time, index into ``clients``⟩ (never an empty chunk).
 
-        The uniforms are read as pairs: a rejected candidate consumes one
-        pair (gap, acceptance), an accepted one two (then client,
-        content). Which pairs open a candidate depends on which earlier
-        candidates were accepted, which depends on their times, which are
-        the running sum of the gaps of the pairs that open candidates --
-        so each chunk is iterated to a fixed point. Pair 0's role is
-        known; if pairs ``0..k`` have their true roles then so do the
-        times and acceptances up to ``k``, hence pair ``k + 1``: a fixed
-        point is the per-candidate sequence.
+        Each chunk thins :data:`CHUNK_CANDIDATES` candidates of the
+        envelope process and starts where the previous one's last
+        candidate fell, so a longer ``duration_s`` only extends the
+        stream: its arrivals before the shorter horizon are the same.
         """
         rate_max = self.profile.max_rate()
         if rate_max <= 0:
             return
         rng = random.Random(self.seed)
         rates = self.profile.rates
-        pairs = CHUNK_PAIRS
-        client_total = self._client_cum[-1]
-        content_total = self._content_cum[-1]
-        now = 0.0  # time of the latest candidate
-        owed = False  # it was accepted and its payload pair is the next drawn
-        while True:
-            uniforms = _uniforms(rng, 2 * pairs)
-            first, second = uniforms[0::2], uniforms[1::2]
-            # math.log, not np.log: numpy's differs from libm in the last
-            # bit on some inputs, and every digit of t is observable.
-            gaps = -np.array(list(map(math.log, (1.0 - first).tolist()))) / rate_max
-            threshold = second * rate_max
-            # First guess: the rate stands still over the chunk.
-            accepted = _accepted_starts(~(threshold > rates(np.array([now]))), owed)
-            while True:
-                starts = ~accepted[:-1]
-                steps = np.where(starts, gaps, 0.0)
-                steps[0] += now
-                t = np.cumsum(steps)
-                previous = accepted
-                accepted = _accepted_starts(~(threshold > rates(t)), owed)
-                if np.array_equal(accepted, previous):
-                    break
-            ended = starts & (t >= self.duration_s)
-            stop = int(ended.argmax()) if ended.any() else pairs
-            payload = np.flatnonzero(~starts[:stop])
-            if payload.size:
-                yield (
-                    t[payload],
-                    np.searchsorted(self._client_cum, first[payload] * client_total),
-                    np.searchsorted(self._content_cum, second[payload] * content_total),
-                )
-            if stop < pairs:
-                return
-            now = float(t[-1])
-            owed = bool(accepted[-1])
+        count = CHUNK_CANDIDATES
+        start = 0.0  # time of the latest candidate
+        while start < self.duration_s:
+            span = rng.gammavariate(count, 1.0 / rate_max)
+            positions = np.append(np.sort(_uniforms(rng, count - 1)), 1.0)
+            t = start + span * positions
+            accepted = _fractions(rng, count) * rate_max <= rates(t)
+            if t[-1] >= self.duration_s:
+                accepted &= t < self.duration_s
+            times = t[accepted]
+            if times.size:
+                yield times, _marks(self._client_cum, _fractions(rng, times.size))
+            start = float(t[-1])
 
     def __iter__(self) -> Iterator[Request]:
         clients = self.clients
-        for times, indices, contents in self.batches():
-            for t, index, content in zip(
-                times.tolist(), indices.tolist(), contents.tolist()
-            ):
+        contents_rng = random.Random(f"contents/{self.seed}")
+        for times, indices in self.batches():
+            contents = _marks(self._content_cum, _fractions(contents_rng, times.size))
+            for t, index, content in zip(times.tolist(), indices.tolist(), contents.tolist()):
                 yield Request(t=t, client=clients[index], content=content)
 
 

@@ -16,6 +16,8 @@ from repro.bgp.session import SessionTiming
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.testbed import build_deployment
 
+from tests.stream_oracle import LoopStream
+
 
 #: Timing with no pacing and negligible jitter: logic tests that assert
 #: routing outcomes (not timing) converge in a handful of simulated
@@ -87,6 +89,14 @@ def fast_timing():
     return FAST_TIMING
 
 
+@pytest.fixture()
+def loop_stream(monkeypatch):
+    """Workload engines draw their requests from the per-candidate loop
+    (``tests/stream_oracle.py``), so a record taken on that stream
+    replays value for value."""
+    monkeypatch.setattr("repro.workload.engine.RequestStream", LoopStream)
+
+
 def build_line_network(n: int, seed: int = 0, timing: SessionTiming | None = None) -> BgpNetwork:
     """A provider chain r0 <- r1 <- ... (r_{i+1} is r_i's provider)."""
     net = BgpNetwork(seed=seed, default_timing=timing or FAST_TIMING)
@@ -100,9 +110,9 @@ def build_line_network(n: int, seed: int = 0, timing: SessionTiming | None = Non
 def hand_chunk(engine, arrivals):
     """A hand-made stream chunk for ``engine``: ``arrivals`` is a list of
     ⟨t, client node id⟩ in arrival order; returns the ⟨times, client
-    indices, contents⟩ arrays ``RequestStream.batches()`` would yield.
-    Feed it by patching ``batches`` before ``engine.start``, or hand the
-    first two arrays straight to ``engine._book``."""
+    indices⟩ arrays ``RequestStream.batches()`` would yield. Feed it by
+    patching ``batches`` before ``engine.start``, or hand it straight to
+    ``engine._book``."""
     times = np.array([t for t, _ in arrivals], dtype=np.float64)
     clients = np.array([engine.clients.index(c) for _, c in arrivals], dtype=np.intp)
-    return times, clients, np.zeros(len(arrivals), dtype=np.intp)
+    return times, clients

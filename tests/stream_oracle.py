@@ -1,23 +1,32 @@
-"""The per-candidate request loop, kept as the reference.
+"""The per-candidate request loop, kept as the reference distribution.
 
 This is ``RequestStream.__iter__`` as it stood before the stream was
 chunked into numpy arrays, moved here verbatim: one ``expovariate`` and
 one acceptance uniform per candidate, two ``bisect_left`` lookups per
-accepted arrival. ``RequestStream.batches()`` must reproduce it value
-for value; the differential test in ``test_workload_stream.py`` is the
-only caller.
+accepted arrival -- thinning spelled out one candidate at a time.
+``RequestStream`` draws the same marked Poisson process a chunk at a
+time from other uniforms, so the two agree in distribution, not value
+for value: ``TestDrawnProcess`` in ``test_workload_stream.py`` holds
+both to the same Poisson, client and content checks.
+
+The loop is also the stream every record taken before that change was
+taken on. :class:`LoopStream` serves it in the chunk shape the engine
+reads, so those records (the per-request engine's surge ticks, the seed
+tag accounts) still replay value for value.
 """
 
 import random
 from bisect import bisect_left
 from typing import Iterator
 
+import numpy as np
+
 from repro.workload.stream import Request, client_weight_table, zipf_cumulative
 
 
 def scalar_requests(profile, clients, duration, seed, regions=None) -> Iterator[Request]:
     """What ``RequestStream(profile, clients, duration, seed, regions)``
-    must yield, drawn one candidate at a time."""
+    must yield in distribution, drawn one candidate at a time."""
     rng = random.Random(seed ^ profile.seed_salt)
     rate_max = profile.max_rate()
     if rate_max <= 0:
@@ -42,3 +51,21 @@ def scalar_requests(profile, clients, duration, seed, regions=None) -> Iterator[
         client = clients[bisect_left(client_cum, uniform() * client_total)]
         content = bisect_left(content_cum, uniform() * content_total)
         yield Request(t=t, client=client, content=content)
+
+
+class LoopStream:
+    """A stand-in for ``RequestStream`` in ``repro.workload.engine``:
+    ``batches()`` yields the loop's arrivals as one ⟨times, client
+    indices⟩ chunk."""
+
+    def __init__(self, profile, clients, duration_s, seed, regions=None):
+        self.clients = list(clients)
+        self.requests = list(scalar_requests(profile, self.clients, duration_s, seed, regions))
+
+    def batches(self):
+        if self.requests:
+            index = {client: i for i, client in enumerate(self.clients)}
+            yield (
+                np.array([r.t for r in self.requests]),
+                np.array([index[r.client] for r in self.requests], dtype=np.intp),
+            )

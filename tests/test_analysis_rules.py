@@ -260,3 +260,37 @@ class TestSingleCallSite:
             "table.insert(prefix, 1)\nself._cache.remove(key)\n",
             path="src/repro/net/lpm.py",
         ) == []
+
+
+class TestNumpyTranscendental:
+    PATH = "src/repro/workload/stream.py"
+
+    @pytest.mark.parametrize("use", [
+        "gaps = -np.log(1.0 - u) / rate",
+        "y = numpy.exp(x)",
+        "y = np.sin(angle) + np.cos(angle)",
+        "gaps = list(map(np.log1p, u))",
+        "y = np.power(x, 0.9)",
+    ])
+    def test_positive(self, use):
+        findings = ENGINE.lint_source(f"import numpy as np\n{use}\n", path=self.PATH)
+        assert {f.code for f in findings} == {"DET012"}
+        assert "libm" in findings[0].message
+
+    @pytest.mark.parametrize("use", [
+        "gaps = -np.array(list(map(math.log, u))) / rate",
+        "y = np.sqrt(x) * np.cumsum(x)",
+        "y = rng.log(x)",
+        "y = np.random.default_rng(1)",
+    ])
+    def test_negative(self, use):
+        assert ENGINE.lint_source(f"import numpy as np\n{use}\n", path=self.PATH) == []
+
+    def test_only_inside_the_package(self):
+        source = "import numpy as np\ncdf = -np.expm1(-gaps)\n"
+        assert ENGINE.lint_source(source, path="tests/test_workload_stream.py") == []
+        assert [f.code for f in ENGINE.lint_source(source, path=self.PATH)] == ["DET012"]
+
+    def test_noqa(self):
+        source = "y = np.exp(x)  # repro: noqa[DET012]\n"
+        assert ENGINE.lint_source(source, path=self.PATH) == []

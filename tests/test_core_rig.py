@@ -166,8 +166,7 @@ class TestOneVerdict:
             }
 
         before = buckets()
-        times, clients, _ = hand_chunk(engine, [(0.0, client)])
-        engine._book(times, clients, 0.0)
+        engine._book(*hand_chunk(engine, [(0.0, client)]), 0.0)
         (moved,) = [name for name, count in buckets().items() if count != before[name]]
         return moved
 
@@ -195,9 +194,11 @@ class TestOneVerdict:
 # The three workload seed tags
 
 
+@pytest.mark.usefixtures("loop_stream")
 class TestSeedTags:
-    """Literal accounts captured at the parent of the rig commit: a
-    changed tag string changes the stream, so ``offered`` moves."""
+    """Literal accounts captured at the parent of the rig commit, on the
+    stream the per-candidate loop draws: a changed tag string changes
+    the stream, so ``offered`` moves."""
 
     def test_experiment_tag(self, deployment):
         experiment = FailoverExperiment(

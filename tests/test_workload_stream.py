@@ -1,14 +1,17 @@
 """The request stream: seed stability, laziness, popularity skew, the
-pinned digests, and chunked generation against the per-candidate loop."""
+pinned digests, and the drawn arrivals against the Poisson process the
+per-candidate loop defines."""
 
 import itertools
+import math
 import resource
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.analysis.preflight import check_workload
 from repro.workload import (
     RateShape,
     RequestStream,
@@ -17,7 +20,10 @@ from repro.workload import (
     stream_digest,
 )
 from repro.workload import stream as stream_module
+from repro.workload.profile import PROFILE_FIELDS
+from repro.workload.stream import client_weight_table, zipf_cumulative
 
+from tests.row_documents import _bad_numbers
 from tests.stream_oracle import scalar_requests
 
 CLIENTS = [f"client-{i}" for i in range(40)]
@@ -26,6 +32,15 @@ CLIENTS = [f"client-{i}" for i in range(40)]
 def make_stream(seed=7, duration=60.0, profile=None):
     profile = profile or WorkloadProfile(name="t", base_rps=50.0)
     return RequestStream(profile, CLIENTS, duration, seed)
+
+
+def drawn(stream):
+    """⟨t, client⟩ per arrival, read from ``batches()``."""
+    return [
+        (t, stream.clients[index])
+        for times, indices in stream.batches()
+        for t, index in zip(times.tolist(), indices.tolist())
+    ]
 
 
 class TestDeterminism:
@@ -50,6 +65,17 @@ class TestDeterminism:
         times = [r.t for r in make_stream(duration=30.0)]
         assert times == sorted(times)
         assert all(0 <= t < 30.0 for t in times)
+
+    @pytest.mark.parametrize("candidates", [1, 2, 7])
+    def test_sorted_and_bounded_across_chunk_seams(self, candidates, monkeypatch):
+        monkeypatch.setattr(stream_module, "CHUNK_CANDIDATES", candidates)
+        times = [t for t, _ in drawn(make_stream(duration=5.0))]
+        assert times and times == sorted(times)
+        assert all(0 <= t < 5.0 for t in times)
+
+    def test_a_longer_window_only_extends_the_stream(self):
+        short = drawn(make_stream(duration=20.0))
+        assert drawn(make_stream(duration=40.0))[: len(short)] == short
 
 
 class TestLaziness:
@@ -95,6 +121,16 @@ class TestPopularity:
         with pytest.raises(ValueError):
             RequestStream(WorkloadProfile(name="t"), [], 60.0, 1)
 
+    def test_times_and_clients_do_not_depend_on_contents(self):
+        """Content ids come from their own generator, drawn only when
+        requests are iterated: the engine's view is the same with them,
+        without them, and whatever the catalogue."""
+        stream = make_stream(duration=30.0)
+        other = make_stream(duration=30.0, profile=WorkloadProfile(
+            name="t", base_rps=50.0, n_contents=3, content_zipf_s=2.0,
+        ))
+        assert [(r.t, r.client) for r in stream] == drawn(stream) == drawn(other)
+
 
 class TestDigest:
     def test_digest_format(self):
@@ -104,10 +140,52 @@ class TestDigest:
 
 
 # ----------------------------------------------------------------------
-# The stream is a contract: these digests were taken from the
-# per-candidate loop (tests/stream_oracle.py) before generation was
-# chunked. A changed digest is a changed stream -- every workload number
-# in benchmarks/results.md and every bench result_digest moves with it.
+# surge_weight: the shrunk examples that used to pass the gate
+
+
+SURGE_CLIENTS = [f"c{i}" for i in range(10)]
+
+
+def surge_profile(weight):
+    return WorkloadProfile(
+        name="surge", base_rps=200, surge_region="us-east", surge_weight=weight
+    )
+
+
+class TestSurgeWeight:
+    def test_negative_weight_is_refused_at_the_gate(self):
+        """Used to pass the gate and then raise IndexError mid-stream: the
+        cumulative table stopped being monotone."""
+        profile = surge_profile(-3.0)
+        assert [(f.code, f.message) for f in check_workload(profile)] == [(
+            "PRE141",
+            "surge_weight -3 is negative; client popularity would not be a distribution",
+        )]
+        with pytest.raises(ValueError, match="client weights"):
+            RequestStream(profile, SURGE_CLIENTS, 60.0, 1, {"c3": "us-east", "c7": "us-east"})
+
+    def test_a_silenced_region_holding_every_client_is_refused(self):
+        """Used to send every request silently to client 0."""
+        profile = surge_profile(0.0)
+        assert check_workload(profile) == []
+        with pytest.raises(ValueError, match="not all zero"):
+            RequestStream(profile, SURGE_CLIENTS, 60.0, 1, dict.fromkeys(SURGE_CLIENTS, "us-east"))
+
+    def test_a_silenced_region_never_requests(self):
+        regions = dict.fromkeys(SURGE_CLIENTS[::2], "us-east")
+        stream = RequestStream(surge_profile(0.0), SURGE_CLIENTS, 60.0, 1, regions)
+        assert {client for _, client in drawn(stream)} == set(SURGE_CLIENTS[1::2])
+
+    def test_generated_documents_probe_the_bound(self):
+        (row,) = [row for row in PROFILE_FIELDS if row.name == "surge_weight"]
+        assert row.lo == 0 and not row.lo_open
+        assert -1 in _bad_numbers(row)
+
+
+# ----------------------------------------------------------------------
+# The stream is a contract: a changed digest is a changed stream -- every
+# workload number in benchmarks/results.md and every bench result_digest
+# moves with it.
 
 PIN_CLIENTS = [f"c{i}" for i in range(150)]
 PIN_REGIONS = {c: "us-east" if i % 5 == 0 else "eu" for i, c in enumerate(PIN_CLIENTS)}
@@ -123,11 +201,11 @@ MIXED = WorkloadProfile(
 
 class TestPinnedDigests:
     @pytest.mark.parametrize("profile, duration, seed, regions, digest", [
-        (builtin_profile("flash-crowd"), 300.0, 42, None, "135268:fb11b7f1"),
-        (builtin_profile("regional-surge"), 240.0, 42, PIN_REGIONS, "81780:b3e6281a"),
-        (builtin_profile("diurnal"), 300.0, 9, None, "78867:72599f17"),
-        (builtin_profile("constant"), 100.0, 7, None, "20144:9d61ed05"),
-        (MIXED, 90.0, 3, None, "22189:2608b565"),
+        (builtin_profile("flash-crowd"), 300.0, 42, None, "135296:5225d30f"),
+        (builtin_profile("regional-surge"), 240.0, 42, PIN_REGIONS, "81826:e0afc8ca"),
+        (builtin_profile("diurnal"), 300.0, 9, None, "78770:7a422925"),
+        (builtin_profile("constant"), 100.0, 7, None, "19872:6f0b058b"),
+        (MIXED, 90.0, 3, None, "22504:c4c500f2"),
     ], ids=["flash-crowd", "regional-surge", "diurnal", "constant", "mixed"])
     def test_stream_digest(self, profile, duration, seed, regions, digest):
         stream = RequestStream(profile, PIN_CLIENTS, duration, seed, regions)
@@ -135,76 +213,166 @@ class TestPinnedDigests:
 
 
 # ----------------------------------------------------------------------
-# batches() == the per-candidate loop, value for value
+# The drawn arrivals are the process the per-candidate loop defines
+#
+# Each check refuses a true Poisson stream with probability at most
+# ALPHA, so a seed that passes is no flake. The count and KS bounds hold
+# for every volume; the chi-square bounds are Wilson-Hilferty quantiles
+# taken at z = 5.3 (a normal tail of 6e-8), the margin over ALPHA
+# covering the approximation at the >= 20 expected per cell used here.
+# Every check also runs on the loop itself, which shows the bounds
+# accept the reference distribution.
+
+ALPHA = 1e-6
+LOG_TERM = math.log(2 / ALPHA)
+Z = 5.3
 
 
-def flatten(stream):
-    return [
-        (t, stream.clients[index], content)
-        for times, indices, contents in stream.batches()
-        for t, index, content in zip(times.tolist(), indices.tolist(), contents.tolist())
+def chi2_bounds(dof: int) -> tuple[float, float]:
+    spread = math.sqrt(2 / (9 * dof))
+    return tuple(dof * (1 - 2 / (9 * dof) + z * spread) ** 3 for z in (-Z, Z))
+
+
+def compensator(profile, duration):
+    """``t -> ∫₀ᵗ rate``, by the midpoint rule on a fine grid that has
+    every flash-crowd kink on it (exact between them, to O(dt³) on a
+    sine), and its value at ``duration``."""
+    kinks = [
+        kink for shape in profile.shapes if shape.kind == "flash-crowd"
+        for kink in (shape.peak_at_s - shape.ramp_s, shape.peak_at_s,
+                     shape.peak_at_s + shape.decay_s)
+        if 0 < kink < duration
     ]
+    grid = np.union1d(np.linspace(0.0, duration, 200_001), kinks)
+    mids = (grid[1:] + grid[:-1]) / 2
+    cumulative = np.concatenate(([0.0], np.cumsum(profile.rates(mids) * np.diff(grid))))
+    return (lambda t: np.interp(t, grid, cumulative)), float(cumulative[-1])
 
 
-SHAPES = st.one_of(
-    st.builds(RateShape, kind=st.just("constant"), factor=st.sampled_from([0.0, 0.3, 1.0, 2.5])),
-    st.builds(
-        RateShape, kind=st.just("diurnal"),
-        amplitude=st.sampled_from([0.0, 0.5, 0.99]),
-        period_s=st.sampled_from([0.7, 13.0, 600.0]),
-        phase_s=st.sampled_from([0.0, 3.3]),
-    ),
-    st.builds(
-        RateShape, kind=st.just("flash-crowd"),
-        peak_multiplier=st.sampled_from([0.5, 1.0, 3.0, 40.0]),
-        peak_at_s=st.sampled_from([0.0, 0.4, 2.0]),
-        ramp_s=st.sampled_from([0.0, 0.3, 5.0]),
-        decay_s=st.sampled_from([0.0, 0.5, 8.0]),
-    ),
-)
-
-# (base_rps, duration): streams of at most a few thousand candidates,
-# from one that ends inside its first chunk to one that spans many.
-SIZES = st.sampled_from([(0.0, 5.0), (1e-2, 400.0), (40.0, 6.0), (1e4, 0.05)])
-
-
-class TestBatchesEqualThePerCandidateLoop:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        size=SIZES,
-        shapes=st.lists(SHAPES, max_size=3),
-        n_clients=st.integers(1, 300),
-        surge_weight=st.sampled_from([1.0, 6.0]),
-        seed=st.integers(0, 2**32),
-        pairs=st.sampled_from([2, 3, 7, 8192]),
+def assert_poisson(times, profile, duration):
+    """``times`` are a Poisson process of intensity ``profile.rate``."""
+    big_lambda, total = compensator(profile, duration)
+    n = len(times)
+    # The count: Bernstein's bound on a Poisson(total) deviation.
+    assert abs(n - total) <= LOG_TERM / 3 + math.sqrt(LOG_TERM**2 / 9 + 2 * LOG_TERM * total)
+    # Time-rescaled, the arrivals are a unit-rate process: gaps are
+    # Exp(1) (KS, DKW-Massart bound) ...
+    rescaled = big_lambda(np.asarray(times))
+    gaps = np.sort(np.diff(rescaled, prepend=0.0))
+    cdf = -np.expm1(-gaps)
+    ranks = np.arange(1, n + 1)
+    ks = max((ranks / n - cdf).max(), (cdf - (ranks - 1) / n).max())
+    assert ks <= math.sqrt(LOG_TERM / (2 * n))
+    # ... and counts in equal-mass windows are iid Poisson: neither over-
+    # nor under-dispersed.
+    windows = int(total // 50)
+    mean = total / windows
+    counts = np.bincount(
+        np.minimum((rescaled / mean).astype(int), windows - 1), minlength=windows
     )
-    def test_value_for_value(self, size, shapes, n_clients, surge_weight, seed, pairs):
-        base_rps, duration = size
-        profile = WorkloadProfile(
-            name="generated", base_rps=base_rps, shapes=tuple(shapes),
-            n_contents=50, surge_region="us-east", surge_weight=surge_weight,
-        )
-        clients = PIN_CLIENTS[:n_clients] + [f"x{i}" for i in range(n_clients - 150)]
-        stream = RequestStream(profile, clients, duration, seed, PIN_REGIONS)
-        expected = [
-            (r.t, r.client, r.content)
-            for r in scalar_requests(profile, clients, duration, seed, PIN_REGIONS)
-        ]
-        saved = stream_module.CHUNK_PAIRS
-        stream_module.CHUNK_PAIRS = pairs
-        try:
+    low, high = chi2_bounds(windows)
+    assert low <= (((counts - mean) ** 2) / mean).sum() <= high
+
+
+def assert_marks(indices, cumulative):
+    """``indices`` are draws from the weights ``cumulative`` accumulates:
+    Pearson's chi-square, with cells under 20 expected pooled, and
+    never a zero-weight index."""
+    weights = np.diff(np.asarray(cumulative), prepend=0.0)
+    weights /= weights.sum()
+    counts = np.bincount(indices, minlength=len(weights))
+    assert not counts[weights == 0].any()
+    expected = weights[weights > 0] * len(indices)
+    observed = counts[weights > 0]
+    small = expected < 20
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    if expected[-1] < 20:
+        expected, observed = expected[:-1], observed[:-1]
+    _, high = chi2_bounds(len(expected) - 1)
+    assert (((observed - expected) ** 2) / expected).sum() <= high
+
+
+def constant(factor):
+    return RateShape(kind="constant", factor=factor)
+
+
+def diurnal(amplitude, period_s, phase_s=0.0):
+    return RateShape(kind="diurnal", amplitude=amplitude, period_s=period_s, phase_s=phase_s)
+
+
+def flash(peak_multiplier, peak_at_s, ramp_s, decay_s):
+    return RateShape(kind="flash-crowd", peak_multiplier=peak_multiplier,
+                     peak_at_s=peak_at_s, ramp_s=ramp_s, decay_s=decay_s)
+
+
+def clients_for(n):
+    return PIN_CLIENTS[:n] + [f"x{i}" for i in range(n - 150)]
+
+
+#: ⟨shape product, base_rps, duration, client count⟩, each some 10-60 k
+#: arrivals: one and two shapes, zero-length ramps and decays, peaks far
+#: above the base, periods shorter than a second
+CASES = {
+    "constant": ((constant(2.5),), 400.0, 30.0, 37),
+    "diurnal": ((diurnal(0.99, 13.0),), 400.0, 60.0, 150),
+    "short-period-x-sharp-crowd": (
+        (diurnal(0.5, 0.7, 3.3), flash(40.0, 2.0, 0.0, 8.0)), 300.0, 20.0, 300),
+    "crowd-no-decay-x-constant": (
+        (flash(3.0, 0.4, 0.3, 0.0), constant(0.3)), 4000.0, 12.0, 1),
+    "mixed": (MIXED.shapes, 300.0, 90.0, 150),
+    "flash-crowd": (builtin_profile("flash-crowd").shapes, 200.0, 200.0, 150),
+}
+
+
+class TestDrawnProcess:
+    @pytest.mark.parametrize("source", ["stream", "loop"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_arrivals_are_poisson_at_the_profile_rate(self, case, source):
+        shapes, base_rps, duration, n_clients = CASES[case]
+        profile = WorkloadProfile(name=case, base_rps=base_rps, shapes=shapes)
+        clients = clients_for(n_clients)
+        if source == "loop":
+            times = [r.t for r in scalar_requests(profile, clients, duration, 17)]
+        else:
             # The array rate may only evaluate a branch the scalar rate
             # would: a zero-length ramp or decay must divide nothing.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert flatten(stream) == expected
-        finally:
-            stream_module.CHUNK_PAIRS = saved
-        assert [(r.t, r.client, r.content) for r in stream] == expected
+                times = [t for t, _ in drawn(RequestStream(profile, clients, duration, 17))]
+        assert_poisson(times, profile, duration)
+
+    @pytest.mark.parametrize("candidates", [1, 2, 7])
+    def test_any_chunk_length_draws_the_same_process(self, candidates, monkeypatch):
+        monkeypatch.setattr(stream_module, "CHUNK_CANDIDATES", candidates)
+        profile = replace(MIXED, base_rps=150.0)
+        times = [t for t, _ in drawn(RequestStream(profile, PIN_CLIENTS, 60.0, 5))]
+        assert_poisson(times, profile, 60.0)
+
+    @pytest.mark.parametrize("surge_weight", [1.0, 6.0, 0.0])
+    @pytest.mark.parametrize("source", ["stream", "loop"])
+    def test_clients_follow_the_weight_table(self, source, surge_weight):
+        profile = WorkloadProfile(
+            name="surge", base_rps=2000.0, surge_region="us-east", surge_weight=surge_weight,
+        )
+        if source == "loop":
+            requests = scalar_requests(profile, PIN_CLIENTS, 20.0, 23, PIN_REGIONS)
+            indices = [int(r.client[1:]) for r in requests]
+        else:
+            stream = RequestStream(profile, PIN_CLIENTS, 20.0, 23, PIN_REGIONS)
+            indices = np.concatenate([clients for _, clients in stream.batches()])
+        assert_marks(indices, client_weight_table(profile, PIN_CLIENTS, PIN_REGIONS))
+
+    @pytest.mark.parametrize("source", ["stream", "loop"])
+    def test_contents_follow_the_catalogue(self, source):
+        profile = WorkloadProfile(name="catalogue", base_rps=2000.0, n_contents=200)
+        requests = (
+            scalar_requests(profile, CLIENTS, 10.0, 29) if source == "loop"
+            else RequestStream(profile, CLIENTS, 10.0, 29)
+        )
+        assert_marks([r.content for r in requests], zipf_cumulative(200, profile.content_zipf_s))
 
     def test_array_rate_equals_scalar_rate(self):
-        import numpy as np
-
         profile = replace(MIXED, shapes=MIXED.shapes + (
             RateShape(kind="flash-crowd", peak_multiplier=5.0, peak_at_s=40.0,
                       ramp_s=12.0, decay_s=0.0),

@@ -7,7 +7,8 @@ and a surge replayed against what the per-request tick produced.
 * a small regional surge (overload, a brownout, a silent failure, DNS
   diversion) yields the trace events and account recorded from the
   per-request engine at the commit before the tick read arrays
-  (``fixtures/workload/surge_ticks.json``).
+  (``fixtures/workload/surge_ticks.json``), on the stream the record
+  was taken on: the per-candidate loop's.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class TestOrderedEqualsAggregate:
         )
         engine = WorkloadEngine(plane, deployment, profile, seed=3, capacity=capacity)
         stream = RequestStream(profile, engine.clients, 1.0, 3, engine.regions)
-        times, clients, _ = next(stream.batches())
+        times, clients = next(stream.batches())
         dt = 0.5
         due = int(np.searchsorted(times, dt, "right"))
         times, clients = times[:due], clients[:due]
@@ -151,7 +152,11 @@ def surge_run(deployment, technique: str) -> dict:
     return out
 
 
+@pytest.mark.usefixtures("loop_stream")
 class TestSurgeAgainstThePerRequestEngine:
+    """The record was taken on the stream the per-candidate loop draws,
+    so the run draws from it too."""
+
     @pytest.mark.parametrize("technique", SURGE_TECHNIQUES)
     def test_events_and_account(self, deployment, technique):
         expected = json.loads(FIXTURE.read_text())[technique]
