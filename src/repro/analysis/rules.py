@@ -492,7 +492,10 @@ class UnsortedFsIteration(LintRule):
 #: and the reachability walk call, never restated beside them; and a
 #: FIB is written by the router's install, whose hook re-walks the
 #: packets in the air, or filled by a restore (no packet is in the air
-#: yet). A dotted row names the attribute the method is called on.
+#: yet); and a command's prologue -- the testbed at ``--seed``, the
+#: pre-run gate, the telemetry session -- is stated once by the CLI
+#: registrar (fixture worlds build their own small deployments). A
+#: dotted row names the attribute the method is called on.
 _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(
         ("CdnController", "WorkloadEngine", "CapacityState", "FaultInjector", "Prober",
@@ -504,6 +507,8 @@ _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
     ),
     "should_export": ("bgp/policy.py",),
     **dict.fromkeys(("fib.insert", "fib.remove"), ("bgp/router.py", "checkpoint/codec.py")),
+    "build_deployment": ("cli/common.py", "verify/world.py"),
+    **dict.fromkeys(("gate", "telemetry_session"), ("cli/common.py",)),
 }
 
 

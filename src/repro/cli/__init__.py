@@ -26,14 +26,23 @@
     repro workload flash-crowd --sample 5   # inspect a traffic profile
     repro scenario --workload flash-crowd   # stream requests through a run
 
-Every command accepts ``--seed`` and the experiment ones accept scale
-knobs, so results are reproducible and tunable without code. ``-v``
-turns on INFO-level diagnostics (``-vv`` for DEBUG) on stderr; the
-experiment commands accept ``--trace``/``--metrics`` (see
-``docs/observability.md``) and pass the run they are about to execute
-through the pre-run gate -- pre-flight validation, then static
-control-plane verification -- before any event fires (``--no-check``
-overrides; see ``docs/static-analysis.md``).
+Every command accepts ``--seed``, so results are reproducible and
+tunable without code; ``-v`` turns on INFO-level diagnostics (``-vv``
+for DEBUG) on stderr.
+
+Each subcommand is one row of :data:`COMMANDS`: a
+:class:`~repro.cli.common.Command` naming its help line, the body that
+prints its result, and its flags -- its own, interleaved with the shared
+blocks of :mod:`repro.cli.common`: the testbed at ``--seed``,
+``-t/--technique(s)`` with the ``--prepend`` rule, site flags checked
+against the deployment, ``--faults`` / ``--workload`` / ``--capacity``
+loading, the pre-run gate (pre-flight validation, then static
+control-plane verification, before any event fires; ``--no-check``
+overrides, see ``docs/static-analysis.md``), the ``--workers`` pool, the
+finding-code catalogue of ``lint`` and ``verify``, and the ``--trace`` /
+``--metrics`` / ``--profile`` session (``docs/observability.md``).
+Adding a subcommand is one row: a ``Command`` beside its body, listed
+here.
 """
 
 from __future__ import annotations
@@ -61,6 +70,28 @@ from repro.cli import (
 from repro.telemetry import logs
 
 
+#: ``repro``'s subcommands, in ``--help`` order
+COMMANDS = (
+    topology_cmd.COMMAND,
+    failover.COMMAND,
+    compare.COMMAND,
+    sweep_cmd.COMMAND,
+    control.COMMAND,
+    appendix.COMMAND,
+    drill.COMMAND,
+    playbook_cmd.COMMAND,
+    scenario.COMMAND,
+    configgen_cmd.COMMAND,
+    trace_cmd.COMMAND,
+    obs_cmd.EXPLAIN,
+    obs_cmd.REPORT,
+    obs_cmd.PROFILE,
+    lint_cmd.COMMAND,
+    verify_cmd.COMMAND,
+    workload_cmd.COMMAND,
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -75,24 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="diagnostics on stderr (-v = INFO, -vv = DEBUG)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for module in (
-        topology_cmd,
-        failover,
-        compare,
-        sweep_cmd,
-        control,
-        appendix,
-        drill,
-        playbook_cmd,
-        scenario,
-        configgen_cmd,
-        trace_cmd,
-        obs_cmd,
-        lint_cmd,
-        verify_cmd,
-        workload_cmd,
-    ):
-        module.register(subparsers)
+    for command in COMMANDS:
+        command.add_to(subparsers)
     return parser
 
 
@@ -103,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SystemExit as refusal:
-        # common.resolve_* / claim_output said why on stderr
+        # the prologue, claim_output or read_trace said why on stderr;
+        # --list-rules / --list-checks exit 0 after the catalogue
         return refusal.code
 
 

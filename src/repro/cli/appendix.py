@@ -4,26 +4,14 @@ from __future__ import annotations
 
 import argparse
 
+from repro.cli.common import Command, Flag, Prologue
 from repro.measurement.appendix import run_propagation_study, run_withdrawal_study
 from repro.measurement.plotting import render_cdfs
 from repro.measurement.stats import Cdf
-from repro.topology.generator import TopologyParams
-from repro.topology.testbed import build_deployment
 
 
-def register(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "appendix", help="run the Appendix A/B convergence studies"
-    )
-    parser.add_argument(
-        "study", choices=["withdrawal", "propagation"],
-        help="withdrawal = Figure 3 (Appendix A); propagation = Figure 4 (Appendix B)",
-    )
-    parser.set_defaults(func=run)
-
-
-def run(args: argparse.Namespace) -> int:
-    deployment = build_deployment(params=TopologyParams(seed=args.seed))
+def run(args: argparse.Namespace, ctx: Prologue) -> int:
+    deployment = ctx.deployment
     if args.study == "withdrawal":
         samples = run_withdrawal_study(deployment.topology, deployment, seed=args.seed)
         title = "unicast withdrawal convergence per <collector peer, event>"
@@ -41,3 +29,11 @@ def run(args: argparse.Namespace) -> int:
     print()
     print(render_cdfs({"hypergiants": hypergiant, "testbed": testbed}))
     return 0
+
+
+COMMAND = Command(
+    "appendix", "run the Appendix A/B convergence studies", run, flags=(
+        Flag("study", choices=["withdrawal", "propagation"],
+             help="withdrawal = Figure 3 (Appendix A); propagation = Figure 4 (Appendix B)"),
+    ),
+)

@@ -5,37 +5,15 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from repro.cli.common import claim_output, known_sites
+from repro.cli.common import Command, Flag, Prologue, Site, claim_output, technique_flag
 from repro.configgen.bird import generate_bird_config
-from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.topology.generator import TopologyParams
-from repro.topology.testbed import build_deployment
 
 
-def register(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "configgen", help="render BIRD 2.x configs implementing a technique"
-    )
-    parser.add_argument(
-        "-t", "--technique", choices=sorted(TECHNIQUES), default="proactive-prepending"
-    )
-    parser.add_argument("--specific-site", default="sea1",
-                        help="the intended site for the prefix")
-    parser.add_argument("--site", default=None,
-                        help="render one site only (default: all)")
-    parser.add_argument("-o", "--out-dir", default=None,
-                        help="write <site>.conf files here instead of stdout")
-    parser.set_defaults(func=run)
-
-
-def run(args: argparse.Namespace) -> int:
-    deployment = build_deployment(params=TopologyParams(seed=args.seed))
-    technique = technique_by_name(args.technique)
+def run(args: argparse.Namespace, ctx: Prologue) -> int:
+    deployment = ctx.deployment
     sites = [args.site] if args.site else deployment.site_names
-    if not known_sites(deployment, sites):
-        return 2
     for site in sites:
-        config = generate_bird_config(deployment, technique, site, args.specific_site)
+        config = generate_bird_config(deployment, ctx.technique, site, args.specific_site)
         if args.out_dir:
             out = pathlib.Path(args.out_dir)
             claim_output(str(out / f"{site}.conf"), "config")
@@ -49,3 +27,14 @@ def run(args: argparse.Namespace) -> int:
             if config.emergency:
                 print(config.emergency)
     return 0
+
+
+COMMAND = Command(
+    "configgen", "render BIRD 2.x configs implementing a technique", run, flags=(
+        technique_flag("proactive-prepending"),
+        Site("--specific-site", default="sea1", help="the intended site for the prefix"),
+        Site("--site", default=None, help="render one site only (default: all)"),
+        Flag("-o", "--out-dir", default=None,
+             help="write <site>.conf files here instead of stdout"),
+    ),
+)

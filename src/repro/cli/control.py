@@ -5,33 +5,15 @@ from __future__ import annotations
 import argparse
 import logging
 
-from repro.cli.common import positive_int
+from repro.cli.common import Command, Flag, Prologue, positive_int
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.control import measure_control_all_sites
-from repro.topology.generator import TopologyParams
-from repro.topology.testbed import build_deployment
 
 logger = logging.getLogger(__name__)
 
 
-def register(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "control", help="measure proactive-prepending traffic control (Table 1)"
-    )
-    parser.add_argument(
-        "--prepends", type=positive_int, nargs="*", default=[3, 5],
-        help="prepend counts to evaluate",
-    )
-    parser.add_argument(
-        "--scoped", action="store_true",
-        help="announce prepended routes only to neighbors shared with the "
-             "intended site (the §4 recommendation)",
-    )
-    parser.set_defaults(func=run)
-
-
-def run(args: argparse.Namespace) -> int:
-    deployment = build_deployment(params=TopologyParams(seed=args.seed))
+def run(args: argparse.Namespace, ctx: Prologue) -> int:
+    deployment = ctx.deployment
     logger.info("computing anycast catchment ...")
     catchment = anycast_catchment(deployment.topology, deployment)
     results = measure_control_all_sites(
@@ -52,3 +34,14 @@ def run(args: argparse.Namespace) -> int:
             row += f"  {result.controllable[prepend]:9.0%}"
         print(row)
     return 0
+
+
+COMMAND = Command(
+    "control", "measure proactive-prepending traffic control (Table 1)", run, flags=(
+        Flag("--prepends", type=positive_int, nargs="*", default=[3, 5],
+             help="prepend counts to evaluate"),
+        Flag("--scoped", action="store_true",
+             help="announce prepended routes only to neighbors shared with the "
+                  "intended site (the §4 recommendation)"),
+    ),
+)

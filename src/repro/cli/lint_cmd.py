@@ -7,8 +7,6 @@ Exit status: 0 when clean, 1 when any finding survives suppression,
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
 from repro.analysis import (
     RULES,
@@ -18,58 +16,30 @@ from repro.analysis import (
     render_text,
     resolve_codes,
 )
-from repro.cli.common import add_telemetry_arguments, telemetry_session
+from repro.cli.common import TELEMETRY, Catalogue, Command, Flag, Prologue
 
 
-def register(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "lint", help="run the simulation-determinism linter (DET rules)"
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "-f", "--format", choices=("text", "json"), default="text",
-        help="finding report format",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes/names to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore", default=None, metavar="CODES",
-        help="comma-separated rule codes/names to skip",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    add_telemetry_arguments(parser)
-    parser.set_defaults(func=run)
+def _rule_lines():
+    for code, cls in RULES.items():
+        yield f"{code}  {cls.name:18s} [{cls.severity.value:7s}] {cls.summary}"
 
 
-def run(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        for code, cls in RULES.items():
-            print(f"{code}  {cls.name:18s} [{cls.severity.value:7s}] {cls.summary}")
-        return 0
-    try:
-        select = resolve_codes(args.select.split(",")) if args.select else None
-        ignore = resolve_codes(args.ignore.split(",")) if args.ignore else None
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        print(f"no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
-    with telemetry_session(args):
-        engine = LintEngine(select=select, ignore=ignore)
-        findings = engine.lint_paths(args.paths)
-        emit_findings(findings, layer="lint")
-        if args.format == "json":
-            print(render_json(findings, files_checked=engine.files_checked))
-        else:
-            print(render_text(findings, files_checked=engine.files_checked))
+def run(args: argparse.Namespace, ctx: Prologue) -> int:
+    engine = LintEngine(select=ctx.select, ignore=ctx.ignore)
+    findings = engine.lint_paths(args.paths)
+    emit_findings(findings, layer="lint")
+    if args.format == "json":
+        print(render_json(findings, files_checked=engine.files_checked))
+    else:
+        print(render_text(findings, files_checked=engine.files_checked))
     return 1 if findings else 0
+
+
+COMMAND = Command(
+    "lint", "run the simulation-determinism linter (DET rules)", run, flags=(
+        Flag("paths", nargs="*", default=["src"],
+             help="files or directories to lint (default: src)"),
+        Catalogue("rule", _rule_lines, resolve_codes, inputs="paths"),
+        TELEMETRY,
+    ),
+)

@@ -17,7 +17,16 @@ import argparse
 import json
 import sys
 
-from repro.cli.common import claim_output, print_result, read_trace
+from repro.cli.common import (
+    TRACE_FILE,
+    Command,
+    Flag,
+    Prologue,
+    claim_output,
+    non_negative_int,
+    print_result,
+    read_trace,
+)
 from repro.obs import (
     AvailabilityLedger,
     explain,
@@ -27,49 +36,8 @@ from repro.obs import (
 )
 
 
-def register(subparsers) -> None:
-    explain_parser = subparsers.add_parser(
-        "explain",
-        help="reconstruct causal chains from a trace (why did routing change?)",
-    )
-    explain_parser.add_argument("path", help="JSONL trace file (from --trace PATH)")
-    explain_parser.add_argument(
-        "--prefix", default=None, metavar="P",
-        help="only chains that moved this prefix (e.g. 184.164.254.0/24)",
-    )
-    explain_parser.add_argument(
-        "--site", default=None, metavar="S",
-        help="only chains rooted at, failing, or shifting catchment for this site",
-    )
-    explain_parser.set_defaults(func=run_explain)
-
-    report_parser = subparsers.add_parser(
-        "report",
-        help="availability ledger: user-seconds lost per technique, classified",
-    )
-    report_parser.add_argument("path", help="JSONL trace file (from --trace PATH)")
-    report_parser.add_argument(
-        "--json", default=None, metavar="PATH", dest="json_path",
-        help="also write the ledger as canonical JSON to PATH ('-' for stdout)",
-    )
-    report_parser.set_defaults(func=run_report)
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="per-event-kind wall-clock attribution (from --profile PATH)",
-    )
-    profile_parser.add_argument("path", help="profile JSON file (from --profile PATH)")
-    profile_parser.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="event kinds to list in the top-cost table",
-    )
-    profile_parser.set_defaults(func=run_profile)
-
-
-def run_explain(args: argparse.Namespace) -> int:
+def run_explain(args: argparse.Namespace, ctx: Prologue) -> int:
     events = read_trace(args.path)
-    if events is None:
-        return 2
     chains = explain(events, prefix=args.prefix, site=args.site)
     print_result(render_explanation(chains, prefix=args.prefix, site=args.site))
     # No matching chain is a finding in itself (and lets CI assert the
@@ -77,10 +45,8 @@ def run_explain(args: argparse.Namespace) -> int:
     return 0 if chains else 1
 
 
-def run_report(args: argparse.Namespace) -> int:
+def run_report(args: argparse.Namespace, ctx: Prologue) -> int:
     events = read_trace(args.path)
-    if events is None:
-        return 2
     if args.json_path not in (None, "-"):
         claim_output(args.json_path, "ledger")
     ledger = AvailabilityLedger.from_events(events)
@@ -94,7 +60,7 @@ def run_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_profile(args: argparse.Namespace) -> int:
+def run_profile(args: argparse.Namespace, ctx: Prologue) -> int:
     try:
         with open(args.path) as handle:
             state = json.load(handle)
@@ -109,3 +75,31 @@ def run_profile(args: argparse.Namespace) -> int:
         return 2
     print_result(render_profile(state, top=args.top))
     return 0
+
+
+EXPLAIN = Command(
+    "explain", "reconstruct causal chains from a trace (why did routing change?)",
+    run_explain, flags=(
+        TRACE_FILE,
+        Flag("--prefix", default=None, metavar="P",
+             help="only chains that moved this prefix (e.g. 184.164.254.0/24)"),
+        Flag("--site", default=None, metavar="S",
+             help="only chains rooted at, failing, or shifting catchment for this site"),
+    ),
+)
+REPORT = Command(
+    "report", "availability ledger: user-seconds lost per technique, classified",
+    run_report, flags=(
+        TRACE_FILE,
+        Flag("--json", default=None, metavar="PATH", dest="json_path",
+             help="also write the ledger as canonical JSON to PATH ('-' for stdout)"),
+    ),
+)
+PROFILE = Command(
+    "profile", "per-event-kind wall-clock attribution (from --profile PATH)",
+    run_profile, flags=(
+        Flag("path", help="profile JSON file (from --profile PATH)"),
+        Flag("--top", type=non_negative_int, default=15, metavar="N",
+             help="event kinds to list in the top-cost table"),
+    ),
+)

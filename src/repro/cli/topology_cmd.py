@@ -5,22 +5,11 @@ from __future__ import annotations
 import argparse
 from collections import Counter
 
-from repro.topology.generator import TopologyParams
-from repro.topology.testbed import build_deployment
+from repro.cli.common import Command, Flag, Prologue
 
 
-def register(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "topology", help="summarize the generated topology and CDN deployment"
-    )
-    parser.add_argument(
-        "--sites", action="store_true", help="list per-site attachments"
-    )
-    parser.set_defaults(func=run)
-
-
-def run(args: argparse.Namespace) -> int:
-    deployment = build_deployment(params=TopologyParams(seed=args.seed))
+def run(args: argparse.Namespace, ctx: Prologue) -> int:
+    deployment = ctx.deployment
     topology = deployment.topology
 
     print(f"ASes: {len(topology.ases)}   links: {len(topology.links)}")
@@ -36,3 +25,10 @@ def run(args: argparse.Namespace) -> int:
             print(f"  {name:6s} region={spec.region:12s} "
                   f"providers={list(spec.providers)} peers={list(spec.peers)}")
     return 0
+
+
+COMMAND = Command(
+    "topology", "summarize the generated topology and CDN deployment", run, flags=(
+        Flag("--sites", action="store_true", help="list per-site attachments"),
+    ),
+)

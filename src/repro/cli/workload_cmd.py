@@ -17,47 +17,15 @@ import sys
 
 from repro.analysis.findings import Severity
 from repro.analysis.preflight import check_run_shape, check_workload
-from repro.cli.common import resolve_workload
-from repro.topology.generator import TopologyParams
-from repro.topology.testbed import build_deployment
+from repro.cli.common import Command, Flag, Prologue, load, non_negative_int
 from repro.workload import RequestStream, stream_digest
 
 #: sparkline glyphs, low to high
 _GLYPHS = " ._-=^#"
 
 
-def register(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "workload", help="inspect a traffic profile (rates, volume, stream)"
-    )
-    parser.add_argument(
-        "profile", nargs="?", default="flash-crowd",
-        help="builtin profile name (constant, diurnal, flash-crowd) or a "
-             "JSON profile path (default: flash-crowd)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=300.0,
-        help="window to analyse, sim seconds (default 300)",
-    )
-    parser.add_argument(
-        "--sample", type=int, default=0, metavar="N",
-        help="also print the first N arrivals of the seed-stable stream",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="validation only: exit 2 on PRE14x errors, print nothing else",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the profile as canonical JSON (a valid --workload file)",
-    )
-    parser.set_defaults(func=run)
-
-
-def run(args: argparse.Namespace) -> int:
-    # resolve_workload reads args.workload; alias the positional onto it.
-    args.workload = args.profile
-    profile = resolve_workload(args)
+def run(args: argparse.Namespace, ctx: Prologue) -> int:
+    profile = load("workload", args.profile)
     shape = check_run_shape(args.duration)
     findings = shape + check_workload(profile, duration=args.duration)
     for finding in findings:
@@ -93,9 +61,8 @@ def run(args: argparse.Namespace) -> int:
           f"~{profile.expected_requests(duration):,.0f}")
 
     if args.sample > 0:
-        deployment = build_deployment(params=TopologyParams(seed=args.seed))
         clients = [
-            info.node_id for info in deployment.topology.web_client_ases()
+            info.node_id for info in ctx.deployment.topology.web_client_ases()
         ]
         stream = RequestStream(profile, clients, duration, args.seed)
         shown = []
@@ -109,3 +76,20 @@ def run(args: argparse.Namespace) -> int:
                   f"content={request.content}")
         print(f"stream digest (full window): {stream_digest(stream)}")
     return 0
+
+
+COMMAND = Command(
+    "workload", "inspect a traffic profile (rates, volume, stream)", run, flags=(
+        Flag("profile", nargs="?", default="flash-crowd",
+             help="builtin profile name (constant, diurnal, flash-crowd) or a "
+                  "JSON profile path (default: flash-crowd)"),
+        Flag("--duration", type=float, default=300.0,
+             help="window to analyse, sim seconds (default 300)"),
+        Flag("--sample", type=non_negative_int, default=0, metavar="N",
+             help="also print the first N arrivals of the seed-stable stream"),
+        Flag("--check", action="store_true",
+             help="validation only: exit 2 on PRE14x errors, print nothing else"),
+        Flag("--json", action="store_true",
+             help="print the profile as canonical JSON (a valid --workload file)"),
+    ),
+)

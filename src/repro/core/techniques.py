@@ -26,7 +26,7 @@ the /23, or /24 +1 plus DNS diversion. Ratings are Table 2's.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.core.plan import Rule, Technique, Tradeoff
 
@@ -147,3 +147,15 @@ def technique_by_name(name: str, **kwargs) -> Technique:
     if name not in TECHNIQUES:
         raise KeyError(f"unknown technique {name!r}; have {sorted(TECHNIQUES)}")
     return TECHNIQUES[name](**kwargs)
+
+
+def techniques_named(names: Iterable[str], prepend: int | None = None) -> list[Technique]:
+    """Instantiate each named technique. ``prepend`` (the CLI's
+    ``--prepend``, a world document's ``prepend``) is proactive-prepending's
+    depth and no other technique's; None keeps its default."""
+    return [
+        technique_by_name(name, prepend=prepend)
+        if name == "proactive-prepending" and prepend is not None
+        else technique_by_name(name)
+        for name in names
+    ]

@@ -9,7 +9,7 @@ objects they are about to run (:func:`repro.cli.common.gate`); the
 verifier's own worlds come from two places:
 
 * :func:`default_world` — the shipped testbed deployment at a seed,
-  exactly what the experiment CLIs build; and
+  the one the CLI registrar builds for every command; and
 * :func:`load_world` — a small JSON format used by the known-bad
   fixtures under ``tests/fixtures/verify/`` (and usable for hand-built
   topologies). The format describes ASes and links directly so a
@@ -56,7 +56,7 @@ from repro.analysis.preflight import DURATION
 from repro.bgp.damping import DAMPING_FIELDS, DampingConfig
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
-from repro.core.techniques import Technique, technique_by_name
+from repro.core.techniques import Technique, techniques_named
 from repro.faults.plan import Action, FaultPlan, load_fault_plan, timeline
 from repro.fields import Field, read, violations
 from repro.net.addr import IPv4Prefix
@@ -140,40 +140,24 @@ class VerifyWorld:
 
 
 def default_world(
-    seed: int = 42,
-    technique_names: tuple[str, ...] | None = None,
-    prepend: int = 3,
+    deployment: CdnDeployment,
+    techniques: list[Technique],
     specific_site: str | None = None,
     fault_plan: FaultPlan | None = None,
     duration: float | None = None,
-    damping: DampingConfig | None = None,
-    strict: bool = False,
-    workload: WorkloadProfile | None = None,
-    capacity: CapacityProfile | None = None,
 ) -> VerifyWorld:
-    """The shipped testbed deployment as a verifiable world."""
-    deployment = build_deployment(params=TopologyParams(seed=seed))
-    names = technique_names if technique_names is not None else DEFAULT_TECHNIQUE_NAMES
-    techniques = [_instantiate(name, prepend) for name in names]
+    """The shipped testbed ``deployment`` (built, like the techniques, by
+    the CLI registrar) as a verifiable world."""
+    seed = deployment.topology.params.seed
     return VerifyWorld(
         deployment=deployment,
         techniques=techniques,
         specific_site=specific_site,
         timeline=timeline(fault_plan),
         duration=duration,
-        damping=damping,
-        strict=strict,
-        workload=workload,
-        capacity=capacity,
         description=f"testbed deployment (seed {seed})",
         source=f"<testbed:{seed}>",
     )
-
-
-def _instantiate(name: str, prepend: int) -> Technique:
-    if name == "proactive-prepending":
-        return technique_by_name(name, prepend=prepend)
-    return technique_by_name(name)
 
 
 #: the rows of a world document (the schema in the module docstring).
@@ -263,7 +247,7 @@ def world_from_dict(data: dict, source: str = "<world>") -> VerifyWorld:
 
     names = [doc["technique"]] if "technique" in doc else doc.get("techniques", [])
     try:
-        techniques = [_instantiate(name, doc.get("prepend", 3)) for name in names]
+        techniques = techniques_named(names, doc.get("prepend"))
     except KeyError as error:
         raise ValueError(f"techniques: {error.args[0]}") from error
 

@@ -261,6 +261,30 @@ class TestSingleCallSite:
             path="src/repro/net/lpm.py",
         ) == []
 
+    def test_a_command_prologue_is_stated_once(self):
+        """A subcommand that builds its own testbed, gates its own run or
+        opens its own session regrows the prologue the CLI registrar
+        states once."""
+        source = (
+            "deployment = build_deployment(params=TopologyParams(seed=args.seed))\n"
+            "if not gate(args, world):\n    pass\n"
+            "with telemetry_session(args):\n    pass\n"
+        )
+        findings = ENGINE.lint_source(source, path="src/repro/cli/drill.py")
+        assert [f.code for f in findings] == ["DET011"] * 3
+        assert ("build_deployment() may only be called from cli/common.py, verify/world.py"
+                in findings[0].message)
+        assert "gate() may only be called from cli/common.py;" in findings[1].message
+        assert "telemetry_session() may only be called from cli/common.py;" in findings[2].message
+        assert ENGINE.lint_source(source, path="src/repro/cli/common.py") == []
+        assert ENGINE.lint_source(source, path="tests/test_cli.py") == []
+        # a fixture world builds its own small deployment, and only that
+        (build, *_) = source.splitlines(keepends=True)
+        assert ENGINE.lint_source(build, path="src/repro/verify/world.py") == []
+        assert [f.code for f in ENGINE.lint_source(source, path="src/repro/verify/world.py")] == [
+            "DET011", "DET011",
+        ]
+
 
 class TestNumpyTranscendental:
     PATH = "src/repro/workload/stream.py"

@@ -68,11 +68,15 @@ class TestParser:
         ["sweep", "-t", "proactive-prepending", "--prepend", "0"],
         ["playbook", "--levels", "-1"],
         ["drill", "--clients", "0"],
+        ["trace", "summarize", "t.jsonl", "--top", "-2"],
+        ["profile", "p.json", "--top", "-1"],
+        ["workload", "--sample", "-1"],
     ], ids=lambda argv: " ".join(argv))
     def test_hostile_counts_are_usage_errors(self, argv, capsys):
         """Each used to end in a traceback (``Sample larger than
         population or is negative``, ``prepend must be >= 1``), pass
-        silently, or print ``recovered 0/0 PASS`` with exit 0."""
+        silently, or print ``recovered 0/0 PASS`` with exit 0; the last
+        three printed all but ``-N`` rows, or sampled nothing."""
         with pytest.raises(SystemExit) as refused:
             build_parser().parse_args(argv)
         assert refused.value.code == 2
@@ -378,9 +382,11 @@ class TestExtendedCommands:
         ["sweep", "--sites", "lhr"], ["scenario", "-s", "lhr"],
         ["configgen", "--site", "lhr"], ["playbook", "--drain", "lhr", "--levels", "0"],
         ["verify", "-s", "lhr"],
+        pytest.param(["configgen", "--specific-site", "lhr"], id="configgen-specific-site"),
     ], ids=lambda argv: argv[0])
     def test_unknown_site_is_one_sentence_on_stderr(self, argv, capsys):
-        """``failover`` ... ``playbook --drain`` used to print it to stdout."""
+        """``failover`` ... ``playbook --drain`` used to print it to stdout;
+        ``configgen --specific-site`` ended in a ``KeyError`` traceback."""
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "unknown site" not in captured.out

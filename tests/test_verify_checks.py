@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.damping import DampingConfig
+from repro.core.techniques import techniques_named
 from repro.faults import Action, Brownout, FaultPlan, timeline
+from repro.topology.testbed import build_deployment
 from repro.verify import (
     CHECKS,
+    DEFAULT_TECHNIQUE_NAMES,
     all_checks,
     default_world,
     load_world,
@@ -169,14 +172,19 @@ class TestTimelineTargets:
         assert "fires at t=100s >= the 100s" in found[0][1]
 
 
+def testbed_world():
+    """``repro verify``'s default world: the testbed at seed 42, full roster."""
+    return default_world(build_deployment(), techniques_named(DEFAULT_TECHNIQUE_NAMES))
+
+
 class TestDefaultWorld:
     def test_shipped_testbed_verifies_clean(self):
         """Acceptance: zero findings on the shipped deployment, full roster."""
-        report = verify_world(default_world(seed=42))
+        report = verify_world(testbed_world())
         assert report.findings == []
 
     def test_testbed_strict_profile_flags_only_ambiguity(self):
-        report = verify_world(default_world(seed=42), strict=True)
+        report = verify_world(testbed_world(), strict=True)
         assert report.ok  # warnings only
         assert {f.code for f in report.findings} == {"VER223"}
 

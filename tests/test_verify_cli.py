@@ -119,6 +119,29 @@ class TestVerifyCommand:
     def test_unknown_site_is_usage_error(self, capsys):
         assert main(["verify", "-s", "lhr"]) == 2
 
+    @pytest.mark.parametrize("value, refusal", [
+        ("nan", "is not finite"), ("inf", "is not finite"), ("-5", "is not positive"),
+    ])
+    def test_duration_goes_through_the_run_shape_row(self, value, refusal, capsys):
+        """``nan`` / ``inf`` used to print ``no findings`` with exit 0, and
+        ``-5`` six VER233 warnings about "the -5s experiment duration":
+        the PRE135 row every run command refuses them with."""
+        argv = ["verify", "-t", "anycast", "--faults", "examples/faultplan.json",
+                "--duration", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"preflight: run: PRE135 error: duration {value} {refusal}\n"
+        assert captured.out == ""
+        assert main(["verify", fixture("clean"), "--duration", value]) == 2
+        assert "PRE135" in capsys.readouterr().err
+
+    def test_a_sane_duration_still_reaches_the_checks(self, capsys):
+        argv = ["verify", "-t", "anycast", "--faults", "examples/faultplan.json",
+                "--duration", "40"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "VER233" in out and "the 40s experiment duration" in out
+
     def test_metrics_flag_reports_verify_counters(self, capsys):
         assert main(["verify", fixture("clean"), "--metrics"]) == 0
         assert "verify.runs" in capsys.readouterr().out

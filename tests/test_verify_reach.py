@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.core.plan import Origination
-from repro.core.techniques import TECHNIQUES, ProactivePrepending, technique_by_name
+from repro.core.techniques import TECHNIQUES, ProactivePrepending, techniques_named
 from repro.topology import propagation
 from repro.topology.generator import generate_topology
 from repro.topology.geo import REGIONS
@@ -223,14 +223,6 @@ class TestReachSemantics:
 # Real inputs
 
 
-def roster(names):
-    return [
-        technique_by_name(name, prepend=3) if name == "proactive-prepending"
-        else technique_by_name(name)
-        for name in names
-    ]
-
-
 def real_worlds():
     """⟨world builder, scoped originations its plans hold⟩."""
     for name in LOADABLE:
@@ -244,12 +236,12 @@ def real_worlds():
         yield pytest.param(
             lambda seed=seed: VerifyWorld(
                 build_deployment(params=replace(WORLDS[0], seed=seed)),
-                roster(sorted(TECHNIQUES)),
+                techniques_named(sorted(TECHNIQUES)),
             ),
             0, id=f"testbed-{seed}",
         )
         yield pytest.param(
-            lambda seed=seed: VerifyWorld(wide_deployment(seed), roster(sorted(TECHNIQUES))),
+            lambda seed=seed: VerifyWorld(wide_deployment(seed), techniques_named(sorted(TECHNIQUES))),
             0, id=f"wide-{seed}",
         )
         yield pytest.param(
@@ -326,12 +318,12 @@ class TestGateCost:
         return keys
 
     @pytest.mark.parametrize("build, expected", [
-        pytest.param(lambda: VerifyWorld(build_deployment(), roster(DEFAULT_TECHNIQUE_NAMES)),
+        pytest.param(lambda: VerifyWorld(build_deployment(), techniques_named(DEFAULT_TECHNIQUE_NAMES)),
                      4, id="testbed-verify-roster"),
-        pytest.param(lambda: VerifyWorld(build_deployment(), roster((
+        pytest.param(lambda: VerifyWorld(build_deployment(), techniques_named((
             "anycast", "reactive-anycast", "proactive-prepending",
             "proactive-superprefix", "combined"))), 4, id="testbed-compare-roster"),
-        pytest.param(lambda: VerifyWorld(wide_deployment(42), roster((
+        pytest.param(lambda: VerifyWorld(wide_deployment(42), techniques_named((
             "anycast", "proactive-med", "proactive-prepending", "proactive-superprefix"))),
             5, id="wide-benchmark-roster"),
     ])
@@ -346,7 +338,7 @@ class TestGateCost:
 
         plan = load_fault_plan(Path(__file__).parent.parent / "examples" / "faultplan.json")
         world = VerifyWorld(
-            build_deployment(), roster(DEFAULT_TECHNIQUE_NAMES), timeline=timeline(plan)
+            build_deployment(), techniques_named(DEFAULT_TECHNIQUE_NAMES), timeline=timeline(plan)
         )
         propagations, calls = self.gate(world, monkeypatch)
         assert propagations == len(calls) == 7
