@@ -204,7 +204,8 @@ class BgpNetwork:
             raise ValueError(f"link {a!r} <-> {b!r} already exists")
         timing = timing or self.default_timing
         session_ab = Session(
-            self.engine, self.rng, a, b, relationship_of_b, router_b.receive, timing
+            self.engine, self.rng, a, b, relationship_of_b, router_b.receive, timing,
+            self._telemetry,
         )
         session_ba = Session(
             self.engine,
@@ -214,6 +215,7 @@ class BgpNetwork:
             relationship_of_b.inverse(),
             router_a.receive,
             timing,
+            self._telemetry,
         )
         self.adjacency[a][b] = relationship_of_b
         self.adjacency[b][a] = relationship_of_b.inverse()

@@ -333,10 +333,40 @@ class BgpRouter:
         self, prefix: IPv4Prefix, best: Route | None, sessions: Iterable[Session]
     ) -> None:
         """Tell each of ``sessions`` what export policy lets its far end
-        hear of ``best``: a route, or the withdrawal of whatever was."""
+        hear of ``best``: a route, or the withdrawal of whatever was --
+        :meth:`offer`, with the policy evaluated once per relationship.
+
+        Of what :func:`exported` reads, only split horizon and the
+        origination's neighbor scope depend on the session beyond its
+        relationship, so those two are checked here per session and every
+        other session of a relationship is sent the one route written for
+        the first of them.
+        """
         cause = self._current_cause
+        if best is None:
+            for session in sessions:
+                session.send(prefix, None, cause)
+            return
+        learned_from = best.learned_from
+        origin = self.origins.get(prefix)
+        scope = origin.neighbors if learned_from is None and origin is not None else None
+        via = self.sessions.get(learned_from)
+        learned_over = via.relationship if via is not None else None
+        by_class: dict[int, Route | None] = {}
         for session in sessions:
-            session.send(prefix, self.offer(session, prefix, best), cause)
+            remote = session.remote
+            if remote == learned_from or (scope is not None and remote not in scope):
+                session.send(prefix, None, cause)
+                continue
+            key = session.export_class
+            if key in by_class:
+                route = by_class[key]
+            else:
+                route = by_class[key] = exported(
+                    best, self.node_id, self.asn, origin, learned_over,
+                    remote, session.relationship,
+                )
+            session.send(prefix, route, cause)
 
     def offer(self, session: Session, prefix: IPv4Prefix, best: Route | None) -> Route | None:
         """``best`` as the far end of ``session`` hears it (None: not at

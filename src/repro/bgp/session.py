@@ -31,6 +31,7 @@ from repro.telemetry.trace import BgpUpdateSent
 
 if TYPE_CHECKING:
     from repro.bgp.engine import EventEngine
+    from repro.telemetry.registry import NullTelemetry, Telemetry
 
 
 #: the rows of :class:`SessionTiming`, all reported under PRE131 by the
@@ -93,7 +94,9 @@ class SessionTiming:
 #: propagation of a few seconds at the median across collector peers
 #: (Appendix B's <10 s), unicast withdrawal convergence of ~100 s median
 #: with a heavy tail (Appendix A's 100 s / 400 s), and data-plane anycast
-#: failover around ten seconds (Figure 2).
+#: failover around ten seconds (Figure 2). Its ``busy_prob`` and
+#: ``mrai_sigma`` do not reach the sessions ``Topology.build_network``
+#: builds (docs/architecture.md, "MRAI pacing").
 DEFAULT_INTERNET_TIMING = SessionTiming(
     latency=0.05,
     jitter=3.0,
@@ -103,6 +106,9 @@ DEFAULT_INTERNET_TIMING = SessionTiming(
     fib_delay=2.5,
 )
 
+#: ``Session.export_class`` by relationship
+_EXPORT_CLASS = {relationship: index for index, relationship in enumerate(Relationship)}
+
 
 class Session:
     """One direction of an eBGP adjacency, with MRAI-paced delivery."""
@@ -110,7 +116,7 @@ class Session:
     # A wide network holds ~1,800 of these and every forked cell rebuilds
     # them all: slots spare each one its dict.
     __slots__ = (
-        "engine", "rng", "local", "remote", "relationship", "timing", "_deliver",
+        "engine", "rng", "local", "remote", "relationship", "export_class", "timing", "_deliver",
         "mrai", "_pending", "_mrai_running", "_last_delivery", "closed", "epoch",
         "advertised", "sent_updates", "loss_prob", "dup_prob", "_telemetry",
         "_updates_sent_counter", "_mrai_deferrals", "_updates_suppressed",
@@ -125,12 +131,17 @@ class Session:
         relationship: Relationship,
         deliver: Callable[[Update], None],
         timing: SessionTiming | None = None,
+        telemetry: "Telemetry | NullTelemetry | None" = None,
     ) -> None:
         self.engine = engine
         self.rng = rng
         self.local = local
         self.remote = remote
         self.relationship = relationship
+        #: the relationship as an int: the router evaluates export policy
+        #: once per relationship class and keys the result on this, not
+        #: on the enum (whose hash is a Python-level call)
+        self.export_class = _EXPORT_CLASS[relationship]
         self.timing = timing or SessionTiming()
         self._deliver = deliver
         #: effective MRAI for this session (heterogeneous across sessions)
@@ -160,7 +171,8 @@ class Session:
         #: probability is non-zero, so fault-free runs draw identically.
         self.loss_prob = 0.0
         self.dup_prob = 0.0
-        telemetry = telemetry_registry.current()
+        if telemetry is None:
+            telemetry = telemetry_registry.current()
         self._telemetry = telemetry
         # send()/_flush() run per BGP update; resolve the counters once
         # instead of a dict lookup per call.

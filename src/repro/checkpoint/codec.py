@@ -233,6 +233,7 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
             state.relationship,
             receive[state.remote],
             state.timing,
+            network._telemetry,
         )
         session.restore_transfer_state(state.transfer)
         network.routers[state.local].sessions[state.remote] = session

@@ -14,7 +14,7 @@ so IPv6 only needs these types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Generic, TypeVar
 
 A = TypeVar("A", bound="Address")
@@ -171,10 +171,16 @@ class Prefix(Generic[A]):
 
     The ``network`` value must have all host bits clear; use :meth:`of` to
     build a prefix from an arbitrary address inside it.
+
+    The hash is taken once, at construction: every RIB, session and
+    pending-update table is keyed by prefix. It is the value the
+    generated ``__hash__`` would give, ``hash((network, length))``, so
+    the order of every prefix set stays what it was.
     """
 
     network: int
     length: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     bits: ClassVar[int]
     _masks: ClassVar[tuple[int, ...]]
@@ -189,6 +195,10 @@ class Prefix(Generic[A]):
             raise ValueError(
                 f"network {self._address(self.network)} has host bits set for /{self.length}"
             )
+        object.__setattr__(self, "_hash", hash((self.network, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls: type[P], text: str) -> P:

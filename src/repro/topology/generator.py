@@ -104,6 +104,14 @@ class Topology:
     #: is shared by every forwarding plane (and sweep cell) over this
     #: topology instead of being re-solved per cell; growth clears it.
     _static_routes: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the per-link session timings of the last :meth:`build_network`,
+    #: ⟨profile, one per link in ``links`` order⟩: every cell of a sweep
+    #: builds its network from the same profile, so the timings are
+    #: built once, not once per link per cell; a new profile or a grown
+    #: ``links`` rebuilds them.
+    _link_timings: tuple[SessionTiming | None, Sequence[SessionTiming]] = field(
+        default=(None, ()), repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction helpers (used by the generator and the testbed)
@@ -249,17 +257,30 @@ class Topology:
         )
         for info in self.ases.values():
             network.add_router(info.node_id, info.asn)
-        for link in self.links:
-            link_timing = SessionTiming(
-                latency=timing.latency + link.latency_s,
-                jitter=timing.jitter,
-                mrai=timing.mrai,
-            )
+        for link, link_timing in zip(self.links, self._timings_for(timing)):
             network.connect(
                 link.a, link.b, link.relationship,
                 timing=link_timing, latency=link.latency_s,
             )
         return network
+
+    def _timings_for(self, timing: SessionTiming) -> Sequence[SessionTiming]:
+        """One session timing per link under the profile ``timing``: its
+        pacing, plus the link's propagation latency. ``busy_prob`` and
+        ``mrai_sigma`` are not carried over, so every session runs
+        without them (docs/architecture.md, "MRAI pacing")."""
+        built_for, timings = self._link_timings
+        if built_for != timing or len(timings) != len(self.links):
+            timings = [
+                SessionTiming(
+                    latency=timing.latency + link.latency_s,
+                    jitter=timing.jitter,
+                    mrai=timing.mrai,
+                )
+                for link in self.links
+            ]
+            self._link_timings = (timing, timings)
+        return timings
 
 
 def generate_topology(params: TopologyParams | None = None) -> Topology:

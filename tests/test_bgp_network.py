@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
@@ -59,6 +60,22 @@ class TestConstruction:
         net.add_router("b", 2)
         net.add_peering("a", "b", latency=0.07)
         assert net.link_latency[frozenset(("a", "b"))] == 0.07
+
+    def test_sessions_count_into_the_networks_telemetry(self):
+        """A network's sessions count into the registry its routers and
+        engine do -- the one active when the network was built --
+        whatever is active when a link comes up later."""
+        built, later = telemetry.Telemetry(), telemetry.Telemetry()
+        with telemetry.using(built):
+            net = BgpNetwork()
+            net.add_router("a", 1)
+            net.add_router("b", 2)
+        with telemetry.using(later):
+            net.add_peering("a", "b")
+        net.announce("a", PFX)
+        net.converge()
+        assert built.snapshot()["counters"]["bgp.updates_sent"] == 1
+        assert later.snapshot()["counters"] == {}
 
 
 class TestControlSurface:

@@ -581,3 +581,33 @@ class TestPoolFailureAtTheCli:
             "drill aborted: 1 drill cell(s) failed: drill/msn: crashed"
         )
         assert "drill aborted" not in captured.out and "rotation verdict" not in captured.out
+
+
+class TestHashSeed:
+    """The result bytes do not depend on the interpreter's string-hash
+    salt. Sets iterate in hash order -- of prefixes, of node names, whose
+    hash that salt changes -- and the benchmark always runs under one fixed
+    ``PYTHONHASHSEED``, so this is the leg that varies it: a forked
+    matrix and a cold-started failover, each run in two processes under
+    different salts, print the same stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--sites", "msn", "sea1", "--targets", "3"],
+        ["failover", "-s", "msn", "--targets", "3", "--no-checkpoint"],
+    ], ids=["compare", "failover-cold"])
+    def test_stdout_is_the_same_under_every_hash_seed(self, argv):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(root / "src")},
+                capture_output=True, text=True, check=True, cwd=str(root),
+            ).stdout
+            for seed in ("0", "123")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]

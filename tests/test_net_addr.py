@@ -1,9 +1,12 @@
 """Unit tests for IPv4 address/prefix types."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.addr import IPv4Address, IPv4Prefix
+from repro.net.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
 
 
 class TestIPv4Address:
@@ -158,3 +161,50 @@ class TestIPv4Prefix:
         assert IPv4Prefix.parse("0.0.0.0/0").mask() == 0
         assert IPv4Prefix.parse("10.0.0.0/8").mask() == 0xFF000000
         assert IPv4Prefix.parse("10.0.0.0/32").mask() == 0xFFFFFFFF
+
+
+#: prefixes from any address and length, of one family and of either
+IPV4_PREFIXES = st.builds(
+    lambda value, length: IPv4Prefix.of(IPv4Address(value), length),
+    st.integers(0, 2**32 - 1), st.integers(0, 32),
+)
+PREFIXES = st.one_of(
+    IPV4_PREFIXES,
+    st.builds(
+        lambda value, length: IPv6Prefix.of(IPv6Address(value), length),
+        st.integers(0, 2**128 - 1), st.integers(0, 128),
+    ),
+)
+
+
+class TestPrefixHash:
+    """The hash is taken once, at construction, and is the value the
+    dataclass would compute per call: prefix sets iterate in the same
+    order, so every table keyed by prefix prints the same bytes."""
+
+    @given(PREFIXES)
+    def test_hash_is_the_field_tuple_hash(self, prefix):
+        assert hash(prefix) == hash((prefix.network, prefix.length))
+
+    @given(st.lists(IPV4_PREFIXES, max_size=40))
+    def test_a_prefix_set_iterates_like_the_field_tuples(self, prefixes):
+        tuples = {(p.network, p.length) for p in prefixes}
+        assert [(p.network, p.length) for p in set(prefixes)] == list(tuples)
+
+    @given(PREFIXES)
+    def test_pickle_and_copy_keep_equality_and_hash(self, prefix):
+        for twin in (
+            pickle.loads(pickle.dumps(prefix)), copy.copy(prefix), copy.deepcopy(prefix)
+        ):
+            assert type(twin) is type(prefix)
+            assert twin == prefix and hash(twin) == hash(prefix)
+
+    @given(st.lists(IPV4_PREFIXES, max_size=40))
+    def test_sorted_is_by_network_then_length(self, prefixes):
+        assert sorted(prefixes) == sorted(prefixes, key=lambda p: (p.network, p.length))
+
+    def test_the_cached_hash_is_not_a_field(self):
+        p = IPv4Prefix.parse("184.164.244.0/24")
+        assert repr(p) == "IPv4Prefix('184.164.244.0/24')"
+        assert IPv4Prefix.__match_args__ == ("network", "length")
+        assert p == IPv4Prefix(p.network, 24) and not p < IPv4Prefix(p.network, 24)

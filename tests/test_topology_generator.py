@@ -1,11 +1,13 @@
 """Tests for the Internet-like topology generator."""
 
 import itertools
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 
 from repro.bgp.policy import Relationship
+from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.topology.generator import (
     ACCESS_LATENCY_S,
     CLIENT_POOL,
@@ -176,6 +178,53 @@ class TestTopologyApi:
         ]
         assert drawn == CLIENT_POOL.subnets(24)[: len(drawn)]
         assert len(drawn) > 100
+
+
+def session_timings(network):
+    """{(local, remote): timing} of every session of ``network``."""
+    return {
+        (router.node_id, remote): session.timing
+        for router in network.routers.values()
+        for remote, session in router.sessions.items()
+    }
+
+
+class TestBuildNetwork:
+    def test_link_timings_are_built_once_per_profile(self):
+        """Every network built from one profile shares the per-link
+        timings; another profile, or a link added since, rebuilds them."""
+        topo = Topology(params=TopologyParams())
+        loc = Location("us-west", 0, 0)
+        for node in ("a", "b", "c"):
+            topo.add_as(AsInfo(node, ord(node), AsClass.TRANSIT, loc))
+        topo.link("b", "a", Relationship.PROVIDER)
+        profile = SessionTiming(latency=0.1, jitter=1.0, mrai=30.0)
+        with topo.build_network(timing=profile) as first, \
+                topo.build_network(timing=profile) as second:
+            (timing,) = set(session_timings(first).values())
+            assert session_timings(second)[("a", "b")] is timing
+        assert timing == SessionTiming(
+            latency=0.1 + topo.link_latency("a", "b"), jitter=1.0, mrai=30.0
+        )
+        with topo.build_network(timing=replace(profile, mrai=10.0)) as other:
+            assert session_timings(other)[("a", "b")].mrai == 10.0
+        topo.link("c", "a", Relationship.PROVIDER)
+        with topo.build_network(timing=profile) as grown:
+            timings = session_timings(grown)
+            assert timings[("a", "c")] == replace(
+                timing, latency=0.1 + topo.link_latency("a", "c")
+            )
+            assert len(timings) == 4
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "build_network builds each link's timing from latency, jitter and "
+        "mrai only: busy_prob and mrai_sigma never reach a session"
+    ))
+    def test_the_configured_timing_reaches_every_session(self, topo):
+        with topo.build_network(timing=DEFAULT_INTERNET_TIMING) as network:
+            for timing in session_timings(network).values():
+                assert timing.busy_prob == DEFAULT_INTERNET_TIMING.busy_prob
+                assert timing.mrai_sigma == DEFAULT_INTERNET_TIMING.mrai_sigma
 
 
 class TestDistributedLatency:
