@@ -172,8 +172,10 @@ class RunRig:
     def live_site(self, client: str) -> str | None:
         """The live CDN site the current FIBs deliver ``client`` to
         (None when dropped, off-net, or landing at a dead site)."""
-        result = self.plane.snapshot_path(client, self.dst)
-        site, reason = delivery_verdict(result, self.deployment, self.dead_sites)
+        walk = self.plane.walk_from(client, self.dst)
+        site, reason = delivery_verdict(
+            walk.delivered_to, walk.reason, self.deployment, self.dead_sites
+        )
         return site if reason is None else None
 
     def capacity_violations(self) -> list[Violation]:

@@ -17,8 +17,17 @@ schedules a single landing event at the last hop. Every FIB write
 reaches the plane through the hook that bumps
 :attr:`~repro.bgp.network.BgpNetwork.route_version`; each flight still
 in the air is then cut after the hops it has taken and re-walked from
-there, so every hop reads the FIB that stood at its arrival time. A walk
-from the first hop is memoised until ``route_version`` moves.
+there, so every hop reads the FIB that stood at its arrival time.
+
+"Where does traffic from X land now?" has one answer,
+:meth:`ForwardingPlane.walk_from`: the untimed :class:`Walk` from X on
+the current FIBs, memoised per ⟨start node, dst⟩ until ``route_version``
+moves. Flights take it (filling in its hop latencies the first time),
+the workload tick reads it once per distinct client per tick,
+``RunRig.live_site`` per lookup, and :meth:`ForwardingPlane.snapshot_path`
+returns it as a :class:`ForwardResult`. :func:`delivery_verdict` turns
+its ⟨delivered node, drop reason⟩ into ⟨site, loss reason⟩ for all of
+them and for the prober.
 """
 
 from __future__ import annotations
@@ -84,43 +93,54 @@ CLASS_BY_REASON = {
 
 
 def delivery_verdict(
-    result: ForwardResult,
+    delivered_to: str | None,
+    drop_reason: DropReason | None,
     deployment: "CdnDeployment",
     dead_sites: Collection[str] = (),
 ) -> tuple[str | None, str | None]:
-    """Did this delivery count? ⟨landing site, loss reason⟩.
+    """Did this delivery count? ⟨landing site, loss reason⟩ of a packet
+    delivered to ``delivered_to`` or dropped for ``drop_reason`` (a
+    flight's :class:`ForwardResult`, or a :class:`Walk` from the memo).
 
-    The reason is None exactly when the forward reached a *live CDN
+    The reason is None exactly when the packet reached a *live CDN
     site*; otherwise it is the drop reason, ``off-net`` (someone else's
     covering prefix) or ``dead-site`` (a down site stale FIBs still
     point at; returned with the reason).
     """
-    if result.delivered_to is None:
-        # An undelivered forward always carries its drop reason.
-        return None, result.drop_reason.value  # type: ignore[union-attr]
-    site = deployment.site_of_node(result.delivered_to)
+    if delivered_to is None:
+        # An undelivered packet always carries its drop reason.
+        return None, drop_reason.value  # type: ignore[union-attr]
+    site = deployment.site_of_node(delivered_to)
     if site is None or site in dead_sites:
         return site, "off-net" if site is None else "dead-site"
     return site, None
 
 
-#: ⟨path, latency of each hop, delivered to, drop reason⟩ of one walk
-_Walk = tuple[tuple[str, ...], tuple[float, ...], str | None, DropReason | None]
+class Walk:
+    """Where a packet for one destination goes from ``path[0]`` on the
+    FIBs as they stand: the nodes it visits, and the node that delivers
+    it or the reason it is dropped."""
+
+    __slots__ = ("path", "delivered_to", "reason", "latencies")
+
+    def __init__(
+        self, path: tuple[str, ...], delivered_to: str | None, reason: DropReason | None
+    ) -> None:
+        self.path = path
+        self.delivered_to = delivered_to
+        self.reason = reason
+        #: the latency of each hop, filled in by the first flight that
+        #: takes the walk (nothing else needs them)
+        self.latencies: tuple[float, ...] | None = None
 
 
 class _Flight:
     """A packet between :meth:`ForwardingPlane.forward` and its landing:
     the hops it takes unless a FIB changes under it first."""
 
-    __slots__ = (
-        "dst", "on_complete", "departs_at", "path", "latencies",
-        "delivered_to", "reason", "lands_at",
-    )
-    # Set by ForwardingPlane._fly, and again by a re-walk that moves it.
-    path: tuple[str, ...]
-    latencies: tuple[float, ...]
-    delivered_to: str | None
-    reason: DropReason | None
+    __slots__ = ("dst", "on_complete", "departs_at", "walk", "lands_at")
+    # Set by ForwardingPlane._fly, and again by a re-walk.
+    walk: Walk
     lands_at: float
 
     def __init__(
@@ -149,9 +169,15 @@ class ForwardingPlane:
         self._telemetry = telemetry_registry.current()
         #: flights in the air, in forward order (landing order on ties)
         self._flights: dict[_Flight, None] = {}
-        #: ⟨start node, dst⟩ -> walk on the FIBs of ``_memo_version``
-        self._memo: dict[tuple[str, IPv4Address], _Walk] = {}
+        #: ⟨start node, dst's integer⟩ -> walk on the FIBs of
+        #: ``_memo_version`` (an address hashes in Python code, an int
+        #: does not, and the workload tick looks up millions of times)
+        self._memo: dict[tuple[str, int], Walk] = {}
         self._memo_version = network.route_version
+        #: memo lookups answered, memo fills, and memo flushes
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
 
     # ------------------------------------------------------------------
     # Static direction (CDN -> client)
@@ -190,28 +216,31 @@ class ForwardingPlane:
         ``on_complete`` fires exactly once, at the delivery or drop.
         """
         flight = _Flight(dst, on_complete, self.network.engine.now + delay)
-        self._fly(flight, *self._walk_from(start_node, dst))
+        self._fly(flight, self.walk_from(start_node, dst))
         if not self._flights:
             self.network.on_route_change.append(self._rewalk)
         self._flights[flight] = None
 
-    def _walk_from(self, start_node: str, dst: IPv4Address) -> _Walk:
-        """The walk from ``start_node`` on the current FIBs, memoised
-        until ``route_version`` moves (the catchment cache's rule)."""
+    def walk_from(self, start_node: str, dst: IPv4Address) -> Walk:
+        """Where a packet for ``dst`` sent from ``start_node`` now goes:
+        the walk on the current FIBs, memoised until ``route_version``
+        moves. The memo is flushed whole, never in part: any FIB write
+        anywhere can move any walk."""
         version = self.network.route_version
         if version != self._memo_version:
             self._memo.clear()
             self._memo_version = version
-        key = (start_node, dst)
+            self.invalidations += 1
+        key = (start_node, dst.value)
         walk = self._memo.get(key)
-        if walk is None:
-            walk = self._memo[key] = self._timed_walk(dst, [start_node], {})
+        if walk is not None:
+            self.hits += 1
+            return walk
+        self.misses += 1
+        path = [start_node]
+        delivered_to, reason = self._walk(dst, path, {})
+        walk = self._memo[key] = Walk(tuple(path), delivered_to, reason)
         return walk
-
-    def _timed_walk(self, dst: IPv4Address, path: list[str], seen: dict[str, str]) -> _Walk:
-        """:meth:`_walk` from ``path``, with the latency of every hop."""
-        delivered_to, reason = self._walk(dst, path, seen)
-        return tuple(path), tuple(self.topology.hop_latencies(path)), delivered_to, reason
 
     def _walk(
         self, dst: IPv4Address, path: list[str], seen: dict[str, str]
@@ -245,24 +274,16 @@ class ForwardingPlane:
             path.append(next_hop)
             node = next_hop
 
-    def _fly(
-        self,
-        flight: _Flight,
-        path: tuple[str, ...],
-        latencies: tuple[float, ...],
-        delivered_to: str | None,
-        reason: DropReason | None,
-    ) -> None:
-        """Put ``flight`` on ``path`` and schedule its landing. Arrival
+    def _fly(self, flight: _Flight, walk: Walk) -> None:
+        """Put ``flight`` on ``walk`` and schedule its landing. Arrival
         times are the engine's own float additions, hop by hop,
         ``t[k+1] = t[k] + latency``: the instants do not depend on how
         many events carry the hops."""
-        flight.path = path
-        flight.latencies = latencies
-        flight.delivered_to = delivered_to
-        flight.reason = reason
+        if walk.latencies is None:
+            walk.latencies = tuple(self.topology.hop_latencies(walk.path))
+        flight.walk = walk
         lands_at = flight.departs_at
-        for latency in latencies:
+        for latency in walk.latencies:
             lands_at += latency
         flight.lands_at = lands_at
         self.network.engine.schedule_at(lands_at, lambda: self._land(flight))
@@ -275,25 +296,29 @@ class ForwardingPlane:
         moved lands at its new time; the old landing event goes stale."""
         now = self.network.engine.now
         for flight in self._flights:
+            flown = flight.walk
             arrives_at = flight.departs_at
             if arrives_at > now:
-                walk = self._walk_from(flight.path[0], flight.dst)
+                walk = self.walk_from(flown.path[0], flight.dst)
             else:
-                for taken, latency in enumerate(flight.latencies, 1):
+                for taken, latency in enumerate(flown.latencies, 1):  # type: ignore[arg-type]
                     arrives_at += latency
                     if arrives_at > now:
                         break
                 else:
                     continue  # every hop taken: it lands now
-                path = list(flight.path[:taken + 1])
+                path = list(flown.path[:taken + 1])
                 seen = dict(zip(path[:taken], path[1:]))
-                walk = self._timed_walk(flight.dst, path, seen)
-            if walk[0] != flight.path:
-                self._fly(flight, *walk)
+                delivered_to, reason = self._walk(flight.dst, path, seen)
+                walk = Walk(tuple(path), delivered_to, reason)
+            if walk.path != flown.path:
+                self._fly(flight, walk)
             else:
                 # Same hops, same landing time: only the verdict at the
                 # last node can have changed.
-                flight.delivered_to, flight.reason = walk[2], walk[3]
+                if walk.latencies is None:
+                    walk.latencies = flown.latencies
+                flight.walk = walk
 
     def _land(self, flight: _Flight) -> None:
         if flight.lands_at > self.network.engine.now or flight not in self._flights:
@@ -301,8 +326,9 @@ class ForwardingPlane:
         del self._flights[flight]
         if not self._flights:
             self.network.on_route_change.remove(self._rewalk)
+        walk = flight.walk
         self._finish(
-            ForwardResult(flight.delivered_to, flight.path, flight.lands_at, flight.reason),
+            ForwardResult(walk.delivered_to, walk.path, flight.lands_at, walk.reason),
             flight.on_complete,
         )
 
@@ -320,15 +346,15 @@ class ForwardingPlane:
     # Instantaneous trace (control-plane view of the current FIBs)
 
     def snapshot_path(self, start_node: str, dst: IPv4Address) -> ForwardResult:
-        """The path the current FIBs would produce, without advancing time.
+        """:meth:`walk_from` as a result, without advancing time.
 
-        Used by traceroute emulation and catchment checks, where the
-        question is "where would a packet go *right now*".
+        Used by traceroute emulation, where the question is "which path
+        would a packet take *right now*".
         """
-        path = [start_node]
-        delivered_to, reason = self._walk(dst, path, {})
+        walk = self.walk_from(start_node, dst)
+        path, reason = walk.path, walk.reason
         if reason is DropReason.TTL_EXCEEDED and path[-1] in path[:-1]:
             # On FIBs that stand still the first revisit is a stable loop;
             # one closing on the last hop the TTL allows is still a loop.
             reason = DropReason.LOOP
-        return ForwardResult(delivered_to, tuple(path), self.network.engine.now, reason)
+        return ForwardResult(walk.delivered_to, path, self.network.engine.now, reason)

@@ -130,7 +130,9 @@ class Prober:
         self, target: IPv4Address, probe: Probe, result: ForwardResult
     ) -> None:
         telemetry = self._telemetry
-        site, reason = delivery_verdict(result, self.deployment, self.dead_sites)
+        site, reason = delivery_verdict(
+            result.delivered_to, result.drop_reason, self.deployment, self.dead_sites
+        )
         if reason is not None:
             probe.reason = reason
             if telemetry.enabled:

@@ -8,14 +8,12 @@ accounting. See ``docs/workload.md`` and ``docs/load.md``.
   (rates, shapes, Zipf popularity, think time, regional surges);
 * :mod:`repro.workload.stream` -- seed-stable request generation, one
   numpy chunk at a time (never materializes the schedule);
-* :mod:`repro.workload.catchment` -- route-version-keyed resolution
-  cache over the live FIBs;
 * :mod:`repro.workload.capacity` -- per-site serving capacity profiles,
   brownout state, and expected-load arithmetic;
 * :mod:`repro.workload.engine` -- tick-driven classification (once per
-  distinct client per tick) into served / lost / wrong-site / overload
-  and user-minutes-lost accounting, plus the load-shedding overload
-  latch.
+  distinct client per tick, on the forwarding plane's walk memo) into
+  served / lost / wrong-site / overload and user-minutes-lost
+  accounting, plus the load-shedding overload latch.
 """
 
 from repro.workload.capacity import (
@@ -26,7 +24,6 @@ from repro.workload.capacity import (
     expected_site_load,
     load_capacity,
 )
-from repro.workload.catchment import CatchmentCache, Resolution
 from repro.workload.engine import (
     WorkloadAccount,
     WorkloadEngine,
@@ -57,10 +54,8 @@ __all__ = [
     "RATE_KINDS",
     "CapacityProfile",
     "CapacityState",
-    "CatchmentCache",
     "Request",
     "RequestStream",
-    "Resolution",
     "RateShape",
     "WorkloadAccount",
     "WorkloadEngine",

@@ -4,8 +4,9 @@
 to a running simulation. A self-rescheduling tick event (cadence
 ``profile.tick_s`` on the simulation clock) drains the arrivals that
 fell due since the previous tick and classifies each against the
-*current* FIB state via the route-version-keyed
-:class:`~repro.workload.catchment.CatchmentCache` -- once per distinct
+*current* FIB state, read from the forwarding plane's walk memo
+(:meth:`~repro.dataplane.forwarding.ForwardingPlane.walk_from`, the one
+answer to "where does traffic from X land now") -- once per distinct
 client per tick, since nothing a request's outcome depends on (the
 client's route, site liveness, site budgets) moves inside a tick:
 **served** when
@@ -53,13 +54,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane
+from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane, delivery_verdict
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import SiteOverloaded, WorkloadSample
 from repro.topology.testbed import PROBE_SOURCE, CdnDeployment
 from repro.workload.capacity import CapacityState
-from repro.workload.catchment import CatchmentCache
 from repro.workload.profile import WorkloadProfile
 from repro.workload.stream import RequestStream
 
@@ -232,7 +232,11 @@ class WorkloadEngine:
         #: called once per site, on the first tick that exhausts its
         #: capacity (the controller's overload signal)
         self.on_overload = on_overload
-        self.cache = CatchmentCache(plane, deployment, dst)
+        #: the address requests are sent to
+        self.dst = dst
+        #: the plane again, only for ``bench/workloads.py::per_layer``,
+        #: which reads ``engine.cache.hits / misses / invalidations``
+        self.cache = plane
         self.account = WorkloadAccount(technique=technique, site=site)
         self._telemetry = telemetry_registry.current()
         self._epoch = 0.0
@@ -379,29 +383,28 @@ class WorkloadEngine:
         tick's length, which sets each site's serving credit."""
         account = self.account
         account.ticks += 1
-        cache = self.cache
+        walk_from = self.plane.walk_from
+        names = self.clients
+        dst = self.dst
+        deployment = self.deployment
         dead_sites = self.dead_sites
         capacity = self.capacity
         lost = dict.fromkeys(CLASS_BY_REASON.values(), 0)
         #: client index -> the live site its requests reach
         landed: dict[int, str] = {}
         attempts: dict[str, int] = {}
-        per_client = np.bincount(clients, minlength=len(self.clients))
+        per_client = np.bincount(clients, minlength=len(names))
         distinct = np.flatnonzero(per_client)
         for index, count in zip(distinct.tolist(), per_client[distinct].tolist()):
-            resolution = cache.resolve(self.clients[index])
-            # hits / misses keep counting requests, not lookups
-            cache.hits += count - 1
-            loss = resolution.loss_class
-            if loss is not None:
-                lost[loss] += count
-            elif resolution.site in dead_sites:
-                # Liveness is the one half of the verdict the cache
-                # cannot hold (a silent failure moves no FIB).
-                lost["wrong-site"] += count
+            walk = walk_from(names[index], dst)
+            site, reason = delivery_verdict(
+                walk.delivered_to, walk.reason, deployment, dead_sites
+            )
+            if reason is not None:
+                lost[CLASS_BY_REASON[reason]] += count
             else:
-                landed[index] = resolution.site
-                attempts[resolution.site] = attempts.get(resolution.site, 0) + count
+                landed[index] = site
+                attempts[site] = attempts.get(site, 0) + count
         if capacity is None:
             served = attempts
         else:

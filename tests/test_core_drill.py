@@ -67,7 +67,9 @@ class TestRotationDrill:
         )
         outcome = drill.run_site("sea1", clients)
         delivered = sum(
-            delivery_verdict(result, deployment, dead_sites)[1] is None
+            delivery_verdict(
+                result.delivered_to, result.drop_reason, deployment, dead_sites
+            )[1] is None
             for result in forwards
         )
         assert len(forwards) == len(clients)

@@ -2,9 +2,10 @@
 
 * the rig's assembly facts (capacity binds iff a workload is attached,
   one ``dead_sites`` set, the injector acts on the bound state);
-* a differential test that the prober, the catchment cache / workload
-  engine and the availability ledger agree on every delivery, on FIB
-  states sampled mid-convergence;
+* a differential test that the prober (fed an un-memoised walk), the
+  forwarding plane's walk memo, the workload engine, the availability
+  ledger and ``live_site`` agree on every delivery, on FIB states
+  sampled mid-convergence;
 * the three workload seed tags, pinned by literal account values
   captured at the commit before the rig existed.
 """
@@ -28,6 +29,7 @@ from repro.workload import builtin_profile, load_capacity
 from repro.workload.engine import WorkloadEngine
 
 from tests.conftest import FAST_TIMING, hand_chunk
+from tests.forwarding_oracle import HopChainPlane
 
 
 def make_rig(deployment, technique=None, site="sea1", **kwargs):
@@ -99,7 +101,7 @@ class TestAssembly:
 
 
 # ----------------------------------------------------------------------
-# One verdict: prober == catchment cache/engine == ledger
+# One verdict: prober == walk memo == engine == ledger == live_site
 
 
 CASES = [
@@ -130,22 +132,28 @@ class TestOneVerdict:
                 rig.plane, deployment, builtin_profile("constant"), seed=0,
                 dead_sites=rig.dead_sites,
             )
+            # The walk the plane replaced, which memoises nothing.
+            fresh = HopChainPlane(network, deployment.topology)
             for _ in range(12):
                 network.run_for(0.7)
                 for client in clients:
-                    result = rig.plane.snapshot_path(client, rig.dst)
-                    site, reason = delivery_verdict(result, deployment, rig.dead_sites)
+                    result = fresh.snapshot_path(client, rig.dst)
+                    verdict = delivery_verdict(
+                        result.delivered_to, result.drop_reason, deployment, rig.dead_sites
+                    )
+                    site, reason = verdict
                     seen.add(reason)
-                    # The prober, fed the same forward.
+                    # The prober, fed that forward.
                     event = self.prober_event(rig, result)
                     if reason is None:
                         assert isinstance(event, ProbeReply) and event.site == site
                     else:
                         assert isinstance(event, ProbeLost) and event.reason == reason
-                    # The catchment cache's routing half of the verdict.
-                    resolution = engine.cache.resolve(client)
-                    assert resolution.node == result.delivered_to
-                    assert resolution.reason == (None if reason == "dead-site" else reason)
+                    # The plane's memo entry, through the same verdict.
+                    walk = rig.plane.walk_from(client, rig.dst)
+                    assert delivery_verdict(
+                        walk.delivered_to, walk.reason, deployment, rig.dead_sites
+                    ) == verdict
                     # The ledger's class for the reason the prober emitted
                     # is the class the workload engine books the request to.
                     ledger_class = CLASS_BY_REASON[reason] if reason else "served"

@@ -10,7 +10,10 @@
   traces the very events, records the very probes, of the hop-chain
   prober;
 * ``snapshot_path`` keeps the parent's answer where the stable-loop rule
-  and the hop limit meet.
+  and the hop limit meet;
+* the walk memo: after every FIB write each entry's ⟨delivered node,
+  drop reason⟩ is the un-memoised walk's, and every flight in the air
+  carries the latencies ``Topology.hop_latencies`` gives its path.
 """
 
 from __future__ import annotations
@@ -152,6 +155,51 @@ class TestAgainstTheHopChain:
             plane = ForwardingPlane(network, topology)
             oracle = HopChainPlane(network, topology)
             assert plane.snapshot_path(nodes[0], ADDR) == oracle.snapshot_path(nodes[0], ADDR)
+
+
+class TestTheWalkMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(worlds())
+    def test_entries_and_latencies_follow_every_write(self, world):
+        topology, initial, writes, forwards = world
+        network = topology.build_network(seed=0, timing=FAST_TIMING)
+        for node, choice in initial:
+            _write(network, topology, node, choice)
+        plane = ForwardingPlane(network, topology)
+        fresh = HopChainPlane(network, topology)  # memoises nothing
+        checks = []
+
+        def check():
+            for n in topology.ases:
+                walk = plane.walk_from(n, ADDR)
+                result = fresh.snapshot_path(n, ADDR)
+                checks.append(
+                    (walk.delivered_to, walk.reason) == (result.delivered_to, result.drop_reason)
+                )
+            checks.extend(
+                flight.walk.latencies == tuple(topology.hop_latencies(flight.walk.path))
+                for flight in plane._flights
+            )
+
+        def write(node, choice):
+            _write(network, topology, node, choice)
+            check()
+
+        def send(start, delay):
+            plane.forward(start, ADDR, lambda _: None, delay=delay)
+            check()
+
+        # Fill the memo first, so the first write has entries to flush.
+        check()
+        for at, node, choice in writes:
+            network.engine.schedule_at(at, lambda n=node, c=choice: write(n, c))
+        for at, start, delay in forwards:
+            network.engine.schedule_at(at, lambda s=start, d=delay: send(s, d))
+        network.engine.run_until_idle()
+
+        assert checks and all(checks)
+        assert plane.misses >= len(topology.ases)
+        assert plane.invalidations <= len(writes)
 
 
 def _traced_cell(deployment, monkeypatch, plane_class, prober_class):

@@ -179,9 +179,10 @@ class TestAgreementMatrix:
             for c in clients
         }
         plane = ForwardingPlane(network, deployment.topology)
+        walks = {c: plane.walk_from(c, PROBE_SOURCE) for c in clients}
         fib = {
-            c: delivery_verdict(plane.snapshot_path(c, PROBE_SOURCE), deployment)[0]
-            for c in clients
+            c: delivery_verdict(walk.delivered_to, walk.reason, deployment)[0]
+            for c, walk in walks.items()
         }
         return rib, fib
 

@@ -1,10 +1,10 @@
-"""The catchment cache: correctness and route-version invalidation."""
+"""The walk memo the workload reads its catchment from: correctness and
+route-version invalidation (``ForwardingPlane.walk_from``)."""
 
 from repro.core.controller import CdnController
 from repro.core.techniques import ReactiveAnycast
-from repro.dataplane.forwarding import ForwardingPlane
-from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
-from repro.workload import CatchmentCache
+from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
+from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, SUPERPREFIX
 
 from tests.conftest import FAST_TIMING
 
@@ -24,50 +24,52 @@ def converged_plane(deployment, seed=5):
     return ForwardingPlane(network, deployment.topology), controller
 
 
+def landing_site(plane, deployment, client):
+    walk = plane.walk_from(client, PROBE_SOURCE)
+    return delivery_verdict(walk.delivered_to, walk.reason, deployment)[0]
+
+
 class TestResolution:
     def test_matches_uncached_walk(self, deployment):
         plane, _ = converged_plane(deployment)
-        cache = CatchmentCache(plane, deployment)
         for info in deployment.topology.web_client_ases()[:10]:
-            resolution = cache.resolve(info.node_id)
-            result = plane.snapshot_path(info.node_id, cache.dst)
-            if result.delivered:
-                assert resolution.node == result.delivered_to
-                assert resolution.site == deployment.site_of_node(result.delivered_to)
-            else:
-                assert resolution.reason is not None
+            walk = plane.walk_from(info.node_id, PROBE_SOURCE)
+            path = [info.node_id]
+            delivered_to, reason = plane._walk(PROBE_SOURCE, path, {})
+            assert (walk.path, walk.delivered_to, walk.reason) == (
+                tuple(path), delivered_to, reason
+            )
+            assert walk.latencies is None  # nothing has flown it
 
     def test_hot_path_is_cached(self, deployment):
         plane, _ = converged_plane(deployment)
-        cache = CatchmentCache(plane, deployment)
         client = deployment.topology.web_client_ases()[0].node_id
-        first = cache.resolve(client)
-        assert cache.misses == 1
+        first = plane.walk_from(client, PROBE_SOURCE)
+        assert plane.misses == 1
         for _ in range(100):
-            assert cache.resolve(client) == first
-        assert cache.misses == 1
-        assert cache.hits == 100
-        assert cache.invalidations == 0
+            assert plane.walk_from(client, PROBE_SOURCE) is first
+        assert plane.misses == 1
+        assert plane.hits == 100
+        assert plane.invalidations == 0
 
 
 class TestInvalidation:
     def test_every_version_bump_invalidates(self, deployment):
         """Property: any route_version move flushes the whole memo."""
         plane, _ = converged_plane(deployment)
-        cache = CatchmentCache(plane, deployment)
         clients = [i.node_id for i in deployment.topology.web_client_ases()[:5]]
         for client in clients:
-            cache.resolve(client)
-        assert len(cache) == len(clients)
+            plane.walk_from(client, PROBE_SOURCE)
+        assert len(plane._memo) == len(clients)
         network = plane.network
         for step in range(1, 6):
             network.route_version += 1
-            cache.resolve(clients[0])
-            # The memo restarted from empty: only the one re-resolved entry.
-            assert len(cache) == 1
-            assert cache.invalidations == step
+            plane.walk_from(clients[0], PROBE_SOURCE)
+            # The memo restarted from empty: only the one re-walked entry.
+            assert len(plane._memo) == 1
+            assert plane.invalidations == step
             for client in clients[1:]:
-                cache.resolve(client)
+                plane.walk_from(client, PROBE_SOURCE)
 
     def test_fib_install_bumps_route_version(self, deployment):
         plane, controller = converged_plane(deployment)
@@ -80,25 +82,23 @@ class TestInvalidation:
 
     def test_reroute_changes_cached_answer(self, deployment):
         plane, controller = converged_plane(deployment)
-        cache = CatchmentCache(plane, deployment)
         # A client whose requests land at the deployed specific site.
         client = next(
             info.node_id
             for info in deployment.topology.web_client_ases()
-            if cache.resolve(info.node_id).site == "sea1"
+            if landing_site(plane, deployment, info.node_id) == "sea1"
         )
         controller.fail_site("sea1")
         plane.network.converge()
-        after = cache.resolve(client)
-        assert cache.invalidations >= 1
-        assert after.site != "sea1"
+        after = landing_site(plane, deployment, client)
+        assert plane.invalidations >= 1
+        assert after != "sea1"
 
     def test_stable_version_never_invalidates(self, deployment):
         plane, _ = converged_plane(deployment)
-        cache = CatchmentCache(plane, deployment)
         clients = [i.node_id for i in deployment.topology.web_client_ases()[:8]]
         for _ in range(3):
             for client in clients:
-                cache.resolve(client)
-        assert cache.invalidations == 0
-        assert cache.misses == len(clients)
+                plane.walk_from(client, PROBE_SOURCE)
+        assert plane.invalidations == 0
+        assert plane.misses == len(clients)

@@ -25,6 +25,7 @@ from hypothesis import given, strategies as st
 from repro import telemetry
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import technique_by_name
+from repro.dataplane.forwarding import delivery_verdict
 from repro.telemetry.trace import SiteOverloaded, WorkloadSample
 from repro.workload import (
     CapacityProfile,
@@ -89,10 +90,11 @@ class TestOrderedEqualsAggregate:
         times, clients = times[:due], clients[:due]
         assert len(times) > 100
 
-        landed = {
-            index: engine.cache.resolve(engine.clients[index]).site
-            for index in set(clients.tolist())
-        }
+        def site_of(client):
+            walk = engine.plane.walk_from(client, engine.dst)
+            return delivery_verdict(walk.delivered_to, walk.reason, deployment)[0]
+
+        landed = {index: site_of(engine.clients[index]) for index in set(clients.tolist())}
         attempts: dict[str, int] = {}
         for index in clients.tolist():
             attempts[landed[index]] = attempts.get(landed[index], 0) + 1
@@ -105,7 +107,8 @@ class TestOrderedEqualsAggregate:
         # ... and the whole tick, booked through the engine, agrees.
         seen: list[str] = []
         engine.on_overload = seen.append
-        hits, misses = engine.cache.hits, engine.cache.misses
+        plane = engine.plane
+        hits, misses = plane.hits, plane.misses
         engine._book(times, clients, dt)
         account = engine.account
         assert account.offered == len(times) == sum(attempts.values())
@@ -113,9 +116,10 @@ class TestOrderedEqualsAggregate:
         assert account.lost_overload == account.offered - account.served
         assert account.served_by_site == {s: n for s, n in aggregate.items() if n}
         assert seen == sorted(s for s, n in attempts.items() if aggregate[s] < n)
-        # hits / misses count requests, not lookups
-        assert (engine.cache.hits - hits) + (engine.cache.misses - misses) == len(times)
-        assert engine.cache.misses == misses
+        # One memo lookup per distinct client, each a hit: the walks
+        # above filled the memo, and no FIB moved since.
+        assert plane.hits - hits == len(landed)
+        assert plane.misses == misses
 
 
 # ----------------------------------------------------------------------
