@@ -6,7 +6,8 @@ Three pure-analysis pieces on top of the telemetry substrate:
   -> BGP updates -> route re-selection -> FIB install -> DNS / catchment
   shift) from a recorded trace; backs ``repro explain``;
 * :mod:`repro.obs.ledger` -- fold probe events into classified outage
-  intervals and user-seconds-lost per technique; backs ``repro report``;
+  intervals, and probe and workload events into one downtime and one
+  request row per ⟨technique, site⟩; backs ``repro report``;
 * :mod:`repro.obs.profiler` -- per-event-kind wall-clock attribution
   inside the event engine; backs ``--profile`` and ``repro profile``.
 
@@ -18,6 +19,7 @@ from repro.obs.ledger import (
     OUTAGE_CLASSES,
     AvailabilityLedger,
     Outage,
+    OutageTally,
     render_report,
 )
 from repro.obs.profiler import (
@@ -39,6 +41,7 @@ __all__ = [
     "OUTAGE_CLASSES",
     "AvailabilityLedger",
     "Outage",
+    "OutageTally",
     "render_report",
     "PROFILE_SCHEMA",
     "EventProfiler",

@@ -11,6 +11,14 @@ stream, folds them into classified outage intervals and aggregates
 user-seconds-lost per technique and site. ``repro report`` renders the
 result.
 
+Rows: the ledger keeps two tallies per ⟨technique, site⟩ -- an
+:class:`OutageTally` of probe downtime and a
+:class:`~repro.workload.engine.WorkloadAccount` of requests, booked from
+the run's own ``WorkloadSample`` events -- and a technique's row is its
+sites' rows merged. Each kind of row is folded, merged, serialized and
+printed in one place, and the JSON and the text table print the same
+rows.
+
 Determinism: the ledger is a pure fold over the event list. A parallel
 (``--workers N``) run merges each cell's identical event subsequence in
 cell order, bracketed by ``CellStart``/``CellEnd`` markers that change
@@ -35,7 +43,8 @@ Outage model (one simulated "user" per probed target):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 from repro.dataplane.forwarding import CLASS_BY_REASON
 from repro.dataplane.ping import Probe
@@ -47,12 +56,18 @@ from repro.telemetry.trace import (
     WorkloadSample,
     split_runs,
 )
+from repro.workload.engine import WorkloadAccount, merge_accounts
 
 #: schema tag carried by the JSON rendering (``repro report --json``)
-LEDGER_SCHEMA = "repro.availability-ledger/1"
+LEDGER_SCHEMA = "repro.availability-ledger/2"
 
 #: outage classes, in tie-break priority order
 OUTAGE_CLASSES = ("blackhole", "loop", "wrong-site")
+
+Row = TypeVar("Row")
+
+#: technique -> ⟨its sites' rows merged, site -> row⟩
+Rollup = dict[str, tuple[Row, dict[str, Row]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,19 +87,49 @@ class Outage:
         return max(0.0, self.end - self.start)
 
 
-def _workload_bucket() -> dict:
-    return {
-        "offered": 0, "served": 0, "blackhole": 0, "loop": 0,
-        "wrong_site": 0, "overload": 0,
-        "user_seconds_lost": 0.0, "samples": 0,
-    }
+@dataclass(slots=True)
+class OutageTally:
+    """Probe-level downtime of one ⟨technique, site⟩, or of several merged."""
+
+    user_seconds_lost: float = 0.0
+    by_class: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(OUTAGE_CLASSES, 0.0)
+    )
+    outages: int = 0
+    #: targets with at least one outage (a merge counts a target once)
+    targets: set[str] = field(default_factory=set)
+
+    def book(self, outage: Outage) -> None:
+        self.user_seconds_lost += outage.duration
+        self.by_class[outage.outage_class] += outage.duration
+        self.outages += 1
+        self.targets.add(outage.target)
+
+    @classmethod
+    def merged(cls, tallies: Iterable[OutageTally]) -> OutageTally:
+        out = cls()
+        for tally in tallies:
+            out.user_seconds_lost += tally.user_seconds_lost
+            for name, seconds in tally.by_class.items():
+                out.by_class[name] += seconds
+            out.outages += tally.outages
+            out.targets |= tally.targets
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "user_seconds_lost": round(self.user_seconds_lost, 6),
+            "by_class": {name: round(s, 6) for name, s in self.by_class.items()},
+            "outages": self.outages,
+            "targets_affected": len(self.targets),
+        }
 
 
 class AvailabilityLedger:
     """Classified outage intervals plus their aggregation.
 
-    ``workload`` holds per-⟨technique, site⟩ request-level accounting
-    folded from :class:`WorkloadSample` events (empty for runs without a
+    ``workload`` holds the per-⟨technique, site⟩ request accounts booked
+    from :class:`WorkloadSample` events (empty for runs without a
     ``--workload`` profile); probe-level outages and request-level loss
     render side by side in ``repro report``.
     """
@@ -92,11 +137,10 @@ class AvailabilityLedger:
     def __init__(
         self,
         outages: list[Outage] | None = None,
-        workload: dict[tuple[str, str], dict] | None = None,
+        workload: dict[tuple[str, str], WorkloadAccount] | None = None,
     ) -> None:
         self.outages: list[Outage] = outages or []
-        #: (technique, site) -> workload aggregate (see _workload_bucket)
-        self.workload: dict[tuple[str, str], dict] = workload or {}
+        self.workload: dict[tuple[str, str], WorkloadAccount] = workload or {}
         #: (technique, site, target) -> the prober's records for that
         #: target, in send order, as :meth:`from_events` rebuilt them
         self.probes: dict[tuple[str, str, str], list[Probe]] = {}
@@ -117,19 +161,14 @@ class AvailabilityLedger:
         logs: dict[tuple[str, str, str], list[Probe]] = {}
         #: the same records, by (technique, site, target, seq)
         sent: dict[tuple[str, str, str, int], Probe] = {}
-        workload: dict[tuple[str, str], dict] = {}
+        workload: dict[tuple[str, str], WorkloadAccount] = {}
         for run, event in split_runs(events):
             technique, site = run.technique, run.site
             if isinstance(event, WorkloadSample):
-                bucket = workload.setdefault((technique, site), _workload_bucket())
-                bucket["offered"] += event.offered
-                bucket["served"] += event.served
-                bucket["blackhole"] += event.blackhole
-                bucket["loop"] += event.loop
-                bucket["wrong_site"] += event.wrong_site
-                bucket["overload"] += event.overload
-                bucket["user_seconds_lost"] += event.user_seconds_lost
-                bucket["samples"] += 1
+                account = workload.get((technique, site))
+                if account is None:
+                    account = workload[technique, site] = WorkloadAccount(technique, site)
+                account.book(event)
             elif isinstance(event, ProbeSent):
                 probe = Probe(event.seq, event.t)
                 logs.setdefault((technique, site, event.target), []).append(probe)
@@ -155,115 +194,54 @@ class AvailabilityLedger:
     def user_seconds_lost(self) -> float:
         return sum(outage.duration for outage in self.outages)
 
-    def by_technique(self) -> dict[str, dict]:
-        """Per-technique aggregation (the Fig. 2 comparison view)."""
-        out: dict[str, dict] = {}
+    def downtime(self) -> dict[tuple[str, str], OutageTally]:
+        """Probe downtime per ⟨technique, site⟩."""
+        rows: dict[tuple[str, str], OutageTally] = {}
         for outage in self.outages:
-            tech = out.setdefault(
-                outage.technique,
-                {
-                    "user_seconds_lost": 0.0,
-                    "by_class": {cls: 0.0 for cls in OUTAGE_CLASSES},
-                    "outages": 0,
-                    "targets_affected": set(),
-                    "sites": {},
-                },
-            )
-            site = tech["sites"].setdefault(
-                outage.site,
-                {
-                    "user_seconds_lost": 0.0,
-                    "by_class": {cls: 0.0 for cls in OUTAGE_CLASSES},
-                    "outages": 0,
-                    "targets_affected": set(),
-                },
-            )
-            for bucket in (tech, site):
-                bucket["user_seconds_lost"] += outage.duration
-                bucket["by_class"][outage.outage_class] += outage.duration
-                bucket["outages"] += 1
-                bucket["targets_affected"].add(outage.target)
-        return out
+            rows.setdefault((outage.technique, outage.site), OutageTally()).book(outage)
+        return rows
 
-    def workload_by_technique(self) -> dict[str, dict]:
-        """Per-technique workload aggregation (requests, not probes)."""
-        out: dict[str, dict] = {}
-        for (technique, site), bucket in self.workload.items():
-            tech = out.setdefault(technique, {**_workload_bucket(), "sites": {}})
-            per_site = tech["sites"].setdefault(site, _workload_bucket())
-            for target in (tech, per_site):
-                for key in (
-                    "offered", "served", "blackhole", "loop", "wrong_site",
-                    "overload", "user_seconds_lost", "samples",
-                ):
-                    target[key] += bucket[key]
-        return out
+    def by_technique(self) -> Rollup[OutageTally]:
+        """Per-technique downtime (the Fig. 2 comparison view)."""
+        return _rollup(self.downtime(), OutageTally.merged)
 
-    @staticmethod
-    def _workload_dict(bucket: dict) -> dict:
-        lost = (
-            bucket["blackhole"] + bucket["loop"] + bucket["wrong_site"]
-            + bucket["overload"]
-        )
-        return {
-            "offered": bucket["offered"],
-            "served": bucket["served"],
-            "lost": {
-                "blackhole": bucket["blackhole"],
-                "loop": bucket["loop"],
-                "wrong-site": bucket["wrong_site"],
-                "overload": bucket["overload"],
-            },
-            "requests_lost": lost,
-            "user_seconds_lost": round(bucket["user_seconds_lost"], 6),
-            "user_minutes_lost": round(bucket["user_seconds_lost"] / 60.0, 6),
-        }
+    def workload_by_technique(self) -> Rollup[WorkloadAccount]:
+        """Per-technique workload accounts (requests, not probes)."""
+        return _rollup(self.workload, merge_accounts)
 
     def to_dict(self) -> dict:
         """Plain-data rendering with a schema tag and stable rounding."""
-        techniques = {}
-        for name, tech in self.by_technique().items():
-            techniques[name] = {
-                "user_seconds_lost": round(tech["user_seconds_lost"], 6),
-                "by_class": {
-                    cls: round(v, 6) for cls, v in tech["by_class"].items()
-                },
-                "outages": tech["outages"],
-                "targets_affected": len(tech["targets_affected"]),
-                "sites": {
-                    site: {
-                        "user_seconds_lost": round(data["user_seconds_lost"], 6),
-                        "by_class": {
-                            cls: round(v, 6) for cls, v in data["by_class"].items()
-                        },
-                        "outages": data["outages"],
-                        "targets_affected": len(data["targets_affected"]),
-                    }
-                    for site, data in tech["sites"].items()
-                },
-            }
         out = {
             "schema": LEDGER_SCHEMA,
-            "techniques": techniques,
+            "techniques": _nested(self.by_technique(), OutageTally.to_dict),
             "total_user_seconds_lost": round(self.user_seconds_lost(), 6),
             "total_outages": len(self.outages),
         }
         if self.workload:
-            workload = {}
-            for name, tech in self.workload_by_technique().items():
-                entry = self._workload_dict(tech)
-                entry["sites"] = {
-                    site: self._workload_dict(bucket)
-                    for site, bucket in tech["sites"].items()
-                }
-                workload[name] = entry
-            out["workload"] = workload
+            out["workload"] = _nested(self.workload_by_technique(), WorkloadAccount.to_dict)
         return out
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, compact separators, newline-
         terminated -- byte-identical for identical outage sets."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _rollup(
+    rows: dict[tuple[str, str], Row], merge: Callable[[Iterable[Row]], Row]
+) -> Rollup[Row]:
+    """Group ⟨technique, site⟩ rows by technique, with their merge."""
+    by_site: dict[str, dict[str, Row]] = {}
+    for (technique, site), row in rows.items():
+        by_site.setdefault(technique, {})[site] = row
+    return {name: (merge(sites.values()), sites) for name, sites in by_site.items()}
+
+
+def _nested(rollup: Rollup[Row], to_dict: Callable[[Row], dict]) -> dict:
+    return {
+        name: {**to_dict(total), "sites": {site: to_dict(row) for site, row in sites.items()}}
+        for name, (total, sites) in rollup.items()
+    }
 
 
 def _intervals(technique: str, site: str, target: str, probes: list[Probe]) -> list[Outage]:
@@ -313,70 +291,56 @@ def _intervals(technique: str, site: str, target: str, probes: list[Probe]) -> l
 # ----------------------------------------------------------------------
 # Rendering
 
+#: ⟨heading, width, format, value⟩ per column of the probe table
+OUTAGE_COLUMNS: tuple[tuple[str, int, str, Callable[[OutageTally], float]], ...] = (
+    ("user-s lost", 12, ".1f", lambda row: row.user_seconds_lost),
+    ("blackhole", 10, ".1f", lambda row: row.by_class["blackhole"]),
+    ("loop", 8, ".1f", lambda row: row.by_class["loop"]),
+    ("wrong-site", 11, ".1f", lambda row: row.by_class["wrong-site"]),
+    ("outages", 8, "d", lambda row: row.outages),
+    ("targets", 8, "d", lambda row: len(row.targets)),
+)
+
+#: the same for the request table
+WORKLOAD_COLUMNS: tuple[tuple[str, int, str, Callable[[WorkloadAccount], float]], ...] = (
+    ("offered", 10, "d", lambda row: row.offered),
+    ("served", 10, "d", lambda row: row.served),
+    ("blackhole", 10, "d", lambda row: row.lost_blackhole),
+    ("loop", 8, "d", lambda row: row.lost_loop),
+    ("wrong-site", 11, "d", lambda row: row.lost_wrong_site),
+    ("overload", 9, "d", lambda row: row.lost_overload),
+    ("user-min lost", 14, ".1f", lambda row: row.user_minutes_lost),
+)
+
+
+def _table(columns, rollup: Rollup[Row]) -> list[str]:
+    """A header, then each technique's row over its sites' rows."""
+
+    def line(label: str, row: Row) -> str:
+        cells = " ".join(f"{value(row):{width}{fmt}}" for _, width, fmt, value in columns)
+        return f"{label:26s} {cells}"
+
+    header = " ".join(f"{heading:>{width}s}" for heading, width, _, _ in columns)
+    lines = [f"{'technique / site':26s} {header}"]
+    for name in sorted(rollup):
+        total, sites = rollup[name]
+        lines.append(line(name, total))
+        lines.extend(line(f"  {site}", sites[site]) for site in sorted(sites))
+    return lines
+
 
 def render_report(ledger: AvailabilityLedger) -> str:
     """Format a ledger as the ``repro report`` text output."""
-    techniques = ledger.by_technique()
     lines = [
         f"availability ledger: {len(ledger.outages)} outage(s), "
         f"{ledger.user_seconds_lost():.1f} user-seconds lost"
     ]
-    if not techniques:
+    downtime = ledger.by_technique()
+    if downtime:
+        lines += ["", *_table(OUTAGE_COLUMNS, downtime)]
+    else:
         lines.append("(no probe activity in the trace)")
-        lines.extend(_render_workload(ledger))
-        return "\n".join(lines)
-    lines.append("")
-    lines.append(
-        f"{'technique / site':26s} {'user-s lost':>12s} {'blackhole':>10s} "
-        f"{'loop':>8s} {'wrong-site':>11s} {'outages':>8s} {'targets':>8s}"
-    )
-    for name in sorted(techniques):
-        tech = techniques[name]
-        by_class = tech["by_class"]
-        lines.append(
-            f"{name:26s} {tech['user_seconds_lost']:12.1f} {by_class['blackhole']:10.1f} "
-            f"{by_class['loop']:8.1f} {by_class['wrong-site']:11.1f} "
-            f"{tech['outages']:8d} {len(tech['targets_affected']):8d}"
-        )
-        for site in sorted(tech["sites"]):
-            data = tech["sites"][site]
-            site_class = data["by_class"]
-            lines.append(
-                f"  {site:24s} {data['user_seconds_lost']:12.1f} "
-                f"{site_class['blackhole']:10.1f} {site_class['loop']:8.1f} "
-                f"{site_class['wrong-site']:11.1f} {data['outages']:8d} "
-                f"{len(data['targets_affected']):8d}"
-            )
-    lines.extend(_render_workload(ledger))
+    if ledger.workload:
+        lines += ["", "workload (requests):"]
+        lines += _table(WORKLOAD_COLUMNS, ledger.workload_by_technique())
     return "\n".join(lines)
-
-
-def _render_workload(ledger: AvailabilityLedger) -> list[str]:
-    """Request-level workload table (empty when no ``--workload`` ran)."""
-    workload = ledger.workload_by_technique()
-    if not workload:
-        return []
-    lines = [
-        "",
-        "workload (requests):",
-        f"{'technique / site':26s} {'offered':>10s} {'served':>10s} "
-        f"{'blackhole':>10s} {'loop':>8s} {'wrong-site':>11s} "
-        f"{'overload':>9s} {'user-min lost':>14s}",
-    ]
-    for name in sorted(workload):
-        tech = workload[name]
-        lines.append(
-            f"{name:26s} {tech['offered']:10d} {tech['served']:10d} "
-            f"{tech['blackhole']:10d} {tech['loop']:8d} "
-            f"{tech['wrong_site']:11d} {tech['overload']:9d} "
-            f"{tech['user_seconds_lost'] / 60.0:14.1f}"
-        )
-        for site in sorted(tech["sites"]):
-            data = tech["sites"][site]
-            lines.append(
-                f"  {site:24s} {data['offered']:10d} {data['served']:10d} "
-                f"{data['blackhole']:10d} {data['loop']:8d} "
-                f"{data['wrong_site']:11d} {data['overload']:9d} "
-                f"{data['user_seconds_lost'] / 60.0:14.1f}"
-            )
-    return lines

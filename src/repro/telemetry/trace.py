@@ -175,16 +175,18 @@ class ProbeLost(TraceEvent):
 @_register
 @dataclass(frozen=True, slots=True)
 class WorkloadSample(TraceEvent):
-    """Aggregated workload classification for one engine tick.
+    """One engine tick's workload tally.
 
     The workload engine never traces per-request events -- a 1M-request
     run would dwarf every other event kind combined -- it emits one
-    sample per non-empty tick with the tick's classification counts.
-    ``user_seconds_lost`` is ``(blackhole + loop + wrong_site) *
-    think_time_s``, computed at emission so the metric definition lives
-    in one place (see docs/workload.md). The availability ledger folds
-    samples into per-⟨technique, site⟩ workload aggregates using the
-    surrounding ``PhaseStart`` run context, exactly like probe events.
+    sample per non-empty tick. A sample is everything the tick adds to
+    its run's :class:`~repro.workload.engine.WorkloadAccount`: the engine
+    books it there (``WorkloadAccount.book``) and the availability
+    ledger books the same samples, under the surrounding ``PhaseStart``
+    run context, into its per-⟨technique, site⟩ rows. ``user_seconds_lost``
+    is ``(blackhole + loop + wrong_site + overload) * think_time_s``,
+    computed at the tick so the metric definition lives in one place
+    (see docs/workload.md).
     """
 
     kind: ClassVar[str] = "workload_sample"
@@ -198,6 +200,10 @@ class WorkloadSample(TraceEvent):
     #: (only nonzero when a capacity profile is attached)
     overload: int = 0
     user_seconds_lost: float = 0.0
+    #: the overload share of ``user_seconds_lost``
+    user_seconds_lost_overload: float = 0.0
+    #: requests served per live site (sites that served none are absent)
+    served_by_site: dict = field(default_factory=dict)
 
 
 @_register

@@ -33,11 +33,13 @@ capacity in the tick.
 
 Every failed request strands its user for the profile's
 ``think_time_s``; **user-minutes-lost** is ``failed_requests *
-think_time_s / 60``, accumulated per ⟨technique, site⟩ in a
-:class:`WorkloadAccount` and -- when telemetry is on -- emitted as
-aggregated :class:`~repro.telemetry.trace.WorkloadSample` events (one
-per non-empty tick, never per request, so traces stay bounded) for the
-availability ledger to fold.
+think_time_s / 60``. Each tick's tally is one
+:class:`~repro.telemetry.trace.WorkloadSample`, booked into the run's
+per-⟨technique, site⟩ :class:`WorkloadAccount` and -- when telemetry
+is on and the tick offered requests -- emitted, never per request, so
+traces stay bounded. The availability ledger books the emitted samples
+into the same kind of row, so ``repro report`` prints what the run
+accounted.
 
 Determinism: the engine consumes only its stream's dedicated RNG and
 reads (never writes) network state, so attaching a workload does not
@@ -66,7 +68,14 @@ from repro.workload.stream import RequestStream
 
 @dataclass(slots=True)
 class WorkloadAccount:
-    """Per-⟨technique, site⟩ offered-load and loss accounting."""
+    """Per-⟨technique, site⟩ offered-load and loss accounting.
+
+    One row, folded one way: :meth:`book` adds a tick's
+    :class:`~repro.telemetry.trace.WorkloadSample`, whether the engine
+    is booking the tick it just classified or the availability ledger is
+    replaying a trace, so a run's account and the ledger's row for it
+    are equal. :func:`merge_accounts` is the one merge of rows.
+    """
 
     technique: str = ""
     site: str = ""
@@ -82,6 +91,7 @@ class WorkloadAccount:
     user_seconds_lost_overload: float = 0.0
     #: requests served per live site (the offered-load distribution)
     served_by_site: dict[str, int] = field(default_factory=dict)
+    #: ticks booked (a ledger's row sees only those that offered requests)
     ticks: int = 0
 
     @property
@@ -104,6 +114,19 @@ class WorkloadAccount:
     @property
     def user_minutes_lost_overload(self) -> float:
         return self.user_seconds_lost_overload / 60.0
+
+    def book(self, sample: WorkloadSample) -> None:
+        """Fold one tick's tally into the row."""
+        self.ticks += 1
+        self.offered += sample.offered
+        self.served += sample.served
+        self.lost_blackhole += sample.blackhole
+        self.lost_loop += sample.loop
+        self.lost_wrong_site += sample.wrong_site
+        self.lost_overload += sample.overload
+        self.user_seconds_lost += sample.user_seconds_lost
+        self.user_seconds_lost_overload += sample.user_seconds_lost_overload
+        _add_counts(self.served_by_site, sample.served_by_site)
 
     def to_dict(self) -> dict:
         return {
@@ -153,9 +176,13 @@ def merge_accounts(accounts: Iterable[WorkloadAccount]) -> WorkloadAccount:
         merged.user_seconds_lost += account.user_seconds_lost
         merged.user_seconds_lost_overload += account.user_seconds_lost_overload
         merged.ticks += account.ticks
-        for site, count in account.served_by_site.items():
-            merged.served_by_site[site] = merged.served_by_site.get(site, 0) + count
+        _add_counts(merged.served_by_site, account.served_by_site)
     return merged
+
+
+def _add_counts(into: dict[str, int], counts: dict[str, int]) -> None:
+    for site, count in counts.items():
+        into[site] = into.get(site, 0) + count
 
 
 def render_account(account: WorkloadAccount) -> str:
@@ -381,8 +408,6 @@ class WorkloadEngine:
         """Classify one tick's arrivals (parallel arrays: arrival time,
         index into ``self.clients``) against current FIBs; ``dt`` is the
         tick's length, which sets each site's serving credit."""
-        account = self.account
-        account.ticks += 1
         walk_from = self.plane.walk_from
         names = self.clients
         dst = self.dst
@@ -424,43 +449,29 @@ class WorkloadEngine:
                     site: served_within(count, budgets.get(site, math.inf))
                     for site, count in attempts.items()
                 }
-        offered = len(clients)
-        if offered:
-            by_site = account.served_by_site
-            for site, count in served.items():
-                if count:
-                    by_site[site] = by_site.get(site, 0) + count
-            think = self.profile.think_time_s
-            served_n = sum(served.values())
-            overload = sum(attempts.values()) - served_n
-            blackhole, loop, wrong_site = lost["blackhole"], lost["loop"], lost["wrong-site"]
-            failed = blackhole + loop + wrong_site
-            user_s = (failed + overload) * think
-            account.offered += offered
-            account.served += served_n
-            account.lost_blackhole += blackhole
-            account.lost_loop += loop
-            account.lost_wrong_site += wrong_site
-            account.lost_overload += overload
-            account.user_seconds_lost += user_s
-            account.user_seconds_lost_overload += overload * think
-            telemetry = self._telemetry
-            if telemetry.enabled:
-                telemetry.inc("workload.requests", offered)
-                if failed or overload:
-                    telemetry.inc("workload.requests_lost", failed + overload)
-                telemetry.emit(
-                    WorkloadSample(
-                        t=telemetry.now(),
-                        offered=offered,
-                        served=served_n,
-                        blackhole=blackhole,
-                        loop=loop,
-                        wrong_site=wrong_site,
-                        overload=overload,
-                        user_seconds_lost=user_s,
-                    )
-                )
+        think = self.profile.think_time_s
+        served_n = sum(served.values())
+        overload = sum(attempts.values()) - served_n
+        failed = lost["blackhole"] + lost["loop"] + lost["wrong-site"]
+        telemetry = self._telemetry
+        sample = WorkloadSample(
+            t=telemetry.now(),
+            offered=len(clients),
+            served=served_n,
+            blackhole=lost["blackhole"],
+            loop=lost["loop"],
+            wrong_site=lost["wrong-site"],
+            overload=overload,
+            user_seconds_lost=(failed + overload) * think,
+            user_seconds_lost_overload=overload * think,
+            served_by_site={site: count for site, count in served.items() if count},
+        )
+        self.account.book(sample)
+        if sample.offered and telemetry.enabled:
+            telemetry.inc("workload.requests", sample.offered)
+            if failed or overload:
+                telemetry.inc("workload.requests_lost", failed + overload)
+            telemetry.emit(sample)
         # Fire the overload latch *after* the tick's accounting so the
         # control reaction (announcements, DNS divert) starts on later
         # ticks, never mid-drain.
@@ -468,7 +479,6 @@ class WorkloadEngine:
             site for site, count in attempts.items() if served.get(site, 0) < count
         )
         if hot and capacity is not None:
-            telemetry = self._telemetry
             for site in hot:
                 if site in self._overload_notified:
                     continue

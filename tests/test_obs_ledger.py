@@ -15,7 +15,13 @@ import pytest
 from repro.bgp.session import SessionTiming
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import Anycast, ReactiveAnycast
-from repro.obs import LEDGER_SCHEMA, OUTAGE_CLASSES, AvailabilityLedger, render_report
+from repro.obs import (
+    LEDGER_SCHEMA,
+    OUTAGE_CLASSES,
+    AvailabilityLedger,
+    OutageTally,
+    render_report,
+)
 from repro.parallel import matrix, run_sweep
 from repro.telemetry import (
     PhaseStart,
@@ -160,11 +166,14 @@ class TestAggregationAndJson:
         return AvailabilityLedger.from_events(events)
 
     def test_by_technique_rollup(self):
-        tech = self.make_ledger().by_technique()["anycast"]
-        assert tech["outages"] == 2
-        assert tech["user_seconds_lost"] == 20.0
-        assert set(tech["sites"]) == {"sea1", "ams"}
-        assert tech["sites"]["ams"]["by_class"]["loop"] == 10.0
+        total, sites = self.make_ledger().by_technique()["anycast"]
+        assert total.outages == 2
+        assert total.user_seconds_lost == 20.0
+        assert set(sites) == {"sea1", "ams"}
+        assert sites["ams"].by_class["loop"] == 10.0
+        # the technique's row is its sites' rows merged
+        assert total == OutageTally.merged(sites.values())
+        assert total.targets == {TARGET, "10.0.0.2"}
 
     def test_to_dict_schema(self):
         doc = self.make_ledger().to_dict()

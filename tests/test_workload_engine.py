@@ -8,13 +8,15 @@ import pytest
 from repro.bgp.session import SessionTiming
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.scenarios import ScenarioRunner
-from repro.core.techniques import ReactiveAnycast, technique_by_name
+from repro.core.techniques import Anycast, ReactiveAnycast, technique_by_name
 from repro.obs import LEDGER_SCHEMA, AvailabilityLedger, render_report
 from repro.parallel import matrix, run_sweep
 from repro.telemetry import Telemetry, TraceRecorder, using
+from repro.telemetry.trace import read_jsonl
 from repro.workload import (
     WorkloadAccount,
     builtin_profile,
+    load_capacity,
     merge_accounts,
     render_account,
 )
@@ -120,6 +122,35 @@ class TestLedgerFold:
         text = render_report(ledger)
         assert "workload (requests):" in text
         assert "user-min lost" in text
+
+    def test_the_ledger_books_the_runs_own_rows(self, deployment, tmp_path):
+        """Read back from JSONL, a two-worker sweep's trace gives the
+        ledger, per ⟨technique, site⟩, the very row each cell accounted
+        (overload and the served-by-site spread included), and a
+        technique's row is its cells' rows merged -- in the JSON and in
+        the text table alike."""
+        experiment = make_experiment(
+            deployment, probe_duration=60.0, capacity=load_capacity("40")
+        )
+        cells = matrix([Anycast(), ReactiveAnycast()], ["msn", "sea1"])
+        tracer = TraceRecorder()
+        with using(Telemetry(tracer=tracer)):
+            report = run_sweep(experiment, cells, workers=2)
+        assert report.ok
+        path = tmp_path / "trace.jsonl"
+        tracer.write_jsonl(path)
+        ledger = AvailabilityLedger.from_events(read_jsonl(path))
+        accounts = {(r.technique, r.site): r.workload for r in report.site_results()}
+        assert all(account.lost_overload for account in accounts.values())
+        assert {key: row.to_dict() for key, row in ledger.workload.items()} == {
+            key: account.to_dict() for key, account in accounts.items()
+        }
+        payload = ledger.to_dict()["workload"]
+        text = render_report(ledger)
+        for name in ("anycast", "reactive-anycast"):
+            merged = merge_accounts(accounts[name, site] for site in ("msn", "sea1"))
+            assert {k: v for k, v in payload[name].items() if k != "sites"} == merged.to_dict()
+            assert f"{name:26s} {merged.offered:10d} {merged.served:10d}" in text
 
     def test_ledger_without_workload_unchanged(self):
         payload = AvailabilityLedger.from_events([]).to_dict()
