@@ -3,10 +3,10 @@
 Two forwarding paths exist, matching how the experiment uses them:
 
 * **toward clients** (probe requests): client prefixes are not carried in
-  the dynamic BGP simulation, so requests follow the static valley-free
-  policy path to the target AS (see
-  :mod:`repro.topology.static_routes`) and arrive after its one-way
-  latency;
+  the dynamic BGP simulation, so requests follow the settled
+  single-origin policy path to the target AS (see
+  :func:`repro.topology.propagation.path_to`) and arrive after its
+  one-way latency;
 * **toward the CDN** (probe replies): each hop does a longest-prefix-match
   lookup in the FIB that router holds *when the packet arrives there*, so
   convergence can reroute, loop, or blackhole a reply mid-flight.
@@ -41,7 +41,7 @@ from repro.bgp.network import BgpNetwork
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.static_routes import StaticRoutes, static_routes_for
+from repro.topology.propagation import path_to
 
 if TYPE_CHECKING:
     from repro.topology.testbed import CdnDeployment
@@ -182,18 +182,12 @@ class ForwardingPlane:
     # ------------------------------------------------------------------
     # Static direction (CDN -> client)
 
-    def static_routes_to(self, dest_node: str) -> StaticRoutes:
-        """Cached static policy routes toward ``dest_node``.
-
-        The memo lives on the topology, not the plane: a solve is a
-        pure function of the AS graph, and the sweep builds a fresh
-        plane per cell -- per-plane caching re-solved the same
-        destinations for every cell of the matrix."""
-        return static_routes_for(self.topology, dest_node)
-
     def latency_to_client(self, src_node: str, dest_node: str) -> float | None:
-        """One-way latency along the static policy path, seconds."""
-        path = self.static_routes_to(dest_node).path(src_node)
+        """One-way latency along the settled policy path, seconds. The
+        path memo lives on the topology, not the plane: a solve is a
+        pure function of the AS graph, and the sweep builds a fresh
+        plane per cell."""
+        path = path_to(self.topology, src_node, dest_node)
         if path is None:
             return None
         return self.topology.path_latency(path)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.net.addr import IPv4Address
 from repro.topology.generator import Topology
-from repro.topology.static_routes import static_routes_for
+from repro.topology.propagation import path_to
 from repro.topology.testbed import CdnDeployment
 
 
@@ -111,9 +111,8 @@ def select_targets(
     selection = TargetSelection(site=site)
     eligible: list[HitlistEntry] = []
     for entry in hitlist.responsive_web_clients():
-        routes = static_routes_for(topology, entry.node)
-        rtt_s = routes.rtt_s(site_node)
-        if rtt_s is None or rtt_s * 1000.0 > rtt_limit_ms:
+        path = path_to(topology, site_node, entry.node)
+        if path is None or 2.0 * topology.path_latency(path) * 1000.0 > rtt_limit_ms:
             continue
         selection.nearby += 1
         if catchment.get(entry.node) == site:

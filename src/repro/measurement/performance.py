@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.topology.generator import Topology
-from repro.topology.static_routes import static_routes_for
+from repro.topology.propagation import path_to
 from repro.topology.testbed import CdnDeployment
 
 
@@ -79,9 +79,10 @@ class PerformanceReport:
 class SiteRttTable:
     """Precomputed RTTs from every client AS to every site.
 
-    One static valley-free solve per *client* covers all sites (the
-    solver computes routes from all nodes toward the client), so the
-    table costs O(clients) solves.
+    One single-origin solve per *client* covers all sites (it settles
+    routes from all nodes toward the client; see
+    :func:`repro.topology.propagation.path_to`), so the table costs
+    O(clients) solves.
     """
 
     def __init__(self, topology: Topology, deployment: CdnDeployment) -> None:
@@ -93,11 +94,10 @@ class SiteRttTable:
         per_client = self._rtts.get(client)
         if per_client is None:
             per_client = {}
-            routes = static_routes_for(self.topology, client)
             for name in self.deployment.site_names:
-                rtt = routes.rtt_s(self.deployment.site_node(name))
-                if rtt is not None:
-                    per_client[name] = rtt * 1000.0
+                path = path_to(self.topology, self.deployment.site_node(name), client)
+                if path is not None:
+                    per_client[name] = 2.0 * self.topology.path_latency(path) * 1000.0
             self._rtts[client] = per_client
         return per_client.get(site)
 

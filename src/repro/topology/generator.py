@@ -99,9 +99,9 @@ class Topology:
     _latencies: dict[tuple[str, str], float] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: memoized all-ASes static-route solves, keyed by destination node.
-    #: A solve depends only on the AS graph, never on BGP state, so it
-    #: is shared by every forwarding plane (and sweep cell) over this
+    #: the settled-routing memo of :mod:`repro.topology.propagation`.
+    #: It depends only on the AS graph, never on BGP state, so it is
+    #: shared by every forwarding plane (and sweep cell) over this
     #: topology instead of being re-solved per cell; growth clears it.
     _static_routes: dict = field(default_factory=dict, repr=False, compare=False)
     #: the per-link session timings of the last :meth:`build_network`,
@@ -151,10 +151,12 @@ class Topology:
         return [info for info in self.ases.values() if info.hosts_web_clients]
 
     def static_routes_cache(self) -> dict:
-        """The shared static-route memo: the plain ``{dest_node:
-        StaticRoutes}`` dict its one caller (``static_routes_for``)
-        fills. A solve is a pure function of the AS graph, so
-        :meth:`add_as` and :meth:`link` clear it."""
+        """The shared settled-routing memo, filled by
+        :mod:`repro.topology.propagation`: ``{dest_node: {node: next
+        hop}}`` of one-origin solves (``path_to``) and, under ``None``,
+        the preference-free ``SymbolicGraph`` with its offer fan-out
+        (``SymbolicGraph.from_topology``). Both are pure functions of
+        the AS graph, so :meth:`add_as` and :meth:`link` clear it."""
         return self._static_routes
 
     def neighbors(self, node_id: str) -> dict[str, Relationship]:

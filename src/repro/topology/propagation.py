@@ -1,36 +1,45 @@
 """Symbolic announcement propagation.
 
-Computes the stable routing state a set of originations converges to —
-*without running the event engine*. The engine here is a synchronous
-SPVP evaluation: every router simultaneously recomputes its best route
-from its neighbors' previous-round exports, using the *simulator's own*
+Computes the stable routing state a set of originations converges to --
+*without running the event engine* -- using the *simulator's own*
 decision process (:func:`repro.bgp.route.select_best`) and the router's
 own policy pair (:func:`repro.bgp.policy.exported`: what a neighbor
 hears; :func:`repro.bgp.policy.imported`: what it keeps of that). Those
-are the very functions :class:`repro.bgp.router.BgpRouter` calls, so the
-two engines share policy by construction and can differ in timing only:
-for Gao-Rexford-compliant worlds the stable state is unique
-(Griffin–Shepherd–Wilfong), so the symbolic fixed point equals whatever
-the asynchronous event simulation converges to, message timing
-notwithstanding.
+are the very functions :class:`repro.bgp.router.BgpRouter` calls, so
+the settled answers and the event engine share policy by construction
+and can differ in timing only.
 
-When the evaluation does *not* stabilize, the synchronous state
-sequence must revisit a state (the state space is finite) — a proven
-persistent oscillation under a fair activation schedule, i.e. a dispute
-wheel. The propagation result reports that instead of looping forever,
-which is how the VER211 dispute-wheel check works.
+Two solvers, one per kind of world:
 
-Per-AS preference overrides (``preferences``) replace the
-relationship-derived LOCAL_PREF for specific (node, neighbor) pairs, so
-fixture worlds can express BAD-GADGET-style policies that oscillate
-without any customer-cone cycle.
+* **Gao-Rexford worlds** (no ``preferences``): LOCAL_PREF comes from
+  the relationship alone, and every export makes a route strictly worse
+  in (LOCAL_PREF desc, AS-path length asc) -- a customer route reaches
+  a provider as a longer customer route, anything else arrives as a
+  peer or provider route. The algebra is strictly monotone, so there is
+  one stable state (Griffin-Shepherd-Wilfong), and a rank-ordered pass
+  finds it: each AS settles at the best rank its settled neighbors
+  offer it, Dijkstra-style. The same pass with one origination answers
+  "which path does traffic toward AS X take" (:func:`path_to`), the
+  question the §5.1 proximity filter, the RTT tables and the probe
+  requests ask.
+* **Worlds with preference overrides**: per-(node, neighbor) LOCAL_PREF
+  overrides can express BAD-GADGET-style policies that oscillate
+  without any customer-cone cycle. There a synchronous SPVP evaluation
+  (:func:`spvp`) runs: every router recomputes its best route from its
+  neighbors' previous-round exports. When it does *not* stabilize, the
+  state sequence must revisit a state (the state space is finite) -- a
+  proven persistent oscillation under a fair activation schedule, i.e.
+  a dispute wheel. The result reports that instead of looping forever,
+  which is how the VER211 dispute-wheel check works.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from repro.bgp.policy import LOCAL_ORIGIN_PREF, Relationship, exported, imported, relayed
@@ -44,6 +53,14 @@ if TYPE_CHECKING:
     from repro.core.plan import Origination
     from repro.topology.testbed import CdnDeployment
 
+#: what the one-origin question announces: a stand-in prefix, to every
+#: neighbor, unprepended and without a MED
+_ANY_PREFIX = IPv4Prefix.parse("0.0.0.0/0")
+_TO_EVERY_NEIGHBOR = SimpleNamespace(prepend=0, neighbors=None, med=None)
+
+#: the relationships a route can be held over (None: originated)
+_LEARNED_OVER = (None, Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
+
 
 @dataclass(slots=True)
 class SymbolicGraph:
@@ -55,16 +72,45 @@ class SymbolicGraph:
     adjacency: dict[str, dict[str, Relationship]]
     #: optional per-(node, neighbor) LOCAL_PREF overrides
     preferences: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: node -> {learned over: ((export over, what the far end learns the
+    #: route over, (neighbor, ...)), ...)}: where a route held over each
+    #: relationship is offered, one group per relationship class,
+    #: derived through :func:`repro.bgp.policy.relayed` on first use
+    _fanout: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_topology(
         cls, topology: Topology,
         preferences: dict[str, dict[str, int]] | None = None,
     ) -> "SymbolicGraph":
-        asn = {node: info.asn for node, info in topology.ases.items()}
-        return cls(
-            asn=asn, adjacency=topology.adjacency, preferences=dict(preferences or {})
-        )
+        """The graph of ``topology``; without ``preferences`` the one
+        kept in the topology's settled-routing memo, so its offer
+        fan-out is derived once per topology."""
+        if preferences:
+            asn = {node: info.asn for node, info in topology.ases.items()}
+            return cls(asn=asn, adjacency=topology.adjacency, preferences=dict(preferences))
+        memo = topology.static_routes_cache()
+        graph = memo.get(None)
+        if graph is None:
+            asn = {node: info.asn for node, info in topology.ases.items()}
+            graph = memo[None] = cls(asn=asn, adjacency=topology.adjacency)
+        return graph
+
+    def fanout(self) -> dict[str, dict[Relationship | None, tuple]]:
+        if self._fanout is None:
+            self._fanout = {}
+            for node, links in self.adjacency.items():
+                per_learned = self._fanout[node] = {}
+                for learned in _LEARNED_OVER:
+                    groups: dict[Relationship, list[str]] = {}
+                    for neighbor, relationship in links.items():
+                        if relayed(learned, relationship) is not None:
+                            groups.setdefault(relationship, []).append(neighbor)
+                    per_learned[learned] = tuple(
+                        (relationship, relayed(learned, relationship), tuple(neighbors))
+                        for relationship, neighbors in groups.items()
+                    )
+        return self._fanout
 
 
 @dataclass(slots=True)
@@ -81,6 +127,7 @@ class PropagationResult:
     #: stabilizing — a proven dispute wheel; ``best``/``candidates``
     #: then hold the state at detection time, not a fixed point.
     stable: bool
+    #: SPVP rounds run (0: solved by the rank-ordered pass)
     rounds: int
     #: nodes whose best route was still changing when the oscillation
     #: was detected (empty for stable results)
@@ -113,30 +160,134 @@ class PropagationResult:
         return links
 
 
-def propagate(
+def _origins(
+    graph: SymbolicGraph, originations: Iterable[Origination], prefix: IPv4Prefix
+) -> dict[str, Origination]:
+    origins = {o.node: o for o in originations if o.prefix == prefix}
+    for node in origins:
+        if node not in graph.asn:
+            raise KeyError(f"origination at unknown node {node!r}")
+    return origins
+
+
+def _local(origins: dict[str, Origination], prefix: IPv4Prefix) -> dict[str, Route]:
+    return {node: Route(prefix, (), None, LOCAL_ORIGIN_PREF, node) for node in origins}
+
+
+def _adj_rib_in(
+    graph: SymbolicGraph, nodes: list[str], origins: dict[str, Origination],
+    best: dict[str, Route],
+) -> dict[str, dict[str, Route]]:
+    """node -> {neighbor: what the node keeps of the neighbor's export of
+    its ``best`` route}, both in sorted order."""
+    candidates: dict[str, dict[str, Route]] = {}
+    for node in nodes:
+        asn = graph.asn[node]
+        preferences = graph.preferences.get(node, {})
+        kept_here = candidates[node] = {}
+        for neighbor in sorted(graph.adjacency[node]):
+            route = best.get(neighbor)
+            if route is None:
+                continue
+            links = graph.adjacency[neighbor]
+            heard = exported(
+                route, neighbor, graph.asn[neighbor], origins.get(neighbor),
+                links.get(route.learned_from), node, links[node],
+            )
+            if heard is None:
+                continue
+            kept = imported(
+                heard, asn, graph.adjacency[node][neighbor], preferences.get(neighbor)
+            )
+            if kept is not None:
+                kept_here[neighbor] = kept
+    return candidates
+
+
+def _settle(
+    graph: SymbolicGraph, origins: dict[str, Origination], prefix: IPv4Prefix
+) -> dict[str, Route]:
+    """The best routes of the one stable state of a world without
+    preference overrides, by the rank-ordered pass.
+
+    Ranks are (-LOCAL_PREF, AS-path length). An AS is settled when the
+    smallest rank still waiting is the best any settled neighbor offers
+    it: every route it could still hear comes from an AS of that rank or
+    worse, and an export makes a route strictly worse, so nothing can
+    beat the offers in hand. Its best is :func:`select_best` over the
+    offers at that rank, in neighbor order, as the full candidate scan
+    would pick it.
+    """
+    asn, adjacency, fanout = graph.asn, graph.adjacency, graph.fanout()
+    best = _local(origins, prefix)
+    #: unsettled node -> [best rank offered, {neighbor: route at that rank}]
+    offers: dict[str, list] = {}
+    #: rank -> nodes offered a route at that rank; ``ranks`` heaps the keys
+    waiting: dict[tuple[int, int], list[str]] = {}
+    ranks: list[tuple[int, int]] = []
+
+    def offer_from(node: str, route: Route) -> None:
+        learned_over = adjacency[node].get(route.learned_from)
+        origin = origins.get(node)
+        # Beyond its relationship, an export reads the far end only for
+        # split horizon (the neighbor a route came from is settled
+        # already) and an origination's neighbor scope: a learned route
+        # is written once per relationship class, as BgpRouter._export
+        # writes it.
+        per_neighbor = route.learned_from is None
+        for export_over, far, neighbors in fanout[node][learned_over]:
+            heard = None
+            for neighbor in neighbors:
+                if neighbor in best:
+                    continue
+                if heard is None or per_neighbor:
+                    heard = exported(
+                        route, node, asn[node], origin, learned_over, neighbor, export_over
+                    )
+                    if heard is None:
+                        continue
+                kept = imported(heard, asn[neighbor], far)
+                if kept is None:
+                    continue
+                rank = (-kept.local_pref, len(kept.as_path))
+                held = offers.get(neighbor)
+                if held is not None and held[0] < rank:
+                    continue
+                if held is None or rank < held[0]:
+                    offers[neighbor] = [rank, {node: kept}]
+                    bucket = waiting.get(rank)
+                    if bucket is None:
+                        bucket = waiting[rank] = []
+                        heapq.heappush(ranks, rank)
+                    bucket.append(neighbor)
+                else:
+                    held[1][node] = kept
+
+    for node, route in best.items():
+        offer_from(node, route)
+    while ranks:
+        for node in waiting.pop(heapq.heappop(ranks)):
+            if node in best:
+                continue  # settled at a better rank already
+            heard_by = offers.pop(node)[1]
+            route = best[node] = select_best([heard_by[n] for n in sorted(heard_by)])
+            offer_from(node, route)
+    return best
+
+
+def spvp(
     graph: SymbolicGraph,
     originations: Iterable[Origination],
     prefix: IPv4Prefix,
 ) -> PropagationResult:
     """Run the synchronous SPVP evaluation for one prefix to its fixed
-    point (or to a proven oscillation).
-
-    ``originations`` may cover several prefixes; only those matching
-    ``prefix`` participate.
-    """
-    origins: dict[str, Origination] = {
-        o.node: o for o in originations if o.prefix == prefix
-    }
-    for node in origins:
-        if node not in graph.asn:
-            raise KeyError(f"origination at unknown node {node!r}")
-
-    local: dict[str, Route] = {
-        node: Route(prefix, (), None, LOCAL_ORIGIN_PREF, node) for node in origins
-    }
+    point (or to a proven oscillation): the solver for worlds with
+    preference overrides, and the reference the rank-ordered pass is
+    tested against."""
+    origins = _origins(graph, originations, prefix)
+    local = _local(origins, prefix)
     nodes = sorted(graph.asn)
     best: dict[str, Route] = dict(local)
-    candidates: dict[str, dict[str, Route]] = {node: {} for node in nodes}
 
     def state_key() -> tuple:
         return tuple(
@@ -149,26 +300,7 @@ def propagate(
     rounds = 0
     while rounds < cap:
         rounds += 1
-        new_candidates: dict[str, dict[str, Route]] = {node: {} for node in nodes}
-        for node in nodes:
-            asn = graph.asn[node]
-            preferences = graph.preferences.get(node, {})
-            for neighbor in sorted(graph.adjacency[node]):
-                route = best.get(neighbor)
-                if route is None:
-                    continue
-                links = graph.adjacency[neighbor]
-                heard = exported(
-                    route, neighbor, graph.asn[neighbor], origins.get(neighbor),
-                    links.get(route.learned_from), node, links[node],
-                )
-                if heard is None:
-                    continue
-                kept = imported(
-                    heard, asn, graph.adjacency[node][neighbor], preferences.get(neighbor)
-                )
-                if kept is not None:
-                    new_candidates[node][neighbor] = kept
+        new_candidates = _adj_rib_in(graph, nodes, origins, best)
         new_best: dict[str, Route] = {}
         for node in nodes:
             chosen = select_best(
@@ -198,6 +330,59 @@ def propagate(
     )
 
 
+def propagate(
+    graph: SymbolicGraph,
+    originations: Iterable[Origination],
+    prefix: IPv4Prefix,
+) -> PropagationResult:
+    """The stable state ``originations`` converge to for ``prefix``: by
+    the rank-ordered pass, or by :func:`spvp` where ``graph`` carries
+    preference overrides (there a world may have no stable state, and
+    the result then says so).
+
+    ``originations`` may cover several prefixes; only those matching
+    ``prefix`` participate.
+    """
+    if graph.preferences:
+        return spvp(graph, originations, prefix)
+    origins = _origins(graph, originations, prefix)
+    best = _settle(graph, origins, prefix)
+    candidates = _adj_rib_in(graph, sorted(graph.asn), origins, best)
+    return PropagationResult(
+        prefix=prefix, best=best, candidates=candidates, stable=True, rounds=0
+    )
+
+
+def path_to(topology: Topology, src: str, dest: str) -> list[str] | None:
+    """The node path traffic from ``src`` toward AS ``dest`` takes once a
+    route to ``dest`` alone has settled (``src`` and ``dest`` inclusive),
+    or None where policy gives ``src`` no route.
+
+    The pass for one origination at ``dest``, memoised as ``{node: next
+    hop}`` per destination in :meth:`Topology.static_routes_cache`: it
+    depends on the AS graph only, so every forwarding plane, sweep cell
+    and proximity filter over the topology shares it. Sites share the
+    CDN's ASN, so loop prevention leaves no site a route to another.
+    """
+    memo = topology.static_routes_cache()
+    next_hops = memo.get(dest)
+    if next_hops is None:
+        if dest not in topology.ases:
+            raise KeyError(f"unknown destination {dest!r}")
+        best = _settle(
+            SymbolicGraph.from_topology(topology), {dest: _TO_EVERY_NEIGHBOR}, _ANY_PREFIX
+        )
+        next_hops = memo[dest] = {
+            node: route.learned_from for node, route in best.items() if node != dest
+        }
+    if src != dest and src not in next_hops:
+        return None
+    path = [src]
+    while path[-1] != dest:
+        path.append(next_hops[path[-1]])
+    return path
+
+
 def catchment_of(
     deployment: CdnDeployment,
     results: Iterable[PropagationResult],
@@ -224,7 +409,8 @@ def solve_plan(
     solved: dict[tuple, PropagationResult],
 ) -> dict[IPv4Prefix, PropagationResult]:
     """One fixed point per prefix the plan announces, in prefix order
-    (:func:`propagate`'s one caller). A later origination replaces an
+    (the one caller of :func:`propagate` in the package; the one-origin
+    question goes through :func:`path_to`). A later origination replaces an
     earlier one at the same node, as ``BgpRouter.originate`` does.
     ``solved`` memoises over one graph: plans that share a prefix's
     originations, in any announce order, solve it once."""

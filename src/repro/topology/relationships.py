@@ -18,7 +18,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
-from repro.bgp.policy import Relationship
+from repro.bgp.policy import LOCAL_PREF, Relationship
 from repro.net.addr import IPv4Prefix
 from repro.topology.geo import Location
 
@@ -68,6 +68,14 @@ class AsInfo:
         return "web-clients" in self.tags
 
 
+#: a relationship's LOCAL_PREF rank, highest (0) first: customer 0, peer
+#: 1, provider 2
+_PREFERENCE_RANK = {
+    relationship: rank
+    for rank, relationship in enumerate(sorted(LOCAL_PREF, key=LOCAL_PREF.get, reverse=True))
+}
+
+
 class RelationshipDataset:
     """AS-relationship data as an external inference would see it.
 
@@ -115,13 +123,7 @@ class RelationshipDataset:
 
         Lower is more preferred: 0 customer, 1 peer, 2 provider — the
         ordering Appendix C.1 uses to explain why diverging ASes pick
-        routes away from the intended site. None when unclassified.
+        routes away from the intended site, read off the import policy's
+        LOCAL_PREF. None when unclassified (or a collector feed).
         """
-        rel = self.lookup(a, b)
-        if rel is None or rel is Relationship.COLLECTOR:
-            return None
-        return {
-            Relationship.CUSTOMER: 0,
-            Relationship.PEER: 1,
-            Relationship.PROVIDER: 2,
-        }[rel]
+        return _PREFERENCE_RANK.get(self.lookup(a, b))

@@ -3,12 +3,15 @@
 The SPVP result this leans on (Griffin, Shepherd & Wilfong): if a
 policy system has no dispute wheel, it has a unique stable state and
 every fair activation schedule converges to it — in particular the
-synchronous schedule :func:`repro.topology.propagation.propagate` runs.
+synchronous schedule :func:`repro.topology.propagation.spvp` runs.
 Conversely, when the synchronous evaluation revisits a state without
 stabilizing, that state cycle *is* a persistent oscillation, so a
 dispute wheel exists. Propagation therefore doubles as a sound and
 complete oscillation detector for the policies the world expresses
-(relationship preferences plus per-AS overrides).
+(relationship preferences plus per-AS overrides): ``propagate``
+runs SPVP wherever the world sets overrides, and without them the
+policy is strictly monotone, has one stable state and cannot
+oscillate.
 
 Prepending (VER212) and damping (VER213) are the two knobs the paper
 identifies that do not break convergence but can starve it: a prepend

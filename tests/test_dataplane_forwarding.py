@@ -211,7 +211,10 @@ class TestClientDirection:
         assert plane.latency_to_client("r1", "x") is None
 
     def test_static_routes_cached(self):
+        """The path memo lives on the topology: a second plane over it
+        solves nothing again."""
         topo, net, plane = make_plane()
-        first = plane.static_routes_to("r0")
-        second = plane.static_routes_to("r0")
-        assert first is second
+        plane.latency_to_client("r3", "r0")
+        next_hops = topo.static_routes_cache()["r0"]
+        assert ForwardingPlane(net, topo).latency_to_client("r2", "r0") is not None
+        assert topo.static_routes_cache()["r0"] is next_hops

@@ -3,16 +3,16 @@
 These are the strongest correctness checks in the suite: for arbitrary
 seeded Internet-like topologies, the dynamic BGP simulator must
 converge, produce loop-free forwarding, respect valley-free export, and
-agree with the independent static solver.
+agree with the settled single-origin answer.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bgp.policy import LOCAL_PREF, Relationship
+from repro.bgp.policy import LOCAL_PREF
 from repro.net.addr import IPv4Prefix
 from repro.topology.generator import TopologyParams, generate_topology
+from repro.topology.propagation import path_to
 from repro.topology.relationships import AsClass
-from repro.topology.static_routes import CUSTOMER, PEER, PROVIDER, StaticRoutes
 
 from tests.conftest import FAST_TIMING
 
@@ -29,12 +29,6 @@ params_strategy = st.builds(
     n_re_backbone=st.integers(min_value=2, max_value=3),
     n_hypergiant=st.integers(min_value=1, max_value=2),
 )
-
-PREF_OF_CLASS = {
-    CUSTOMER: LOCAL_PREF[Relationship.CUSTOMER],
-    PEER: LOCAL_PREF[Relationship.PEER],
-    PROVIDER: LOCAL_PREF[Relationship.PROVIDER],
-}
 
 SETTINGS = settings(
     max_examples=8,
@@ -70,11 +64,11 @@ class TestRandomTopologyProperties:
     @SETTINGS
     @given(params_strategy)
     def test_dynamic_matches_static_solver(self, params):
-        """Converged route class and AS-path length equal the static
-        valley-free solution at every AS."""
+        """Converged route class (the LOCAL_PREF of the next hop's
+        relationship), AS-path length and next hop equal the one-origin
+        solve's path at every AS."""
         topology = generate_topology(params)
         origin = topology.web_client_ases()[-1].node_id
-        static = StaticRoutes(topology, origin)
         network = topology.build_network(seed=params.seed + 1, timing=FAST_TIMING)
         network.announce(origin, PFX)
         network.converge()
@@ -82,13 +76,14 @@ class TestRandomTopologyProperties:
             if node == origin:
                 continue
             dynamic = network.router(node).best_route(PFX)
-            expected = static.route(node)
-            if expected is None:
+            path = path_to(topology, node, origin)
+            if path is None:
                 assert dynamic is None, node
                 continue
             assert dynamic is not None, node
-            assert dynamic.local_pref == PREF_OF_CLASS[expected.pref_class], node
-            assert len(dynamic.as_path) == expected.hops, node
+            assert len(dynamic.as_path) == len(path) - 1, node
+            assert dynamic.learned_from == path[1], node
+            assert dynamic.local_pref == LOCAL_PREF[topology.adjacency[node][path[1]]], node
 
     @SETTINGS
     @given(params_strategy)

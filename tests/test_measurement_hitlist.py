@@ -46,7 +46,7 @@ class TestHitlist:
 class TestTargetSelection:
     def test_proximity_filter(self, deployment, topology, catchment):
         """No selected target's RTT to the site exceeds the bound."""
-        from repro.topology.static_routes import StaticRoutes
+        from repro.topology.propagation import path_to
 
         hitlist = Hitlist(topology)
         selection = select_targets(
@@ -54,8 +54,8 @@ class TestTargetSelection:
         )
         site_node = deployment.site_node("sea1")
         for node in selection.targets.values():
-            rtt = StaticRoutes(topology, node).rtt_s(site_node)
-            assert rtt is not None and rtt * 1000 <= 50.0
+            path = path_to(topology, site_node, node)
+            assert path is not None and 2.0 * topology.path_latency(path) * 1000 <= 50.0
 
     def test_anycast_routed_targets_excluded(self, deployment, topology, catchment):
         hitlist = Hitlist(topology)

@@ -18,7 +18,7 @@ from repro.topology.generator import (
 from repro.topology.geo import REGIONS
 from repro.topology.relationships import AsClass, AsInfo
 from repro.topology.geo import Location
-from repro.topology.static_routes import static_routes_for
+from repro.topology.propagation import path_to
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +159,9 @@ class TestTopologyApi:
         topo.link("b", "a", Relationship.PROVIDER)
         assert topo.has_link("a", "b") and topo.has_link("b", "a")
         assert not topo.has_link("a", "c")
-        assert static_routes_for(topo, "a").route("c") is None
+        assert path_to(topo, "c", "a") is None
         topo.link("c", "a", Relationship.PROVIDER)
-        assert static_routes_for(topo, "a").route("c").next_hop == "a"
+        assert path_to(topo, "c", "a") == ["c", "a"]
         assert topo.adjacency == {
             "a": {"b": Relationship.CUSTOMER, "c": Relationship.CUSTOMER},
             "b": {"a": Relationship.PROVIDER},

@@ -24,8 +24,8 @@ from repro.topology.propagation import (
     ambiguous_ties,
     propagate,
     settled_catchment,
+    spvp,
 )
-from repro.topology.static_routes import StaticRoutes
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
 from repro.verify import world_from_dict
 
@@ -209,24 +209,53 @@ class TestAgreementMatrix:
                             mismatches.append((params.seed, name, site, down, wrong[:3]))
         assert not mismatches, mismatches
 
-    def test_closed_form_matches_single_origin_fixed_point(self):
-        """The two static solvers that stay (``docs/architecture.md``):
-        closed-form ``StaticRoutes`` and the symbolic fixed point pick
-        the same next hop at every AS toward a single origin."""
-        for params in (WORLDS[0], WORLDS[-1]):
-            topology = build_deployment(params=params).topology
-            graph = SymbolicGraph.from_topology(topology)
-            destinations = [info.node_id for info in topology.web_client_ases()][::9][:12]
-            assert len(destinations) >= 10
-            for dest in destinations:
-                static = StaticRoutes(topology, dest)
-                result = propagate(graph, [Origination(dest, SPECIFIC_PREFIX)], SPECIFIC_PREFIX)
-                assert result.stable
-                for node in topology.ases:
-                    route = static.route(node)
-                    best = result.best.get(node)
-                    if node == dest:
-                        continue
-                    assert (route.next_hop if route else None) == (
-                        best.learned_from if best else None
-                    ), (params.seed, dest, node)
+    def test_pass_matches_spvp(self):
+        """The rank-ordered pass :func:`propagate` runs on Gao-Rexford
+        worlds against synchronous SPVP, called directly: the same best
+        route and the same Adj-RIB-In at every AS, for every registered
+        technique (``proactive-prepending`` at depths 1 and 3), specific
+        site and ⟨normal, failed-site⟩ plan."""
+        techniques = [
+            technique_by_name(name) for name in sorted(TECHNIQUES)
+            if name != "proactive-prepending"
+        ] + [technique_by_name("proactive-prepending", prepend=depth) for depth in (1, 3)]
+        for params in WORLDS:
+            deployment = build_deployment(params=params)
+            graph = SymbolicGraph.from_topology(deployment.topology)
+            solved: set[tuple] = set()
+            for technique in techniques:
+                for site in deployment.site_names:
+                    for down in ((), (site,)):
+                        plan = technique.originations(deployment, site, down=down)
+                        for prefix in sorted({o.prefix for o in plan}):
+                            announced = {o.node: o for o in plan if o.prefix == prefix}
+                            key = (prefix, frozenset(announced.values()))
+                            if key in solved:
+                                continue
+                            solved.add(key)
+                            settled = propagate(graph, announced.values(), prefix)
+                            reference = spvp(graph, announced.values(), prefix)
+                            assert reference.stable and reference.rounds > 0
+                            assert (settled.stable, settled.rounds) == (True, 0)
+                            assert settled.best == reference.best, (params.seed, key)
+                            assert settled.candidates == reference.candidates, (params.seed, key)
+            assert len(solved) > 50
+
+
+class TestSolverChoice:
+    """SPVP rounds run only where preference overrides need them."""
+
+    def test_no_round_without_preferences(self, clean_world, monkeypatch):
+        graph = SymbolicGraph.from_topology(clean_world.topology)
+        monkeypatch.setattr(
+            "repro.topology.propagation.spvp",
+            lambda *args: pytest.fail("SPVP ran on a Gao-Rexford world"),
+        )
+        result = propagate(graph, [Origination("site:x", SPECIFIC_PREFIX)], SPECIFIC_PREFIX)
+        assert (result.stable, result.rounds) == (True, 0)
+
+    def test_rounds_with_preferences(self, clean_world):
+        graph = SymbolicGraph.from_topology(clean_world.topology, {"c1": {"p1": 50}})
+        result = propagate(graph, [Origination("site:x", SPECIFIC_PREFIX)], SPECIFIC_PREFIX)
+        assert result.stable and result.rounds > 0
+        assert result == spvp(graph, [Origination("site:x", SPECIFIC_PREFIX)], SPECIFIC_PREFIX)

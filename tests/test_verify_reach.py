@@ -24,7 +24,7 @@ from repro.core.techniques import TECHNIQUES, ProactivePrepending, techniques_na
 from repro.topology import propagation
 from repro.topology.generator import generate_topology
 from repro.topology.geo import REGIONS
-from repro.topology.propagation import SymbolicGraph, valley_free_reach
+from repro.topology.propagation import SymbolicGraph, propagate, spvp, valley_free_reach
 from repro.topology.testbed import (
     SPECIFIC_PREFIX,
     SUPERPREFIX,
@@ -156,6 +156,24 @@ class TestGeneratedWorlds:
                 # sibling sites hear the route but refuse it: one ASN, so an AS-path loop
                 reach = {n for n in reach if n == origination.node or not n.startswith("site:")}
             assert alone.stable and reach == set(alone.best), origination
+
+    @settings(max_examples=150, deadline=None)
+    @given(gao_rexford_worlds(with_preferences=False))
+    def test_pass_matches_spvp(self, case):
+        """The rank-ordered pass ``propagate`` runs without overrides
+        against synchronous SPVP, called directly: the same best routes
+        and Adj-RIB-In, for the whole plan with the transit
+        announcements and for each origination alone."""
+        document, plan, transit = case
+        graph = SymbolicGraph.from_topology(world_from_dict(document).topology)
+        originations = [*plan, *transit]
+        for announced in (originations, *([o] for o in originations)):
+            for prefix in sorted({o.prefix for o in announced}):
+                settled = propagate(graph, announced, prefix)
+                reference = spvp(graph, announced, prefix)
+                assert reference.stable and settled.rounds == 0
+                assert settled.best == reference.best, (announced, prefix)
+                assert settled.candidates == reference.candidates, (announced, prefix)
 
     @settings(max_examples=150, deadline=None)
     @given(gao_rexford_worlds(with_preferences=True))
