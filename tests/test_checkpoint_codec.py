@@ -1,5 +1,6 @@
 """Tests for the quiescent-network snapshot/restore codec."""
 
+import copy
 import dataclasses
 import pickle
 
@@ -33,19 +34,40 @@ RICH_TIMING = SessionTiming(
 
 
 def fingerprint(net: BgpNetwork) -> dict:
-    """Everything that determines future behavior, as comparable data."""
+    """Everything that determines future behavior, as comparable data.
+
+    A restore renumbers what only orders or dates past work: its fresh
+    engine counts events from 0, and a deadline behind the clock is as
+    spent as one that never ran. So queued events appear by time and
+    sequence number relative to the next one, and the quiet horizon and
+    each MRAI deadline as the later of it and the clock.
+    """
+    engine = net.engine
+    now = engine.now
+    next_seq = next(copy.copy(engine._counter))
     return {
-        "now": net.now,
+        "now": now,
         "rng": net.rng.getstate(),
         "next_cause": net._next_cause,
+        "current_cause": net.current_cause,
+        "engine": {
+            "queue": sorted((when, seq - next_seq) for when, seq, _ in engine._queue),
+            "horizon": max(engine.horizon, now),
+        },
         "routers": {
             name: {
-                "loc_rib": dict(net.router(name).loc_rib),
-                "adj_rib_in": {p: dict(h) for p, h in net.router(name).adj_rib_in.items()},
-                "fib": sorted(net.router(name).fib.items()),
-                "origins": dict(net.router(name).origins),
+                "loc_rib": dict(router.loc_rib),
+                "adj_rib_in": {p: dict(h) for p, h in router.adj_rib_in.items()},
+                "fib": sorted(router.fib.items()),
+                "origins": dict(router.origins),
+                "med_heard": router.med_heard,
+                "damping": None if router.damping is None else (
+                    router.damping.export_state(),
+                    router.damping.flaps,
+                    router.damping.suppressions,
+                ),
             }
-            for name in net.routers
+            for name, router in net.routers.items()
         },
         "sessions": {
             (local, remote): (
@@ -53,11 +75,22 @@ def fingerprint(net: BgpNetwork) -> dict:
                 session.epoch,
                 sorted(session.advertised),
                 session.closed,
+                dict(session._pending),
+                max(session._mrai_until, now),
+                session._expiry_queued,
+                session._last_delivery,
+                session.sent_updates,
+                session.loss_prob,
+                session.dup_prob,
             )
             for local in net.routers
             for remote, session in net.router(local).sessions.items()
         },
         "adjacency": net.adjacency,
+        "link_latency": net.link_latency,
+        "link_timing": net._link_timing,
+        "link_loss": net._link_loss,
+        "failed_links": net._failed_links,
     }
 
 
