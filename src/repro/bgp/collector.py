@@ -67,6 +67,8 @@ class RouteCollector:
             record,
             timing or self.network.default_timing,
         )
+        # A tap is a session the network's snapshot never held.
+        self.network.reshaped = True
         router.add_session(session)
         self._peers.append(node_id)
 

@@ -118,6 +118,17 @@ class EventEngine:
         """Drop every queued event unrun (the owning network is closing)."""
         self._queue.clear()
 
+    def reset(self, now: float) -> None:
+        """Become a fresh engine warped to ``now`` (checkpoint rewind):
+        queued events dropped unrun, sequence numbers counted from 0
+        again, no deadline noted and nothing processed yet."""
+        self._queue.clear()
+        self._counter = itertools.count()
+        self._now = 0.0
+        self._processed = 0
+        self._horizon = 0.0
+        self.warp(now)
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from the current time."""
         if delay < 0:

@@ -33,12 +33,8 @@ class BgpNetwork:
     ) -> None:
         self.engine = EventEngine()
         self.rng = random.Random(seed)
-        # Point trace-event timestamps at this network's simulated clock
-        # (the newest network wins; experiments build one per run).
-        telemetry = telemetry_registry.current()
-        if telemetry.enabled:
-            telemetry.bind_clock(lambda: self.engine.now)
-        self._telemetry = telemetry
+        self._telemetry = telemetry_registry.current()
+        self.bind_clock()
         #: provenance: monotone cause-id allocator (per network, so a
         #: fresh simulation always numbers its chains from 1 and serial
         #: vs parallel sweeps stay byte-identical) and the currently
@@ -50,12 +46,20 @@ class BgpNetwork:
         #: in the network, so forwarding caches (the workload catchment
         #: cache) can detect "routing may have changed" with one int
         #: compare instead of re-walking FIBs per lookup. Not part of a
-        #: checkpoint snapshot: a restored network starts at 0 and any
-        #: cache built against it starts cold.
+        #: checkpoint snapshot: a restored or rewound network starts at 0
+        #: and any cache built against it starts cold.
         self.route_version = 0
         #: called after every bump: a forwarding plane with packets in
         #: the air re-walks them (empty while nothing is in flight)
         self.on_route_change: list[Callable[[], None]] = []
+        #: node ids of the routers whose state may have changed: each
+        #: router adds itself on every entry that can change it (its
+        #: sessions change only through its own exports), so a checkpoint
+        #: rewind reloads these and nothing else (docs/checkpoint.md)
+        self.touched: set[str] = set()
+        #: set once a link, session or loss knob changed shape: such a
+        #: network is restored from its snapshot, never rewound
+        self.reshaped = False
         self.default_timing = default_timing or SessionTiming()
         self.damping_config = damping
         self.routers: dict[str, BgpRouter] = {}
@@ -73,6 +77,13 @@ class BgpNetwork:
         #: unordered pair; survives fail/restore cycles so a loss window
         #: spanning a link flap keeps applying to the fresh sessions.
         self._link_loss: dict[frozenset[str], tuple[float, float]] = {}
+
+    def bind_clock(self) -> None:
+        """Point trace-event timestamps at this network's simulated clock
+        (the newest network, or the one just rewound, wins; experiments
+        run one at a time)."""
+        if self._telemetry.enabled:
+            self._telemetry.bind_clock(lambda: self.engine.now)
 
     def _bump_route_version(self) -> None:
         self.route_version += 1
@@ -159,6 +170,7 @@ class BgpNetwork:
         if node_id in self.routers:
             raise ValueError(f"duplicate node id {node_id!r}")
         router = BgpRouter(node_id, asn)
+        router.touched = self.touched
         # Wired here (not in BgpRouter) so checkpoint restore re-attaches
         # the hook for free: restore_network rebuilds routers through
         # this method.
@@ -202,6 +214,7 @@ class BgpNetwork:
         router_b = self.routers[b]
         if b in self.adjacency[a]:
             raise ValueError(f"link {a!r} <-> {b!r} already exists")
+        self.reshaped = True
         timing = timing or self.default_timing
         session_ab = Session(
             self.engine, self.rng, a, b, relationship_of_b, router_b.receive, timing,
@@ -253,6 +266,7 @@ class BgpNetwork:
         """
         if b not in self.adjacency.get(a, {}):
             raise KeyError(f"no link {a!r} <-> {b!r}")
+        self.reshaped = True
         cause = self.root_cause("link-down", f"{a}<->{b}")
         # Close the reverse directions first so in-flight deliveries die.
         self.routers[a].sessions[b].closed = True
@@ -274,6 +288,7 @@ class BgpNetwork:
         stored = self._failed_links.pop(key, None)
         if stored is None:
             raise KeyError(f"link {a!r} <-> {b!r} was not failed")
+        self.reshaped = True
         orig_a, orig_b, relationship = stored
         with self.caused_by(self.root_cause("link-up", f"{a}<->{b}")):
             self.connect(
@@ -306,6 +321,7 @@ class BgpNetwork:
         """
         if b not in self.adjacency.get(a, {}):
             raise KeyError(f"no link {a!r} <-> {b!r}")
+        self.reshaped = True
         cause = self.root_cause("session-reset", f"{a}<->{b}")
         router_a = self.routers[a]
         router_b = self.routers[b]
@@ -340,6 +356,7 @@ class BgpNetwork:
             raise ValueError(
                 f"probabilities must be in [0, 1], got loss={loss_prob} dup={dup_prob}"
             )
+        self.reshaped = True
         key = frozenset((a, b))
         if loss_prob == 0.0 and dup_prob == 0.0:
             self._link_loss.pop(key, None)
@@ -353,6 +370,7 @@ class BgpNetwork:
     def fail_node(self, node: str) -> list[str]:
         """Fail every adjacency of ``node`` (router crash / facility
         outage). Returns the now-disconnected neighbor list."""
+        self.reshaped = True
         neighbors = list(self.adjacency.get(node, {}))
         if neighbors:
             # One root action: every per-link teardown inherits the same

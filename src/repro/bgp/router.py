@@ -88,6 +88,10 @@ class BgpRouter:
         #: invoked after every FIB install, wired by BgpNetwork to bump
         #: its ``route_version`` (forwarding-cache invalidation).
         self.on_fib_change: Callable[[], None] | None = None
+        #: where this router notes that its state may change: every entry
+        #: below that can change it adds the node id (BgpNetwork shares one
+        #: set among its routers, for checkpoint rewind)
+        self.touched: set[str] = set()
         #: provenance id of the root action currently being processed;
         #: set on entry (receive / originate / withdraw / session ops)
         #: and attached to every selection, FIB install, and export it
@@ -131,6 +135,7 @@ class BgpRouter:
         in sync. ``cause`` tags the resync's exports with the reset's
         provenance id, so causal chains span the reopen epoch.
         """
+        self.touched.add(self.node_id)
         self._current_cause = cause
         sessions = (self.sessions[remote],)
         for prefix, best in self.loc_rib.items():
@@ -152,6 +157,7 @@ class BgpRouter:
     def flush_neighbor(self, remote: str, cause: int) -> None:
         """Forget every route ``remote`` advertised (its session went
         down) and rerun the decision process for each prefix it had."""
+        self.touched.add(self.node_id)
         self._current_cause = cause
         for prefix in [p for p, heard in self.adj_rib_in.items() if remote in heard]:
             self._forget(prefix, remote)
@@ -182,6 +188,7 @@ class BgpRouter:
         """
         if prepend < 0:
             raise ValueError(f"prepend must be >= 0, got {prepend}")
+        self.touched.add(self.node_id)
         previous = self.origins.get(prefix)
         config = OriginConfig(prepend=prepend, neighbors=neighbors, med=med)
         self.origins[prefix] = config
@@ -194,6 +201,7 @@ class BgpRouter:
         """Stop originating ``prefix``; True if it was originated."""
         if prefix not in self.origins:
             return False
+        self.touched.add(self.node_id)
         del self.origins[prefix]
         self._current_cause = cause
         self._reselect(prefix)
@@ -221,6 +229,7 @@ class BgpRouter:
         session = self.sessions.get(sender)
         if session is None:
             raise ValueError(f"{self.node_id!r}: update from unknown neighbor {sender!r}")
+        self.touched.add(self.node_id)
         # Inherit the update's provenance: whatever this router now
         # re-selects, installs, or re-exports descends from the same root.
         self._current_cause = update.cause
@@ -265,6 +274,7 @@ class BgpRouter:
         have no single root action to attribute to; their downstream
         churn is tagged as background activity.
         """
+        self.touched.add(self.node_id)
         self._current_cause = 0
         self._reselect(prefix)
 

@@ -137,6 +137,7 @@ class Session:
         deliver: Callable[[Update], None],
         timing: SessionTiming | None = None,
         telemetry: "Telemetry | NullTelemetry | None" = None,
+        mrai: float | None = None,
     ) -> None:
         self.engine = engine
         self.rng = rng
@@ -149,10 +150,13 @@ class Session:
         self.export_class = _EXPORT_CLASS[relationship]
         self.timing = timing or SessionTiming()
         self._deliver = deliver
-        #: effective MRAI for this session (heterogeneous across sessions)
-        self.mrai = self.timing.mrai
-        if self.timing.mrai_sigma > 0:
-            self.mrai *= rng.lognormvariate(0.0, self.timing.mrai_sigma)
+        #: effective MRAI for this session (heterogeneous across sessions):
+        #: drawn here, unless given (a restored session keeps its snapshot's)
+        if mrai is None:
+            mrai = self.timing.mrai
+            if self.timing.mrai_sigma > 0:
+                mrai *= rng.lognormvariate(0.0, self.timing.mrai_sigma)
+        self.mrai = mrai
         self._pending: dict[IPv4Prefix, Update] = {}
         #: when the MRAI timer runs out; it runs while the clock is short
         #: of this (never, before the first flush)
@@ -378,12 +382,15 @@ class Session:
         )
 
     def restore_transfer_state(self, state: tuple) -> None:
-        """Overwrite this session's transfer state from a snapshot.
+        """Put this session back in a snapshot's quiescent state.
 
-        In particular the *effective* MRAI is restored verbatim: the
-        constructor's heterogeneity draw (``mrai_sigma``) is discarded so
-        a restored session paces exactly like the one snapshotted.
+        The *effective* MRAI is restored verbatim, so a restored session
+        paces exactly like the one snapshotted; nothing is left pending
+        and no timer runs, whatever the session did since (a rewind).
         """
+        self._pending.clear()
+        self._mrai_until = 0.0
+        self._expiry_queued = False
         (
             self.mrai,
             self.epoch,

@@ -2,8 +2,10 @@
 
 Public API: :func:`snapshot_network` captures a quiescent
 :class:`~repro.bgp.network.BgpNetwork` as plain picklable data;
-:func:`restore_network` rebuilds a live, independent network from it.
-:class:`~repro.core.experiment.FailoverExperiment` uses the pair to run
+:func:`restore_network` rebuilds a live, independent network from it;
+:func:`rewind_network` puts a restored network back in that state,
+reloading only the routers it touched since.
+:class:`~repro.core.experiment.FailoverExperiment` uses them to run
 each technique's baseline convergence once and fork it per sweep cell.
 """
 
@@ -15,6 +17,7 @@ from repro.checkpoint.codec import (
     RouterState,
     SessionState,
     restore_network,
+    rewind_network,
     snapshot_network,
 )
 
@@ -26,5 +29,6 @@ __all__ = [
     "RouterState",
     "SessionState",
     "restore_network",
+    "rewind_network",
     "snapshot_network",
 ]

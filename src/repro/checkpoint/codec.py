@@ -20,27 +20,42 @@ remains is value-like state:
 * per network: adjacency, link latency/timing/loss tables, failed
   links, the provenance cause counter, the RNG state, and the clock.
 
-Restore rebuilds the object graph through the normal constructors, which
+Restore builds the object graph through the normal constructors, which
 re-wires everything unpicklable for free: ``BgpNetwork.add_router``
 recreates the ``fib_delay_source`` closure and the damping
 ``on_release`` hook, fresh :class:`Session` objects re-bind the remote
 router's ``receive``, and every component re-resolves its telemetry
 instruments against the *currently installed* backend (a snapshot taken
-under one backend restores cleanly under another). Suppressed damping
-entries re-arm their release timers, since the live network always has
-one scheduled per suppression. The RNG state is applied **last**,
-because session construction itself consumes draws (``mrai_sigma``);
-the snapshotted effective MRAIs then overwrite the constructor's draws.
+under one backend restores cleanly under another). Then one loader puts
+the state in: the engine reset to the snapshot's clock, the network's
+counters and hooks, every router's RIBs/FIB/origins and every session's
+transfer state, the damping state (suppressed entries re-arm their
+release timers, since the live network always has one scheduled per
+suppression), and the RNG state last. Building costs O(network).
+
+:func:`rewind_network` is the same loader run on a network restored
+from the same snapshot, for the routers ``BgpNetwork.touched`` names:
+every entry that can change a router's state notes it there, and a
+session changes only through its own router's exports. A cell of the
+§5.2 sweep touches a third of the wide world's routers, so a sweep keeps
+its fork and rewinds it between cells of one baseline at O(touched)
+(docs/checkpoint.md, "What the fork saves"). A network whose shape
+changed (links, sessions, loss knobs: ``BgpNetwork.reshaped``) is
+restored instead.
 
 Determinism contract: ``restore_network`` is a pure function of the
 snapshot -- byte-equal snapshots restore to networks that simulate
-identically, whichever process (or worker) runs them.
+identically, whichever process (or worker) runs them -- and a rewound
+network is in the state a restore of its snapshot gives.
 """
 
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
@@ -52,6 +67,10 @@ from repro.net.addr import IPv4Prefix
 
 #: bumped on incompatible snapshot layout changes
 SNAPSHOT_SCHEMA = "repro.checkpoint/2"
+
+
+_NODE = attrgetter("node_id")
+_LOCAL = attrgetter("local")
 
 
 class CheckpointError(RuntimeError):
@@ -204,7 +223,9 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
     The restored network is independent of (and byte-equivalent in
     behavior to) the snapshotted one: same RIBs/FIBs, same session
     transfer state and effective MRAIs, same damping state (with release
-    timers re-armed), same RNG stream position, same clock.
+    timers re-armed), same RNG stream position, same clock. Building
+    costs O(network); the state itself goes in through the loader
+    :func:`rewind_network` shares.
     """
     if snapshot.schema != SNAPSHOT_SCHEMA:
         raise CheckpointError(
@@ -215,28 +236,23 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
         default_timing=snapshot.default_timing,
         damping=snapshot.damping_config,
     )
-    network.engine.warp(snapshot.now)
-    # Routers first: add_router re-wires fib_delay_source and damping
-    # on_release; RIB/FIB/origin contents are then installed directly
-    # (no reselect, no exports -- the snapshot is already converged).
+    # add_router re-wires fib_delay_source and damping on_release.
     for state in snapshot.routers:
         router = network.add_router(state.node_id, state.asn)
-        router.adj_rib_in = {p: dict(heard) for p, heard in state.adj_rib_in.items()}
-        router.med_heard = any(
-            route.med for heard in state.adj_rib_in.values() for route in heard.values()
-        )
-        router.loc_rib = dict(state.loc_rib)
-        for prefix, next_hop in state.fib:
-            router.fib.insert(prefix, next_hop)
-        router.origins = dict(state.origins)
+        if state.damping is not None and router.damping is None:
+            raise CheckpointError(
+                f"router {state.node_id!r} snapshotted with damping state "
+                "but restored without a damping config"
+            )
     # Sessions are placed directly instead of via add_session: the
     # establishment resync must not re-send the Loc-RIB the remote end
     # already holds. The fresh Session binds the remote router's live
     # receive() -- one bound method per router, shared by every session
-    # toward it -- and the restored engine/RNG.
+    # toward it -- and takes its snapshot's effective MRAI, so building
+    # it draws nothing.
     receive = {node: router.receive for node, router in network.routers.items()}
     for state in snapshot.sessions:
-        session = Session(
+        network.routers[state.local].sessions[state.remote] = Session(
             network.engine,
             network.rng,
             state.local,
@@ -245,29 +261,95 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
             receive[state.remote],
             state.timing,
             network._telemetry,
+            mrai=state.transfer[0],
         )
-        session.restore_transfer_state(state.transfer)
-        network.routers[state.local].sessions[state.remote] = session
     network.adjacency = {node: dict(nbrs) for node, nbrs in snapshot.adjacency.items()}
     network.link_latency = dict(snapshot.link_latency)
     network._link_timing = dict(snapshot.link_timing)
     network._link_loss = dict(snapshot.link_loss)
     network._failed_links = dict(snapshot.failed_links)
+    _load(network, snapshot, snapshot.routers, snapshot.sessions)
+    return network
+
+
+def rewind_network(network: BgpNetwork, snapshot: NetworkSnapshot) -> int:
+    """Put a network restored from ``snapshot`` back in the state
+    :func:`restore_network` gives, reloading only what changed.
+
+    Only the routers in ``network.touched`` (and their sessions) can
+    differ from the snapshot, so only those reload: O(touched), not
+    O(network). The engine, RNG and network-wide counters reset in full.
+    A network whose links, sessions or loss knobs changed shape
+    (``network.reshaped``) cannot be rewound. Returns the number of
+    routers reloaded.
+    """
+    if network.reshaped:
+        raise CheckpointError("a reshaped network cannot be rewound; restore it")
+    routers = [_router_state(snapshot, node) for node in network.touched]
+    sessions = [
+        session for state in routers for session in _session_states(snapshot, state.node_id)
+    ]
+    _load(network, snapshot, routers, sessions)
+    return len(routers)
+
+
+def _router_state(snapshot: NetworkSnapshot, node: str) -> RouterState:
+    """``node``'s entry in the snapshot (whose routers are in node order)."""
+    index = bisect_left(snapshot.routers, node, key=_NODE)
+    if index == len(snapshot.routers) or snapshot.routers[index].node_id != node:
+        raise CheckpointError(f"router {node!r} is not in the snapshot")
+    return snapshot.routers[index]
+
+
+def _session_states(snapshot: NetworkSnapshot, node: str) -> tuple[SessionState, ...]:
+    """The sessions ``node`` holds (the snapshot's are in ⟨local, remote⟩
+    order)."""
+    sessions = snapshot.sessions
+    return sessions[
+        bisect_left(sessions, node, key=_LOCAL):bisect_right(sessions, node, key=_LOCAL)
+    ]
+
+
+
+def _load(
+    network: BgpNetwork,
+    snapshot: NetworkSnapshot,
+    routers: Iterable[RouterState],
+    sessions: Iterable[SessionState],
+) -> None:
+    """The one state loader behind restore and rewind: reset everything
+    network-wide to the snapshot, then load ``routers`` and ``sessions``
+    (restore passes all of them, rewind the touched ones)."""
+    network.engine.reset(snapshot.now)
     network._next_cause = snapshot.next_cause
     network.current_cause = snapshot.current_cause
-    # Damping state after routers exist; suppressed entries re-arm their
-    # release timers through the restored engine.
-    for state in snapshot.routers:
+    network.route_version = 0
+    network.on_route_change.clear()
+    network.touched.clear()
+    network.bind_clock()
+    # RIB/FIB/origin contents are installed directly (no reselect, no
+    # exports -- the snapshot is already converged).
+    for state in routers:
+        router = network.routers[state.node_id]
+        router.adj_rib_in = {p: dict(heard) for p, heard in state.adj_rib_in.items()}
+        router.med_heard = any(
+            route.med for heard in state.adj_rib_in.values() for route in heard.values()
+        )
+        router.loc_rib = dict(state.loc_rib)
+        router.fib.load(state.fib)
+        router.origins = dict(state.origins)
+        router._current_cause = 0
+    for state in sessions:
+        network.routers[state.local].sessions[state.remote].restore_transfer_state(
+            state.transfer
+        )
+    # Damping state of every router, touched or not: a release timer
+    # may have moved an untouched router's entry, and the reset engine
+    # must re-arm every suppressed entry's timer in the order a restore
+    # does.
+    for state in snapshot.routers if network.damping_config is not None else ():
         if state.damping is not None:
-            damping = network.routers[state.node_id].damping
-            if damping is None:
-                raise CheckpointError(
-                    f"router {state.node_id!r} snapshotted with damping state "
-                    "but restored without a damping config"
-                )
-            damping.import_state(*state.damping)
-    # RNG last: constructors above consumed draws (session mrai_sigma,
-    # damping release jitter via schedule); restoring the stream position
-    # now makes the fork continue exactly where the snapshot stopped.
+            network.routers[state.node_id].damping.import_state(*state.damping)
+    # RNG state last: nothing above draws, but the stream must continue
+    # exactly where the snapshot stopped whatever ran since (a rewind).
     network.rng.setstate(snapshot.rng_state)
-    return network

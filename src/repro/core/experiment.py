@@ -20,12 +20,19 @@ only on the topology) across techniques.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.bgp.damping import DampingConfig
+from repro.bgp.network import BgpNetwork
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
-from repro.checkpoint import NetworkSnapshot, restore_network, snapshot_network
+from repro.checkpoint import (
+    NetworkSnapshot,
+    restore_network,
+    rewind_network,
+    snapshot_network,
+)
 from repro.core.metrics import TargetOutcome, outcomes_for_run
 from repro.core.plan import Technique, apply_plan
 from repro.core.rig import RunRig, tagged_seed
@@ -98,6 +105,58 @@ class SiteFailoverResult:
         return len(self.controllable) / len(self.selection.targets)
 
 
+class HeldFork:
+    """The one forked network a sweep process keeps between its cells.
+
+    :meth:`fork` hands out a network in the state ``restore_network``
+    gives for a snapshot: the held one rewound (O(routers the last cell
+    touched)) when it forks the same snapshot, was never reshaped and
+    resolved its telemetry against the backend still installed;
+    otherwise a fresh restore, which replaces (and closes) the held one.
+    """
+
+    __slots__ = ("_snapshot", "_network")
+
+    def __init__(self) -> None:
+        self._snapshot: NetworkSnapshot | None = None
+        self._network: BgpNetwork | None = None
+
+    def rewinds(self, snapshot: NetworkSnapshot) -> int | None:
+        """How many routers forking ``snapshot`` would reload by
+        rewinding, or None when it would restore."""
+        network = self._network
+        if (
+            network is None
+            or self._snapshot is not snapshot
+            or network.reshaped
+            or network._telemetry is not telemetry_registry.current()
+        ):
+            return None
+        return len(network.touched)
+
+    def fork(self, snapshot: NetworkSnapshot) -> BgpNetwork:
+        """A network in ``snapshot``'s state (the holder keeps it)."""
+        if self.rewinds(snapshot) is not None:
+            rewind_network(self._network, snapshot)
+            return self._network
+        self.close()
+        self._network = restore_network(snapshot)
+        self._snapshot = snapshot
+        return self._network
+
+    def drop_on_error(self, failed, *_) -> None:
+        """Exit callback for a cell: one that raised may leave the
+        network half-run, so it is closed rather than ever rewound."""
+        if failed is not None:
+            self.close()
+
+    def close(self) -> None:
+        """Release the held network (idempotent)."""
+        if self._network is not None:
+            self._network.close()
+        self._network = self._snapshot = None
+
+
 class FailoverExperiment:
     """Runs the failover protocol over a deployment."""
 
@@ -128,6 +187,34 @@ class FailoverExperiment:
         self._hitlist: Hitlist | None = hitlist
         self._selections: dict[str, TargetSelection] = dict(selections or {})
         self._baselines: dict[str, NetworkSnapshot] = {}
+        #: the forked network this process keeps between the cells of a
+        #: sweep (:meth:`sweeping`); None outside one
+        self._fork: HeldFork | None = None
+
+    def __getstate__(self) -> dict:
+        # Pickled without the held fork, so a live network never crosses
+        # a process boundary (a pool worker started by fork inherits the
+        # holder, empty; a spawned one restores every cell).
+        state = dict(self.__dict__)
+        del state["_fork"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._fork = None
+
+    @contextmanager
+    def sweeping(self) -> Iterator[None]:
+        """Run the cells inside the block on one held fork per baseline:
+        a cell after the first of a baseline rewinds the network the last
+        one used instead of restoring its own. The fork is closed when
+        the block ends, however it ends."""
+        self._fork = HeldFork()
+        try:
+            yield
+        finally:
+            fork, self._fork = self._fork, None
+            fork.close()
 
     # ------------------------------------------------------------------
     # Shared, topology-only state
@@ -239,7 +326,15 @@ class FailoverExperiment:
         self-deterministic (byte-identical across repeats and worker
         counts) but numerically different from cold-started cells: the
         per-cell RNG no longer spends draws on baseline convergence.
+
+        Inside :meth:`sweeping` the fork is the sweep's held one;
+        outside, the cell is a sweep of one: it restores its fork and
+        closes it on the way out.
         """
+        fork = self._fork
+        if fork is None:
+            with self.sweeping():
+                return self.run_site(technique, site)
         config = self.config
         telemetry = telemetry_registry.current()
         # Each run gets a fresh network; drop any previous run's clock so
@@ -252,12 +347,17 @@ class FailoverExperiment:
         # base only the per-site delta actually re-originates.
         snapshot = self.baseline_for(technique) if self.use_checkpoint else None
         phase = "fork-restore" if self.use_checkpoint else "deploy-converge"
-        # The cell owns its network and rig: both are released on every
-        # way out, so plain reference counting frees them with the cell.
+        rewound = fork.rewinds(snapshot) if snapshot is not None else None
+        # The cell owns its rig and a cold cell its network: both are
+        # released on every way out, so plain reference counting frees
+        # them with the cell. A forked network is the holder's, dropped
+        # with it -- at once if the cell raises, so no half-run network
+        # is ever rewound.
         with ExitStack() as release:
-            with telemetry.phase(phase, **tags):
+            with telemetry.phase(phase, **tags, **_note_rewind(telemetry, rewound)):
                 if snapshot is not None:
-                    network = restore_network(snapshot)
+                    release.push(fork.drop_on_error)
+                    network = fork.fork(snapshot)
                     # The fork draws from a fresh per-cell stream; the
                     # baseline's RNG position is shared by every cell of the
                     # technique and must not leak cell-to-cell correlations.
@@ -266,7 +366,7 @@ class FailoverExperiment:
                     network = self.topology.build_network(
                         seed=run_seed, timing=config.timing, damping=config.damping
                     )
-                release.enter_context(network)
+                    release.enter_context(network)
                 rig = RunRig(
                     network,
                     self.deployment,
@@ -329,7 +429,8 @@ class FailoverExperiment:
         """
         sites = sites if sites is not None else self.deployment.site_names
         if workers <= 1:
-            return [self.run_site(technique, site) for site in sites]
+            with self.sweeping():
+                return [self.run_site(technique, site) for site in sites]
         # Local import: repro.parallel.sweep imports this module.
         from repro.parallel.sweep import SweepCell, run_sweep
 
@@ -339,6 +440,19 @@ class FailoverExperiment:
         )
         report.raise_on_failure()
         return report.site_results()
+
+
+def _note_rewind(telemetry, rewound: int | None) -> dict[str, int]:
+    """Count a rewound cell (``rewound`` routers reloaded; None for a
+    restore or a cold start) and tag its phase with the routers, so a
+    trace and a profile show restores and rewinds apart."""
+    if rewound is None or not telemetry.enabled:
+        return {}
+    telemetry.inc("checkpoint.rewinds")
+    telemetry.inc("checkpoint.rewound_routers", rewound)
+    if telemetry.profiler is not None:
+        telemetry.profiler.record_rewind("fork-restore", rewound)
+    return {"rewound": rewound}
 
 
 def pooled_outcomes(results: list[SiteFailoverResult]) -> list[TargetOutcome]:

@@ -136,6 +136,8 @@ class FaultInjector:
         # later draw in the run -- is unchanged.
         original = router.fib_delay_source
         engine = self.network.engine
+        # A wrapped sampler is no state a checkpoint rewind reloads.
+        self.network.reshaped = True
         extra = entry.params["extra_delay"]
 
         def delayed():

@@ -15,7 +15,7 @@ is rejected, as real FIBs keep separate v4/v6 tables.
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, Iterable, Iterator, TypeVar
 
 from repro.net.addr import Address, Prefix
 
@@ -64,6 +64,18 @@ class LpmTable(Generic[V]):
             bucket = self._buckets[prefix.length] = {}
             self._reindex()
         bucket[prefix.network] = (prefix, value)
+
+    def load(self, entries: Iterable[tuple[Prefix, V]]) -> None:
+        """Replace the contents with ``entries`` (⟨prefix, value⟩ pairs,
+        as :meth:`items` yields them), reindexing once at the end rather
+        than once per new length (checkpoint restore and rewind)."""
+        self._buckets = {}
+        for prefix, value in entries:
+            if value is None:
+                raise ValueError("LpmTable cannot store None (get() uses None for 'absent')")
+            self._check_family(prefix.bits)
+            self._buckets.setdefault(prefix.length, {})[prefix.network] = (prefix, value)
+        self._reindex()
 
     def remove(self, prefix: Prefix) -> bool:
         """Remove ``prefix``; True if it was present. An emptied bucket

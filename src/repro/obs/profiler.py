@@ -27,14 +27,18 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
+from repro.telemetry.summary import fork_split
+
 #: schema tag written into profile JSON files (``--profile PATH``)
 PROFILE_SCHEMA = "repro.profile/1"
 
 #: the tables of a profile: name -> the fields of one entry, all summed
-#: on merge. ``collector`` is optional on read (older /1 files lack it).
+#: on merge. ``rewinds`` and ``collector`` are optional on read (older
+#: /1 files lack them).
 _TABLES = {
     "callbacks": ("count", "wall_s"),
     "phases": ("runs", "wall_s", "sim_s"),
+    "rewinds": ("cells", "routers"),
     "collector": ("passes", "wall_s", "collected"),
 }
 
@@ -57,6 +61,9 @@ class EventProfiler:
         self.callbacks: dict[str, list] = {}
         #: phase name -> [runs, total wall seconds, total sim seconds]
         self.phases: dict[str, list] = {}
+        #: phase name -> [cells that rewound a held fork instead of
+        #: restoring one, routers those rewinds reloaded]
+        self.rewinds: dict[str, list] = {}
         #: cycle-collector generation -> [passes, total wall seconds,
         #: objects collected]; what the run left for the collector
         self.collector: dict[str, list] = {}
@@ -78,6 +85,11 @@ class EventProfiler:
         entry[0] += 1
         entry[1] += wall_s
         entry[2] += sim_s
+
+    def record_rewind(self, phase: str, routers: int) -> None:
+        entry = self.rewinds.setdefault(phase, [0, 0])
+        entry[0] += 1
+        entry[1] += routers
 
     def record_collection(self, generation: int, wall_s: float, collected: int) -> None:
         entry = self.collector.setdefault(f"gen{generation}", [0, 0.0, 0])
@@ -162,12 +174,15 @@ def render_profile(state: dict, top: int = 15) -> str:
         lines.append("")
         lines.append("phases (sim = simulated seconds covered, wall = host seconds):")
         lines.append(f"  {'phase':22s} {'runs':>5s} {'wall':>9s} {'sim':>11s} {'sim/wall':>9s}")
+        rewinds = state.get("rewinds", {})
         for name, data in phases.items():
             speedup = data["sim_s"] / data["wall_s"] if data["wall_s"] else 0.0
             lines.append(
                 f"  {name:22s} {data['runs']:5d} {data['wall_s']:8.3f}s "
                 f"{data['sim_s']:10.1f}s {speedup:8.1f}x"
             )
+            if name in rewinds:
+                lines.append(fork_split(data["runs"], **rewinds[name]))
     collector = state.get("collector", {})
     if collector:
         lines.append("")

@@ -21,6 +21,12 @@ Determinism guarantees (what makes ``--workers N`` byte-identical to
 
 A worker runs a cell by calling ``run_site`` on its copy of that
 experiment, which is exactly what the serial path does on the original.
+Each process -- the serial path, or each pool worker -- also holds at
+most one forked network
+(:meth:`~repro.core.experiment.FailoverExperiment.sweeping`) and
+rewinds it between cells of one baseline; a rewound network is in the
+state a fresh restore gives, so cell order and placement still cannot
+matter.
 """
 
 from __future__ import annotations
@@ -125,13 +131,16 @@ def run_sweep(
     """
     shared = shared_state(experiment, cells)
     start = time.perf_counter()  # repro: noqa[DET004]
-    results = map_cells(
-        _run_cell,
-        shared,
-        [(cell.cell_id, cell) for cell in cells],
-        workers=workers,
-        timeout_s=timeout_s,
-        progress=progress,
-    )
+    # The serial path's fork is closed on the way out; a pool worker
+    # forks with an empty copy of the holder, and its fork ends with it.
+    with shared.sweeping():
+        results = map_cells(
+            _run_cell,
+            shared,
+            [(cell.cell_id, cell) for cell in cells],
+            workers=workers,
+            timeout_s=timeout_s,
+            progress=progress,
+        )
     wall_s = time.perf_counter() - start  # repro: noqa[DET004]
     return SweepReport(cells=cells, results=results, workers=max(1, workers), wall_s=wall_s)

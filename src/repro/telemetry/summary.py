@@ -36,10 +36,20 @@ class PhaseSummary:
     runs: int = 0
     wall_s: float = 0.0
     sim_s: float = 0.0
+    #: runs that rewound a held fork (tagged ``rewound``) instead of
+    #: restoring one, and the routers those rewinds reloaded
+    rewinds: int = 0
+    rewound_routers: int = 0
 
     @property
     def mean_wall_s(self) -> float:
         return self.wall_s / self.runs if self.runs else 0.0
+
+
+def fork_split(runs: int, cells: int, routers: int) -> str:
+    """The line under a fork phase's row: of its ``runs``, how many
+    restored a fork and how many (``cells``) rewound a held one."""
+    return f"    {runs - cells} restored, {cells} rewound ({routers} routers reloaded)"
 
 
 @dataclass(slots=True)
@@ -131,6 +141,9 @@ def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
             phase.runs += 1
             phase.wall_s += event.wall_s
             phase.sim_s += event.sim_s
+            if "rewound" in event.tags:
+                phase.rewinds += 1
+                phase.rewound_routers += event.tags["rewound"]
         elif isinstance(event, BgpUpdateSent):
             senders[event.sender] += 1
             update_types[event.update] += 1
@@ -191,6 +204,8 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
                 f"  {phase.name:22s} {phase.runs:5d} {phase.wall_s:10.3f}s "
                 f"{phase.mean_wall_s:9.3f}s {phase.sim_s:9.1f}s"
             )
+            if phase.rewinds:
+                lines.append(fork_split(phase.runs, phase.rewinds, phase.rewound_routers))
 
     if summary.site_failures:
         lines.append("")

@@ -195,6 +195,26 @@ class TestClockControl:
         with pytest.raises(RuntimeError, match="queued"):
             engine.warp(10.0)
 
+    def test_reset_is_a_fresh_engine_warped(self):
+        """Checkpoint rewind: queued events dropped unrun, sequence
+        numbers from 0, no deadline, nothing processed, clock at ``now``
+        (even behind the old one)."""
+        engine = EventEngine()
+        ran = []
+        engine.schedule(1.0, lambda: ran.append(1))
+        engine.step()
+        engine.schedule(5.0, lambda: ran.append(2))
+        engine.note_deadline(30.0)
+        engine.reset(0.5)
+        fresh = EventEngine()
+        fresh.warp(0.5)
+        assert (engine.now, engine.pending, engine.processed, engine.horizon) == (
+            fresh.now, fresh.pending, fresh.processed, fresh.horizon,
+        )
+        assert next(engine._counter) == next(fresh._counter) == 0
+        engine.run_until_idle()
+        assert ran == [1]
+
     def test_warp_refuses_backwards(self):
         engine = EventEngine()
         engine.warp(10.0)

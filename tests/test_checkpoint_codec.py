@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -33,19 +34,40 @@ RICH_TIMING = SessionTiming(
 )
 
 
-def fingerprint(net: BgpNetwork) -> dict:
+def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
     """Everything that determines future behavior, as comparable data.
 
     A restore renumbers what only orders or dates past work: its fresh
     engine counts events from 0, and a deadline behind the clock is as
     spent as one that never ran. So queued events appear by time and
     sequence number relative to the next one, and the quiet horizon and
-    each MRAI deadline as the later of it and the clock.
+    each MRAI deadline as the later of it and the clock. ``exact`` adds
+    those numbers as they are, with the per-network epochs a restore
+    starts afresh (route version, hooks, touched routers, the routers'
+    active causes): what a rewound network must share with a restore.
     """
     engine = net.engine
     now = engine.now
     next_seq = next(copy.copy(engine._counter))
+    numbering = {}
+    if exact:
+        numbering = {
+            "next_seq": next_seq,
+            "processed": engine.processed,
+            "horizon": engine.horizon,
+            "route_version": net.route_version,
+            "on_route_change": list(net.on_route_change),
+            "touched": sorted(net.touched),
+            "reshaped": net.reshaped,
+            "router_causes": {n: r._current_cause for n, r in net.routers.items()},
+            "mrai_until": {
+                (local, remote): session._mrai_until
+                for local, router in net.routers.items()
+                for remote, session in router.sessions.items()
+            },
+        }
     return {
+        "numbering": numbering,
         "now": now,
         "rng": net.rng.getstate(),
         "next_cause": net._next_cause,
@@ -127,6 +149,21 @@ class TestRoundTrip:
         net = converged_net()
         clone = restore_network(snapshot_network(net))
         assert fingerprint(clone) == fingerprint(net)
+
+    def test_restore_draws_nothing(self, monkeypatch):
+        """A restored session takes its snapshot's effective MRAI; the
+        constructor's heterogeneity draw is not made."""
+        snapshot = snapshot_network(converged_net())
+        assert RICH_TIMING.mrai_sigma > 0
+
+        def no_draw(*args):
+            raise AssertionError("restore drew an MRAI")
+
+        monkeypatch.setattr(random.Random, "lognormvariate", no_draw)
+        clone = restore_network(snapshot)
+        assert [s.mrai for s in clone.router("r1").sessions.values()] == [
+            state.transfer[0] for state in snapshot.sessions if state.local == "r1"
+        ]
 
     def test_restored_fibs_are_the_snapshot_in_plain_tables(self):
         """Restore inserts RouterState.fib's pairs into each router's

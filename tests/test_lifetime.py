@@ -11,6 +11,7 @@ everything a run built, on every runner and on the failure path.
 
 import collections
 import gc
+import itertools
 import json
 import weakref
 from pathlib import Path
@@ -172,6 +173,51 @@ class TestRunsReleaseWhatTheyBuild:
         )
         assert result.status == "error" and "analysis blew up" in result.error
         assert len(witnesses) == 6  # the baseline's network and the cell's
+        assert [ref() for ref in witnesses if ref() is not None] == []
+        assert census() == before
+        assert gc.get_freeze_count() == 0
+
+
+class TestSweepsReleaseTheirFork:
+    """A sweep holds one forked network between the cells of a baseline
+    and closes it when it returns or raises."""
+
+    CELLS = staticmethod(lambda deployment: matrix(
+        [Anycast(), ReactiveAnycast()], list(deployment.site_names[:2])
+    ))
+
+    def test_a_forked_sweep_leaves_nothing_behind(self, deployment, collector_off, witnesses):
+        experiment = FailoverExperiment(
+            deployment.topology, deployment, config(), use_checkpoint=True
+        )
+        before = census()
+        assert run_sweep(experiment, self.CELLS(deployment)).ok
+        # Two baselines built, two restores: each second cell rewound.
+        assert len(witnesses) == 12
+        assert [ref() for ref in witnesses if ref() is not None] == []
+        assert census() == before
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert [o for o in gc.garbage if isinstance(o, RUN_TYPES)] == []
+
+    def test_a_sweep_whose_second_cell_raises(
+        self, deployment, collector_off, witnesses, monkeypatch
+    ):
+        real = experiment_module.outcomes_for_run
+        calls = itertools.count(1)
+
+        def second_explodes(*args):
+            if next(calls) == 2:
+                raise RuntimeError("analysis blew up")
+            return real(*args)
+
+        monkeypatch.setattr(experiment_module, "outcomes_for_run", second_explodes)
+        experiment = FailoverExperiment(
+            deployment.topology, deployment, config(), use_checkpoint=True
+        )
+        before = census()
+        report = run_sweep(experiment, self.CELLS(deployment))
+        assert [r.status for r in report.results] == ["ok", "error", "ok", "ok"]
         assert [ref() for ref in witnesses if ref() is not None] == []
         assert census() == before
         assert gc.get_freeze_count() == 0

@@ -157,6 +157,10 @@ class TestNoneValues:
         assert len(table) == 0
         assert P("10.0.0.0/8") not in table
 
+    def test_load_none_rejected(self):
+        with pytest.raises(ValueError, match="None"):
+            LpmTable().load([(P("10.0.0.0/8"), None)])
+
     def test_contains_agrees_with_get(self):
         table = LpmTable()
         table.insert(P("10.0.0.0/8"), 0)  # falsy value still counts
@@ -264,6 +268,23 @@ class TestLpmTrieProperties:
         for prefix in prefixes:
             assert table.remove(prefix)
         assert len(table) == 0
+
+    @settings(max_examples=30)
+    @given(st.lists(prefix_strategy, max_size=20, unique=True))
+    def test_load_equals_inserts_with_one_reindex(self, prefixes):
+        """``load`` (checkpoint restore and rewind) replaces the contents
+        with what the inserts would build, reindexing once."""
+        inserted = LpmTable()
+        for prefix in prefixes:
+            inserted.insert(prefix, str(prefix))
+        loaded = LpmTable()
+        loaded.insert(P("0.0.0.0/0"), "stale")
+        reindexes = []
+        loaded._reindex = lambda real=loaded._reindex: (reindexes.append(1), real())
+        loaded.load(inserted.items())
+        assert reindexes == [1]
+        assert list(loaded.items()) == list(inserted.items())
+        assert [mask for mask, _ in loaded._probes] == [mask for mask, _ in inserted._probes]
 
     @settings(max_examples=30)
     @given(st.lists(prefix_strategy, max_size=20, unique=True))
