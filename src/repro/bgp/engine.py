@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from typing import Callable
 
@@ -50,6 +51,8 @@ class EventEngine:
         #: pacing"), so a drained queue is idle only once the clock has
         #: reached this; see :meth:`run_until_idle`.
         self._horizon = 0.0
+        #: the deadline of the run in progress (see :attr:`deadline`)
+        self._deadline: float | None = None
         #: active telemetry backend, captured at construction; the
         #: disabled (NULL) backend makes instrumentation one attr check
         telemetry = telemetry_registry.current()
@@ -86,6 +89,13 @@ class EventEngine:
     def horizon(self) -> float:
         """The latest deadline :meth:`note_deadline` was given."""
         return self._horizon
+
+    @property
+    def deadline(self) -> float | None:
+        """The deadline of the run in progress: ``run_until``'s, +inf
+        under ``run_until_idle``, None when no run is in progress (a
+        bare :meth:`step`). No event past it executes in this run."""
+        return self._deadline
 
     def note_deadline(self, when: float) -> None:
         """Record a timer that runs out at ``when`` with no event queued
@@ -127,6 +137,7 @@ class EventEngine:
         self._now = 0.0
         self._processed = 0
         self._horizon = 0.0
+        self._deadline = None
         self.warp(now)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
@@ -189,8 +200,12 @@ class EventEngine:
         """
         if deadline < self._now:
             raise ValueError(f"cannot run until {deadline} < now {self._now}")
-        while self._queue and self._queue[0][0] <= deadline:
-            self.step()
+        outer, self._deadline = self._deadline, deadline
+        try:
+            while self._queue and self._queue[0][0] <= deadline:
+                self.step()
+        finally:
+            self._deadline = outer
         if deadline > self._now:
             self._now = deadline
 
@@ -202,10 +217,14 @@ class EventEngine:
         oscillation); exceeding it raises ``RuntimeError``.
         """
         executed = 0
-        while self.step():
-            executed += 1
-            if max_events is not None and executed > max_events:
-                raise RuntimeError(f"engine did not go idle within {max_events} events")
+        outer, self._deadline = self._deadline, math.inf
+        try:
+            while self.step():
+                executed += 1
+                if max_events is not None and executed > max_events:
+                    raise RuntimeError(f"engine did not go idle within {max_events} events")
+        finally:
+            self._deadline = outer
         if self._horizon > self._now:
             self._now = self._horizon
 

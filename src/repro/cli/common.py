@@ -333,34 +333,43 @@ class Prologue:
     @cached_property
     def experiment(self):
         """The ``EXPERIMENT`` block's Fig. 2 run over the deployment."""
+        from repro.bgp.session import DEFAULT_INTERNET_TIMING
         from repro.core.experiment import FailoverConfig, FailoverExperiment
 
         args = self.args
-        config = FailoverConfig(
-            probe_duration=args.duration,
-            targets_per_site=args.targets,
-            detection_delay=args.detection_delay,
-            seed=args.seed,
-            silent_failure=args.silent,
-            workload=self.workload,
-            capacity=self.capacity,
-        )
+        try:
+            config = FailoverConfig(
+                probe_duration=args.duration,
+                targets_per_site=args.targets,
+                detection_delay=args.detection_delay,
+                seed=args.seed,
+                timing=DEFAULT_INTERNET_TIMING,
+                silent_failure=args.silent,
+                workload=self.workload,
+                capacity=self.capacity,
+            )
+        except ValueError as refusal:
+            # Reached only past an overridden gate (``--no-check``).
+            print(f"cannot run: {refusal}", file=sys.stderr)
+            raise SystemExit(2) from None
         return FailoverExperiment(
             self.deployment.topology, self.deployment, config,
             use_checkpoint=not args.no_checkpoint,
         )
 
     def experiment_world(self, techniques, specific_site: str | None = None):
-        """The run ``ctx.experiment`` is about to make, as the gate's one world."""
+        """The run ``ctx.experiment`` is about to make, as the gate's one
+        world: read from the flags, since a shape ``FailoverConfig``
+        refuses must reach the gate as a finding, not a traceback."""
+        from repro.bgp.session import DEFAULT_INTERNET_TIMING
         from repro.verify import VerifyWorld
 
-        config = self.experiment.config
+        args = self.args
         return VerifyWorld(
             deployment=self.deployment, techniques=techniques,
-            specific_site=specific_site, duration=config.probe_duration,
-            detection_delay=config.detection_delay, timing=config.timing,
-            damping=config.damping, workload=config.workload,
-            capacity=config.capacity, source="<run>",
+            specific_site=specific_site, duration=args.duration,
+            detection_delay=args.detection_delay, timing=DEFAULT_INTERNET_TIMING,
+            workload=self.workload, capacity=self.capacity, source="<run>",
         )
 
     def admit(self, world) -> None:

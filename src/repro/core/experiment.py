@@ -36,6 +36,7 @@ from repro.checkpoint import (
 from repro.core.metrics import TargetOutcome, outcomes_for_run
 from repro.core.plan import Technique, apply_plan
 from repro.core.rig import RunRig, tagged_seed
+from repro.fields import Field, violations
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.hitlist import Hitlist, TargetSelection, select_targets
 from repro.net.addr import IPv4Address
@@ -45,6 +46,17 @@ from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX, CdnDeployment
 from repro.workload.capacity import CapacityProfile
 from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
+
+
+#: the rows of :class:`FailoverConfig`'s probing window, refused at
+#: construction: an interval that cannot advance the clock re-probes one
+#: instant forever, and a window that is empty or never ends measures
+#: nothing. (The CLI's ``--duration`` meets the gate's PRE135 first.)
+_WINDOW = (
+    Field("probe_interval", lo=0, lo_open=True),
+    Field("probe_duration", lo=0, lo_open=True),
+    Field("drain_slack", lo=0),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +92,10 @@ class FailoverConfig:
     #: over a site's budget are lost to overload and the controller
     #: reacts through the technique's shedding hooks
     capacity: CapacityProfile | None = None
+
+    def __post_init__(self) -> None:
+        for _, message in violations(_WINDOW, self):
+            raise ValueError(message)
 
 
 @dataclass(slots=True)
@@ -397,6 +413,7 @@ class FailoverExperiment:
                 )
                 rig.start_workload(config.probe_duration, config.seed, run_tag)
                 network.run_for(config.probe_duration + config.drain_slack)
+                _note_replies(telemetry, rig.prober)
 
             with telemetry.phase("analyze", **tags):
                 outcomes = outcomes_for_run(rig.prober.logs, site, event.failed_at)
@@ -453,6 +470,18 @@ def _note_rewind(telemetry, rewound: int | None) -> dict[str, int]:
     if telemetry.profiler is not None:
         telemetry.profiler.record_rewind("fork-restore", rewound)
     return {"rewound": rewound}
+
+
+def _note_replies(telemetry, prober) -> None:
+    """Tag the probing phase's end with the probe replies that landed as
+    flights and the ones the quiet pass wrote, and tell the profiler, so
+    a trace and a profile show them apart."""
+    if not telemetry.enabled:
+        return
+    flown = prober.replies - prober.quiet
+    telemetry.tag_phase(flown=flown, quiet=prober.quiet)
+    if telemetry.profiler is not None:
+        telemetry.profiler.record_replies("fail-probe", flown, prober.quiet)
 
 
 def pooled_outcomes(results: list[SiteFailoverResult]) -> list[TargetOutcome]:

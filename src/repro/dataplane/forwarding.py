@@ -129,8 +129,8 @@ class Walk:
         self.path = path
         self.delivered_to = delivered_to
         self.reason = reason
-        #: the latency of each hop, filled in by the first flight that
-        #: takes the walk (nothing else needs them)
+        #: the latency of each hop, filled in by the first flight (or
+        #: quiet probe pass) that takes the walk; nothing else needs them
         self.latencies: tuple[float, ...] | None = None
 
 
@@ -169,6 +169,8 @@ class ForwardingPlane:
         self._telemetry = telemetry_registry.current()
         #: flights in the air, in forward order (landing order on ties)
         self._flights: dict[_Flight, None] = {}
+        #: landing events in the engine's queue, stale ones included
+        self.queued_landings = 0
         #: ⟨start node, dst's integer⟩ -> walk on the FIBs of
         #: ``_memo_version`` (an address hashes in Python code, an int
         #: does not, and the workload tick looks up millions of times)
@@ -209,11 +211,29 @@ class ForwardingPlane:
         reads the FIB that stands when the packet arrives there.
         ``on_complete`` fires exactly once, at the delivery or drop.
         """
-        flight = _Flight(dst, on_complete, self.network.engine.now + delay)
+        self.launch(start_node, dst, on_complete, self.network.engine.now + delay)
+
+    def launch(
+        self,
+        start_node: str,
+        dst: IPv4Address,
+        on_complete: Callable[[ForwardResult], None],
+        departs_at: float,
+    ) -> _Flight:
+        """:meth:`forward` for a packet that leaves ``start_node`` at the
+        absolute time ``departs_at`` (not before now); the flight in the
+        air."""
+        flight = _Flight(dst, on_complete, departs_at)
         self._fly(flight, self.walk_from(start_node, dst))
         if not self._flights:
             self.network.on_route_change.append(self._rewalk)
         self._flights[flight] = None
+        return flight
+
+    @property
+    def in_air(self) -> int:
+        """How many flights are in the air."""
+        return len(self._flights)
 
     def walk_from(self, start_node: str, dst: IPv4Address) -> Walk:
         """Where a packet for ``dst`` sent from ``start_node`` now goes:
@@ -273,14 +293,20 @@ class ForwardingPlane:
         times are the engine's own float additions, hop by hop,
         ``t[k+1] = t[k] + latency``: the instants do not depend on how
         many events carry the hops."""
-        if walk.latencies is None:
-            walk.latencies = tuple(self.topology.hop_latencies(walk.path))
         flight.walk = walk
         lands_at = flight.departs_at
-        for latency in walk.latencies:
+        for latency in self.hop_latencies(walk):
             lands_at += latency
         flight.lands_at = lands_at
         self.network.engine.schedule_at(lands_at, lambda: self._land(flight))
+        self.queued_landings += 1
+
+    def hop_latencies(self, walk: Walk) -> tuple[float, ...]:
+        """The latency of each hop of ``walk``, filled in on first use
+        from the topology's per-path memo."""
+        if walk.latencies is None:
+            walk.latencies = self.topology.memo_hop_latencies(walk.path)
+        return walk.latencies
 
     def _rewalk(self) -> None:
         """A FIB was written (the network's route-change hook): cut each
@@ -315,20 +341,29 @@ class ForwardingPlane:
                 flight.walk = walk
 
     def _land(self, flight: _Flight) -> None:
+        self.queued_landings -= 1
         if flight.lands_at > self.network.engine.now or flight not in self._flights:
-            return  # stale: a re-walk moved this landing
+            return  # stale: a re-walk moved this landing, or it was settled
+        self.settle(flight)
+
+    def settle(self, flight: _Flight) -> None:
+        """Land ``flight`` now, at its landing time, as its landing event
+        would; that event goes stale. Only for a caller that knows no FIB
+        can change before ``flight.lands_at``."""
         del self._flights[flight]
         if not self._flights:
             self.network.on_route_change.remove(self._rewalk)
         walk = flight.walk
-        self._finish(
+        self.finish(
             ForwardResult(walk.delivered_to, walk.path, flight.lands_at, walk.reason),
             flight.on_complete,
         )
 
-    def _finish(
+    def finish(
         self, result: ForwardResult, on_complete: Callable[[ForwardResult], None]
     ) -> None:
+        """A forward ended as ``result``: keep the drop log, then tell
+        ``on_complete``."""
         if not result.delivered:
             self.drops.append(result)
             self.dropped_total += 1

@@ -7,7 +7,7 @@ wall time actually goes to. :class:`EventProfiler` aggregates per
 callback qualname -- ``Session._make_delivery.<locals>.deliver``,
 ``Session._make_mrai_expiry.<locals>.mrai_expired`` (queued only for a
 timer an update waits on), ``BgpRouter._schedule_fib_install.<locals>
-.<lambda>``, ``Prober._tick.<locals>.<lambda>`` and friends are each a
+.<lambda>``, ``Prober._round.<locals>.<lambda>`` and friends are each a
 distinct simulated event kind -- plus
 the phase-level wall-vs-sim breakdown the telemetry phases already
 measure, and what the run left for the cycle collector.
@@ -27,18 +27,19 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from repro.telemetry.summary import fork_split
+from repro.telemetry.summary import fork_split, reply_split
 
 #: schema tag written into profile JSON files (``--profile PATH``)
 PROFILE_SCHEMA = "repro.profile/1"
 
 #: the tables of a profile: name -> the fields of one entry, all summed
-#: on merge. ``rewinds`` and ``collector`` are optional on read (older
-#: /1 files lack them).
+#: on merge. ``rewinds``, ``replies`` and ``collector`` are optional on
+#: read (older /1 files lack them).
 _TABLES = {
     "callbacks": ("count", "wall_s"),
     "phases": ("runs", "wall_s", "sim_s"),
     "rewinds": ("cells", "routers"),
+    "replies": ("flown", "quiet"),
     "collector": ("passes", "wall_s", "collected"),
 }
 
@@ -64,6 +65,9 @@ class EventProfiler:
         #: phase name -> [cells that rewound a held fork instead of
         #: restoring one, routers those rewinds reloaded]
         self.rewinds: dict[str, list] = {}
+        #: phase name -> [probe replies that landed as flights, replies
+        #: the prober's quiet pass wrote]
+        self.replies: dict[str, list] = {}
         #: cycle-collector generation -> [passes, total wall seconds,
         #: objects collected]; what the run left for the collector
         self.collector: dict[str, list] = {}
@@ -90,6 +94,11 @@ class EventProfiler:
         entry = self.rewinds.setdefault(phase, [0, 0])
         entry[0] += 1
         entry[1] += routers
+
+    def record_replies(self, phase: str, flown: int, quiet: int) -> None:
+        entry = self.replies.setdefault(phase, [0, 0])
+        entry[0] += flown
+        entry[1] += quiet
 
     def record_collection(self, generation: int, wall_s: float, collected: int) -> None:
         entry = self.collector.setdefault(f"gen{generation}", [0, 0.0, 0])
@@ -175,6 +184,7 @@ def render_profile(state: dict, top: int = 15) -> str:
         lines.append("phases (sim = simulated seconds covered, wall = host seconds):")
         lines.append(f"  {'phase':22s} {'runs':>5s} {'wall':>9s} {'sim':>11s} {'sim/wall':>9s}")
         rewinds = state.get("rewinds", {})
+        replies = state.get("replies", {})
         for name, data in phases.items():
             speedup = data["sim_s"] / data["wall_s"] if data["wall_s"] else 0.0
             lines.append(
@@ -183,6 +193,8 @@ def render_profile(state: dict, top: int = 15) -> str:
             )
             if name in rewinds:
                 lines.append(fork_split(data["runs"], **rewinds[name]))
+            if name in replies:
+                lines.append(reply_split(**replies[name]))
     collector = state.get("collector", {})
     if collector:
         lines.append("")

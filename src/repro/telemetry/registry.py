@@ -67,6 +67,9 @@ class NullTelemetry:
     def phase(self, name: str, **tags) -> Iterator[None]:
         yield
 
+    def tag_phase(self, **tags) -> None:
+        pass
+
     def snapshot(self) -> dict:
         return {"enabled": False, "counters": {}, "gauges": {}, "histograms": {}}
 
@@ -103,6 +106,8 @@ class Telemetry:
         self.histograms: dict[str, Histogram] = {}
         #: simulated-time source; rebound by each BgpNetwork to its engine
         self._clock: Callable[[], float] | None = None
+        #: the tags of each open phase, innermost last (:meth:`tag_phase`)
+        self._open_phases: list[dict] = []
 
     # ------------------------------------------------------------------
     # Instrument access
@@ -155,10 +160,12 @@ class Telemetry:
         wall-clock duration in ``phase.<name>.wall_s``."""
         sim_start = self.now()
         self.emit(PhaseStart(t=sim_start, name=name, tags=dict(tags)))
+        self._open_phases.append(tags)
         wall_start = time.perf_counter()
         try:
             yield
         finally:
+            self._open_phases.pop()
             wall_s = time.perf_counter() - wall_start
             sim_end = self.now()
             self.observe(f"phase.{name}.wall_s", wall_s)
@@ -173,6 +180,12 @@ class Telemetry:
                     tags=dict(tags),
                 )
             )
+
+    def tag_phase(self, **tags) -> None:
+        """Add ``tags`` to the innermost open phase: its PhaseEnd carries
+        them (what is known only once the phase has run)."""
+        if self._open_phases:
+            self._open_phases[-1].update(tags)
 
     # ------------------------------------------------------------------
     # Reporting

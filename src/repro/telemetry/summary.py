@@ -40,6 +40,10 @@ class PhaseSummary:
     #: restoring one, and the routers those rewinds reloaded
     rewinds: int = 0
     rewound_routers: int = 0
+    #: probe replies that landed as flights, and replies the prober's
+    #: quiet pass wrote (a probing phase's ``flown`` / ``quiet`` tags)
+    flown: int = 0
+    quiet: int = 0
 
     @property
     def mean_wall_s(self) -> float:
@@ -50,6 +54,12 @@ def fork_split(runs: int, cells: int, routers: int) -> str:
     """The line under a fork phase's row: of its ``runs``, how many
     restored a fork and how many (``cells``) rewound a held one."""
     return f"    {runs - cells} restored, {cells} rewound ({routers} routers reloaded)"
+
+
+def reply_split(flown: int, quiet: int) -> str:
+    """The line under a probing phase's row: of the probe replies it
+    wrote, how many landed as flights and how many the quiet pass wrote."""
+    return f"    {flown} replies flown, {quiet} quiet"
 
 
 @dataclass(slots=True)
@@ -144,6 +154,9 @@ def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
             if "rewound" in event.tags:
                 phase.rewinds += 1
                 phase.rewound_routers += event.tags["rewound"]
+            if "quiet" in event.tags:
+                phase.flown += event.tags["flown"]
+                phase.quiet += event.tags["quiet"]
         elif isinstance(event, BgpUpdateSent):
             senders[event.sender] += 1
             update_types[event.update] += 1
@@ -206,6 +219,8 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
             )
             if phase.rewinds:
                 lines.append(fork_split(phase.runs, phase.rewinds, phase.rewound_routers))
+            if phase.flown or phase.quiet:
+                lines.append(reply_split(phase.flown, phase.quiet))
 
     if summary.site_failures:
         lines.append("")

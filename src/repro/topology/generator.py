@@ -104,6 +104,11 @@ class Topology:
     #: shared by every forwarding plane (and sweep cell) over this
     #: topology instead of being re-solved per cell; growth clears it.
     _static_routes: dict = field(default_factory=dict, repr=False, compare=False)
+    #: :meth:`hop_latencies` per path tuple, for the forwarding plane's
+    #: flights; a pure function of the AS graph too, cleared with it
+    _hop_latencies: dict[tuple[str, ...], tuple[float, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: the per-link session timings of the last :meth:`build_network`,
     #: ⟨profile, one per link in ``links`` order⟩: every cell of a sweep
     #: builds its network from the same profile, so the timings are
@@ -122,6 +127,7 @@ class Topology:
         self.ases[info.node_id] = info
         self.adjacency[info.node_id] = {}
         self._static_routes.clear()
+        self._hop_latencies.clear()
         return info
 
     def link(self, a: str, b: str, relationship_of_b: Relationship) -> None:
@@ -136,6 +142,7 @@ class Topology:
         self.adjacency[b][a] = relationship_of_b.inverse()
         self._latencies[(a, b)] = self._latencies[(b, a)] = latency
         self._static_routes.clear()
+        self._hop_latencies.clear()
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._latencies
@@ -199,6 +206,13 @@ class Topology:
             latencies.append(self.hop_latency(last_concrete, a, b))
             if not self.ases[b].as_class.is_distributed:
                 last_concrete = b
+        return latencies
+
+    def memo_hop_latencies(self, path: tuple[str, ...]) -> tuple[float, ...]:
+        """:meth:`hop_latencies` of ``path``, memoised per path tuple."""
+        latencies = self._hop_latencies.get(path)
+        if latencies is None:
+            latencies = self._hop_latencies[path] = tuple(self.hop_latencies(path))
         return latencies
 
     def path_latency(self, path: list[str]) -> float:

@@ -9,7 +9,7 @@ code verbatim, as the reference the flight is held to
 
 * :class:`HopChainPlane` -- ``forward``, ``_hop`` and ``snapshot_path``,
   bodies unchanged, on top of the current plane (the static direction,
-  ``_finish`` and the drop log are shared);
+  ``finish`` and the drop log are shared);
 * :class:`HopChainProber` -- ``probe_once`` ending in the scheduled
   ``_reply``, and ``_reply`` itself;
 * :func:`forward_after` -- the one-event departure ``_reply`` made, for
@@ -26,9 +26,11 @@ from repro.dataplane.forwarding import (
     ForwardingPlane,
     ForwardResult,
 )
-from repro.dataplane.ping import Probe, ProbeLog, Prober
+from repro.dataplane.ping import Probe, ProbeLog
 from repro.net.addr import IPv4Address, cached_str
 from repro.telemetry.trace import ProbeLost, ProbeSent
+
+from tests.probe_oracle import TickProber
 
 
 class HopChainPlane(ForwardingPlane):
@@ -69,22 +71,22 @@ class HopChainPlane(ForwardingPlane):
         to hop by the rule :meth:`Topology.path_latency` states."""
         engine = self.network.engine
         if len(path) > MAX_HOPS:
-            self._finish(
+            self.finish(
                 ForwardResult(None, path, engine.now, DropReason.TTL_EXCEEDED), on_complete
             )
             return
         next_hop = self.network.next_hop(node, dst)
         if next_hop is None:
-            self._finish(
+            self.finish(
                 ForwardResult(None, path, engine.now, DropReason.NO_ROUTE), on_complete
             )
             return
         if next_hop == node:
             # Locally originated covering prefix: delivered here.
-            self._finish(ForwardResult(node, path, engine.now), on_complete)
+            self.finish(ForwardResult(node, path, engine.now), on_complete)
             return
         if seen.get(node) == next_hop:
-            self._finish(
+            self.finish(
                 ForwardResult(None, path, engine.now, DropReason.LOOP), on_complete
             )
             return
@@ -142,8 +144,9 @@ def forward_after(
     )
 
 
-class HopChainProber(Prober):
-    """The prober whose reply leg was its own event."""
+class HopChainProber(TickProber):
+    """The prober whose reply leg was its own event (and whose targets
+    each ticked on their own, as they did then)."""
 
     def probe_once(self, target: IPv4Address, target_node: str) -> None:
         """Send one echo request now; the reply (if any) arrives later."""

@@ -1,4 +1,15 @@
-"""The §5.4.1 metrics by re-joining sends and replies, kept as the reference.
+"""Two references for the probe loop: the §5.4.1 join, and the prober
+whose every target ticked on its own.
+
+**The per-target-tick prober.** Until probing ran in rounds with a quiet
+pass, :meth:`Prober.start` scheduled one paced tick per target and every
+reply landed as its own event. :class:`TickProber` keeps ``start``,
+``_tick`` and ``probe_once`` verbatim; the reply's fate goes through the
+shared writer (``Prober._reply_done``) as it always did. The
+differential tests in ``test_probe_rounds.py`` (and the hop-chain
+reference in ``forwarding_oracle.py``) are its callers.
+
+**The §5.4.1 metrics by re-joining sends and replies.**
 
 This is ``core/metrics.target_outcome`` as it stood while the prober kept
 a send log and the sites a capture log: the first reply per sequence
@@ -13,8 +24,79 @@ reproduce it value for value; the differential test in
 """
 
 from repro.core.metrics import TargetOutcome
-from repro.net.addr import IPv4Address
-from repro.telemetry.trace import ProbeReply, ProbeSent
+from repro.dataplane.ping import Probe, ProbeLog, Prober
+from repro.net.addr import IPv4Address, cached_str
+from repro.telemetry.trace import ProbeLost, ProbeReply, ProbeSent
+
+
+class TickProber(Prober):
+    """The prober whose targets each had their own paced tick."""
+
+    def probe_once(self, target: IPv4Address, target_node: str) -> None:
+        """Send one echo request now; the reply (if any) arrives later."""
+        engine = self.plane.network.engine
+        log = self.logs.get(target)
+        if log is None:
+            vantage_node = self.deployment.site_node(self.vantage_site)
+            latency = self.plane.latency_to_client(vantage_node, target_node)
+            log = self.logs[target] = ProbeLog(target, target_node, latency)
+        self._seq += 1
+        probe = Probe(self._seq, engine.now)
+        log.probes.append(probe)
+        telemetry = self._telemetry
+        if telemetry.enabled:
+            telemetry.inc("probe.sent")
+            telemetry.emit(
+                ProbeSent(t=engine.now, target=cached_str(target), seq=probe.seq)
+            )
+        if log.request_latency is None:
+            # Target unreachable from the vantage: no reply ever.
+            probe.reason = "unreachable"
+            if telemetry.enabled:
+                telemetry.emit(
+                    ProbeLost(
+                        t=engine.now,
+                        target=cached_str(target),
+                        seq=probe.seq,
+                        reason="unreachable",
+                    )
+                )
+            return
+        # The target answers when the request reaches it; the reply is
+        # addressed to the request's *source*, which is how §5.2 steers
+        # replies toward the prefix under test.
+        self.plane.forward(
+            log.target_node,
+            self.source,
+            lambda result: self._reply_done(log.target, probe, result),
+            delay=log.request_latency,
+        )
+
+    def start(
+        self,
+        targets: dict[IPv4Address, str],
+        interval: float = 1.5,
+        duration: float = 600.0,
+    ) -> None:
+        """Schedule paced probing of ``targets`` (address -> AS node).
+
+        Probes start immediately and repeat every ``interval`` seconds
+        until ``duration`` has elapsed on the simulation clock.
+        """
+        stop_at = self.plane.network.engine.now + duration
+        for target, node in targets.items():
+            self._tick(target, node, interval, stop_at)
+
+    def _tick(
+        self, target: IPv4Address, node: str, interval: float, stop_at: float
+    ) -> None:
+        # A method, not a closure that names itself: a self-referencing
+        # closure is a reference cycle that would outlive the run.
+        engine = self.plane.network.engine
+        if engine.now > stop_at:
+            return
+        self.probe_once(target, node)
+        engine.schedule(interval, lambda: self._tick(target, node, interval, stop_at))
 
 
 def joined_outcome(

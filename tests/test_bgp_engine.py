@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.engine import EventEngine
+from repro.bgp.engine import CallbackError, EventEngine
 
 
 class TestScheduling:
@@ -116,6 +116,28 @@ class TestRunControl:
             engine.schedule(1.0, lambda: None)
         engine.run_until_idle()
         assert engine.processed == 5
+
+    def test_deadline_is_the_run_in_progress(self):
+        """What a callback may rely on: no event past ``deadline`` runs
+        in this run. None outside a run and under a bare ``step``."""
+        engine = EventEngine()
+        seen = []
+        for _ in range(3):
+            engine.schedule(1.0, lambda: seen.append(engine.deadline))
+        assert engine.deadline is None
+        engine.step()
+        engine.run_until(5.0)
+        engine.schedule(1.0, lambda: seen.append(engine.deadline))
+        engine.run_until_idle()
+        assert seen == [None, 5.0, 5.0, float("inf")]
+        assert engine.deadline is None
+
+    def test_a_raising_run_leaves_no_deadline(self):
+        engine = EventEngine()
+        engine.schedule(1.0, lambda: 1 / 0)
+        with pytest.raises(CallbackError):
+            engine.run_until(2.0)
+        assert engine.deadline is None
 
 
 class TestCallbackErrorGuardRail:

@@ -328,9 +328,13 @@ class TestExtendedCommands:
             assert "failing msn" not in captured.out
         assert main(["drill", "--clients", "2", "--deadline", "nan"]) == 2
         assert "PRE135" in capsys.readouterr().err
-        # --no-check still overrides, as for every other gate finding
-        assert main(argv + ["--duration", "nan", "--no-check"]) == 0
-        assert "overridden by --no-check" in capsys.readouterr().err
+        # --no-check overrides the gate, as for every other finding, but
+        # FailoverConfig refuses a probing window that measures nothing:
+        # one line, exit 2, no traceback
+        assert main(argv + ["--duration", "nan", "--no-check"]) == 2
+        captured = capsys.readouterr()
+        assert "overridden by --no-check" in captured.err
+        assert "cannot run: probe_duration nan is not finite" in captured.err
 
     def test_capacity_binds_only_with_a_workload_on_both_commands(self, capsys, tmp_path):
         """A brownout fault under ``--capacity`` without ``--workload``

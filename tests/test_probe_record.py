@@ -6,9 +6,9 @@ structure the benchmark's exact counts rest on.
   sequence number kept in ``tests/probe_oracle.py``, and the availability
   ledger rebuilds those very records from the trace;
 * census: one forked cell schedules exactly one ``Prober.`` callback per
-  probe and one ``ForwardingPlane.`` callback per reply landing (plus any
-  landing a FIB write made stale) -- the numbers the benchmark's exact
-  counts rest on.
+  probing round and one ``ForwardingPlane.`` callback per reply that
+  landed as a flight (plus any landing a FIB write made stale) -- the
+  numbers the benchmark's exact counts rest on.
 """
 
 import pytest
@@ -71,13 +71,16 @@ def test_records_equal_the_join_by_sequence_number(monkeypatch, deployment, tech
 
 
 def test_callback_census_of_one_forked_cell(deployment):
-    """One ``Prober.`` callback per probe (the paced tick; the reply leg is
-    the flight's departure delay, not an event) and one
-    ``ForwardingPlane.`` callback per reply landing, plus any landing a
-    FIB write made stale: what ``dataplane.probe_n`` / ``dataplane.hop_n``
-    count in ``bench/``. Before replies became flights this cell made
-    3280 and 6283 (a reply event per probe, an event per hop). A change
-    that batches, merges or drops probe events moves these."""
+    """One ``Prober.`` callback per probing round (every target is probed
+    in the round's one event) and one ``ForwardingPlane.`` callback per
+    reply that landed as a flight, plus any landing a FIB write made
+    stale: what ``dataplane.probe_n`` / ``dataplane.hop_n`` count in
+    ``bench/``. Before replies became flights this cell made 3280 and
+    6283 events (a reply event per probe, an event per hop); before
+    probing ran in rounds, 1640 and 1640 (a tick per probe, a landing
+    per reply). This cell never goes quiet inside its window, so every
+    reply still lands as a flight. A change that batches, merges or
+    drops probe events moves these."""
     profiler = EventProfiler()
     with telemetry.using(telemetry.Telemetry(profiler=profiler)) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
@@ -90,7 +93,10 @@ def test_callback_census_of_one_forked_cell(deployment):
     assert all("Prober." in name or "ForwardingPlane." in name for name in data_plane)
     probe_n = sum(count for name, count in data_plane.items() if "Prober." in name)
     hop_n = sum(count for name, count in data_plane.items() if "ForwardingPlane." in name)
-    landings = counters["probe.replies"] + counters["probe.replies_lost"]
-    assert counters["probe.sent"] == landings == 1640
-    assert probe_n == counters["probe.sent"] == 1640
-    assert hop_n == landings + 0 == 1640  # no stale landing in this cell
+    replies = counters["probe.replies"] + counters["probe.replies_lost"]
+    flown = replies - counters.get("probe.quiet", 0)
+    assert counters["probe.sent"] == replies == 1640
+    # 60 s at 1.5 s: the round at the start is a direct call, then 40
+    # round events and the one that finds the window over.
+    assert probe_n == 41
+    assert hop_n == flown + 0 == 1640  # no stale landing in this cell

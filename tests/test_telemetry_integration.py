@@ -67,14 +67,22 @@ def test_counters_populated(traced_run):
 
 
 def test_phases_cover_the_protocol(traced_run):
-    _, tracer, _ = traced_run
+    active, tracer, _ = traced_run
     starts = {e.name for e in tracer.events_of(telemetry.PhaseStart)}
     ends = {e.name: e for e in tracer.events_of(telemetry.PhaseEnd)}
     expected = {"deploy-converge", "select-targets", "fail-probe", "analyze"}
     assert expected <= starts
     assert expected <= set(ends)
+    counters = active.snapshot()["counters"]
     for name in expected:
-        assert ends[name].tags == {"technique": "anycast", "site": "msn"}
+        tags = dict(ends[name].tags)
+        if name == "fail-probe":
+            # The probing phase ends with its replies split by who wrote
+            # them: a landing event or the quiet pass.
+            flown, quiet = tags.pop("flown"), tags.pop("quiet")
+            assert quiet == counters["probe.quiet"] > 0
+            assert flown + quiet == counters["probe.replies"] + counters["probe.replies_lost"]
+        assert tags == {"technique": "anycast", "site": "msn"}
         assert ends[name].wall_s >= 0.0
     # The probing phase spans the configured simulated window.
     assert ends["fail-probe"].sim_s >= SMALL.probe_duration
