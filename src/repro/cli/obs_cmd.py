@@ -8,7 +8,7 @@ The observability trio on top of a recorded run:
   (user-seconds lost per technique, classified blackhole / loop /
   wrong-site);
 * ``profile`` renders a ``--profile PATH`` JSON (per-event-kind wall
-  time and phase sim-vs-wall breakdown).
+  time and the phase table ``trace summarize`` prints too).
 """
 
 from __future__ import annotations
@@ -64,16 +64,18 @@ def run_profile(args: argparse.Namespace, ctx: Prologue) -> int:
     try:
         with open(args.path) as handle:
             state = json.load(handle)
+        if not isinstance(state, dict) or "callbacks" not in state:
+            print(f"not a profile file (missing 'callbacks'): {args.path}", file=sys.stderr)
+            return 2
+        # Read through the profiler's own fold: a malformed table is a ValueError.
+        report = render_profile(state, top=args.top)
     except FileNotFoundError:
         print(f"no such profile file: {args.path}", file=sys.stderr)
         return 2
     except ValueError as error:
         print(f"unreadable profile: {error}", file=sys.stderr)
         return 2
-    if not isinstance(state, dict) or "callbacks" not in state:
-        print(f"not a profile file (missing 'callbacks'): {args.path}", file=sys.stderr)
-        return 2
-    print_result(render_profile(state, top=args.top))
+    print_result(report)
     return 0
 
 

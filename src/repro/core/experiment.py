@@ -13,9 +13,11 @@ Per ⟨technique, failed site⟩ the paper's procedure is:
    replies arrive;
 5. compute per-target reconnection and failover times (§5.4.1).
 
-:class:`FailoverExperiment` runs that protocol on a fresh network per
-run, sharing the anycast catchment and target selections (which depend
-only on the topology) across techniques.
+:class:`FailoverExperiment` runs that protocol once per cell, sharing the
+anycast catchment and target selections (which depend only on the
+topology) across techniques. A cold cell builds a fresh network; on the
+checkpoint path a sweep holds one forked network per process and
+rewinds it between the cells of one baseline (:class:`HeldFork`).
 """
 
 from __future__ import annotations
@@ -353,8 +355,10 @@ class FailoverExperiment:
                 return self.run_site(technique, site)
         config = self.config
         telemetry = telemetry_registry.current()
-        # Each run gets a fresh network; drop any previous run's clock so
-        # phase timestamps restart from this run's engine epoch.
+        # A cell runs on a fresh network, a restored fork or the sweep's
+        # rewound one; drop the previous cell's clock so phase timestamps
+        # restart from this cell's engine epoch (building or forking the
+        # network binds its own).
         telemetry.bind_clock(None)
         tags = {"technique": technique.name, "site": site}
         run_tag = f"{technique.name}/{site}"
@@ -463,25 +467,18 @@ def _note_rewind(telemetry, rewound: int | None) -> dict[str, int]:
     """Count a rewound cell (``rewound`` routers reloaded; None for a
     restore or a cold start) and tag its phase with the routers, so a
     trace and a profile show restores and rewinds apart."""
-    if rewound is None or not telemetry.enabled:
+    if rewound is None:
         return {}
     telemetry.inc("checkpoint.rewinds")
     telemetry.inc("checkpoint.rewound_routers", rewound)
-    if telemetry.profiler is not None:
-        telemetry.profiler.record_rewind("fork-restore", rewound)
     return {"rewound": rewound}
 
 
 def _note_replies(telemetry, prober) -> None:
     """Tag the probing phase's end with the probe replies that landed as
-    flights and the ones the quiet pass wrote, and tell the profiler, so
-    a trace and a profile show them apart."""
-    if not telemetry.enabled:
-        return
-    flown = prober.replies - prober.quiet
-    telemetry.tag_phase(flown=flown, quiet=prober.quiet)
-    if telemetry.profiler is not None:
-        telemetry.profiler.record_replies("fail-probe", flown, prober.quiet)
+    flights and the ones the quiet pass wrote, so a trace and a profile
+    show them apart."""
+    telemetry.tag_phase(flown=prober.replies - prober.quiet, quiet=prober.quiet)
 
 
 def pooled_outcomes(results: list[SiteFailoverResult]) -> list[TargetOutcome]:

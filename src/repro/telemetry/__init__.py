@@ -34,7 +34,7 @@ from repro.telemetry.registry import (
     using,
 )
 from repro.telemetry.summary import (
-    PhaseSummary,
+    PhaseTable,
     TraceSummary,
     filter_events,
     render_summary,
@@ -78,7 +78,7 @@ __all__ = [
     "install",
     "reset",
     "using",
-    "PhaseSummary",
+    "PhaseTable",
     "TraceSummary",
     "filter_events",
     "render_summary",

@@ -99,7 +99,7 @@ class Telemetry:
         #: optional :class:`repro.obs.profiler.EventProfiler` (duck-typed
         #: here to keep telemetry importable without repro.obs); the
         #: engine attributes per-callback wall time to it and
-        #: :meth:`phase` reports phase wall/sim durations.
+        #: :meth:`phase` hands it each closing ``PhaseEnd``.
         self.profiler = profiler
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
@@ -157,7 +157,8 @@ class Telemetry:
     @contextmanager
     def phase(self, name: str, **tags) -> Iterator[None]:
         """Mark a named phase: emits PhaseStart/PhaseEnd and records the
-        wall-clock duration in ``phase.<name>.wall_s``."""
+        wall-clock duration in ``phase.<name>.wall_s``. The one writer of
+        a phase record: tracer and profiler get the same ``PhaseEnd``."""
         sim_start = self.now()
         self.emit(PhaseStart(t=sim_start, name=name, tags=dict(tags)))
         self._open_phases.append(tags)
@@ -169,17 +170,11 @@ class Telemetry:
             wall_s = time.perf_counter() - wall_start
             sim_end = self.now()
             self.observe(f"phase.{name}.wall_s", wall_s)
+            sim_s = max(0.0, sim_end - sim_start)
+            end = PhaseEnd(t=sim_end, name=name, wall_s=wall_s, sim_s=sim_s, tags=dict(tags))
             if self.profiler is not None:
-                self.profiler.record_phase(name, wall_s, max(0.0, sim_end - sim_start))
-            self.emit(
-                PhaseEnd(
-                    t=sim_end,
-                    name=name,
-                    wall_s=wall_s,
-                    sim_s=max(0.0, sim_end - sim_start),
-                    tags=dict(tags),
-                )
-            )
+                self.profiler.record_phase(end)
+            self.emit(end)
 
     def tag_phase(self, **tags) -> None:
         """Add ``tags`` to the innermost open phase: its PhaseEnd carries

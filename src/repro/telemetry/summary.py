@@ -28,38 +28,97 @@ from repro.telemetry.trace import (
 )
 
 
-@dataclass(slots=True)
-class PhaseSummary:
-    """Aggregated timings for one phase name across its executions."""
-
-    name: str
-    runs: int = 0
-    wall_s: float = 0.0
-    sim_s: float = 0.0
-    #: runs that rewound a held fork (tagged ``rewound``) instead of
-    #: restoring one, and the routers those rewinds reloaded
-    rewinds: int = 0
-    rewound_routers: int = 0
-    #: probe replies that landed as flights, and replies the prober's
-    #: quiet pass wrote (a probing phase's ``flown`` / ``quiet`` tags)
-    flown: int = 0
-    quiet: int = 0
-
-    @property
-    def mean_wall_s(self) -> float:
-        return self.wall_s / self.runs if self.runs else 0.0
+#: the summed fields of a phase's row, and of each integer end tag in it
+#: (the tag's sum, and how many of the phase's runs carried it)
+PHASE_FIELDS, TAG_FIELDS = ("runs", "wall_s", "sim_s"), ("sum", "runs")
 
 
-def fork_split(runs: int, cells: int, routers: int) -> str:
-    """The line under a fork phase's row: of its ``runs``, how many
-    restored a fork and how many (``cells``) rewound a held one."""
-    return f"    {runs - cells} restored, {cells} rewound ({routers} routers reloaded)"
+def fold_rows(table: dict, rows, fields: tuple, where: str, blank=None) -> None:
+    """Sum ``rows`` -- ``{name: {field: number}}`` -- into ``table``
+    (name -> one number per field, then what ``blank()`` adds); any
+    other shape is a ``ValueError`` naming ``where``, so a profile read
+    from a file is checked by the fold that merges a worker's."""
+    if not isinstance(rows, dict):
+        raise ValueError(f"{where} must be a table of named entries, got {type(rows).__name__}")
+    for name, data in rows.items():
+        if not isinstance(data, dict):
+            raise ValueError(f"{where}[{name!r}] must be an entry of fields, got {data!r}")
+        entry = table.setdefault(name, blank() if blank else [0] * len(fields))
+        for i, field in enumerate(fields):
+            value = data.get(field)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where}[{name!r}].{field} must be a number, got {value!r}")
+            entry[i] += value
 
 
-def reply_split(flown: int, quiet: int) -> str:
-    """The line under a probing phase's row: of the probe replies it
-    wrote, how many landed as flights and how many the quiet pass wrote."""
-    return f"    {flown} replies flown, {quiet} quiet"
+def _fork_note(runs: int, tags: dict) -> str:
+    routers, cells = tags["rewound"]
+    return f"{runs - cells} restored, {cells} rewound ({routers} routers reloaded)"
+
+
+def _reply_note(runs: int, tags: dict) -> str:
+    return f"{tags.get('flown', (0,))[0]} replies flown, {tags['quiet'][0]} quiet"
+
+
+#: end tag -> the note line under the row of a phase whose runs carried
+#: it: a fork phase's restores vs rewinds of a held fork (``rewound``,
+#: the routers reloaded) and a probing phase's replies that landed as
+#: flights vs the ones the quiet pass wrote (``flown``, ``quiet``)
+PHASE_NOTES = {"rewound": _fork_note, "quiet": _reply_note}
+
+
+class PhaseTable(dict):
+    """The one fold of phase records, in first-seen order: phase name ->
+    ``[runs, wall_s, sim_s, {integer end tag: [sum, runs that carried
+    it]}]``. ``EventProfiler.phases`` is one, :func:`summarize_trace`
+    builds one from a trace, and :meth:`lines` prints it for ``repro
+    profile`` and ``repro trace summarize`` alike."""
+
+    __slots__ = ()
+
+    def add(self, end: PhaseEnd) -> None:
+        """Fold one closed phase in, as a state of one run."""
+        tags = {tag: {"sum": n, "runs": 1} for tag, n in end.tags.items() if type(n) is int}
+        self.merge_state(
+            {end.name: {"runs": 1, "wall_s": end.wall_s, "sim_s": end.sim_s, "tags": tags}}
+        )
+
+    def state(self) -> dict:
+        """Plain data, sorted: ``{name: {runs, wall_s, sim_s[, tags:
+        {tag: {sum, runs}}]}}``."""
+        state = {}
+        for name, (*sums, tags) in sorted(self.items()):
+            entry = state[name] = dict(zip(PHASE_FIELDS, sums))
+            if tags:
+                entry["tags"] = {tag: dict(zip(TAG_FIELDS, c)) for tag, c in sorted(tags.items())}
+        return state
+
+    def merge_state(self, state) -> None:
+        """Fold a :meth:`state` in, every field summed."""
+        fold_rows(self, state, PHASE_FIELDS, "phases", lambda: [0, 0.0, 0.0, {}])
+        for name, data in state.items():
+            fold_rows(self[name][3], data.get("tags", {}), TAG_FIELDS, f"phases[{name!r}].tags")
+
+    def lines(self) -> list[str]:
+        """The table, each row followed by its note lines, after a blank
+        line; nothing for an empty table."""
+        if not self:
+            return []
+        lines = [
+            "",
+            "phase timings of all phases (wall = host seconds, sim = simulated seconds):",
+            f"  {'phase':22s} {'runs':>5s} {'wall total':>11s} {'wall mean':>10s} "
+            f"{'sim total':>10s} {'sim/wall':>9s}",
+        ]
+        for name, (runs, wall_s, sim_s, tags) in self.items():
+            mean = wall_s / runs if runs else 0.0
+            speedup = sim_s / wall_s if wall_s else 0.0
+            lines.append(
+                f"  {name:22s} {runs:>5} {wall_s:10.3f}s {mean:9.3f}s "
+                f"{sim_s:9.1f}s {speedup:8.1f}x"
+            )
+            lines += [f"    {note(runs, tags)}" for tag, note in PHASE_NOTES.items() if tag in tags]
+        return lines
 
 
 @dataclass(slots=True)
@@ -72,8 +131,8 @@ class TraceSummary:
     #: first/last simulated timestamp seen
     t_first: float = 0.0
     t_last: float = 0.0
-    #: phase name -> aggregated timings (insertion = first-seen order)
-    phases: dict[str, PhaseSummary] = field(default_factory=dict)
+    #: phase name -> aggregated timings and end tags
+    phases: PhaseTable = field(default_factory=PhaseTable)
     #: sending router -> updates put on the wire
     updates_by_sender: dict[str, int] = field(default_factory=dict)
     #: "announce"/"withdraw" split
@@ -145,18 +204,7 @@ def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
     for event in events:
         kinds[event.kind] += 1
         if isinstance(event, PhaseEnd):
-            phase = summary.phases.get(event.name)
-            if phase is None:
-                phase = summary.phases[event.name] = PhaseSummary(event.name)
-            phase.runs += 1
-            phase.wall_s += event.wall_s
-            phase.sim_s += event.sim_s
-            if "rewound" in event.tags:
-                phase.rewinds += 1
-                phase.rewound_routers += event.tags["rewound"]
-            if "quiet" in event.tags:
-                phase.flown += event.tags["flown"]
-                phase.quiet += event.tags["quiet"]
+            summary.phases.add(event)
         elif isinstance(event, BgpUpdateSent):
             senders[event.sender] += 1
             update_types[event.update] += 1
@@ -208,19 +256,7 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
     for kind, count in sorted(summary.kinds.items(), key=lambda kv: -kv[1]):
         lines.append(f"  {kind:18s} {count}")
 
-    if summary.phases:
-        lines.append("")
-        lines.append("phase timings (wall = host seconds, sim = simulated seconds):")
-        lines.append(f"  {'phase':22s} {'runs':>5s} {'wall total':>11s} {'wall mean':>10s} {'sim total':>10s}")
-        for phase in summary.phases.values():
-            lines.append(
-                f"  {phase.name:22s} {phase.runs:5d} {phase.wall_s:10.3f}s "
-                f"{phase.mean_wall_s:9.3f}s {phase.sim_s:9.1f}s"
-            )
-            if phase.rewinds:
-                lines.append(fork_split(phase.runs, phase.rewinds, phase.rewound_routers))
-            if phase.flown or phase.quiet:
-                lines.append(reply_split(phase.flown, phase.quiet))
+    lines += summary.phases.lines()
 
     if summary.site_failures:
         lines.append("")

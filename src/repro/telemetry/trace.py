@@ -424,14 +424,20 @@ class TraceMeta(TraceEvent):
 
 
 def event_from_dict(data: dict) -> TraceEvent:
-    """Rebuild a typed event from its JSONL dictionary."""
+    """Rebuild a typed event from its JSONL dictionary; a record that is
+    not an object of a known ``kind`` with every field that has no
+    default is a ``ValueError`` (present fields' types are not checked)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a trace event must be an object, got {type(data).__name__}")
     kind = data.get("kind")
     cls = EVENT_TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown trace event kind {kind!r}")
     names = {f.name for f in fields(cls)}
-    kwargs = {key: value for key, value in data.items() if key in names}
-    return cls(**kwargs)
+    try:
+        return cls(**{key: value for key, value in data.items() if key in names})
+    except TypeError as error:  # a field without a default is missing
+        raise ValueError(f"{kind} event: {error}") from error
 
 
 class TraceRecorder:
@@ -503,7 +509,8 @@ def write_jsonl(path: str | Path, events: Iterable[TraceEvent]) -> int:
 
 
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
-    """Parse a JSONL trace back into typed events (blank lines skipped)."""
+    """Parse a JSONL trace back into typed events (blank lines skipped);
+    a line that is not one is a ``ValueError`` naming ``path:line``."""
     events: list[TraceEvent] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -511,8 +518,9 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
             if not line:
                 continue
             try:
-                data = json.loads(line)
+                events.append(event_from_dict(json.loads(line)))
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_no}: invalid JSON") from error
-            events.append(event_from_dict(data))
+            except ValueError as error:
+                raise ValueError(f"{path}:{line_no}: {error}") from error
     return events

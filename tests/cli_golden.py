@@ -79,11 +79,15 @@ ARGVS: dict[str, list[str]] = {
 }
 
 #: host-time text: sweep's ``in 0.2s``, the wall histograms of the
-#: ``--metrics`` dump, the wall columns of ``trace summarize``'s phases
+#: ``--metrics`` dump, the wall and sim/wall columns of the phase table
+#: (``trace summarize`` and ``profile`` print the same one)
 _HOST_TIME = (
     (re.compile(r" in \d+\.\d+s "), " in <wall>s "),
     (re.compile(r"(?m)^((?:engine\.callback_wall_us|phase\.\S+\.wall_s) +).*$"), r"\1<wall>"),
-    (re.compile(r"(?m)^(  \S+ +\d+ +)\d+\.\d{3}s +\d+\.\d{3}s "), r"\1<wall>s <wall>s "),
+    (
+        re.compile(r"(?m)^(  \S+ +\d+ +)\d+\.\d{3}s +\d+\.\d{3}s( +\d+\.\ds) +\d+\.\dx$"),
+        r"\1<wall>s <wall>s\2 <wall>x",
+    ),
 )
 
 

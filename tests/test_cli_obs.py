@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.obs import EventProfiler, LEDGER_SCHEMA
 from repro.telemetry import (
     BgpUpdateSent,
     FibInstalled,
+    PhaseEnd,
     PhaseStart,
     ProbeLost,
     ProbeReply,
@@ -50,7 +52,7 @@ def write_trace(path):
 def write_profile(path):
     profiler = EventProfiler()
     profiler.record_callback("Session._mrai_expired", 0.5)
-    profiler.record_phase("fail-probe", 1.0, 120.0)
+    profiler.record_phase(PhaseEnd(t=0.0, name="fail-probe", wall_s=1.0, sim_s=120.0))
     path.write_text(json.dumps(profiler.state()))
     return path
 
@@ -145,6 +147,27 @@ class TestUnreadableTrace:
             assert captured.out == ""
             assert reason in captured.err
 
+    @pytest.mark.parametrize("command", [["explain"], ["report"], ["trace", "summarize"]])
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ("[1, 2]", "a trace event must be an object, got list"),
+            ('{"kind": "phase_end", "t": 0}', "phase_end event: PhaseEnd.__init__() missing"),
+            ('{"kind": "nope", "t": 0}', "unknown trace event kind 'nope'"),
+        ],
+        ids=["not-an-object", "missing-field", "unknown-kind"],
+    )
+    def test_a_malformed_record_names_its_line(self, capsys, tmp_path, command, record, reason):
+        """Valid JSON that is not an event is one stderr line naming the
+        file and line, exit 2 -- not a traceback."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kind": "site_failed", "t": 1.0, "site": "msn"}\n' + record + "\n")
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"unreadable trace: {path}:2: {reason}")
+        assert captured.err.count("\n") == 1
+
 
 class TestProfileCommand:
     def test_renders_profile(self, capsys, tmp_path):
@@ -166,6 +189,47 @@ class TestProfileCommand:
         bad = tmp_path / "other.json"
         bad.write_text(json.dumps({"something": "else"}))
         assert main(["profile", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            (
+                {"callbacks": {"x": {"count": 1}}},
+                "callbacks['x'].wall_s must be a number, got None",
+            ),
+            (
+                {"callbacks": [], "phases": {}},
+                "callbacks must be a table of named entries, got list",
+            ),
+            (
+                {"callbacks": {}, "phases": {"p": {"runs": 1}}},
+                "phases['p'].wall_s must be a number, got None",
+            ),
+        ],
+        ids=["callback-without-wall", "callbacks-not-a-table", "phase-without-wall"],
+    )
+    def test_a_malformed_table_is_one_line(self, capsys, tmp_path, document, reason):
+        """The file is read through the profiler's own fold: a table that
+        is not ``{name: {field: number}}`` is a finding, exit 2."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["profile", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unreadable profile: {reason}\n"
+
+    def test_a_file_without_tags_renders(self, capsys, tmp_path):
+        """A /1 profile (no per-phase ``tags``) still reads: no note lines."""
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "schema": "repro.profile/1",
+            "callbacks": {},
+            "phases": {"fork-restore": {"runs": 2, "wall_s": 0.5, "sim_s": 0.0}},
+        }))
+        assert main(["profile", str(old)]) == 0
+        out = capsys.readouterr().out
+        assert "  fork-restore               2" in out
+        assert "rewound" not in out
 
 
 class TestEndToEnd:
@@ -218,3 +282,42 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "filtered to" in out
         assert "bgp_update_sent" in out
+
+
+def phase_notes(text: str) -> dict[str, list[str]]:
+    """Phase name -> the note lines printed under its row of the phase
+    table."""
+    notes: dict[str, list[str]] = {}
+    rows = text.split("\nphase timings", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    for line in rows:
+        if line.startswith("    "):
+            notes[phase].append(line)
+        else:
+            phase = line.split()[0]
+            notes[phase] = []
+    return notes
+
+
+def test_profile_and_trace_summarize_print_the_same_notes(capsys, tmp_path):
+    """One serial sweep, traced and profiled: both readers fold the same
+    ``PhaseEnd`` records, so the lines under each phase's row agree."""
+    trace, profile = tmp_path / "sweep.jsonl", tmp_path / "sweep-profile.json"
+    assert main([
+        "sweep", "-t", "anycast", "proactive-superprefix", "--sites", "msn", "sea1", "ams",
+        "--targets", "4", "--duration", "60", "--no-progress", "-o", str(tmp_path / "s.json"),
+        "--trace", str(trace), "--profile", str(profile),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["profile", str(profile)]) == 0
+    from_profile = phase_notes(capsys.readouterr().out)
+    assert main(["trace", "summarize", str(trace)]) == 0
+    from_trace = phase_notes(capsys.readouterr().out)
+    assert from_profile == from_trace
+    (fork,) = from_trace["fork-restore"]
+    (replies,) = from_trace["fail-probe"]
+    restored, rewound, routers = map(int, re.fullmatch(
+        r"    (\d+) restored, (\d+) rewound \((\d+) routers reloaded\)", fork
+    ).groups())
+    assert restored + rewound == 6 and rewound >= 1 and routers > 0
+    flown, quiet = map(int, re.fullmatch(r"    (\d+) replies flown, (\d+) quiet", replies).groups())
+    assert flown > 0 and quiet > 0

@@ -13,7 +13,7 @@ from repro.obs import (
     render_profile,
     watch_collector,
 )
-from repro.telemetry import Telemetry, using
+from repro.telemetry import PhaseEnd, Telemetry, using
 
 from tests.conftest import build_line_network
 
@@ -32,10 +32,22 @@ class TestRecording:
 
     def test_phase_accumulates_runs_wall_and_sim(self):
         profiler = EventProfiler()
-        profiler.record_phase("fail-probe", 2.0, 300.0)
-        profiler.record_phase("fail-probe", 1.0, 100.0)
+        profiler.record_phase(PhaseEnd(t=0.0, name="fail-probe", wall_s=2.0, sim_s=300.0))
+        profiler.record_phase(PhaseEnd(t=0.0, name="fail-probe", wall_s=1.0, sim_s=100.0))
         entry = profiler.state()["phases"]["fail-probe"]
         assert entry == {"runs": 2, "wall_s": 3.0, "sim_s": 400.0}
+
+    def test_integer_end_tags_keep_their_sum_and_carriers(self):
+        """Only integer tags fold, each as its sum and the runs that
+        carried it; the note line reads them without the fold naming
+        the tag."""
+        profiler = EventProfiler()
+        for tags in ({"site": "msn"}, {"site": "sea1", "rewound": 40}, {"rewound": 2}):
+            profiler.record_phase(PhaseEnd(t=0.0, name="fork-restore", wall_s=1.0, tags=tags))
+        entry = profiler.state()["phases"]["fork-restore"]
+        assert entry["tags"] == {"rewound": {"sum": 42, "runs": 2}}
+        lines = render_profile(profiler.state()).splitlines()
+        assert "    1 restored, 2 rewound (42 routers reloaded)" in lines
 
     def test_state_is_sorted_and_json_safe(self):
         profiler = EventProfiler()
@@ -96,7 +108,7 @@ class TestCollector:
 
     def test_rendered_under_the_phase_table(self):
         profiler = EventProfiler()
-        profiler.record_phase("fail-probe", 1.0, 240.0)
+        profiler.record_phase(PhaseEnd(t=0.0, name="fail-probe", wall_s=1.0, sim_s=240.0))
         profiler.record_collection(2, 0.125, 4321)
         text = render_profile(profiler.state())
         assert text.index("fail-probe") < text.index("collector")
@@ -123,7 +135,9 @@ class TestMerge:
         profiler = EventProfiler()
         profiler.record_callback("a", 1.0 * scale)
         profiler.record_callback("b", 2.0 * scale)
-        profiler.record_phase("p", 1.0 * scale, 10.0 * scale)
+        profiler.record_phase(PhaseEnd(
+            t=0.0, name="p", wall_s=1.0 * scale, sim_s=10.0 * scale, tags={"quiet": scale}
+        ))
         return profiler
 
     def test_merge_sums_counts_and_durations(self):
@@ -131,7 +145,9 @@ class TestMerge:
         target.merge_state(self.filled(2).state())
         state = target.state()
         assert state["callbacks"]["a"] == {"count": 2, "wall_s": 3.0}
-        assert state["phases"]["p"] == {"runs": 2, "wall_s": 3.0, "sim_s": 30.0}
+        assert state["phases"]["p"] == {
+            "runs": 2, "wall_s": 3.0, "sim_s": 30.0, "tags": {"quiet": {"sum": 3, "runs": 2}},
+        }
 
     def test_merge_is_associative(self):
         # (a + b) + c == a + (b + c): the property worker-pool merge
@@ -193,7 +209,7 @@ class TestRenderProfile:
         profiler = EventProfiler()
         profiler.record_callback("Session._make_delivery.<locals>.deliver", 0.9)
         profiler.record_callback("Session._mrai_expired", 0.1)
-        profiler.record_phase("fail-probe", 1.0, 240.0)
+        profiler.record_phase(PhaseEnd(t=0.0, name="fail-probe", wall_s=1.0, sim_s=240.0))
         return profiler.state()
 
     def test_report_ranks_by_wall_time(self):

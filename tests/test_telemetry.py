@@ -410,10 +410,11 @@ class TestSummary:
         assert summary.site_failures == [(5.0, "sea1", False)]
         assert summary.probes_sent == 1 and summary.probe_replies == 1
         assert summary.site_switches == 1
-        phase = summary.phases["fail-probe"]
-        assert phase.runs == 1
-        assert phase.wall_s == 1.5
-        assert phase.sim_s == 90.0
+        runs, wall_s, sim_s, tags = summary.phases["fail-probe"]
+        assert runs == 1
+        assert wall_s == 1.5
+        assert sim_s == 90.0
+        assert tags == {}
         text = telemetry.render_summary(summary)
         assert "fail-probe" in text
         assert "sea1" in text
