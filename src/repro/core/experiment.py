@@ -478,7 +478,8 @@ def _note_replies(telemetry, prober) -> None:
     """Tag the probing phase's end with the probe replies that landed as
     flights and the ones the quiet pass wrote, so a trace and a profile
     show them apart."""
-    telemetry.tag_phase(flown=prober.replies - prober.quiet, quiet=prober.quiet)
+    flown = prober.replies - prober.quiet
+    telemetry.tag_phase(flown=flown, quiet=prober.quiet)
 
 
 def pooled_outcomes(results: list[SiteFailoverResult]) -> list[TargetOutcome]:

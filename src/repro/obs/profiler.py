@@ -137,31 +137,40 @@ def render_profile(state: dict, top: int = 15) -> str:
     a malformed one is a ``ValueError``, not a half-printed report."""
     profile = EventProfiler()
     profile.merge_state(state)
-    callbacks = profile.callbacks
-    total_wall = sum(wall_s for _, wall_s in callbacks.values())
-    total_count = sum(count for count, _ in callbacks.values())
-    lines = [f"{total_count} engine callbacks, {total_wall:.3f}s wall inside callbacks"]
+    state = profile.state()
+    lines: list[str] = []
+    callbacks = state["callbacks"]
+    total_wall = sum(d["wall_s"] for d in callbacks.values())
+    total_count = sum(d["count"] for d in callbacks.values())
+    lines.append(
+        f"{total_count} engine callbacks, {total_wall:.3f}s wall inside callbacks"
+    )
     if callbacks:
-        lines += [
-            "",
-            "top event kinds by wall time:",
-            f"  {'callback':44s} {'count':>8s} {'wall':>9s} {'share':>6s} {'mean':>9s}",
-        ]
-        ranked = sorted(callbacks.items(), key=lambda kv: (-kv[1][1], kv[0]))
-        for name, (count, wall_s) in ranked[:top]:
-            share = wall_s / total_wall if total_wall else 0.0
-            mean_us = wall_s / count * 1e6 if count else 0.0
-            lines.append(f"  {name:44s} {count:>8} {wall_s:8.3f}s {share:5.1%} {mean_us:7.1f}us")
+        lines.append("")
+        lines.append("top event kinds by wall time:")
+        lines.append(
+            f"  {'callback':44s} {'count':>8s} {'wall':>9s} {'share':>6s} {'mean':>9s}"
+        )
+        ranked = sorted(callbacks.items(), key=lambda kv: (-kv[1]["wall_s"], kv[0]))
+        for name, data in ranked[:top]:
+            share = data["wall_s"] / total_wall if total_wall else 0.0
+            mean_us = data["wall_s"] / data["count"] * 1e6 if data["count"] else 0.0
+            lines.append(
+                f"  {name:44s} {data['count']:8} {data['wall_s']:8.3f}s "
+                f"{share:5.1%} {mean_us:7.1f}us"
+            )
         if len(ranked) > top:
-            rest = sum(wall_s for _, (_, wall_s) in ranked[top:])
+            rest = sum(d["wall_s"] for _, d in ranked[top:])
             lines.append(f"  ... {len(ranked) - top} more ({rest:.3f}s)")
     lines += profile.phases.lines()
-    if profile.collector:
-        lines += [
-            "",
-            "collector (cycle-collector passes inside the run; host-side):",
-            f"  {'generation':22s} {'passes':>6s} {'wall':>9s} {'collected':>10s}",
-        ]
-        for name, (passes, wall_s, collected) in profile.collector.items():
-            lines.append(f"  {name:22s} {passes:>6} {wall_s:8.3f}s {collected:>10}")
+    collector = state["collector"]
+    if collector:
+        lines.append("")
+        lines.append("collector (cycle-collector passes inside the run; host-side):")
+        lines.append(f"  {'generation':22s} {'passes':>6s} {'wall':>9s} {'collected':>10s}")
+        for name, data in collector.items():
+            lines.append(
+                f"  {name:22s} {data['passes']:6} {data['wall_s']:8.3f}s "
+                f"{data['collected']:10}"
+            )
     return "\n".join(lines)

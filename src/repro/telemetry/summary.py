@@ -28,9 +28,11 @@ from repro.telemetry.trace import (
 )
 
 
-#: the summed fields of a phase's row, and of each integer end tag in it
-#: (the tag's sum, and how many of the phase's runs carried it)
-PHASE_FIELDS, TAG_FIELDS = ("runs", "wall_s", "sim_s"), ("sum", "runs")
+#: the summed fields of a phase's row
+PHASE_FIELDS = ("runs", "wall_s", "sim_s")
+#: the summed fields of each integer end tag in a phase's row: the tag's
+#: sum, and how many of the phase's runs carried it
+TAG_FIELDS = ("sum", "runs")
 
 
 def fold_rows(table: dict, rows, fields: tuple, where: str, blank=None) -> None:
@@ -57,14 +59,14 @@ def _fork_note(runs: int, tags: dict) -> str:
 
 
 def _reply_note(runs: int, tags: dict) -> str:
-    return f"{tags.get('flown', (0,))[0]} replies flown, {tags['quiet'][0]} quiet"
+    return f"{tags['flown'][0]} replies flown, {tags['quiet'][0]} quiet"
 
 
-#: end tag -> the note line under the row of a phase whose runs carried
-#: it: a fork phase's restores vs rewinds of a held fork (``rewound``,
-#: the routers reloaded) and a probing phase's replies that landed as
-#: flights vs the ones the quiet pass wrote (``flown``, ``quiet``)
-PHASE_NOTES = {"rewound": _fork_note, "quiet": _reply_note}
+#: end tags -> the note line under the row of a phase whose runs carried
+#: all of them: a fork phase's restores vs rewinds of a held fork
+#: (``rewound``, the routers reloaded) and a probing phase's replies that
+#: landed as flights vs the ones the quiet pass wrote (``flown``, ``quiet``)
+PHASE_NOTES = {("rewound",): _fork_note, ("flown", "quiet"): _reply_note}
 
 
 class PhaseTable(dict):
@@ -117,7 +119,9 @@ class PhaseTable(dict):
                 f"  {name:22s} {runs:>5} {wall_s:10.3f}s {mean:9.3f}s "
                 f"{sim_s:9.1f}s {speedup:8.1f}x"
             )
-            lines += [f"    {note(runs, tags)}" for tag, note in PHASE_NOTES.items() if tag in tags]
+            for needed, note in PHASE_NOTES.items():
+                if all(tag in tags for tag in needed):
+                    lines.append(f"    {note(runs, tags)}")
         return lines
 
 
@@ -127,26 +131,26 @@ class TraceSummary:
 
     total_events: int = 0
     #: event kind -> count
-    kinds: dict[str, int] = field(default_factory=dict)
+    kinds: dict[str, int] = field(default_factory=TallyCounter)
     #: first/last simulated timestamp seen
     t_first: float = 0.0
     t_last: float = 0.0
     #: phase name -> aggregated timings and end tags
     phases: PhaseTable = field(default_factory=PhaseTable)
     #: sending router -> updates put on the wire
-    updates_by_sender: dict[str, int] = field(default_factory=dict)
+    updates_by_sender: dict[str, int] = field(default_factory=TallyCounter)
     #: "announce"/"withdraw" split
-    updates_by_type: dict[str, int] = field(default_factory=dict)
+    updates_by_type: dict[str, int] = field(default_factory=TallyCounter)
     #: site failures in timeline order: (t, site, silent)
     site_failures: list[tuple[float, str, bool]] = field(default_factory=list)
     probes_sent: int = 0
     probe_replies: int = 0
     #: serving site -> replies captured there
-    replies_by_site: dict[str, int] = field(default_factory=dict)
+    replies_by_site: dict[str, int] = field(default_factory=TallyCounter)
     site_switches: int = 0
     #: probes reported lost, and the loss-reason split
     probes_lost: int = 0
-    losses_by_reason: dict[str, int] = field(default_factory=dict)
+    losses_by_reason: dict[str, int] = field(default_factory=TallyCounter)
     #: provenance root causes recorded in the trace
     root_causes: int = 0
     #: chaos: faults fired / skipped by an armed plan
@@ -190,11 +194,6 @@ def filter_events(
 def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
     summary = TraceSummary()
     summary.total_events = len(events)
-    kinds: TallyCounter[str] = TallyCounter()
-    senders: TallyCounter[str] = TallyCounter()
-    update_types: TallyCounter[str] = TallyCounter()
-    reply_sites: TallyCounter[str] = TallyCounter()
-    loss_reasons: TallyCounter[str] = TallyCounter()
     # TraceMeta is bookkeeping prepended at write time (t is not a
     # simulated timestamp), so it stays out of the time range.
     times = [event.t for event in events if not isinstance(event, TraceMeta)]
@@ -202,39 +201,31 @@ def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
         summary.t_first = min(times)
         summary.t_last = max(times)
     for event in events:
-        kinds[event.kind] += 1
+        summary.kinds[event.kind] += 1
         if isinstance(event, PhaseEnd):
             summary.phases.add(event)
         elif isinstance(event, BgpUpdateSent):
-            senders[event.sender] += 1
-            update_types[event.update] += 1
+            summary.updates_by_sender[event.sender] += 1
+            summary.updates_by_type[event.update] += 1
         elif isinstance(event, SiteFailed):
             summary.site_failures.append((event.t, event.site, event.silent))
-        elif isinstance(event, ProbeSent):
-            summary.probes_sent += 1
         elif isinstance(event, ProbeReply):
-            summary.probe_replies += 1
-            reply_sites[event.site] += 1
-        elif isinstance(event, SiteSwitched):
-            summary.site_switches += 1
+            summary.replies_by_site[event.site] += 1
         elif isinstance(event, ProbeLost):
-            summary.probes_lost += 1
-            loss_reasons[event.reason] += 1
-        elif isinstance(event, RootCause):
-            summary.root_causes += 1
-        elif isinstance(event, FaultInjected):
-            summary.faults_injected += 1
-        elif isinstance(event, FaultSkipped):
-            summary.faults_skipped += 1
+            summary.losses_by_reason[event.reason] += 1
         elif isinstance(event, DnsRecordChanged):
             summary.dns_changes.append((event.t, event.action, event.site))
         elif isinstance(event, TraceMeta):
             summary.dropped_events += event.dropped
-    summary.kinds = dict(kinds)
-    summary.updates_by_sender = dict(senders)
-    summary.updates_by_type = dict(update_types)
-    summary.replies_by_site = dict(reply_sites)
-    summary.losses_by_reason = dict(loss_reasons)
+    # The per-kind totals are read off the kind tally, not counted twice.
+    kinds = summary.kinds
+    summary.probes_sent = kinds[ProbeSent.kind]
+    summary.probe_replies = kinds[ProbeReply.kind]
+    summary.site_switches = kinds[SiteSwitched.kind]
+    summary.probes_lost = kinds[ProbeLost.kind]
+    summary.root_causes = kinds[RootCause.kind]
+    summary.faults_injected = kinds[FaultInjected.kind]
+    summary.faults_skipped = kinds[FaultSkipped.kind]
     return summary
 
 

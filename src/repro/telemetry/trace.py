@@ -518,7 +518,8 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
             if not line:
                 continue
             try:
-                events.append(event_from_dict(json.loads(line)))
+                data = json.loads(line)
+                events.append(event_from_dict(data))
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_no}: invalid JSON") from error
             except ValueError as error:

@@ -49,6 +49,18 @@ class TestRecording:
         lines = render_profile(profiler.state()).splitlines()
         assert "    1 restored, 2 rewound (42 routers reloaded)" in lines
 
+    def test_reply_note_needs_both_tags_and_prints_zeros(self):
+        """The reply note is printed for a phase that carried ``flown``
+        and ``quiet``, zeros included, and skipped when one is missing."""
+        zero = EventProfiler()
+        zero.record_phase(PhaseEnd(t=0.0, name="fail-probe", tags={"flown": 0, "quiet": 0}))
+        assert "    0 replies flown, 0 quiet" in render_profile(zero.state()).splitlines()
+        half = {"callbacks": {}, "phases": {
+            "fail-probe": {"runs": 1, "wall_s": 1.0, "sim_s": 0.0,
+                           "tags": {"quiet": {"sum": 3, "runs": 1}}},
+        }}
+        assert "quiet" not in render_profile(half)
+
     def test_state_is_sorted_and_json_safe(self):
         profiler = EventProfiler()
         profiler.record_callback("zeta", 0.1)
