@@ -43,15 +43,16 @@ class BgpNetwork:
         self._next_cause = 1
         self.current_cause = 0
         #: monotone data-plane epoch: bumped on every FIB install anywhere
-        #: in the network, so forwarding caches (the workload catchment
-        #: cache) can detect "routing may have changed" with one int
-        #: compare instead of re-walking FIBs per lookup. Not part of a
-        #: checkpoint snapshot: a restored or rewound network starts at 0
-        #: and any cache built against it starts cold.
+        #: in the network, so a reader (the workload tick's verdicts) can
+        #: detect "routing may have changed" with one int compare. Not
+        #: part of a checkpoint snapshot: a restored or rewound network
+        #: starts at 0.
         self.route_version = 0
-        #: called after every bump: a forwarding plane with packets in
-        #: the air re-walks them (empty while nothing is in flight)
-        self.on_route_change: list[Callable[[], None]] = []
+        #: called with the written node after every bump: a forwarding
+        #: plane drops the walks that read that node's FIB and re-walks
+        #: its packets in the air. A checkpoint load replaces the list, so
+        #: a plane still holding the old one knows it missed the load.
+        self.on_route_change: list[Callable[[str], None]] = []
         #: node ids of the routers whose state may have changed: each
         #: router adds itself on every entry that can change it (its
         #: sessions change only through its own exports), so a checkpoint
@@ -85,10 +86,10 @@ class BgpNetwork:
         if self._telemetry.enabled:
             self._telemetry.bind_clock(lambda: self.engine.now)
 
-    def _bump_route_version(self) -> None:
+    def _bump_route_version(self, node: str) -> None:
         self.route_version += 1
-        for rewalk in self.on_route_change:
-            rewalk()
+        for hook in self.on_route_change:
+            hook(node)
 
     # ------------------------------------------------------------------
     # Lifetime
@@ -98,8 +99,8 @@ class BgpNetwork:
 
         A live network is one reference cycle (router -> sessions -> the
         remote router's ``receive``; queued callbacks -> sessions; router
-        hooks -> this network; the route-change hook -> a forwarding
-        plane with packets in the air). With those edges dropped, reference
+        hooks -> this network; the route-change hook -> the forwarding
+        plane that memoises walks on it). With those edges dropped, reference
         counting frees it the moment its owner lets go -- no collector
         pass. Whoever builds or restores a network closes it.
         """

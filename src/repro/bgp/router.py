@@ -85,9 +85,10 @@ class BgpRouter:
         #: then not transitive, and every selection must be the full
         #: scan's order-dependent answer (see :meth:`receive`)
         self.med_heard = False
-        #: invoked after every FIB install, wired by BgpNetwork to bump
-        #: its ``route_version`` (forwarding-cache invalidation).
-        self.on_fib_change: Callable[[], None] | None = None
+        #: invoked with this node's id after every FIB install, wired by
+        #: BgpNetwork to bump its ``route_version`` and tell the
+        #: forwarding planes which FIB moved
+        self.on_fib_change: Callable[[str], None] | None = None
         #: where this router notes that its state may change: every entry
         #: below that can change it adds the node id (BgpNetwork shares one
         #: set among its routers, for checkpoint rewind)
@@ -348,7 +349,7 @@ class BgpRouter:
             next_hop = best.learned_from or self.node_id
             self.fib.insert(prefix, next_hop)
         if self.on_fib_change is not None:
-            self.on_fib_change()
+            self.on_fib_change(self.node_id)
         telemetry = self._telemetry
         if telemetry.enabled:
             self._fib_installs.inc()

@@ -324,7 +324,11 @@ def _load(
     network._next_cause = snapshot.next_cause
     network.current_cause = snapshot.current_cause
     network.route_version = 0
+    # The FIBs below reach no hook. Empty the old list (no plane stays
+    # alive through it) and start a fresh one: a plane still holding the
+    # old list drops its memo at its next lookup.
     network.on_route_change.clear()
+    network.on_route_change = []
     network.touched.clear()
     network.bind_clock()
     # RIB/FIB/origin contents are installed directly (no reselect, no

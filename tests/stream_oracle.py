@@ -13,6 +13,11 @@ The loop is also the stream every record taken before that change was
 taken on. :class:`LoopStream` serves it in the chunk shape the engine
 reads, so those records (the per-request engine's surge ticks, the seed
 tag accounts) still replay value for value.
+
+:func:`bigint_batches` and :func:`bigint_contents` are the chunked
+stream as it drew its bits before they came from numpy's ``MT19937``:
+``random.Random.getrandbits`` turned into bytes. The stream must equal
+them bit for bit, array for array.
 """
 
 import random
@@ -21,7 +26,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.workload.stream import Request, client_weight_table, zipf_cumulative
+from repro.workload.stream import (
+    CHUNK_CANDIDATES,
+    Request,
+    _marks,
+    client_weight_table,
+    zipf_cumulative,
+)
 
 
 def scalar_requests(profile, clients, duration, seed, regions=None) -> Iterator[Request]:
@@ -69,3 +80,48 @@ class LoopStream:
                 np.array([r.t for r in self.requests]),
                 np.array([index[r.client] for r in self.requests], dtype=np.intp),
             )
+
+
+def _words(rng: random.Random, count: int, width: int) -> np.ndarray:
+    """The generator's next ``count`` random ``width``-bit (32 or 64)
+    unsigned integers."""
+    raw = rng.getrandbits(width * count).to_bytes(width // 8 * count, "little")
+    return np.frombuffer(raw, f"<u{width // 8}")
+
+
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    return (_words(rng, count, 64) >> 11) * 2.0**-53
+
+
+def _fractions(rng: random.Random, count: int) -> np.ndarray:
+    return _words(rng, count, 32) * 2.0**-32
+
+
+def bigint_batches(stream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """What ``stream.batches()`` must yield exactly, drawn from a
+    ``random.Random`` through ``getrandbits``."""
+    rate_max = stream.profile.max_rate()
+    if rate_max <= 0:
+        return
+    rng = random.Random(stream.seed)
+    rates = stream.profile.rates
+    count = CHUNK_CANDIDATES
+    start = 0.0
+    while start < stream.duration_s:
+        span = rng.gammavariate(count, 1.0 / rate_max)
+        positions = np.append(np.sort(_uniforms(rng, count - 1)), 1.0)
+        t = start + span * positions
+        accepted = _fractions(rng, count) * rate_max <= rates(t)
+        if t[-1] >= stream.duration_s:
+            accepted &= t < stream.duration_s
+        times = t[accepted]
+        if times.size:
+            yield times, _marks(stream._client_cum, _fractions(rng, times.size))
+        start = float(t[-1])
+
+
+def bigint_contents(stream) -> Iterator[np.ndarray]:
+    """The content ids ``iter(stream)`` must draw for each chunk."""
+    rng = random.Random(f"contents/{stream.seed}")
+    for times, _ in bigint_batches(stream):
+        yield _marks(stream._content_cum, _fractions(rng, times.size))

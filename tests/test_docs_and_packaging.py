@@ -85,7 +85,7 @@ class TestDeletedNames:
                 if (
                     not path.is_file() or "__pycache__" in path.parts
                     or path.name == "deleted_names.txt"
-                    or any(skip in path.parents for skip in excluded)
+                    or any(skip == path or skip in path.parents for skip in excluded)
                 ):
                     continue
                 hits += [

@@ -136,7 +136,8 @@ class TestAgainstTheHopChain:
         assert list(plane.drops) == list(oracle.drops)
         assert plane.dropped_total == oracle.dropped_total
         assert all(snapshots_agree)
-        assert not plane._flights and not network.on_route_change
+        # Every flight landed; the plane listens on for its memo.
+        assert not plane._flights and network.on_route_change == [plane._fib_written]
 
     def test_snapshot_path_where_the_loop_rule_meets_the_hop_limit(self):
         """A stable loop closing on the last hop the TTL allows is a

@@ -7,8 +7,10 @@ from __future__ import annotations
 import pytest
 
 from repro import telemetry
+from repro.core import experiment as experiment_module
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import technique_by_name
+from repro.parallel import matrix, run_sweep
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 
@@ -107,3 +109,34 @@ def test_disabled_runs_leave_no_trace(traced_run):
     experiment = FailoverExperiment(deployment.topology, deployment, SMALL)
     result = experiment.run_site(technique_by_name("anycast"), "msn")
     assert result.outcomes
+
+
+def test_a_phase_counts_sim_time_on_the_network_it_ended_on(monkeypatch):
+    """A three-cell serial sweep of one baseline: one restore, then two
+    rewinds. Each ``fork-restore`` counts only the delta converge on its
+    fork (the baseline's clock is not added in), and the second
+    ``baseline-converge`` none of the first one's network."""
+    deployment = build_deployment(params=TopologyParams(seed=42))
+    config = FailoverConfig(probe_duration=30.0, targets_per_site=3, seed=42)
+    experiment = FailoverExperiment(deployment.topology, deployment, config, use_checkpoint=True)
+    converged_at: list[float] = []
+
+    class Rig(experiment_module.RunRig):
+        def __init__(self, network, *args, **kwargs):
+            super().__init__(network, *args, **kwargs)
+            converged_at.append(network.now)  # the delta converge is done
+
+    monkeypatch.setattr(experiment_module, "RunRig", Rig)
+    technique = technique_by_name("proactive-superprefix")
+    tracer = telemetry.TraceRecorder()
+    with telemetry.using(telemetry.Telemetry(tracer=tracer)):
+        assert run_sweep(experiment, matrix([technique], ["msn", "sea1", "ams"])).ok
+        experiment._baselines.clear()
+        baseline = experiment.baseline_for(technique)
+    ends = tracer.events_of(telemetry.PhaseEnd)
+    forks = [end for end in ends if end.name == "fork-restore"]
+    assert ["rewound" in end.tags for end in forks] == [False, True, True]
+    assert [end.sim_s for end in forks] == [at - baseline.now for at in converged_at]
+    assert all(end.sim_s > 0.0 for end in forks)
+    converges = [end for end in ends if end.name == "baseline-converge"]
+    assert [end.sim_s for end in converges] == [baseline.now, baseline.now]

@@ -1,12 +1,17 @@
 """The walk memo the workload reads its catchment from: correctness and
-route-version invalidation (``ForwardingPlane.walk_from``)."""
+node-scoped invalidation (``ForwardingPlane.walk_from``)."""
 
+import random
+
+import pytest
+
+from repro.checkpoint.codec import restore_network, rewind_network, snapshot_network
 from repro.core.controller import CdnController
 from repro.core.techniques import ReactiveAnycast
 from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, SUPERPREFIX
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, install_fib
 
 
 def converged_plane(deployment, seed=5):
@@ -53,23 +58,81 @@ class TestResolution:
         assert plane.invalidations == 0
 
 
+def fresh_walk(plane, start):
+    """⟨path, delivered node, drop reason⟩ of an un-memoised walk."""
+    path = [start]
+    delivered_to, reason = plane._walk(PROBE_SOURCE, path, {})
+    return tuple(path), delivered_to, reason
+
+
+def as_tuple(walk):
+    return walk.path, walk.delivered_to, walk.reason
+
+
 class TestInvalidation:
-    def test_every_version_bump_invalidates(self, deployment):
-        """Property: any route_version move flushes the whole memo."""
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_write_drops_exactly_the_walks_that_read_it(self, deployment, seed):
+        """Over seeded random FIB writes: every entry left equals a fresh
+        walk, and an entry whose path avoids the written node is the
+        very object it was before."""
         plane, _ = converged_plane(deployment)
-        clients = [i.node_id for i in deployment.topology.web_client_ases()[:5]]
-        for client in clients:
-            plane.walk_from(client, PROBE_SOURCE)
-        assert len(plane._memo) == len(clients)
         network = plane.network
-        for step in range(1, 6):
-            network.route_version += 1
-            plane.walk_from(clients[0], PROBE_SOURCE)
-            # The memo restarted from empty: only the one re-walked entry.
-            assert len(plane._memo) == 1
-            assert plane.invalidations == step
-            for client in clients[1:]:
-                plane.walk_from(client, PROBE_SOURCE)
+        rng = random.Random(seed)
+        nodes = sorted(network.nodes())
+        starts = rng.sample(nodes, 80)
+        kept = dropped = 0
+        for _ in range(60):
+            for start in starts:
+                plane.walk_from(start, PROBE_SOURCE)
+            before = dict(plane._memo)
+            node = rng.choice(nodes)
+            prefix = rng.choice([SPECIFIC_PREFIX, SUPERPREFIX])
+            install_fib(network, node, prefix, rng.choice(
+                [None, node, *sorted(network.neighbors(node))]
+            ))
+            for key, walk in before.items():
+                if node in walk.path:
+                    assert key not in plane._memo
+                    dropped += 1
+                else:
+                    assert plane._memo[key] is walk
+                    kept += 1
+            for (start, _), walk in plane._memo.items():
+                assert as_tuple(walk) == fresh_walk(plane, start)
+        assert kept and dropped  # both branches ran
+
+    def test_a_write_off_every_path_drops_nothing(self, deployment):
+        plane, _ = converged_plane(deployment)
+        network = plane.network
+        clients = [i.node_id for i in deployment.topology.web_client_ases()[:5]]
+        walks = [plane.walk_from(client, PROBE_SOURCE) for client in clients]
+        untouched = next(
+            node for node in sorted(network.nodes())
+            if all(node not in walk.path for walk in walks)
+        )
+        install_fib(network, untouched, SPECIFIC_PREFIX, None)
+        assert [plane.walk_from(c, PROBE_SOURCE) for c in clients] == walks
+        assert (plane.misses, plane.invalidations) == (len(clients), 0)
+
+    def test_a_rewound_fork_never_serves_a_walk_from_before(self, deployment):
+        """The fork is restored, walked, moved and walked again, then
+        rewound: its plane answers from the rewound FIBs."""
+        network = deployment.topology.build_network(seed=5, timing=FAST_TIMING)
+        with network:
+            network.announce("site:sea1", SPECIFIC_PREFIX)
+            network.converge()
+            snapshot = snapshot_network(network)
+        with restore_network(snapshot) as fork:
+            plane = ForwardingPlane(fork, deployment.topology)
+            starts = sorted(fork.nodes())
+            restored = {s: as_tuple(plane.walk_from(s, PROBE_SOURCE)) for s in starts}
+            fork.withdraw_all("site:sea1")
+            fork.converge()
+            moved = {s: as_tuple(plane.walk_from(s, PROBE_SOURCE)) for s in starts}
+            assert moved != restored
+            rewind_network(fork, snapshot)
+            rewound = {s: as_tuple(plane.walk_from(s, PROBE_SOURCE)) for s in starts}
+            assert rewound == {s: fresh_walk(plane, s) for s in starts} == restored
 
     def test_fib_install_bumps_route_version(self, deployment):
         plane, controller = converged_plane(deployment)

@@ -4,9 +4,14 @@ per-candidate loop defines."""
 
 import itertools
 import math
+import os
+import random
 import resource
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +25,13 @@ from repro.workload import (
     stream_digest,
 )
 from repro.workload import stream as stream_module
-from repro.workload.profile import PROFILE_FIELDS
+from repro.workload.profile import BUILTIN_PROFILES, PROFILE_FIELDS
 from repro.workload.stream import client_weight_table, zipf_cumulative
 
 from tests.row_documents import _bad_numbers
-from tests.stream_oracle import scalar_requests
+from tests.stream_oracle import bigint_batches, bigint_contents, scalar_requests
 
+ROOT = Path(__file__).resolve().parent.parent
 CLIENTS = [f"client-{i}" for i in range(40)]
 
 
@@ -210,6 +216,63 @@ class TestPinnedDigests:
     def test_stream_digest(self, profile, duration, seed, regions, digest):
         stream = RequestStream(profile, PIN_CLIENTS, duration, seed, regions)
         assert stream_digest(stream) == digest
+
+
+class TestExactBits:
+    """The stream's numpy ``MT19937`` draws the very bits a
+    ``random.Random`` of the same seed would: every chunk equals the
+    ``getrandbits`` draw kept in ``tests/stream_oracle.py``, byte for
+    byte."""
+
+    PROFILES = {name: builtin_profile(name) for name in BUILTIN_PROFILES} | {"mixed": MIXED}
+
+    @pytest.mark.parametrize("salt", [None, 0x5EED], ids=["unsalted", "salted"])
+    @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**40])
+    @pytest.mark.parametrize("name", list(PROFILES))
+    def test_batches_equal_the_bigint_draw(self, name, seed, salt):
+        profile = self.PROFILES[name]
+        if salt is not None:
+            profile = replace(profile, seed_salt=salt)
+        stream = RequestStream(profile, PIN_CLIENTS, 90.0, seed, PIN_REGIONS)
+        chunks = list(stream.batches())
+        expected = list(bigint_batches(stream))
+        assert len(chunks) == len(expected) > 1
+        for (times, indices), (want_times, want_indices) in zip(chunks, expected):
+            assert times.tobytes() == want_times.tobytes()
+            assert indices.tobytes() == want_indices.tobytes()
+        contents = [request.content for request in stream]
+        assert contents == np.concatenate(list(bigint_contents(stream))).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 42, -7, 2**40, "contents/42"])
+    def test_random_and_gammavariate_equal_cpython(self, seed):
+        bits, rng = stream_module._Bits(seed), random.Random(seed)
+        assert [bits.random() for _ in range(10_000)] == [rng.random() for _ in range(10_000)]
+        assert [bits.gammavariate(8192, 0.01) for _ in range(10_000)] == [
+            rng.gammavariate(8192, 0.01) for _ in range(10_000)
+        ]
+        assert bits.words(7).tobytes() == rng.getrandbits(32 * 7).to_bytes(28, "little")
+
+    def test_a_run_without_a_workload_never_loads_numpy_random(self):
+        """``numpy.random`` (about 6 MB) loads with the first stream."""
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "argv = ['failover', '-t', 'anycast', '-s', 'msn', '--targets', '4', "
+            "'--duration', '30'] + sys.argv[1:]\n"
+            "assert main(argv) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def loaded(*argv):
+            run = subprocess.run(
+                [sys.executable, "-c", probe, *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return run.stdout.splitlines()[-1]
+
+        assert loaded() == "False"
+        assert loaded("--workload", "constant") == "True"
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from hypothesis import given, strategies as st
 from repro import telemetry
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import technique_by_name
-from repro.dataplane.forwarding import delivery_verdict
+from repro.dataplane.forwarding import CLASS_BY_REASON, delivery_verdict
 from repro.telemetry.trace import SiteOverloaded, WorkloadSample
 from repro.workload import (
     CapacityProfile,
@@ -35,9 +35,10 @@ from repro.workload import (
     builtin_profile,
     load_capacity,
 )
+from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 from repro.workload.engine import served_within
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, install_fib
 from tests.test_workload_capacity import anycast_plane
 
 FIXTURE = Path(__file__).parent / "fixtures" / "workload" / "surge_ticks.json"
@@ -120,6 +121,86 @@ class TestOrderedEqualsAggregate:
         # above filled the memo, and no FIB moved since.
         assert plane.hits - hits == len(landed)
         assert plane.misses == misses
+
+
+class TestVerdictVector:
+    """A tick walks a client's route only when its verdict may have
+    moved: a FIB was written, or the dead sites changed, since the
+    verdict was read. Otherwise the tick is one ``bincount``."""
+
+    @staticmethod
+    def engine_and_tick(deployment, monkeypatch):
+        plane, _ = anycast_plane(deployment)
+        profile = type(builtin_profile("constant"))(name="steady", base_rps=400.0)
+        engine = WorkloadEngine(plane, deployment, profile, seed=3)
+        times, clients = next(RequestStream(profile, engine.clients, 1.0, 3).batches())
+        walked: list[str] = []
+        walk_from = plane.walk_from
+
+        def counted(start, dst):
+            walked.append(start)
+            return walk_from(start, dst)
+
+        monkeypatch.setattr(plane, "walk_from", counted)
+        return engine, times, clients, walked
+
+    @staticmethod
+    def verdict(engine, index):
+        """⟨site, loss reason⟩ of client ``index`` from a fresh walk."""
+        path = [engine.clients[index]]
+        delivered_to, reason = engine.plane._walk(engine.dst, path, {})
+        return delivery_verdict(delivered_to, reason, engine.deployment, engine.dead_sites)
+
+    def booked(self, engine, times, clients) -> dict:
+        """One tick through ``_book``, and the per-client reference: each
+        request classified from a fresh walk."""
+        before = asdict(engine.account)
+        engine._book(times, clients, 1.0)
+        after = asdict(engine.account)
+        expected = {"served": 0, "lost_blackhole": 0, "lost_loop": 0, "lost_wrong_site": 0}
+        for index in clients.tolist():
+            _, loss = self.verdict(engine, index)
+            bucket = "served" if loss is None else "lost_" + CLASS_BY_REASON[loss].replace("-", "_")
+            expected[bucket] += 1
+        assert {key: after[key] - before[key] for key in expected} == expected
+        return after
+
+    def test_a_quiet_tick_walks_nothing(self, deployment, monkeypatch):
+        engine, times, clients, walked = self.engine_and_tick(deployment, monkeypatch)
+        self.booked(engine, times, clients)
+        assert sorted(walked) == sorted(engine.clients[i] for i in set(clients.tolist()))
+        # Sites in the order a per-client loop meets them (trace bytes).
+        order: list[str] = []
+        for index in sorted(set(clients.tolist())):
+            site, loss = self.verdict(engine, index)
+            if loss is None and site not in order:
+                order.append(site)
+        assert list(engine.account.served_by_site) == order and len(order) > 1
+        walked.clear()
+        self.booked(engine, times, clients)
+        assert walked == []
+
+    def test_a_dead_site_reclassifies(self, deployment, monkeypatch):
+        engine, times, clients, walked = self.engine_and_tick(deployment, monkeypatch)
+        first = self.booked(engine, times, clients)
+        busiest = max(first["served_by_site"], key=first["served_by_site"].get)
+        walked.clear()
+        engine.dead_sites.add(busiest)
+        second = self.booked(engine, times, clients)
+        assert len(walked) == len(set(clients.tolist()))
+        assert second["lost_wrong_site"] == first["served_by_site"][busiest]
+
+    def test_a_fib_write_reclassifies(self, deployment, monkeypatch):
+        engine, times, clients, walked = self.engine_and_tick(deployment, monkeypatch)
+        self.booked(engine, times, clients)
+        network = engine.plane.network
+        client = engine.clients[int(clients[0])]
+        install_fib(network, client, SPECIFIC_PREFIX, None)
+        install_fib(network, client, SUPERPREFIX, None)
+        walked.clear()
+        after = self.booked(engine, times, clients)
+        assert len(walked) == len(set(clients.tolist()))
+        assert after["lost_blackhole"] >= 1
 
 
 # ----------------------------------------------------------------------
