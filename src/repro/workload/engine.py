@@ -32,7 +32,11 @@ like failures). The latch is per-site and only cleared explicitly
 asymmetry is what guarantees the shed converges instead of oscillating.
 DNS-weighted shedding diverts a deterministic per-request hash fraction
 of an overloaded site's requests to the live site with the most spare
-capacity in the tick.
+capacity in the tick. Only the requests that landed on a diverting site
+are hashed, and only the ones the hash selects are walked one at a time;
+everyone else's arrivals at a site are counted by binary search
+(:meth:`WorkloadEngine._admit_diverting`), with exactly the outcome of
+admitting every request in arrival order.
 
 Every failed request strands its user for the profile's
 ``think_time_s``; **user-minutes-lost** is ``failed_requests *
@@ -359,69 +363,83 @@ class WorkloadEngine:
             np.concatenate(times), np.concatenate(clients), elapsed - self._drained_to
         )
 
-    def _divert_target(
-        self,
-        site: str,
-        t: float,
-        client: str,
-        fraction: float,
-        budgets: dict[str, float],
-        used: dict[str, float],
-    ) -> str:
-        """DNS-weighted shedding: maybe redirect a request off ``site``.
-
-        A deterministic per-request hash (never the stream RNG -- the
-        arrival sequence must not depend on shedding state) selects the
-        diverted fraction; diverted requests go to the live site with
-        the most spare capacity left this tick. Returns the final site.
-        """
-        draw = zlib.crc32(f"{t!r}/{client}".encode()) % 10_000
-        if draw >= fraction * 10_000:
-            return site
-        best = site
-        best_spare = 0.0
-        for alt in self._site_order:
-            if alt == site or alt in self.dead_sites:
-                continue
-            spare = budgets[alt] - used.get(alt, 0.0)
-            if spare >= 1.0 and spare > best_spare:
-                best = alt
-                best_spare = spare
-        return best
-
-    def _serve_in_order(
+    def _admit_diverting(
         self,
         times: np.ndarray,
         clients: np.ndarray,
-        landed: dict[int, str],
+        codes: np.ndarray,
         budgets: dict[str, float],
         divert: dict[str, float],
     ) -> tuple[dict[str, int], dict[str, int]]:
-        """Admit a tick's requests one at a time, in arrival order.
+        """Admit a tick on which some site DNS-diverts.
 
-        Only needed while some site diverts: where a diverted request
-        goes depends on the credit the requests before it have spent.
-        ``landed`` maps a client index to the live site its requests
-        reach; the rest were lost on the way and take no credit.
-        Returns ⟨served, attempts⟩ per site after diversion.
+        ``codes`` holds each request's verdict code (below ``len(sites)``:
+        the live site it landed at; the rest were lost on the way and
+        take no credit). A deterministic per-request hash (never the
+        stream RNG -- the arrival sequence must not depend on shedding
+        state) selects each diverting site's fraction of its requests;
+        only the selected candidates are walked one at a time, in
+        arrival order, each to the first site in ``_site_order`` with the
+        most spare credit (at least one request) at its arrival, or left
+        where it landed. A site's spare is its budget less the arrivals
+        there before the candidate: the fixed ones (every other request),
+        by binary search on their positions, plus the earlier candidates'
+        choices. (Admission spends ``served_within`` of those arrivals,
+        not all of them, but a site past its credit has less than one
+        request of spare either way: ``served_within`` floors ``budget +
+        1e-9``.) Returns ⟨served, attempts⟩ per site after diversion, in
+        order of first attempt: exactly what admitting every request one
+        at a time in arrival order gives.
         """
-        served: dict[str, int] = {}
-        attempts: dict[str, int] = {}
-        used: dict[str, float] = {}
-        for t, index in zip(times.tolist(), clients.tolist()):
-            site = landed.get(index)
-            if site is None:
-                continue
-            fraction = divert.get(site, 0.0)
-            if fraction > 0.0:
-                site = self._divert_target(
-                    site, t, self.clients[index], fraction, budgets, used
-                )
-            attempts[site] = attempts.get(site, 0) + 1
-            spent = used.get(site, 0.0)
-            if spent + 1.0 <= budgets.get(site, math.inf) + 1e-9:
-                used[site] = spent + 1.0
-                served[site] = served.get(site, 0) + 1
+        sites = self._sites
+        landed = np.flatnonzero(codes < len(sites))
+        site_codes = codes[landed]
+        shares = [divert.get(site, 0.0) for site in sites]
+        hashed = np.flatnonzero(np.array(shares)[site_codes] > 0.0)
+        names = self.clients
+        candidates = [
+            position
+            for position, t, index, code in zip(
+                hashed.tolist(),
+                times[landed[hashed]].tolist(),
+                clients[landed[hashed]].tolist(),
+                site_codes[hashed].tolist(),
+            )
+            if zlib.crc32(f"{t!r}/{names[index]}".encode()) % 10_000 < shares[code] * 10_000
+        ]
+        targets = site_codes.copy()
+        if candidates:
+            fixed = np.ones(len(site_codes), dtype=bool)
+            fixed[candidates] = False
+            # ⟨code, budget, fixed arrivals before each candidate⟩ per
+            # site a candidate may be sent to
+            alts = []
+            for site in self._site_order:
+                if site not in self.dead_sites:
+                    code = self._site_code[site]
+                    arrivals = np.flatnonzero(fixed & (site_codes == code))
+                    before = np.searchsorted(arrivals, candidates).tolist()
+                    alts.append((code, budgets[site], before))
+            chosen = [0] * len(sites)
+            for j, (position, code) in enumerate(
+                zip(candidates, site_codes[candidates].tolist())
+            ):
+                best, best_spare = code, 0.0
+                for alt, budget, before in alts:
+                    if alt != code:
+                        spare = budget - (before[j] + chosen[alt])
+                        if spare >= 1.0 and spare > best_spare:
+                            best, best_spare = alt, spare
+                chosen[best] += 1
+                targets[position] = best
+        counts = np.bincount(targets, minlength=len(sites)).tolist()
+        present, first = np.unique(targets, return_index=True)
+        attempts = {sites[code]: counts[code] for code in present[np.argsort(first)].tolist()}
+        served = {
+            site: admitted
+            for site, count in attempts.items()
+            if (admitted := served_within(count, budgets.get(site, math.inf)))
+        }
         return served, attempts
 
     def _verdicts(self, distinct: np.ndarray) -> np.ndarray:
@@ -451,7 +469,8 @@ class WorkloadEngine:
         tick's length, which sets each site's serving credit."""
         distinct = np.flatnonzero(np.bincount(clients, minlength=len(self.clients)))
         codes = self._verdicts(distinct)
-        tally = np.bincount(codes[clients], minlength=self._n_codes).tolist()
+        request_codes = codes[clients]
+        tally = np.bincount(request_codes, minlength=self._n_codes).tolist()
         sites = self._sites
         lost = dict(zip(_LOSS_CLASSES, tally[len(sites):]))
         # Sites in order of the first client (by index) landing there,
@@ -475,13 +494,8 @@ class WorkloadEngine:
             }
             divert = capacity.dns_divert
             if any(divert.get(site, 0.0) > 0.0 for site in attempts):
-                landed = {
-                    index: sites[code]
-                    for index, code in zip(distinct.tolist(), distinct_codes.tolist())
-                    if code < len(sites)
-                }
-                served, attempts = self._serve_in_order(
-                    times, clients, landed, budgets, divert
+                served, attempts = self._admit_diverting(
+                    times, clients, request_codes, budgets, divert
                 )
             else:
                 served = {

@@ -4,8 +4,9 @@
 numpy chunk of arrivals at a time (:meth:`RequestStream.batches`), so a
 1M-request flash crowd costs the same memory as a 10-request one. The
 per-stream state is the generator, the two cumulative Zipf weight tables
-(O(clients) and O(catalogue)) and one chunk of :data:`CHUNK_CANDIDATES`
-candidates.
+(O(clients) and O(catalogue)), the clients' bucket table (32 entries per
+client, rounded up to a power of two) and one chunk of
+:data:`CHUNK_CANDIDATES` candidates.
 
 Arrivals are an inhomogeneous Poisson process drawn by thinning a
 homogeneous one at the profile's envelope rate ``max_rate()``, a chunk
@@ -20,10 +21,12 @@ the stream is tested against as a distribution, and the ``getrandbits``
 draw it is tested against bit for bit.
 
 Popularity: clients and contents are ranked by list position and
-sampled from Zipf(``zipf_s``) / Zipf(``content_zipf_s``) by a binary
-search of a precomputed cumulative-weight table. Content ids come from a
-second generator and are drawn only when a caller iterates requests:
-the engine reads times and clients only.
+sampled from Zipf(``zipf_s``) / Zipf(``content_zipf_s``): the first
+entry of a precomputed cumulative-weight table above a 32-bit word's
+fraction of the total, read from a bucket table over the word's top
+bits (:class:`_Marks`) and searched only in the buckets a boundary
+splits. Content ids come from a second generator and are drawn only when
+a caller iterates requests: the engine reads times and clients only.
 
 The stream owns dedicated generators: numpy ``MT19937``s that emit
 exactly the bits of ``random.Random(seed)`` (:class:`_Bits`; a chunk's
@@ -150,14 +153,48 @@ def _uniforms(bits: _Bits, count: int) -> np.ndarray:
 
 def _fractions(bits: _Bits, count: int) -> np.ndarray:
     """``count`` uniforms on [0, 1) with 32 random bits each: enough to
-    pick a client or accept a candidate, at half the bits."""
+    accept a candidate, at half the bits."""
     return bits.words(count) * 2.0**-32
 
 
-def _marks(cumulative: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    """Weighted indices: the first cumulative weight above each fraction
-    of the total, so a zero-weight entry is never picked."""
-    return np.searchsorted(cumulative, fractions * cumulative[-1], "right")
+def _search(cumulative: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Weighted indices: the first cumulative weight above each word's
+    fraction of the total (``word / 2**32``), so a zero-weight entry is
+    never picked."""
+    return np.searchsorted(cumulative, words * 2.0**-32 * cumulative[-1], "right")
+
+
+class _Marks:
+    """:func:`_search` over one cumulative table, answered from a bucket
+    table indexed by the top bits of the word.
+
+    ``word / 2**32 * total`` is monotone in the word, so the answer is
+    too: a bucket whose first and last word get the same answer has that
+    answer for every word in it, and only a word in a bucket that some
+    boundary splits searches. The table has the next power of two
+    ≥ 32 × entries buckets, so at most one bucket in 32 is split (a
+    boundary splits at most one) -- 4,096 buckets, 32 KB, for 126
+    clients.
+    """
+
+    __slots__ = ("_cumulative", "_shift", "_table")
+
+    def __init__(self, cumulative: np.ndarray) -> None:
+        width = min(32, (32 * len(cumulative) - 1).bit_length())
+        self._cumulative = cumulative
+        self._shift = 32 - width
+        first = np.arange(1 << width, dtype=np.uint64) << self._shift
+        answer = _search(cumulative, first)
+        last = _search(cumulative, first + ((1 << self._shift) - 1))
+        #: a bucket's one answer, or -1 where a boundary splits it
+        self._table = np.where(answer == last, answer, -1)
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        marks = self._table[words >> self._shift]
+        split = np.flatnonzero(marks < 0)
+        if split.size:
+            marks[split] = _search(self._cumulative, words[split])
+        return marks
 
 
 class RequestStream:
@@ -187,6 +224,7 @@ class RequestStream:
         self._content_cum = np.array(
             zipf_cumulative(max(1, profile.n_contents), profile.content_zipf_s)
         )
+        self._client_marks = _Marks(self._client_cum)
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The arrivals in order, as chunks of parallel arrays ⟨arrival
@@ -213,14 +251,15 @@ class RequestStream:
                 accepted &= t < self.duration_s
             times = t[accepted]
             if times.size:
-                yield times, _marks(self._client_cum, _fractions(bits, times.size))
+                yield times, self._client_marks(bits.words(times.size))
             start = float(t[-1])
 
     def __iter__(self) -> Iterator[Request]:
         clients = self.clients
         contents = _Bits(f"contents/{self.seed}")
+        content_marks = _Marks(self._content_cum)
         for times, indices in self.batches():
-            marks = _marks(self._content_cum, _fractions(contents, times.size))
+            marks = content_marks(contents.words(times.size))
             for t, index, content in zip(times.tolist(), indices.tolist(), marks.tolist()):
                 yield Request(t=t, client=clients[index], content=content)
 

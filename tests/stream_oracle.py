@@ -17,7 +17,9 @@ tag accounts) still replay value for value.
 :func:`bigint_batches` and :func:`bigint_contents` are the chunked
 stream as it drew its bits before they came from numpy's ``MT19937``:
 ``random.Random.getrandbits`` turned into bytes. The stream must equal
-them bit for bit, array for array.
+them bit for bit, array for array. They pick clients and contents
+with a plain ``searchsorted`` (:func:`_marks`), the search the stream's
+bucket table answers without.
 """
 
 import random
@@ -29,7 +31,6 @@ import numpy as np
 from repro.workload.stream import (
     CHUNK_CANDIDATES,
     Request,
-    _marks,
     client_weight_table,
     zipf_cumulative,
 )
@@ -95,6 +96,12 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
 
 def _fractions(rng: random.Random, count: int) -> np.ndarray:
     return _words(rng, count, 32) * 2.0**-32
+
+
+def _marks(cumulative: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Weighted indices by plain binary search: the first cumulative
+    weight above each fraction of the total."""
+    return np.searchsorted(cumulative, fractions * cumulative[-1], "right")
 
 
 def bigint_batches(stream) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -29,7 +29,7 @@ from repro.workload.profile import BUILTIN_PROFILES, PROFILE_FIELDS
 from repro.workload.stream import client_weight_table, zipf_cumulative
 
 from tests.row_documents import _bad_numbers
-from tests.stream_oracle import bigint_batches, bigint_contents, scalar_requests
+from tests.stream_oracle import _marks, bigint_batches, bigint_contents, scalar_requests
 
 ROOT = Path(__file__).resolve().parent.parent
 CLIENTS = [f"client-{i}" for i in range(40)]
@@ -273,6 +273,61 @@ class TestExactBits:
 
         assert loaded() == "False"
         assert loaded("--workload", "constant") == "True"
+
+
+def boundary_words(cumulative):
+    """Per entry, the first word whose plain mark passes it (2**32 if
+    none does): a vectorised binary search of the monotone mark."""
+    lo = np.zeros(len(cumulative), dtype=np.uint64)
+    hi = np.full(len(cumulative), 2**32, dtype=np.uint64)
+    while (active := lo < hi).any():
+        mid = (lo + hi) // 2
+        past = mid * 2.0**-32 * cumulative[-1] >= cumulative
+        hi = np.where(active & past, mid, hi)
+        lo = np.where(active & ~past, mid + 1, lo)
+    return lo
+
+
+class TestBucketedMarks:
+    """The bucket table answers every word exactly as the oracle's plain
+    ``searchsorted`` does, for the client and content tables streams
+    build, and searches at most one bucket in 32."""
+
+    @staticmethod
+    def tables(deployment):
+        clients = [info.node_id for info in deployment.topology.web_client_ases()]
+        regions = {
+            info.node_id: info.location.region for info in deployment.topology.web_client_ases()
+        }
+        surge = builtin_profile("regional-surge")
+        tables = {
+            f"clients/{name}": client_weight_table(builtin_profile(name), clients, regions)
+            for name in BUILTIN_PROFILES
+        }
+        tables["contents"] = zipf_cumulative(1000, surge.content_zipf_s)
+        tables["zero-weights"] = client_weight_table(
+            replace(surge, surge_weight=0.0), clients, regions
+        )
+        tables["one-client"] = client_weight_table(surge, clients[:1])
+        tables["3000-clients"] = client_weight_table(surge, [f"c{i}" for i in range(3000)])
+        return {name: np.array(table) for name, table in tables.items()}
+
+    def test_every_word_class_equals_the_search(self, deployment):
+        tables = self.tables(deployment)
+        assert 0.0 in np.diff(tables["zero-weights"])
+        words = np.random.default_rng(7).integers(0, 2**32, 10**5, dtype=np.uint64)
+        for name, cumulative in tables.items():
+            marks = stream_module._Marks(cumulative)
+            buckets = len(marks._table)
+            assert buckets >= 32 * len(cumulative) > buckets // 2, name
+            assert (marks._table < 0).sum() * 32 <= buckets, name
+            step = 2**32 // buckets
+            starts = np.arange(buckets, dtype=np.uint64) * step
+            edges = boundary_words(cumulative)
+            checked = np.concatenate([starts, starts + (step - 1), edges - 1, edges, words])
+            checked = checked[checked < 2**32].astype(np.uint32)
+            want = _marks(cumulative, checked * 2.0**-32)
+            assert marks(checked).tobytes() == want.tobytes(), name
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The tick decides once per client: the two equivalences that rests on,
+"""The tick decides once per client: the equivalences that rests on,
 and a surge replayed against what the per-request tick produced.
 
 * the budget closed form equals admitting requests one at a time;
 * with nothing diverting, admitting a tick in arrival order equals the
   per-site aggregate;
+* with sites diverting, admitting only the diversion candidates one at
+  a time equals admitting every request in arrival order (the loop kept
+  in ``divert_oracle.py``);
 * a small regional surge (overload, a brownout, a silent failure, DNS
   diversion) yields the trace events and account recorded from the
   per-request engine at the commit before the tick read arrays
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import telemetry
 from repro.core.scenarios import ScenarioRunner
@@ -39,6 +42,7 @@ from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 from repro.workload.engine import served_within
 
 from tests.conftest import FAST_TIMING, install_fib
+from tests.divert_oracle import _serve_in_order
 from tests.test_workload_capacity import anycast_plane
 
 FIXTURE = Path(__file__).parent / "fixtures" / "workload" / "surge_ticks.json"
@@ -101,9 +105,11 @@ class TestOrderedEqualsAggregate:
             attempts[landed[index]] = attempts.get(landed[index], 0) + 1
         budgets = {site: capacity.effective_rps(site) * dt for site in deployment.site_names}
         aggregate = {site: served_within(n, budgets[site]) for site, n in attempts.items()}
-        served, tried = engine._serve_in_order(times, clients, landed, budgets, {})
+        served, tried = _serve_in_order(engine, times, clients, landed, budgets, {})
         assert tried == attempts
         assert {site: served.get(site, 0) for site in attempts} == aggregate
+        codes = np.array([engine._site_code[landed[index]] for index in clients.tolist()])
+        assert engine._admit_diverting(times, clients, codes, budgets, {}) == (served, tried)
 
         # ... and the whole tick, booked through the engine, agrees.
         seen: list[str] = []
@@ -121,6 +127,93 @@ class TestOrderedEqualsAggregate:
         # above filled the memo, and no FIB moved since.
         assert plane.hits - hits == len(landed)
         assert plane.misses == misses
+
+
+BUDGETS = st.one_of(
+    st.sampled_from([math.inf, 0.0, 0.5, 1.0 - 1e-9]),
+    st.builds(lambda whole, nudge: whole + nudge,
+              st.integers(0, 40), st.sampled_from([-1e-9, 0.0, 1e-9])),
+    st.floats(min_value=0.0, max_value=60.0),
+)
+
+
+@st.composite
+def diverting_ticks(draw, n_clients: int, sites: list[str]):
+    """A tick's arrivals, where each client's requests land (or not),
+    the diverting sites and every site's credit."""
+    pool = draw(st.lists(st.integers(0, n_clients - 1), min_size=1, max_size=12, unique=True))
+    n = draw(st.integers(0, 150))
+    times = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    clients = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    landed = {
+        index: site
+        for index in pool
+        if (site := draw(st.one_of(st.none(), st.sampled_from(sites)))) is not None
+    }
+    divert = draw(st.dictionaries(
+        st.sampled_from(sites), st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3,
+    ))
+    if draw(st.booleans()):  # one credit everywhere: spares tie
+        budget = draw(BUDGETS)
+        budgets = {site: budget for site in sites}
+    else:
+        budgets = {site: draw(BUDGETS) for site in sites}
+    dead = draw(st.sets(st.sampled_from(sites)))
+    return (np.array(times, dtype=float), np.array(clients, dtype=np.intp), landed,
+            divert, budgets, dead)
+
+
+@pytest.fixture(scope="module")
+def divert_engine(deployment):
+    plane, _ = anycast_plane(deployment)
+    return WorkloadEngine(plane, deployment, builtin_profile("constant"), seed=3)
+
+
+class TestAdmissionAgainstTheLoop:
+    """A diverting tick is admitted with a loop over its diversion
+    candidates only; it must admit what the per-request loop does."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_the_per_request_loop(self, divert_engine, data):
+        engine = divert_engine
+        times, clients, landed, divert, budgets, dead = data.draw(
+            diverting_ticks(len(engine.clients), sorted(engine._sites))
+        )
+        engine.dead_sites = dead
+        codes = np.full(len(engine.clients), len(engine._sites), dtype=np.intp)
+        for index, site in landed.items():
+            codes[index] = engine._site_code[site]
+        served, attempts = engine._admit_diverting(
+            times, clients, codes[clients], budgets, divert
+        )
+        want_served, want_attempts = _serve_in_order(
+            engine, times, clients, landed, budgets, divert
+        )
+        assert list(attempts.items()) == list(want_attempts.items())
+        assert list(served.items()) == list(want_served.items())
+
+    def test_the_surge_record_diverts(self, deployment, monkeypatch, loop_stream):
+        """The shed-dns record ``TestSurgeAgainstThePerRequestEngine``
+        replays moves requests off the site they landed at, so that
+        replay holds ``_admit_diverting`` to the per-request engine."""
+        moved: list[int] = []
+        admit = WorkloadEngine._admit_diverting
+
+        def counted(engine, times, clients, codes, budgets, divert):
+            served, attempts = admit(engine, times, clients, codes, budgets, divert)
+            landed = np.bincount(codes, minlength=engine._n_codes)
+            moved.append(sum(
+                max(0, landed[code] - attempts.get(site, 0))
+                for code, site in enumerate(engine._sites)
+            ))
+            return served, attempts
+
+        monkeypatch.setattr(WorkloadEngine, "_admit_diverting", counted)
+        expected = json.loads(FIXTURE.read_text())["shed-dns"]
+        assert json.loads(json.dumps(surge_run(deployment, "shed-dns"))) == expected
+        assert sum(moved) >= 1
 
 
 class TestVerdictVector:
