@@ -484,10 +484,10 @@ class UnsortedFsIteration(LintRule):
 
 #: callee name -> the only modules under ``repro/`` that may call it.
 #: Each row is a fact the tree states once: a run's components are
-#: assembled by the rig, a brownout's end is released by the rig, and a
-#: network is simulated only by the four runners -- settled catchments
-#: come from the symbolic fixed point (docs/architecture.md, "Three
-#: regimes"), never from a scratch network; the valley-free rule is
+#: assembled by the rig, and a network is simulated only by the four
+#: runners -- settled catchments come from the symbolic fixed point
+#: (docs/architecture.md, "Three regimes"), never from a scratch
+#: network; the valley-free rule is
 #: read through ``policy.exported`` / ``relayed``, which both engines
 #: and the reachability walk call, never restated beside them; and a
 #: FIB is written by the router's install, whose hook re-walks the
@@ -498,8 +498,7 @@ class UnsortedFsIteration(LintRule):
 #: dotted row names the attribute the method is called on.
 _SINGLE_CALL_SITES: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(
-        ("CdnController", "WorkloadEngine", "CapacityState", "FaultInjector", "Prober",
-         "site_overload_cleared", "clear_overload"),
+        ("CdnController", "WorkloadEngine", "CapacityState", "FaultInjector", "Prober"),
         ("core/rig.py",),
     ),
     "build_network": (

@@ -220,11 +220,16 @@ def snapshot_network(network: BgpNetwork) -> NetworkSnapshot:
 def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
     """Rebuild a live network from a snapshot.
 
-    The restored network is independent of (and byte-equivalent in
-    behavior to) the snapshotted one: same RIBs/FIBs, same session
-    transfer state and effective MRAIs, same damping state (with release
-    timers re-armed), same RNG stream position, same clock. Building
-    costs O(network); the state itself goes in through the loader
+    The restored network is independent of the snapshotted one and holds
+    the same state: same RIBs/FIBs, same session transfer state and
+    effective MRAIs, same damping state (with release timers re-armed),
+    same RNG stream position, same clock. It is *not* equivalent in
+    behavior: each router's ``sessions`` come back sorted by remote,
+    not in the original's insertion order, and that order is the export
+    fan-out order, so the same later event can unfold differently
+    (``tests/test_checkpoint_codec.py::TestSessionOrder``). Every
+    restore of one snapshot behaves the same. Building costs
+    O(network); the state itself goes in through the loader
     :func:`rewind_network` shares.
     """
     if snapshot.schema != SNAPSHOT_SCHEMA:

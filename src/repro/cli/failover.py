@@ -24,17 +24,15 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
     ctx.admit(ctx.experiment_world([technique], args.site))
     print(f"failing {args.site} under {technique.name} "
           f"({'silent' if args.silent else 'withdrawing'} failure) ...")
-    if args.workers > 1:
-        # One cell, but run through the pool: the run gets crash
-        # isolation and the per-cell timeout instead of hanging.
-        from repro.parallel import SweepCell
+    # One cell, run through the sweep at every --workers: a cell that
+    # raises is a `sweep: cell ... error` line and exit 1, and with
+    # workers the run also gets crash isolation and the per-cell timeout.
+    from repro.parallel import SweepCell
 
-        report = ctx.sweep([SweepCell(technique, args.site)])
-        if not report.ok:
-            return 1
-        result = report.site_results()[0]
-    else:
-        result = ctx.experiment.run_site(technique, args.site)
+    report = ctx.sweep([SweepCell(technique, args.site)])
+    if not report.ok:
+        return 1
+    (result,) = report.site_results()
     print(f"selected {len(result.selection.targets)} targets, "
           f"{len(result.controllable)} controllable pre-failure")
     print(f"reconnection: {summarize([o.reconnection_s for o in result.outcomes]).row()}")

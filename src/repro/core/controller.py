@@ -17,6 +17,7 @@ target, so no reaction can resurrect one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.bgp.network import BgpNetwork
@@ -24,7 +25,7 @@ from repro.core.plan import Origination, Technique, apply_plan
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
-from repro.telemetry.trace import DnsRecordChanged, SiteFailed
+from repro.telemetry.trace import DnsRecordChanged, SiteFailed, SiteOverloaded
 from repro.topology.testbed import CdnDeployment
 from repro.workload.capacity import CapacityState
 
@@ -75,9 +76,10 @@ class CdnController:
     failures: list[FailureEvent] = field(default_factory=list)
     #: the specific site of the last deploy(), for recovery
     deployed_site: str | None = None
-    #: sites currently down; announcements are never (re)made from these
+    #: sites currently down; announcements are never (re)made from these.
+    #: The run's one down set (the prober and the engine read this object)
     down_sites: set = field(default_factory=set)
-    #: sites currently shed for overload (latched until cleared)
+    #: sites currently shed for overload: the run's one overload latch
     overloaded_sites: set = field(default_factory=set)
     #: sites drained for maintenance -> the prepend depth overlaid on
     #: whatever the technique has them announce
@@ -198,23 +200,39 @@ class CdnController:
         self.drained_sites.pop(site, None)
         self._reconcile(self.network.root_cause("site-undrain", site))
 
-    def site_overloaded(self, site: str) -> None:
-        """The workload engine's overload signal for one site.
+    def site_overloaded(self, site: str, offered_rps: float) -> None:
+        """The workload engine's overload report for one site: a tick lost
+        requests there at ``offered_rps``.
 
         Mirrors :meth:`fail_site`'s control loop: the monitoring system
         notices the overload after ``detection_delay`` seconds, and only
-        then does the technique's shedding reaction run. The site is
-        latched as overloaded until :meth:`site_overload_cleared`.
+        then does the technique's shedding reaction run. The first report
+        latches the site (and emits :class:`SiteOverloaded`); later ones
+        are no-ops until :meth:`site_overload_cleared` -- load dropping
+        never unlatches, which is what makes the shed converge instead
+        of oscillating.
         """
         if site not in self.deployment.sites:
             raise KeyError(f"unknown site {site!r}")
         if site in self.overloaded_sites:
             return
         self.overloaded_sites.add(site)
-        cause = self.network.root_cause("site-overload", site, self.technique.name)
+        # Telemetry first: the overload causally precedes the shed.
         telemetry = telemetry_registry.current()
         if telemetry.enabled:
+            capacity = self.capacity_state
             telemetry.inc("controller.site_overloads")
+            telemetry.emit(
+                SiteOverloaded(
+                    t=self.network.now,
+                    site=site,
+                    offered_rps=round(offered_rps, 3),
+                    capacity_rps=(
+                        capacity.effective_rps(site) if capacity is not None else math.inf
+                    ),
+                )
+            )
+        cause = self.network.root_cause("site-overload", site, self.technique.name)
         self.network.engine.schedule(
             self.detection_delay, lambda: self._react_overload(site, cause)
         )

@@ -113,7 +113,7 @@ class RotationDrill:
                 fault_plan=self.fault_plan,
             ) as rig,
         ):
-            rig.fail(site)
+            rig.controller.fail_site(site)
             tag = f"drill/{self.technique.name}/{site}"
             rig.start_workload(self.deadline_s, self.seed, tag, clients=clients)
             network.run_for(self.deadline_s)

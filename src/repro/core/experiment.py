@@ -411,7 +411,7 @@ class FailoverExperiment:
             # failed site is dead on the data plane: replies that stale FIBs
             # still steer there are lost, not captured.
             with telemetry.phase("fail-probe", **tags):
-                event = rig.fail(site, silent=config.silent_failure)
+                event = rig.controller.fail_site(site, silent=config.silent_failure)
                 rig.prober.start(
                     controllable, interval=config.probe_interval, duration=config.probe_duration
                 )
@@ -442,16 +442,14 @@ class FailoverExperiment:
     ) -> list[SiteFailoverResult]:
         """Fig. 2's sweep: fail every site once under ``technique``.
 
-        ``workers > 1`` shards the sites over a process pool (see
-        :mod:`repro.parallel`); results are identical to the serial path
-        and returned in site order. A failed/timed-out cell raises
-        ``RuntimeError`` -- callers that need per-cell failure handling
-        should use :func:`repro.parallel.sweep.run_sweep` directly.
+        The sites run through :func:`repro.parallel.sweep.run_sweep` at
+        every worker count (``workers > 1`` shards them over a process
+        pool); results are identical for every count and returned in
+        site order. A failed/timed-out cell raises ``RuntimeError`` --
+        callers that need per-cell failure handling should use
+        ``run_sweep`` directly.
         """
         sites = sites if sites is not None else self.deployment.site_names
-        if workers <= 1:
-            with self.sweeping():
-                return [self.run_site(technique, site) for site in sites]
         # Local import: repro.parallel.sweep imports this module.
         from repro.parallel.sweep import SweepCell, run_sweep
 

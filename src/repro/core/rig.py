@@ -12,7 +12,7 @@ import zlib
 from collections.abc import Iterable
 
 from repro.bgp.network import BgpNetwork
-from repro.core.controller import CdnController, FailureEvent
+from repro.core.controller import CdnController
 from repro.core.plan import Technique
 from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
 from repro.dataplane.ping import Prober
@@ -44,6 +44,11 @@ class RunRig:
     and the scripted ``events``; their times count from that instant.
     ``dst`` is the address in ``prefix`` that draws traffic: the prober's
     source, the workload's destination.
+
+    A site's run state lives on :attr:`controller` only: the prober, the
+    engine and :meth:`live_site` read its ``down_sites``, the engine
+    reports overload into its latch, and runners change a site through
+    its methods (``fail_site``, ``recover_site``, ...).
     """
 
     def __init__(
@@ -99,9 +104,8 @@ class RunRig:
         self.injector.arm()
         self.plane = ForwardingPlane(network, deployment.topology)
         self.prober = Prober(self.plane, deployment, dst, vantage)
-        #: failed sites (traffic stale FIBs still steer there is lost):
-        #: one set, so probes and requests see a failure at one instant
-        self.dead_sites = self.prober.dead_sites
+        # One down set, so probes and requests see a failure at once.
+        self.prober.dead_sites = self.controller.down_sites
         self.engine: WorkloadEngine | None = None  # set by start_workload
 
     def close(self) -> None:
@@ -115,26 +119,6 @@ class RunRig:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def fail(self, site: str, *, silent: bool = False) -> FailureEvent:
-        """``site`` goes down on both planes: the controller withdraws
-        (at detection when ``silent``) and the data plane stops serving."""
-        event = self.controller.fail_site(site, silent=silent)
-        self.dead_sites.add(site)
-        return event
-
-    def recover(self, site: str) -> None:
-        """``site`` is back on both planes."""
-        self.controller.recover_site(site)
-        self.dead_sites.discard(site)
-
-    def end_brownout(self, site: str) -> None:
-        """``site``'s capacity is back: release the shed its overload
-        latched on every layer that holds a piece of it."""
-        self.capacity_state.restore(site)
-        self.controller.site_overload_cleared(site)
-        if self.engine is not None:
-            self.engine.clear_overload(site)
 
     def start_workload(
         self,
@@ -162,7 +146,7 @@ class RunRig:
             clients=clients,
             technique=self.technique.name,
             site=site if site is not None else self.site,
-            dead_sites=self.dead_sites,
+            dead_sites=self.controller.down_sites,
             dst=self.dst,
             capacity=self.capacity_state,
             on_overload=self.controller.site_overloaded if bound else None,
@@ -174,7 +158,7 @@ class RunRig:
         (None when dropped, off-net, or landing at a dead site)."""
         walk = self.plane.walk_from(client, self.dst)
         site, reason = delivery_verdict(
-            walk.delivered_to, walk.reason, self.deployment, self.dead_sites
+            walk.delivered_to, walk.reason, self.deployment, self.controller.down_sites
         )
         return site if reason is None else None
 

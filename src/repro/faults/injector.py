@@ -31,9 +31,9 @@ class FaultInjector:
     """Arms one timeline (a fault plan's edges, then the scripted
     ``events``) against one network.
 
-    ``rig`` is the :class:`~repro.core.rig.RunRig` site actions act
-    through; without one (a bare network) only link and node actions
-    can fire, and brownouts skip.
+    ``rig`` is the :class:`~repro.core.rig.RunRig` whose controller site
+    actions call; without one (a bare network) only link and node
+    actions can fire, and brownouts skip.
 
     Counters: :attr:`injected` / :attr:`skipped` mirror the
     ``faults.injected`` / ``faults.skipped`` telemetry counters for
@@ -173,10 +173,11 @@ class FaultInjector:
     def _brownout_end(self, entry: Action) -> str | None:
         if self.capacity is None or not self.capacity.browned_out(entry.target):
             return "no brownout active"
+        self.capacity.restore(entry.target)
         # The un-shed the controller answers with belongs to this chain.
         cause = self._cause(entry)
         with self.network.caused_by(cause):
-            self.rig.end_brownout(entry.target)
+            self.rig.controller.site_overload_cleared(entry.target)
         self._fired(entry, cause=cause)
 
     def _partial_down(self, entry: Action) -> str | None:
@@ -235,9 +236,11 @@ _EFFECTS = {
     "partial-site-up": FaultInjector._partial_up,
     "brownout-start": FaultInjector._brownout_start,
     "brownout-end": FaultInjector._brownout_end,
-    "fail": lambda self, entry: self.rig.fail(entry.target),
-    "fail-silent": lambda self, entry: self.rig.fail(entry.target, silent=True),
-    "recover": lambda self, entry: self.rig.recover(entry.target),
+    "fail": lambda self, entry: self.rig.controller.fail_site(entry.target),
+    "fail-silent": lambda self, entry: self.rig.controller.fail_site(
+        entry.target, silent=True
+    ),
+    "recover": lambda self, entry: self.rig.controller.recover_site(entry.target),
     "drain": lambda self, entry: self.rig.controller.drain_site(entry.target),
     "undrain": lambda self, entry: self.rig.controller.undrain_site(entry.target),
 }

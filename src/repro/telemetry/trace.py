@@ -236,10 +236,10 @@ class SiteFailed(TraceEvent):
 class SiteOverloaded(TraceEvent):
     """A site's offered load first exceeded its serving capacity.
 
-    Emitted once per site by the workload engine when a tick exhausts
-    the site's capacity budget (the overload latch); the controller's
-    shedding reaction is scheduled ``detection_delay`` later, exactly
-    like :class:`SiteFailed` for outages.
+    Emitted by the controller when the workload engine first reports a
+    tick that exhausted the site's capacity budget (the overload latch);
+    the shedding reaction is scheduled ``detection_delay`` later,
+    exactly like :class:`SiteFailed` for outages.
     """
 
     kind: ClassVar[str] = "site_overloaded"

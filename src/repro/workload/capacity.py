@@ -84,10 +84,12 @@ class CapacityState:
     """One run's mutable capacity view (never pickled, never shared).
 
     Built per run from the deployment's site list and a
-    :class:`CapacityProfile`. Brownout faults and scenario events scale a
+    :class:`CapacityProfile`. The timeline's brownout edges scale a
     site's effective capacity down (``scale``) and back (``restore``);
-    the controller records DNS divert fractions here when a DNS-weighted
-    shedding technique reacts to overload. All mutation happens from
+    the controller, which holds the overload latch, is the one writer of
+    ``dns_divert``: it records a DNS-weighted shed's fraction when the
+    technique reacts to overload and drops it when the latch is
+    cleared. All mutation happens from
     engine callbacks on the simulated clock, so the state evolves
     identically across repeats, worker counts, and checkpoint forks.
     """

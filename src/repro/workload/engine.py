@@ -23,13 +23,15 @@ probes with. With a capacity profile attached there is a fifth outcome,
 (:class:`~repro.workload.capacity.CapacityState`) is exhausted for the
 tick; without one every live site is unlimited and it never occurs.
 
-When capacity is attached the engine also drives the *load-shedding
-control loop*: the first tick that pushes a site past its effective
-capacity latches the site as overloaded and fires the ``on_overload``
-callback (the controller reacts after its ``detection_delay``, exactly
-like failures). The latch is per-site and only cleared explicitly
-(capacity restored by an un-brownout), never by load dropping -- that
-asymmetry is what guarantees the shed converges instead of oscillating.
+When capacity is attached the engine also feeds the *load-shedding
+control loop*: after each tick it reports every site that lost requests
+to overload, with the rate offered there, to the ``on_overload``
+callback. The latch is the controller's
+(:meth:`~repro.core.controller.CdnController.site_overloaded`): the
+first report latches the site and schedules the shed after its
+``detection_delay``, exactly like failures, and only an un-brownout
+clears it, never load dropping -- that asymmetry is what guarantees the
+shed converges instead of oscillating.
 DNS-weighted shedding diverts a deterministic per-request hash fraction
 of an overloaded site's requests to the live site with the most spare
 capacity in the tick. Only the requests that landed on a diverting site
@@ -66,7 +68,7 @@ import numpy as np
 from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane, delivery_verdict
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
-from repro.telemetry.trace import SiteOverloaded, WorkloadSample
+from repro.telemetry.trace import WorkloadSample
 from repro.topology.testbed import PROBE_SOURCE, CdnDeployment
 from repro.workload.capacity import CapacityState
 from repro.workload.profile import WorkloadProfile
@@ -244,7 +246,7 @@ class WorkloadEngine:
         dead_sites: set[str] | None = None,
         dst: IPv4Address = PROBE_SOURCE,
         capacity: CapacityState | None = None,
-        on_overload: Callable[[str], None] | None = None,
+        on_overload: Callable[[str, float], None] | None = None,
     ) -> None:
         self.plane = plane
         self.deployment = deployment
@@ -261,13 +263,12 @@ class WorkloadEngine:
             info.node_id: info.location.region
             for info in plane.topology.web_client_ases()
         }
-        #: shared with the prober when one exists, so site failures and
-        #: recoveries observed by probing apply to requests too
+        #: the run's down set (the controller's, which the prober reads)
         self.dead_sites: set[str] = dead_sites if dead_sites is not None else set()
         #: per-run capacity view; None = every live site is unlimited
         self.capacity = capacity
-        #: called once per site, on the first tick that exhausts its
-        #: capacity (the controller's overload signal)
+        #: called after each tick with ⟨site, offered rps⟩ for every site
+        #: that lost requests to overload (the controller's latch)
         self.on_overload = on_overload
         #: the address requests are sent to
         self.dst = dst
@@ -285,9 +286,6 @@ class WorkloadEngine:
         self._chunk: tuple[np.ndarray, np.ndarray] | None = None
         #: the order diversion scans alternative sites in
         self._site_order = sorted(deployment.site_names)
-        #: sites whose overload callback already fired (latched; cleared
-        #: only by :meth:`clear_overload`, never by load dropping)
-        self._overload_notified: set[str] = set()
         #: each client's verdict code: an index into ``_sites`` (the live
         #: site its requests reach) or, past them, into ``_LOSS_CLASSES``
         self._sites = deployment.site_names
@@ -302,10 +300,6 @@ class WorkloadEngine:
         #: version, dead sites⟩ of the last tick
         self._fresh = np.zeros(len(self.clients), dtype=bool)
         self._verdict_key: tuple[int, frozenset[str]] | None = None
-
-    def clear_overload(self, site: str) -> None:
-        """Unlatch a site (capacity restored) so overload can re-fire."""
-        self._overload_notified.discard(site)
 
     # ------------------------------------------------------------------
 
@@ -525,26 +519,10 @@ class WorkloadEngine:
             if failed or overload:
                 telemetry.inc("workload.requests_lost", failed + overload)
             telemetry.emit(sample)
-        # Fire the overload latch *after* the tick's accounting so the
-        # control reaction (announcements, DNS divert) starts on later
-        # ticks, never mid-drain.
-        hot = sorted(
-            site for site, count in attempts.items() if served.get(site, 0) < count
-        )
-        if hot and capacity is not None:
-            for site in hot:
-                if site in self._overload_notified:
-                    continue
-                self._overload_notified.add(site)
-                if telemetry.enabled:
-                    rate = (attempts[site] / dt) if dt > 0 else 0.0
-                    telemetry.emit(
-                        SiteOverloaded(
-                            t=telemetry.now(),
-                            site=site,
-                            offered_rps=round(rate, 3),
-                            capacity_rps=capacity.effective_rps(site),
-                        )
-                    )
-                if self.on_overload is not None:
-                    self.on_overload(site)
+        # Report overload *after* the tick's accounting so the control
+        # reaction (announcements, DNS divert) starts on later ticks,
+        # never mid-drain.
+        if self.on_overload is not None:
+            for site in sorted(attempts):
+                if served.get(site, 0) < attempts[site]:
+                    self.on_overload(site, attempts[site] / dt if dt > 0 else 0.0)

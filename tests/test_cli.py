@@ -565,6 +565,26 @@ class TestPoolFailureAtTheCli:
         cells = {cell["cell"]: cell["status"] for cell in json.loads(archive.read_text())["cells"]}
         assert cells == {"anycast/msn": "crashed", "anycast/sea1": "timeout", "anycast/ams": "ok"}
 
+    def test_a_failover_cell_that_raises_is_a_line_at_every_worker_count(
+        self, capsys, monkeypatch
+    ):
+        """``repro failover`` runs its one cell through the sweep at
+        ``--workers 1`` too: an exception is a ``sweep: cell`` line and
+        exit 1, not a traceback."""
+        from repro.core.experiment import FailoverExperiment
+
+        def hostile(self, technique, site):
+            raise ValueError("no route to the hitlist")
+
+        monkeypatch.setattr(FailoverExperiment, "run_site", hostile)
+        assert main(["failover", "-t", "anycast", "-s", "msn",
+                     "--targets", "3", "--duration", "30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "sweep: cell anycast/msn error: ValueError: no route to the hitlist"
+        )
+        assert "Traceback" not in captured.err and "reconnection:" not in captured.out
+
     def test_drill_aborts_on_stderr(self, capsys, monkeypatch):
         import os
 

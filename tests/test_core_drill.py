@@ -57,7 +57,7 @@ class TestRotationDrill:
                 for client in clients:
                     self.plane.forward(client, self.dst, forwards.append)
                 self.network.run_for(5.0)
-                dead_sites.update(self.dead_sites)
+                dead_sites.update(self.controller.down_sites)
                 super().close()
 
         monkeypatch.setattr(drill_module, "RunRig", AuditedRig)

@@ -1,7 +1,8 @@
 """The run rig and the one delivery verdict.
 
 * the rig's assembly facts (capacity binds iff a workload is attached,
-  one ``dead_sites`` set, the injector acts on the bound state);
+  one down set -- the controller's -- read by the prober and the engine,
+  the injector acts on the bound state);
 * a differential test that the prober (fed an un-memoised walk), the
   forwarding plane's walk memo, the workload engine, the availability
   ledger and ``live_site`` agree on every delivery, on FIB states
@@ -64,9 +65,12 @@ class TestAssembly:
     def test_prober_and_engine_share_one_dead_sites_set(self, deployment):
         rig = make_rig(deployment, workload=builtin_profile("constant"))
         rig.start_workload(5.0, 0, "t")
-        assert rig.engine.dead_sites is rig.prober.dead_sites
-        rig.fail("sea1")
+        down = rig.controller.down_sites
+        assert rig.prober.dead_sites is down and rig.engine.dead_sites is down
+        rig.controller.fail_site("sea1")
         assert rig.engine.dead_sites == {"sea1"}
+        rig.controller.recover_site("sea1")
+        assert rig.prober.dead_sites == set()
 
     def test_no_workload_means_no_engine(self, deployment):
         rig = make_rig(deployment)
@@ -127,10 +131,11 @@ class TestOneVerdict:
                 # traffic that follows this /23 lands off-net.
                 network.announce(leaker, SUPERPREFIX)
                 network.converge()
-            rig.fail("sea1", silent=silent)
+            rig.controller.fail_site("sea1", silent=silent)
+            down = rig.controller.down_sites
             engine = WorkloadEngine(
                 rig.plane, deployment, builtin_profile("constant"), seed=0,
-                dead_sites=rig.dead_sites,
+                dead_sites=down,
             )
             # The walk the plane replaced, which memoises nothing.
             fresh = HopChainPlane(network, deployment.topology)
@@ -139,7 +144,7 @@ class TestOneVerdict:
                 for client in clients:
                     result = fresh.snapshot_path(client, rig.dst)
                     verdict = delivery_verdict(
-                        result.delivered_to, result.drop_reason, deployment, rig.dead_sites
+                        result.delivered_to, result.drop_reason, deployment, down
                     )
                     site, reason = verdict
                     seen.add(reason)
@@ -152,7 +157,7 @@ class TestOneVerdict:
                     # The plane's memo entry, through the same verdict.
                     walk = rig.plane.walk_from(client, rig.dst)
                     assert delivery_verdict(
-                        walk.delivered_to, walk.reason, deployment, rig.dead_sites
+                        walk.delivered_to, walk.reason, deployment, down
                     ) == verdict
                     # The ledger's class for the reason the prober emitted
                     # is the class the workload engine books the request to.
@@ -186,7 +191,7 @@ class TestOneVerdict:
             # Built inside the session: a prober binds its telemetry
             # when constructed.
             prober = Prober(rig.plane, rig.deployment, rig.dst, "ams")
-            prober.dead_sites = rig.dead_sites
+            prober.dead_sites = rig.controller.down_sites
             probe = Probe(seq=1, sent_at=0.0)
             prober._reply_done(rig.dst, probe, result)
         (event,) = [e for e in tracer.events if isinstance(e, (ProbeLost, ProbeReply))]

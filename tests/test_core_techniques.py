@@ -241,7 +241,7 @@ class TestShedTechniques:
         return controller
 
     def overload(self, controller, site):
-        controller.site_overloaded(site)
+        controller.site_overloaded(site, offered_rps=150.0)
         controller.network.converge()  # the reaction runs off the engine
 
     @pytest.mark.parametrize("factory", TECHNIQUES.values())

@@ -178,7 +178,7 @@ def test_a_window_run_in_two_parts_with_a_link_failure_between(monkeypatch, depl
     def drive(rig_class):
         network = deployment.topology.build_network(seed=5)
         rig = rig_class(network, deployment, Anycast(), "sea1")
-        rig.fail("msn")
+        rig.controller.fail_site("msn")
         rig.prober.start(targets, interval=1.5, duration=200.0)
         # The first run ends just after a round: its replies are in the air.
         network.run_for(99.01)
@@ -202,7 +202,7 @@ def test_run_until_idle_probes_the_whole_window(monkeypatch, deployment):
     def drive(rig_class):
         network = deployment.topology.build_network(seed=5)
         rig = rig_class(network, deployment, ReactiveAnycast(), "sea1")
-        rig.fail("sea1")
+        rig.controller.fail_site("sea1")
         rig.prober.start(targets, interval=1.5, duration=120.0)
         network.engine.run_until_idle()
 

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro import telemetry
 from repro.analysis.findings import Severity
 from repro.analysis.preflight import check_capacity, check_events
 from repro.core.controller import CdnController
@@ -16,6 +17,7 @@ from repro.core.techniques import Anycast, ShedPrepend, technique_by_name
 from repro.dataplane.forwarding import ForwardingPlane
 from repro.faults import Action
 from repro.parallel import matrix, run_sweep
+from repro.telemetry.trace import SiteOverloaded
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 from repro.workload import (
     CapacityProfile,
@@ -208,15 +210,34 @@ class TestOverloadAccounting:
         assert engine.account.served == engine.account.offered
 
     def test_overload_latch_fires_once_per_site(self, deployment):
-        fired: list[str] = []
-        engine = self.run_engine(
-            deployment, CapacityProfile(name="tight", default_rps=2.0),
-            on_overload=fired.append,
+        """The engine reports every hot site on every tick; the
+        controller's latch takes each site once, with one
+        :class:`SiteOverloaded`, and only clearing it lets it fire again."""
+        tight = CapacityProfile(name="tight", default_rps=2.0)
+        reports: list[tuple[str, float]] = []
+        self.run_engine(
+            deployment, tight, on_overload=lambda *report: reports.append(report)
         )
-        assert fired, "tight capacity must trip the latch"
-        assert len(fired) == len(set(fired))
-        engine.clear_overload(fired[0])
-        assert fired[0] not in engine._overload_notified
+        first = list(dict.fromkeys(site for site, _ in reports))
+        assert first, "tight capacity must trip the latch"
+        assert len(reports) > 2 * len(first)  # hot on many ticks
+
+        tracer = telemetry.TraceRecorder()
+        with telemetry.using(telemetry.Telemetry(tracer=tracer)):
+            _, controller = anycast_plane(deployment)
+            controller.capacity_state = CapacityState(tight, deployment.site_names)
+            for site, offered_rps in reports:
+                controller.site_overloaded(site, offered_rps)
+            assert controller.overloaded_sites == set(first)
+            site = first[0]
+            controller.site_overload_cleared(site)
+            assert site not in controller.overloaded_sites
+            controller.site_overloaded(site, 150.0)
+        latched = [e for e in tracer.events if isinstance(e, SiteOverloaded)]
+        assert [e.site for e in latched] == first + [site]
+        assert {e.capacity_rps for e in latched} == {2.0}
+        assert latched[-1].offered_rps == 150.0
+        assert controller.overloaded_sites == set(first)
 
 
 class TestDeterminismUnderCapacity:

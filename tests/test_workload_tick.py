@@ -112,8 +112,8 @@ class TestOrderedEqualsAggregate:
         assert engine._admit_diverting(times, clients, codes, budgets, {}) == (served, tried)
 
         # ... and the whole tick, booked through the engine, agrees.
-        seen: list[str] = []
-        engine.on_overload = seen.append
+        seen: list[tuple[str, float]] = []
+        engine.on_overload = lambda site, offered_rps: seen.append((site, offered_rps))
         plane = engine.plane
         hits, misses = plane.hits, plane.misses
         engine._book(times, clients, dt)
@@ -122,7 +122,9 @@ class TestOrderedEqualsAggregate:
         assert account.served == sum(aggregate.values())
         assert account.lost_overload == account.offered - account.served
         assert account.served_by_site == {s: n for s, n in aggregate.items() if n}
-        assert seen == sorted(s for s, n in attempts.items() if aggregate[s] < n)
+        assert seen == [
+            (s, attempts[s] / dt) for s in sorted(attempts) if aggregate[s] < attempts[s]
+        ]
         # One memo lookup per distinct client, each a hit: the walks
         # above filled the memo, and no FIB moved since.
         assert plane.hits - hits == len(landed)
