@@ -12,7 +12,9 @@ standard BGP policy, e.g. it was via a customer rather than a peer"), so
 the simulator implements them verbatim -- and once: :func:`exported`
 (what a neighbor hears) and :func:`imported` (what it keeps of that) are
 the policy of the event-driven router and of the symbolic fixed point
-alike, and :func:`relayed` is their projection onto reachability.
+alike, :func:`relayed` is their projection onto reachability, and
+:func:`looped` is the loop rule the symbolic pass applies to an offer
+it carries as a tuple rather than a :class:`Route`.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def imported(
     relationship's) -- the very object when it carries that already, as
     every route :func:`exported` wrote for this end of the session does.
     """
-    if import_over is Relationship.COLLECTOR or asn in route.as_path:
+    if import_over is Relationship.COLLECTOR or looped(asn, route.as_path):
         return None
     if local_pref is None:
         local_pref = LOCAL_PREF[import_over]
@@ -119,6 +121,12 @@ def imported(
         return route
     return Route(route.prefix, route.as_path, route.learned_from, local_pref,
                  route.origin_node, route.med)
+
+
+def looped(asn: int, as_path: tuple[int, ...]) -> bool:
+    """True when AS ``asn`` is on ``as_path``: loop prevention, a router
+    of that AS keeps nothing of the route."""
+    return asn in as_path
 
 
 def relayed(learned_over: Relationship | None, export_over: Relationship) -> Relationship | None:

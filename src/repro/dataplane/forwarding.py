@@ -6,7 +6,8 @@ Two forwarding paths exist, matching how the experiment uses them:
   the dynamic BGP simulation, so requests follow the settled
   single-origin policy path to the target AS (see
   :func:`repro.topology.propagation.path_to`) and arrive after its
-  one-way latency;
+  one-way latency, which the topology memoises per ⟨site, client⟩
+  (:meth:`~repro.topology.generator.Topology.settled_latency`);
 * **toward the CDN** (probe replies): each hop does a longest-prefix-match
   lookup in the FIB that router holds *when the packet arrives there*, so
   convergence can reroute, loop, or blackhole a reply mid-flight.
@@ -44,7 +45,6 @@ from repro.bgp.network import BgpNetwork
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.propagation import path_to
 
 if TYPE_CHECKING:
     from repro.topology.testbed import CdnDeployment
@@ -194,14 +194,12 @@ class ForwardingPlane:
     # Static direction (CDN -> client)
 
     def latency_to_client(self, src_node: str, dest_node: str) -> float | None:
-        """One-way latency along the settled policy path, seconds. The
-        path memo lives on the topology, not the plane: a solve is a
-        pure function of the AS graph, and the sweep builds a fresh
-        plane per cell."""
-        path = path_to(self.topology, src_node, dest_node)
-        if path is None:
-            return None
-        return self.topology.path_latency(path)
+        """One-way latency along the settled policy path, seconds
+        (:meth:`Topology.settled_latency`). The memo lives on the
+        topology, not the plane: it is a pure function of the AS graph,
+        the sweep builds a fresh plane per cell, and target selection
+        has asked the same ⟨site, client⟩ pairs already."""
+        return self.topology.settled_latency(src_node, dest_node)
 
     # ------------------------------------------------------------------
     # Dynamic direction (client -> CDN prefix): flights over live FIBs

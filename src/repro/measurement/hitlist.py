@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.net.addr import IPv4Address
 from repro.topology.generator import Topology
-from repro.topology.propagation import path_to
 from repro.topology.testbed import CdnDeployment
 
 
@@ -106,13 +105,20 @@ def select_targets(
     (see :func:`repro.measurement.catchment.anycast_catchment`).
     Targets are spread across ASes (here: one address per AS, selected
     randomly when over budget), as the paper spreads its 50 K.
+
+    The RTT bound is twice
+    :meth:`~repro.topology.generator.Topology.settled_latency`, the
+    topology's memo of the settled site -> client path's latency, so a
+    client is solved and a ⟨site, client⟩ path walked once per topology,
+    however many config seeds, selection modes, RTT tables and probers
+    ask.
     """
     site_node = deployment.site_node(site)
     selection = TargetSelection(site=site)
     eligible: list[HitlistEntry] = []
     for entry in hitlist.responsive_web_clients():
-        path = path_to(topology, site_node, entry.node)
-        if path is None or 2.0 * topology.path_latency(path) * 1000.0 > rtt_limit_ms:
+        latency = topology.settled_latency(site_node, entry.node)
+        if latency is None or 2.0 * latency * 1000.0 > rtt_limit_ms:
             continue
         selection.nearby += 1
         if catchment.get(entry.node) == site:

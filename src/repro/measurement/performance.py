@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.topology.generator import Topology
-from repro.topology.propagation import path_to
 from repro.topology.testbed import CdnDeployment
 
 
@@ -82,7 +81,10 @@ class SiteRttTable:
     One single-origin solve per *client* covers all sites (it settles
     routes from all nodes toward the client; see
     :func:`repro.topology.propagation.path_to`), so the table costs
-    O(clients) solves.
+    O(clients) solves. Each RTT is twice
+    :meth:`~repro.topology.generator.Topology.settled_latency`, the
+    topology's memo target selection and the prober read too: a ⟨site,
+    client⟩ path selection has walked is not walked again.
     """
 
     def __init__(self, topology: Topology, deployment: CdnDeployment) -> None:
@@ -95,9 +97,9 @@ class SiteRttTable:
         if per_client is None:
             per_client = {}
             for name in self.deployment.site_names:
-                path = path_to(self.topology, self.deployment.site_node(name), client)
-                if path is not None:
-                    per_client[name] = 2.0 * self.topology.path_latency(path) * 1000.0
+                latency = self.topology.settled_latency(self.deployment.site_node(name), client)
+                if latency is not None:
+                    per_client[name] = 2.0 * latency * 1000.0
             self._rtts[client] = per_client
         return per_client.get(site)
 

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from repro.core.experiment import FailoverExperiment, SiteFailoverResult
 from repro.core.techniques import Technique
 from repro.parallel.pool import CellResult, map_cells
+from repro.telemetry import registry as telemetry_registry
+from repro.topology.propagation import one_origin_solves
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,10 +66,15 @@ def shared_state(
     Forces the experiment's catchment/hitlist/selection caches for each
     cell's ⟨site, selection mode⟩ -- and, on the checkpoint path, each
     technique's converged baseline snapshot -- so workers receive them
-    ready-made.
+    ready-made. The selection is a ``select-targets`` phase tagged with
+    the one-origin solves it ran (``solves``).
     """
-    for cell in cells:
-        experiment.selection_for(cell.site, mode=cell.technique.selection_mode)
+    telemetry = telemetry_registry.current()
+    with telemetry.phase("select-targets"):
+        solved = one_origin_solves(experiment.topology)
+        for cell in cells:
+            experiment.selection_for(cell.site, mode=cell.technique.selection_mode)
+        telemetry.tag_phase(solves=one_origin_solves(experiment.topology) - solved)
     if experiment.use_checkpoint:
         for cell in cells:
             experiment.baseline_for(cell.technique)

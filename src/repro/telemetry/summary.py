@@ -62,11 +62,22 @@ def _reply_note(runs: int, tags: dict) -> str:
     return f"{tags['flown'][0]} replies flown, {tags['quiet'][0]} quiet"
 
 
+def _solve_note(runs: int, tags: dict) -> str:
+    solves, selections = tags["solves"]
+    return f"{solves} one-origin solves in {selections} up-front selection(s)"
+
+
 #: end tags -> the note line under the row of a phase whose runs carried
 #: all of them: a fork phase's restores vs rewinds of a held fork
-#: (``rewound``, the routers reloaded) and a probing phase's replies that
-#: landed as flights vs the ones the quiet pass wrote (``flown``, ``quiet``)
-PHASE_NOTES = {("rewound",): _fork_note, ("flown", "quiet"): _reply_note}
+#: (``rewound``, the routers reloaded), a probing phase's replies that
+#: landed as flights vs the ones the quiet pass wrote (``flown``,
+#: ``quiet``) and a sweep's up-front target selection (``solves``, the
+#: one-origin solves it ran)
+PHASE_NOTES = {
+    ("rewound",): _fork_note,
+    ("flown", "quiet"): _reply_note,
+    ("solves",): _solve_note,
+}
 
 
 class PhaseTable(dict):

@@ -24,6 +24,7 @@ from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.net.addr import IPv4Prefix
 from repro.topology.geo import REGIONS, link_latency_s, place_in
+from repro.topology.propagation import path_to
 from repro.topology.relationships import AsClass, AsInfo, RelationshipDataset
 
 if TYPE_CHECKING:
@@ -109,6 +110,11 @@ class Topology:
     _hop_latencies: dict[tuple[str, ...], tuple[float, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: :meth:`settled_latency` per ⟨src, dest⟩, for target selection,
+    #: the RTT table and the prober's requests; cleared with the rest
+    _settled_latencies: dict[tuple[str, str], float | None] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: the per-link session timings of the last :meth:`build_network`,
     #: ⟨profile, one per link in ``links`` order⟩: every cell of a sweep
     #: builds its network from the same profile, so the timings are
@@ -128,6 +134,7 @@ class Topology:
         self.adjacency[info.node_id] = {}
         self._static_routes.clear()
         self._hop_latencies.clear()
+        self._settled_latencies.clear()
         return info
 
     def link(self, a: str, b: str, relationship_of_b: Relationship) -> None:
@@ -143,6 +150,7 @@ class Topology:
         self._latencies[(a, b)] = self._latencies[(b, a)] = latency
         self._static_routes.clear()
         self._hop_latencies.clear()
+        self._settled_latencies.clear()
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._latencies
@@ -161,9 +169,10 @@ class Topology:
         """The shared settled-routing memo, filled by
         :mod:`repro.topology.propagation`: ``{dest_node: {node: next
         hop}}`` of one-origin solves (``path_to``) and, under ``None``,
-        the preference-free ``SymbolicGraph`` with its offer fan-out
+        the preference-free ``SymbolicGraph`` with its offer tables
         (``SymbolicGraph.from_topology``). Both are pure functions of
-        the AS graph, so :meth:`add_as` and :meth:`link` clear it."""
+        the AS graph, so :meth:`add_as` and :meth:`link` clear it, and
+        :meth:`settled_latency`'s memo with it."""
         return self._static_routes
 
     def neighbors(self, node_id: str) -> dict[str, Relationship]:
@@ -221,6 +230,22 @@ class Topology:
         for latency in self.hop_latencies(path):
             total += latency
         return total
+
+    def settled_latency(self, src: str, dest: str) -> float | None:
+        """One-way latency, seconds, of the path traffic from ``src``
+        toward AS ``dest`` takes once a route to ``dest`` alone has
+        settled (:func:`~repro.topology.propagation.path_to`), or None
+        where policy gives ``src`` no route. Memoised per ⟨src, dest⟩:
+        the §5.1 proximity filter, the RTT table and the prober's
+        requests all ask it, each pair once per topology."""
+        key = (src, dest)
+        try:
+            return self._settled_latencies[key]
+        except KeyError:
+            path = path_to(self, src, dest)
+            latency = None if path is None else self.path_latency(path)
+            self._settled_latencies[key] = latency
+            return latency
 
     def to_networkx(self) -> nx.Graph:
         """Undirected view with class/relationship attributes, for analysis."""

@@ -3,11 +3,15 @@
 Computes the stable routing state a set of originations converges to --
 *without running the event engine* -- using the *simulator's own*
 decision process (:func:`repro.bgp.route.select_best`) and the router's
-own policy pair (:func:`repro.bgp.policy.exported`: what a neighbor
-hears; :func:`repro.bgp.policy.imported`: what it keeps of that). Those
-are the very functions :class:`repro.bgp.router.BgpRouter` calls, so
-the settled answers and the event engine share policy by construction
-and can differ in timing only.
+own policy (:mod:`repro.bgp.policy`): :func:`~repro.bgp.policy.exported`
+writes what a neighbor hears of an origination, and a learned route
+goes where :func:`~repro.bgp.policy.relayed` sends it, under the far
+end's ``LOCAL_PREF``, unless :func:`~repro.bgp.policy.looped` says the
+neighbor's ASN is on its path -- the rules
+:func:`~repro.bgp.policy.imported` and
+:class:`repro.bgp.router.BgpRouter` apply, so the settled answers and
+the event engine share policy by construction and can differ in timing
+only.
 
 Two solvers, one per kind of world:
 
@@ -18,10 +22,14 @@ Two solvers, one per kind of world:
   peer or provider route. The algebra is strictly monotone, so there is
   one stable state (Griffin-Shepherd-Wilfong), and a rank-ordered pass
   finds it: each AS settles at the best rank its settled neighbors
-  offer it, Dijkstra-style. The same pass with one origination answers
-  "which path does traffic toward AS X take" (:func:`path_to`), the
-  question the §5.1 proximity filter, the RTT tables and the probe
-  requests ask.
+  offer it, Dijkstra-style. Offers are plain tuples read from per-node
+  tables derived once per graph (:meth:`SymbolicGraph.offer_tables`); a
+  :class:`~repro.bgp.route.Route` is built only for the caller that
+  keeps one (:func:`propagate`). The same pass with one origination
+  answers "which path does traffic toward AS X take" (:func:`path_to`,
+  building no route at all), the question the §5.1 proximity filter,
+  the RTT tables and the probe requests ask through
+  :meth:`~repro.topology.generator.Topology.settled_latency`.
 * **Worlds with preference overrides**: per-(node, neighbor) LOCAL_PREF
   overrides can express BAD-GADGET-style policies that oscillate
   without any customer-cone cycle. There a synchronous SPVP evaluation
@@ -42,15 +50,24 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from repro.bgp.policy import LOCAL_ORIGIN_PREF, Relationship, exported, imported, relayed
+from repro.bgp.policy import (
+    LOCAL_ORIGIN_PREF,
+    LOCAL_PREF,
+    Relationship,
+    exported,
+    imported,
+    looped,
+    relayed,
+)
 from repro.bgp.route import Route, select_best
 from repro.net.addr import IPv4Prefix
-from repro.topology.generator import Topology
 
 if TYPE_CHECKING:
     # Plans are read by attribute only; importing them at runtime would
-    # put this solver above the core package it sits below.
+    # put this solver above the core package it sits below. The topology
+    # imports this module for its settled-latency memo.
     from repro.core.plan import Origination
+    from repro.topology.generator import Topology
     from repro.topology.testbed import CdnDeployment
 
 #: what the one-origin question announces: a stand-in prefix, to every
@@ -60,6 +77,8 @@ _TO_EVERY_NEIGHBOR = SimpleNamespace(prepend=0, neighbors=None, med=None)
 
 #: the relationships a route can be held over (None: originated)
 _LEARNED_OVER = (None, Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
+#: the rank of an origination: better than any offer a neighbor makes
+_ORIGINATED = (-LOCAL_ORIGIN_PREF, 0)
 
 
 @dataclass(slots=True)
@@ -72,11 +91,12 @@ class SymbolicGraph:
     adjacency: dict[str, dict[str, Relationship]]
     #: optional per-(node, neighbor) LOCAL_PREF overrides
     preferences: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: node -> {learned over: ((export over, what the far end learns the
-    #: route over, (neighbor, ...)), ...)}: where a route held over each
-    #: relationship is offered, one group per relationship class,
-    #: derived through :func:`repro.bgp.policy.relayed` on first use
-    _fanout: dict | None = field(default=None, init=False, repr=False, compare=False)
+    #: node -> {learned over: ((neighbor, export over, what the neighbor
+    #: learns the route over, minus its LOCAL_PREF for it, its ASN), ...)}:
+    #: where a route held over each relationship is offered, derived
+    #: through :func:`repro.bgp.policy.relayed` and ``LOCAL_PREF`` on
+    #: first use
+    _offer_tables: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_topology(
@@ -85,7 +105,7 @@ class SymbolicGraph:
     ) -> "SymbolicGraph":
         """The graph of ``topology``; without ``preferences`` the one
         kept in the topology's settled-routing memo, so its offer
-        fan-out is derived once per topology."""
+        tables are derived once per topology."""
         if preferences:
             asn = {node: info.asn for node, info in topology.ases.items()}
             return cls(asn=asn, adjacency=topology.adjacency, preferences=dict(preferences))
@@ -96,21 +116,21 @@ class SymbolicGraph:
             graph = memo[None] = cls(asn=asn, adjacency=topology.adjacency)
         return graph
 
-    def fanout(self) -> dict[str, dict[Relationship | None, tuple]]:
-        if self._fanout is None:
-            self._fanout = {}
+    def offer_tables(self) -> dict[str, dict[Relationship | None, tuple]]:
+        if self._offer_tables is None:
+            self._offer_tables = {}
             for node, links in self.adjacency.items():
-                per_learned = self._fanout[node] = {}
+                per_learned = self._offer_tables[node] = {}
                 for learned in _LEARNED_OVER:
-                    groups: dict[Relationship, list[str]] = {}
+                    row = []
                     for neighbor, relationship in links.items():
-                        if relayed(learned, relationship) is not None:
-                            groups.setdefault(relationship, []).append(neighbor)
-                    per_learned[learned] = tuple(
-                        (relationship, relayed(learned, relationship), tuple(neighbors))
-                        for relationship, neighbors in groups.items()
-                    )
-        return self._fanout
+                        far = relayed(learned, relationship)
+                        if far is not None:
+                            row.append(
+                                (neighbor, relationship, far, -LOCAL_PREF[far], self.asn[neighbor])
+                            )
+                    per_learned[learned] = tuple(row)
+        return self._offer_tables
 
 
 @dataclass(slots=True)
@@ -206,73 +226,85 @@ def _adj_rib_in(
 
 def _settle(
     graph: SymbolicGraph, origins: dict[str, Origination], prefix: IPv4Prefix
-) -> dict[str, Route]:
-    """The best routes of the one stable state of a world without
-    preference overrides, by the rank-ordered pass.
+) -> dict[str, tuple]:
+    """node -> the offer it settles on in the one stable state of a world
+    without preference overrides, by the rank-ordered pass: an offer is
+    ⟨rank, sender, learned over, AS path, MED, origin node⟩, an
+    origination's ⟨origin rank, None, None, (), 0, itself⟩ (build its
+    :class:`Route` with :func:`_route`).
 
     Ranks are (-LOCAL_PREF, AS-path length). An AS is settled when the
     smallest rank still waiting is the best any settled neighbor offers
     it: every route it could still hear comes from an AS of that rank or
     worse, and an export makes a route strictly worse, so nothing can
-    beat the offers in hand. Its best is :func:`select_best` over the
-    offers at that rank, in neighbor order, as the full candidate scan
-    would pick it.
+    beat the offers in hand. Its best is the lowest sender among the
+    offers at that rank, as :func:`select_best` picks it, or
+    :func:`select_best` itself over them in neighbor order where their
+    MEDs differ.
+
+    Policy is :mod:`repro.bgp.policy`'s: an origination is written by
+    :func:`exported` (prepend, scope, MED) per neighbor; a learned route
+    goes where :meth:`SymbolicGraph.offer_tables` (``relayed``) sends it,
+    with the sender's ASN prepended, the far end's LOCAL_PREF and no MED,
+    and a neighbor whose ASN is on the path keeps nothing of it
+    (:func:`looped`). Split horizon needs no test: the sender's own
+    sender is settled already.
     """
-    asn, adjacency, fanout = graph.asn, graph.adjacency, graph.fanout()
-    best = _local(origins, prefix)
-    #: unsettled node -> [best rank offered, {neighbor: route at that rank}]
+    asn, tables = graph.asn, graph.offer_tables()
+    settled = {node: (_ORIGINATED, None, None, (), 0, node) for node in origins}
+    #: unsettled node -> [best rank offered, {sender: offer at that rank}]
     offers: dict[str, list] = {}
     #: rank -> nodes offered a route at that rank; ``ranks`` heaps the keys
     waiting: dict[tuple[int, int], list[str]] = {}
     ranks: list[tuple[int, int]] = []
 
-    def offer_from(node: str, route: Route) -> None:
-        learned_over = adjacency[node].get(route.learned_from)
-        origin = origins.get(node)
-        # Beyond its relationship, an export reads the far end only for
-        # split horizon (the neighbor a route came from is settled
-        # already) and an origination's neighbor scope: a learned route
-        # is written once per relationship class, as BgpRouter._export
-        # writes it.
-        per_neighbor = route.learned_from is None
-        for export_over, far, neighbors in fanout[node][learned_over]:
-            heard = None
-            for neighbor in neighbors:
-                if neighbor in best:
-                    continue
-                if heard is None or per_neighbor:
-                    heard = exported(
-                        route, node, asn[node], origin, learned_over, neighbor, export_over
-                    )
-                    if heard is None:
-                        continue
-                kept = imported(heard, asn[neighbor], far)
-                if kept is None:
-                    continue
-                rank = (-kept.local_pref, len(kept.as_path))
-                held = offers.get(neighbor)
-                if held is not None and held[0] < rank:
-                    continue
-                if held is None or rank < held[0]:
-                    offers[neighbor] = [rank, {node: kept}]
-                    bucket = waiting.get(rank)
-                    if bucket is None:
-                        bucket = waiting[rank] = []
-                        heapq.heappush(ranks, rank)
-                    bucket.append(neighbor)
-                else:
-                    held[1][node] = kept
+    def hold(neighbor: str, offer: tuple) -> None:
+        rank = offer[0]
+        held = offers.get(neighbor)
+        if held is None or rank < held[0]:
+            offers[neighbor] = [rank, {offer[1]: offer}]
+            bucket = waiting.get(rank)
+            if bucket is None:
+                bucket = waiting[rank] = []
+                heapq.heappush(ranks, rank)
+            bucket.append(neighbor)
+        elif rank == held[0]:
+            held[1][offer[1]] = offer
 
-    for node, route in best.items():
-        offer_from(node, route)
+    for node, origination in origins.items():
+        local = Route(prefix, (), None, LOCAL_ORIGIN_PREF, node)
+        for neighbor, export_over, far, rank_pref, neighbor_asn in tables[node][None]:
+            if neighbor in settled:
+                continue
+            heard = exported(local, node, asn[node], origination, None, neighbor, export_over)
+            if heard is not None and not looped(neighbor_asn, heard.as_path):
+                hold(neighbor, ((rank_pref, len(heard.as_path)), node, far,
+                                heard.as_path, heard.med, node))
     while ranks:
         for node in waiting.pop(heapq.heappop(ranks)):
-            if node in best:
+            if node in settled:
                 continue  # settled at a better rank already
             heard_by = offers.pop(node)[1]
-            route = best[node] = select_best([heard_by[n] for n in sorted(heard_by)])
-            offer_from(node, route)
-    return best
+            if len(heard_by) == 1:
+                (offer,) = heard_by.values()
+            elif len({offer[4] for offer in heard_by.values()}) == 1:
+                offer = heard_by[min(heard_by)]
+            else:
+                chosen = select_best([_route(prefix, heard_by[n]) for n in sorted(heard_by)])
+                offer = heard_by[chosen.learned_from]
+            settled[node] = offer
+            as_path = (asn[node],) + offer[3]
+            length, origin = len(as_path), offer[5]
+            for neighbor, _, far, rank_pref, neighbor_asn in tables[node][offer[2]]:
+                if neighbor not in settled and not looped(neighbor_asn, as_path):
+                    hold(neighbor, ((rank_pref, length), node, far, as_path, 0, origin))
+    return settled
+
+
+def _route(prefix: IPv4Prefix, offer: tuple) -> Route:
+    """The :class:`Route` a node holds when it settles on ``offer``."""
+    (neg_pref, _), sender, _, as_path, med, origin = offer
+    return Route(prefix, as_path, sender, -neg_pref, origin, med)
 
 
 def spvp(
@@ -346,7 +378,7 @@ def propagate(
     if graph.preferences:
         return spvp(graph, originations, prefix)
     origins = _origins(graph, originations, prefix)
-    best = _settle(graph, origins, prefix)
+    best = {node: _route(prefix, offer) for node, offer in _settle(graph, origins, prefix).items()}
     candidates = _adj_rib_in(graph, sorted(graph.asn), origins, best)
     return PropagationResult(
         prefix=prefix, best=best, candidates=candidates, stable=True, rounds=0
@@ -369,11 +401,11 @@ def path_to(topology: Topology, src: str, dest: str) -> list[str] | None:
     if next_hops is None:
         if dest not in topology.ases:
             raise KeyError(f"unknown destination {dest!r}")
-        best = _settle(
+        settled = _settle(
             SymbolicGraph.from_topology(topology), {dest: _TO_EVERY_NEIGHBOR}, _ANY_PREFIX
         )
         next_hops = memo[dest] = {
-            node: route.learned_from for node, route in best.items() if node != dest
+            node: offer[1] for node, offer in settled.items() if node != dest
         }
     if src != dest and src not in next_hops:
         return None
@@ -381,6 +413,13 @@ def path_to(topology: Topology, src: str, dest: str) -> list[str] | None:
     while path[-1] != dest:
         path.append(next_hops[path[-1]])
     return path
+
+
+def one_origin_solves(topology: Topology) -> int:
+    """How many destinations :func:`path_to` has solved on ``topology``
+    (its memo holds one ``{node: next hop}`` per destination)."""
+    memo = topology.static_routes_cache()
+    return len(memo) - (None in memo)
 
 
 def catchment_of(
@@ -460,7 +499,8 @@ def valley_free_reach(
     export chains.
 
     A BFS over <node, relationship the route was learned over> that
-    steps by the routers' own policy (:func:`repro.bgp.policy.relayed`).
+    steps by the routers' own policy (:func:`repro.bgp.policy.relayed`,
+    read from :meth:`SymbolicGraph.offer_tables`).
     On a Gao-Rexford world this is the set of nodes a lone
     :func:`propagate` offers the route to, computed without selecting
     best paths; a ``preferences`` override can hide a customer route
@@ -469,15 +509,13 @@ def valley_free_reach(
     start: tuple[str, Relationship | None] = (origin, None)
     seen = {start}
     queue = deque(seen)
+    tables = graph.offer_tables()
     while queue:
         node, learned_over = queue.popleft()
         scope = neighbors if node == origin else None
-        for neighbor, relationship in graph.adjacency[node].items():
+        for neighbor, _, learned_there, _, _ in tables[node][learned_over]:
             if scope is not None and neighbor not in scope:
                 continue  # the origin exports its own route here only
-            learned_there = relayed(learned_over, relationship)
-            if learned_there is None:
-                continue
             state = (neighbor, learned_there)
             if state not in seen:
                 seen.add(state)
