@@ -15,7 +15,9 @@ testbed; see DESIGN.md for the substitution map):
   pacing, and path hunting;
 * :mod:`repro.topology` -- Internet-like topology generation, geography,
   and the eight-site CDN deployment;
-* :mod:`repro.dns` -- authoritative/recursive DNS with TTL violations;
+* :mod:`repro.dns` -- the unicast baseline's DNS failover model
+  (authoritative, caching resolvers, TTL-violating clients) and the
+  hybrid steering plan;
 * :mod:`repro.dataplane` -- FIB-driven forwarding, Verfploeter-style
   probing, reverse traceroute;
 * :mod:`repro.core` -- the techniques (Figure 1), the CDN controller,

@@ -6,7 +6,7 @@ controller models that loop with a configurable detection delay: when a
 site fails, the site's own withdrawals go out immediately (routers do
 that on their own), the monitoring system notices after
 ``detection_delay`` seconds, and only then does the technique's reactive
-behaviour -- new announcements, DNS updates -- run.
+behaviour -- its new announcements and withdrawals -- run.
 
 The controller holds no announcement logic of its own: every reaction
 recomputes the technique's target plan for the current ⟨deployed site,
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.bgp.network import BgpNetwork
 from repro.core.plan import Origination, Technique, apply_plan
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
-from repro.telemetry.trace import DnsRecordChanged, SiteFailed, SiteOverloaded
+from repro.telemetry.trace import SiteFailed, SiteOverloaded
 from repro.topology.testbed import CdnDeployment
 from repro.workload.capacity import CapacityState
 
@@ -54,9 +53,6 @@ class CdnController:
     Attributes:
         detection_delay: seconds from failure to the control system
             reacting (monitoring + decision + configuration push).
-        dns: optional authoritative server to update on failure (clients
-            get remapped to a surviving site even for BGP techniques --
-            real CDNs do both).
     """
 
     network: BgpNetwork
@@ -69,7 +65,6 @@ class CdnController:
     #: are rolled back only this many seconds after the recovered site
     #: re-announces, so its routes propagate before the backups vanish
     recovery_grace: float = 0.0
-    dns: AuthoritativeServer | None = None
     #: per-run capacity view; set when a capacity profile is attached so
     #: overload reactions can record DNS divert fractions
     capacity_state: CapacityState | None = None
@@ -84,8 +79,6 @@ class CdnController:
     #: sites drained for maintenance -> the prepend depth overlaid on
     #: whatever the technique has them announce
     drained_sites: dict = field(default_factory=dict)
-    #: DNS addresses of failed sites, kept for restoration on recovery
-    _removed_dns: dict = field(default_factory=dict)
 
     def target_plan(self) -> tuple[Origination, ...]:
         """What the technique wants announced in the current state."""
@@ -156,26 +149,6 @@ class CdnController:
         # Make-before-break: with a grace, the recovered site's routes
         # propagate before the emergency announcements disappear.
         self._reconcile(cause, grace=self.recovery_grace)
-        if self.dns is not None:
-            # Restore the DNS-side record and, if this was the intended
-            # site, the mapping toward it.
-            address = self._removed_dns.pop(site, None)
-            if address is not None:
-                self.dns.set_site_address(site, address)
-                telemetry = telemetry_registry.current()
-                if telemetry.enabled:
-                    telemetry.emit(
-                        DnsRecordChanged(
-                            t=self.network.now,
-                            site=site,
-                            action="restore",
-                            address=str(address),
-                            cause=cause,
-                        )
-                    )
-            policy = self.dns.policy
-            if site == self.deployed_site and isinstance(policy, StaticMapping):
-                policy.default_site = site
 
     def drain_site(self, site: str, prepend: int = 5) -> None:
         """Gracefully drain a site for maintenance: re-announce its
@@ -258,8 +231,8 @@ class CdnController:
     def fail_site(self, site: str, *, silent: bool = False) -> FailureEvent:
         """Emulate a site failure right now.
 
-        The site withdraws everything immediately; the technique's (and
-        DNS's) reaction is scheduled after the detection delay. Returns
+        The site withdraws everything immediately; the technique's
+        reaction is scheduled after the detection delay. Returns
         the failure record (its ``detected_at`` is in the future).
 
         ``silent``: the site stops serving but its BGP announcements
@@ -303,46 +276,9 @@ class CdnController:
             if silent:
                 with self.network.caused_by(cause):
                     self.network.withdraw_all(node)
-            self._react(site, cause)
+            # Re-enter the failure's provenance scope from the engine
+            # callback so the reactive announcements join its chain.
+            self._reconcile(cause)
 
         self.network.engine.schedule(self.detection_delay, detect)
         return event
-
-    def _react(self, site: str, cause: int = 0) -> None:
-        """The technique's (and DNS's) delayed reaction to a failure.
-
-        Runs from an engine callback, after the originating call stack
-        has unwound -- ``cause`` re-enters the failure's provenance scope
-        so the reactive announcements join the same chain.
-        """
-        self._reconcile(cause)
-        if self.dns is not None:
-            self._update_dns(site, cause)
-
-    def _update_dns(self, failed_site: str, cause: int = 0) -> None:
-        """Repoint DNS away from the failed site (unicast's only lever)."""
-        address = self.dns.site_addresses.get(failed_site)
-        if address is not None:
-            self._removed_dns[failed_site] = address
-        self.dns.remove_site(failed_site)
-        telemetry = telemetry_registry.current()
-        if telemetry.enabled:
-            telemetry.emit(
-                DnsRecordChanged(
-                    t=self.network.now,
-                    site=failed_site,
-                    action="remove",
-                    address=str(address) if address is not None else "",
-                    cause=cause,
-                )
-            )
-        survivors = [s for s in self.deployment.site_names if s != failed_site]
-        if not survivors:
-            return
-        policy = self.dns.policy
-        if isinstance(policy, StaticMapping):
-            if policy.default_site == failed_site:
-                policy.default_site = survivors[0]
-            for client, site in list(policy.overrides.items()):
-                if site == failed_site:
-                    policy.overrides[client] = survivors[0]

@@ -139,7 +139,6 @@ class RotationDrill:
                 faults_skipped=rig.injector.skipped,
                 workload=rig.engine.account if rig.engine is not None else None,
             )
-            self.outcomes.append(outcome)
             return outcome
 
     def run_rotation(
@@ -154,14 +153,13 @@ class RotationDrill:
 
         ``workers > 1`` drills sites in parallel worker processes (each
         drill is an independent simulation seeded only by ``seed``), with
-        outcomes merged back in site order -- identical to the serial
-        path. A crashed or timed-out site drill raises ``RuntimeError``.
+        outcomes merged back in site order -- identical to the in-process
+        path. A crashed or timed-out site drill raises ``RuntimeError``
+        at every worker count, after the other sites have run.
         """
         if clients is None:
             clients = [info.node_id for info in self.topology.web_client_ases()]
         sites = self.deployment.site_names
-        if workers <= 1:
-            return [self.run_site(site, clients) for site in sites]
         # Local import: keeps repro.core importable without repro.parallel.
         from repro.parallel.pool import map_cells
 
@@ -186,11 +184,9 @@ class RotationDrill:
 
 
 def _drill_site_cell(drill: RotationDrill, payload: tuple[str, list[str]]) -> DrillOutcome:
-    """Worker entry point: one site's drill on a pickled drill copy.
-
-    The worker's ``drill`` is its own copy, so ``run_site``'s append to
-    ``outcomes`` stays local; the parent re-appends merged outcomes in
-    site order.
+    """Pool entry point: one site's drill, on a pickled copy of the drill
+    in a worker or on the drill itself in-process. ``run_site`` records
+    nothing; ``run_rotation`` appends the merged outcomes in site order.
     """
     site, clients = payload
     return drill.run_site(site, clients)

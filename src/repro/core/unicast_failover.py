@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.dns.client import DnsClient, TtlViolationModel
 from repro.dns.resolver import RecursiveResolver
+from repro.fields import Field, violations
 from repro.net.addr import IPv4Address
+
+#: the rows of :class:`UnicastFailoverConfig`'s population, refused at
+#: construction: a population without clients has no median switch
+#: delay, and resolvers shared by no clients cannot split it.
+_POPULATION = (
+    Field("n_clients", kind=int, lo=1),
+    Field("clients_per_resolver", kind=int, lo=1),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +46,10 @@ class UnicastFailoverConfig:
     clients_per_resolver: int = 10
     violation: TtlViolationModel = TtlViolationModel(violation_prob=0.3)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for _, message in violations(_POPULATION, self):
+            raise ValueError(message)
 
 
 @dataclass(slots=True)

@@ -9,14 +9,13 @@ behaviour (Allman 2020) that makes pure-unicast failover so slow.
 """
 
 from repro.dns.records import ARecord
-from repro.dns.authoritative import AuthoritativeServer, MappingPolicy, StaticMapping
+from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.client import DnsClient, TtlViolationModel
 
 __all__ = [
     "ARecord",
     "AuthoritativeServer",
-    "MappingPolicy",
     "StaticMapping",
     "RecursiveResolver",
     "DnsClient",

@@ -1,4 +1,4 @@
-"""The CDN's authoritative DNS server and mapping policies.
+"""The CDN's authoritative DNS server and its mapping policy.
 
 DNS-based redirection (§2): the authoritative resolver returns an address
 inside the prefix of whichever site the CDN wants the client to use,
@@ -10,25 +10,18 @@ paper's techniques remove.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from repro.dns.records import ARecord
 from repro.net.addr import IPv4Address
-
-
-class MappingPolicy(Protocol):
-    """Chooses the target site for a query."""
-
-    def site_for(self, qname: str, client_id: str) -> str:
-        """Return the site name the client should be directed to."""
-        ...
 
 
 class StaticMapping:
     """A fixed client->site map with a default site.
 
     The experiments use this directly: §5 steers each selected target to
-    the "specific site" under test.
+    the "specific site" under test. With an ``"anycast"`` pseudo-site as
+    the default (given the anycast address like any real site) it is
+    §4's hybrid: anycast for most clients, unicast steering for the
+    ones :func:`repro.dns.hybrid.build_steering_plan` picks.
     """
 
     def __init__(self, default_site: str, overrides: dict[str, str] | None = None) -> None:
@@ -59,7 +52,7 @@ class AuthoritativeServer:
     def __init__(
         self,
         zone: str,
-        policy: MappingPolicy,
+        policy: StaticMapping,
         site_addresses: dict[str, IPv4Address],
         ttl: float = 20.0,
     ) -> None:
@@ -80,10 +73,6 @@ class AuthoritativeServer:
             raise KeyError(f"mapping policy chose unknown site {site!r}")
         self.queries_served += 1
         return ARecord(qname, self.site_addresses[site], self.ttl, issued_at=now)
-
-    def set_site_address(self, site: str, address: IPv4Address) -> None:
-        """Install or update the service address for a site."""
-        self.site_addresses[site] = address
 
     def remove_site(self, site: str) -> None:
         """Drop a failed site from the answer pool."""

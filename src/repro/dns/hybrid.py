@@ -6,11 +6,12 @@ subset of clients where it wants specific control" -- the approach of
 the authors' prior work (Calder et al. 2015), which steers only the
 clients with poor anycast performance.
 
-:class:`HybridMapping` implements that policy: clients default to the
-anycast address; clients on the steer list get an address inside a
-specific site's prefix. :func:`build_steering_plan` selects the steer
-list from a performance report (clients whose anycast inflation exceeds
-a threshold get pinned to their best site).
+:class:`repro.dns.authoritative.StaticMapping` with an ``"anycast"``
+default implements that policy: clients default to the anycast address;
+clients on its steer list get an address inside a specific site's
+prefix. :func:`build_steering_plan` selects the steer list from a
+performance report (clients whose anycast inflation exceeds a threshold
+get pinned to their best site).
 
 Under the paper's techniques this hybrid keeps anycast's availability
 for the default population *and* -- because the per-site prefixes are
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.measurement.performance import PerformanceReport
-from repro.net.addr import IPv4Address
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,52 +34,6 @@ class SteeringEntry:
     client: str
     site: str
     anycast_inflation_ms: float
-
-
-class HybridMapping:
-    """Anycast by default; unicast steering for listed clients.
-
-    Satisfies the :class:`repro.dns.authoritative.MappingPolicy`
-    protocol via :meth:`site_for` (returning the pseudo-site name
-    ``"anycast"`` for unsteered clients) and additionally resolves
-    addresses directly via :meth:`address_for`.
-    """
-
-    ANYCAST = "anycast"
-
-    def __init__(
-        self,
-        anycast_address: IPv4Address,
-        site_addresses: dict[str, IPv4Address],
-        steering: dict[str, str] | None = None,
-    ) -> None:
-        self.anycast_address = anycast_address
-        self.site_addresses = dict(site_addresses)
-        self.steering = dict(steering or {})
-
-    def site_for(self, qname: str, client_id: str) -> str:
-        return self.steering.get(client_id, self.ANYCAST)
-
-    def address_for(self, client_id: str) -> IPv4Address:
-        """The address DNS hands this client."""
-        site = self.steering.get(client_id)
-        if site is None:
-            return self.anycast_address
-        if site not in self.site_addresses:
-            raise KeyError(f"steered to unknown site {site!r}")
-        return self.site_addresses[site]
-
-    def steer(self, client_id: str, site: str) -> None:
-        if site not in self.site_addresses:
-            raise KeyError(f"unknown site {site!r}")
-        self.steering[client_id] = site
-
-    def unsteer(self, client_id: str) -> None:
-        self.steering.pop(client_id, None)
-
-    @property
-    def steered_count(self) -> int:
-        return len(self.steering)
 
 
 def build_steering_plan(

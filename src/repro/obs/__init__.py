@@ -3,7 +3,7 @@
 Three pure-analysis pieces on top of the telemetry substrate:
 
 * :mod:`repro.obs.provenance` -- reconstruct causal chains (root action
-  -> BGP updates -> route re-selection -> FIB install -> DNS / catchment
+  -> BGP updates -> route re-selection -> FIB install -> catchment
   shift) from a recorded trace; backs ``repro explain``;
 * :mod:`repro.obs.ledger` -- fold probe events into classified outage
   intervals, and probe and workload events into one downtime and one

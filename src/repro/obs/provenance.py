@@ -7,9 +7,8 @@ and emits a :class:`~repro.telemetry.trace.RootCause` event. The id is
 threaded through every BGP message the action generates, the route
 re-selections those messages trigger (including after a session reset:
 the reopened session's full-table resync carries the reset's cause),
-the FIB installs that follow, and the DNS record changes the controller
-makes. This module groups a trace back into those chains and answers
-"why is traffic for prefix P at site S?".
+and the FIB installs that follow. This module groups a trace back into
+those chains and answers "why is traffic for prefix P at site S?".
 
 Catchment shifts (:class:`~repro.telemetry.trace.SiteSwitched`) happen
 in the data plane, where replies are routed by whatever FIB state they
@@ -29,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.trace import (
     BgpUpdateSent,
-    DnsRecordChanged,
     FaultInjected,
     FibInstalled,
     RootCause,
@@ -50,7 +48,6 @@ _STEP_ORDER = (
     "announcement",
     "reselect",
     "fib-install",
-    "dns-update",
     "catchment-shift",
 )
 
@@ -79,7 +76,7 @@ class CauseChain:
         }
 
     def sites(self) -> set[str]:
-        """Sites this chain touches (root target, failures, DNS, shifts).
+        """Sites this chain touches (root target, failures, shifts).
 
         A root targeting a link ("a<->b") matches on either endpoint,
         and a "site:X" node name also matches its bare site name, so
@@ -93,7 +90,7 @@ class CauseChain:
                 if part.startswith("site:"):
                     sites.add(part[len("site:"):])
         for event in self.events:
-            if isinstance(event, (SiteFailed, DnsRecordChanged)):
+            if isinstance(event, SiteFailed):
                 sites.add(event.site)
         for shift in self.shifts:
             sites.add(shift.from_site)
@@ -116,8 +113,6 @@ class CauseChain:
                 present.add("reselect")
             elif isinstance(event, FibInstalled):
                 present.add("fib-install")
-            elif isinstance(event, DnsRecordChanged):
-                present.add("dns-update")
         if self.shifts:
             present.add("catchment-shift")
         return [step for step in _STEP_ORDER if step in present]
@@ -194,8 +189,6 @@ def _summarize_group(chain: CauseChain) -> list[str]:
             lines.append(
                 f"  t={event.t:9.2f}s  fault {event.fault} on {event.target}{detail}"
             )
-        elif isinstance(event, DnsRecordChanged):
-            lines.append(f"  t={event.t:9.2f}s  dns {event.action} {event.site}")
 
     def aggregate(kind_events, label, describe):
         if not kind_events:

@@ -45,7 +45,6 @@ from repro.telemetry.trace import (
     BgpUpdateSent,
     CellEnd,
     CellStart,
-    DnsRecordChanged,
     FaultInjected,
     FaultSkipped,
     FibInstalled,
@@ -87,7 +86,6 @@ __all__ = [
     "BgpUpdateSent",
     "CellEnd",
     "CellStart",
-    "DnsRecordChanged",
     "FaultInjected",
     "FaultSkipped",
     "FibInstalled",

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.trace import (
     BgpUpdateSent,
-    DnsRecordChanged,
     FaultInjected,
     FaultSkipped,
     PhaseEnd,
@@ -167,8 +166,6 @@ class TraceSummary:
     #: chaos: faults fired / skipped by an armed plan
     faults_injected: int = 0
     faults_skipped: int = 0
-    #: DNS record changes in timeline order: (t, action, site)
-    dns_changes: list[tuple[float, str, str]] = field(default_factory=list)
     #: events the recorder's ring buffer evicted before the write
     dropped_events: int = 0
 
@@ -224,8 +221,6 @@ def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
             summary.replies_by_site[event.site] += 1
         elif isinstance(event, ProbeLost):
             summary.losses_by_reason[event.reason] += 1
-        elif isinstance(event, DnsRecordChanged):
-            summary.dns_changes.append((event.t, event.action, event.site))
         elif isinstance(event, TraceMeta):
             summary.dropped_events += event.dropped
     # The per-kind totals are read off the kind tally, not counted twice.
@@ -275,12 +270,6 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
                 f"{summary.faults_skipped} skipped"
             )
         lines.append("provenance: " + "; ".join(parts))
-
-    if summary.dns_changes:
-        lines.append("")
-        lines.append("DNS record changes:")
-        for t, action, site in summary.dns_changes:
-            lines.append(f"  t={t:8.1f}s {action} {site}")
 
     if summary.updates_by_type:
         lines.append("")

@@ -57,8 +57,8 @@ class RootCause(TraceEvent):
     reaction, a direct announce/withdraw -- allocates a fresh ``cause``
     id from the network's monotone counter and emits one of these. All
     downstream events (updates on the wire, route selections, FIB
-    installs, DNS changes) carry the same ``cause``, so ``repro
-    explain`` can walk the full chain.
+    installs) carry the same ``cause``, so ``repro explain`` can walk
+    the full chain.
     """
 
     kind: ClassVar[str] = "root_cause"
@@ -250,20 +250,6 @@ class SiteOverloaded(TraceEvent):
     #: the site's effective capacity at that instant
     capacity_rps: float = 0.0
     #: provenance id of the overload reaction chain, when known
-    cause: int = 0
-
-
-@_register
-@dataclass(frozen=True, slots=True)
-class DnsRecordChanged(TraceEvent):
-    """The controller changed the authoritative DNS answer pool."""
-
-    kind: ClassVar[str] = "dns_record_changed"
-
-    site: str
-    action: str  # "remove" | "restore"
-    address: str = ""
-    #: provenance id of the root action that triggered the change
     cause: int = 0
 
 

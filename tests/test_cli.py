@@ -606,6 +606,29 @@ class TestPoolFailureAtTheCli:
         )
         assert "drill aborted" not in captured.out and "rotation verdict" not in captured.out
 
+    def test_a_drill_site_that_raises_aborts_in_process_too(self, capsys, monkeypatch):
+        """At ``--workers 1`` the rotation runs through the same pool
+        call: a site that raises is the ``drill aborted:`` line and exit
+        2, not a traceback."""
+        from repro.core.drill import RotationDrill
+
+        real = RotationDrill.run_site
+
+        def hostile(self, site, clients):
+            if site == "msn":
+                raise ValueError("no route to the test prefix")
+            return real(self, site, clients)
+
+        monkeypatch.setattr(RotationDrill, "run_site", hostile)
+        assert main(["drill", "--clients", "2", "--deadline", "20",
+                     "--workers", "1", "--no-progress"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "drill aborted: 1 drill cell(s) failed: drill/msn: error"
+        )
+        assert "Traceback" not in captured.err
+        assert "rotation verdict" not in captured.out
+
 
 class TestHashSeed:
     """The result bytes do not depend on the interpreter's string-hash

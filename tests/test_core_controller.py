@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core.controller import CdnController
-from repro.core.techniques import TECHNIQUES, Anycast, Combined, ReactiveAnycast, Unicast
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
+from repro.core.techniques import TECHNIQUES, Anycast, Combined, ReactiveAnycast
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
 from tests.conftest import FAST_TIMING
 
 
-def make_controller(deployment, technique, dns=None, detection_delay=2.0):
+def make_controller(deployment, technique, detection_delay=2.0):
     net = deployment.topology.build_network(seed=4, timing=FAST_TIMING)
     return CdnController(
         network=net,
@@ -19,7 +18,6 @@ def make_controller(deployment, technique, dns=None, detection_delay=2.0):
         prefix=SPECIFIC_PREFIX,
         superprefix=SUPERPREFIX,
         detection_delay=detection_delay,
-        dns=dns,
     )
 
 
@@ -110,34 +108,3 @@ class TestRecoveryFollowsTargetPlan:
         normal = controller.technique.originations(deployment, "sea1", down={"msn"})
         ams = deployment.site_node("ams")
         assert self.originated(controller, "ams") == [o.prefix for o in normal if o.node == ams]
-
-
-class TestDnsIntegration:
-    def make_dns(self, deployment):
-        addresses = {
-            site: SPECIFIC_PREFIX.address(10 + i)
-            for i, site in enumerate(deployment.site_names)
-        }
-        return AuthoritativeServer(
-            "cdn.example", StaticMapping(default_site="sea1"), addresses, ttl=20.0
-        )
-
-    def test_dns_repointed_after_detection(self, deployment):
-        dns = self.make_dns(deployment)
-        controller = make_controller(deployment, Unicast(), dns=dns, detection_delay=2.0)
-        controller.deploy("sea1")
-        controller.network.converge()
-        controller.fail_site("sea1")
-        controller.network.run_for(3.0)
-        assert "sea1" not in dns.site_addresses
-        assert dns.policy.default_site != "sea1"
-
-    def test_steered_clients_remapped(self, deployment):
-        dns = self.make_dns(deployment)
-        dns.policy.steer("client-1", "sea1")
-        controller = make_controller(deployment, Unicast(), dns=dns)
-        controller.deploy("sea1")
-        controller.network.converge()
-        controller.fail_site("sea1")
-        controller.network.run_for(3.0)
-        assert dns.policy.overrides["client-1"] != "sea1"

@@ -6,7 +6,6 @@ from repro.bgp.session import SessionTiming
 from repro.core.controller import CdnController
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import Anycast, ReactiveAnycast, Unicast
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.faults import Action
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
@@ -15,7 +14,7 @@ from tests.conftest import FAST_TIMING
 SCENARIO_TIMING = SessionTiming(latency=0.05, jitter=0.3, mrai=5.0, busy_prob=0.2)
 
 
-def make_controller(deployment, technique, dns=None):
+def make_controller(deployment, technique):
     network = deployment.topology.build_network(seed=12, timing=FAST_TIMING)
     return CdnController(
         network=network,
@@ -24,7 +23,6 @@ def make_controller(deployment, technique, dns=None):
         prefix=SPECIFIC_PREFIX,
         superprefix=SUPERPREFIX,
         detection_delay=1.0,
-        dns=dns,
     )
 
 
@@ -67,24 +65,6 @@ class TestRecovery:
         controller.deploy("sea1")
         with pytest.raises(KeyError):
             controller.recover_site("lhr")
-
-    def test_dns_restored_on_recovery(self, deployment):
-        addresses = {
-            site: SPECIFIC_PREFIX.address(10 + i)
-            for i, site in enumerate(deployment.site_names)
-        }
-        dns = AuthoritativeServer(
-            "cdn.example", StaticMapping(default_site="sea1"), addresses, ttl=20.0
-        )
-        controller = make_controller(deployment, Unicast(), dns=dns)
-        controller.deploy("sea1")
-        controller.network.converge()
-        controller.fail_site("sea1")
-        controller.network.run_for(2.0)
-        assert "sea1" not in dns.site_addresses
-        controller.recover_site("sea1")
-        assert "sea1" in dns.site_addresses
-        assert dns.policy.default_site == "sea1"
 
 
 class TestScenarioEvents:

@@ -1,5 +1,6 @@
 """Tests for the DNS-bound unicast failover model."""
 
+import pytest
 
 from repro.core.unicast_failover import (
     UnicastFailoverConfig,
@@ -58,3 +59,15 @@ class TestUnicastFailover:
         a = simulate_unicast_failover(UnicastFailoverConfig(seed=6))
         b = simulate_unicast_failover(UnicastFailoverConfig(seed=6))
         assert a.switch_delays == b.switch_delays
+
+
+class TestUnicastFailoverConfig:
+    """A population that would crash the model is refused when built."""
+
+    def test_no_clients_refused(self):
+        with pytest.raises(ValueError, match="n_clients 0 is outside"):
+            UnicastFailoverConfig(n_clients=0)
+
+    def test_no_clients_per_resolver_refused(self):
+        with pytest.raises(ValueError, match="clients_per_resolver 0 is outside"):
+            UnicastFailoverConfig(clients_per_resolver=0)

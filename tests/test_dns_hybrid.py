@@ -1,50 +1,13 @@
-"""Tests for the hybrid anycast/unicast mapping policy."""
+"""Tests for the hybrid anycast/unicast steering plan."""
 
-import pytest
-
-from repro.dns.hybrid import HybridMapping, build_steering_plan
+from repro.dns.authoritative import AuthoritativeServer, StaticMapping
+from repro.dns.hybrid import build_steering_plan
 from repro.measurement.performance import ClientPerformance, PerformanceReport
 from repro.net.addr import IPv4Address
 
 ANYCAST = IPv4Address.parse("184.164.244.1")
 SEA1 = IPv4Address.parse("184.164.244.10")
 AMS = IPv4Address.parse("184.164.244.20")
-
-
-def make_mapping(steering=None) -> HybridMapping:
-    return HybridMapping(ANYCAST, {"sea1": SEA1, "ams": AMS}, steering)
-
-
-class TestHybridMapping:
-    def test_default_is_anycast(self):
-        mapping = make_mapping()
-        assert mapping.address_for("anyone") == ANYCAST
-        assert mapping.site_for("cdn.example", "anyone") == HybridMapping.ANYCAST
-
-    def test_steered_client_gets_site_address(self):
-        mapping = make_mapping({"client-1": "sea1"})
-        assert mapping.address_for("client-1") == SEA1
-        assert mapping.site_for("cdn.example", "client-1") == "sea1"
-
-    def test_steer_and_unsteer(self):
-        mapping = make_mapping()
-        mapping.steer("c", "ams")
-        assert mapping.address_for("c") == AMS
-        mapping.unsteer("c")
-        assert mapping.address_for("c") == ANYCAST
-
-    def test_steer_unknown_site_rejected(self):
-        with pytest.raises(KeyError):
-            make_mapping().steer("c", "lhr")
-
-    def test_address_for_stale_steering_rejected(self):
-        mapping = make_mapping({"c": "gone"})
-        with pytest.raises(KeyError):
-            mapping.address_for("c")
-
-    def test_steered_count(self):
-        mapping = make_mapping({"a": "sea1", "b": "ams"})
-        assert mapping.steered_count == 2
 
 
 def perf(node, served, served_rtt, best, best_rtt) -> ClientPerformance:
@@ -82,11 +45,14 @@ class TestSteeringPlan:
 
     def test_plan_applies_to_mapping(self):
         plan = build_steering_plan(self.report())
-        mapping = make_mapping()
+        mapping = StaticMapping(default_site="anycast")
         for entry in plan:
             mapping.steer(entry.client, entry.site)
-        assert mapping.address_for("worse") == SEA1
-        assert mapping.address_for("good") == ANYCAST
+        server = AuthoritativeServer(
+            "cdn.example", mapping, {"anycast": ANYCAST, "sea1": SEA1, "ams": AMS}
+        )
+        assert server.query("cdn.example", "worse", 0.0).address == SEA1
+        assert server.query("cdn.example", "good", 0.0).address == ANYCAST
 
     def test_end_to_end_on_deployment(self, deployment):
         """Steering the suboptimal anycast clients to their best sites

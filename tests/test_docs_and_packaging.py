@@ -118,6 +118,20 @@ class TestDocsExist:
         for match in re.findall(r"examples/(\w+\.py)", readme):
             assert (ROOT / "examples" / match).exists(), match
 
+    def test_trace_event_table_lists_every_kind(self):
+        """docs/observability.md's "Trace events" table has one row per
+        registered kind, no more: a kind cannot come or go without it."""
+        from repro.telemetry.trace import EVENT_TYPES
+
+        text = (ROOT / "docs" / "observability.md").read_text()
+        table = re.search(r"## Trace events\n.*?\n((?:\|[^\n]*\n)+)", text, re.S).group(1)
+        kinds = {
+            kind
+            for row in table.splitlines()[2:]
+            for kind in re.findall(r"`(\w+)`", row.split("|")[1])
+        }
+        assert kinds == set(EVENT_TYPES)
+
     def test_experiments_covers_each_figure_and_table(self):
         experiments = (ROOT / "EXPERIMENTS.md").read_text()
         for anchor in ("Figure 2", "Table 1", "Table 2", "Figure 3",

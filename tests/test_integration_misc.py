@@ -7,8 +7,7 @@ from repro.bgp.damping import DampingConfig
 from repro.bgp.session import SessionTiming
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import ReactiveAnycast
-from repro.dns.authoritative import AuthoritativeServer
-from repro.dns.hybrid import HybridMapping
+from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.dns.resolver import RecursiveResolver
 from repro.net.addr import IPv4Address
 
@@ -18,15 +17,12 @@ SEA1_ADDR = IPv4Address.parse("184.164.245.10")
 
 class TestHybridMappingWithAuthoritative:
     def make_server(self) -> AuthoritativeServer:
-        """The integration pattern: the anycast pseudo-site gets an
-        address entry like any real site."""
-        mapping = HybridMapping(
-            ANYCAST_ADDR, {"sea1": SEA1_ADDR}, steering={"vip": "sea1"}
-        )
+        """The integration pattern: the anycast pseudo-site is the
+        mapping's default and gets an address entry like any real site."""
         return AuthoritativeServer(
             "cdn.example",
-            mapping,
-            {HybridMapping.ANYCAST: ANYCAST_ADDR, "sea1": SEA1_ADDR},
+            StaticMapping(default_site="anycast", overrides={"vip": "sea1"}),
+            {"anycast": ANYCAST_ADDR, "sea1": SEA1_ADDR},
             ttl=20.0,
         )
 

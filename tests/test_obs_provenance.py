@@ -16,7 +16,6 @@ from repro.net.addr import IPv4Prefix
 from repro.obs import build_chains, explain, render_explanation
 from repro.telemetry import (
     BgpUpdateSent,
-    DnsRecordChanged,
     FaultInjected,
     FibInstalled,
     RootCause,
@@ -44,7 +43,6 @@ def failover_events() -> list:
         ),
         RouteSelected(t=12.0, node="tr-0", prefix=PREFIX, via=None, cause=1),
         FibInstalled(t=13.0, node="tr-0", prefix=PREFIX, next_hop=None, cause=1),
-        DnsRecordChanged(t=14.0, site="sea1", action="remove", cause=1),
         # cause 0 = uncaused background (e.g. a damping release): no chain
         RouteSelected(t=15.0, node="tr-1", prefix=PREFIX, via="tr-0", cause=0),
         # a shift after cause 1's FIB change is attributed to cause 1
@@ -60,7 +58,7 @@ class TestBuildChains:
         assert chain.root is not None
         assert chain.root.action == "site-fail"
         assert chain.t == 10.0
-        assert len(chain.events) == 5
+        assert len(chain.events) == 4
 
     def test_cause_zero_events_form_no_chain(self):
         chains = build_chains(failover_events())
@@ -70,7 +68,7 @@ class TestBuildChains:
         chain = build_chains(failover_events())[0, 1]
         assert chain.steps() == [
             "root", "site-failed", "withdrawal", "reselect",
-            "fib-install", "dns-update", "catchment-shift",
+            "fib-install", "catchment-shift",
         ]
 
     def test_shift_attributed_to_last_fib_cause(self):

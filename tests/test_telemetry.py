@@ -486,7 +486,6 @@ class TestFilterEvents:
             telemetry.RootCause(t=0.0, cause=1, action="site-fail", target="sea1"),
             telemetry.FaultInjected(t=1.0, fault="link-down", target="a<->b", cause=2),
             telemetry.FaultSkipped(t=2.0, fault="link-down", target="a<->b", reason="already down"),
-            telemetry.DnsRecordChanged(t=3.0, site="sea1", action="remove"),
             telemetry.TraceMeta(t=0.0, recorded=100, dropped=9),
         ])
         assert summary.probes_lost == 1
@@ -494,7 +493,6 @@ class TestFilterEvents:
         assert summary.root_causes == 1
         assert summary.faults_injected == 1
         assert summary.faults_skipped == 1
-        assert summary.dns_changes == [(3.0, "remove", "sea1")]
         assert summary.dropped_events == 9
         # the meta line's t=0.0 stays out of the simulated time range
         assert summary.t_first == 0.0 and summary.t_last == 5.0
@@ -502,4 +500,3 @@ class TestFilterEvents:
         assert "1 root cause(s)" in text
         assert "ring buffer evicted 9" in text
         assert "lost to dead-site" in text
-        assert "DNS record changes" in text
