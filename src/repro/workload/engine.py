@@ -63,8 +63,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane, delivery_verdict
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
@@ -248,6 +246,8 @@ class WorkloadEngine:
         capacity: CapacityState | None = None,
         on_overload: Callable[[str, float], None] | None = None,
     ) -> None:
+        import numpy as np
+
         self.plane = plane
         self.deployment = deployment
         self.profile = profile
@@ -342,6 +342,8 @@ class WorkloadEngine:
 
     def _drain(self, elapsed: float) -> None:
         """Cut the arrivals due by ``elapsed`` off the stream and book them."""
+        import numpy as np
+
         times = [np.empty(0)]
         clients = [np.empty(0, dtype=np.intp)]
         while self._chunk is not None:
@@ -385,6 +387,8 @@ class WorkloadEngine:
         order of first attempt: exactly what admitting every request one
         at a time in arrival order gives.
         """
+        import numpy as np
+
         sites = self._sites
         landed = np.flatnonzero(codes < len(sites))
         site_codes = codes[landed]
@@ -461,6 +465,8 @@ class WorkloadEngine:
         """Classify one tick's arrivals (parallel arrays: arrival time,
         index into ``self.clients``) against current FIBs; ``dt`` is the
         tick's length, which sets each site's serving credit."""
+        import numpy as np
+
         distinct = np.flatnonzero(np.bincount(clients, minlength=len(self.clients)))
         codes = self._verdicts(distinct)
         request_codes = codes[clients]

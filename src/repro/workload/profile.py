@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.fields import Field, read
 
 #: schema tag expected in JSON profile files
@@ -114,6 +112,8 @@ class RateShape:
         for (a zero-length ramp or decay divides nothing). ``math.sin``
         rather than ``np.sin``: the two differ in the last bit.
         """
+        import numpy as np
+
         if self.kind == "constant":
             return self.factor
         if self.kind == "diurnal":

@@ -322,6 +322,25 @@ class TestNumpyTranscendental:
         assert ENGINE.lint_source(source, path=self.PATH) == []
 
 
+class TestNumpyImportedInsideAFunction:
+    """The workload modules import numpy inside the functions that
+    compute with it; DET002 and DET012 match the dotted name, wherever
+    the import sits."""
+
+    @pytest.mark.parametrize("imported, name", [
+        ("import numpy as np", "np"), ("import numpy", "numpy"),
+    ])
+    def test_both_rules_still_fire(self, imported, name):
+        source = (
+            "class Tick:\n"
+            "    def draw(self, rate, angle):\n"
+            f"        {imported}\n\n"
+            f"        return {name}.random.poisson(rate), {name}.sin(angle)\n"
+        )
+        findings = ENGINE.lint_source(source, path="src/repro/workload/engine.py")
+        assert [(f.code, f.line) for f in findings] == [("DET002", 5), ("DET012", 5)]
+
+
 class TestUnusedImport:
     PATH = "src/repro/bgp/router.py"
 

@@ -81,9 +81,12 @@ def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
         "routers": {
             name: {
                 "loc_rib": dict(router.loc_rib),
-                "adj_rib_in": {p: dict(h) for p, h in router.adj_rib_in.items()},
+                # ordered items, which dict equality cannot tell apart:
+                # best-path selection under MEDs depends on the order of
+                # `heard`, and `withdraw_all` withdraws in `origins` order
+                "adj_rib_in": {p: list(h.items()) for p, h in router.adj_rib_in.items()},
                 "fib": sorted(router.fib.items()),
-                "origins": dict(router.origins),
+                "origins": list(router.origins.items()),
                 "med_heard": router.med_heard,
                 "damping": None if router.damping is None else (
                     router.damping.export_state(),
@@ -151,6 +154,27 @@ class TestRoundTrip:
         net = converged_net()
         clone = restore_network(snapshot_network(net))
         assert fingerprint(clone) == fingerprint(net)
+
+    def test_fingerprint_sees_the_order_of_origins_and_heard(self, deployment):
+        """Same contents in another order is another fingerprint."""
+        net = converged_net()
+        net.announce("r0", PFX2)
+        net.converge()
+        before = fingerprint(net)
+        router = net.router("r0")
+        router.origins = dict(reversed(router.origins.items()))
+        assert fingerprint(net) != before
+
+        net = TestSessionOrder.anycast_base(deployment)
+        before = fingerprint(net)
+        router, prefix, heard = next(
+            (router, prefix, heard)
+            for router in net.routers.values()
+            for prefix, heard in router.adj_rib_in.items()
+            if len(heard) > 1
+        )
+        router.adj_rib_in[prefix] = dict(reversed(heard.items()))
+        assert fingerprint(net) != before
 
     def test_restore_draws_nothing(self, monkeypatch):
         """A restored session takes its snapshot's effective MRAI; the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.measurement.stats import Cdf, summarize
+from tests import cdf_oracle
 
 
 class TestCdf:
@@ -45,6 +46,15 @@ class TestCdf:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             Cdf([-1.0])
+
+    @pytest.mark.parametrize("samples", [
+        [math.nan], [1.0, math.nan, 2.0], [math.inf, math.nan], [-math.nan],
+    ], ids=["alone", "between", "after-inf", "negative-nan"])
+    def test_nan_samples_rejected(self, samples):
+        """NaN compares false against everything, so a sort leaves it
+        where it lands and every quantile past it would be wrong."""
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            Cdf(samples)
 
     def test_negative_censored_rejected(self):
         with pytest.raises(ValueError):
@@ -155,6 +165,14 @@ class TestSummarize:
         assert math.isnan(summary.mean_observed)
         assert "n=0" in summary.row()
 
+    def test_summarize_refuses_nan(self):
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            summarize([1.0, None, math.nan])
+
+    def test_mean_observed_is_the_exact_mean(self):
+        assert summarize([0.1] * 10 + [None]).mean_observed == 0.1
+        assert summarize([1.0, math.inf, None]).mean_observed == math.inf
+
     def test_summarize_all_censored(self):
         summary = summarize([None, None, None])
         assert summary.n == 3
@@ -162,3 +180,47 @@ class TestSummarize:
         assert summary.median == math.inf
         assert math.isnan(summary.mean_observed)
         assert "p50=inf" in summary.row()
+
+
+def same(a: float, b: float) -> bool:
+    """Bit-equal floats: ``repr`` round-trips a float exactly and tells
+    0.0 from -0.0."""
+    return type(a) is type(b) is float and repr(a) == repr(b)
+
+
+#: non-negative samples, with 0.0, inf and repeated values drawn often
+SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.5, 1.5, 60.0, math.inf]),
+        st.floats(min_value=0.0),
+    ),
+    max_size=40,
+)
+
+
+class TestOracle:
+    """The list-backed :class:`Cdf` against the numpy one it replaced
+    (``tests/cdf_oracle.py``): every answer bit for bit."""
+
+    @given(
+        SAMPLES,
+        st.integers(min_value=0, max_value=20),
+        st.lists(st.floats(), max_size=8),
+        st.lists(st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+                           st.floats(min_value=0.0, max_value=1.0)), max_size=8),
+    )
+    def test_answers_equal_the_numpy_cdf(self, samples, censored, xs, qs):
+        cdf, oracle = Cdf(samples, censored), cdf_oracle.Cdf(samples, censored)
+        assert (cdf.n, cdf.observed) == (oracle.n, oracle.observed)
+        for x in [*samples, *xs]:
+            assert same(cdf.at(x), oracle.at(x)), x
+        xs_new, ys_new = cdf.series()
+        xs_old, ys_old = oracle.series()
+        assert len(xs_new) == len(xs_old)
+        assert all(map(same, xs_new, xs_old)) and all(map(same, ys_new, ys_old))
+        if cdf.n == 0:
+            return
+        assert same(cdf.median(), oracle.median())
+        for q in [*qs, *(k / cdf.n for k in range(cdf.n + 1))]:
+            assert same(cdf.quantile(q), oracle.quantile(q)), q
+        assert repr(cdf) == repr(oracle)
