@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.dataplane.forwarding import CLASS_BY_REASON, ForwardingPlane, delivery_verdict
 from repro.net.addr import IPv4Address
@@ -71,6 +71,9 @@ from repro.topology.testbed import PROBE_SOURCE, CdnDeployment
 from repro.workload.capacity import CapacityState
 from repro.workload.profile import WorkloadProfile
 from repro.workload.stream import RequestStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: the outage classes of a lost request, in verdict-code order
 _LOSS_CLASSES = tuple(dict.fromkeys(CLASS_BY_REASON.values()))

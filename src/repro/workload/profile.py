@@ -23,8 +23,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.fields import Field, read
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: schema tag expected in JSON profile files
 PROFILE_SCHEMA = "repro.workload-profile/1"

@@ -46,9 +46,12 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, cast
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, cast
 
 from repro.workload.profile import WorkloadProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Candidates drawn per chunk. Measured on flash-crowd at 1600 rps (1.08 M
 #: arrivals from 2.88 M candidates, 0.19 s on a 2-vCPU Intel Xeon): 8192

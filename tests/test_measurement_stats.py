@@ -169,9 +169,12 @@ class TestSummarize:
         with pytest.raises(ValueError, match="samples must be non-negative"):
             summarize([1.0, None, math.nan])
 
-    def test_mean_observed_is_the_exact_mean(self):
-        assert summarize([0.1] * 10 + [None]).mean_observed == 0.1
+    def test_mean_observed_skips_censored_and_goes_to_inf(self):
+        """The mean of the observed samples; an inf sample, or finite
+        samples whose sum overflows, give inf rather than raise."""
+        assert summarize([1.0, 2.0, 6.0, None]).mean_observed == 3.0
         assert summarize([1.0, math.inf, None]).mean_observed == math.inf
+        assert summarize([1e308, 1e308]).mean_observed == math.inf
 
     def test_summarize_all_censored(self):
         summary = summarize([None, None, None])

@@ -72,15 +72,25 @@ def test_a_stream_batch_imports_numpy():
     assert run_python(ONE_BATCH) == ["True", "True"]
 
 
+def is_type_checking(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``: false at run time."""
+    name = test.attr if isinstance(test, ast.Attribute) else getattr(test, "id", None)
+    return name == "TYPE_CHECKING"
+
+
 def numpy_imports_at_import_time(source: str) -> list[int]:
     """Line numbers of the ``import numpy`` / ``from numpy ...``
     statements that run when the module is imported: everywhere except
-    inside a function body (a class body runs at import too)."""
+    inside a function body or an ``if TYPE_CHECKING:`` body (a class
+    body runs at import too, and so does that ``if``'s ``else``)."""
     lines = []
     pending = list(ast.parse(source).body)
     while pending:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and is_type_checking(node.test):
+            pending.extend(node.orelse)
             continue
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -103,7 +113,14 @@ def numpy_imports_at_import_time(source: str) -> list[int]:
     ("def draw():\n    import numpy as np\n    return np.zeros(3)\n", []),
     ("class Stream:\n    def batches(self):\n        from numpy import sort\n", []),
     ("from .numpy import helper\nimport numpyish\n", []),
-], ids=["plain", "dotted", "from", "try", "class-body", "function", "method", "not-numpy"])
+    ("if TYPE_CHECKING:\n    import numpy as np\n", []),
+    ("if typing.TYPE_CHECKING:\n    from numpy import ndarray\n", []),
+    ("if TYPE_CHECKING:\n    pass\nelse:\n    import numpy\n", [4]),
+    ("if not TYPE_CHECKING:\n    import numpy\n", [2]),
+], ids=[
+    "plain", "dotted", "from", "try", "class-body", "function", "method", "not-numpy",
+    "type-checking", "typing-type-checking", "type-checking-else", "not-type-checking",
+])
 def test_the_import_check_finds_what_runs_at_import(source, lines):
     assert numpy_imports_at_import_time(source) == lines
 
