@@ -132,3 +132,54 @@ def test_no_module_imports_numpy_at_import_time():
         for line in numpy_imports_at_import_time(path.read_text())
     ]
     assert offenders == [], "import numpy inside the function that computes with it"
+
+
+def unbound_np_annotations(source: str) -> list[int]:
+    """Line numbers of signatures that name ``np`` in a module that binds
+    no ``np`` outside its functions: linters resolve a parameter or
+    return annotation in the scope around the ``def``, where an import
+    inside the body does not count."""
+    tree = ast.parse(source)
+    pending, bound = list(tree.body), False
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= any((alias.asname or alias.name) == "np" for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+    if bound:
+        return []
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [
+                arg.annotation
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if arg is not None
+            ] + [node.returns]
+            for annotation in filter(None, annotations):
+                lines |= {
+                    name.lineno for name in ast.walk(annotation)
+                    if isinstance(name, ast.Name) and name.id == "np"
+                }
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("def words(count: int) -> np.ndarray:\n    import numpy as np\n", [1]),
+    ("if TYPE_CHECKING:\n    import numpy as np\ndef words() -> np.ndarray: ...\n", []),
+    ("def words(t: float) -> float:\n    import numpy as np\n", []),
+], ids=["unbound", "type-checking", "no-annotation"])
+def test_the_annotation_check_finds_an_unbound_np(source, lines):
+    assert unbound_np_annotations(source) == lines
+
+
+def test_every_np_annotation_names_a_bound_np():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in unbound_np_annotations(path.read_text())
+    ]
+    assert offenders == [], "import numpy as np under `if TYPE_CHECKING:`"
