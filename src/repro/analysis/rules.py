@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 import ast
+import builtins
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
@@ -682,6 +683,136 @@ class UnusedImport(LintRule):
                         f"{name!r} is imported but never used; delete the import "
                         "(or list the name in __all__ to re-export it)",
                     )
+
+
+def _stored_names(target: ast.AST) -> Iterator[str]:
+    for node in ast.walk(target):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def _module_bindings(body: list[ast.stmt]) -> set[str] | None:
+    """The names a module's own statements bind: imports, defs, classes
+    and assignments, also under a top-level ``if`` / ``try`` (the
+    ``TYPE_CHECKING`` idiom). None after a ``from x import *``."""
+    bound: set[str] = set()
+    for stmt in _module_level(body):
+        if isinstance(stmt, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom):
+            if any(alias.name == "*" for alias in stmt.names):
+                return None
+            bound.update(alias.asname or alias.name for alias in stmt.names)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                bound.update(_stored_names(target))
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            bound.update(_stored_names(stmt.target))
+    return bound
+
+
+def _parameters(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.arg]:
+    args = function.args
+    every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    return [arg for arg in every if arg is not None]
+
+
+def _scope_bindings(scope: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) -> set[str]:
+    """The names a class body or a function binds for the ``def``s
+    nested in it: a class body's statements; a function's parameters
+    and every name bound in its body outside nested scopes."""
+    if isinstance(scope, ast.ClassDef):
+        return _module_bindings(scope.body) or set()
+    bound = {arg.arg for arg in _parameters(scope)}
+    pending: list[ast.AST] = list(scope.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        pending.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _annotation_names(annotation: ast.expr) -> Iterator[tuple[ast.AST, str]]:
+    """⟨node, name⟩ for every name an annotation reads, quoted forward
+    references included; a ``Literal[...]``'s strings are values."""
+    pending = [annotation]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name):
+            yield node, node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            for name in ast.walk(quoted):
+                if isinstance(name, ast.Name):
+                    yield node, name.id
+        elif isinstance(node, ast.Subscript) and (_dotted_name(node.value) or "").endswith(
+            "Literal"
+        ):
+            pending.append(node.value)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+
+
+_BUILTIN_NAMES = frozenset(dir(builtins))
+
+
+@register
+class UndefinedAnnotationName(LintRule):
+    """A ``def``'s parameter or return annotation names something the
+    module never binds.
+
+    Linters resolve a signature's annotations in the scope around the
+    ``def``: an import inside the function body does not bind them, and
+    ``from __future__ import annotations`` only defers the failure to
+    whoever evaluates the hints. Bind the name at module level -- under
+    ``if TYPE_CHECKING:`` when only the annotations need it.
+    """
+
+    code = "DET014"
+    name = "undefined-annotation-name"
+    summary = "signature annotation names something no module-level statement binds"
+    # Hooks the Module node: what the module binds is a whole-file fact.
+    node_types = (ast.Module,)
+
+    def check(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
+        assert isinstance(node, ast.Module)
+        if "repro" not in ctx.path_parts:
+            return
+        bound = _module_bindings(node.body)
+        if bound is None:
+            return
+        yield from self._visit(node, ctx, bound | _BUILTIN_NAMES)
+
+    def _visit(self, node: ast.AST, ctx: LintContext, bound: set[str]) -> Iterator[Finding]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations = [arg.annotation for arg in _parameters(child)]
+                annotations.append(child.returns)
+                for annotation in filter(None, annotations):
+                    for where, name in _annotation_names(annotation):
+                        if name not in bound:
+                            yield self.finding(
+                                where, ctx,
+                                f"the signature of {child.name}() names {name!r}, which "
+                                "no module-level statement binds; import it at module "
+                                "level (under `if TYPE_CHECKING:` if only annotations "
+                                "read it)",
+                            )
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from self._visit(child, ctx, bound | _scope_bindings(child))
+            else:
+                yield from self._visit(child, ctx, bound)
 
 
 def all_rules() -> list[LintRule]:

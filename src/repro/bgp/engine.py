@@ -120,7 +120,7 @@ class EventEngine:
         """
         if self._queue:
             raise RuntimeError(f"cannot warp with {len(self._queue)} event(s) queued")
-        if now < self._now:
+        if not now >= self._now:  # NaN too
             raise ValueError(f"cannot warp to {now} < now {self._now}")
         self._now = now
 
@@ -142,13 +142,13 @@ class EventEngine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from the current time."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too: it would sit at the heap head, unordered
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._queue, (self._now + delay, next(self._counter), callback))
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # NaN too
             raise ValueError(f"cannot schedule at {when} < now {self._now}")
         heapq.heappush(self._queue, (when, next(self._counter), callback))
 
@@ -190,20 +190,50 @@ class EventEngine:
                 raise CallbackError(when, callback) from error
         return True
 
+    def drain(self, deadline: float, max_events: int | None = None) -> None:
+        """Execute every event due by ``deadline`` (inclusive) and leave
+        the clock at the last one: the loop under :meth:`run_until`,
+        :meth:`run_until_idle` and ``BgpNetwork.converge``.
+
+        It sets no :attr:`deadline` (``converge`` runs with none, so the
+        prober's quiet pass never cuts a converge short) and moves the
+        clock no further than the last event. Untraced, it pops the heap
+        itself, one method call per event fewer; traced, it runs
+        :meth:`step`, which times each callback. ``max_events`` is the
+        livelock valve of :meth:`run_until_idle`.
+        """
+        queue, pop = self._queue, heapq.heappop
+        traced = self._cb_hist is not None
+        executed = 0
+        while queue and queue[0][0] <= deadline:
+            if traced:
+                self.step()
+            else:
+                when, _, callback = pop(queue)
+                self._now = when
+                self._processed += 1
+                try:
+                    callback()
+                except Exception as error:
+                    raise CallbackError(when, callback) from error
+            executed += 1
+            if max_events is not None and executed > max_events:
+                raise RuntimeError(f"engine did not go idle within {max_events} events")
+
     def run_until(self, deadline: float) -> None:
         """Execute events until the clock would pass ``deadline``.
 
         The clock is left at ``deadline`` (events at exactly ``deadline``
-        are executed). A ``deadline`` in the past raises ``ValueError``
-        (matching :meth:`schedule_at`): silently doing nothing would make
-        a caller's arithmetic bug vanish without a trace.
+        are executed). A ``deadline`` in the past or NaN raises
+        ``ValueError`` (matching :meth:`schedule_at`): silently doing
+        nothing would make a caller's arithmetic bug vanish without a
+        trace.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:  # NaN too
             raise ValueError(f"cannot run until {deadline} < now {self._now}")
         outer, self._deadline = self._deadline, deadline
         try:
-            while self._queue and self._queue[0][0] <= deadline:
-                self.step()
+            self.drain(deadline)
         finally:
             self._deadline = outer
         if deadline > self._now:
@@ -216,13 +246,9 @@ class EventEngine:
         ``max_events`` is a safety valve against livelock (e.g. a routing
         oscillation); exceeding it raises ``RuntimeError``.
         """
-        executed = 0
         outer, self._deadline = self._deadline, math.inf
         try:
-            while self.step():
-                executed += 1
-                if max_events is not None and executed > max_events:
-                    raise RuntimeError(f"engine did not go idle within {max_events} events")
+            self.drain(math.inf, max_events)
         finally:
             self._deadline = outer
         if self._horizon > self._now:

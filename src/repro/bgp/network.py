@@ -8,13 +8,14 @@ routers or sessions.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.bgp.damping import DampingConfig, RouteDamping
 from repro.bgp.engine import EventEngine
-from repro.bgp.policy import Relationship
+from repro.bgp.policy import INVERSE, Relationship
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Address, IPv4Prefix
@@ -217,22 +218,17 @@ class BgpNetwork:
             raise ValueError(f"link {a!r} <-> {b!r} already exists")
         self.reshaped = True
         timing = timing or self.default_timing
+        relationship_of_a = INVERSE[relationship_of_b]
         session_ab = Session(
             self.engine, self.rng, a, b, relationship_of_b, router_b.receive, timing,
             self._telemetry,
         )
         session_ba = Session(
-            self.engine,
-            self.rng,
-            b,
-            a,
-            relationship_of_b.inverse(),
-            router_a.receive,
-            timing,
+            self.engine, self.rng, b, a, relationship_of_a, router_a.receive, timing,
             self._telemetry,
         )
         self.adjacency[a][b] = relationship_of_b
-        self.adjacency[b][a] = relationship_of_b.inverse()
+        self.adjacency[b][a] = relationship_of_a
         # One key object per link, shared by the three tables (a
         # snapshot copies them and pickles the key once).
         link = frozenset((a, b))
@@ -431,20 +427,21 @@ class BgpNetwork:
         deadline hits first, the clock is clamped *at* the deadline and
         the overdue event stays queued, exactly like
         :meth:`EventEngine.run_until` -- an event scheduled past the
-        deadline never executes, so the clock cannot overshoot.
+        deadline never executes, so the clock cannot overshoot. The
+        events run under no :attr:`EventEngine.deadline`.
         """
-        deadline = self.engine.now + max_seconds
-        while True:
-            when = self.engine.peek()
-            if when is None:
-                quiet = min(self.engine.horizon, deadline)
-                if quiet > self.engine.now:
-                    self.engine.run_until(quiet)
-                return self.engine.now
-            if when > deadline:
-                self.engine.run_until(deadline)
-                return self.engine.now
-            self.engine.step()
+        engine = self.engine
+        if math.isnan(max_seconds):
+            raise ValueError("converge: max_seconds is NaN")
+        deadline = engine.now + max_seconds
+        engine.drain(deadline)
+        if engine.pending:
+            engine.run_until(deadline)
+        else:
+            quiet = min(engine.horizon, deadline)
+            if quiet > engine.now:
+                engine.run_until(quiet)
+        return engine.now
 
     @property
     def now(self) -> float:

@@ -32,13 +32,23 @@ class Relationship(enum.Enum):
     PROVIDER = "provider"  # the neighbor is my provider
     COLLECTOR = "collector"  # route-collector feed (export-everything, import-nothing)
 
+    # A member is a singleton and == is identity, so the identity hash
+    # agrees with it. Enum's own hashes the name in a Python frame, and
+    # the tables below are read per BGP update and per session built.
+    __hash__ = object.__hash__
+
     def inverse(self) -> "Relationship":
         """The same link as seen from the other end."""
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return self
+        return INVERSE[self]
+
+
+#: ``Relationship.inverse`` as a table, for the per-session build
+INVERSE: dict[Relationship, Relationship] = {
+    Relationship.CUSTOMER: Relationship.PROVIDER,
+    Relationship.PEER: Relationship.PEER,
+    Relationship.PROVIDER: Relationship.CUSTOMER,
+    Relationship.COLLECTOR: Relationship.COLLECTOR,
+}
 
 
 #: LOCAL_PREF assigned on import by relationship. Customer routes earn

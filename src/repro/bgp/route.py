@@ -44,7 +44,7 @@ class Route:
     med: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Update:
     """One BGP update on the wire: ``sender`` now offers ``route`` for
     ``prefix``, or nothing (``route is None``: a withdrawal).
@@ -55,6 +55,12 @@ class Update:
     provenance id of the root action the update descends from (0 =
     uncaused); it travels hop to hop for ``repro explain`` and the
     protocol never reads it.
+
+    Nothing assigns to an update once built, but the class is not
+    ``frozen``: a frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``, three times the cost of a plain one, and a
+    session builds one per update it queues. Equality and the hash are
+    the frozen class's.
     """
 
     sender: str

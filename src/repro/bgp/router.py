@@ -107,8 +107,10 @@ class BgpRouter:
             self._updates_received = telemetry.counter("bgp.updates_received")
             self._rib_churn = telemetry.counter("bgp.rib_churn")
             self._fib_installs = telemetry.counter("bgp.fib_installs")
+            self._updates_suppressed = telemetry.counter("bgp.updates_suppressed")
         else:
             self._updates_received = self._rib_churn = self._fib_installs = None
+            self._updates_suppressed = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -136,6 +138,8 @@ class BgpRouter:
         in sync. ``cause`` tags the resync's exports with the reset's
         provenance id, so causal chains span the reopen epoch.
         """
+        if not self.loc_rib:
+            return  # nothing to advertise: every session of a cold build
         self.touched.add(self.node_id)
         self._current_cause = cause
         sessions = (self.sessions[remote],)
@@ -380,30 +384,39 @@ class BgpRouter:
         the first of them.
         """
         cause = self._current_cause
-        if best is None:
-            for session in sessions:
-                session.send(prefix, None, cause)
-            return
-        learned_from = best.learned_from
-        origin = self.origins.get(prefix)
-        scope = origin.neighbors if learned_from is None and origin is not None else None
-        via = self.sessions.get(learned_from)
-        learned_over = via.relationship if via is not None else None
-        by_class: dict[int, Route | None] = {}
+        if best is not None:
+            learned_from = best.learned_from
+            origin = self.origins.get(prefix)
+            scope = origin.neighbors if learned_from is None and origin is not None else None
+            via = self.sessions.get(learned_from)
+            learned_over = via.relationship if via is not None else None
+            by_class: dict[int, Route | None] = {}
+        silent = 0
         for session in sessions:
-            remote = session.remote
-            if remote == learned_from or (scope is not None and remote not in scope):
-                session.send(prefix, None, cause)
+            route = None
+            if best is not None:
+                remote = session.remote
+                if remote != learned_from and (scope is None or remote in scope):
+                    key = session.export_class
+                    if key in by_class:
+                        route = by_class[key]
+                    else:
+                        route = by_class[key] = exported(
+                            best, self.node_id, self.asn, origin, learned_over,
+                            remote, session.relationship,
+                        )
+            if route is None and prefix not in session.advertised and not (
+                session._pending and prefix in session._pending
+            ):
+                # The withdrawal of what the far end never heard, with
+                # nothing pending to cancel: ``send`` would only count it
+                # (a closed session not even that), so it is not called.
+                if not session.closed:
+                    silent += 1
                 continue
-            key = session.export_class
-            if key in by_class:
-                route = by_class[key]
-            else:
-                route = by_class[key] = exported(
-                    best, self.node_id, self.asn, origin, learned_over,
-                    remote, session.relationship,
-                )
             session.send(prefix, route, cause)
+        if silent and self._updates_suppressed is not None:
+            self._updates_suppressed.inc(silent)
 
     def offer(self, session: Session, prefix: IPv4Prefix, best: Route | None) -> Route | None:
         """``best`` as the far end of ``session`` hears it (None: not at

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.bgp.policy import Relationship
@@ -241,7 +242,7 @@ class Session:
                 self._updates_suppressed.inc()
             return
         self._pending[prefix] = Update(self.local, prefix, route, cause)
-        if self.engine.now < self._mrai_until:
+        if self.engine._now < self._mrai_until:
             if self._mrai_deferrals is not None:
                 self._mrai_deferrals.inc()
             self._queue_expiry()
@@ -264,21 +265,28 @@ class Session:
             self._pending.clear()
             return
         telemetry = self._telemetry
+        engine = self.engine
+        # This runs once per update put on the wire: it reads the clock
+        # and pushes each delivery onto the engine's heap itself, as
+        # ``schedule_at`` would (a delivery is never due before now).
+        now = engine._now
+        queue, counter = engine._queue, engine._counter
+        latency, jitter = self.timing.latency, self.timing.jitter
         for update in self._pending.values():
             route = update.route
             if route is not None:
                 self.advertised.add(update.prefix)
             else:
                 self.advertised.discard(update.prefix)
-            delay = self.timing.latency + self.rng.uniform(0, self.timing.jitter)
-            deliver_at = max(self.engine.now + delay, self._last_delivery + 1e-6)
+            delay = latency + self.rng.uniform(0, jitter)
+            deliver_at = max(now + delay, self._last_delivery + 1e-6)
             self._last_delivery = deliver_at
             self.sent_updates += 1
             if telemetry.enabled:
                 self._updates_sent_counter.inc()
                 telemetry.emit(
                     BgpUpdateSent(
-                        t=self.engine.now,
+                        t=now,
                         sender=self.local,
                         receiver=self.remote,
                         prefix=cached_str(update.prefix),
@@ -287,7 +295,7 @@ class Session:
                         cause=update.cause,
                     )
                 )
-            self.engine.schedule_at(deliver_at, self._make_delivery(update))
+            heappush(queue, (deliver_at, next(counter), self._make_delivery(update)))
         self._pending.clear()
 
     def _make_delivery(self, update: Update) -> Callable[[], None]:
@@ -317,14 +325,19 @@ class Session:
     def _run_timer(self, duration: float) -> None:
         """Start a timer that runs out ``duration`` seconds from now; an
         idle engine still moves its clock on to the deadline."""
-        self._mrai_until = until = self.engine.now + duration
-        self.engine.note_deadline(until)
+        engine = self.engine
+        self._mrai_until = until = engine._now + duration
+        engine.note_deadline(until)
 
     def _queue_expiry(self) -> None:
         """Flush what is pending when the running timer runs out."""
         if not self._expiry_queued:
             self._expiry_queued = True
-            self.engine.schedule_at(self._mrai_until, self._make_mrai_expiry())
+            # straight onto the heap, as in _flush: the deadline is ahead
+            engine = self.engine
+            heappush(
+                engine._queue, (self._mrai_until, next(engine._counter), self._make_mrai_expiry())
+            )
 
     def _make_mrai_expiry(self) -> Callable[[], None]:
         epoch = self.epoch
@@ -339,7 +352,7 @@ class Session:
             self._expiry_queued = False
             if not self._pending:
                 return
-            if self.engine.now < self._mrai_until:
+            if self.engine._now < self._mrai_until:
                 # a flush at this timer's own deadline started another
                 self._queue_expiry()
                 return

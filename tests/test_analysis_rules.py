@@ -390,3 +390,56 @@ class TestUnusedImport:
 
     def test_noqa(self):
         assert self.codes_at("import readline  # repro: noqa[DET013]\n") == []
+
+
+class TestUndefinedAnnotationName:
+    PATH = "src/repro/workload/stream.py"
+
+    def findings(self, source: str, path: str = PATH) -> list[tuple[str, int]]:
+        return [(f.code, f.line) for f in ENGINE.lint_source(source, path=path)]
+
+    @pytest.mark.parametrize("source, line", [
+        # the import inside the body does not bind the signature's name
+        ("def words(n: int) -> np.ndarray:\n    import numpy as np\n    return np.zeros(n)\n", 1),
+        ("def f(x: 'Engine') -> None:\n    pass\n", 1),
+        ("def f(*rest: Engine) -> None:\n    pass\n", 1),
+        ("def f(**opts: Engine) -> None:\n    pass\n", 1),
+        ("def f(x, /, y: 'list[Engine]'):\n    pass\n", 1),
+        ("class A:\n    def g(self, *, e: Engine) -> None:\n        pass\n", 2),
+        # a method's own import binds nothing for a sibling's signature
+        ("class A:\n    def g(self):\n        import numpy as np\n"
+         "    def h(self) -> np.ndarray:\n        pass\n", 4),
+        ("async def f() -> Engine:\n    pass\n", 1),
+    ])
+    def test_positive(self, source, line):
+        assert self.findings(source) == [("DET014", line)]
+
+    @pytest.mark.parametrize("source", [
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
+        "def words(n: int) -> np.ndarray:\n    pass\n",
+        "import numpy\ndef words(n: int) -> numpy.ndarray:\n    pass\n",
+        "from x import Engine\ndef f(e: 'Engine | None', n: int = 0) -> dict[str, float]:\n    pass\n",
+        "def f() -> 'A':\n    pass\nclass A:\n    pass\n",
+        "Alias = dict[str, int]\ndef f(a: Alias) -> None:\n    pass\n",
+        "try:\n    from x import Engine\nexcept ImportError:\n    Engine = None\n"
+        "def f(e: Engine) -> None:\n    pass\n",
+        "from typing import Literal\ndef f(mode: Literal['fast', 'slow']) -> None:\n    pass\n",
+        # a nested def may read what its enclosing function or class binds
+        "def outer(T):\n    def inner(x: T) -> T:\n        pass\n",
+        "def outer():\n    from x import Engine\n    def inner(e: Engine):\n        pass\n",
+        "class A:\n    Key = str\n    def g(self, k: Key) -> None:\n        pass\n",
+        # a star import may bind anything
+        "from x import *\ndef f(e: Engine) -> None:\n    pass\n",
+        # only signatures: a variable annotation in a body is not checked
+        "def f():\n    x: Engine = None\n",
+    ])
+    def test_negative(self, source):
+        assert self.findings(source) == []
+
+    def test_only_inside_the_package(self):
+        source = "def f(e: Engine) -> None:\n    pass\n"
+        assert self.findings(source, path="tests/test_cli.py") == []
+        assert codes(source) == []
+
+    def test_noqa(self):
+        assert self.findings("def f(e: Engine):  # repro: noqa[DET014]\n    pass\n") == []

@@ -244,3 +244,190 @@ class TestClockControl:
             engine.warp(5.0)
         engine.warp(10.0)  # warping to now is a no-op
         assert engine.now == 10.0
+
+
+NAN = float("nan")
+
+
+class TestNanTimes:
+    """NaN compares false both ways: a NaN event would sit at the heap
+    head and stop every run loop short, so every entry point refuses it."""
+
+    def test_schedule_refuses_nan(self):
+        engine = EventEngine()
+        seen = []
+        engine.schedule(0.5, lambda: seen.append(0.5))
+        engine.schedule(1.0, lambda: seen.append(1.0))
+        with pytest.raises(ValueError):
+            engine.schedule(NAN, lambda: seen.append("nan"))
+        engine.run_until(10.0)
+        assert (seen, engine.now, engine.pending) == ([0.5, 1.0], 10.0, 0)
+
+    def test_schedule_at_refuses_nan(self):
+        engine = EventEngine()
+        with pytest.raises(ValueError):
+            engine.schedule_at(NAN, lambda: None)
+        assert engine.pending == 0
+
+    def test_run_until_refuses_nan(self):
+        engine = EventEngine()
+        engine.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            engine.run_until(NAN)
+        assert (engine.now, engine.pending, engine.deadline) == (0.0, 1, None)
+
+    def test_warp_refuses_nan(self):
+        engine = EventEngine()
+        engine.warp(3.0)
+        with pytest.raises(ValueError):
+            engine.warp(NAN)
+        assert engine.now == 3.0
+
+    def test_converge_refuses_nan(self):
+        from repro.bgp.network import BgpNetwork
+
+        network = BgpNetwork(seed=1)
+        network.engine.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            network.converge(max_seconds=NAN)
+        assert (network.now, network.engine.pending) == (0.0, 1)
+
+
+@pytest.fixture(params=["untraced", "traced"])
+def traced(request):
+    """Whether engines built in the test time their callbacks (an active
+    telemetry backend with a profiler) or run them bare."""
+    from repro import telemetry
+    from repro.obs.profiler import EventProfiler
+
+    if request.param == "untraced":
+        yield None
+        return
+    profiler = EventProfiler()
+    with telemetry.using(telemetry.Telemetry(profiler=profiler)):
+        yield profiler
+
+
+def busy_engine(log):
+    """Events at repeated and nested times; each logs (now, tag)."""
+    engine = EventEngine()
+
+    def event(tag):
+        log.append((engine.now, tag))
+        if tag % 3 == 0:
+            engine.schedule(0.25 * tag, lambda: event(tag + 100))
+
+    for tag, when in enumerate([2.0, 1.0, 1.0, 3.5, 0.0, 2.0, 7.0]):
+        engine.schedule_at(when, lambda tag=tag: event(tag))
+    return engine
+
+
+class TestDrainLoop:
+    """``drain`` is the loop under ``run_until``, ``run_until_idle`` and
+    ``BgpNetwork.converge``; held to one ``step`` at a time."""
+
+    @staticmethod
+    def stepped(deadline):
+        log = []
+        engine = busy_engine(log)
+        while engine.pending and engine.peek() <= deadline:
+            engine.step()
+        return log, engine.processed, engine.now
+
+    @pytest.mark.parametrize("deadline", [0.0, 1.0, 2.0, 3.0, 100.0])
+    def test_drain_runs_what_step_runs(self, traced, deadline):
+        log = []
+        engine = busy_engine(log)
+        engine.drain(deadline)
+        assert (log, engine.processed, engine.now) == self.stepped(deadline)
+        assert engine.deadline is None
+
+    def test_run_until_and_run_until_idle(self, traced):
+        log = []
+        engine = busy_engine(log)
+        engine.run_until(2.0)
+        assert (engine.processed, engine.now) == (self.stepped(2.0)[1], 2.0)
+        engine.note_deadline(60.0)
+        engine.run_until_idle()
+        reference, processed, _ = self.stepped(100.0)
+        assert (log, engine.processed, engine.now) == (reference, processed, 60.0)
+
+    def test_max_events_still_fires(self, traced):
+        engine = EventEngine()
+
+        def respawn():
+            engine.schedule(1.0, respawn)
+
+        engine.schedule(1.0, respawn)
+        with pytest.raises(RuntimeError, match="within 100 events"):
+            engine.run_until_idle(max_events=100)
+        assert (engine.processed, engine.now, engine.deadline) == (101, 101.0, None)
+
+    @pytest.mark.parametrize("run", ["run_until", "run_until_idle", "drain", "converge"])
+    def test_a_raising_callback_is_a_callback_error(self, traced, run):
+        from repro.bgp.network import BgpNetwork
+
+        network = BgpNetwork(seed=1)
+        engine = network.engine
+        engine.schedule(1.0, lambda: None)
+
+        def explode():
+            raise KeyError("missing prefix")
+
+        engine.schedule(2.5, explode)
+        calls = {
+            "run_until": lambda: engine.run_until(5.0),
+            "run_until_idle": engine.run_until_idle,
+            "drain": lambda: engine.drain(5.0),
+            "converge": network.converge,
+        }
+        with pytest.raises(CallbackError) as excinfo:
+            calls[run]()
+        assert (excinfo.value.when, excinfo.value.callback) == (2.5, explode)
+        assert isinstance(excinfo.value.__cause__, KeyError)
+        assert (engine.processed, engine.now, engine.deadline) == (2, 2.5, None)
+
+
+def small_network():
+    """Three routers in a line, FIB lag on, one prefix announced at the
+    end: deliveries, MRAI expiries and FIB installs all run."""
+    from repro.bgp.network import BgpNetwork
+    from repro.bgp.session import SessionTiming
+    from repro.net.addr import IPv4Prefix
+
+    network = BgpNetwork(seed=5, default_timing=SessionTiming(mrai=5.0, fib_delay=1.0))
+    for node, asn in (("a", 1), ("b", 2), ("c", 3)):
+        network.add_router(node, asn)
+    network.add_provider("a", "b")
+    network.add_provider("b", "c")
+    prefix = IPv4Prefix.parse("184.164.244.0/24")
+    network.announce("a", prefix)
+    return network, prefix
+
+
+class TestConvergeRunsUnderNoDeadline:
+    def test_deadline_stays_none(self, traced):
+        network, prefix = small_network()
+        seen = []
+        network.engine.schedule(0.1, lambda: seen.append(network.engine.deadline))
+        quiet = network.converge()
+        assert seen == [None] and network.engine.deadline is None
+        assert quiet == network.now > 0 and network.engine.pending == 0
+        assert network.routers["c"].best_route(prefix) is not None
+
+    def test_profile_callback_names(self):
+        """``repro profile`` and bench's layer table key on these names."""
+        from repro import telemetry
+        from repro.obs.profiler import EventProfiler
+
+        profiler = EventProfiler()
+        with telemetry.using(telemetry.Telemetry(profiler=profiler)):
+            network, prefix = small_network()
+            network.run_for(0.5)
+            network.withdraw("a", prefix)  # waits behind a's MRAI timer
+            network.converge()
+        assert sorted(profiler.callbacks) == [
+            "BgpRouter._schedule_fib_install.<locals>.<lambda>",
+            "Session._make_delivery.<locals>.deliver",
+            "Session._make_mrai_expiry.<locals>.mrai_expired",
+        ]

@@ -18,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.linter import LintEngine
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
+UNDEFINED_ANNOTATIONS = LintEngine(select={"DET014"})
 
 #: what a run streaming no workload does: import the package, the CLI and
 #: the benchmark's workload module, run one forked cell, then the CLI's
@@ -135,36 +138,13 @@ def test_no_module_imports_numpy_at_import_time():
 
 
 def unbound_np_annotations(source: str) -> list[int]:
-    """Line numbers of signatures that name ``np`` in a module that binds
-    no ``np`` outside its functions: linters resolve a parameter or
-    return annotation in the scope around the ``def``, where an import
-    inside the body does not count."""
-    tree = ast.parse(source)
-    pending, bound = list(tree.body), False
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound |= any((alias.asname or alias.name) == "np" for alias in node.names)
-        pending.extend(ast.iter_child_nodes(node))
-    if bound:
-        return []
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            annotations = [
-                arg.annotation
-                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
-                if arg is not None
-            ] + [node.returns]
-            for annotation in filter(None, annotations):
-                lines |= {
-                    name.lineno for name in ast.walk(annotation)
-                    if isinstance(name, ast.Name) and name.id == "np"
-                }
-    return sorted(lines)
+    """Line numbers of signatures that name an ``np`` the module does not
+    bind outside its functions: lint rule DET014, which linters' own
+    undefined-name check would also refuse (a parameter or return
+    annotation resolves in the scope around the ``def``, where an import
+    inside the body does not count)."""
+    findings = UNDEFINED_ANNOTATIONS.lint_source(source, path="src/repro/workload/stream.py")
+    return sorted({f.line for f in findings if "'np'" in f.message})
 
 
 @pytest.mark.parametrize("source, lines", [

@@ -21,6 +21,7 @@ from repro import telemetry
 from repro.bgp import router as router_module
 from repro.bgp import session as session_module
 from repro.bgp.engine import EventEngine
+from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionTiming
@@ -78,27 +79,32 @@ def test_update_traffic_of_one_forked_cell(monkeypatch, deployment):
     """reactive-anycast x sea1, forked (baseline convergence + the cell):
     exact counts.
 
-    ``exports`` counts ``Session.send`` calls, one per ⟨best-path change,
-    session⟩: 3,542, as many as when each export was its own ``offer``
-    (and, before that, its own ``_build_export``, which built 3,542
-    ``Withdrawal``s alone, 2,128 of them returned, for 44 delivered).
-    ``evaluations`` counts ``policy.exported`` calls: one per ⟨best-path
-    change, relationship class⟩ among the sessions that pass split
-    horizon and the origination scope -- 773, where the per-session
-    ``offer`` made 3,527, one per export of a selected route."""
+    ``exports`` counts ``Session.send`` calls. There were 3,542, one per
+    ⟨best-path change, session⟩ (as many as when each export was its own
+    ``offer``, and before that its own ``_build_export``, which built
+    3,542 ``Withdrawal``s alone, 2,128 of them returned, for 44
+    delivered). 2,082 of them withdrew a prefix the session had neither
+    advertised nor pending, which ``send`` only counted; ``_export`` now
+    counts those itself and does not call ``send``: 3,542 - 2,082 =
+    1,460. ``evaluations`` counts ``policy.exported`` calls: one per
+    ⟨best-path change, relationship class⟩ among the sessions that pass
+    split horizon and the origination scope -- 773, where the
+    per-session ``offer`` made 3,527, one per export of a selected
+    route."""
     census = Census(monkeypatch)
     with telemetry.using(telemetry.Telemetry()) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
     counters = active.snapshot()["counters"]
-    assert census.exports == 3542
+    assert census.exports == 1460
     assert census.evaluations == 773
     assert (census.announcements, census.withdrawals) == (1245, 44)
-    # Every export ends one of three ways: suppressed by the session (no
-    # object), swallowed by a closed session (none in this cell), or an
+    # Every export ends one of three ways: suppressed (no object, and
+    # here no call either: no withdrawal in this cell cancelled a pending
+    # route), swallowed by a closed session (none in this cell), or an
     # update in the MRAI slot -- and only an offered route or the
     # withdrawal of an advertised prefix gets that far.
     suppressed = counters["bgp.updates_suppressed"]
-    assert census.updates_built == census.exports - suppressed == 1460
+    assert census.updates_built == census.exports == 1460
     assert census.offers == 1414 and suppressed == 2082
     # ... of which MRAI coalescing overwrote some before they left; no
     # message was in flight when the run ended, none was lost.
@@ -168,3 +174,70 @@ def test_a_suppressed_withdrawal_constructs_no_update(monkeypatch):
     engine.run_until_idle()
     assert len(built) == 3
     assert (delivered[-1].route, delivered[-1].cause, delivered[-1].sender) == (None, 7, "a")
+
+
+def line_network():
+    """``a`` a customer of ``b``; sends counted per ⟨session, route⟩."""
+    network = BgpNetwork(seed=1, default_timing=SessionTiming(latency=0.01, jitter=0.0, mrai=10.0))
+    network.add_router("a", 1)
+    network.add_router("b", 2)
+    network.add_provider("a", "b")
+    return network
+
+
+def counting_sends(monkeypatch) -> list:
+    sends = []
+    send = Session.send
+
+    def counting_send(session, prefix, route, cause):
+        sends.append((session.local, session.remote, prefix, route is not None))
+        return send(session, prefix, route, cause)
+
+    monkeypatch.setattr(Session, "send", counting_send)
+    return sends
+
+
+def test_a_withdrawal_still_cancels_a_pending_announcement(monkeypatch):
+    """``_export`` skips only a withdrawal with nothing to take back: one
+    of a route still waiting in the MRAI slot reaches ``send`` and
+    cancels it there."""
+    sends = counting_sends(monkeypatch)
+    other = IPv4Prefix.parse("184.164.245.0/24")
+    with telemetry.using(telemetry.Telemetry()) as active, line_network() as network:
+        network.announce("a", other)          # leaves at once, starts the timer
+        network.announce("a", PFX)            # waits in the MRAI slot
+        session = network.routers["a"].sessions["b"]
+        assert PFX in session._pending and PFX not in session.advertised
+        network.withdraw("a", PFX)
+        assert session._pending == {}
+        network.converge()
+        assert list(network.routers["b"].adj_rib_in) == [other]
+        # a's withdrawal reached send and cancelled there; b's split-
+        # horizon withdrawal of ``other`` toward a took back nothing and
+        # was skipped. Both count as suppressed.
+        assert ("a", "b", PFX, False) in sends
+        assert [s for s in sends if s[:2] == ("b", "a")] == []
+    counters = active.snapshot()["counters"]
+    assert (counters["bgp.updates_sent"], counters["bgp.updates_suppressed"]) == (1, 2)
+
+
+def test_a_closed_session_stays_inert(monkeypatch):
+    """A closed session is sent nothing and counts nothing, whether it
+    had advertised the prefix (``send`` returns at once) or not (the
+    export skips it)."""
+    sends = counting_sends(monkeypatch)
+    other = IPv4Prefix.parse("184.164.245.0/24")
+    with telemetry.using(telemetry.Telemetry()) as active, line_network() as network:
+        network.announce("a", other)
+        network.converge()
+        session = network.routers["a"].sessions["b"]
+        session.closed = True
+        sends.clear()
+        network.withdraw("a", other)           # advertised: send is called, does nothing
+        network.withdraw("a", PFX)             # never originated: no export at all
+        network.announce("a", PFX)
+        network.withdraw("a", PFX)             # never advertised on b: skipped
+        assert sends == [("a", "b", other, False), ("a", "b", PFX, True)]
+        assert (session._pending, session.sent_updates) == ({}, 1)
+        assert network.engine.pending == 0
+    assert active.snapshot()["counters"].get("bgp.updates_suppressed", 0) == 1
