@@ -32,47 +32,63 @@ Quickstart::
     deployment = build_deployment()
     experiment = FailoverExperiment(deployment.topology, deployment)
     result = experiment.run_site(ReactiveAnycast(), "sea1")
+
+Every package re-exports its public names lazily (:func:`lazy_exports`):
+``import repro`` loads this module alone, and a name's defining module
+is imported the first time the name is read.
 """
 
-from repro.bgp.network import BgpNetwork
-from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
-from repro.core.experiment import FailoverConfig, FailoverExperiment
-from repro.core.techniques import (
-    Anycast,
-    Combined,
-    ProactiveMed,
-    ProactivePrepending,
-    ProactiveSuperprefix,
-    ReactiveAnycast,
-    Technique,
-    Unicast,
-    technique_by_name,
-)
-from repro.measurement.stats import Cdf
-from repro.topology.generator import TopologyParams, generate_topology
-from repro.topology.testbed import CdnDeployment, build_deployment
+import sys
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BgpNetwork",
-    "SessionTiming",
-    "DEFAULT_INTERNET_TIMING",
-    "FailoverConfig",
-    "FailoverExperiment",
-    "Technique",
-    "Unicast",
-    "Anycast",
-    "ProactiveSuperprefix",
-    "ReactiveAnycast",
-    "ProactivePrepending",
-    "ProactiveMed",
-    "Combined",
-    "technique_by_name",
-    "Cdf",
-    "TopologyParams",
-    "generate_topology",
-    "CdnDeployment",
-    "build_deployment",
-    "__version__",
-]
+
+def lazy_exports(package: str, exports: dict[str, str]) -> tuple:
+    """Build a package's ``__getattr__``, ``__dir__`` and ``__all__``
+    from ``exports``, which maps each public name, in ``__all__`` order,
+    to the module that defines it (relative to ``package`` when it
+    starts with a dot).
+
+    A name's module is imported on its first read (PEP 562), and the
+    value is then bound in the package, so later reads are plain
+    attribute reads. ``from package import *`` reads every name.
+    """
+
+    def __getattr__(name: str) -> object:
+        try:
+            source = exports[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(import_module(source, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(vars(sys.modules[package]).keys() | exports.keys())
+
+    return __getattr__, __dir__, list(exports)
+
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BgpNetwork": ".bgp.network",
+    "SessionTiming": ".bgp.session",
+    "DEFAULT_INTERNET_TIMING": ".bgp.session",
+    "FailoverConfig": ".core.experiment",
+    "FailoverExperiment": ".core.experiment",
+    "Technique": ".core.techniques",
+    "Unicast": ".core.techniques",
+    "Anycast": ".core.techniques",
+    "ProactiveSuperprefix": ".core.techniques",
+    "ReactiveAnycast": ".core.techniques",
+    "ProactivePrepending": ".core.techniques",
+    "ProactiveMed": ".core.techniques",
+    "Combined": ".core.techniques",
+    "technique_by_name": ".core.techniques",
+    "Cdf": ".measurement.stats",
+    "TopologyParams": ".topology.generator",
+    "generate_topology": ".topology.generator",
+    "CdnDeployment": ".topology.testbed",
+    "build_deployment": ".topology.testbed",
+})
+__all__.append("__version__")

@@ -20,51 +20,31 @@ Two layers share one :class:`~repro.analysis.findings.Finding` model:
 ``docs/static-analysis.md`` for the full rule catalogue.
 """
 
-from repro.analysis.findings import (
-    Finding,
-    FindingCollector,
-    Severity,
-    emit_findings,
-)
-from repro.analysis.linter import PARSE_ERROR_CODE, LintEngine, lint_paths
-from repro.analysis.preflight import (
-    check_capacity,
-    check_deployment,
-    check_events,
-    check_prefix_plan,
-    check_run_shape,
-    check_targets,
-    check_timing,
-    check_topology,
-    check_workload,
-    preflight_run,
-)
-from repro.analysis.reporters import render_json, render_text
-from repro.analysis.rules import RULES, LintContext, LintRule, all_rules, resolve_codes
+from repro import lazy_exports
 
-__all__ = [
-    "Finding",
-    "FindingCollector",
-    "Severity",
-    "emit_findings",
-    "PARSE_ERROR_CODE",
-    "LintEngine",
-    "lint_paths",
-    "check_capacity",
-    "check_deployment",
-    "check_events",
-    "check_prefix_plan",
-    "check_run_shape",
-    "check_targets",
-    "check_timing",
-    "check_topology",
-    "check_workload",
-    "preflight_run",
-    "render_json",
-    "render_text",
-    "RULES",
-    "LintContext",
-    "LintRule",
-    "all_rules",
-    "resolve_codes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Finding": ".findings",
+    "FindingCollector": ".findings",
+    "Severity": ".findings",
+    "emit_findings": ".findings",
+    "PARSE_ERROR_CODE": ".linter",
+    "LintEngine": ".linter",
+    "lint_paths": ".linter",
+    "check_capacity": ".preflight",
+    "check_deployment": ".preflight",
+    "check_events": ".preflight",
+    "check_prefix_plan": ".preflight",
+    "check_run_shape": ".preflight",
+    "check_targets": ".preflight",
+    "check_timing": ".preflight",
+    "check_topology": ".preflight",
+    "check_workload": ".preflight",
+    "preflight_run": ".preflight",
+    "render_json": ".reporters",
+    "render_text": ".reporters",
+    "RULES": ".rules",
+    "LintContext": ".rules",
+    "LintRule": ".rules",
+    "all_rules": ".rules",
+    "resolve_codes": ".rules",
+})

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro import telemetry
+from repro.telemetry import registry as telemetry_registry
 
 
 class Severity(enum.Enum):
@@ -113,7 +113,7 @@ def emit_findings(findings: Iterable[Finding], layer: str) -> None:
     and ``analysis.finding.<CODE>`` per rule/check code. With the null
     backend installed this is a no-op.
     """
-    tel = telemetry.current()
+    tel = telemetry_registry.current()
     if not tel.enabled:
         return
     for finding in findings:

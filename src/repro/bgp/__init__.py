@@ -9,20 +9,15 @@ announcement propagation -- the two BGP behaviours the paper's techniques
 hinge on -- emerge from these mechanics rather than being scripted.
 """
 
-from repro.bgp.engine import EventEngine
-from repro.bgp.network import BgpNetwork
-from repro.bgp.policy import Relationship
-from repro.bgp.route import Route, Update
-from repro.bgp.router import BgpRouter
-from repro.bgp.collector import RouteCollector, CollectorEntry
+from repro import lazy_exports
 
-__all__ = [
-    "EventEngine",
-    "BgpNetwork",
-    "Relationship",
-    "Route",
-    "Update",
-    "BgpRouter",
-    "RouteCollector",
-    "CollectorEntry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "EventEngine": ".engine",
+    "BgpNetwork": ".network",
+    "Relationship": ".policy",
+    "Route": ".route",
+    "Update": ".route",
+    "BgpRouter": ".router",
+    "RouteCollector": ".collector",
+    "CollectorEntry": ".collector",
+})

@@ -179,9 +179,11 @@ class BgpNetwork:
         router.on_fib_change = self._bump_route_version
         if self.default_timing.fib_delay > 0:
             mean = self.default_timing.fib_delay
+            lo, hi = 0.5 * mean, 1.5 * mean
 
             def sample() -> tuple["EventEngine", float]:
-                return self.engine, self.rng.uniform(0.5 * mean, 1.5 * mean)
+                # rng.uniform(lo, hi), written out: the same float, one call less
+                return self.engine, lo + (hi - lo) * self.rng.random()
 
             router.fib_delay_source = sample
         if self.damping_config is not None:

@@ -1,11 +1,11 @@
 """BGP route representation.
 
-A :class:`Route` is an immutable record of one path to one prefix as seen
-at one router: the AS path, the session it was learned on, and the
-LOCAL_PREF assigned by import policy. Routes are compared by the standard
-BGP decision process implemented in :func:`better`. An :class:`Update` is
-what one router tells a neighbor about one prefix: the route, as the
-neighbor will hold it, or nothing.
+A :class:`Route` is a record, never written once built, of one path to
+one prefix as seen at one router: the AS path, the session it was
+learned on, and the LOCAL_PREF assigned by import policy. Routes are
+compared by the standard BGP decision process implemented in
+:func:`better`. An :class:`Update` is what one router tells a neighbor
+about one prefix: the route, as the neighbor will hold it, or nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.net.addr import IPv4Prefix
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Route:
     """One candidate path to ``prefix``.
 
@@ -34,6 +34,12 @@ class Route:
             compared (lower preferred) only between routes whose AS path
             starts with the same neighbor AS, and never re-exported --
             the §4 alternative to prepending for supporting neighbors.
+
+    Nothing assigns to a route once built, but the class is not
+    ``frozen``, for the reason :class:`Update` gives. Equality and the
+    hash are the frozen class's, and so is the pickled state: the field
+    values as a list in field order, so a checkpoint's bytes do not
+    depend on the class being frozen.
     """
 
     prefix: IPv4Prefix
@@ -42,6 +48,18 @@ class Route:
     local_pref: int
     origin_node: str
     med: int = 0
+
+    def __getstate__(self) -> list:
+        return [
+            self.prefix, self.as_path, self.learned_from,
+            self.local_pref, self.origin_node, self.med,
+        ]
+
+    def __setstate__(self, state: list) -> None:
+        (
+            self.prefix, self.as_path, self.learned_from,
+            self.local_pref, self.origin_node, self.med,
+        ) = state
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -60,7 +78,8 @@ class Update:
     ``frozen``: a frozen dataclass's ``__init__`` sets each field through
     ``object.__setattr__``, three times the cost of a plain one, and a
     session builds one per update it queues. Equality and the hash are
-    the frozen class's.
+    the frozen class's. :class:`Route` is un-frozen the same way, and
+    pickles as the frozen class did.
     """
 
     sender: str

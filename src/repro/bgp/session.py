@@ -253,7 +253,7 @@ class Session:
         ):
             # Ambient churn: a timer is already running; wait out its
             # residual life before this update can leave.
-            self._run_timer(self.rng.uniform(0, self.mrai))
+            self._run_timer(self.mrai * self.rng.random())
             self._queue_expiry()
         else:
             self._flush()
@@ -268,17 +268,21 @@ class Session:
         engine = self.engine
         # This runs once per update put on the wire: it reads the clock
         # and pushes each delivery onto the engine's heap itself, as
-        # ``schedule_at`` would (a delivery is never due before now).
+        # ``schedule_at`` would (a delivery is never due before now). Its
+        # draws, like every timer draw here, are ``Random.uniform(lo, hi)``
+        # written out as ``lo + (hi - lo) * random()`` (``hi * random()``
+        # for ``lo = 0``): the same floats, one call less each.
         now = engine._now
         queue, counter = engine._queue, engine._counter
         latency, jitter = self.timing.latency, self.timing.jitter
+        random = self.rng.random
         for update in self._pending.values():
             route = update.route
             if route is not None:
                 self.advertised.add(update.prefix)
             else:
                 self.advertised.discard(update.prefix)
-            delay = latency + self.rng.uniform(0, jitter)
+            delay = latency + jitter * random()
             deliver_at = max(now + delay, self._last_delivery + 1e-6)
             self._last_delivery = deliver_at
             self.sent_updates += 1
@@ -320,7 +324,8 @@ class Session:
 
     def _start_mrai(self) -> None:
         if self.mrai > 0:
-            self._run_timer(self.rng.uniform(0.75 * self.mrai, 1.25 * self.mrai))
+            lo, hi = 0.75 * self.mrai, 1.25 * self.mrai
+            self._run_timer(lo + (hi - lo) * self.rng.random())
 
     def _run_timer(self, duration: float) -> None:
         """Start a timer that runs out ``duration`` seconds from now; an

@@ -9,26 +9,16 @@ reloading only the routers it touched since.
 each technique's baseline convergence once and fork it per sweep cell.
 """
 
-from repro.checkpoint.codec import (
-    SNAPSHOT_SCHEMA,
-    CheckpointError,
-    NetworkSnapshot,
-    NotQuiescentError,
-    RouterState,
-    SessionState,
-    restore_network,
-    rewind_network,
-    snapshot_network,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "SNAPSHOT_SCHEMA",
-    "CheckpointError",
-    "NetworkSnapshot",
-    "NotQuiescentError",
-    "RouterState",
-    "SessionState",
-    "restore_network",
-    "rewind_network",
-    "snapshot_network",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SNAPSHOT_SCHEMA": ".codec",
+    "CheckpointError": ".codec",
+    "NetworkSnapshot": ".codec",
+    "NotQuiescentError": ".codec",
+    "RouterState": ".codec",
+    "SessionState": ".codec",
+    "restore_network": ".codec",
+    "rewind_network": ".codec",
+    "snapshot_network": ".codec",
+})

@@ -7,6 +7,9 @@ site's announcements under a chosen technique as BIRD 2.x configuration
 can be lifted onto real routers.
 """
 
-from repro.configgen.bird import BirdConfig, generate_bird_config
+from repro import lazy_exports
 
-__all__ = ["BirdConfig", "generate_bird_config"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BirdConfig": ".bird",
+    "generate_bird_config": ".bird",
+})

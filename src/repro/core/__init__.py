@@ -8,68 +8,40 @@ is the CDN's monitoring/orchestration loop that reacts to site failures,
 `repro.core.metrics` computes the §5.4.1 reconnection/failover metrics.
 """
 
-from repro.core.plan import Origination, Rule, Technique, Tradeoff, apply_plan
-from repro.core.techniques import (
-    Unicast,
-    Anycast,
-    ProactiveSuperprefix,
-    ReactiveAnycast,
-    ProactivePrepending,
-    ProactiveMed,
-    Combined,
-    TECHNIQUES,
-    technique_by_name,
-)
-from repro.core.controller import CdnController, FailureEvent
-from repro.core.drill import DrillOutcome, RotationDrill
-from repro.core.playbook import Playbook, PlaybookEntry
-from repro.core.scenarios import ScenarioReport, ScenarioRunner
-from repro.core.unicast_failover import (
-    UnicastFailoverConfig,
-    UnicastFailoverResult,
-    simulate_unicast_failover,
-)
-from repro.core.experiment import FailoverConfig, FailoverExperiment, SiteFailoverResult
-from repro.core.metrics import (
-    BounceStatistics,
-    TargetOutcome,
-    bounce_statistics,
-    outcomes_for_run,
-    target_outcome,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Origination",
-    "Rule",
-    "Technique",
-    "apply_plan",
-    "Tradeoff",
-    "Unicast",
-    "Anycast",
-    "ProactiveSuperprefix",
-    "ReactiveAnycast",
-    "ProactivePrepending",
-    "ProactiveMed",
-    "Combined",
-    "TECHNIQUES",
-    "technique_by_name",
-    "CdnController",
-    "FailureEvent",
-    "DrillOutcome",
-    "RotationDrill",
-    "Playbook",
-    "PlaybookEntry",
-    "ScenarioReport",
-    "ScenarioRunner",
-    "UnicastFailoverConfig",
-    "UnicastFailoverResult",
-    "simulate_unicast_failover",
-    "FailoverConfig",
-    "FailoverExperiment",
-    "SiteFailoverResult",
-    "TargetOutcome",
-    "target_outcome",
-    "outcomes_for_run",
-    "BounceStatistics",
-    "bounce_statistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Origination": ".plan",
+    "Rule": ".plan",
+    "Technique": ".plan",
+    "apply_plan": ".plan",
+    "Tradeoff": ".plan",
+    "Unicast": ".techniques",
+    "Anycast": ".techniques",
+    "ProactiveSuperprefix": ".techniques",
+    "ReactiveAnycast": ".techniques",
+    "ProactivePrepending": ".techniques",
+    "ProactiveMed": ".techniques",
+    "Combined": ".techniques",
+    "TECHNIQUES": ".techniques",
+    "technique_by_name": ".techniques",
+    "CdnController": ".controller",
+    "FailureEvent": ".controller",
+    "DrillOutcome": ".drill",
+    "RotationDrill": ".drill",
+    "Playbook": ".playbook",
+    "PlaybookEntry": ".playbook",
+    "ScenarioReport": ".scenarios",
+    "ScenarioRunner": ".scenarios",
+    "UnicastFailoverConfig": ".unicast_failover",
+    "UnicastFailoverResult": ".unicast_failover",
+    "simulate_unicast_failover": ".unicast_failover",
+    "FailoverConfig": ".experiment",
+    "FailoverExperiment": ".experiment",
+    "SiteFailoverResult": ".experiment",
+    "TargetOutcome": ".metrics",
+    "target_outcome": ".metrics",
+    "outcomes_for_run": ".metrics",
+    "BounceStatistics": ".metrics",
+    "bounce_statistics": ".metrics",
+})

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from repro.bgp.session import SessionTiming
 from repro.core.rig import RunRig
 from repro.core.techniques import Technique
-from repro.faults import FaultPlan, check_invariants
+from repro.faults.invariants import check_invariants
+from repro.faults.plan import FaultPlan
 from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology

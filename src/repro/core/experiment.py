@@ -29,7 +29,7 @@ from typing import Iterator
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
-from repro.checkpoint import (
+from repro.checkpoint.codec import (
     NetworkSnapshot,
     restore_network,
     rewind_network,

@@ -12,19 +12,17 @@ landed is written into the record of the probe that drew it
 (:class:`~repro.dataplane.ping.Probe`).
 """
 
-from repro.dataplane.forwarding import ForwardingPlane, ForwardResult, DropReason
-from repro.dataplane.ping import Probe, Prober, ProbeLog
-from repro.dataplane.traceroute import as_level_path, forward_path, reverse_path, ReverseTraceroute
+from repro import lazy_exports
 
-__all__ = [
-    "ForwardingPlane",
-    "ForwardResult",
-    "DropReason",
-    "Probe",
-    "Prober",
-    "ProbeLog",
-    "forward_path",
-    "reverse_path",
-    "as_level_path",
-    "ReverseTraceroute",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ForwardingPlane": ".forwarding",
+    "ForwardResult": ".forwarding",
+    "DropReason": ".forwarding",
+    "Probe": ".ping",
+    "Prober": ".ping",
+    "ProbeLog": ".ping",
+    "forward_path": ".traceroute",
+    "reverse_path": ".traceroute",
+    "as_level_path": ".traceroute",
+    "ReverseTraceroute": ".traceroute",
+})

@@ -8,16 +8,13 @@ caching recursive resolvers, and clients -- including the TTL-violating
 behaviour (Allman 2020) that makes pure-unicast failover so slow.
 """
 
-from repro.dns.records import ARecord
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
-from repro.dns.resolver import RecursiveResolver
-from repro.dns.client import DnsClient, TtlViolationModel
+from repro import lazy_exports
 
-__all__ = [
-    "ARecord",
-    "AuthoritativeServer",
-    "StaticMapping",
-    "RecursiveResolver",
-    "DnsClient",
-    "TtlViolationModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ARecord": ".records",
+    "AuthoritativeServer": ".authoritative",
+    "StaticMapping": ".authoritative",
+    "RecursiveResolver": ".resolver",
+    "DnsClient": ".client",
+    "TtlViolationModel": ".client",
+})

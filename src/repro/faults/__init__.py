@@ -10,50 +10,27 @@ goes quiet again (:func:`check_site_capacity` adds the workload-aware
 "no site over capacity" audit, see ``docs/load.md``).
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    InvariantReport,
-    Violation,
-    check_invariants,
-    check_site_capacity,
-    known_prefixes,
-)
-from repro.faults.plan import (
-    ACTIONS,
-    FAULT_KINDS,
-    Action,
-    Brownout,
-    Fault,
-    FaultPlan,
-    FaultSpec,
-    FibDelay,
-    LinkFlap,
-    MessageLoss,
-    PartialSiteFailure,
-    SessionReset,
-    load_fault_plan,
-    timeline,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "FAULT_KINDS",
-    "Action",
-    "Brownout",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FibDelay",
-    "InvariantReport",
-    "LinkFlap",
-    "MessageLoss",
-    "PartialSiteFailure",
-    "SessionReset",
-    "Violation",
-    "check_invariants",
-    "check_site_capacity",
-    "known_prefixes",
-    "load_fault_plan",
-    "timeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ACTIONS": ".plan",
+    "FAULT_KINDS": ".plan",
+    "Action": ".plan",
+    "Brownout": ".plan",
+    "Fault": ".plan",
+    "FaultInjector": ".injector",
+    "FaultPlan": ".plan",
+    "FaultSpec": ".plan",
+    "FibDelay": ".plan",
+    "InvariantReport": ".invariants",
+    "LinkFlap": ".plan",
+    "MessageLoss": ".plan",
+    "PartialSiteFailure": ".plan",
+    "SessionReset": ".plan",
+    "Violation": ".invariants",
+    "check_invariants": ".invariants",
+    "check_site_capacity": ".invariants",
+    "known_prefixes": ".invariants",
+    "load_fault_plan": ".plan",
+    "timeline": ".plan",
+})

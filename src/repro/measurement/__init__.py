@@ -8,67 +8,37 @@ diverging-AS analysis, and CDF/statistics utilities shared by the
 benches.
 """
 
-from repro.measurement.stats import Cdf, summarize
-from repro.measurement.hitlist import Hitlist, TargetSelection, select_targets
-from repro.measurement.catchment import anycast_catchment, catchment_from_network
-from repro.measurement.control import ControlResult, measure_control
-from repro.measurement.convergence import (
-    estimate_event_time,
-    propagation_times,
-    withdrawal_convergence_times,
-)
-from repro.measurement.routing_history import RoutingHistory, WithdrawalEvent
-from repro.measurement.divergence import DivergenceReport, analyze_divergence
-from repro.measurement.export import (
-    cdf_to_dict,
-    control_result_to_dict,
-    failover_result_to_dict,
-    load_json,
-    outcome_to_dict,
-    save_json,
-)
-from repro.measurement.performance import (
-    PerformanceReport,
-    SiteRttTable,
-    analyze_performance,
-)
-from repro.measurement.plotting import render_cdfs
-from repro.measurement.appendix import (
-    AppendixSamples,
-    announced_prefix_snapshot,
-    run_propagation_study,
-    run_withdrawal_study,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Cdf",
-    "summarize",
-    "Hitlist",
-    "TargetSelection",
-    "select_targets",
-    "anycast_catchment",
-    "catchment_from_network",
-    "ControlResult",
-    "measure_control",
-    "estimate_event_time",
-    "propagation_times",
-    "withdrawal_convergence_times",
-    "RoutingHistory",
-    "WithdrawalEvent",
-    "DivergenceReport",
-    "analyze_divergence",
-    "AppendixSamples",
-    "announced_prefix_snapshot",
-    "run_propagation_study",
-    "run_withdrawal_study",
-    "cdf_to_dict",
-    "control_result_to_dict",
-    "failover_result_to_dict",
-    "load_json",
-    "outcome_to_dict",
-    "save_json",
-    "PerformanceReport",
-    "SiteRttTable",
-    "analyze_performance",
-    "render_cdfs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Cdf": ".stats",
+    "summarize": ".stats",
+    "Hitlist": ".hitlist",
+    "TargetSelection": ".hitlist",
+    "select_targets": ".hitlist",
+    "anycast_catchment": ".catchment",
+    "catchment_from_network": ".catchment",
+    "ControlResult": ".control",
+    "measure_control": ".control",
+    "estimate_event_time": ".convergence",
+    "propagation_times": ".convergence",
+    "withdrawal_convergence_times": ".convergence",
+    "RoutingHistory": ".routing_history",
+    "WithdrawalEvent": ".routing_history",
+    "DivergenceReport": ".divergence",
+    "analyze_divergence": ".divergence",
+    "AppendixSamples": ".appendix",
+    "announced_prefix_snapshot": ".appendix",
+    "run_propagation_study": ".appendix",
+    "run_withdrawal_study": ".appendix",
+    "cdf_to_dict": ".export",
+    "control_result_to_dict": ".export",
+    "failover_result_to_dict": ".export",
+    "load_json": ".export",
+    "outcome_to_dict": ".export",
+    "save_json": ".export",
+    "PerformanceReport": ".performance",
+    "SiteRttTable": ".performance",
+    "analyze_performance": ".performance",
+    "render_cdfs": ".plotting",
+})

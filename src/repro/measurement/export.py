@@ -127,7 +127,7 @@ def sweep_report_to_dict(report: Any) -> dict[str, Any]:
         }
         accounts = [r.workload for r in results if r.workload is not None]
         if accounts:
-            from repro.workload import merge_accounts
+            from repro.workload.engine import merge_accounts
 
             pooled[name]["workload"] = merge_accounts(accounts).to_dict()
     return {

@@ -6,13 +6,12 @@ simulator and the data plane: IPv4/IPv6 addresses and prefixes
 (`repro.net.lpm`).
 """
 
-from repro.net.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
-from repro.net.lpm import LpmTable
+from repro import lazy_exports
 
-__all__ = [
-    "IPv4Address",
-    "IPv4Prefix",
-    "IPv6Address",
-    "IPv6Prefix",
-    "LpmTable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "IPv4Address": ".addr",
+    "IPv4Prefix": ".addr",
+    "IPv6Address": ".addr",
+    "IPv6Prefix": ".addr",
+    "LpmTable": ".lpm",
+})

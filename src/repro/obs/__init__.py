@@ -14,42 +14,22 @@ Three pure-analysis pieces on top of the telemetry substrate:
 See ``docs/observability.md`` for the full guide.
 """
 
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    OUTAGE_CLASSES,
-    AvailabilityLedger,
-    Outage,
-    OutageTally,
-    render_report,
-)
-from repro.obs.profiler import (
-    PROFILE_SCHEMA,
-    EventProfiler,
-    callback_name,
-    render_profile,
-    watch_collector,
-)
-from repro.obs.provenance import (
-    CauseChain,
-    build_chains,
-    explain,
-    render_explanation,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "LEDGER_SCHEMA",
-    "OUTAGE_CLASSES",
-    "AvailabilityLedger",
-    "Outage",
-    "OutageTally",
-    "render_report",
-    "PROFILE_SCHEMA",
-    "EventProfiler",
-    "callback_name",
-    "render_profile",
-    "watch_collector",
-    "CauseChain",
-    "build_chains",
-    "explain",
-    "render_explanation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "LEDGER_SCHEMA": ".ledger",
+    "OUTAGE_CLASSES": ".ledger",
+    "AvailabilityLedger": ".ledger",
+    "Outage": ".ledger",
+    "OutageTally": ".ledger",
+    "render_report": ".ledger",
+    "PROFILE_SCHEMA": ".profiler",
+    "EventProfiler": ".profiler",
+    "callback_name": ".profiler",
+    "render_profile": ".profiler",
+    "watch_collector": ".profiler",
+    "CauseChain": ".provenance",
+    "build_chains": ".provenance",
+    "explain": ".provenance",
+    "render_explanation": ".provenance",
+})

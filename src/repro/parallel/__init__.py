@@ -14,38 +14,21 @@ See ``docs/parallel.md`` for the worker model and the determinism
 guarantees.
 """
 
-from repro.parallel.pool import (
-    STATUS_CRASHED,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    CellResult,
-    CellTelemetry,
-    map_cells,
-    merge_telemetry,
-)
-from repro.parallel.progress import ProgressPrinter
-from repro.parallel.sweep import (
-    SweepCell,
-    SweepReport,
-    matrix,
-    run_sweep,
-    shared_state,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "STATUS_CRASHED",
-    "STATUS_ERROR",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
-    "CellResult",
-    "CellTelemetry",
-    "map_cells",
-    "merge_telemetry",
-    "ProgressPrinter",
-    "SweepCell",
-    "SweepReport",
-    "matrix",
-    "run_sweep",
-    "shared_state",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "STATUS_CRASHED": ".pool",
+    "STATUS_ERROR": ".pool",
+    "STATUS_OK": ".pool",
+    "STATUS_TIMEOUT": ".pool",
+    "CellResult": ".pool",
+    "CellTelemetry": ".pool",
+    "map_cells": ".pool",
+    "merge_telemetry": ".pool",
+    "ProgressPrinter": ".progress",
+    "SweepCell": ".sweep",
+    "SweepReport": ".sweep",
+    "matrix": ".sweep",
+    "run_sweep": ".sweep",
+    "shared_state": ".sweep",
+})

@@ -37,17 +37,19 @@ those lines.
 from __future__ import annotations
 
 import gc
-import multiprocessing as mp
 import time
 import traceback
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import CellEnd, CellStart, TraceEvent, TraceRecorder
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.context import BaseContext
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -89,10 +91,13 @@ class CellResult:
         return self.status == STATUS_OK
 
 
-def _pick_context() -> mp.context.BaseContext:
+def _pick_context() -> BaseContext:
     # fork keeps worker start cheap and needs no importable __main__;
     # everywhere it is unavailable (Windows, some macOS setups) spawn
     # works because cells and context are shipped pickled either way.
+    # multiprocessing is imported only by a run that starts workers.
+    import multiprocessing as mp
+
     if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     return mp.get_context("spawn")
@@ -229,6 +234,8 @@ def map_cells(
         finally:
             gc.unfreeze()
         return [results[i] for i in range(total)]
+
+    from multiprocessing.connection import wait as connection_wait
 
     ctx = _pick_context()
     want_trace = collect and getattr(parent_backend, "tracer", None) is not None

@@ -23,86 +23,45 @@ Typical enablement (what the CLI's ``--trace``/``--metrics`` do)::
 See ``docs/observability.md`` for the full guide.
 """
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.registry import (
-    NULL,
-    NullTelemetry,
-    Telemetry,
-    current,
-    install,
-    reset,
-    using,
-)
-from repro.telemetry.summary import (
-    PhaseTable,
-    TraceSummary,
-    filter_events,
-    render_summary,
-    summarize_trace,
-)
-from repro.telemetry.trace import (
-    EVENT_TYPES,
-    BgpUpdateSent,
-    CellEnd,
-    CellStart,
-    FaultInjected,
-    FaultSkipped,
-    FibInstalled,
-    FlapDamped,
-    PhaseEnd,
-    PhaseStart,
-    ProbeLost,
-    ProbeReply,
-    ProbeSent,
-    RootCause,
-    RouteSelected,
-    SiteFailed,
-    SiteSwitched,
-    TraceEvent,
-    TraceMeta,
-    TraceRecorder,
-    event_from_dict,
-    read_jsonl,
-    write_jsonl,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "NULL",
-    "NullTelemetry",
-    "Telemetry",
-    "current",
-    "install",
-    "reset",
-    "using",
-    "PhaseTable",
-    "TraceSummary",
-    "filter_events",
-    "render_summary",
-    "summarize_trace",
-    "EVENT_TYPES",
-    "BgpUpdateSent",
-    "CellEnd",
-    "CellStart",
-    "FaultInjected",
-    "FaultSkipped",
-    "FibInstalled",
-    "FlapDamped",
-    "PhaseEnd",
-    "PhaseStart",
-    "ProbeLost",
-    "ProbeReply",
-    "ProbeSent",
-    "RootCause",
-    "RouteSelected",
-    "SiteFailed",
-    "SiteSwitched",
-    "TraceEvent",
-    "TraceMeta",
-    "TraceRecorder",
-    "event_from_dict",
-    "read_jsonl",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "NULL": ".registry",
+    "NullTelemetry": ".registry",
+    "Telemetry": ".registry",
+    "current": ".registry",
+    "install": ".registry",
+    "reset": ".registry",
+    "using": ".registry",
+    "PhaseTable": ".summary",
+    "TraceSummary": ".summary",
+    "filter_events": ".summary",
+    "render_summary": ".summary",
+    "summarize_trace": ".summary",
+    "EVENT_TYPES": ".trace",
+    "BgpUpdateSent": ".trace",
+    "CellEnd": ".trace",
+    "CellStart": ".trace",
+    "FaultInjected": ".trace",
+    "FaultSkipped": ".trace",
+    "FibInstalled": ".trace",
+    "FlapDamped": ".trace",
+    "PhaseEnd": ".trace",
+    "PhaseStart": ".trace",
+    "ProbeLost": ".trace",
+    "ProbeReply": ".trace",
+    "ProbeSent": ".trace",
+    "RootCause": ".trace",
+    "RouteSelected": ".trace",
+    "SiteFailed": ".trace",
+    "SiteSwitched": ".trace",
+    "TraceEvent": ".trace",
+    "TraceMeta": ".trace",
+    "TraceRecorder": ".trace",
+    "event_from_dict": ".trace",
+    "read_jsonl": ".trace",
+    "write_jsonl": ".trace",
+})

@@ -8,22 +8,19 @@ proximity filter, and :class:`~repro.topology.testbed.CdnDeployment`
 attaches the eight PEERING-like sites to it.
 """
 
-from repro.topology.geo import Region, REGIONS, rtt_ms
-from repro.topology.relationships import AsClass, AsInfo, RelationshipDataset
-from repro.topology.generator import Topology, TopologyParams, generate_topology
-from repro.topology.testbed import CdnDeployment, SiteSpec, build_deployment
+from repro import lazy_exports
 
-__all__ = [
-    "Region",
-    "REGIONS",
-    "rtt_ms",
-    "AsClass",
-    "AsInfo",
-    "RelationshipDataset",
-    "Topology",
-    "TopologyParams",
-    "generate_topology",
-    "CdnDeployment",
-    "SiteSpec",
-    "build_deployment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Region": ".geo",
+    "REGIONS": ".geo",
+    "rtt_ms": ".geo",
+    "AsClass": ".relationships",
+    "AsInfo": ".relationships",
+    "RelationshipDataset": ".relationships",
+    "Topology": ".generator",
+    "TopologyParams": ".generator",
+    "generate_topology": ".generator",
+    "CdnDeployment": ".testbed",
+    "SiteSpec": ".testbed",
+    "build_deployment": ".testbed",
+})

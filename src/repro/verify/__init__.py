@@ -21,27 +21,18 @@ Entry points: ``repro verify`` (CLI), :func:`verify_world` (library),
 and the opt-out pre-run gate in :mod:`repro.cli.common`.
 """
 
-from repro.core.plan import Origination
-from repro.verify.checks import CHECKS, VerifyCheck, all_checks, resolve_codes
-from repro.verify.verifier import verify_world
-from repro.verify.world import (
-    DEFAULT_TECHNIQUE_NAMES,
-    VerifyWorld,
-    default_world,
-    load_world,
-    world_from_dict,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CHECKS",
-    "DEFAULT_TECHNIQUE_NAMES",
-    "Origination",
-    "VerifyCheck",
-    "VerifyWorld",
-    "all_checks",
-    "default_world",
-    "load_world",
-    "resolve_codes",
-    "verify_world",
-    "world_from_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CHECKS": ".checks",
+    "DEFAULT_TECHNIQUE_NAMES": ".world",
+    "Origination": "repro.core.plan",
+    "VerifyCheck": ".checks",
+    "VerifyWorld": ".world",
+    "all_checks": ".checks",
+    "default_world": ".world",
+    "load_world": ".world",
+    "resolve_codes": ".checks",
+    "verify_world": ".verifier",
+    "world_from_dict": ".world",
+})

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 
-from repro import telemetry
 from repro.analysis.findings import Finding, FindingCollector, emit_findings
+from repro.telemetry import registry as telemetry_registry
 from repro.topology.propagation import (
     PropagationResult,
     SymbolicGraph,
@@ -42,7 +42,7 @@ def verify_world(
     of ``world.suppress``); ``strict`` enables the opportunity-cost
     checks (VER212/VER223) regardless of the world's own flag.
     """
-    tel = telemetry.current()
+    tel = telemetry_registry.current()
     effective_strict = strict or world.strict
     suppressed_codes = set(world.suppress) | set(ignore or ())
     graph = SymbolicGraph.from_topology(world.topology, world.preferences)

@@ -16,58 +16,29 @@ accounting. See ``docs/workload.md`` and ``docs/load.md``.
   accounting, plus the load-shedding overload latch.
 """
 
-from repro.workload.capacity import (
-    CAPACITY_SCHEMA,
-    CapacityProfile,
-    CapacityState,
-    capacity_from_dict,
-    expected_site_load,
-    load_capacity,
-)
-from repro.workload.engine import (
-    WorkloadAccount,
-    WorkloadEngine,
-    merge_accounts,
-    render_account,
-)
-from repro.workload.profile import (
-    BUILTIN_PROFILES,
-    PROFILE_SCHEMA,
-    RATE_KINDS,
-    RateShape,
-    WorkloadProfile,
-    builtin_profile,
-    load_profile,
-    profile_from_dict,
-)
-from repro.workload.stream import (
-    Request,
-    RequestStream,
-    client_weight_table,
-    stream_digest,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BUILTIN_PROFILES",
-    "CAPACITY_SCHEMA",
-    "PROFILE_SCHEMA",
-    "RATE_KINDS",
-    "CapacityProfile",
-    "CapacityState",
-    "Request",
-    "RequestStream",
-    "RateShape",
-    "WorkloadAccount",
-    "WorkloadEngine",
-    "WorkloadProfile",
-    "builtin_profile",
-    "capacity_from_dict",
-    "client_weight_table",
-    "expected_site_load",
-    "load_capacity",
-    "load_profile",
-    "merge_accounts",
-    "profile_from_dict",
-    "render_account",
-    "stream_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BUILTIN_PROFILES": ".profile",
+    "CAPACITY_SCHEMA": ".capacity",
+    "PROFILE_SCHEMA": ".profile",
+    "RATE_KINDS": ".profile",
+    "CapacityProfile": ".capacity",
+    "CapacityState": ".capacity",
+    "Request": ".stream",
+    "RequestStream": ".stream",
+    "RateShape": ".profile",
+    "WorkloadAccount": ".engine",
+    "WorkloadEngine": ".engine",
+    "WorkloadProfile": ".profile",
+    "builtin_profile": ".profile",
+    "capacity_from_dict": ".capacity",
+    "client_weight_table": ".stream",
+    "expected_site_load": ".capacity",
+    "load_capacity": ".capacity",
+    "load_profile": ".profile",
+    "merge_accounts": ".engine",
+    "profile_from_dict": ".profile",
+    "render_account": ".engine",
+    "stream_digest": ".stream",
+})

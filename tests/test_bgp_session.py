@@ -203,14 +203,14 @@ class TestTimingModel:
 
 
 class ScriptedRng(random.Random):
-    """Deterministic stand-in: ``uniform`` pops scripted values."""
+    """Deterministic stand-in: ``random`` pops scripted values."""
 
-    def __init__(self, uniforms):
+    def __init__(self, draws):
         super().__init__(0)
-        self._uniforms = list(uniforms)
+        self._draws = list(draws)
 
-    def uniform(self, a, b):
-        return self._uniforms.pop(0)
+    def random(self):
+        return self._draws.pop(0)
 
 
 class TestEpochGuardsMraiTimer:
@@ -220,16 +220,16 @@ class TestEpochGuardsMraiTimer:
         timer and flushing the new epoch's pending updates early.
 
         Scripted draws (one jitter draw per flushed update, one duration
-        draw per timer): the pre-reopen timer lands at t=12, the
-        post-reopen timers at t=8 and t=20. An update queued at t=9 must
-        wait for the *legitimate* expiry at t=20, not leak out when the
-        stale t=12 timer fires.
+        draw per timer, 7.5 + 5 * draw at mrai=10): the pre-reopen timer
+        lands at t=12, the post-reopen timers at t=8 and t=20. An update
+        queued at t=9 must wait for the *legitimate* expiry at t=20, not
+        leak out when the stale t=12 timer fires.
         """
         engine = EventEngine()
         arrivals = []
         session = Session(
             engine,
-            ScriptedRng([0.0, 12.0, 0.0, 8.0, 0.0, 12.0, 0.0, 12.0]),
+            ScriptedRng([0.0, 0.9, 0.0, 0.1, 0.0, 0.9, 0.0, 0.9]),
             "a",
             "b",
             Relationship.CUSTOMER,
@@ -252,3 +252,43 @@ class TestEpochGuardsMraiTimer:
         when, last = arrivals[-1]
         assert last.route.as_path == (4,)
         assert when >= 20.0
+
+
+class TestDrawsAreUniforms:
+    """The session writes ``Random.uniform(lo, hi)`` out as ``lo + (hi -
+    lo) * random()``; every delivery time and MRAI deadline must be the
+    float ``uniform`` itself gives on the same stream."""
+
+    TIMING = SessionTiming(latency=0.05, jitter=0.3, mrai=13.7, busy_prob=0.4, mrai_sigma=0.0)
+    GAP = 100.0  # > a residual plus a full timer: every send finds the timer spent
+
+    def expected(self, seed: int, sends: int) -> tuple[list, list]:
+        """Deliveries and ⟨deadline after the send, deadline before the
+        next⟩ per send, drawn with ``rng.uniform``."""
+        rng, t = random.Random(seed), self.TIMING
+        deliveries, deadlines = [], []
+        for k in range(sends):
+            now = k * self.GAP
+            if rng.random() < t.busy_prob:  # busy: wait out a residual first
+                now += rng.uniform(0, t.mrai)
+                after_send = now
+            else:
+                after_send = None
+            deliveries.append(now + (t.latency + rng.uniform(0, t.jitter)))
+            deadline = now + rng.uniform(0.75 * t.mrai, 1.25 * t.mrai)
+            deadlines.append((after_send or deadline, deadline))
+        return deliveries, deadlines
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_deliveries_and_deadlines_equal_uniform_draws(self, seed):
+        engine, session, received = make_session(self.TIMING, seed)
+        deliveries, deadlines = [], []
+        session._deliver = lambda update: deliveries.append(engine.now)
+        for k in range(40):
+            engine.run_until(k * self.GAP)
+            session.send(*ann(path=(k + 1,)))
+            after_send = session._mrai_until
+            engine.run_until((k + 1) * self.GAP - 1.0)
+            deadlines.append((after_send, session._mrai_until))
+        assert (deliveries, deadlines) == self.expected(seed, 40)
+        assert any(a != b for a, b in deadlines)  # the busy branch ran

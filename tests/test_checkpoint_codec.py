@@ -10,6 +10,7 @@ import pytest
 from repro.bgp.damping import DampingConfig, RouteDamping
 from repro.bgp.engine import EventEngine
 from repro.bgp.network import BgpNetwork
+from repro.bgp.route import Route
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.checkpoint import (
     SNAPSHOT_SCHEMA,
@@ -383,6 +384,24 @@ class TestSerialization:
         assert fingerprint(restore_network(clone)) == fingerprint(
             restore_network(snapshot)
         )
+
+    def test_a_route_pickles_as_the_frozen_class_did(self):
+        """``Route`` is not frozen, but its pickled state is the frozen
+        slotted dataclass's -- the field values, as a list, in field
+        order -- so a snapshot's bytes do not depend on the freeze."""
+        frozen = dataclasses.make_dataclass(
+            "FrozenRoute",
+            [(f.name, f.type) for f in dataclasses.fields(Route)],
+            frozen=True, slots=True,
+        )
+        values = (PFX, (3, 2, 1), "r1", 100, "r0", 7)
+        route = Route(*values)
+        assert route.__getstate__() == frozen(*values).__getstate__() == list(values)
+        assert route.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2] == list(values)
+        clone = pickle.loads(pickle.dumps(route, pickle.HIGHEST_PROTOCOL))
+        assert clone == route and hash(clone) == hash(route)
+        snapshot = snapshot_network(converged_net())
+        assert NetworkSnapshot.loads(snapshot.dumps()) == snapshot
 
     def test_dumps_deterministic(self):
         """Byte-identical snapshots for byte-identical networks -- the

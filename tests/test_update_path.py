@@ -194,8 +194,9 @@ class TestQuiescence:
         timer must then not flush what waits on the new one."""
         engine, arrivals = EventEngine(), []
         session = Session(
-            # draws: jitter per update flushed, then the timer's duration
-            engine, ScriptedRng([0.0, 5.0, 0.0, 0.0, 5.0, 0.0, 5.0]), "a", "b",
+            # draws: jitter per update flushed, then the timer's duration,
+            # 7.5 + 5 * draw at mrai=10 (so -0.5 scripts a 5 s timer)
+            engine, ScriptedRng([0.0, -0.5, 0.0, 0.0, -0.5, 0.0, -0.5]), "a", "b",
             Relationship.PEER,
             lambda update: arrivals.append((round(engine.now, 3), update.route.as_path)),
             SessionTiming(latency=1.0, jitter=0.0, mrai=10.0),
