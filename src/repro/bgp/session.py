@@ -124,7 +124,7 @@ class Session:
     __slots__ = (
         "engine", "rng", "local", "remote", "relationship", "export_class", "timing", "_deliver",
         "mrai", "_pending", "_mrai_until", "_expiry_queued", "_last_delivery", "closed", "epoch",
-        "advertised", "sent_updates", "loss_prob", "dup_prob", "_telemetry",
+        "advertised", "loss_prob", "dup_prob", "_telemetry",
         "_updates_sent_counter", "_mrai_deferrals", "_updates_suppressed",
     )
 
@@ -178,8 +178,6 @@ class Session:
         #: withdrawn), used by the router to decide whether a withdrawal
         #: needs to be sent at all.
         self.advertised: set[IPv4Prefix] = set()
-        #: count of updates put on the wire (for tests and diagnostics).
-        self.sent_updates = 0
         #: fault injection: probability that a delivered message is lost
         #: (dropped on arrival) or duplicated (processed twice). Both are
         #: 0.0 outside fault drills; the RNG is only consulted when a
@@ -285,7 +283,6 @@ class Session:
             delay = latency + jitter * random()
             deliver_at = max(now + delay, self._last_delivery + 1e-6)
             self._last_delivery = deliver_at
-            self.sent_updates += 1
             if telemetry.enabled:
                 self._updates_sent_counter.inc()
                 telemetry.emit(
@@ -376,8 +373,8 @@ class Session:
         deadline there are no pending updates and no running timer, so
         the effective MRAI, delivery epoch, advertised set, and
         delivery/loss bookkeeping are the whole state: ⟨mrai, epoch,
-        advertised (sorted), sent_updates, last_delivery, loss_prob,
-        dup_prob, closed⟩, a tuple because a snapshot holds one per
+        advertised (sorted), last_delivery, loss_prob, dup_prob,
+        closed⟩, a tuple because a snapshot holds one per
         session direction (an empty advertised set becomes the
         interpreter's one empty tuple). Raises if the session still has
         a running timer or pending updates (the caller snapshotted a
@@ -392,7 +389,6 @@ class Session:
             self.mrai,
             self.epoch,
             tuple(sorted(self.advertised)),
-            self.sent_updates,
             self._last_delivery,
             self.loss_prob,
             self.dup_prob,
@@ -413,7 +409,6 @@ class Session:
             self.mrai,
             self.epoch,
             advertised,
-            self.sent_updates,
             self._last_delivery,
             self.loss_prob,
             self.dup_prob,

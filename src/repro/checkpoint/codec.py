@@ -66,7 +66,7 @@ from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Prefix
 
 #: bumped on incompatible snapshot layout changes
-SNAPSHOT_SCHEMA = "repro.checkpoint/2"
+SNAPSHOT_SCHEMA = "repro.checkpoint/3"
 
 
 _NODE = attrgetter("node_id")

@@ -29,6 +29,7 @@ shared block               what the body gets
                            prints the catalogue and exits
 ``TELEMETRY``              the ``--trace`` / ``--metrics`` / ``--profile``
                            session around the body
+``METRICS``                the ``--metrics`` session alone
 =========================  ==============================================
 
 The gate (:func:`gate`) is the semantic pre-flight validator
@@ -177,18 +178,20 @@ WORKERS = Group(
          help="suppress the sweep progress line on stderr"),
 )
 TRACE_FILE = Flag("path", help="JSONL trace file (from --trace PATH)")
+_METRICS = Flag("--metrics", action="store_true",
+                help="print counters and timing histograms after the run")
 TELEMETRY = Group(
     "observability",
     Flag("--trace", metavar="PATH", default=None,
          help="write a JSONL trace of the run's events to PATH"),
-    Flag("--trace-limit", type=positive_int, default=None, metavar="N",
-         help="bound the trace to the newest N events (ring buffer)"),
-    Flag("--metrics", action="store_true",
-         help="print counters and timing histograms after the run"),
+    _METRICS,
     Flag("--profile", metavar="PATH", default=None,
          help="write per-event-kind wall-clock attribution to PATH as JSON "
               "(inspect with 'repro profile PATH')"),
 )
+#: the observability block of a command that schedules no event (``lint``,
+#: ``verify``): a trace or profile of it would be empty
+METRICS = Group("observability", _METRICS)
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,8 @@ class Command:
         for flag in self.flags:
             if isinstance(flag, Catalogue):
                 ctx.select, ctx.ignore = flag.codes(args)
-        with telemetry_session(args) if TELEMETRY in self.flags else nullcontext():
+        observed = TELEMETRY in self.flags or METRICS in self.flags
+        with telemetry_session(args) if observed else nullcontext():
             for flag in self.flags:
                 if isinstance(flag, Document):
                     setattr(ctx, flag.dest, load(flag.dest, getattr(args, flag.dest)))
@@ -502,10 +506,13 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[telemetry.Telemetry 
 
     Yields the live :class:`~repro.telemetry.Telemetry` (or None when
     none of the ``TELEMETRY`` block's ``--trace``, ``--metrics`` and
-    ``--profile`` was given). On exit the trace is written to the
-    requested path and the metrics dump printed.
+    ``--profile`` was given; a ``METRICS`` row has only ``--metrics``).
+    On exit the trace is written to the requested path and the metrics
+    dump printed.
     """
-    trace_path, profile_path, want_metrics = args.trace, args.profile, args.metrics
+    options = vars(args)
+    trace_path, profile_path = options.get("trace"), options.get("profile")
+    want_metrics = args.metrics
     if trace_path is None and profile_path is None and not want_metrics:
         yield None
         return
@@ -514,7 +521,7 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[telemetry.Telemetry 
         if path is not None:
             claim_output(path, label)
     if trace_path is not None:
-        tracer = telemetry.TraceRecorder(capacity=args.trace_limit)
+        tracer = telemetry.TraceRecorder()
     from repro.obs.profiler import EventProfiler, watch_collector
 
     profiler = EventProfiler() if profile_path is not None else None
@@ -524,11 +531,6 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[telemetry.Telemetry 
     if tracer is not None:
         count = tracer.write_jsonl(trace_path)
         logger.info("wrote %d trace events to %s", count, trace_path)
-        if tracer.dropped:
-            logger.warning(
-                "trace ring buffer evicted %d events (kept the newest %d)",
-                tracer.dropped, len(tracer),
-            )
     if profiler is not None:
         with open(profile_path, "w") as handle:
             json.dump(profiler.state(), handle, indent=2, sort_keys=True)

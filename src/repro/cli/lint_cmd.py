@@ -16,7 +16,7 @@ from repro.analysis import (
     render_text,
     resolve_codes,
 )
-from repro.cli.common import TELEMETRY, Catalogue, Command, Flag, Prologue
+from repro.cli.common import METRICS, Catalogue, Command, Flag, Prologue
 
 
 def _rule_lines():
@@ -40,6 +40,6 @@ COMMAND = Command(
         Flag("paths", nargs="*", default=["src"],
              help="files or directories to lint (default: src)"),
         Catalogue("rule", _rule_lines, resolve_codes, inputs="paths"),
-        TELEMETRY,
+        METRICS,
     ),
 )

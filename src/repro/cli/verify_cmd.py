@@ -18,7 +18,7 @@ from repro.analysis.preflight import check_run_shape
 from repro.cli.common import (
     FAULTS,
     PREPEND,
-    TELEMETRY,
+    METRICS,
     Catalogue,
     Command,
     Flag,
@@ -97,6 +97,6 @@ COMMAND = Command(
              help="also report opportunity-cost findings (VER212/VER223) "
                   "that flag lost control rather than misconfiguration"),
         Catalogue("check", _check_lines, resolve_codes, inputs="worlds"),
-        TELEMETRY,
+        METRICS,
     ),
 )

@@ -72,8 +72,7 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
                 break
         print(f"first {len(shown)} arrival(s) (seed {args.seed}):")
         for request in shown:
-            print(f"  t={request.t:9.3f}s  client={request.client:12s} "
-                  f"content={request.content}")
+            print(f"  t={request.t:9.3f}s  client={request.client}")
         print(f"stream digest (full window): {stream_digest(stream)}")
     return 0
 

@@ -37,7 +37,6 @@ them and for the prober.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection
 
@@ -51,11 +50,6 @@ if TYPE_CHECKING:
 
 #: Packets are dropped after this many AS hops (transient loops).
 MAX_HOPS = 64
-
-#: Newest drops kept for diagnostics; long sweeps churn out drops
-#: indefinitely, so the log is a ring buffer (totals live in the
-#: ``dataplane.drops`` telemetry counter, never truncated).
-DROP_LOG_LIMIT = 1024
 
 
 class DropReason(enum.Enum):
@@ -164,11 +158,6 @@ class ForwardingPlane:
     def __init__(self, network: BgpNetwork, topology: Topology) -> None:
         self.network = network
         self.topology = topology
-        #: the newest dropped forwards, for diagnostics (ring buffer;
-        #: ``dropped_total`` keeps the full count)
-        self.drops: deque[ForwardResult] = deque(maxlen=DROP_LOG_LIMIT)
-        #: every drop ever recorded, evicted or not
-        self.dropped_total = 0
         self._telemetry = telemetry_registry.current()
         #: flights in the air, in forward order (landing order on ties)
         self._flights: dict[_Flight, None] = {}
@@ -392,13 +381,10 @@ class ForwardingPlane:
     def finish(
         self, result: ForwardResult, on_complete: Callable[[ForwardResult], None]
     ) -> None:
-        """A forward ended as ``result``: keep the drop log, then tell
+        """A forward ended as ``result``: count a drop, then tell
         ``on_complete``."""
-        if not result.delivered:
-            self.drops.append(result)
-            self.dropped_total += 1
-            if self._telemetry.enabled:
-                self._telemetry.inc("dataplane.drops")
+        if not result.delivered and self._telemetry.enabled:
+            self._telemetry.inc("dataplane.drops")
         on_complete(result)
 
     # ------------------------------------------------------------------

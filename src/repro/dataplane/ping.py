@@ -158,7 +158,7 @@ class Prober:
     ) -> None:
         """The one writer of a reply's fate, for a landing and the quiet
         pass alike (both reach it through :meth:`ForwardingPlane.finish`,
-        which keeps the drop log)."""
+        which counts the drop)."""
         self._flights.pop(probe.seq, None)
         self.replies += 1
         telemetry = self._telemetry

@@ -113,6 +113,8 @@ def _run_one(
     want_profile: bool = False,
 ) -> tuple[str, Any, str | None, float, CellTelemetry | None]:
     """Run one cell under a private telemetry backend (worker side)."""
+    tracer: TraceRecorder | None = None
+    backend: telemetry_registry.Telemetry | None = None
     profiler = None
     watch = nullcontext()
     if collect:
@@ -124,14 +126,10 @@ def _run_one(
 
             profiler = EventProfiler()
             watch = watch_collector(profiler)
-        backend: telemetry_registry.Telemetry | telemetry_registry.NullTelemetry
         backend = telemetry_registry.Telemetry(tracer=tracer, profiler=profiler)
-    else:
-        tracer = None
-        backend = telemetry_registry.NULL
     # Install explicitly (not `using`): a fork-inherited parent backend
     # must never be written from the worker, success or failure.
-    telemetry_registry.install(backend)
+    telemetry_registry.install(backend or telemetry_registry.NULL)
     start = time.perf_counter()  # repro: noqa[DET004]
     try:
         with watch:
@@ -143,7 +141,7 @@ def _run_one(
         telemetry_registry.reset()
     wall_s = time.perf_counter() - start  # repro: noqa[DET004]
     cell_telemetry = None
-    if collect:
+    if backend is not None:
         cell_telemetry = CellTelemetry(
             cell=cell_id,
             snapshot=backend.mergeable_snapshot(),

@@ -5,7 +5,8 @@ Three cooperating pieces:
 * :mod:`repro.telemetry.metrics` -- counters, gauges, and streaming
   histograms (p50/p95/p99 without storing samples);
 * :mod:`repro.telemetry.trace` -- typed trace events stamped with
-  simulated time, a bounded/unbounded recorder, and JSONL persistence;
+  simulated time, a recorder that keeps a run's every event, and JSONL
+  persistence;
 * :mod:`repro.telemetry.registry` -- the process-wide active backend.
   Components capture :func:`current` at construction; when telemetry is
   disabled they hold the shared :data:`NULL` backend and every
@@ -59,7 +60,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SiteFailed": ".trace",
     "SiteSwitched": ".trace",
     "TraceEvent": ".trace",
-    "TraceMeta": ".trace",
     "TraceRecorder": ".trace",
     "event_from_dict": ".trace",
     "read_jsonl": ".trace",

@@ -70,14 +70,6 @@ class NullTelemetry:
     def tag_phase(self, **tags) -> None:
         pass
 
-    def snapshot(self) -> dict:
-        return {"enabled": False, "counters": {}, "gauges": {}, "histograms": {}}
-
-    def mergeable_snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        pass
 
 
 #: the shared disabled backend
@@ -197,27 +189,12 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Reporting
 
-    def snapshot(self) -> dict:
-        """A plain-data view of every instrument (JSON-serializable)."""
-        return {
-            "enabled": True,
-            "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "gauges": {
-                name: {"value": g.value, "max": g.max_value}
-                for name, g in sorted(self.gauges.items())
-            },
-            "histograms": {
-                name: h.summary() for name, h in sorted(self.histograms.items())
-            },
-        }
-
     def mergeable_snapshot(self) -> dict:
         """A plain-data view that survives a process boundary and merges.
 
-        Unlike :meth:`snapshot` (which summarizes histograms down to a
-        few quantiles), this keeps the full bucket state so a parent
-        process can fold many workers' registries together without
-        losing fidelity. Feed the result to :meth:`merge_snapshot`.
+        It keeps each histogram's full bucket state, so a parent process
+        can fold many workers' registries together without losing
+        fidelity. Feed the result to :meth:`merge_snapshot`.
         """
         return {
             "counters": {name: c.value for name, c in sorted(self.counters.items())},
@@ -258,10 +235,7 @@ class Telemetry:
                 f"p50={s['p50']:.3g} p95={s['p95']:.3g} p99={s['p99']:.3g}"
             )
         if self.tracer is not None:
-            lines.append(
-                f"{'trace.events':44s} {len(self.tracer)}"
-                + (f" (+{self.tracer.dropped} evicted)" if self.tracer.dropped else "")
-            )
+            lines.append(f"{'trace.events':44s} {len(self.tracer)}")
         return "\n".join(lines)
 
 

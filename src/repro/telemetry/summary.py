@@ -23,7 +23,6 @@ from repro.telemetry.trace import (
     SiteFailed,
     SiteSwitched,
     TraceEvent,
-    TraceMeta,
 )
 
 
@@ -166,8 +165,6 @@ class TraceSummary:
     #: chaos: faults fired / skipped by an armed plan
     faults_injected: int = 0
     faults_skipped: int = 0
-    #: events the recorder's ring buffer evicted before the write
-    dropped_events: int = 0
 
 
 def filter_events(
@@ -202,12 +199,9 @@ def filter_events(
 def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
     summary = TraceSummary()
     summary.total_events = len(events)
-    # TraceMeta is bookkeeping prepended at write time (t is not a
-    # simulated timestamp), so it stays out of the time range.
-    times = [event.t for event in events if not isinstance(event, TraceMeta)]
-    if times:
-        summary.t_first = min(times)
-        summary.t_last = max(times)
+    if events:
+        summary.t_first = min(event.t for event in events)
+        summary.t_last = max(event.t for event in events)
     for event in events:
         summary.kinds[event.kind] += 1
         if isinstance(event, PhaseEnd):
@@ -221,8 +215,6 @@ def summarize_trace(events: list[TraceEvent]) -> TraceSummary:
             summary.replies_by_site[event.site] += 1
         elif isinstance(event, ProbeLost):
             summary.losses_by_reason[event.reason] += 1
-        elif isinstance(event, TraceMeta):
-            summary.dropped_events += event.dropped
     # The per-kind totals are read off the kind tally, not counted twice.
     kinds = summary.kinds
     summary.probes_sent = kinds[ProbeSent.kind]
@@ -242,11 +234,6 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
         f"{summary.total_events} events over simulated "
         f"[{summary.t_first:.1f}s, {summary.t_last:.1f}s]"
     )
-    if summary.dropped_events:
-        lines.append(
-            f"  (ring buffer evicted {summary.dropped_events} earlier events "
-            "before the write -- totals below undercount)"
-        )
 
     lines.append("")
     lines.append("events by kind:")

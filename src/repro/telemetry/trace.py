@@ -7,18 +7,13 @@ when each router's FIB moved, when the first reply surfaced at a
 surviving site. Events serialize to one JSON object per line (JSONL) and
 parse back into the same dataclasses, so traces survive a process
 boundary (``repro failover --trace out.jsonl`` then ``repro trace
-summarize out.jsonl``).
-
-The recorder has two storage modes: unbounded (experiments that will be
-exported) and a bounded ring buffer that keeps only the newest N events
-(long soak runs where only the recent past matters); evicted events are
-counted, never silently forgotten.
+summarize out.jsonl``). The recorder keeps every event of the run, so
+a trace file is always the complete run.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator, Type, TypeVar
@@ -395,20 +390,6 @@ def split_runs(events: Iterable[TraceEvent]) -> Iterator[tuple[Run, TraceEvent]]
         yield run, event
 
 
-@_register
-@dataclass(frozen=True, slots=True)
-class TraceMeta(TraceEvent):
-    """Recorder bookkeeping written as the first line of a JSONL trace
-    whose ring buffer evicted events: ``recorded`` counts everything the
-    run emitted, ``dropped`` how many of those the file is missing. A
-    trace without this line is complete."""
-
-    kind: ClassVar[str] = "trace_meta"
-
-    recorded: int = 0
-    dropped: int = 0
-
-
 def event_from_dict(data: dict) -> TraceEvent:
     """Rebuild a typed event from its JSONL dictionary; a record that is
     not an object of a known ``kind`` with every field that has no
@@ -427,61 +408,26 @@ def event_from_dict(data: dict) -> TraceEvent:
 
 
 class TraceRecorder:
-    """Collects trace events, optionally in a bounded ring buffer.
+    """Collects every trace event of a run, in emission order."""
 
-    ``capacity=None`` keeps everything; a positive capacity keeps only
-    the newest ``capacity`` events and counts the evicted ones in
-    :attr:`dropped`.
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
-        self.capacity = capacity
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        #: total events ever recorded (including evicted ones)
-        self.recorded = 0
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
 
     def record(self, event: TraceEvent) -> None:
-        self._events.append(event)
-        self.recorded += 1
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        return list(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted by the ring buffer."""
-        return self.recorded - len(self._events)
+        self.events.append(event)
 
     def events_of(self, cls: Type[E]) -> list[E]:
-        return [e for e in self._events if isinstance(e, cls)]
-
-    def clear(self) -> None:
-        self._events.clear()
+        return [e for e in self.events if isinstance(e, cls)]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    # ------------------------------------------------------------------
-    # JSONL persistence
+        return iter(self.events)
 
     def write_jsonl(self, path: str | Path) -> int:
-        """Write one JSON object per event; returns the line count.
-
-        When the ring buffer evicted events, a :class:`TraceMeta` line
-        is prepended carrying the recorded/dropped totals, so a bounded
-        trace is never silently incomplete. Complete traces carry no
-        meta line and round-trip to exactly :attr:`events`.
-        """
-        if self.dropped:
-            meta = TraceMeta(t=0.0, recorded=self.recorded, dropped=self.dropped)
-            return write_jsonl(path, [meta, *self._events])
-        return write_jsonl(path, self._events)
+        """Write one JSON object per event; returns the line count."""
+        return write_jsonl(path, self.events)
 
 
 def write_jsonl(path: str | Path, events: Iterable[TraceEvent]) -> int:

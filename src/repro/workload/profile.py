@@ -3,7 +3,7 @@
 A :class:`WorkloadProfile` is pure data describing a synthetic client
 request workload -- how fast requests arrive (``base_rps`` modulated by
 a product of :class:`RateShape` factors), how popularity is skewed
-across client prefixes and content (Zipf exponents), and the accounting
+across client prefixes (a Zipf exponent), and the accounting
 parameters (``think_time_s``, ``tick_s``). It deliberately contains no
 randomness and no network references: the same profile object is shared
 by every ⟨technique, site⟩ cell of a sweep, pickled to worker processes
@@ -170,10 +170,6 @@ class WorkloadProfile:
     shapes: tuple[RateShape, ...] = ()
     #: Zipf exponent over client prefixes (popularity rank = list order)
     zipf_s: float = 0.9
-    #: Zipf exponent over the content catalogue
-    content_zipf_s: float = 0.8
-    #: size of the content catalogue (ids ``0 .. n_contents - 1``)
-    n_contents: int = 1000
     #: how long a failed request strands its user (the user-minutes-lost
     #: unit: each failed request costs ``think_time_s / 60`` user-minutes)
     think_time_s: float = 60.0
@@ -241,8 +237,6 @@ PROFILE_FIELDS = (
     Field("shapes", [SHAPE_FIELDS]),
     Field("zipf_s", lo=0, lo_open=True, code="PRE141",
           why="Zipf popularity needs a decaying rank weight"),
-    Field("content_zipf_s", lo=0, lo_open=True, code="PRE141"),
-    Field("n_contents", int, lo=1, code="PRE141"),
     Field("think_time_s", lo=0, lo_open=True, code="PRE142",
           why="user-minutes-lost would be zero or negative by construction"),
     Field("tick_s", lo=0, lo_open=True, code="PRE142"),

@@ -3,10 +3,9 @@
 :class:`RequestStream` never materializes the schedule: it draws one
 numpy chunk of arrivals at a time (:meth:`RequestStream.batches`), so a
 1M-request flash crowd costs the same memory as a 10-request one. The
-per-stream state is the generator, the two cumulative Zipf weight tables
-(O(clients) and O(catalogue)), the clients' bucket table (32 entries per
-client, rounded up to a power of two) and one chunk of
-:data:`CHUNK_CANDIDATES` candidates.
+per-stream state is the generator, the cumulative Zipf weight table
+over clients, its bucket table (32 entries per client, rounded up to a
+power of two) and one chunk of :data:`CHUNK_CANDIDATES` candidates.
 
 Arrivals are an inhomogeneous Poisson process drawn by thinning a
 homogeneous one at the profile's envelope rate ``max_rate()``, a chunk
@@ -20,15 +19,13 @@ network state. ``tests/stream_oracle.py`` keeps the per-candidate loop
 the stream is tested against as a distribution, and the ``getrandbits``
 draw it is tested against bit for bit.
 
-Popularity: clients and contents are ranked by list position and
-sampled from Zipf(``zipf_s``) / Zipf(``content_zipf_s``): the first
-entry of a precomputed cumulative-weight table above a 32-bit word's
-fraction of the total, read from a bucket table over the word's top
-bits (:class:`_Marks`) and searched only in the buckets a boundary
-splits. Content ids come from a second generator and are drawn only when
-a caller iterates requests: the engine reads times and clients only.
+Popularity: clients are ranked by list position and sampled from
+Zipf(``zipf_s``): the first entry of a precomputed cumulative-weight
+table above a 32-bit word's fraction of the total, read from a bucket
+table over the word's top bits (:class:`_Marks`) and searched only in
+the buckets a boundary splits.
 
-The stream owns dedicated generators: numpy ``MT19937``s that emit
+The stream owns a dedicated generator: a numpy ``MT19937`` that emits
 exactly the bits of ``random.Random(seed)`` (:class:`_Bits`; a chunk's
 16,382 words for the candidate times take about 68 µs, where
 ``getrandbits`` and ``int.to_bytes`` took 292 µs). It never touches the
@@ -62,24 +59,12 @@ CHUNK_CANDIDATES = 8192
 
 @dataclass(frozen=True, slots=True)
 class Request:
-    """One client request: when, from which client AS, for what."""
+    """One client request: when, and from which client AS."""
 
     #: seconds since the stream's epoch (the engine instant it started)
     t: float
     #: AS node id of the aggregated client prefix issuing the request
     client: str
-    #: content id (Zipf catalogue rank, 0 = most popular)
-    content: int
-
-
-def zipf_cumulative(n: int, s: float) -> list[float]:
-    """Cumulative Zipf weights for ranks 1..n (weight ``rank ** -s``)."""
-    total = 0.0
-    out: list[float] = []
-    for rank in range(1, n + 1):
-        total += rank ** -s
-        out.append(total)
-    return out
 
 
 def client_weight_table(
@@ -233,9 +218,6 @@ class RequestStream:
                 f"workload profile {profile.name!r}: client weights must be non-negative "
                 "and not all zero (check surge_weight against the clients' regions)"
             )
-        self._content_cum = np.array(
-            zipf_cumulative(max(1, profile.n_contents), profile.content_zipf_s)
-        )
         self._client_marks = _Marks(self._client_cum)
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -270,12 +252,9 @@ class RequestStream:
 
     def __iter__(self) -> Iterator[Request]:
         clients = self.clients
-        contents = _Bits(f"contents/{self.seed}")
-        content_marks = _Marks(self._content_cum)
         for times, indices in self.batches():
-            marks = content_marks(contents.words(times.size))
-            for t, index, content in zip(times.tolist(), indices.tolist(), marks.tolist()):
-                yield Request(t=t, client=clients[index], content=content)
+            for t, index in zip(times.tolist(), indices.tolist()):
+                yield Request(t=t, client=clients[index])
 
 
 def stream_digest(requests: Iterable[Request]) -> str:
@@ -287,8 +266,6 @@ def stream_digest(requests: Iterable[Request]) -> str:
     crc = 0
     count = 0
     for request in requests:
-        crc = zlib.crc32(
-            f"{request.t!r}/{request.client}/{request.content}\n".encode(), crc
-        )
+        crc = zlib.crc32(f"{request.t!r}/{request.client}\n".encode(), crc)
         count += 1
     return f"{count}:{crc:08x}"

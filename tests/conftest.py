@@ -53,6 +53,11 @@ def withdrawal(sender, prefix) -> Update:
     return Update(sender, prefix, None, 0)
 
 
+def counter_values(telemetry) -> dict[str, int]:
+    """A live telemetry's counters, name -> value."""
+    return {name: counter.value for name, counter in telemetry.counters.items()}
+
+
 def install_fib(network, node, prefix, next_hop) -> None:
     """Point ``node``'s FIB entry for ``prefix`` at ``next_hop`` (``node``
     itself: delivered there; None: no entry) the way the router does --

@@ -8,8 +8,8 @@ code verbatim, as the reference the flight is held to
 (``tests/test_forwarding_flight.py`` is the only caller):
 
 * :class:`HopChainPlane` -- ``forward``, ``_hop`` and ``snapshot_path``,
-  bodies unchanged, on top of the current plane (the static direction,
-  ``finish`` and the drop log are shared);
+  bodies unchanged, on top of the current plane (the static direction
+  and ``finish`` are shared);
 * :class:`HopChainProber` -- ``probe_once`` ending in the scheduled
   ``_reply``, and ``_reply`` itself;
 * :func:`forward_after` -- the one-event departure ``_reply`` made, for

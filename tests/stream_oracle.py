@@ -2,24 +2,25 @@
 
 This is ``RequestStream.__iter__`` as it stood before the stream was
 chunked into numpy arrays, moved here verbatim: one ``expovariate`` and
-one acceptance uniform per candidate, two ``bisect_left`` lookups per
+one acceptance uniform per candidate, one ``bisect_left`` lookup per
 accepted arrival -- thinning spelled out one candidate at a time.
 ``RequestStream`` draws the same marked Poisson process a chunk at a
 time from other uniforms, so the two agree in distribution, not value
 for value: ``TestDrawnProcess`` in ``test_workload_stream.py`` holds
-both to the same Poisson, client and content checks.
+both to the same Poisson and client checks.
 
 The loop is also the stream every record taken before that change was
 taken on. :class:`LoopStream` serves it in the chunk shape the engine
 reads, so those records (the per-request engine's surge ticks, the seed
-tag accounts) still replay value for value.
+tag accounts) still replay value for value. It was taken when a request
+also carried a content id, so an accepted arrival still spends the one
+uniform that id took: without it every later arrival would move.
 
-:func:`bigint_batches` and :func:`bigint_contents` are the chunked
-stream as it drew its bits before they came from numpy's ``MT19937``:
-``random.Random.getrandbits`` turned into bytes. The stream must equal
-them bit for bit, array for array. They pick clients and contents
-with a plain ``searchsorted`` (:func:`_marks`), the search the stream's
-bucket table answers without.
+:func:`bigint_batches` is the chunked stream as it drew its bits before
+they came from numpy's ``MT19937``: ``random.Random.getrandbits`` turned
+into bytes. The stream must equal it bit for bit, array for array. It
+picks clients with a plain ``searchsorted`` (:func:`_marks`), the search
+the stream's bucket table answers without.
 """
 
 import random
@@ -28,12 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.workload.stream import (
-    CHUNK_CANDIDATES,
-    Request,
-    client_weight_table,
-    zipf_cumulative,
-)
+from repro.workload.stream import CHUNK_CANDIDATES, Request, client_weight_table
 
 
 def scalar_requests(profile, clients, duration, seed, regions=None) -> Iterator[Request]:
@@ -46,8 +42,6 @@ def scalar_requests(profile, clients, duration, seed, regions=None) -> Iterator[
     rate = profile.rate
     client_cum = client_weight_table(profile, clients, regions)
     client_total = client_cum[-1]
-    content_cum = zipf_cumulative(max(1, profile.n_contents), profile.content_zipf_s)
-    content_total = content_cum[-1]
     uniform = rng.random
     expovariate = rng.expovariate
     t = 0.0
@@ -61,8 +55,8 @@ def scalar_requests(profile, clients, duration, seed, regions=None) -> Iterator[
         if uniform() * rate_max > rate(t):
             continue
         client = clients[bisect_left(client_cum, uniform() * client_total)]
-        content = bisect_left(content_cum, uniform() * content_total)
-        yield Request(t=t, client=client, content=content)
+        uniform()  # the content id's draw (module docstring)
+        yield Request(t=t, client=client)
 
 
 class LoopStream:
@@ -126,9 +120,3 @@ def bigint_batches(stream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield times, _marks(stream._client_cum, _fractions(rng, times.size))
         start = float(t[-1])
 
-
-def bigint_contents(stream) -> Iterator[np.ndarray]:
-    """The content ids ``iter(stream)`` must draw for each chunk."""
-    rng = random.Random(f"contents/{stream.seed}")
-    for times, _ in bigint_batches(stream):
-        yield _marks(stream._content_cum, _fractions(rng, times.size))

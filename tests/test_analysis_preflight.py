@@ -25,6 +25,8 @@ from repro.topology.testbed import build_deployment
 
 import random
 
+from tests.conftest import counter_values
+
 
 @pytest.fixture(scope="module")
 def deployment():
@@ -215,7 +217,7 @@ class TestPreflightRun:
     def test_findings_reach_telemetry_counters(self, deployment):
         with telemetry.using(telemetry.Telemetry()) as active:
             preflight_run(deployment, events=[("recover", "sea1", 60.0)])
-            snapshot = active.snapshot()
-        assert snapshot["counters"]["analysis.preflight.findings"] == 1
-        assert snapshot["counters"]["analysis.preflight.errors"] == 1
-        assert snapshot["counters"]["analysis.finding.PRE105"] == 1
+        counters = counter_values(active)
+        assert counters["analysis.preflight.findings"] == 1
+        assert counters["analysis.preflight.errors"] == 1
+        assert counters["analysis.finding.PRE105"] == 1

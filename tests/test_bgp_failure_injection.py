@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import telemetry
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.net.addr import IPv4Address, IPv4Prefix
+from repro.telemetry.trace import BgpUpdateSent, RootCause
 
 from tests.conftest import FAST_TIMING, build_line_network
 
@@ -134,15 +136,18 @@ class TestNodeFailure:
 
 class TestSessionTeardownSemantics:
     def test_closed_session_sends_nothing(self):
-        net = build_line_network(3)
+        tracer = telemetry.TraceRecorder()
+        with telemetry.using(telemetry.Telemetry(tracer=tracer)):
+            net = build_line_network(3)
         net.announce("r0", PFX)
         net.converge()
-        session = net.router("r1").sessions["r2"]
-        before = session.sent_updates
-        session.closed = True
+        net.router("r1").sessions["r2"].closed = True
+        tracer.events.clear()
         net.withdraw("r0", PFX)
         net.converge()
-        assert session.sent_updates == before
+        sent = {(e.sender, e.receiver) for e in tracer.events_of(BgpUpdateSent)}
+        assert ("r0", "r1") in sent and ("r1", "r2") not in sent
+        assert net.router("r2").best_route(PFX) is not None  # the withdrawal never came
 
     def test_remove_unknown_session_rejected(self):
         net = build_line_network(2)
@@ -156,9 +161,6 @@ class TestNodeFailureProvenance:
         adjacency, fragmenting a single crash into N unrelated chains.
         All link teardowns and their downstream updates must share one
         ``node-down`` root."""
-        from repro import telemetry
-        from repro.telemetry.trace import BgpUpdateSent, RootCause
-
         tracer = telemetry.TraceRecorder()
         with telemetry.using(telemetry.Telemetry(tracer=tracer)):
             net = diamond()
@@ -195,10 +197,13 @@ class TestStaleMraiTimerAcrossReset:
         session's pending updates when it fires (seed chosen so the
         stale timer expires well before the legitimate one)."""
         timing = SessionTiming(latency=0.05, jitter=0.0, mrai=10.0, busy_prob=0.0)
-        net = BgpNetwork(seed=9, default_timing=timing)
-        net.add_router("a", 1)
-        net.add_router("b", 2)
-        net.add_peering("a", "b")
+        active = telemetry.Telemetry()
+        with telemetry.using(active):
+            net = BgpNetwork(seed=9, default_timing=timing)
+            net.add_router("a", 1)
+            net.add_router("b", 2)
+            net.add_peering("a", "b")
+        sent = active.counter("bgp.updates_sent")
 
         def mrai_timers():
             return sorted(
@@ -216,9 +221,9 @@ class TestStaleMraiTimerAcrossReset:
         assert stale < fresh[0] - 0.5, "seed no longer orders the timers; pick another"
         session = net.router("a").sessions["b"]
         assert session._pending
-        sent_before = session.sent_updates
+        sent_before = sent.value
         net.engine.run_until(stale + 0.1)   # stale timer fires here
-        assert session.sent_updates == sent_before
+        assert sent.value == sent_before
         assert session._pending and session._mrai_running
         assert net.router("b").best_route(PFX2) is None
         net.converge()

@@ -8,7 +8,7 @@ from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.net.addr import IPv4Address, IPv4Prefix
 
-from tests.conftest import build_line_network
+from tests.conftest import build_line_network, counter_values
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 ADDR = IPv4Address.parse("184.164.244.10")
@@ -74,8 +74,8 @@ class TestConstruction:
             net.add_peering("a", "b")
         net.announce("a", PFX)
         net.converge()
-        assert built.snapshot()["counters"]["bgp.updates_sent"] == 1
-        assert later.snapshot()["counters"] == {}
+        assert counter_values(built)["bgp.updates_sent"] == 1
+        assert counter_values(later) == {}
 
 
 class TestControlSurface:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.bgp.engine import EventEngine
 from repro.bgp.policy import Relationship
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, Session, SessionTiming
@@ -64,11 +65,13 @@ class TestDelivery:
         assert paths == sorted(paths)
 
     def test_sent_updates_counter(self):
-        engine, session, _ = make_session(SessionTiming(mrai=0.0))
+        active = telemetry.Telemetry()
+        with telemetry.using(active):
+            engine, session, received = make_session(SessionTiming(mrai=0.0))
         session.send(*ann())
         session.send(*wd())
         engine.run_until_idle()
-        assert session.sent_updates == 2
+        assert active.counters["bgp.updates_sent"].value == len(received) == 2
 
 
 class TestMraiCoalescing:

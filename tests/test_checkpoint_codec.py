@@ -107,7 +107,6 @@ def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
                 max(session._mrai_until, now),
                 session._expiry_queued,
                 session._last_delivery,
-                session.sent_updates,
                 session.loss_prob,
                 session.dup_prob,
             )

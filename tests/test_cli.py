@@ -434,22 +434,6 @@ class TestTelemetryFlags:
         assert "bgp.updates_sent" in out
         assert out.index("failover:") < out.index("bgp.updates_sent")
 
-    def test_trace_limit_bounds_recorder(self, capsys, tmp_path):
-        trace = tmp_path / "bounded.jsonl"
-        code = main([
-            "failover", "-t", "anycast", "-s", "msn",
-            "--targets", "4", "--duration", "60",
-            "--trace", str(trace), "--trace-limit", "50",
-        ])
-        assert code == 0
-        lines = [l for l in trace.read_text().splitlines() if l.strip()]
-        # 50 retained events plus the trace_meta line reporting the drops.
-        assert len(lines) == 51
-        meta = json.loads(lines[0])
-        assert meta["kind"] == "trace_meta"
-        assert meta["dropped"] > 0
-        assert meta["recorded"] == meta["dropped"] + 50
-
     def test_summarize_missing_file(self, capsys, tmp_path):
         assert main(["trace", "summarize", str(tmp_path / "missing.jsonl")]) == 2
 

@@ -1,12 +1,9 @@
 """Tests for FIB-driven forwarding (static and event-driven)."""
 
 
+from repro import telemetry
 from repro.bgp.policy import Relationship
-from repro.dataplane.forwarding import (
-    DROP_LOG_LIMIT,
-    DropReason,
-    ForwardingPlane,
-)
+from repro.dataplane.forwarding import DropReason, ForwardingPlane
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology, TopologyParams
 from repro.topology.geo import Location
@@ -88,7 +85,7 @@ class TestEventDrivenForward:
         plane.forward("r3", ADDR, results.append)
         net.converge()
         assert not results[0].delivered
-        assert plane.drops
+        assert results[0].drop_reason is DropReason.NO_ROUTE
 
     def test_stable_loop_dropped_as_loop(self):
         """A packet caught in a *stable* loop (every revisited FIB entry
@@ -149,17 +146,18 @@ class TestEventDrivenForward:
         net.converge()
         assert results[0].delivered_to == "r1"
 
-    def test_drop_log_bounded_under_churn(self):
-        """Long sweeps churn out drops forever; the diagnostic log is a
-        ring buffer while the totals keep counting."""
-        topo, net, plane = make_plane(2)  # no route announced: every
-        results = []                      # forward is a NO_ROUTE drop
-        for _ in range(DROP_LOG_LIMIT + 100):
+    def test_drops_under_churn_are_all_counted(self):
+        """Long sweeps churn out drops forever; each forward reports its
+        own and the ``dataplane.drops`` counter counts them all."""
+        # no route announced: every forward is a NO_ROUTE drop
+        with telemetry.using(telemetry.Telemetry()) as active:
+            topo, net, plane = make_plane(2)
+        results = []
+        for _ in range(1124):
             plane.forward("r1", ADDR, results.append)
         net.converge()
-        assert len(results) == DROP_LOG_LIMIT + 100
-        assert plane.dropped_total == DROP_LOG_LIMIT + 100
-        assert len(plane.drops) == DROP_LOG_LIMIT
+        assert [r.drop_reason for r in results] == [DropReason.NO_ROUTE] * 1124
+        assert active.counters["dataplane.drops"].value == 1124
 
     def test_packet_rerouted_mid_flight(self):
         """A packet in flight follows whatever FIBs say at each hop: if

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.dataplane.forwarding import DROP_LOG_LIMIT, ForwardingPlane
+from repro import telemetry
+from repro.dataplane.forwarding import ForwardingPlane
 from repro.dataplane.ping import Prober
 from repro.topology.generator import generate_topology
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
 
-from tests.conftest import FAST_TIMING, SMALL_PARAMS
+from tests.conftest import FAST_TIMING, SMALL_PARAMS, counter_values
 from repro.topology.testbed import SiteSpec
 
 
@@ -71,7 +72,6 @@ class TestProbing:
         assert [(p.site, p.reply_at, p.reason) for p in records(prober)] == [
             (None, None, "no-route")
         ] * len(targets)
-        assert prober.plane.dropped_total == len(targets)
 
     def test_dead_site_loses_replies(self, small_deployment):
         net, prober, targets = start_probing(small_deployment, ["west"])
@@ -83,17 +83,18 @@ class TestProbing:
             (None, "dead-site")
         ] * len(targets)
 
-    def test_lost_reply_log_is_bounded_but_the_count_is_not(self, small_deployment):
-        """The drop ring is stated once, on the plane; every lost probe
-        still says why in its own record."""
-        net, prober, targets = start_probing(small_deployment, [])
-        (addr, node), *_ = targets.items()
-        for _ in range(DROP_LOG_LIMIT + 5):
-            prober.probe_once(addr, node)
-        net.converge()
-        assert len(prober.plane.drops) == DROP_LOG_LIMIT
-        assert prober.plane.dropped_total == DROP_LOG_LIMIT + 5
-        assert [p.reason for p in records(prober)] == ["no-route"] * (DROP_LOG_LIMIT + 5)
+    def test_every_lost_reply_says_why_and_is_counted(self, small_deployment):
+        """A lost probe says why in its own record, and the plane's
+        ``dataplane.drops`` counter counts every drop."""
+        with telemetry.using(telemetry.Telemetry()) as active:
+            net, prober, targets = start_probing(small_deployment, [])
+            (addr, node), *_ = targets.items()
+            for _ in range(1029):
+                prober.probe_once(addr, node)
+            net.converge()
+        assert [p.reason for p in records(prober)] == ["no-route"] * 1029
+        counters = counter_values(active)
+        assert counters["dataplane.drops"] == counters["probe.replies_lost"] == 1029
 
     def test_start_paces_probes(self, small_deployment):
         net, prober, targets = start_probing(small_deployment, ["west"])
@@ -126,8 +127,6 @@ class TestProbing:
         """The switch bookkeeping lives where the reply is recorded:
         under telemetry only, one ``site_switched`` per change of
         receiving site, emitted straight after its ``probe_reply``."""
-        from repro import telemetry
-
         tracer = telemetry.TraceRecorder()
         with telemetry.using(telemetry.Telemetry(tracer=tracer)) as active:
             net, prober, targets = start_probing(small_deployment, ["west"], n_targets=1)
@@ -141,7 +140,7 @@ class TestProbing:
             prober.probe_once(addr, node)
             net.converge()
         assert [p.site for p in prober.logs[addr].probes] == ["west", "east", "east"]
-        assert active.snapshot()["counters"]["probe.site_switches"] == 1
+        assert counter_values(active)["probe.site_switches"] == 1
         kinds = [e.kind for e in tracer.events if e.kind.startswith(("probe_", "site_"))]
         switch = kinds.index("site_switched")
         assert kinds.count("site_switched") == 1 and kinds[switch - 1] == "probe_reply"

@@ -1,12 +1,13 @@
 """Assorted edge cases pinned down late in development."""
 
 
+from repro import telemetry
 from repro.bgp.engine import EventEngine
 from repro.bgp.network import BgpNetwork
 from repro.net.addr import IPv4Prefix
 from repro.topology.testbed import PROBE_SOURCE
 
-from tests.conftest import FAST_TIMING, build_line_network
+from tests.conftest import FAST_TIMING, build_line_network, counter_values
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 
@@ -15,14 +16,15 @@ class TestIdempotentOrigination:
     def test_reannouncing_same_config_sends_nothing(self):
         """originate() with an unchanged config must not generate churn
         (the controller re-applies its whole target plan on every reaction)."""
-        net = build_line_network(3)
+        active = telemetry.Telemetry()
+        with telemetry.using(active):
+            net = build_line_network(3)
         net.announce("r0", PFX, prepend=2)
         net.converge()
-        session = net.router("r0").sessions["r1"]
-        before = session.sent_updates
+        before = active.counters["bgp.updates_sent"].value
         net.announce("r0", PFX, prepend=2)
         net.converge()
-        assert session.sent_updates == before
+        assert active.counters["bgp.updates_sent"].value == before
 
     def test_changing_prepend_reexports(self):
         net = build_line_network(3)
@@ -89,7 +91,6 @@ class TestProberEdges:
         """A target with no policy path from the vantage still gets its
         probe logged (so it shows up censored in the metrics): the
         record says why, nothing is scheduled, and the counters balance."""
-        from repro import telemetry
         from repro.core.metrics import target_outcome
         from repro.dataplane.forwarding import ForwardingPlane
         from repro.dataplane.ping import Prober
@@ -125,7 +126,7 @@ class TestProberEdges:
         assert prober.logs[reachable].probes[0].site == "sea1"
         outcome = target_outcome(log, "ams", 0.0)
         assert outcome.reconnection_s is None and not outcome.stabilized
-        counters = active.snapshot()["counters"]
+        counters = counter_values(active)
         unreachable = sum(
             1 for e in tracer.events if e.kind == "probe_lost" and e.reason == "unreachable"
         )

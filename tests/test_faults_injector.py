@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.bgp.engine import EventEngine
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
@@ -18,6 +19,7 @@ from repro.faults import (
     SessionReset,
 )
 from repro.net.addr import IPv4Prefix
+from repro.telemetry.trace import BgpUpdateSent
 
 from tests.conftest import FAST_TIMING, build_line_network, heard
 
@@ -104,12 +106,14 @@ class TestSessionReset:
         """A reopened session must not deliver the previous epoch's mail."""
         engine = EventEngine()
         delivered = []
+        active = telemetry.Telemetry()
         session = Session(
             engine, random.Random(0), "a", "b", Relationship.PEER,
             delivered.append, SessionTiming(latency=1.0, jitter=0.0, mrai=0.0),
+            telemetry=active,
         )
         session.send(PFX, heard("a", PFX, (1,)), 0)
-        assert session.sent_updates == 1
+        assert active.counters["bgp.updates_sent"].value == 1
         session.reopen()  # reset while the update is still in flight
         engine.run_until_idle()
         assert delivered == []
@@ -162,8 +166,10 @@ class TestMessageLoss:
         assert net.routers["r2"].sessions["r1"].loss_prob == 1.0
 
     def test_partial_loss_is_deterministic(self):
-        def run() -> list[int]:
-            net = build_line_network(4, seed=3)
+        def run() -> list[BgpUpdateSent]:
+            tracer = telemetry.TraceRecorder()
+            with telemetry.using(telemetry.Telemetry(tracer=tracer)):
+                net = build_line_network(4, seed=3)
             arm(net, MessageLoss(at=0.0, a="r1", b="r2", duration=60.0,
                                  loss_prob=0.4, dup_prob=0.2))
             net.run_for(1.0)
@@ -171,10 +177,10 @@ class TestMessageLoss:
             net.withdraw("r0", PFX)
             net.announce("r0", PFX)
             net.converge()
-            return [r.sessions[n].sent_updates
-                    for r in net.routers.values() for n in sorted(r.sessions)]
+            return tracer.events_of(BgpUpdateSent)
 
-        assert run() == run()
+        sent = run()
+        assert sent and sent == run()
 
 
 class TestFibDelay:

@@ -133,8 +133,6 @@ class TestAgainstTheHopChain:
 
         assert len(expected) == len(forwards)
         assert done == expected
-        assert list(plane.drops) == list(oracle.drops)
-        assert plane.dropped_total == oracle.dropped_total
         assert all(snapshots_agree)
         # Every flight landed; the plane listens on for its memo.
         assert not plane._flights and network.on_route_change == [plane._fib_written]

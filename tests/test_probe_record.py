@@ -26,6 +26,7 @@ from repro.core.techniques import (
 from repro.obs.ledger import AvailabilityLedger
 from repro.obs.profiler import EventProfiler
 
+from tests.conftest import counter_values
 from tests.probe_oracle import joined_outcome
 
 FIG2 = [Anycast(), ReactiveAnycast(), ProactivePrepending(3), ProactiveSuperprefix()]
@@ -84,7 +85,7 @@ def test_callback_census_of_one_forked_cell(deployment):
     profiler = EventProfiler()
     with telemetry.using(telemetry.Telemetry(profiler=profiler)) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
-    counters = active.snapshot()["counters"]
+    counters = counter_values(active)
     control_plane = ("Session.", "BgpRouter.", "CdnController.")
     data_plane = {
         name: count for name, (count, _) in profiler.callbacks.items()

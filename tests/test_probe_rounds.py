@@ -38,7 +38,7 @@ from repro.obs.profiler import EventProfiler, render_profile
 from repro.parallel import matrix, run_sweep
 from repro.topology.testbed import SPECIFIC_PREFIX
 
-from tests.conftest import install_fib
+from tests.conftest import counter_values, install_fib
 from tests.probe_oracle import TickProber
 
 #: the roster ``repro compare`` runs by default
@@ -53,8 +53,6 @@ class Observed:
     """Everything a run leaves that the prober's design must not move."""
 
     records: dict
-    drops: list
-    dropped_total: int
     events: list
     counters: dict
     #: replies the quiet pass wrote (0 for the oracle)
@@ -71,13 +69,11 @@ def observe(rig, tracer, active) -> Observed:
             event = replace(event, tags=tags)
         events.append(event)
     counters = {
-        name: value for name, value in active.snapshot()["counters"].items()
+        name: value for name, value in counter_values(active).items()
         if not name.startswith("engine.") and name != "probe.quiet"
     }
     return Observed(
         records={target: (log.request_latency, log.probes) for target, log in rig.prober.logs.items()},
-        drops=list(rig.plane.drops),
-        dropped_total=rig.plane.dropped_total,
         events=events,
         counters=counters,
         quiet=rig.prober.quiet,
@@ -86,8 +82,6 @@ def observe(rig, tracer, active) -> Observed:
 
 def assert_same(new: Observed, oracle: Observed) -> None:
     assert new.records == oracle.records
-    assert new.drops == oracle.drops
-    assert new.dropped_total == oracle.dropped_total
     assert new.events == oracle.events
     assert new.counters == oracle.counters
     assert oracle.quiet == 0
@@ -278,7 +272,7 @@ def test_a_settled_anycast_cell_takes_the_quiet_pass(deployment):
             FailoverConfig(probe_duration=60.0, targets_per_site=10),
             use_checkpoint=True,
         ).run_site(Anycast(), "msn")
-    counters = active.snapshot()["counters"]
+    counters = counter_values(active)
     assert counters["probe.quiet"] > 0
     assert counters["probe.quiet"] <= counters["probe.replies"] + counters["probe.replies_lost"]
 
@@ -297,7 +291,7 @@ def test_a_traced_sweep_reports_flown_and_quiet_replies(deployment):
     cells = matrix([Anycast(), ReactiveAnycast()], ["msn", "sea1"])
     with telemetry.using(backend):
         assert run_sweep(experiment, cells).ok
-    counters = backend.snapshot()["counters"]
+    counters = counter_values(backend)
     tags = [e.tags for e in tracer.events_of(telemetry.PhaseEnd) if e.name == "fail-probe"]
     quiet = sum(t["quiet"] for t in tags)
     flown = sum(t["flown"] for t in tags)

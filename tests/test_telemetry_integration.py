@@ -14,6 +14,8 @@ from repro.parallel import matrix, run_sweep
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 
+from tests.conftest import counter_values
+
 SMALL = FailoverConfig(probe_duration=60.0, targets_per_site=5, seed=42)
 
 
@@ -54,8 +56,7 @@ def test_failure_withdrawal_reply_causal_order(traced_run):
 
 def test_counters_populated(traced_run):
     active, _, result = traced_run
-    snapshot = active.snapshot()
-    counters = snapshot["counters"]
+    counters = counter_values(active)
     assert counters["bgp.updates_sent"] > 0
     assert counters["bgp.updates_received"] > 0
     assert counters["bgp.fib_installs"] > 0
@@ -75,7 +76,7 @@ def test_phases_cover_the_protocol(traced_run):
     expected = {"deploy-converge", "select-targets", "fail-probe", "analyze"}
     assert expected <= starts
     assert expected <= set(ends)
-    counters = active.snapshot()["counters"]
+    counters = counter_values(active)
     for name in expected:
         tags = dict(ends[name].tags)
         if name == "fail-probe":

@@ -144,8 +144,8 @@ class TestPreflight:
         assert all(f.severity is Severity.ERROR for f in findings)
 
     @pytest.mark.parametrize("field, code", [
-        ("base_rps", "PRE140"), ("zipf_s", "PRE141"), ("content_zipf_s", "PRE141"),
-        ("surge_weight", "PRE141"), ("think_time_s", "PRE142"), ("tick_s", "PRE142"),
+        ("base_rps", "PRE140"), ("zipf_s", "PRE141"), ("surge_weight", "PRE141"),
+        ("think_time_s", "PRE142"), ("tick_s", "PRE142"),
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_every_float_field_must_be_finite(self, field, code, value):
@@ -175,11 +175,11 @@ class TestPreflight:
         assert codes == ["PRE143"]
 
     def test_zipf_and_catalogue_errors(self):
-        profile = WorkloadProfile(
-            name="x", zipf_s=0.0, content_zipf_s=-1.0, n_contents=0
-        )
+        """PRE141 is every popularity row: the client Zipf exponent and
+        the surge weight (a profile has no content catalogue)."""
+        profile = WorkloadProfile(name="x", zipf_s=0.0, surge_weight=-1.0)
         codes = [f.code for f in check_workload(profile)]
-        assert codes == ["PRE141", "PRE141", "PRE141"]
+        assert codes == ["PRE141", "PRE141"]
 
     def test_volume_warning_only_when_valid(self):
         big = WorkloadProfile(name="x", base_rps=1e6)

@@ -26,10 +26,10 @@ from repro.workload import (
 )
 from repro.workload import stream as stream_module
 from repro.workload.profile import BUILTIN_PROFILES, PROFILE_FIELDS
-from repro.workload.stream import client_weight_table, zipf_cumulative
+from repro.workload.stream import client_weight_table
 
 from tests.row_documents import _bad_numbers
-from tests.stream_oracle import _marks, bigint_batches, bigint_contents, scalar_requests
+from tests.stream_oracle import _marks, bigint_batches, scalar_requests
 
 ROOT = Path(__file__).resolve().parent.parent
 CLIENTS = [f"client-{i}" for i in range(40)]
@@ -118,24 +118,15 @@ class TestPopularity:
             counts[request.client] = counts.get(request.client, 0) + 1
         assert counts[CLIENTS[0]] > counts.get(CLIENTS[-1], 0) * 2
 
-    def test_contents_within_catalogue(self):
-        profile = WorkloadProfile(name="t", base_rps=50.0, n_contents=10)
-        contents = {r.content for r in make_stream(profile=profile)}
-        assert contents and all(0 <= c < 10 for c in contents)
-
     def test_empty_clients_rejected(self):
         with pytest.raises(ValueError):
             RequestStream(WorkloadProfile(name="t"), [], 60.0, 1)
 
-    def test_times_and_clients_do_not_depend_on_contents(self):
-        """Content ids come from their own generator, drawn only when
-        requests are iterated: the engine's view is the same with them,
-        without them, and whatever the catalogue."""
+    def test_iterated_requests_are_the_drawn_batches(self):
+        """Iterating requests reads ``batches()`` and draws nothing more:
+        the engine's view and a caller's are the same arrivals."""
         stream = make_stream(duration=30.0)
-        other = make_stream(duration=30.0, profile=WorkloadProfile(
-            name="t", base_rps=50.0, n_contents=3, content_zipf_s=2.0,
-        ))
-        assert [(r.t, r.client) for r in stream] == drawn(stream) == drawn(other)
+        assert [(r.t, r.client) for r in stream] == drawn(stream)
 
 
 class TestDigest:
@@ -207,11 +198,11 @@ MIXED = WorkloadProfile(
 
 class TestPinnedDigests:
     @pytest.mark.parametrize("profile, duration, seed, regions, digest", [
-        (builtin_profile("flash-crowd"), 300.0, 42, None, "135296:5225d30f"),
-        (builtin_profile("regional-surge"), 240.0, 42, PIN_REGIONS, "81826:e0afc8ca"),
-        (builtin_profile("diurnal"), 300.0, 9, None, "78770:7a422925"),
-        (builtin_profile("constant"), 100.0, 7, None, "19872:6f0b058b"),
-        (MIXED, 90.0, 3, None, "22504:c4c500f2"),
+        (builtin_profile("flash-crowd"), 300.0, 42, None, "135296:ff78758e"),
+        (builtin_profile("regional-surge"), 240.0, 42, PIN_REGIONS, "81826:5bd4ad97"),
+        (builtin_profile("diurnal"), 300.0, 9, None, "78770:220d8374"),
+        (builtin_profile("constant"), 100.0, 7, None, "19872:04aa81dc"),
+        (MIXED, 90.0, 3, None, "22504:d04fbd52"),
     ], ids=["flash-crowd", "regional-surge", "diurnal", "constant", "mixed"])
     def test_stream_digest(self, profile, duration, seed, regions, digest):
         stream = RequestStream(profile, PIN_CLIENTS, duration, seed, regions)
@@ -240,8 +231,6 @@ class TestExactBits:
         for (times, indices), (want_times, want_indices) in zip(chunks, expected):
             assert times.tobytes() == want_times.tobytes()
             assert indices.tobytes() == want_indices.tobytes()
-        contents = [request.content for request in stream]
-        assert contents == np.concatenate(list(bigint_contents(stream))).tolist()
 
     @pytest.mark.parametrize("seed", [0, 42, -7, 2**40, "contents/42"])
     def test_random_and_gammavariate_equal_cpython(self, seed):
@@ -290,8 +279,8 @@ def boundary_words(cumulative):
 
 class TestBucketedMarks:
     """The bucket table answers every word exactly as the oracle's plain
-    ``searchsorted`` does, for the client and content tables streams
-    build, and searches at most one bucket in 32."""
+    ``searchsorted`` does, for the client tables streams build, and
+    searches at most one bucket in 32."""
 
     @staticmethod
     def tables(deployment):
@@ -304,7 +293,6 @@ class TestBucketedMarks:
             f"clients/{name}": client_weight_table(builtin_profile(name), clients, regions)
             for name in BUILTIN_PROFILES
         }
-        tables["contents"] = zipf_cumulative(1000, surge.content_zipf_s)
         tables["zero-weights"] = client_weight_table(
             replace(surge, surge_weight=0.0), clients, regions
         )
@@ -480,15 +468,6 @@ class TestDrawnProcess:
             stream = RequestStream(profile, PIN_CLIENTS, 20.0, 23, PIN_REGIONS)
             indices = np.concatenate([clients for _, clients in stream.batches()])
         assert_marks(indices, client_weight_table(profile, PIN_CLIENTS, PIN_REGIONS))
-
-    @pytest.mark.parametrize("source", ["stream", "loop"])
-    def test_contents_follow_the_catalogue(self, source):
-        profile = WorkloadProfile(name="catalogue", base_rps=2000.0, n_contents=200)
-        requests = (
-            scalar_requests(profile, CLIENTS, 10.0, 29) if source == "loop"
-            else RequestStream(profile, CLIENTS, 10.0, 29)
-        )
-        assert_marks([r.content for r in requests], zipf_cumulative(200, profile.content_zipf_s))
 
     def test_array_rate_equals_scalar_rate(self):
         profile = replace(MIXED, shapes=MIXED.shapes + (
