@@ -6,8 +6,8 @@ Shows the control side of the paper's trade-off:
 1. measure the pure-anycast catchment of every site;
 2. pick an intended site and measure how many nearby clients
    proactive-prepending can steer there with 3 and 5 prepends;
-3. steer one client explicitly via the DNS mapping policy and verify the
-   data plane delivers its traffic to the intended site.
+3. send one client's traffic to the site's address and verify the data
+   plane delivers it to the intended site.
 
 Run:  python examples/traffic_engineering.py
 """
@@ -18,7 +18,6 @@ from repro import build_deployment
 from repro.core.plan import apply_plan
 from repro.core.techniques import ProactivePrepending
 from repro.dataplane.forwarding import ForwardingPlane
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.control import measure_control
 from repro.topology.testbed import SPECIFIC_PREFIX
@@ -46,22 +45,13 @@ def main() -> None:
     apply_plan(network, ProactivePrepending(3).originations(deployment, intended))
     network.converge()
 
-    # DNS side: the mapping policy hands this client an address in the
-    # intended site's prefix.
-    addresses = {site: SPECIFIC_PREFIX.address(10) for site in deployment.site_names}
-    dns = AuthoritativeServer(
-        "cdn.example", StaticMapping(default_site=intended), addresses, ttl=20.0
-    )
     client_as = next(
         node for node, site in catchment.items() if site == intended
     )
-    answer = dns.query("cdn.example", client_as, now=0.0)
-    print(f"  client {client_as} resolves cdn.example -> {answer.address} (ttl {answer.ttl:.0f}s)")
-
-    # Data-plane side: the client's packets toward that address land at
-    # the intended site.
+    # The client's packets toward an address in the site's prefix land
+    # at the intended site.
     plane = ForwardingPlane(network, topology)
-    result = plane.snapshot_path(client_as, answer.address)
+    result = plane.snapshot_path(client_as, SPECIFIC_PREFIX.address(10))
     landing = deployment.site_of_node(result.delivered_to)
     print(f"  data plane delivers to: {landing} via {' -> '.join(result.path)}")
     assert landing == intended

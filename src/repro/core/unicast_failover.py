@@ -7,11 +7,21 @@ behaviour: median TTLs around 10 minutes for top domains (Moura et al.),
 20 s at Akamai, and connections arriving a median of 890 s *after* TTL
 expiry (Allman).
 
-This module computes the same quantity the other techniques' failover
-time captures -- when does each client stop sending traffic to the dead
-site? -- from a simulated client population: per client, the switch time
-is the moment its cached record (plus any TTL-violating overstay) ages
-out and a fresh resolution returns a surviving site.
+The model, per client: the client last looked the CDN's name up at a
+uniformly random age within one TTL before the failure, through a
+resolver it shares with ``clients_per_resolver - 1`` others. The
+group's first-listed client filled that resolver's cache, so the whole
+group holds the dead site's record for that client's remaining TTL,
+``ttl - age``; each client then keeps it for a further
+:meth:`TtlViolationModel.sample_overstay` seconds. Its switch delay is
+that remaining TTL plus its overstay: the CDN repoints DNS at the
+failure, so the client's next lookup reaches a surviving site.
+
+A resolver's cache is filled in client-list order, not time order: a
+client whose lookup came before its group's first-listed client's is
+still served that client's record, one "from the future". So each
+group's remaining TTL at the failure is uniform on (0, ttl], the
+steady-state assumption, whatever the order of lookups within it.
 """
 
 from __future__ import annotations
@@ -19,17 +29,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
-from repro.dns.client import DnsClient, TtlViolationModel
-from repro.dns.resolver import RecursiveResolver
+from repro.dns.client import TtlViolationModel
 from repro.fields import Field, violations
-from repro.net.addr import IPv4Address
 
-#: the rows of :class:`UnicastFailoverConfig`'s population, refused at
-#: construction: a population without clients has no median switch
-#: delay, and resolvers shared by no clients cannot split it.
-_POPULATION = (
+#: the rows of :class:`UnicastFailoverConfig`, refused at construction:
+#: a population without clients has no median switch delay, resolvers
+#: shared by no clients cannot split it, and a NaN or infinite TTL
+#: leaves no remaining TTL to time a switch by (nor does one so large
+#: that the failure time ``2 * ttl`` overflows).
+_ROWS = (
     Field("n_clients", kind=int, lo=1),
+    Field("ttl", lo=0, hi=2**31 - 1, why="RFC 2181 caps a TTL at 2^31 - 1 s"),
     Field("clients_per_resolver", kind=int, lo=1),
 )
 
@@ -48,7 +58,7 @@ class UnicastFailoverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for _, message in violations(_POPULATION, self):
+        for _, message in violations(_ROWS, self):
             raise ValueError(message)
 
 
@@ -70,63 +80,31 @@ class UnicastFailoverResult:
 
 def simulate_unicast_failover(
     config: UnicastFailoverConfig | None = None,
-    failed_site: str = "sea1",
-    surviving_site: str = "ams",
 ) -> UnicastFailoverResult:
     """How long until each client leaves the failed site, DNS-only.
 
-    All clients resolve (and start using the failed site's address) at
-    staggered times before the failure at t=0; the CDN repoints DNS at
-    the moment of failure. Each client's switch delay is when its
-    record -- cache freshness plus violation overstay -- stops being used.
+    Every lookup happened within one TTL before the failure at
+    ``2 * ttl``; each client's switch delay is its group's remaining TTL
+    plus its own overstay (module docstring).
     """
     config = config or UnicastFailoverConfig()
     rng = random.Random(config.seed)
-    dead_addr = IPv4Address.parse("184.164.244.10")
-    live_addr = IPv4Address.parse("184.164.245.10")
-    auth = AuthoritativeServer(
-        "cdn.example",
-        StaticMapping(default_site=failed_site),
-        {failed_site: dead_addr, surviving_site: live_addr},
-        ttl=config.ttl,
-    )
-
-    clients: list[DnsClient] = []
-    resolver: RecursiveResolver | None = None
-    for i in range(config.n_clients):
-        if i % config.clients_per_resolver == 0:
-            resolver = RecursiveResolver(f"resolver-{i}", auth)
-        client = DnsClient(
-            f"client-{i}",
-            resolver,
-            config.violation,
-            rng=random.Random(rng.getrandbits(32)),
-        )
-        clients.append(client)
-
-    # Clients last resolved at a uniformly random point within one TTL
-    # before the failure (steady-state population).
-    failure_time = config.ttl * 2
-    for client in clients:
-        resolved_at = failure_time - rng.uniform(0, config.ttl)
-        client.lookup("cdn.example", now=resolved_at)
-
-    # Failure: the CDN repoints DNS instantly (its only unicast lever).
-    auth.policy.steer_all(surviving_site)
-    auth.remove_site(failed_site)
-
+    ttl = config.ttl
+    # One overstay RNG per client, all seeded before any age is drawn.
+    client_rngs = [random.Random(rng.getrandbits(32)) for _ in range(config.n_clients)]
+    failure = ttl * 2
     delays = []
-    for client in clients:
-        if client.current_record.address == live_addr:
-            # The shared resolver cache already held the post-failure
-            # answer (possible when a cache miss raced the failure).
-            delays.append(0.0)
-            continue
-        switch_at = client.switch_time("cdn.example", now=failure_time)
-        # After the client re-resolves, the resolver cache may *still*
-        # hold the stale record it cached pre-failure.
-        record = client.resolver.cached_record("cdn.example")
-        if record is not None and record.address == dead_addr:
-            switch_at = max(switch_at, record.expires_at)
-        delays.append(max(0.0, switch_at - failure_time))
+    for i, client_rng in enumerate(client_rngs):
+        looked_up = failure - rng.uniform(0, ttl)
+        if i % config.clients_per_resolver == 0:
+            # The group's first-listed client fills its resolver's cache.
+            expires = held = looked_up + ttl
+        else:
+            # A cache hit hands out the rest of the cached TTL, stamped
+            # now. ``held`` equals ``expires`` up to rounding, and the
+            # published delays were computed with this rounding; the max
+            # below keeps the resolver's own expiry as the floor.
+            held = looked_up + (expires - looked_up)
+        overstay = config.violation.sample_overstay(client_rng)
+        delays.append(max(held + overstay, expires) - failure)
     return UnicastFailoverResult(switch_delays=delays)

@@ -1,4 +1,4 @@
-"""DNS clients, including TTL violators.
+"""How DNS clients handle record expiry, including TTL violators.
 
 Allman (IMC 2020) found many connections established *after* the DNS
 record's TTL expired, with a median of 890 s past expiration -- the
@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import math
 import random
-import zlib
 from dataclasses import dataclass
 
-from repro.dns.records import ARecord
-from repro.dns.resolver import RecursiveResolver
-from repro.net.addr import IPv4Address
+from repro.fields import Field, violations
 
 #: Median seconds past TTL expiry observed by Allman 2020.
 ALLMAN_MEDIAN_OVERSTAY_S = 890.0
+
+#: the rows of :class:`TtlViolationModel`, refused at construction: a
+#: NaN or infinite number would turn every overstay into NaN or inf.
+_ROWS = (
+    Field("violation_prob", lo=0, hi=1),
+    Field("median_overstay", lo=0),
+    Field("sigma", lo=0),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,10 +44,8 @@ class TtlViolationModel:
     sigma: float = 1.2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.violation_prob <= 1.0:
-            raise ValueError(f"violation_prob must be in [0, 1], got {self.violation_prob}")
-        if self.median_overstay < 0:
-            raise ValueError("median_overstay must be non-negative")
+        for _, message in violations(_ROWS, self):
+            raise ValueError(message)
 
     def sample_overstay(self, rng: random.Random) -> float:
         """Seconds past expiry this record will keep being used (0 if the
@@ -55,56 +58,3 @@ class TtlViolationModel:
     def compliant(cls) -> "TtlViolationModel":
         """A client that always honours TTLs."""
         return cls(violation_prob=0.0)
-
-
-class DnsClient:
-    """An end host that resolves the CDN's name and caches the answer.
-
-    The client keeps one record at a time; ``lookup`` returns the address
-    it would connect to *now*, re-resolving only once the record expires
-    plus any sampled overstay.
-    """
-
-    def __init__(
-        self,
-        client_id: str,
-        resolver: RecursiveResolver,
-        violation: TtlViolationModel | None = None,
-        rng: random.Random | None = None,
-    ) -> None:
-        self.client_id = client_id
-        self.resolver = resolver
-        self.violation = violation or TtlViolationModel.compliant()
-        # str hash() is salted per process (PYTHONHASHSEED), so a
-        # hash-derived seed would give each process a different client
-        # population; crc32 is a stable digest of the same id.
-        self.rng = rng or random.Random(zlib.crc32(client_id.encode("utf-8")))
-        self._record: ARecord | None = None
-        self._usable_until = -math.inf
-        self.lookups = 0
-        self.resolutions = 0
-
-    def lookup(self, qname: str, now: float) -> IPv4Address:
-        """The address this client connects to at time ``now``."""
-        self.lookups += 1
-        if self._record is not None and self._record.name == qname and now <= self._usable_until:
-            return self._record.address
-        record = self.resolver.resolve(qname, self.client_id, now)
-        self._record = record
-        self._usable_until = record.expires_at + self.violation.sample_overstay(self.rng)
-        self.resolutions += 1
-        return record.address
-
-    @property
-    def current_record(self) -> ARecord | None:
-        return self._record
-
-    def switch_time(self, qname: str, now: float) -> float:
-        """When this client will next consult DNS again (at the earliest).
-
-        Useful for computing DNS-bound failover analytically: until this
-        time the client keeps using the current address.
-        """
-        if self._record is None or self._record.name != qname:
-            return now
-        return max(now, self._usable_until)

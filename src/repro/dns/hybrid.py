@@ -6,12 +6,11 @@ subset of clients where it wants specific control" -- the approach of
 the authors' prior work (Calder et al. 2015), which steers only the
 clients with poor anycast performance.
 
-:class:`repro.dns.authoritative.StaticMapping` with an ``"anycast"``
-default implements that policy: clients default to the anycast address;
-clients on its steer list get an address inside a specific site's
-prefix. :func:`build_steering_plan` selects the steer list from a
-performance report (clients whose anycast inflation exceeds a threshold
-get pinned to their best site).
+The hybrid is a client -> site map: clients default to their anycast
+catchment, and clients on the steer list get an address inside a
+specific site's prefix. :func:`build_steering_plan` selects the steer
+list from a performance report (clients whose anycast inflation exceeds
+a threshold get pinned to their best site).
 
 Under the paper's techniques this hybrid keeps anycast's availability
 for the default population *and* -- because the per-site prefixes are

@@ -18,7 +18,7 @@ from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.core.techniques import Anycast, Combined, ReactiveAnycast
 from repro.faults import Action, Brownout, FaultPlan, timeline
 from repro.net.addr import IPv4Address, IPv4Prefix
-from repro.topology.generator import TopologyParams, generate_topology
+from repro.topology.generator import TopologyParams
 from repro.topology.geo import place_in
 from repro.topology.relationships import AsClass, AsInfo
 from repro.topology.testbed import build_deployment

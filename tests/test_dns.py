@@ -1,142 +1,10 @@
-"""Tests for the DNS subsystem: records, authoritative, resolver, client."""
+"""Tests for the TTL-violation model of DNS clients."""
 
 import random
 
 import pytest
 
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
-from repro.dns.client import ALLMAN_MEDIAN_OVERSTAY_S, DnsClient, TtlViolationModel
-from repro.dns.records import ARecord
-from repro.dns.resolver import RecursiveResolver
-from repro.net.addr import IPv4Address
-
-A1 = IPv4Address.parse("184.164.244.10")
-A2 = IPv4Address.parse("184.164.245.10")
-
-
-def make_auth(ttl=20.0) -> AuthoritativeServer:
-    return AuthoritativeServer(
-        "cdn.example",
-        StaticMapping(default_site="sea1"),
-        {"sea1": A1, "ams": A2},
-        ttl=ttl,
-    )
-
-
-class TestARecord:
-    def test_expiry(self):
-        record = ARecord("cdn.example", A1, ttl=20.0, issued_at=100.0)
-        assert record.expires_at == 120.0
-        assert record.fresh_at(119.9)
-        assert not record.fresh_at(120.1)
-
-    def test_reissued(self):
-        record = ARecord("cdn.example", A1, ttl=20.0, issued_at=0.0)
-        later = record.reissued(50.0)
-        assert later.issued_at == 50.0
-        assert later.address == A1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ARecord("x", A1, ttl=-1.0)
-        with pytest.raises(ValueError):
-            ARecord("", A1, ttl=1.0)
-
-
-class TestAuthoritative:
-    def test_query_returns_policy_site_address(self):
-        auth = make_auth()
-        answer = auth.query("cdn.example", "client-1", now=5.0)
-        assert answer.address == A1
-        assert answer.ttl == 20.0
-        assert answer.issued_at == 5.0
-
-    def test_out_of_zone_rejected(self):
-        with pytest.raises(KeyError):
-            make_auth().query("other.example", "c", now=0.0)
-
-    def test_subdomain_allowed(self):
-        answer = make_auth().query("www.cdn.example", "c", now=0.0)
-        assert answer.address == A1
-
-    def test_steering_one_client(self):
-        auth = make_auth()
-        policy = auth.policy
-        assert isinstance(policy, StaticMapping)
-        policy.steer("client-2", "ams")
-        assert auth.query("cdn.example", "client-2", 0.0).address == A2
-        assert auth.query("cdn.example", "client-1", 0.0).address == A1
-
-    def test_unknown_site_in_policy(self):
-        auth = make_auth()
-        auth.policy.steer("c", "lhr")
-        with pytest.raises(KeyError):
-            auth.query("cdn.example", "c", 0.0)
-
-    def test_remove_site_then_remap(self):
-        auth = make_auth()
-        auth.remove_site("sea1")
-        auth.policy.steer_all("ams")
-        assert auth.query("cdn.example", "c", 0.0).address == A2
-
-    def test_negative_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            make_auth(ttl=-5.0)
-
-
-class TestRecursiveResolver:
-    def test_cache_hit_within_ttl(self):
-        auth = make_auth(ttl=20.0)
-        resolver = RecursiveResolver("r1", auth)
-        resolver.resolve("cdn.example", "c", now=0.0)
-        resolver.resolve("cdn.example", "c", now=10.0)
-        assert auth.queries_served == 1
-        assert resolver.cache_hits == 1
-
-    def test_cache_expires(self):
-        auth = make_auth(ttl=20.0)
-        resolver = RecursiveResolver("r1", auth)
-        resolver.resolve("cdn.example", "c", now=0.0)
-        resolver.resolve("cdn.example", "c", now=21.0)
-        assert auth.queries_served == 2
-
-    def test_stale_answer_until_expiry(self):
-        """The §2 problem: after the CDN remaps, cached answers keep
-        flowing until TTL expiry."""
-        auth = make_auth(ttl=20.0)
-        resolver = RecursiveResolver("r1", auth)
-        assert resolver.resolve("cdn.example", "c", now=0.0).address == A1
-        auth.policy.steer_all("ams")
-        assert resolver.resolve("cdn.example", "c", now=10.0).address == A1
-        assert resolver.resolve("cdn.example", "c", now=25.0).address == A2
-
-    def test_remaining_ttl_decreases_on_hits(self):
-        resolver = RecursiveResolver("r1", make_auth(ttl=20.0))
-        resolver.resolve("cdn.example", "c", now=0.0)
-        answer = resolver.resolve("cdn.example", "c", now=15.0)
-        assert answer.ttl == pytest.approx(5.0)
-
-    def test_ttl_cap(self):
-        resolver = RecursiveResolver("r1", make_auth(ttl=600.0), ttl_cap=60.0)
-        resolver.resolve("cdn.example", "c", now=0.0)
-        assert resolver.cached_record("cdn.example").ttl == 60.0
-
-    def test_ttl_floor_violates_small_ttls(self):
-        resolver = RecursiveResolver("r1", make_auth(ttl=5.0), ttl_floor=60.0)
-        resolver.resolve("cdn.example", "c", now=0.0)
-        assert resolver.cached_record("cdn.example").ttl == 60.0
-
-    def test_floor_above_cap_rejected(self):
-        with pytest.raises(ValueError):
-            RecursiveResolver("r", make_auth(), ttl_cap=10.0, ttl_floor=20.0)
-
-    def test_flush(self):
-        auth = make_auth()
-        resolver = RecursiveResolver("r1", auth)
-        resolver.resolve("cdn.example", "c", now=0.0)
-        resolver.flush("cdn.example")
-        resolver.resolve("cdn.example", "c", now=1.0)
-        assert auth.queries_served == 2
+from repro.dns.client import ALLMAN_MEDIAN_OVERSTAY_S, TtlViolationModel
 
 
 class TestTtlViolationModel:
@@ -165,75 +33,3 @@ class TestTtlViolationModel:
             TtlViolationModel(violation_prob=2.0)
         with pytest.raises(ValueError):
             TtlViolationModel(median_overstay=-1.0)
-
-
-class TestDnsClient:
-    def test_client_caches_between_lookups(self):
-        auth = make_auth(ttl=20.0)
-        resolver = RecursiveResolver("r1", auth)
-        client = DnsClient("c", resolver)
-        client.lookup("cdn.example", now=0.0)
-        client.lookup("cdn.example", now=5.0)
-        assert client.resolutions == 1
-        assert client.lookups == 2
-
-    def test_compliant_client_switches_at_expiry(self):
-        auth = make_auth(ttl=20.0)
-        client = DnsClient("c", RecursiveResolver("r1", auth))
-        assert client.lookup("cdn.example", now=0.0) == A1
-        auth.policy.steer_all("ams")
-        assert client.lookup("cdn.example", now=30.0) == A2
-
-    def test_violating_client_overstays(self):
-        auth = make_auth(ttl=20.0)
-        model = TtlViolationModel(violation_prob=1.0, median_overstay=1000.0, sigma=0.0)
-        client = DnsClient("c", RecursiveResolver("r1", auth), model, rng=random.Random(0))
-        client.lookup("cdn.example", now=0.0)
-        auth.policy.steer_all("ams")
-        # TTL expired long ago, but the client clings to the old record.
-        assert client.lookup("cdn.example", now=500.0) == A1
-        assert client.lookup("cdn.example", now=1500.0) == A2
-
-    def test_switch_time_reports_usable_until(self):
-        auth = make_auth(ttl=20.0)
-        model = TtlViolationModel(violation_prob=1.0, median_overstay=100.0, sigma=0.0)
-        client = DnsClient("c", RecursiveResolver("r1", auth), model, rng=random.Random(0))
-        client.lookup("cdn.example", now=0.0)
-        assert client.switch_time("cdn.example", now=5.0) == pytest.approx(120.0)
-
-    def test_switch_time_without_record(self):
-        client = DnsClient("c", RecursiveResolver("r1", make_auth()))
-        assert client.switch_time("cdn.example", now=7.0) == 7.0
-
-    def test_default_rng_seed_is_process_stable(self):
-        """Regression: the per-client RNG used to be seeded from
-        hash(client_id), which PYTHONHASHSEED re-salts per process, so
-        the same experiment gave each process a different TTL-violator
-        population. The seed must come from a stable digest."""
-        import pathlib
-        import subprocess
-        import sys
-        import zlib
-
-        client = DnsClient("client-42", RecursiveResolver("r1", make_auth()))
-        expected = random.Random(zlib.crc32(b"client-42")).random()
-        assert client.rng.random() == expected
-
-        # The real failure mode only shows up across processes with
-        # different hash seeds; reproduce it the way CI would hit it.
-        repo_root = pathlib.Path(__file__).resolve().parent.parent
-        probe = (
-            "import sys; sys.path.insert(0, 'src');"
-            "from repro.dns.client import DnsClient;"
-            "print(DnsClient('client-42', resolver=None).rng.random())"
-        )
-        outputs = {
-            subprocess.run(
-                [sys.executable, "-c", probe],
-                env={"PYTHONHASHSEED": seed},
-                capture_output=True, text=True, check=True,
-                cwd=str(repo_root),
-            ).stdout.strip()
-            for seed in ("1", "2")
-        }
-        assert outputs == {str(expected)}

@@ -1,13 +1,7 @@
 """Tests for the hybrid anycast/unicast steering plan."""
 
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.dns.hybrid import build_steering_plan
 from repro.measurement.performance import ClientPerformance, PerformanceReport
-from repro.net.addr import IPv4Address
-
-ANYCAST = IPv4Address.parse("184.164.244.1")
-SEA1 = IPv4Address.parse("184.164.244.10")
-AMS = IPv4Address.parse("184.164.244.20")
 
 
 def perf(node, served, served_rtt, best, best_rtt) -> ClientPerformance:
@@ -42,17 +36,6 @@ class TestSteeringPlan:
         plan = build_steering_plan(self.report(), max_clients=1)
         assert len(plan) == 1
         assert plan[0].client == "worse"
-
-    def test_plan_applies_to_mapping(self):
-        plan = build_steering_plan(self.report())
-        mapping = StaticMapping(default_site="anycast")
-        for entry in plan:
-            mapping.steer(entry.client, entry.site)
-        server = AuthoritativeServer(
-            "cdn.example", mapping, {"anycast": ANYCAST, "sea1": SEA1, "ams": AMS}
-        )
-        assert server.query("cdn.example", "worse", 0.0).address == SEA1
-        assert server.query("cdn.example", "good", 0.0).address == ANYCAST
 
     def test_end_to_end_on_deployment(self, deployment):
         """Steering the suboptimal anycast clients to their best sites

@@ -1,5 +1,5 @@
-"""Cross-module integration tests: hybrid DNS in the authoritative
-server, damped failover experiments, and configuration surface checks."""
+"""Cross-module integration tests: damped failover experiments and
+configuration surface checks."""
 
 import pytest
 
@@ -7,43 +7,6 @@ from repro.bgp.damping import DampingConfig
 from repro.bgp.session import SessionTiming
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import ReactiveAnycast
-from repro.dns.authoritative import AuthoritativeServer, StaticMapping
-from repro.dns.resolver import RecursiveResolver
-from repro.net.addr import IPv4Address
-
-ANYCAST_ADDR = IPv4Address.parse("184.164.244.1")
-SEA1_ADDR = IPv4Address.parse("184.164.245.10")
-
-
-class TestHybridMappingWithAuthoritative:
-    def make_server(self) -> AuthoritativeServer:
-        """The integration pattern: the anycast pseudo-site is the
-        mapping's default and gets an address entry like any real site."""
-        return AuthoritativeServer(
-            "cdn.example",
-            StaticMapping(default_site="anycast", overrides={"vip": "sea1"}),
-            {"anycast": ANYCAST_ADDR, "sea1": SEA1_ADDR},
-            ttl=20.0,
-        )
-
-    def test_default_clients_get_anycast(self):
-        server = self.make_server()
-        assert server.query("cdn.example", "normal", 0.0).address == ANYCAST_ADDR
-
-    def test_steered_clients_get_site_address(self):
-        server = self.make_server()
-        assert server.query("cdn.example", "vip", 0.0).address == SEA1_ADDR
-
-    def test_through_recursive_resolver(self):
-        """Caution the resolver cache implies: hybrid steering is
-        per-client at the authoritative, but a shared resolver cache
-        serves whatever answer it cached first."""
-        server = self.make_server()
-        resolver = RecursiveResolver("shared", server)
-        first = resolver.resolve("cdn.example", "normal", now=0.0)
-        second = resolver.resolve("cdn.example", "vip", now=1.0)
-        assert first.address == ANYCAST_ADDR
-        assert second.address == ANYCAST_ADDR  # cache hit wins
 
 
 class TestDampedExperiment:
