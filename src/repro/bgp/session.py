@@ -124,7 +124,7 @@ class Session:
     __slots__ = (
         "engine", "rng", "local", "remote", "relationship", "export_class", "timing", "_deliver",
         "mrai", "_pending", "_mrai_until", "_expiry_queued", "_last_delivery", "closed", "epoch",
-        "advertised", "loss_prob", "dup_prob", "_telemetry",
+        "advertised", "loss_prob", "dup_prob", "dirty", "_telemetry",
         "_updates_sent_counter", "_mrai_deferrals", "_updates_suppressed",
     )
 
@@ -184,6 +184,11 @@ class Session:
         #: probability is non-zero, so fault-free runs draw identically.
         self.loss_prob = 0.0
         self.dup_prob = 0.0
+        #: an update was queued since the transfer state was last loaded
+        #: (:meth:`restore_transfer_state` clears it): the transfer state
+        #: changes only through such an update, so a rewind reloads only
+        #: the sessions that have it set
+        self.dirty = False
         if telemetry is None:
             telemetry = telemetry_registry.current()
         self._telemetry = telemetry
@@ -240,6 +245,7 @@ class Session:
                 self._updates_suppressed.inc()
             return
         self._pending[prefix] = Update(self.local, prefix, route, cause)
+        self.dirty = True
         if self.engine._now < self._mrai_until:
             if self._mrai_deferrals is not None:
                 self._mrai_deferrals.inc()
@@ -405,6 +411,7 @@ class Session:
         self._pending.clear()
         self._mrai_until = 0.0
         self._expiry_queued = False
+        self.dirty = False
         (
             self.mrai,
             self.epoch,

@@ -34,11 +34,13 @@ release timers, since the live network always has one scheduled per
 suppression), and the RNG state last. Building costs O(network).
 
 :func:`rewind_network` is the same loader run on a network restored
-from the same snapshot, for the routers ``BgpNetwork.touched`` names:
+from the same snapshot, for the routers ``BgpNetwork.touched`` names and
+the sessions among theirs that queued an update (``Session.dirty``):
 every entry that can change a router's state notes it there, and a
-session changes only through its own router's exports. A cell of the
-§5.2 sweep touches a third of the wide world's routers, so a sweep keeps
-its fork and rewinds it between cells of one baseline at O(touched)
+session changes only by queueing its own router's exports. A cell of
+the §5.2 sweep touches a third of the wide world's routers and a
+quarter of their sessions queue anything, so a sweep keeps its fork and
+rewinds it between cells of one baseline at that cost
 (docs/checkpoint.md, "What the fork saves"). A network whose shape
 changed (links, sessions, loss knobs: ``BgpNetwork.reshaped``) is
 restored instead.
@@ -281,9 +283,11 @@ def rewind_network(network: BgpNetwork, snapshot: NetworkSnapshot) -> int:
     """Put a network restored from ``snapshot`` back in the state
     :func:`restore_network` gives, reloading only what changed.
 
-    Only the routers in ``network.touched`` (and their sessions) can
-    differ from the snapshot, so only those reload: O(touched), not
-    O(network). The engine, RNG and network-wide counters reset in full.
+    Only the routers in ``network.touched`` can differ from the
+    snapshot, and of their sessions only those that queued an update
+    since the last load (``Session.dirty``), so only those reload: the
+    cost follows the routers touched and the sessions that sent, not the
+    network. The engine, RNG and network-wide counters reset in full.
     A network whose links, sessions or loss knobs changed shape
     (``network.reshaped``) cannot be rewound. Returns the number of
     routers reloaded.
@@ -291,9 +295,13 @@ def rewind_network(network: BgpNetwork, snapshot: NetworkSnapshot) -> int:
     if network.reshaped:
         raise CheckpointError("a reshaped network cannot be rewound; restore it")
     routers = [_router_state(snapshot, node) for node in network.touched]
-    sessions = [
-        session for state in routers for session in _session_states(snapshot, state.node_id)
-    ]
+    sessions = []
+    for state in routers:
+        live = network.routers[state.node_id].sessions
+        sessions.extend(
+            session for session in _session_states(snapshot, state.node_id)
+            if live[session.remote].dirty
+        )
     _load(network, snapshot, routers, sessions)
     return len(routers)
 
@@ -324,7 +332,8 @@ def _load(
 ) -> None:
     """The one state loader behind restore and rewind: reset everything
     network-wide to the snapshot, then load ``routers`` and ``sessions``
-    (restore passes all of them, rewind the touched ones)."""
+    (restore passes all of them, rewind the touched routers and the
+    sessions that sent)."""
     network.engine.reset(snapshot.now)
     network._next_cause = snapshot.next_cause
     network.current_cause = snapshot.current_cause

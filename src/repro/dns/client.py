@@ -20,11 +20,16 @@ from repro.fields import Field, violations
 ALLMAN_MEDIAN_OVERSTAY_S = 890.0
 
 #: the rows of :class:`TtlViolationModel`, refused at construction: a
-#: NaN or infinite number would turn every overstay into NaN or inf.
+#: NaN or infinite number would turn every overstay into NaN or inf. The
+#: upper bounds keep the lognormal draw ``exp(log(median) + z * sigma)``
+#: finite: ``normalvariate`` returns ``|z| <= 2 * sqrt(53 * log(2))``
+#: (< 12.2), and ``log(2**31 - 1) + 12.2 * 50`` (631.5) is below the log of
+#: the largest float (709.78). ``2**31 - 1`` s is RFC 2181's longest TTL.
+_OVERFLOW = "exp(log(median_overstay) + 12.2 * sigma) must stay finite"
 _ROWS = (
     Field("violation_prob", lo=0, hi=1),
-    Field("median_overstay", lo=0),
-    Field("sigma", lo=0),
+    Field("median_overstay", lo=0, hi=2**31 - 1, why=_OVERFLOW),
+    Field("sigma", lo=0, hi=50, why=_OVERFLOW),
 )
 
 

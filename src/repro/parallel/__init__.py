@@ -23,6 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "STATUS_TIMEOUT": ".pool",
     "CellResult": ".pool",
     "CellTelemetry": ".pool",
+    "collector_paused": ".pool",
     "map_cells": ".pool",
     "merge_telemetry": ".pool",
     "ProgressPrinter": ".progress",

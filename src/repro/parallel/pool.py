@@ -40,9 +40,9 @@ import gc
 import time
 import traceback
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import CellEnd, CellStart, TraceEvent, TraceRecorder
@@ -89,6 +89,41 @@ class CellResult:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
+
+
+class collector_paused:
+    """Run the block with the cycle collector off, and hand it back as
+    the caller had it (enabled or disabled) on every way out.
+
+    A sweep's networks are released by reference count when their cells
+    end (``BgpNetwork.close()``), so the passes the collector would make
+    inside one reclaim nothing (docs/checkpoint.md); forked workers
+    inherit the paused state. A class rather than a generator: leaving
+    the block allocates nothing, so the pass a resumed collector owes
+    falls after the block, not in it.
+    """
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._enabled:
+            gc.enable()
+
+
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Freeze the heap and pause the collector for the block; both are
+    undone on every way out."""
+    with collector_paused():
+        gc.freeze()
+        try:
+            yield
+        finally:
+            gc.unfreeze()
 
 
 def _pick_context() -> BaseContext:
@@ -210,12 +245,12 @@ def map_cells(
     parent_backend = telemetry_registry.current()
     collect = bool(parent_backend.enabled)
 
-    # Cells run against a frozen heap (docs/parallel.md): the world they
-    # share is read-only from here on, so collector passes walk a cell's
-    # own objects only; forked workers inherit it. Every exit unfreezes.
+    # Cells run against a frozen heap and a paused collector
+    # (docs/parallel.md): the world they share is read-only from here on,
+    # and a cell's network is freed by reference count; forked workers
+    # inherit both. Every exit unfreezes and restores the collector.
     if workers <= 1 or total == 0:
-        gc.freeze()
-        try:
+        with _frozen_heap():
             for index, (cell_id, payload) in enumerate(cells):
                 start = time.perf_counter()  # repro: noqa[DET004]
                 try:
@@ -229,8 +264,6 @@ def map_cells(
                 results[index] = result
                 if progress is not None:
                     progress(len(results), total, result)
-        finally:
-            gc.unfreeze()
         return [results[i] for i in range(total)]
 
     from multiprocessing.connection import wait as connection_wait
@@ -297,58 +330,57 @@ def map_cells(
             assign_or_retire(replacement)
 
     active: list[_Worker] = []
-    gc.freeze()
-    try:
-        for _ in range(pool_size):
-            active.append(spawn())
-        for worker in list(active):
-            assign_or_retire(worker)
-
-        while len(results) < total and active:
-            poll_s = 0.2
-            if timeout_s:
-                now = time.monotonic()  # repro: noqa[DET004]
-                deadlines = [
-                    w.started_at + timeout_s - now for w in active if w.current is not None
-                ]
-                if deadlines:
-                    poll_s = max(0.0, min(min(deadlines), poll_s))
-            ready = connection_wait([w.conn for w in active], timeout=poll_s)
-            for conn in ready:
-                worker = next(w for w in active if w.conn is conn)
-                try:
-                    index, status, value, error, wall_s, telemetry = conn.recv()
-                except (EOFError, OSError):
-                    code = worker.process.exitcode
-                    fail_cell(
-                        worker, STATUS_CRASHED,
-                        f"worker process died (exit code {code}) while running the cell",
-                    )
-                    continue
-                record(CellResult(
-                    index=index, cell_id=cells[index][0], status=status,
-                    value=value, error=error, wall_s=wall_s, worker=worker.id,
-                    telemetry=telemetry,
-                ))
+    with _frozen_heap():
+        try:
+            for _ in range(pool_size):
+                active.append(spawn())
+            for worker in list(active):
                 assign_or_retire(worker)
-            if timeout_s:
-                now = time.monotonic()  # repro: noqa[DET004]
-                for worker in list(active):
-                    if worker.current is not None and now - worker.started_at > timeout_s:
+
+            while len(results) < total and active:
+                poll_s = 0.2
+                if timeout_s:
+                    now = time.monotonic()  # repro: noqa[DET004]
+                    deadlines = [
+                        w.started_at + timeout_s - now for w in active if w.current is not None
+                    ]
+                    if deadlines:
+                        poll_s = max(0.0, min(min(deadlines), poll_s))
+                ready = connection_wait([w.conn for w in active], timeout=poll_s)
+                for conn in ready:
+                    worker = next(w for w in active if w.conn is conn)
+                    try:
+                        index, status, value, error, wall_s, telemetry = conn.recv()
+                    except (EOFError, OSError):
+                        code = worker.process.exitcode
                         fail_cell(
-                            worker, STATUS_TIMEOUT,
-                            f"cell exceeded the per-cell timeout of {timeout_s:g}s",
+                            worker, STATUS_CRASHED,
+                            f"worker process died (exit code {code}) while running the cell",
                         )
-    finally:
-        gc.unfreeze()
-        for worker in active:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            if worker.process.is_alive():
-                worker.process.terminate()
-            worker.process.join()
+                        continue
+                    record(CellResult(
+                        index=index, cell_id=cells[index][0], status=status,
+                        value=value, error=error, wall_s=wall_s, worker=worker.id,
+                        telemetry=telemetry,
+                    ))
+                    assign_or_retire(worker)
+                if timeout_s:
+                    now = time.monotonic()  # repro: noqa[DET004]
+                    for worker in list(active):
+                        if worker.current is not None and now - worker.started_at > timeout_s:
+                            fail_cell(
+                                worker, STATUS_TIMEOUT,
+                                f"cell exceeded the per-cell timeout of {timeout_s:g}s",
+                            )
+        finally:
+            for worker in active:
+                try:
+                    worker.conn.close()
+                except OSError:
+                    pass
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                worker.process.join()
 
     ordered = [results[i] for i in range(total)]
     if collect:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.core.experiment import FailoverExperiment, SiteFailoverResult
 from repro.core.techniques import Technique
-from repro.parallel.pool import CellResult, map_cells
+from repro.parallel.pool import CellResult, collector_paused, map_cells
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.propagation import one_origin_solves
 
@@ -135,19 +135,27 @@ def run_sweep(
     cells over worker processes. ``timeout_s`` bounds each cell's host
     wall-clock time when workers are in play; an overdue or crashed cell
     is reported as failed instead of hanging the sweep.
+
+    The whole sweep, baseline convergence included, runs with the cycle
+    collector paused (:func:`~repro.parallel.pool.collector_paused`):
+    every network it builds is freed by reference count, so a pass
+    inside it would reclaim nothing.
     """
-    shared = shared_state(experiment, cells)
-    start = time.perf_counter()  # repro: noqa[DET004]
-    # The serial path's fork is closed on the way out; a pool worker
-    # forks with an empty copy of the holder, and its fork ends with it.
-    with shared.sweeping():
-        results = map_cells(
-            _run_cell,
-            shared,
-            [(cell.cell_id, cell) for cell in cells],
-            workers=workers,
-            timeout_s=timeout_s,
-            progress=progress,
-        )
-    wall_s = time.perf_counter() - start  # repro: noqa[DET004]
-    return SweepReport(cells=cells, results=results, workers=max(1, workers), wall_s=wall_s)
+    with collector_paused():
+        shared = shared_state(experiment, cells)
+        start = time.perf_counter()  # repro: noqa[DET004]
+        # The serial path's fork is closed on the way out; a pool worker
+        # forks with an empty copy of the holder, and its fork ends with it.
+        with shared.sweeping():
+            results = map_cells(
+                _run_cell,
+                shared,
+                [(cell.cell_id, cell) for cell in cells],
+                workers=workers,
+                timeout_s=timeout_s,
+                progress=progress,
+            )
+        wall_s = time.perf_counter() - start  # repro: noqa[DET004]
+        # Built before the pause ends: the one pass a resumed collector
+        # owes then starts after the sweep, not inside it.
+        return SweepReport(cells=cells, results=results, workers=max(1, workers), wall_s=wall_s)

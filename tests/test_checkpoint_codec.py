@@ -47,7 +47,8 @@ def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
     each MRAI deadline as the later of it and the clock. ``exact`` adds
     those numbers as they are, with the per-network epochs a restore
     starts afresh (route version, hooks, touched routers, the routers'
-    active causes): what a rewound network must share with a restore.
+    active causes, the sessions that queued an update since the load):
+    what a rewound network must share with a restore.
     """
     engine = net.engine
     now = engine.now
@@ -68,6 +69,12 @@ def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
                 for local, router in net.routers.items()
                 for remote, session in router.sessions.items()
             },
+            "dirty": sorted(
+                (local, remote)
+                for local, router in net.routers.items()
+                for remote, session in router.sessions.items()
+                if session.dirty
+            ),
         }
     return {
         "numbering": numbering,

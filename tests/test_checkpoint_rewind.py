@@ -7,7 +7,8 @@ engine, RNG and network-wide counters reset in full. The oracle is
 ``restore_network(snapshot)`` itself: after any cell, the rewound
 network's full-state fingerprint -- sequence numbers, deadlines and
 epochs included -- must equal a fresh restore's. A forgotten reset shows
-up here as a fingerprint diff.
+up here as a fingerprint diff. Of the touched routers' sessions only
+those that queued an update since the load reload (``Session.dirty``).
 """
 
 import dataclasses
@@ -19,7 +20,9 @@ from repro import telemetry
 from repro.bgp.collector import RouteCollector
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
+from repro.bgp.session import Session
 from repro.checkpoint import CheckpointError, restore_network, rewind_network, snapshot_network
+from repro.core import experiment as experiment_module
 from repro.core.experiment import FailoverConfig, FailoverExperiment, HeldFork
 from repro.core.rig import RunRig
 from repro.core.techniques import (
@@ -159,6 +162,37 @@ class TestRewindNetwork:
         assert rewind_network(fork, snapshot) == 2
         assert fingerprint(fork, exact=True) == fingerprint(restore_network(snapshot), exact=True)
 
+    def test_a_suppressed_withdrawal_reloads_no_session(self, monkeypatch):
+        """r1 hears PFX from its provider r0 and exports it nowhere (r2 is
+        a provider too). r0's withdrawal touches r1, whose session to r2
+        then sees only a withdrawal of a prefix it never advertised: it
+        queues nothing, and the rewind reloads r0's session alone."""
+        net = BgpNetwork(seed=5, default_timing=RICH_TIMING)
+        for i in range(3):
+            net.add_router(f"r{i}", 100 + i)
+        net.add_provider("r1", "r0")
+        net.add_provider("r1", "r2")
+        net.announce("r0", PFX)
+        net.converge()
+        snapshot = snapshot_network(net)
+        fork = restore_network(snapshot)
+        fork.withdraw("r0", PFX)
+        fork.converge()
+        # Session.send's own suppressed branch, on top of the export's.
+        fork.router("r1").sessions["r2"].send(PFX, None, cause=0)
+        assert fork.touched == {"r0", "r1"}
+        reloaded = []
+        restore = Session.restore_transfer_state
+
+        def counted(session, state):
+            reloaded.append((session.local, session.remote))
+            restore(session, state)
+
+        monkeypatch.setattr(Session, "restore_transfer_state", counted)
+        assert rewind_network(fork, snapshot) == 2
+        assert reloaded == [("r0", "r1")]
+        assert fingerprint(fork, exact=True) == fingerprint(restore_network(snapshot), exact=True)
+
     @pytest.mark.parametrize("reshape", [
         lambda net: net.fail_link("r1", "r2"),
         lambda net: (net.fail_link("r1", "r2"), net.converge(), net.restore_link("r1", "r2")),
@@ -287,3 +321,32 @@ def test_a_traced_sweep_reports_restores_and_rewinds(deployment):
     line = f"2 restored, 4 rewound ({routers} routers reloaded)"
     assert line in render_profile(profiler.state())
     assert line in telemetry.render_summary(telemetry.summarize_trace(tracer.events))
+
+
+def test_a_rewind_reloads_only_the_sessions_that_sent(deployment, monkeypatch):
+    """Each rewind of a forked testbed sweep reloads fewer sessions than
+    the routers it reloads hold."""
+    rewinds = []  # (sessions reloaded, sessions of the touched routers)
+    restores = [0]  # session reloads so far, by restores and rewinds alike
+    rewind, restore = experiment_module.rewind_network, Session.restore_transfer_state
+
+    def counted_restore(session, state):
+        restores[0] += 1
+        restore(session, state)
+
+    def counted_rewind(network, snapshot):
+        held = sum(len(network.routers[n].sessions) for n in network.touched)
+        before = restores[0]
+        routers = rewind(network, snapshot)
+        rewinds.append((restores[0] - before, held))
+        return routers
+
+    monkeypatch.setattr(Session, "restore_transfer_state", counted_restore)
+    monkeypatch.setattr(experiment_module, "rewind_network", counted_rewind)
+    experiment = FailoverExperiment(
+        deployment.topology, deployment, config(), use_checkpoint=True
+    )
+    cells = matrix([Anycast(), ReactiveAnycast()], list(deployment.site_names[:3]))
+    assert run_sweep(experiment, cells).ok
+    assert len(rewinds) == 4
+    assert all(0 < reloaded < held for reloaded, held in rewinds), rewinds

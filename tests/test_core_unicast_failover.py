@@ -1,6 +1,7 @@
 """Tests for the DNS-bound unicast failover model."""
 
 import math
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.unicast_failover import (
     UnicastFailoverConfig,
     simulate_unicast_failover,
 )
+from repro.dns import client as client_module
 from repro.dns.client import TtlViolationModel
 
 
@@ -113,15 +115,19 @@ class TestUnicastFailoverConfig:
         (lambda: TtlViolationModel(violation_prob=1.5), "violation_prob 1.5 is outside"),
         (lambda: TtlViolationModel(median_overstay=math.nan), "median_overstay nan is not finite"),
         (lambda: TtlViolationModel(median_overstay=math.inf), "median_overstay inf is not finite"),
-        (lambda: TtlViolationModel(median_overstay=-1.0), "median_overstay -1 is negative"),
+        (lambda: TtlViolationModel(median_overstay=-1.0), "median_overstay -1 is outside \\[0, "),
+        (lambda: TtlViolationModel(violation_prob=1.0, median_overstay=1e308),
+         "median_overstay 1e[+]308 is outside .*must stay finite"),
         (lambda: TtlViolationModel(sigma=math.nan), "sigma nan is not finite"),
         (lambda: TtlViolationModel(sigma=math.inf), "sigma inf is not finite"),
-        (lambda: TtlViolationModel(sigma=-1.0), "sigma -1 is negative"),
+        (lambda: TtlViolationModel(sigma=-1.0), "sigma -1 is outside \\[0, 50\\]"),
+        (lambda: TtlViolationModel(violation_prob=1.0, sigma=1e308),
+         "sigma 1e[+]308 is outside .*must stay finite"),
     ], ids=[
         "ttl-negative", "ttl-nan", "ttl-inf", "ttl-past-rfc2181",
         "violation_prob-nan", "violation_prob-negative", "violation_prob-above-1",
         "median_overstay-nan", "median_overstay-inf", "median_overstay-negative",
-        "sigma-nan", "sigma-inf", "sigma-negative",
+        "median_overstay-1e308", "sigma-nan", "sigma-inf", "sigma-negative", "sigma-1e308",
     ])
     def test_bad_numbers_refused(self, build, message):
         """A number that would make the medians NaN, inf or silently 0
@@ -137,6 +143,25 @@ class TestUnicastFailoverConfig:
             violation=TtlViolationModel(violation_prob=1.0, median_overstay=60.0, sigma=0.0),
         ))
         assert result.switch_delays == pytest.approx([60.0] * 5)
+
+    def test_upper_bounds_keep_every_overstay_finite(self):
+        """``normalvariate``'s ``|z|`` is at most ``2 * sqrt(-log(2**-53))``
+        (its ratio of uniforms), so at the rows' upper ends the lognormal
+        exponent stays below the log of the largest float, and a run there
+        ends in finite delays."""
+        rows = {row.name: row for row in client_module._ROWS}
+        max_z = 2 * math.sqrt(-math.log(2.0**-53))
+        assert max_z < 12.2
+        exponent = math.log(rows["median_overstay"].hi) + 12.2 * rows["sigma"].hi
+        assert exponent < math.log(sys.float_info.max)
+        result = simulate_unicast_failover(UnicastFailoverConfig(
+            n_clients=50, violation=TtlViolationModel(
+                violation_prob=1.0,
+                median_overstay=rows["median_overstay"].hi,
+                sigma=rows["sigma"].hi,
+            ),
+        ))
+        assert all(math.isfinite(delay) for delay in result.switch_delays)
 
 
 class TestPinnedDelays:

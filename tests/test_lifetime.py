@@ -245,6 +245,22 @@ class TestClose:
         assert not network.routers
 
 
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_as_found(request):
+    """The caller's collector state (on or off) for the test to hand a
+    sweep, restored afterwards."""
+    running = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if running else gc.disable)()
+
+
+def collector_running(context, payload):
+    return gc.isenabled()
+
+
 class TestFrozenHeap:
     @staticmethod
     def _double(context, payload):
@@ -268,6 +284,64 @@ class TestFrozenHeap:
 
         with pytest.raises(KeyboardInterrupt):
             map_cells(self._double, None, [("a", 1)], progress=progress)
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_run_with_the_collector_paused(self, collector_as_found, workers):
+        results = map_cells(collector_running, None, [("a", 0), ("b", 0)], workers=workers)
+        assert [r.value for r in results] == [False, False]
+        assert gc.isenabled() is collector_as_found
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sweep_leaves_the_collector_as_it_found_it(
+        self, deployment, collector_as_found, workers, monkeypatch
+    ):
+        """Baselines and cells run paused; afterwards the collector is on
+        or off as before, also when a cell raises."""
+        paused = []
+        real = experiment_module.outcomes_for_run
+        raising_site = deployment.site_names[1]
+
+        def one_site_explodes(logs, failed_site, withdrawal_time):
+            paused.append(not gc.isenabled())
+            if failed_site == raising_site:
+                raise RuntimeError("analysis blew up")
+            return real(logs, failed_site, withdrawal_time)
+
+        monkeypatch.setattr(experiment_module, "outcomes_for_run", one_site_explodes)
+        baseline_for = FailoverExperiment.baseline_for
+
+        def watched_baseline(experiment, technique):
+            paused.append(not gc.isenabled())
+            return baseline_for(experiment, technique)
+
+        monkeypatch.setattr(FailoverExperiment, "baseline_for", watched_baseline)
+        experiment = FailoverExperiment(
+            deployment.topology, deployment, config(), use_checkpoint=True
+        )
+        report = run_sweep(
+            experiment, TestSweepsReleaseTheirFork.CELLS(deployment), workers=workers
+        )
+        assert [r.status for r in report.results] == ["ok", "error", "ok", "error"]
+        # In the parent: every baseline call, and each cell on the serial path.
+        assert paused and all(paused)
+        assert gc.isenabled() is collector_as_found
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_interrupted_sweep_leaves_the_collector_as_it_found_it(
+        self, deployment, collector_as_found, workers
+    ):
+        def progress(done, total, result):
+            raise KeyboardInterrupt
+
+        experiment = FailoverExperiment(
+            deployment.topology, deployment, config(), use_checkpoint=True
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(experiment, TestSweepsReleaseTheirFork.CELLS(deployment),
+                      workers=workers, progress=progress)
+        assert gc.isenabled() is collector_as_found
         assert gc.get_freeze_count() == 0
 
 

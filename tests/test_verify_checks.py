@@ -172,7 +172,7 @@ class TestTimelineTargets:
         assert "fires at t=100s >= the 100s" in found[0][1]
 
 
-def testbed_world():
+def _testbed_world():
     """``repro verify``'s default world: the testbed at seed 42, full roster."""
     return default_world(build_deployment(), techniques_named(DEFAULT_TECHNIQUE_NAMES))
 
@@ -180,11 +180,11 @@ def testbed_world():
 class TestDefaultWorld:
     def test_shipped_testbed_verifies_clean(self):
         """Acceptance: zero findings on the shipped deployment, full roster."""
-        report = verify_world(testbed_world())
+        report = verify_world(_testbed_world())
         assert report.findings == []
 
     def test_testbed_strict_profile_flags_only_ambiguity(self):
-        report = verify_world(testbed_world(), strict=True)
+        report = verify_world(_testbed_world(), strict=True)
         assert report.ok  # warnings only
         assert {f.code for f in report.findings} == {"VER223"}
 
