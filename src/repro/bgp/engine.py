@@ -196,7 +196,7 @@ class EventEngine:
         :meth:`run_until_idle` and ``BgpNetwork.converge``.
 
         It sets no :attr:`deadline` (``converge`` runs with none, so the
-        prober's quiet pass never cuts a converge short) and moves the
+        prober's windowed pass never cuts a converge short) and moves the
         clock no further than the last event. Untraced, it pops the heap
         itself, one method call per event fewer; traced, it runs
         :meth:`step`, which times each callback. ``max_events`` is the

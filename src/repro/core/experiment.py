@@ -23,7 +23,7 @@ rewinds it between the cells of one baseline (:class:`HeldFork`).
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.bgp.damping import DampingConfig
@@ -59,6 +59,10 @@ _WINDOW = (
     Field("probe_duration", lo=0, lo_open=True),
     Field("drain_slack", lo=0),
 )
+
+
+#: the snapshot tables every baseline of one topology holds equal
+_TOPOLOGY_TABLES = ("adjacency", "link_latency", "link_timing", "link_loss")
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,9 +326,23 @@ class FailoverExperiment:
                         technique.base_plan(self.deployment, SPECIFIC_PREFIX, SUPERPREFIX),
                     )
                 network.converge()
-                snapshot = snapshot_network(network)
+                snapshot = self._shared_tables(snapshot_network(network))
         self._baselines[key] = snapshot
         return snapshot
+
+    def _shared_tables(self, snapshot: NetworkSnapshot) -> NetworkSnapshot:
+        """``snapshot`` holding an earlier baseline's adjacency and link
+        tables when they are equal -- they always are, since every
+        baseline is built from one topology -- so the cache keeps one
+        copy of them instead of one per technique. A restore copies the
+        tables, so no network writes through the shared ones."""
+        earlier = next(iter(self._baselines.values()), None)
+        if earlier is None:
+            return snapshot
+        shared = {name: getattr(earlier, name) for name in _TOPOLOGY_TABLES}
+        if any(getattr(snapshot, name) != table for name, table in shared.items()):
+            return snapshot
+        return replace(snapshot, **shared)
 
     def cached_baselines(self) -> dict[str, NetworkSnapshot]:
         """A copy of the per-technique baseline cache."""
@@ -474,7 +492,7 @@ def _note_rewind(telemetry, rewound: int | None) -> dict[str, int]:
 
 def _note_replies(telemetry, prober) -> None:
     """Tag the probing phase's end with the probe replies that landed as
-    flights and the ones the quiet pass wrote, so a trace and a profile
+    flights and the ones a windowed pass wrote, so a trace and a profile
     show them apart."""
     flown = prober.replies - prober.quiet
     telemetry.tag_phase(flown=flown, quiet=prober.quiet)

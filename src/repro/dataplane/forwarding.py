@@ -127,7 +127,7 @@ class Walk:
         self.delivered_to = delivered_to
         self.reason = reason
         #: the latency of each hop, filled in by the first flight (or
-        #: quiet probe pass) that takes the walk; nothing else needs them
+        #: probe pass) that takes the walk; nothing else needs them
         self.latencies: tuple[float, ...] | None = None
 
 
@@ -364,19 +364,20 @@ class ForwardingPlane:
     def _land(self, flight: _Flight) -> None:
         self.queued_landings -= 1
         if flight.lands_at > self.network.engine.now or flight not in self._flights:
-            return  # stale: a re-walk moved this landing, or it was settled
-        self.settle(flight)
-
-    def settle(self, flight: _Flight) -> None:
-        """Land ``flight`` now, at its landing time, as its landing event
-        would; that event goes stale. Only for a caller that knows no FIB
-        can change before ``flight.lands_at``."""
+            return  # stale: a re-walk moved this landing, or it was taken
         del self._flights[flight]
         walk = flight.walk
         self.finish(
             ForwardResult(walk.delivered_to, walk.path, flight.lands_at, walk.reason),
             flight.on_complete,
         )
+
+    def take(self, flight: _Flight) -> None:
+        """Take ``flight`` out of the air: the caller writes its fate, at
+        ``flight.lands_at`` on ``flight.walk``, and its landing event
+        goes stale. Only for a caller that knows no FIB can change
+        before ``flight.lands_at``."""
+        del self._flights[flight]
 
     def finish(
         self, result: ForwardResult, on_complete: Callable[[ForwardResult], None]

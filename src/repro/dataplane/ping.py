@@ -16,8 +16,6 @@ by sequence number -- is written here as it happens: each echo is one
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,9 +71,10 @@ class Prober:
 
     Probing runs in rounds, one engine event each: every target is
     probed at the same instant, in ``targets`` order. A round that finds
-    nothing queued but landings of its own replies knows no FIB can
-    change again in the run in progress, and writes the rest of the
-    window up to the run's deadline in one pass (:meth:`_quiet_pass`).
+    a window -- a span before anything but this prober can run, so no
+    FIB and no dead site can change in it (:meth:`_window`) -- writes
+    every round and reply inside it in one pass, per target and without
+    events (:meth:`_pass`).
     """
 
     def __init__(
@@ -96,10 +95,11 @@ class Prober:
         self.dead_sites: set[str] = set()
         #: last site each target's replies arrived at (site-switch telemetry)
         self._last_site: dict[IPv4Address, str] = {}
-        #: this prober's replies in the air, by probe seq
-        self._flights: dict[int, _Flight] = {}
-        #: replies whose fate was written, and how many of them the quiet
-        #: pass wrote (the rest landed as flights)
+        #: this prober's replies in the air, by probe seq: ⟨flight,
+        #: target, probe⟩
+        self._flights: dict[int, tuple[_Flight, IPv4Address, Probe]] = {}
+        #: replies whose fate was written, and how many of them a pass
+        #: wrote (the rest landed as flights)
         self.replies = 0
         self.quiet = 0
         self._telemetry = telemetry_registry.current()
@@ -126,19 +126,11 @@ class Prober:
         self._seq += 1
         probe = Probe(self._seq, at)
         log.probes.append(probe)
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            telemetry.inc("probe.sent")
-            telemetry.emit(ProbeSent(t=at, target=cached_str(log.target), seq=probe.seq))
         if log.request_latency is None:
             # Target unreachable from the vantage: no reply ever.
             probe.reason = "unreachable"
-            if telemetry.enabled:
-                telemetry.emit(
-                    ProbeLost(
-                        t=at, target=cached_str(log.target), seq=probe.seq, reason="unreachable"
-                    )
-                )
+        if self._telemetry.enabled:
+            self._report_send(log, probe)
         return probe
 
     def _launch(self, log: ProbeLog, probe: Probe) -> None:
@@ -146,63 +138,67 @@ class Prober:
         request reaches it; the reply is addressed to the request's
         *source*, which is how §5.2 steers replies toward the prefix
         under test."""
-        self._flights[probe.seq] = self.plane.launch(
+        target = log.target
+        flight = self.plane.launch(
             log.target_node,
             self.source,
-            lambda result: self._reply_done(log.target, probe, result),
+            lambda result: self._reply_done(target, probe, result),
             probe.sent_at + log.request_latency,  # type: ignore[operator]
         )
+        self._flights[probe.seq] = (flight, target, probe)
 
     def _reply_done(
         self, target: IPv4Address, probe: Probe, result: ForwardResult
     ) -> None:
-        """The one writer of a reply's fate, for a landing and the quiet
-        pass alike (both reach it through :meth:`ForwardingPlane.finish`,
-        which counts the drop)."""
+        """A reply landed as a flight (:meth:`ForwardingPlane.finish`,
+        which counts the drop): write its fate and report it."""
         self._flights.pop(probe.seq, None)
         self.replies += 1
-        telemetry = self._telemetry
+        at = result.completed_at
         site, reason = delivery_verdict(
             result.delivered_to, result.drop_reason, self.deployment, self.dead_sites
         )
-        if reason is not None:
-            probe.reason = reason
-            if telemetry.enabled:
-                telemetry.inc("probe.replies_lost")
-                telemetry.emit(
-                    ProbeLost(
-                        t=result.completed_at,
-                        target=cached_str(target),
-                        seq=probe.seq,
-                        reason=reason,
-                        site=site or "",
-                    )
-                )
-            return
-        probe.site = site
-        probe.reply_at = result.completed_at
-        if telemetry.enabled:
-            telemetry.inc("probe.replies")
+        _write(probe, at, site, reason)
+        if self._telemetry.enabled:
+            self._report_fate(target, probe.seq, at, site, reason)
+
+    def _report_send(self, log: ProbeLog, probe: Probe) -> None:
+        """The counter and trace events of one sent probe."""
+        telemetry = self._telemetry
+        target = cached_str(log.target)
+        telemetry.inc("probe.sent")
+        telemetry.emit(ProbeSent(t=probe.sent_at, target=target, seq=probe.seq))
+        if log.request_latency is None:
             telemetry.emit(
-                ProbeReply(
-                    t=result.completed_at,
-                    target=cached_str(target),
-                    seq=probe.seq,
-                    site=site,
+                ProbeLost(t=probe.sent_at, target=target, seq=probe.seq, reason="unreachable")
+            )
+
+    def _report_fate(
+        self, target: IPv4Address, seq: int, at: float, site: str | None, reason: str | None
+    ) -> None:
+        """The counters and trace events of one reply's fate, written at
+        ``at``: lost for ``reason``, or answered by ``site`` (and a site
+        switch when the target's last reply reached another site)."""
+        telemetry = self._telemetry
+        if reason is not None:
+            telemetry.inc("probe.replies_lost")
+            telemetry.emit(
+                ProbeLost(
+                    t=at, target=cached_str(target), seq=seq, reason=reason, site=site or ""
                 )
             )
-            previous = self._last_site.get(target)
-            if previous is not None and previous != site:
-                telemetry.inc("probe.site_switches")
-                telemetry.emit(
-                    SiteSwitched(
-                        t=result.completed_at,
-                        target=cached_str(target),
-                        from_site=previous,
-                        to_site=site,
-                    )
+            return
+        telemetry.inc("probe.replies")
+        telemetry.emit(ProbeReply(t=at, target=cached_str(target), seq=seq, site=site))
+        previous = self._last_site.get(target)
+        if previous is not None and previous != site:
+            telemetry.inc("probe.site_switches")
+            telemetry.emit(
+                SiteSwitched(
+                    t=at, target=cached_str(target), from_site=previous, to_site=site
                 )
-            self._last_site[target] = site
+            )
+        self._last_site[target] = site
 
     # ------------------------------------------------------------------
 
@@ -216,15 +212,20 @@ class Prober:
 
         Probes start immediately and repeat every ``interval`` seconds
         until ``duration`` has elapsed on the simulation clock. An
-        interval that cannot advance the clock (zero, negative or not
-        finite) is refused: it would re-probe the same instant forever.
+        interval that cannot advance the clock up to the last round
+        (zero, negative, not finite, or too small to move ``stop_at``
+        itself) is refused before anything is scheduled: it would
+        re-probe one instant forever.
         """
-        if not (math.isfinite(interval) and interval > 0):
-            raise ValueError(f"probe interval must be finite and > 0, got {interval!r}")
         if math.isnan(duration):
             raise ValueError("probe duration is NaN")
+        stop_at = self.plane.network.engine.now + duration
+        if not (math.isfinite(interval) and stop_at + interval > stop_at):
+            raise ValueError(
+                f"probe interval must be finite and advance the clock past "
+                f"t={stop_at!r}, got {interval!r}"
+            )
         if targets:
-            stop_at = self.plane.network.engine.now + duration
             self._round(tuple(targets.items()), interval, stop_at)
 
     def _round(
@@ -235,102 +236,189 @@ class Prober:
         engine = self.plane.network.engine
         if engine.now > stop_at:
             return
-        deadline = engine.deadline
-        if deadline is not None and self._quiet():
-            self._quiet_pass(targets, interval, stop_at, deadline)
+        until = self._window()
+        if until is not None:
+            self._pass(targets, interval, stop_at, until)
             return
         for target, node in targets:
             self.probe_once(target, node)
         engine.schedule(interval, lambda: self._round(targets, interval, stop_at))
 
-    def _quiet(self) -> bool:
-        """Is every queued engine event a landing of one of this prober's
-        replies (stale landings included)? Then nothing queued can write
-        a FIB again: not a BGP delivery, MRAI expiry or FIB install, nor
-        a controller, fault, timeline or workload event."""
-        plane = self.plane
-        return (
-            plane.network.engine.pending == plane.queued_landings
-            and plane.in_air == len(self._flights)
-        )
+    def _window(self) -> float | None:
+        """The last instant before anything other than this prober could
+        run, or None when this round has no window and runs as events.
 
-    def _quiet_pass(
+        Let H be the first instant a foreign event (a BGP delivery, MRAI
+        expiry, FIB install, controller, fault, timeline or workload
+        event) could run. H is +inf when every queued event is a landing
+        of this prober's replies, stale ones included (``queued_landings``
+        counts them, ``in_air`` the flights, which must all be this
+        prober's); it is the queue head's time when no landing is queued
+        at all, since the head is then foreign. Otherwise it is unknown.
+        The window ends at the run's deadline (``EventEngine.deadline``:
+        ``run_until``'s, +inf under ``run_until_idle``, None for a bare
+        ``step`` and under ``BgpNetwork.converge``, which has no probe
+        window to end) or just before H, whichever is first: an event
+        queued at H holds a lower sequence number than anything a pass
+        schedules, so the engine runs it first.
+        """
+        plane = self.plane
+        engine = plane.network.engine
+        deadline = engine.deadline
+        if deadline is None:
+            return None
+        landings = plane.queued_landings
+        if engine.pending == landings and plane.in_air == len(self._flights):
+            return deadline
+        if landings:
+            return None
+        head = engine.peek()
+        if head <= engine.now:  # type: ignore[operator]
+            return None  # the head runs right after this round
+        return min(deadline, math.nextafter(head, -math.inf))  # type: ignore[arg-type]
+
+    def _pass(
         self,
         targets: tuple[tuple[IPv4Address, str], ...],
         interval: float,
         stop_at: float,
-        deadline: float,
+        until: float,
     ) -> None:
-        """Write every round from now to ``deadline`` (or ``stop_at``)
-        without an engine event, exactly as the events would have.
+        """Write every round from now to ``until`` (or ``stop_at``) and
+        every reply landing by ``until`` without an engine event,
+        exactly as the events would have.
 
-        The FIBs are fixed until the run's deadline, so each target's
-        reply walks one path: its landing time is the flight's own float
-        additions (``t + request_latency``, then each hop's latency) and
-        its fate goes through the one writer. Writes are merged in the
-        order the engine would have fired them: by time, and at equal
-        times replies sent earlier (in send order) before the next
-        round's sends. A reply still in the air at the deadline is put
-        in the air as an ordinary flight, and the next round is
-        scheduled on the same ``t + interval`` chain, so a later run (or
-        a FIB written between runs) meets them exactly as it would have.
+        No FIB and no dead site changes by ``until``, so each target's
+        replies walk one path and get one verdict, both taken once: its
+        probes are written in one loop, seq numbers round-major (``seq0
+        + r·n + i + 1``) on the same ``t + interval`` float chain, each
+        landing time by the flight's own float additions (``t +
+        request_latency``, then each hop's latency). Replies in the air
+        now (only when this prober's landings are all that is queued)
+        that land by ``until`` are taken over on the walk they fly;
+        their landing events go stale. A reply landing later is put in
+        the air as an ordinary flight, in round-major order, and the
+        next round is scheduled at the first instant past the window, so
+        a foreign event (or a FIB written between two runs) meets them
+        exactly as it would have. The trace is a replay of the records
+        (:meth:`_replay`).
         """
         plane = self.plane
-        order = itertools.count()
-        # ⟨lands at, send order, log or flight, probe, walk⟩; the replies
-        # in the air now were sent first, and a flight has no walk here
-        pending: list[tuple] = [
-            (flight.lands_at, next(order), flight, None, None)
-            for flight in list(self._flights.values())
-            if flight.lands_at <= deadline
-        ]
-        heapq.heapify(pending)
-        legs = []
-        for target, node in targets:
-            log = self._log(target, node)
-            walk = None
-            if log.request_latency is not None:
-                walk = plane.walk_from(node, self.source)
-                plane.hop_latencies(walk)
-            legs.append((log, walk))
-        written = 0
+        deployment, dead_sites = self.deployment, self.dead_sites
+        times = []
         t = plane.network.engine.now
-        while t <= stop_at and t <= deadline:
-            for log, walk in legs:
-                probe = self._send(log, t)
-                if walk is None:
-                    continue
-                lands_at = t + log.request_latency
-                for latency in walk.latencies:
-                    lands_at += latency
-                if lands_at <= deadline:
-                    heapq.heappush(pending, (lands_at, next(order), log, probe, walk))
-                else:
-                    self._launch(log, probe)
+        while t <= stop_at and t <= until:
+            times.append(t)
             t += interval
-            # Replies landing up to the next round's instant precede its
-            # sends: their events were queued before the round's.
-            while pending and pending[0][0] <= t:
-                self._write(heapq.heappop(pending))
-                written += 1
-        while pending:
-            self._write(heapq.heappop(pending))
-            written += 1
+        taken = []
+        for seq, (flight, target, probe) in list(self._flights.items()):
+            if flight.lands_at <= until:
+                plane.take(flight)
+                del self._flights[seq]
+                walk = flight.walk
+                site, reason = delivery_verdict(
+                    walk.delivered_to, walk.reason, deployment, dead_sites
+                )
+                _write(probe, flight.lands_at, site, reason)
+                taken.append((flight.lands_at, seq, target, site, reason, walk.delivered_to is None))
+        written = len(taken)
+        rows = []
+        flying = []
+        seq0, n, rounds = self._seq, len(targets), len(times)
+        for i, (target, node) in enumerate(targets):
+            log = self._log(target, node)
+            seqs = range(seq0 + i + 1, seq0 + i + 1 + n * rounds, n)
+            latency = log.request_latency
+            if latency is None:
+                probes = [Probe(seq, at, None, None, "unreachable") for seq, at in zip(seqs, times)]
+                log.probes += probes
+                rows.append((log, probes, 0, None))
+                continue
+            walk = plane.walk_from(node, self.source)
+            hops = plane.hop_latencies(walk)
+            site, reason = delivery_verdict(walk.delivered_to, walk.reason, deployment, dead_sites)
+            probes = []
+            for seq, at in zip(seqs, times):
+                lands_at = at + latency
+                for hop in hops:
+                    lands_at += hop
+                if lands_at > until:
+                    break
+                probes.append(
+                    Probe(seq, at, lands_at, site)
+                    if reason is None
+                    else Probe(seq, at, None, None, reason)
+                )
+            landed = len(probes)
+            if landed < rounds:
+                probes += [Probe(seq, at) for seq, at in zip(seqs[landed:], times[landed:])]
+                flying.append((landed, log, probes))
+            log.probes += probes
+            written += landed
+            rows.append((log, probes, landed, (hops, site, reason, walk.delivered_to is None)))
+        self._seq = seq0 + n * rounds
+        if flying:
+            for r in range(min(first for first, _, _ in flying), rounds):
+                for first, log, probes in flying:
+                    if r >= first:
+                        self._launch(log, probes[r])
         if t <= stop_at:
             plane.network.engine.schedule_at(
                 t, lambda: self._round(targets, interval, stop_at)
             )
+        self.replies += written
         self.quiet += written
-        if written and self._telemetry.enabled:
-            self._telemetry.inc("probe.quiet", written)
+        if self._telemetry.enabled:
+            self._replay(times, rows, taken, written)
 
-    def _write(self, entry: tuple) -> None:
-        """Write one reply the quiet pass holds, at its landing time."""
-        lands_at, _, held, probe, walk = entry
-        if walk is None:
-            self.plane.settle(held)
-            return
-        self.plane.finish(
-            ForwardResult(walk.delivered_to, walk.path, lands_at, walk.reason),
-            lambda result: self._reply_done(held.target, probe, result),
-        )
+    def _replay(self, times: list[float], rows: list, taken: list, written: int) -> None:
+        """Report a pass's sends and written replies from its records, in
+        the order the engine would have fired their events: by time, and
+        at equal times a reply sent before a round landing before that
+        round's sends (its event was queued first), landings at one
+        instant in send order. A reply in the air when the pass began
+        that lands at its first instant lands after that round: its
+        landing was queued after the round's event. A dropped reply
+        counts ``dataplane.drops``, as :meth:`ForwardingPlane.finish`
+        does for a flight."""
+        landings = list(taken)
+        for log, probes, landed, fate in rows:
+            if landed:
+                hops, site, reason, dropped = fate
+                for probe in probes[:landed]:
+                    lands_at = probe.sent_at + log.request_latency
+                    for hop in hops:
+                        lands_at += hop
+                    landings.append((lands_at, probe.seq, log.target, site, reason, dropped))
+        landings.sort(key=lambda landing: landing[:2])
+        telemetry = self._telemetry
+        reported = 0
+
+        def land_before(at: float, first: float) -> None:
+            """Report the landings before ``at``, and those at ``at`` of
+            replies sent before the probe numbered ``first``."""
+            nonlocal reported
+            while reported < len(landings) and landings[reported][:2] < (at, first):
+                lands_at, seq, target, site, reason, dropped = landings[reported]
+                if dropped:
+                    telemetry.inc("dataplane.drops")
+                self._report_fate(target, seq, lands_at, site, reason)
+                reported += 1
+
+        for r, at in enumerate(times):
+            if r:
+                land_before(at, rows[0][1][r].seq)  # the round's first probe
+            for log, probes, _, _ in rows:
+                self._report_send(log, probes[r])
+        land_before(math.inf, math.inf)
+        if written:
+            telemetry.inc("probe.quiet", written)
+
+
+def _write(probe: Probe, at: float, site: str | None, reason: str | None) -> None:
+    """Write a reply's fate, landed at ``at``, into its record."""
+    if reason is None:
+        probe.site = site
+        probe.reply_at = at
+    else:
+        probe.reason = reason

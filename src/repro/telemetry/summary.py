@@ -68,7 +68,7 @@ def _solve_note(runs: int, tags: dict) -> str:
 #: end tags -> the note line under the row of a phase whose runs carried
 #: all of them: a fork phase's restores vs rewinds of a held fork
 #: (``rewound``, the routers reloaded), a probing phase's replies that
-#: landed as flights vs the ones the quiet pass wrote (``flown``,
+#: landed as flights vs the ones a windowed pass wrote (``flown``,
 #: ``quiet``) and a sweep's up-front target selection (``solves``, the
 #: one-origin solves it ran)
 PHASE_NOTES = {

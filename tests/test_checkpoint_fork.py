@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.checkpoint import NetworkSnapshot
+from repro.checkpoint import NetworkSnapshot, restore_network
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import (
     Anycast,
@@ -71,6 +71,25 @@ class TestBaselineCache:
         assert (
             a.baseline_for(Anycast()).dumps() == b.baseline_for(Anycast()).dumps()
         )
+
+    def test_baselines_share_one_copy_of_the_topology_tables(self, deployment):
+        """Every baseline comes from one topology, so the cache keeps its
+        adjacency and link tables once. Each baseline still dumps as it
+        does alone, and a restore writes only to copies of them."""
+        experiment = make_experiment(deployment, use_checkpoint=True)
+        first = experiment.baseline_for(Anycast())
+        second = experiment.baseline_for(ProactivePrepending())
+        for name in ("adjacency", "link_latency", "link_timing", "link_loss"):
+            assert getattr(second, name) is getattr(first, name)
+        alone = make_experiment(deployment, use_checkpoint=True).baseline_for(
+            ProactivePrepending()
+        )
+        assert second.dumps() == alone.dumps()
+        with restore_network(second) as network:
+            node, neighbors = next(iter(network.adjacency.items()))
+            assert neighbors == first.adjacency[node]
+            assert neighbors is not first.adjacency[node]
+            assert network.link_latency is not first.link_latency
 
     def test_prepending_baseline_key_tracks_restriction(self):
         assert Anycast().baseline_key == "anycast"

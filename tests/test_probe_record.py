@@ -6,9 +6,10 @@ structure the benchmark's exact counts rest on.
   sequence number kept in ``tests/probe_oracle.py``, and the availability
   ledger rebuilds those very records from the trace;
 * census: one forked cell schedules exactly one ``Prober.`` callback per
-  probing round and one ``ForwardingPlane.`` callback per reply that
-  landed as a flight (plus any landing a FIB write made stale) -- the
-  numbers the benchmark's exact counts rest on.
+  round event (a pass writes the later rounds of its window) and one
+  ``ForwardingPlane.`` callback per reply that landed as a flight (plus
+  any landing a FIB write made stale) -- the numbers the benchmark's
+  exact counts rest on.
 """
 
 import pytest
@@ -79,9 +80,10 @@ def test_callback_census_of_one_forked_cell(deployment):
     ``bench/``. Before replies became flights this cell made 3280 and
     6283 events (a reply event per probe, an event per hop); before
     probing ran in rounds, 1640 and 1640 (a tick per probe, a landing
-    per reply). This cell never goes quiet inside its window, so every
-    reply still lands as a flight. A change that batches, merges or
-    drops probe events moves these."""
+    per reply); before a round took the window between BGP bursts, 41
+    and 1640 (the cell never went quiet inside its window, so every
+    reply landed as a flight). A change that batches, merges or drops
+    probe events moves these."""
     profiler = EventProfiler()
     with telemetry.using(telemetry.Telemetry(profiler=profiler)) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
@@ -97,7 +99,9 @@ def test_callback_census_of_one_forked_cell(deployment):
     replies = counters["probe.replies"] + counters["probe.replies_lost"]
     flown = replies - counters.get("probe.quiet", 0)
     assert counters["probe.sent"] == replies == 1640
-    # 60 s at 1.5 s: the round at the start is a direct call, then 40
-    # round events and the one that finds the window over.
-    assert probe_n == 41
-    assert hop_n == flown + 0 == 1640  # no stale landing in this cell
+    # 60 s at 1.5 s is 41 rounds: the round at the start is a direct
+    # call, and a round whose window holds later rounds writes them in
+    # its pass, so 21 round events carry the other 40.
+    assert probe_n == 21
+    assert counters["probe.quiet"] == 963
+    assert hop_n == flown + 0 == 677  # no stale landing in this cell

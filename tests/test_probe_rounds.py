@@ -1,20 +1,26 @@
-"""Probing in rounds, with the quiet pass, against the per-target ticks.
+"""Probing in rounds, with windowed passes, against the per-target ticks.
 
-The prober sends one round event per interval and, once nothing is
-queued but landings of its own replies, writes the rest of the window up
-to the run's deadline in one pass. Each test drives the same run with
-that prober and with :class:`tests.probe_oracle.TickProber` (a tick per
-target, every reply its own landing) and asserts they leave the same
-observable state: the probe records, the plane's drop log and drop
-total, the full trace event list, and the counters -- all but the
-engine's event counts and ``probe.quiet``, which count the event
-structure itself. Trace events differ only in host wall time and in the
-probing phase's ``flown`` / ``quiet`` end tags, for the same reason.
+The prober sends one round event per interval. A round that finds a
+window -- the span before anything but its own replies' landings could
+run: up to the run's deadline once nothing else is queued, or up to the
+queue head when no landing is queued at all -- writes every round and
+reply inside it in one pass, per target, and replays their trace events.
+Each test drives the same run with that prober and with
+:class:`tests.probe_oracle.TickProber` (a tick per target, every reply
+its own landing) and asserts they leave the same observable state: the
+probe records, the plane's drop total, the full trace event list, and
+the counters -- all but the engine's event counts and ``probe.quiet``,
+which count the event structure itself. Trace events differ only in host
+wall time and in the probing phase's ``flown`` / ``quiet`` end tags, for
+the same reason. Untraced runs are held to the oracle's records too,
+since a pass reports nothing there, and foreign events put exactly on a
+round instant and on a reply's landing test both ends of a window.
 
-Every test also checks that the quiet pass ran, so none of them can pass
+Every test also checks that a pass ran, so none of them can pass
 vacuously.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import pytest
@@ -55,13 +61,13 @@ class Observed:
     records: dict
     events: list
     counters: dict
-    #: replies the quiet pass wrote (0 for the oracle)
+    #: replies a pass wrote (0 for the oracle)
     quiet: int
 
 
 def observe(rig, tracer, active) -> Observed:
     events = []
-    for event in tracer.events:
+    for event in tracer.events if tracer is not None else ():
         if hasattr(event, "wall_s"):
             event = replace(event, wall_s=0.0)
         if hasattr(event, "tags"):
@@ -71,7 +77,7 @@ def observe(rig, tracer, active) -> Observed:
     counters = {
         name: value for name, value in counter_values(active).items()
         if not name.startswith("engine.") and name != "probe.quiet"
-    }
+    } if tracer is not None else {}
     return Observed(
         records={target: (log.request_latency, log.probes) for target, log in rig.prober.logs.items()},
         events=events,
@@ -87,10 +93,10 @@ def assert_same(new: Observed, oracle: Observed) -> None:
     assert oracle.quiet == 0
 
 
-def traced(monkeypatch, prober_class, drive):
-    """``drive()`` under a fresh traced telemetry, every rig built with
-    ``prober_class``; ⟨what ``drive`` returned, the run's one rig,
-    :class:`Observed`⟩."""
+def traced(monkeypatch, prober_class, drive, trace=True):
+    """``drive()`` under a fresh traced telemetry (the disabled backend
+    with ``trace=False``), every rig built with ``prober_class``; ⟨what
+    ``drive`` returned, the run's one rig, :class:`Observed`⟩."""
     rigs = []
 
     class KeptRig(RunRig):
@@ -102,21 +108,22 @@ def traced(monkeypatch, prober_class, drive):
         patch.setattr(rig_module, "Prober", prober_class)
         patch.setattr(experiment_module, "RunRig", KeptRig)
         patch.setattr(scenarios_module, "RunRig", KeptRig)
-        tracer = telemetry.TraceRecorder()
-        with telemetry.using(telemetry.Telemetry(tracer=tracer)) as active:
+        tracer = telemetry.TraceRecorder() if trace else None
+        backend = telemetry.Telemetry(tracer=tracer) if trace else telemetry.NULL
+        with telemetry.using(backend) as active:
             value = drive(KeptRig)
     (rig,) = rigs
     return value, rig, observe(rig, tracer, active)
 
 
-def run_cell(monkeypatch, prober_class, deployment, technique, site, **config):
+def run_cell(monkeypatch, prober_class, deployment, technique, site, trace=True, **config):
     def drive(_):
         experiment = FailoverExperiment(
             deployment.topology, deployment, FailoverConfig(**config), use_checkpoint=True
         )
         return experiment.run_site(technique, site)
 
-    return traced(monkeypatch, prober_class, drive)
+    return traced(monkeypatch, prober_class, drive, trace)
 
 
 def client_targets(deployment, count):
@@ -142,6 +149,25 @@ def test_every_compare_cell_matches_the_tick_prober(monkeypatch, deployment, tec
                 rig.prober.logs, site, result.withdrawal_time
             )
         (new, new_observed), (oracle, oracle_observed) = results
+        assert new.outcomes == oracle.outcomes
+        assert_same(new_observed, oracle_observed)
+        quiet += new_observed.quiet
+    assert quiet > 0
+
+
+@pytest.mark.parametrize("technique", COMPARE, ids=lambda technique: technique.name)
+def test_untraced_compare_cells_match_the_tick_prober(monkeypatch, deployment, technique):
+    """The untimed path: with telemetry off a pass replays nothing, so
+    only its records show -- and they must be the oracle's."""
+    quiet = 0
+    for site in deployment.site_names:
+        (new, _, new_observed), (oracle, _, oracle_observed) = [
+            run_cell(
+                monkeypatch, prober_class, deployment, technique, site, trace=False,
+                probe_duration=240.0, targets_per_site=40,
+            )
+            for prober_class in (Prober, TickProber)
+        ]
         assert new.outcomes == oracle.outcomes
         assert_same(new_observed, oracle_observed)
         quiet += new_observed.quiet
@@ -224,13 +250,20 @@ def test_a_scenario_run_matches_the_tick_prober(monkeypatch, deployment):
 
 
 class WatchedProber(Prober):
-    """Notes, at the start of each quiet pass, how many landing events
-    are queued and how many of this prober's replies are in the air."""
+    """Notes, at the start of each pass, how many landing events are
+    queued, how many of this prober's replies are in the air, the last
+    instant the pass may write up to and the run's deadline."""
 
-    def _quiet_pass(self, *args) -> None:
+    def _pass(self, targets, interval, stop_at, until) -> None:
         self.watched = getattr(self, "watched", [])
-        self.watched.append((self.plane.queued_landings, self.plane.in_air))
-        super()._quiet_pass(*args)
+        self.watched.append(
+            (self.plane.queued_landings, self.plane.in_air, until, self.plane.network.engine.deadline)
+        )
+        super()._pass(targets, interval, stop_at, until)
+        # The seq of each reply in the air, in the plane's flight order.
+        seq_of = {id(flight): probe.seq for flight, _, probe in self._flights.values()}
+        self.aloft = getattr(self, "aloft", [])
+        self.aloft.append([seq_of[id(flight)] for flight in self.plane._flights])
 
 
 def test_a_quiet_pass_that_starts_with_a_stale_landing_queued(monkeypatch, deployment):
@@ -258,14 +291,150 @@ def test_a_quiet_pass_that_starts_with_a_stale_landing_queued(monkeypatch, deplo
     ]
     (_, rig, new), (_, _, oracle) = runs
     assert_same(new, oracle)
-    queued, in_air = rig.prober.watched[0]
+    # The first pass that found replies in the air.
+    queued, in_air, _, _ = next(watch for watch in rig.prober.watched if watch[1])
     assert queued > in_air  # a stale landing was queued when the pass began
     assert in_air > 0  # and replies were in the air for it to take over
     assert any(p.reason == "off-net" for log in rig.prober.logs.values() for p in log.probes)
 
 
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("edge", ["round", "landing"])
+def test_a_foreign_event_on_the_edge_of_a_window(monkeypatch, deployment, edge, trace):
+    """A no-op foreign event queued before probing starts, exactly at a
+    round instant or exactly at a reply's landing, ends the window: it
+    holds the lower sequence number, so the round (or the landing) at
+    its instant must come after it. Traced, the event leaves a marker in
+    the trace, so the order itself is compared."""
+    targets = client_targets(deployment, 8)
+    at = []
+
+    def drive(rig_class):
+        network = deployment.topology.build_network(seed=5)
+        rig = rig_class(network, deployment, Anycast(), "sea1")
+        network.converge()
+        engine = network.engine
+        instant = engine.now
+        for _ in range(7):
+            instant += 1.5
+        if edge == "landing":
+            # The landing of the first target's reply to the round sent
+            # then, by the flight's own float additions.
+            node = next(iter(targets.values()))
+            vantage = deployment.site_node(rig.prober.vantage_site)
+            instant += rig.plane.latency_to_client(vantage, node)
+            for hop in rig.plane.hop_latencies(rig.plane.walk_from(node, rig.dst)):
+                instant += hop
+        at.append(instant)
+        engine.schedule_at(
+            instant, lambda: telemetry.current().emit(telemetry.TraceEvent(t=engine.now))
+        )
+        rig.prober.start(targets, interval=1.5, duration=30.0)
+        network.run_for(40.0)
+
+    runs = [
+        traced(monkeypatch, prober_class, drive, trace)
+        for prober_class in (WatchedProber, TickProber)
+    ]
+    (_, rig, new), (_, _, oracle) = runs
+    assert_same(new, oracle)
+    (instant, _) = at
+    # The first pass ended just before the foreign event.
+    _, _, until, deadline = rig.prober.watched[0]
+    assert until < instant < deadline
+    assert new.quiet > 0
+    if trace:
+        marker = next(i for i, e in enumerate(new.events) if type(e) is telemetry.TraceEvent)
+        after = new.events[marker + 1]
+        assert after.t == instant
+        assert isinstance(after, telemetry.ProbeSent if edge == "round" else telemetry.ProbeReply)
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+def test_replies_past_a_window_fly_in_send_order(monkeypatch, deployment, trace):
+    """Replies outlive rounds 10 ms apart, so a window cut by a foreign
+    event leaves replies of several rounds to fly: they go into the air
+    round by round, in seq order, as the rounds' events would have
+    launched them. Probing starts inside the run, so its first round
+    finds no landing queued and takes the window up to the event."""
+    targets = client_targets(deployment, 6)
+
+    def drive(rig_class):
+        network = deployment.topology.build_network(seed=5)
+        rig = rig_class(network, deployment, Anycast(), "sea1")
+        network.converge()
+        for delay in (0.2, 0.45):
+            network.engine.schedule(delay, lambda: None)
+        network.engine.schedule(
+            0.0, lambda: rig.prober.start(targets, interval=0.01, duration=0.6)
+        )
+        network.run_for(2.0)
+
+    runs = [
+        traced(monkeypatch, prober_class, drive, trace)
+        for prober_class in (WatchedProber, TickProber)
+    ]
+    (_, rig, new), (_, _, oracle) = runs
+    assert_same(new, oracle)
+    assert new.quiet > 0
+    rounds_aloft = [
+        {(seq - 1) // len(targets) for seq in seqs} for seqs in rig.prober.aloft
+    ]
+    assert max(len(rounds) for rounds in rounds_aloft) > 1
+    assert all(seqs == sorted(seqs) for seqs in rig.prober.aloft)
+
+
+def test_a_reply_landing_on_a_round_instant_comes_before_its_sends(monkeypatch, deployment):
+    """The interval is set so the first target's reply to the first
+    round lands exactly on the second round's instant: its landing event
+    was queued first, so the pass reports it before that round's
+    sends."""
+    targets = client_targets(deployment, 4)
+
+    def drive(rig_class):
+        network = deployment.topology.build_network(seed=5)
+        rig = rig_class(network, deployment, Anycast(), "sea1")
+        network.converge()
+        start = network.engine.now
+        node = next(iter(targets.values()))
+        vantage = deployment.site_node(rig.prober.vantage_site)
+        lands_at = start + rig.plane.latency_to_client(vantage, node)
+        for hop in rig.plane.hop_latencies(rig.plane.walk_from(node, rig.dst)):
+            lands_at += hop
+        interval = lands_at - start
+        while start + interval != lands_at:
+            interval = math.nextafter(interval, math.inf if start + interval < lands_at else 0.0)
+        rig.prober.start(targets, interval=interval, duration=20 * interval)
+        network.run_for(1.0)
+        return lands_at
+
+    runs = [traced(monkeypatch, prober_class, drive) for prober_class in (Prober, TickProber)]
+    (lands_at, _, new), (_, _, oracle) = runs
+    assert_same(new, oracle)
+    assert new.quiet > 0
+    at_once = [
+        e for e in new.events
+        if isinstance(e, (telemetry.ProbeSent, telemetry.ProbeReply)) and e.t == lands_at
+    ]
+    assert isinstance(at_once[0], telemetry.ProbeReply) and at_once[0].seq == 1
+    assert isinstance(at_once[1], telemetry.ProbeSent)
+
+
+def test_a_forked_superprefix_cell_ends_passes_before_the_deadline(monkeypatch, deployment):
+    """Between BGP bursts a round takes the window up to the next queued
+    event, so some pass ends before the run's deadline. A change that
+    silently drops that window, and waits for a queue of nothing but
+    landings, fails here."""
+    _, rig, _ = run_cell(
+        monkeypatch, WatchedProber, deployment, ProactiveSuperprefix(), "sea1", trace=False,
+        probe_duration=120.0, targets_per_site=10,
+    )
+    assert any(until < deadline for _, _, until, deadline in rig.prober.watched)
+
+
 def test_a_settled_anycast_cell_takes_the_quiet_pass(deployment):
-    """A change that silently disables the quiet pass fails here."""
+    """A change that silently disables the pass on a quiet network
+    fails here."""
     with telemetry.using(telemetry.Telemetry()) as active:
         FailoverExperiment(
             deployment.topology, deployment,
@@ -311,12 +480,27 @@ class TestRefusedWindows:
     ``run_site`` (0) or censored every target (NaN); an empty window
     returned no outcomes. Each is refused up front."""
 
-    @pytest.mark.parametrize("interval", [0.0, -1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("interval", [0.0, -1.5, float("nan"), float("inf"), 1e-300])
     def test_prober_refuses_an_interval_that_cannot_advance(self, deployment, interval):
         network = deployment.topology.build_network(seed=5)
         rig = RunRig(network, deployment, Anycast(), "sea1")
+        pending = network.engine.pending
         with pytest.raises(ValueError, match="probe interval"):
             rig.prober.start(client_targets(deployment, 2), interval=interval)
+        # Refused before anything was sent or scheduled.
+        assert network.engine.pending == pending and not rig.prober.logs
+
+    def test_run_site_refuses_an_interval_too_small_to_move_the_clock(self, deployment):
+        """``FailoverConfig`` takes any interval above 0; 1e-300 added to
+        any instant of the window leaves it unchanged, so every round
+        would be rescheduled at one instant forever."""
+        experiment = FailoverExperiment(
+            deployment.topology, deployment,
+            FailoverConfig(probe_interval=1e-300, probe_duration=30.0, targets_per_site=2),
+            use_checkpoint=True,
+        )
+        with pytest.raises(ValueError, match="probe interval"):
+            experiment.run_site(Anycast(), "sea1")
 
     def test_prober_refuses_a_nan_duration(self, deployment):
         """No clock reading passes a NaN stop time: the ticks probed until
@@ -350,6 +534,14 @@ class TestRefusedWindows:
         runner = ScenarioRunner(
             deployment.topology, deployment, Anycast(), "sea1",
             duration_s=30.0, n_targets=2, probe_interval=0.0,
+        )
+        with pytest.raises(ValueError, match="probe interval"):
+            runner.run()
+
+    def test_scenario_refuses_an_interval_too_small_to_move_the_clock(self, deployment):
+        runner = ScenarioRunner(
+            deployment.topology, deployment, Anycast(), "sea1",
+            duration_s=30.0, n_targets=2, probe_interval=1e-300,
         )
         with pytest.raises(ValueError, match="probe interval"):
             runner.run()

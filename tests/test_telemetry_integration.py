@@ -81,7 +81,7 @@ def test_phases_cover_the_protocol(traced_run):
         tags = dict(ends[name].tags)
         if name == "fail-probe":
             # The probing phase ends with its replies split by who wrote
-            # them: a landing event or the quiet pass.
+            # them: a landing event or a windowed pass.
             flown, quiet = tags.pop("flown"), tags.pop("quiet")
             assert quiet == counters["probe.quiet"] > 0
             assert flown + quiet == counters["probe.replies"] + counters["probe.replies_lost"]
