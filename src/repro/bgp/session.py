@@ -377,29 +377,24 @@ class Session:
 
         With the event queue drained and the clock past every MRAI
         deadline there are no pending updates and no running timer, so
-        the effective MRAI, delivery epoch, advertised set, and
-        delivery/loss bookkeeping are the whole state: ⟨mrai, epoch,
-        advertised (sorted), last_delivery, loss_prob, dup_prob,
-        closed⟩, a tuple because a snapshot holds one per
-        session direction (an empty advertised set becomes the
-        interpreter's one empty tuple). Raises if the session still has
-        a running timer or pending updates (the caller snapshotted a
-        non-quiescent network).
+        the effective MRAI, delivery epoch, advertised set, and last
+        delivery time are the whole state: ⟨mrai, epoch, advertised
+        (sorted), last_delivery⟩, a tuple because a snapshot holds one
+        per session direction (an empty advertised set becomes the
+        interpreter's one empty tuple). The loss knobs are the link's
+        (``BgpNetwork.set_message_loss`` keeps them per link), and a
+        session at rest is open: ``fail_link`` drops a closed session
+        and ``reset_session`` reopens it. Raises if the session is
+        closed, still has a running timer or pending updates (the caller
+        snapshotted a non-quiescent network).
         """
-        if self._pending or self._mrai_running:
+        if self._pending or self._mrai_running or self.closed:
             raise RuntimeError(
                 f"session {self.local!r}->{self.remote!r} is not quiescent "
-                f"(pending={len(self._pending)}, mrai_running={self._mrai_running})"
+                f"(pending={len(self._pending)}, mrai_running={self._mrai_running}, "
+                f"closed={self.closed})"
             )
-        return (
-            self.mrai,
-            self.epoch,
-            tuple(sorted(self.advertised)),
-            self._last_delivery,
-            self.loss_prob,
-            self.dup_prob,
-            self.closed,
-        )
+        return (self.mrai, self.epoch, tuple(sorted(self.advertised)), self._last_delivery)
 
     def restore_transfer_state(self, state: tuple) -> None:
         """Put this session back in a snapshot's quiescent state.
@@ -412,13 +407,5 @@ class Session:
         self._mrai_until = 0.0
         self._expiry_queued = False
         self.dirty = False
-        (
-            self.mrai,
-            self.epoch,
-            advertised,
-            self._last_delivery,
-            self.loss_prob,
-            self.dup_prob,
-            self.closed,
-        ) = state
+        self.mrai, self.epoch, advertised, self._last_delivery = state
         self.advertised = set(advertised)

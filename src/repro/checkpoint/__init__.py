@@ -17,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "NetworkSnapshot": ".codec",
     "NotQuiescentError": ".codec",
     "RouterState": ".codec",
-    "SessionState": ".codec",
     "restore_network": ".codec",
     "rewind_network": ".codec",
     "snapshot_network": ".codec",

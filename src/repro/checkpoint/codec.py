@@ -13,12 +13,18 @@ problem tractable: with no events in flight there are no scheduled
 callbacks -- closures over live objects -- to serialize. Everything that
 remains is value-like state:
 
-* per router: Adj-RIB-In, Loc-RIB, FIB contents, origin configs, and
-  flap-damping state;
-* per session: the transfer state (advertised set, delivery epoch,
-  *effective* MRAI including the heterogeneity draw, loss/dup knobs);
+* per router, keyed by node: Adj-RIB-In, Loc-RIB, origin configs,
+  flap-damping state, and each session's transfer state (advertised
+  set, delivery epoch, *effective* MRAI including the heterogeneity
+  draw), in the router's own ``sessions`` order;
 * per network: adjacency, link latency/timing/loss tables, failed
   links, the provenance cause counter, the RNG state, and the clock.
+
+Each fact is held once. A session's relationship, timing and loss
+knobs are its link's (``adjacency``, ``link_timing``, ``link_loss``),
+and a FIB is its Loc-RIB's next hops (the router's install is the only
+FIB writer and a quiescent network has none queued), so the snapshot
+stores neither and a load derives them.
 
 Restore builds the object graph through the normal constructors, which
 re-wires everything unpicklable for free: ``BgpNetwork.add_router``
@@ -28,10 +34,11 @@ router's ``receive``, and every component re-resolves its telemetry
 instruments against the *currently installed* backend (a snapshot taken
 under one backend restores cleanly under another). Then one loader puts
 the state in: the engine reset to the snapshot's clock, the network's
-counters and hooks, every router's RIBs/FIB/origins and every session's
-transfer state, the damping state (suppressed entries re-arm their
-release timers, since the live network always has one scheduled per
-suppression), and the RNG state last. Building costs O(network).
+counters and hooks, every router's RIBs/origins (and the FIB they
+imply) and every session's transfer state, the damping state
+(suppressed entries re-arm their release timers, since the live
+network always has one scheduled per suppression), and the RNG state
+last. Building costs O(network).
 
 :func:`rewind_network` is the same loader run on a network restored
 from the same snapshot, for the routers ``BgpNetwork.touched`` names and
@@ -47,17 +54,17 @@ restored instead.
 
 Determinism contract: ``restore_network`` is a pure function of the
 snapshot -- byte-equal snapshots restore to networks that simulate
-identically, whichever process (or worker) runs them -- and a rewound
-network is in the state a restore of its snapshot gives.
+identically, whichever process (or worker) runs them -- a restore
+keeps each router's session order (its export fan-out order), so it
+simulates as the snapshotted network would, and a rewound network is
+in the state a restore of its snapshot gives.
 """
 
 from __future__ import annotations
 
 import pickle
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
@@ -68,11 +75,7 @@ from repro.bgp.session import Session, SessionTiming
 from repro.net.addr import IPv4Prefix
 
 #: bumped on incompatible snapshot layout changes
-SNAPSHOT_SCHEMA = "repro.checkpoint/3"
-
-
-_NODE = attrgetter("node_id")
-_LOCAL = attrgetter("local")
+SNAPSHOT_SCHEMA = "repro.checkpoint/4"
 
 
 class CheckpointError(RuntimeError):
@@ -86,28 +89,17 @@ class NotQuiescentError(CheckpointError):
 @dataclass(frozen=True, slots=True)
 class RouterState:
     """One router's value-like state: copies of its three dicts (their
-    values are immutable), the FIB's entries, and the damping state."""
+    values are immutable), the damping state, and each session's
+    transfer state in the router's ``sessions`` order."""
 
-    node_id: str
     asn: int
     adj_rib_in: dict[IPv4Prefix, dict[str, Route]]
     loc_rib: dict[IPv4Prefix, Route]
-    fib: tuple[tuple[IPv4Prefix, str], ...]
     origins: dict[IPv4Prefix, OriginConfig]
     #: (export_state entries, flaps, suppressions) or None without damping
     damping: tuple[list, int, int] | None
-
-
-@dataclass(frozen=True, slots=True)
-class SessionState:
-    """One session direction's identity, timing, and transfer state."""
-
-    local: str
-    remote: str
-    relationship: Relationship
-    timing: SessionTiming
-    #: ``Session.transfer_state()``
-    transfer: tuple
+    #: remote -> ``Session.transfer_state()``
+    sessions: dict[str, tuple]
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +113,8 @@ class NetworkSnapshot:
     current_cause: int
     default_timing: SessionTiming
     damping_config: DampingConfig | None
-    routers: tuple[RouterState, ...]
-    sessions: tuple[SessionState, ...]
+    #: node -> state, in node order
+    routers: dict[str, RouterState]
     adjacency: dict[str, dict[str, Relationship]]
     link_latency: dict[frozenset, float]
     link_timing: dict[frozenset, SessionTiming]
@@ -168,10 +160,9 @@ def snapshot_network(network: BgpNetwork) -> NetworkSnapshot:
             f"an MRAI timer runs until t={engine.horizon:.6f}s (now {engine.now:.6f}s); "
             "run converge() until idle before snapshotting"
         )
-    routers = []
-    sessions = []
-    for node_id in sorted(network.routers):
-        router = network.routers[node_id]
+    routers = {}
+    for node in sorted(network.routers):
+        router = network.routers[node]
         damping_state = None
         if router.damping is not None:
             damping_state = (
@@ -179,28 +170,17 @@ def snapshot_network(network: BgpNetwork) -> NetworkSnapshot:
                 router.damping.flaps,
                 router.damping.suppressions,
             )
-        routers.append(
-            RouterState(
-                node_id=node_id,
-                asn=router.asn,
-                adj_rib_in={p: dict(heard) for p, heard in router.adj_rib_in.items()},
-                loc_rib=dict(router.loc_rib),
-                fib=tuple(sorted(router.fib.items())),
-                origins=dict(router.origins),
-                damping=damping_state,
-            )
+        routers[node] = RouterState(
+            asn=router.asn,
+            adj_rib_in={p: dict(heard) for p, heard in router.adj_rib_in.items()},
+            loc_rib=dict(router.loc_rib),
+            origins=dict(router.origins),
+            damping=damping_state,
+            sessions={
+                remote: session.transfer_state()
+                for remote, session in router.sessions.items()
+            },
         )
-        for remote in sorted(router.sessions):
-            session = router.sessions[remote]
-            sessions.append(
-                SessionState(
-                    local=node_id,
-                    remote=remote,
-                    relationship=session.relationship,
-                    timing=session.timing,
-                    transfer=session.transfer_state(),
-                )
-            )
     return NetworkSnapshot(
         schema=SNAPSHOT_SCHEMA,
         now=network.engine.now,
@@ -209,8 +189,7 @@ def snapshot_network(network: BgpNetwork) -> NetworkSnapshot:
         current_cause=network.current_cause,
         default_timing=network.default_timing,
         damping_config=network.damping_config,
-        routers=tuple(routers),
-        sessions=tuple(sessions),
+        routers=routers,
         adjacency={node: dict(nbrs) for node, nbrs in network.adjacency.items()},
         link_latency=dict(network.link_latency),
         link_timing=dict(network._link_timing),
@@ -222,17 +201,16 @@ def snapshot_network(network: BgpNetwork) -> NetworkSnapshot:
 def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
     """Rebuild a live network from a snapshot.
 
-    The restored network is independent of the snapshotted one and holds
-    the same state: same RIBs/FIBs, same session transfer state and
+    The restored network is independent of the snapshotted one, holds
+    the same state -- same RIBs/FIBs, same session transfer state and
     effective MRAIs, same damping state (with release timers re-armed),
-    same RNG stream position, same clock. It is *not* equivalent in
-    behavior: each router's ``sessions`` come back sorted by remote,
-    not in the original's insertion order, and that order is the export
-    fan-out order, so the same later event can unfold differently
-    (``tests/test_checkpoint_codec.py::TestSessionOrder``). Every
-    restore of one snapshot behaves the same. Building costs
-    O(network); the state itself goes in through the loader
-    :func:`rewind_network` shares.
+    same RNG stream position, same clock -- and behaves the same: each
+    router's ``sessions`` come back in the original's order, which is
+    its export fan-out order. Each session's relationship, timing and
+    loss knobs are read from its link's tables; a session the snapshot's
+    ``adjacency`` or ``link_timing`` lacks is a :class:`CheckpointError`.
+    Building costs O(network); the state itself goes in through the
+    loader :func:`rewind_network` shares.
     """
     if snapshot.schema != SNAPSHOT_SCHEMA:
         raise CheckpointError(
@@ -244,11 +222,11 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
         damping=snapshot.damping_config,
     )
     # add_router re-wires fib_delay_source and damping on_release.
-    for state in snapshot.routers:
-        router = network.add_router(state.node_id, state.asn)
+    for node, state in snapshot.routers.items():
+        router = network.add_router(node, state.asn)
         if state.damping is not None and router.damping is None:
             raise CheckpointError(
-                f"router {state.node_id!r} snapshotted with damping state "
+                f"router {node!r} snapshotted with damping state "
                 "but restored without a damping config"
             )
     # Sessions are placed directly instead of via add_session: the
@@ -258,24 +236,39 @@ def restore_network(snapshot: NetworkSnapshot) -> BgpNetwork:
     # toward it -- and takes its snapshot's effective MRAI, so building
     # it draws nothing.
     receive = {node: router.receive for node, router in network.routers.items()}
-    for state in snapshot.sessions:
-        network.routers[state.local].sessions[state.remote] = Session(
-            network.engine,
-            network.rng,
-            state.local,
-            state.remote,
-            state.relationship,
-            receive[state.remote],
-            state.timing,
-            network._telemetry,
-            mrai=state.transfer[0],
-        )
+    sessions = []
+    for node, state in snapshot.routers.items():
+        held = network.routers[node].sessions
+        for remote, transfer in state.sessions.items():
+            link = frozenset((node, remote))
+            try:
+                relationship = snapshot.adjacency[node][remote]
+                timing = snapshot.link_timing[link]
+            except KeyError:
+                raise CheckpointError(
+                    f"session {node!r}->{remote!r} has no adjacency or link-timing entry"
+                ) from None
+            session = held[remote] = Session(
+                network.engine,
+                network.rng,
+                node,
+                remote,
+                relationship,
+                receive[remote],
+                timing,
+                network._telemetry,
+                mrai=transfer[0],
+            )
+            loss = snapshot.link_loss.get(link)
+            if loss is not None:
+                session.loss_prob, session.dup_prob = loss
+            sessions.append((session, transfer))
     network.adjacency = {node: dict(nbrs) for node, nbrs in snapshot.adjacency.items()}
     network.link_latency = dict(snapshot.link_latency)
     network._link_timing = dict(snapshot.link_timing)
     network._link_loss = dict(snapshot.link_loss)
     network._failed_links = dict(snapshot.failed_links)
-    _load(network, snapshot, snapshot.routers, snapshot.sessions)
+    _load(network, snapshot, snapshot.routers.items(), sessions)
     return network
 
 
@@ -294,46 +287,34 @@ def rewind_network(network: BgpNetwork, snapshot: NetworkSnapshot) -> int:
     """
     if network.reshaped:
         raise CheckpointError("a reshaped network cannot be rewound; restore it")
-    routers = [_router_state(snapshot, node) for node in network.touched]
+    routers = []
     sessions = []
-    for state in routers:
-        live = network.routers[state.node_id].sessions
+    for node in network.touched:
+        state = snapshot.routers.get(node)
+        if state is None:
+            raise CheckpointError(f"router {node!r} is not in the snapshot")
+        routers.append((node, state))
+        live = network.routers[node].sessions
         sessions.extend(
-            session for session in _session_states(snapshot, state.node_id)
-            if live[session.remote].dirty
+            (live[remote], transfer)
+            for remote, transfer in state.sessions.items()
+            if live[remote].dirty
         )
     _load(network, snapshot, routers, sessions)
     return len(routers)
 
 
-def _router_state(snapshot: NetworkSnapshot, node: str) -> RouterState:
-    """``node``'s entry in the snapshot (whose routers are in node order)."""
-    index = bisect_left(snapshot.routers, node, key=_NODE)
-    if index == len(snapshot.routers) or snapshot.routers[index].node_id != node:
-        raise CheckpointError(f"router {node!r} is not in the snapshot")
-    return snapshot.routers[index]
-
-
-def _session_states(snapshot: NetworkSnapshot, node: str) -> tuple[SessionState, ...]:
-    """The sessions ``node`` holds (the snapshot's are in ⟨local, remote⟩
-    order)."""
-    sessions = snapshot.sessions
-    return sessions[
-        bisect_left(sessions, node, key=_LOCAL):bisect_right(sessions, node, key=_LOCAL)
-    ]
-
-
-
 def _load(
     network: BgpNetwork,
     snapshot: NetworkSnapshot,
-    routers: Iterable[RouterState],
-    sessions: Iterable[SessionState],
+    routers: Iterable[tuple[str, RouterState]],
+    sessions: Iterable[tuple[Session, tuple]],
 ) -> None:
     """The one state loader behind restore and rewind: reset everything
-    network-wide to the snapshot, then load ``routers`` and ``sessions``
-    (restore passes all of them, rewind the touched routers and the
-    sessions that sent)."""
+    network-wide to the snapshot, then load ``routers`` (⟨node, state⟩)
+    and ``sessions`` (⟨live session, transfer state⟩): restore passes
+    all of them, rewind the touched routers and the sessions that
+    sent."""
     network.engine.reset(snapshot.now)
     network._next_cause = snapshot.next_cause
     network.current_cause = snapshot.current_cause
@@ -345,29 +326,30 @@ def _load(
     network.on_route_change = []
     network.touched.clear()
     network.bind_clock()
-    # RIB/FIB/origin contents are installed directly (no reselect, no
-    # exports -- the snapshot is already converged).
-    for state in routers:
-        router = network.routers[state.node_id]
+    # RIB/origin contents are installed directly (no reselect, no
+    # exports -- the snapshot is already converged), and each FIB is
+    # what the router's install makes of its Loc-RIB.
+    for node, state in routers:
+        router = network.routers[node]
         router.adj_rib_in = {p: dict(heard) for p, heard in state.adj_rib_in.items()}
         router.med_heard = any(
             route.med for heard in state.adj_rib_in.values() for route in heard.values()
         )
         router.loc_rib = dict(state.loc_rib)
-        router.fib.load(state.fib)
+        router.fib.load(sorted(
+            (prefix, best.learned_from or node) for prefix, best in state.loc_rib.items()
+        ))
         router.origins = dict(state.origins)
         router._current_cause = 0
-    for state in sessions:
-        network.routers[state.local].sessions[state.remote].restore_transfer_state(
-            state.transfer
-        )
+    for session, transfer in sessions:
+        session.restore_transfer_state(transfer)
     # Damping state of every router, touched or not: a release timer
     # may have moved an untouched router's entry, and the reset engine
     # must re-arm every suppressed entry's timer in the order a restore
     # does.
-    for state in snapshot.routers if network.damping_config is not None else ():
+    for node, state in snapshot.routers.items() if network.damping_config is not None else ():
         if state.damping is not None:
-            network.routers[state.node_id].damping.import_state(*state.damping)
+            network.routers[node].damping.import_state(*state.damping)
     # RNG state last: nothing above draws, but the stream must continue
     # exactly where the snapshot stopped whatever ran since (a rewind).
     network.rng.setstate(snapshot.rng_state)

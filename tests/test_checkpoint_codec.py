@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import pathlib
 import pickle
 import random
 
@@ -17,15 +18,23 @@ from repro.checkpoint import (
     CheckpointError,
     NetworkSnapshot,
     NotQuiescentError,
+    RouterState,
     restore_network,
+    rewind_network,
     snapshot_network,
 )
+from repro.cli.sweep_cmd import DEFAULT_TECHNIQUES
 from repro.core.plan import apply_plan
-from repro.core.techniques import Anycast
+from repro.core.techniques import Anycast, technique_by_name
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import load_fault_plan
 from repro.net.addr import IPv4Prefix
 from repro.net.lpm import LpmTable
 
 from tests.conftest import build_line_network
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "examples"
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 PFX2 = IPv4Prefix.parse("184.164.245.0/24")
@@ -95,6 +104,8 @@ def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
                 "adj_rib_in": {p: list(h.items()) for p, h in router.adj_rib_in.items()},
                 "fib": sorted(router.fib.items()),
                 "origins": list(router.origins.items()),
+                # the export fan-out order, which dict equality cannot see
+                "session_order": list(router.sessions),
                 "med_heard": router.med_heard,
                 "damping": None if router.damping is None else (
                     router.damping.export_state(),
@@ -126,6 +137,13 @@ def fingerprint(net: BgpNetwork, exact: bool = False) -> dict:
         "link_loss": net._link_loss,
         "failed_links": net._failed_links,
     }
+
+
+def derived_fib(router) -> list:
+    """What the router's install makes of its Loc-RIB, as sorted pairs."""
+    return sorted(
+        (prefix, best.learned_from or router.node_id) for prefix, best in router.loc_rib.items()
+    )
 
 
 def converged_net(seed: int = 11) -> BgpNetwork:
@@ -195,22 +213,23 @@ class TestRoundTrip:
         monkeypatch.setattr(random.Random, "lognormvariate", no_draw)
         clone = restore_network(snapshot)
         assert [s.mrai for s in clone.router("r1").sessions.values()] == [
-            state.transfer[0] for state in snapshot.sessions if state.local == "r1"
+            transfer[0] for transfer in snapshot.routers["r1"].sessions.values()
         ]
 
-    def test_restored_fibs_are_the_snapshot_in_plain_tables(self):
-        """Restore inserts RouterState.fib's pairs into each router's
-        own table: no stand-in type, nothing deferred to first use."""
+    def test_restored_fibs_are_the_loc_rib_in_plain_tables(self):
+        """The snapshot holds no FIB: restore loads each router's own
+        table with its Loc-RIB's next hops, as the original's install
+        wrote them -- no stand-in type, nothing deferred to first use."""
         net = converged_net()
         net.announce("r0", PFX.supernet())  # a second length under the /24
         net.converge()
         snapshot = snapshot_network(net)
         fork = restore_network(snapshot)
-        assert [len(state.fib) for state in snapshot.routers] == [2, 2, 2, 2]
-        for state in snapshot.routers:
-            fib = fork.router(state.node_id).fib
-            assert type(fib) is LpmTable
-            assert tuple(sorted(fib.items())) == state.fib
+        for name, router in fork.routers.items():
+            assert type(router.fib) is LpmTable
+            assert len(router.fib) == 2
+            assert sorted(router.fib.items()) == derived_fib(router)
+            assert sorted(router.fib.items()) == sorted(net.router(name).fib.items())
 
     def test_snapshot_does_not_disturb_original(self):
         net = converged_net()
@@ -271,13 +290,56 @@ class TestRoundTrip:
         assert session.loss_prob == 0.25
         assert session.dup_prob == 0.125
 
+    def test_loss_knobs_survive_a_link_failure_and_a_round_trip(self):
+        """The knobs are the link's: a session rebuilt by ``restore_link``
+        takes them from ``link_loss``, and so does a restored one."""
+        net = converged_net()
+        net.set_message_loss("r1", "r2", loss_prob=0.25, dup_prob=0.125)
+        net.fail_link("r1", "r2")
+        net.converge()
+        net.restore_link("r1", "r2")
+        net.converge()
+        clone = restore_network(snapshot_network(net))
+        for a, b in (("r1", "r2"), ("r2", "r1")):
+            session = clone.router(a).sessions[b]
+            assert (session.loss_prob, session.dup_prob) == (0.25, 0.125)
+        assert [
+            (s.loss_prob, s.dup_prob) for s in clone.router("r0").sessions.values()
+        ] == [(0.0, 0.0)]
+        assert fingerprint(clone) == fingerprint(net)
+
+    def test_a_closed_session_is_refused(self):
+        """A session at rest is open (``fail_link`` drops a closed one,
+        ``reset_session`` reopens it), so the transfer tuple holds no
+        ``closed`` flag and a closed session is not quiescent."""
+        net = converged_net()
+        net.router("r1").sessions["r2"].closed = True
+        with pytest.raises(RuntimeError, match="'r1'->'r2' is not quiescent"):
+            snapshot_network(net)
+
+    @pytest.mark.parametrize("table", ["adjacency", "link_timing"])
+    def test_a_session_without_its_link_entry_is_refused(self, table):
+        """A session's relationship and timing are read from its link's
+        entries: a snapshot that lacks one names the session."""
+        snapshot = snapshot_network(converged_net())
+        if table == "adjacency":
+            adjacency = dict(snapshot.adjacency)
+            adjacency["r1"] = {n: r for n, r in adjacency["r1"].items() if n != "r2"}
+            broken = dataclasses.replace(snapshot, adjacency=adjacency)
+        else:
+            timing = dict(snapshot.link_timing)
+            del timing[frozenset(("r1", "r2"))]
+            broken = dataclasses.replace(snapshot, link_timing=timing)
+        with pytest.raises(CheckpointError, match="session 'r1'->'r2' has no adjacency"):
+            restore_network(broken)
+
 
 class TestSessionOrder:
     """A router's ``sessions`` order is its export fan-out order, and so
-    the sequence numbers of same-instant deliveries. ``snapshot_network``
-    stores sessions sorted by remote, so a restore reorders them, and
-    ``fingerprint`` (dict equality) cannot see it. On the testbed's
-    anycast base the reorder changes what a site's withdrawal does."""
+    the sequence numbers of same-instant deliveries. A snapshot holds
+    each router's sessions in that order, so a restore keeps it; on the
+    testbed's anycast base another order changes what a site's
+    withdrawal does."""
 
     @staticmethod
     def anycast_base(deployment) -> BgpNetwork:
@@ -294,26 +356,23 @@ class TestSessionOrder:
         net.withdraw_all(node)
         return net.converge() - start, net.engine.processed - processed, net.rng.getstate()
 
-    def test_the_order_is_the_only_difference(self, deployment):
-        """Put each router's original order back, and the restored
-        network withdraws exactly like the original."""
+    def test_sorted_sessions_are_another_network(self, deployment):
+        """Sort each router's sessions by remote (what a restore did
+        while the snapshot kept them in one ⟨local, remote⟩ table): the
+        fingerprint sees it, and the same withdrawal unfolds otherwise."""
         net = self.anycast_base(deployment)
         clone = restore_network(snapshot_network(net))
+        assert fingerprint(clone) == fingerprint(net)
         reordered = 0
-        for name, router in clone.routers.items():
-            order = list(net.routers[name].sessions)
+        for router in clone.routers.values():
+            order = sorted(router.sessions)
             reordered += list(router.sessions) != order
             router.sessions = {remote: router.sessions[remote] for remote in order}
         assert reordered > 0
+        assert fingerprint(clone) != fingerprint(net)
         node = deployment.site_node("sea1")
-        assert self.withdrawal(clone, node) == self.withdrawal(net, node)
-        assert fingerprint(clone) == fingerprint(net)
+        assert self.withdrawal(clone, node) != self.withdrawal(net, node)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="snapshot_network stores sessions sorted by remote, so a restore "
-        "reorders each router's export fan-out; fixing it moves every forked digest",
-    )
     def test_a_restore_keeps_each_routers_session_order(self, deployment):
         net = self.anycast_base(deployment)
         clone = restore_network(snapshot_network(net))
@@ -321,6 +380,49 @@ class TestSessionOrder:
         assert self.withdrawal(clone, node) == self.withdrawal(net, node)
         for name, router in clone.routers.items():
             assert list(router.sessions) == list(net.routers[name].sessions), name
+        assert fingerprint(clone) == fingerprint(net)
+
+
+class TestDerivedFib:
+    """The snapshot stores no FIB: the router's install is its only
+    writer and a quiescent network has none queued, so a settled FIB is
+    its Loc-RIB's next hops and a load derives it."""
+
+    @staticmethod
+    def assert_fibs_derived(net: BgpNetwork, fork: BgpNetwork) -> None:
+        for name, router in net.routers.items():
+            assert sorted(router.fib.items()) == derived_fib(router), name
+            assert sorted(fork.router(name).fib.items()) == derived_fib(router), name
+
+    @pytest.mark.parametrize("name", DEFAULT_TECHNIQUES)
+    def test_every_compare_baseline_restores_and_rewinds_its_fibs(self, deployment, name):
+        options = {"prepend": 3} if name == "proactive-prepending" else {}
+        technique = technique_by_name(name, **options)
+        with deployment.topology.build_network(
+            seed=1, timing=DEFAULT_INTERNET_TIMING
+        ) as net:
+            apply_plan(net, technique.base_plan(deployment))
+            net.converge()
+            snapshot = snapshot_network(net)
+            with restore_network(snapshot) as fork:
+                self.assert_fibs_derived(net, fork)
+                fork.withdraw_all(deployment.site_node("sea1"))
+                fork.converge()
+                rewind_network(fork, snapshot)
+                self.assert_fibs_derived(net, fork)
+
+    def test_a_network_converged_after_a_fault_plan(self, deployment):
+        """Session resets, a link flap, message loss, a FIB-delay window
+        and a partial site failure, all over and converged."""
+        plan = load_fault_plan(EXAMPLES / "faultplan.json")
+        with TestSessionOrder.anycast_base(deployment) as net:
+            injector = FaultInjector(net, plan)
+            injector.arm()
+            net.converge()
+            assert injector.injected == 10 and injector.skipped == 0
+            with restore_network(snapshot_network(net)) as fork:
+                self.assert_fibs_derived(net, fork)
+                assert fingerprint(fork) == fingerprint(net)
 
 
 class TestDampingRoundTrip:
@@ -477,3 +579,34 @@ class TestTelemetryRebinding:
 
         assert any(isinstance(e, RootCause) for e in tracer.events)
         assert any(isinstance(e, BgpUpdateSent) for e in tracer.events)
+
+
+class TestDocumentedLayout:
+    """docs/checkpoint.md's layout table names every field a snapshot
+    holds, and only those, in their order."""
+
+    @staticmethod
+    def documented(holder: str) -> list[str]:
+        """The field column of the table rows held in ``holder``."""
+        names = []
+        for line in (ROOT / "docs" / "checkpoint.md").read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.lstrip().startswith("|") and len(cells) == 3 and cells[0] == holder:
+                names.append(cells[1].strip("`"))
+        return names
+
+    @pytest.mark.parametrize("cls", [NetworkSnapshot, RouterState])
+    def test_every_field_is_in_the_layout_table(self, cls):
+        assert self.documented(f"`{cls.__name__}`") == [
+            field.name for field in dataclasses.fields(cls)
+        ]
+
+    def test_the_transfer_tuple_is_in_the_layout_table(self):
+        """Each documented name is the session attribute the tuple holds
+        at that position (a set as its sorted tuple)."""
+        session = converged_net().router("r1").sessions["r2"]
+        assert session.advertised and session.mrai and session._last_delivery
+        values = [getattr(session, name) for name in self.documented("transfer tuple")]
+        assert tuple(
+            tuple(sorted(value)) if isinstance(value, set) else value for value in values
+        ) == session.transfer_state()

@@ -130,11 +130,11 @@ class TestRewindNetwork:
         net.converge()
         snapshot = snapshot_network(net)
         suppressed = ([(PFX, "r1", 3000.0, snapshot.now, True, 1)], 3, 1)
-        snapshot = dataclasses.replace(snapshot, routers=tuple(
-            dataclasses.replace(state, loc_rib={}, fib=(), damping=suppressed)
-            if state.node_id == "r2" else state
-            for state in snapshot.routers
-        ))
+        snapshot = dataclasses.replace(snapshot, routers={
+            node: dataclasses.replace(state, loc_rib={}, damping=suppressed)
+            if node == "r2" else state
+            for node, state in snapshot.routers.items()
+        })
         fork = restore_network(snapshot)
         assert fork.engine.pending == 1
         fork.converge()

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.checkpoint import restore_network
 from repro.core.experiment import FailoverExperiment
 from repro.core.techniques import TECHNIQUES
 from repro.net.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
@@ -134,15 +135,18 @@ class TestFibShape:
     def test_baseline_fibs_fit_two_probes(self, deployment):
         """The traffic that justifies a length-bucketed table
         (docs/architecture.md, "FIB shape"): over the converged
-        baselines of every registered technique on the seed-42 testbed
-        no FIB holds more than three entries or two prefix lengths. The
-        day this fails, the structure needs re-measuring."""
+        baselines of every registered technique on the seed-42 testbed,
+        as a restore loads them, no FIB holds more than three entries or
+        two prefix lengths. The day this fails, the structure needs
+        re-measuring."""
         experiment = FailoverExperiment(deployment.topology, deployment)
         entries, lengths = Counter(), Counter()
         for name in sorted(TECHNIQUES):
-            for state in experiment.baseline_for(TECHNIQUES[name]()).routers:
-                entries[len(state.fib)] += 1
-                lengths[len({prefix.length for prefix, _ in state.fib})] += 1
+            with restore_network(experiment.baseline_for(TECHNIQUES[name]())) as fork:
+                for router in fork.routers.values():
+                    fib = list(router.fib.items())
+                    entries[len(fib)] += 1
+                    lengths[len({prefix.length for prefix, _ in fib})] += 1
         assert max(entries) <= 3 and max(lengths) <= 2
         assert entries == {0: 416, 1: 1456, 2: 208}  # 10 techniques x 208 ASes
         assert lengths == {0: 416, 1: 1456, 2: 208}

@@ -82,8 +82,9 @@ def test_callback_census_of_one_forked_cell(deployment):
     probing ran in rounds, 1640 and 1640 (a tick per probe, a landing
     per reply); before a round took the window between BGP bursts, 41
     and 1640 (the cell never went quiet inside its window, so every
-    reply landed as a flight). A change that batches, merges or drops
-    probe events moves these."""
+    reply landed as a flight); before a restore kept each router's
+    session order, 21 and 677 (963 replies quiet, no stale landing).
+    A change that batches, merges or drops probe events moves these."""
     profiler = EventProfiler()
     with telemetry.using(telemetry.Telemetry(profiler=profiler)) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
@@ -101,7 +102,7 @@ def test_callback_census_of_one_forked_cell(deployment):
     assert counters["probe.sent"] == replies == 1640
     # 60 s at 1.5 s is 41 rounds: the round at the start is a direct
     # call, and a round whose window holds later rounds writes them in
-    # its pass, so 21 round events carry the other 40.
-    assert probe_n == 21
-    assert counters["probe.quiet"] == 963
-    assert hop_n == flown + 0 == 677  # no stale landing in this cell
+    # its pass, so 24 round events carry the other 40.
+    assert probe_n == 24
+    assert counters["probe.quiet"] == 1001
+    assert hop_n == flown + 1 == 640  # one landing a FIB write made stale

@@ -90,26 +90,29 @@ def test_update_traffic_of_one_forked_cell(monkeypatch, deployment):
     ⟨best-path change, relationship class⟩ among the sessions that pass
     split horizon and the origination scope -- 773, where the
     per-session ``offer`` made 3,527, one per export of a selected
-    route."""
+    route. Since a restore keeps each router's session order (the
+    export fan-out order) the fork runs as the baseline network would,
+    and the counts moved: 1,460 -> 1,664 exports, 773 -> 882
+    evaluations."""
     census = Census(monkeypatch)
     with telemetry.using(telemetry.Telemetry()) as active:
         forked_experiment(deployment).run_site(ReactiveAnycast(), "sea1")
     counters = counter_values(active)
-    assert census.exports == 1460
-    assert census.evaluations == 773
-    assert (census.announcements, census.withdrawals) == (1245, 44)
-    # Every export ends one of three ways: suppressed (no object, and
-    # here no call either: no withdrawal in this cell cancelled a pending
-    # route), swallowed by a closed session (none in this cell), or an
-    # update in the MRAI slot -- and only an offered route or the
-    # withdrawal of an advertised prefix gets that far.
+    assert census.exports == 1664
+    assert census.evaluations == 882
+    assert (census.announcements, census.withdrawals) == (1264, 61)
+    # Every export ends one of three ways: suppressed (no object; here
+    # one call too: one withdrawal cancelled a pending route), swallowed
+    # by a closed session (none in this cell), or an update in the MRAI
+    # slot -- and only an offered route or the withdrawal of an
+    # advertised prefix gets that far.
     suppressed = counters["bgp.updates_suppressed"]
-    assert census.updates_built == census.exports == 1460
-    assert census.offers == 1414 and suppressed == 2082
-    # ... of which MRAI coalescing overwrote some before they left; no
-    # message was in flight when the run ended, none was lost.
-    assert counters["bgp.updates_sent"] == census.announcements + census.withdrawals
-    assert census.updates_built - counters["bgp.updates_sent"] == 171
+    assert census.updates_built == census.exports - 1 == 1663
+    assert census.offers == 1579 and suppressed == 2284
+    # ... of which MRAI coalescing overwrote some before they left; two
+    # messages were still in flight when the run ended, none was lost.
+    assert counters["bgp.updates_sent"] == census.announcements + census.withdrawals + 2
+    assert census.updates_built - counters["bgp.updates_sent"] == 336
 
 
 #: the benchmark's wide topology (343 ASes with the eight default sites)
