@@ -12,8 +12,11 @@ announcement of the same network.
 
 from __future__ import annotations
 
-from repro.measurement.appendix import announced_prefix_snapshot, run_withdrawal_study
-from repro.measurement.routing_history import covered_prefix_fraction
+from repro.measurement.appendix import (
+    announced_prefix_snapshot,
+    covered_prefix_fraction,
+    run_withdrawal_study,
+)
 from repro.measurement.stats import Cdf
 
 from benchmarks.conftest import report

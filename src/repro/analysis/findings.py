@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.telemetry import registry as telemetry_registry
 
@@ -121,3 +121,27 @@ def emit_findings(findings: Iterable[Finding], layer: str) -> None:
         if finding.severity.blocking:
             tel.inc(f"analysis.{layer}.errors")
         tel.inc(f"analysis.finding.{finding.code}")
+
+
+def resolve_codes_in(catalogue: Mapping[str, Any], noun: str, tokens: list[str]) -> set[str]:
+    """Map user-supplied codes or names to the codes of ``catalogue``
+    (``{code: entry with a kebab-case .name}``, the lint rules or the
+    verify checks).
+
+    Accepts a code in any case or an entry's name; raises ``ValueError``
+    naming the ``noun`` for anything unknown.
+    """
+    by_name = {entry.name: code for code, entry in catalogue.items()}
+    resolved: set[str] = set()
+    for token in tokens:
+        token = token.strip()
+        if not token:
+            continue
+        code = token.upper() if token.upper() in catalogue else by_name.get(token.lower())
+        if code is None:
+            raise ValueError(
+                f"unknown {noun} {token!r}; have {sorted(catalogue)} "
+                f"(or names {sorted(by_name)})"
+            )
+        resolved.add(code)
+    return resolved

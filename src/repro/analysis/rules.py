@@ -19,7 +19,7 @@ import builtins
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding, Severity, resolve_codes_in
 
 
 @dataclass(frozen=True, slots=True)
@@ -821,22 +821,6 @@ def all_rules() -> list[LintRule]:
 
 
 def resolve_codes(tokens: list[str]) -> set[str]:
-    """Map a user-supplied list of codes/names to rule codes.
-
-    Accepts either the ``DETnnn`` code or the kebab-case rule name;
-    raises ``ValueError`` for anything unknown.
-    """
-    by_name = {cls.name: code for code, cls in RULES.items()}
-    resolved: set[str] = set()
-    for token in tokens:
-        token = token.strip()
-        if not token:
-            continue
-        code = token.upper() if token.upper() in RULES else by_name.get(token.lower())
-        if code is None:
-            raise ValueError(
-                f"unknown lint rule {token!r}; have {sorted(RULES)} "
-                f"(or names {sorted(by_name)})"
-            )
-        resolved.add(code)
-    return resolved
+    """Map ``DETnnn`` codes or kebab-case rule names to rule codes;
+    ``ValueError`` for anything unknown."""
+    return resolve_codes_in(RULES, "lint rule", tokens)

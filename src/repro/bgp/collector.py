@@ -72,44 +72,6 @@ class RouteCollector:
         router.add_session(session)
         self._peers.append(node_id)
 
-    # ------------------------------------------------------------------
-    # Query helpers used by the measurement layer
-
-    def updates_for(
-        self,
-        prefix: IPv4Prefix,
-        since: float = 0.0,
-        until: float = float("inf"),
-    ) -> list[CollectorEntry]:
-        """All logged updates for one prefix in a time window."""
-        return [
-            e
-            for e in self.entries
-            if e.prefix == prefix and since <= e.time <= until
-        ]
-
-    def peers_with_route(self, prefix: IPv4Prefix, at: float) -> set[str]:
-        """Peers whose most recent update for ``prefix`` by time ``at`` was
-        an announcement (i.e. peers that "have a route" then)."""
-        latest: dict[str, CollectorEntry] = {}
-        for entry in self.entries:
-            if entry.prefix != prefix or entry.time > at:
-                continue
-            current = latest.get(entry.peer)
-            if current is None or entry.time >= current.time:
-                latest[entry.peer] = entry
-        return {peer for peer, entry in latest.items() if entry.announce}
-
-    def visibility(self, prefix: IPv4Prefix, at: float) -> float:
-        """Fraction of collector peers with a route to ``prefix`` at ``at``.
-
-        Mirrors the paper's visibility metric (fraction of RIS peers that
-        export full tables and have routes to the prefix).
-        """
-        if not self._peers:
-            return 0.0
-        return len(self.peers_with_route(prefix, at)) / len(self._peers)
-
     def clear(self) -> None:
         """Drop all logged entries (e.g. between experiment phases)."""
         self.entries.clear()

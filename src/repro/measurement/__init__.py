@@ -3,7 +3,7 @@
 Everything the paper's evaluation computes from raw experiment artefacts
 lives here: target selection (§5.1), anycast catchments, Table-1 traffic
 control, per-⟨collector peer, event⟩ convergence and propagation times
-(Appendices A and B, via the routing-history emulation), the Appendix C.1
+(Appendices A and B, over simulated collector feeds), the Appendix C.1
 diverging-AS analysis, and CDF/statistics utilities shared by the
 benches.
 """
@@ -23,8 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "estimate_event_time": ".convergence",
     "propagation_times": ".convergence",
     "withdrawal_convergence_times": ".convergence",
-    "RoutingHistory": ".routing_history",
-    "WithdrawalEvent": ".routing_history",
     "DivergenceReport": ".divergence",
     "analyze_divergence": ".divergence",
     "AppendixSamples": ".appendix",

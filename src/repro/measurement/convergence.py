@@ -92,20 +92,3 @@ def propagation_times(
             firsts[entry.peer] = entry.time
     return {peer: t - event_time for peer, t in firsts.items()}
 
-
-def fraction_withdrawn(
-    collector: RouteCollector, prefix: IPv4Prefix, at: float
-) -> float:
-    """Fraction of peers whose latest state at ``at`` is withdrawn,
-    among peers that ever reported the prefix (the paper's ≥90% check)."""
-    latest: dict[str, CollectorEntry] = {}
-    for entry in collector.entries:
-        if entry.prefix != prefix or entry.time > at:
-            continue
-        current = latest.get(entry.peer)
-        if current is None or entry.time >= current.time:
-            latest[entry.peer] = entry
-    if not latest:
-        return 0.0
-    withdrawn = sum(1 for entry in latest.values() if not entry.announce)
-    return withdrawn / len(latest)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
@@ -26,9 +26,6 @@ from repro.net.addr import IPv4Prefix
 from repro.topology.geo import REGIONS, link_latency_s, place_in
 from repro.topology.propagation import path_to
 from repro.topology.relationships import AsClass, AsInfo, RelationshipDataset
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 #: Base of the address pool handed to client networks (one /24 each).
 CLIENT_POOL = IPv4Prefix.parse("10.0.0.0/8")
@@ -246,23 +243,6 @@ class Topology:
             latency = None if path is None else self.path_latency(path)
             self._settled_latencies[key] = latency
             return latency
-
-    def to_networkx(self) -> nx.Graph:
-        """Undirected view with class/relationship attributes, for analysis."""
-        # Imported here: this exporter is networkx's only user, and the
-        # import is a quarter of ``import repro.cli``.
-        import networkx as nx
-
-        graph = nx.Graph()
-        for info in self.ases.values():
-            graph.add_node(
-                info.node_id, asn=info.asn, as_class=info.as_class.value,
-                region=info.location.region,
-            )
-        for link in self.links:
-            graph.add_edge(link.a, link.b, relationship=link.relationship.value,
-                           latency=link.latency_s)
-        return graph
 
     def relationship_dataset(
         self, coverage: float = 1.0, rng: random.Random | None = None

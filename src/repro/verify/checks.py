@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding, Severity, resolve_codes_in
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,18 +174,6 @@ def all_checks() -> list[VerifyCheck]:
 
 
 def resolve_codes(tokens: list[str]) -> set[str]:
-    """Map user-supplied codes/names to check codes (as the linter does)."""
-    by_name = {check.name: code for code, check in CHECKS.items()}
-    resolved: set[str] = set()
-    for token in tokens:
-        token = token.strip()
-        if not token:
-            continue
-        code = token.upper() if token.upper() in CHECKS else by_name.get(token.lower())
-        if code is None:
-            raise ValueError(
-                f"unknown verify check {token!r}; have {sorted(CHECKS)} "
-                f"(or names {sorted(by_name)})"
-            )
-        resolved.add(code)
-    return resolved
+    """Map ``VERnnn`` codes or kebab-case check names to check codes;
+    ``ValueError`` for anything unknown."""
+    return resolve_codes_in(CHECKS, "verify check", tokens)

@@ -42,6 +42,8 @@ ARGVS: dict[str, list[str]] = {
                  "--duration", "20", "--trace", "{tmp}/t.jsonl", "--metrics"],
     "failover-unknown-site": ["failover", "-s", "lhr"],
     "compare": ["compare", "--sites", "msn", "--targets", "3", "--duration", "20"],
+    "compare-workload": ["compare", "--sites", "msn", "--targets", "3", "--duration", "20",
+                         "--workload", "constant"],
     "sweep": ["sweep", "-t", "anycast", "proactive-prepending", "--prepend", "2",
               "--sites", "msn", "sea1", "--targets", "3", "--duration", "20",
               "-o", "{tmp}/s.json"],
@@ -49,14 +51,19 @@ ARGVS: dict[str, list[str]] = {
     "control": ["control", "--prepends", "3"],
     "appendix": ["appendix", "withdrawal"],
     "drill": ["drill", "-t", "anycast", "--clients", "3", "--deadline", "20"],
+    "drill-check-invariants": ["drill", "-t", "anycast", "--clients", "3", "--deadline", "20",
+                               "--check-invariants"],
     "drill-missing-plan": ["drill", "--faults", "{tmp}/absent.json"],
     "playbook": ["playbook", "--drain", "ams", "--levels", "0", "3"],
     "scenario": ["scenario", "-t", "anycast", "-s", "msn", "-e", "fail:msn@10",
                  "--duration", "30", "--faults", "tests/fixtures/faults/one_timeline.json"],
+    "scenario-drain": ["scenario", "-t", "anycast", "-s", "msn", "-e", "drain:msn@5",
+                       "-e", "undrain:msn@15", "--duration", "30"],
     "scenario-refused": ["scenario", "-e", "recover:sea1@60", "--duration", "90"],
     "configgen": ["configgen", "-t", "reactive-anycast", "--site", "ams"],
     "configgen-unknown-specific-site": ["configgen", "--specific-site", "nosuch"],
     "trace": ["trace", "summarize", "{tmp}/t.jsonl", "--top", "3"],
+    "trace-kind": ["trace", "summarize", "{tmp}/t.jsonl", "--kind", "probe_lost"],
     "trace-negative-top": ["trace", "summarize", "{tmp}/t.jsonl", "--top", "-2"],
     "explain": ["explain", "{tmp}/t.jsonl", "--site", "msn"],
     "report": ["report", "{tmp}/t.jsonl"],
@@ -68,6 +75,9 @@ ARGVS: dict[str, list[str]] = {
     "verify": ["verify", "-t", "anycast", "proactive-prepending", "--prepend", "5",
                "--duration", "100"],
     "verify-fixture": ["verify", "tests/fixtures/verify/bad_gao_cycle.json", "-f", "json"],
+    "verify-select": ["verify", "--select", "VER203"],
+    "verify-dispute-wheel": ["verify", "tests/fixtures/verify/bad_dispute_wheel.json"],
+    "verify-damping": ["verify", "tests/fixtures/verify/bad_damping.json"],
     "verify-list-checks": ["verify", "--list-checks"],
     "verify-missing-world": ["verify", "{tmp}/absent.json"],
     "verify-duration-nan": ["verify", "-t", "anycast", "--duration", "nan"],

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp.collector import RouteCollector
+from repro.bgp.session import SessionTiming
 from repro.net.addr import IPv4Prefix
 
 from tests.conftest import build_line_network
@@ -53,31 +54,6 @@ class TestCollector:
             times = [e.time for e in coll.entries if e.peer == peer]
             assert times == sorted(times)
 
-    def test_visibility_lifecycle(self):
-        net, coll = collector_on_line()
-        assert coll.visibility(PFX, net.now) == 0.0
-        net.announce("r0", PFX)
-        net.converge()
-        assert coll.visibility(PFX, net.now) == 1.0
-        net.withdraw("r0", PFX)
-        net.converge()
-        assert coll.visibility(PFX, net.now) == 0.0
-
-    def test_visibility_at_earlier_time(self):
-        net, coll = collector_on_line()
-        net.announce("r0", PFX)
-        net.converge()
-        announced_at = net.now
-        net.withdraw("r0", PFX)
-        net.converge()
-        assert coll.visibility(PFX, announced_at) == 1.0
-
-    def test_peers_with_route(self):
-        net, coll = collector_on_line()
-        net.announce("r0", PFX)
-        net.converge()
-        assert coll.peers_with_route(PFX, net.now) == {"r1", "r2", "r3"}
-
     def test_duplicate_attach_rejected(self):
         net, coll = collector_on_line()
         with pytest.raises(ValueError):
@@ -90,7 +66,32 @@ class TestCollector:
         coll = RouteCollector("late", net)
         coll.attach("r2")
         net.converge()
-        assert coll.visibility(PFX, net.now) == 1.0
+        assert [(e.peer, e.prefix) for e in coll.entries if e.announce] == [("r2", PFX)]
+
+    def test_peers_are_listed_in_attach_order_as_a_copy(self):
+        net, coll = collector_on_line(peers=("r3", "r1"))
+        peers = coll.peers
+        assert peers == ["r3", "r1"]
+        peers.append("r2")
+        assert coll.peers == ["r3", "r1"]
+
+    def test_attach_marks_the_network_reshaped(self):
+        net = build_line_network(3)
+        net.reshaped = False
+        RouteCollector("ris", net).attach("r1")
+        assert net.reshaped
+
+    def test_attach_uses_its_own_timing(self):
+        arrivals = {}
+        for latency in (0.05, 30.0):
+            net = build_line_network(2)
+            coll = RouteCollector("ris", net)
+            coll.attach("r1", SessionTiming(latency=latency, jitter=0.0, mrai=0.0))
+            net.announce("r0", PFX)
+            net.converge()
+            arrivals[latency] = [e.time for e in coll.entries if e.announce]
+        assert len(arrivals[0.05]) == len(arrivals[30.0]) == 1
+        assert arrivals[30.0][0] - arrivals[0.05][0] >= 29.0
 
     def test_clear(self):
         net, coll = collector_on_line()
@@ -100,15 +101,3 @@ class TestCollector:
         assert coll.entries == []
         # peers stay attached after clear
         assert coll.peers == ["r1", "r2", "r3"]
-
-    def test_updates_for_window(self):
-        net, coll = collector_on_line()
-        net.announce("r0", PFX)
-        net.converge()
-        t_mid = net.now
-        net.withdraw("r0", PFX)
-        net.converge()
-        early = coll.updates_for(PFX, until=t_mid)
-        late = coll.updates_for(PFX, since=t_mid)
-        assert all(e.announce for e in early)
-        assert any(not e.announce for e in late)

@@ -5,10 +5,10 @@ import pytest
 from repro.bgp.session import SessionTiming
 from repro.measurement.appendix import (
     announced_prefix_snapshot,
+    covered_prefix_fraction,
     run_propagation_study,
     run_withdrawal_study,
 )
-from repro.measurement.routing_history import covered_prefix_fraction
 from repro.measurement.stats import Cdf
 
 #: Moderate pacing keeps these integration tests quick while still

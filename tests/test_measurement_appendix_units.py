@@ -7,7 +7,9 @@ from repro.measurement.appendix import (
     _collector_over_core,
     _hypergiant_prefixes,
     announced_prefix_snapshot,
+    covered_prefix_fraction,
 )
+from repro.net.addr import IPv4Prefix
 from repro.topology.generator import generate_topology
 
 from tests.conftest import FAST_TIMING
@@ -68,3 +70,39 @@ class TestSnapshotCalibration:
         ]
         expected = (topo.params.n_hypergiant + 2) // 3
         assert len(covering) == expected
+
+
+class TestCoveredPrefixFraction:
+    def P(self, text):
+        return IPv4Prefix.parse(text)
+
+    def test_no_covering(self):
+        announced = {"hg": [self.P("10.0.0.0/24"), self.P("10.1.0.0/24")]}
+        assert covered_prefix_fraction(announced) == 0.0
+
+    def test_all_covered(self):
+        announced = {"hg": [self.P("10.0.0.0/16"), self.P("10.0.1.0/24")]}
+        # /24 is the only most-specific; it is covered by the /16.
+        assert covered_prefix_fraction(announced) == 1.0
+
+    def test_mixed(self):
+        announced = {
+            "hg": [
+                self.P("10.0.0.0/16"),
+                self.P("10.0.1.0/24"),   # covered most-specific
+                self.P("192.168.0.0/24"),  # uncovered most-specific
+            ]
+        }
+        assert covered_prefix_fraction(announced) == pytest.approx(0.5)
+
+    def test_per_network_isolation(self):
+        """A covering prefix announced by a *different* network does not
+        count (the paper requires same-hypergiant covering)."""
+        announced = {
+            "hg-a": [self.P("10.0.0.0/16")],
+            "hg-b": [self.P("10.0.1.0/24")],
+        }
+        assert covered_prefix_fraction(announced) == 0.0
+
+    def test_empty(self):
+        assert covered_prefix_fraction({}) == 0.0

@@ -4,7 +4,6 @@
 from repro.bgp.collector import CollectorEntry, RouteCollector
 from repro.measurement.convergence import (
     estimate_event_time,
-    fraction_withdrawn,
     propagation_times,
     withdrawal_convergence_times,
 )
@@ -44,6 +43,16 @@ class TestEstimator:
         sparse = [entry(50, "a", announce=False)]
         burst = [entry(200 + i, peer=f"p{i}", announce=False) for i in range(5)]
         assert estimate_event_time(sparse + burst, PFX, announce=False) == 200.0
+
+    def test_fewer_updates_than_the_threshold_is_no_event(self):
+        entries = [entry(100 + i, peer=f"p{i}", announce=False) for i in range(4)]
+        assert estimate_event_time(entries, PFX, announce=False) is None
+        assert estimate_event_time([], PFX, announce=False) is None
+
+    def test_a_burst_spanning_exactly_the_window_counts(self):
+        entries = [entry(100 + 5 * i, peer=f"p{i}", announce=False) for i in range(5)]
+        assert estimate_event_time(entries, PFX, announce=False) == 100.0
+        assert estimate_event_time(entries, PFX, announce=False, window_s=19.9) is None
 
     def test_threshold_configurable(self):
         entries = [entry(100 + i, peer=f"p{i}", announce=False) for i in range(3)]
@@ -93,23 +102,26 @@ class TestSyntheticConvergence:
         times = propagation_times(collector, PFX, event_time=100.0)
         assert times == {"a": 3.0, "b": 8.0}
 
-    def test_fraction_withdrawn(self):
+    def test_propagation_counts_only_announcements_of_the_prefix_in_the_window(self):
         entries = [
-            entry(101, "a", announce=True),
-            entry(120, "a", announce=False),
-            entry(105, "b", announce=True),
+            entry(99, "a", announce=True),  # before the event
+            entry(104, "a", announce=True),
+            entry(101, "b", announce=False),  # a withdrawal
+            entry(102, "b", prefix=OTHER),  # another prefix
+            entry(1200, "c", announce=True),  # beyond the window
         ]
         collector = RouteCollector.__new__(RouteCollector)
         collector.entries = entries
-        collector._peers = ["a", "b"]
-        assert fraction_withdrawn(collector, PFX, at=130.0) == 0.5
-        assert fraction_withdrawn(collector, PFX, at=110.0) == 0.0
+        assert propagation_times(collector, PFX, event_time=100.0) == {"a": 4.0}
 
-    def test_fraction_withdrawn_empty(self):
+    def test_withdrawal_convergence_ignores_other_prefixes(self):
+        entries = [
+            entry(120, "a", announce=False),
+            entry(130, "a", announce=True, prefix=OTHER),  # not this prefix's last word
+        ]
         collector = RouteCollector.__new__(RouteCollector)
-        collector.entries = []
-        collector._peers = []
-        assert fraction_withdrawn(collector, PFX, at=0.0) == 0.0
+        collector.entries = entries
+        assert withdrawal_convergence_times(collector, PFX, 100.0) == {"a": 20.0}
 
 
 class TestOnSimulatedFeed:

@@ -1,9 +1,10 @@
 """Tests for the Internet-like topology generator."""
 
 import itertools
+from collections import deque
 from dataclasses import replace
+from graphlib import CycleError, TopologicalSorter
 
-import networkx as nx
 import pytest
 
 from repro.bgp.policy import Relationship
@@ -63,16 +64,29 @@ class TestStructure:
     def test_no_provider_cycles(self, topo):
         """The customer->provider digraph must be acyclic, or Gao-Rexford
         convergence guarantees break."""
-        digraph = nx.DiGraph()
+        providers = TopologicalSorter()
         for link in topo.links:
             if link.relationship is Relationship.PROVIDER:
-                digraph.add_edge(link.a, link.b)  # a buys from b
+                providers.add(link.a, link.b)  # a buys from b
             elif link.relationship is Relationship.CUSTOMER:
-                digraph.add_edge(link.b, link.a)
-        assert nx.is_directed_acyclic_graph(digraph)
+                providers.add(link.b, link.a)
+        try:
+            providers.prepare()
+        except CycleError as error:
+            pytest.fail(f"provider cycle: {error.args[1]}")
 
     def test_graph_connected(self, topo):
-        assert nx.is_connected(topo.to_networkx())
+        neighbours = {node: set() for node in topo.ases}
+        for link in topo.links:
+            neighbours[link.a].add(link.b)
+            neighbours[link.b].add(link.a)
+        start = next(iter(neighbours))
+        seen, queue = {start}, deque([start])
+        while queue:
+            for other in neighbours[queue.popleft()] - seen:
+                seen.add(other)
+                queue.append(other)
+        assert seen == set(neighbours)
 
     def test_client_prefixes_unique(self, topo):
         prefixes = [a.prefix for a in topo.ases.values() if a.prefix is not None]
@@ -113,13 +127,6 @@ class TestStructure:
         t1 = generate_topology(TopologyParams(seed=1))
         t2 = generate_topology(TopologyParams(seed=2))
         assert [(l.a, l.b) for l in t1.links] != [(l.a, l.b) for l in t2.links]
-
-    def test_networkx_attributes(self, topo):
-        graph = topo.to_networkx()
-        node = next(iter(graph.nodes))
-        assert "asn" in graph.nodes[node]
-        edge = next(iter(graph.edges))
-        assert "relationship" in graph.edges[edge]
 
 
 class TestTopologyApi:
