@@ -29,7 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "emit_findings": ".findings",
     "PARSE_ERROR_CODE": ".linter",
     "LintEngine": ".linter",
-    "lint_paths": ".linter",
     "check_capacity": ".preflight",
     "check_deployment": ".preflight",
     "check_events": ".preflight",

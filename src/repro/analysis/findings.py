@@ -85,19 +85,12 @@ class FindingCollector:
 
     findings: list[Finding] = field(default_factory=list)
 
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
-
     def extend(self, findings: Iterable[Finding]) -> None:
         self.findings.extend(findings)
 
     @property
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity.blocking]
-
-    @property
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if not f.severity.blocking]
 
     @property
     def ok(self) -> bool:

@@ -148,12 +148,3 @@ class LintEngine:
                 findings.extend(self.lint_file(path))
                 self.files_checked += 1
         return findings
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-) -> list[Finding]:
-    """Convenience wrapper: lint with the default rule set."""
-    return LintEngine(select=select, ignore=ignore).lint_paths(paths)

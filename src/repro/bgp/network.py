@@ -245,14 +245,6 @@ class BgpNetwork:
         router_a.add_session(session_ab, cause=self.current_cause)
         router_b.add_session(session_ba, cause=self.current_cause)
 
-    def add_provider(self, customer: str, provider: str, **kwargs) -> None:
-        """Convenience: make ``provider`` a provider of ``customer``."""
-        self.connect(customer, provider, Relationship.PROVIDER, **kwargs)
-
-    def add_peering(self, a: str, b: str, **kwargs) -> None:
-        """Convenience: settlement-free peering between ``a`` and ``b``."""
-        self.connect(a, b, Relationship.PEER, **kwargs)
-
     # ------------------------------------------------------------------
     # Failure injection
 

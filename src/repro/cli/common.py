@@ -73,6 +73,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # NaN compares false
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
 class Flag:
     """One ``add_argument`` call, held until the registrar builds the parser."""
 
@@ -171,7 +178,7 @@ WORKERS = Group(
     Flag("--workers", type=positive_int, default=1, metavar="N",
          help="worker processes for the sweep (default 1 = in-process serial; "
               "results are identical for any N)"),
-    Flag("--cell-timeout", type=float, default=900.0, metavar="S",
+    Flag("--cell-timeout", type=non_negative_float, default=900.0, metavar="S",
          help="wall-clock timeout per sweep cell when --workers > 1 "
               "(0 disables; an overdue cell is reported failed, not hung)"),
     Flag("--no-progress", action="store_true",

@@ -11,14 +11,12 @@ from repro.cli.common import (
     TELEMETRY,
     WORKERS,
     Command,
-    Flag,
     Prologue,
     print_workload_rows,
 )
 from repro.core.experiment import pooled_outcomes
 from repro.core.techniques import (
     Anycast,
-    Combined,
     ProactivePrepending,
     ProactiveSuperprefix,
     ReactiveAnycast,
@@ -35,8 +33,6 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
     techniques = [
         Anycast(), ReactiveAnycast(), ProactivePrepending(3), ProactiveSuperprefix(),
     ]
-    if args.include_combined:
-        techniques.append(Combined())
     if ctx.workload is not None:
         # Load-shedding variants only differentiate themselves under
         # offered load; without --workload they are anycast clones.
@@ -74,9 +70,6 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
 
 COMMAND = Command(
     "compare", "compare all techniques' failover (Figure 2)", run, flags=(
-        SITES,
-        Flag("--include-combined", action="store_true",
-             help="also run the §4 combined technique"),
-        *EXPERIMENT, WORKERS, CHECK, TELEMETRY,
+        SITES, *EXPERIMENT, WORKERS, CHECK, TELEMETRY,
     ),
 )

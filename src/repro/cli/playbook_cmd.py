@@ -26,7 +26,7 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
               "use --drain SITE to query one")
         return 0
     try:
-        play = playbook.best_drain(args.drain, max_overload=args.max_overload)
+        play = playbook.best_drain(args.drain, max_overload=0.6)
     except LookupError as error:
         print(f"no feasible play: {error}")
         return 1
@@ -40,9 +40,8 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
 COMMAND = Command(
     "playbook", "precompute prepending drain plays (anycast agility)", run, flags=(
         Site("--drain", metavar="SITE", default=None,
-             help="show the best play draining SITE (default: print all plays)"),
-        Flag("--max-overload", type=float, default=0.6,
-             help="max load share any other site may take (default 0.6)"),
+             help="show the best play draining SITE that leaves no other site "
+                  "over 60%% of the load (default: print all plays)"),
         Flag("--levels", type=non_negative_int, nargs="*", default=[0, 3, 5],
              help="prepend levels to precompute"),
     ),

@@ -41,10 +41,6 @@ class TargetOutcome:
     #: site serving the target at the end of the window, if any
     final_site: str | None
 
-    @property
-    def stabilized(self) -> bool:
-        return self.failover_s is not None
-
 
 def target_outcome(
     log: ProbeLog, failed_site: str, withdrawal_time: float

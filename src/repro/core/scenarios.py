@@ -58,10 +58,6 @@ class ScenarioReport:
             answered / sent if sent else 1.0 for answered, sent in self.buckets
         ]
 
-    def worst_bucket(self) -> float:
-        values = self.availability()
-        return min(values) if values else 1.0
-
     def downtime_s(self, threshold: float = 0.5) -> float:
         """Total scenario time spent with availability below ``threshold``
         -- the unavailability-budget view of §3."""
@@ -118,20 +114,6 @@ class ScenarioRunner:
 
     def recover(self, at: float, site: str) -> "ScenarioRunner":
         return self.add_event(at, "recover", site)
-
-    def drain(self, at: float, site: str) -> "ScenarioRunner":
-        """Graceful maintenance drain (heavy prepending, no withdrawal)."""
-        return self.add_event(at, "drain", site)
-
-    def undrain(self, at: float, site: str) -> "ScenarioRunner":
-        return self.add_event(at, "undrain", site)
-
-    def brownout(self, at: float, site: str, factor: float = 0.5) -> "ScenarioRunner":
-        """Reduce the site's serving capacity to ``factor`` of configured."""
-        return self.add_event(at, "brownout", site, factor=factor)
-
-    def unbrownout(self, at: float, site: str) -> "ScenarioRunner":
-        return self.add_event(at, "unbrownout", site)
 
     # ------------------------------------------------------------------
 

@@ -75,17 +75,6 @@ class ReverseTraceroute:
         self.attempted = 0
         self.succeeded = 0
 
-    def measure(self, target_node: str, prefix_address: IPv4Address) -> list[str] | None:
-        """One reverse path measurement; None on unsupported target or
-        unreachable prefix."""
-        self.attempted += 1
-        if self.rng.random() >= self.support_prob:
-            return None
-        path = reverse_path(self.plane, target_node, prefix_address)
-        if path is not None:
-            self.succeeded += 1
-        return path
-
     def measure_pair(
         self,
         target_node: str,

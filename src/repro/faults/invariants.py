@@ -67,13 +67,6 @@ class InvariantReport:
     prefixes_checked: int = 0
     sessions_checked: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format_lines(self) -> list[str]:
-        return [v.format() for v in self.violations]
-
 
 def known_prefixes(network: BgpNetwork) -> list[IPv4Prefix]:
     """Every prefix any router has selected or originates, sorted."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar, Type, Union
 
@@ -142,11 +142,6 @@ class FaultSpec:
     def actions(self) -> Iterator[Action]:
         """The fault's edges, in the order they are scheduled."""
         return iter(())
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["kind"] = self.kind
-        return data
 
 
 _LINK_ENDS = (Field("a", str, required=True), Field("b", str, required=True))
@@ -355,12 +350,6 @@ class FaultPlan:
             for index, fault in enumerate(self.faults)
             for edge in fault.actions()
         )
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "faults": [f.to_dict() for f in self.faults]}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":

@@ -30,9 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "run_propagation_study": ".appendix",
     "run_withdrawal_study": ".appendix",
     "cdf_to_dict": ".export",
-    "control_result_to_dict": ".export",
     "failover_result_to_dict": ".export",
-    "load_json": ".export",
     "outcome_to_dict": ".export",
     "save_json": ".export",
     "PerformanceReport": ".performance",

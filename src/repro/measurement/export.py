@@ -1,6 +1,6 @@
 """Result serialization.
 
-Experiments produce rich in-memory objects (outcomes, CDFs, control
+Experiments produce rich in-memory objects (outcomes, CDFs, sweep
 tables). This module renders them to plain JSON-able dictionaries so
 runs can be archived, diffed across revisions, or analysed outside
 Python -- the usual workflow around a measurement paper's artefacts.
@@ -13,7 +13,6 @@ import math
 import pathlib
 from typing import TYPE_CHECKING, Any
 
-from repro.measurement.control import ControlResult
 from repro.measurement.stats import Cdf
 
 if TYPE_CHECKING:
@@ -141,22 +140,9 @@ def sweep_report_to_dict(report: Any) -> dict[str, Any]:
     }
 
 
-def control_result_to_dict(result: ControlResult) -> dict[str, Any]:
-    return {
-        "site": result.site,
-        "nearby": result.nearby,
-        "not_routed_by_anycast": result.not_routed_by_anycast,
-        "controllable": {str(k): v for k, v in result.controllable.items()},
-    }
-
-
 def save_json(path: str | pathlib.Path, payload: Any) -> pathlib.Path:
     """Write a JSON document (pretty-printed, stable key order)."""
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target
-
-
-def load_json(path: str | pathlib.Path) -> Any:
-    return json.loads(pathlib.Path(path).read_text())

@@ -150,14 +150,6 @@ class IPv4Prefix:
             raise ValueError(f"refusing to enumerate {count} subnets")
         return [IPv4Prefix(self.network + i * step, new_length) for i in range(count)]
 
-    def supernet(self, new_length: int | None = None) -> IPv4Prefix:
-        """The covering prefix of ``new_length`` (default: one bit shorter)."""
-        if new_length is None:
-            new_length = self.length - 1
-        if not 0 <= new_length <= self.length:
-            raise ValueError(f"invalid supernet length {new_length} for /{self.length}")
-        return IPv4Prefix(self.network & NETMASKS[new_length], new_length)
-
     def __str__(self) -> str:
         return f"{IPv4Address(self.network)}/{self.length}"
 

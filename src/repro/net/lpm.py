@@ -91,8 +91,3 @@ class LpmTable(Generic[V]):
         """All (prefix, value) pairs; callers that need an order sort."""
         for bucket in self._buckets.values():
             yield from bucket.values()
-
-    def clear(self) -> None:
-        """Remove all entries."""
-        self._buckets.clear()
-        self._probes = ()

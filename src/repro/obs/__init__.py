@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "render_report": ".ledger",
     "PROFILE_SCHEMA": ".profiler",
     "EventProfiler": ".profiler",
-    "callback_name": ".profiler",
     "render_profile": ".profiler",
     "watch_collector": ".profiler",
     "CauseChain": ".provenance",

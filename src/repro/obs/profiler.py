@@ -26,7 +26,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.telemetry.summary import PhaseTable, fold_rows
 from repro.telemetry.trace import PhaseEnd
@@ -41,14 +41,6 @@ _TABLES = {
     "callbacks": ("count", "wall_s"),
     "collector": ("passes", "wall_s", "collected"),
 }
-
-
-def callback_name(callback: Callable) -> str:
-    """A stable attribution key for an engine callback."""
-    name = getattr(callback, "__qualname__", None)
-    if name is None:  # partials, callables without a qualname
-        name = type(callback).__name__
-    return name
 
 
 class EventProfiler:

@@ -64,12 +64,6 @@ class CauseChain:
     #: catchment shifts attributed to this cause (temporal attribution)
     shifts: list[SiteSwitched] = field(default_factory=list)
 
-    @property
-    def t(self) -> float:
-        if self.root is not None:
-            return self.root.t
-        return self.events[0].t if self.events else 0.0
-
     def prefixes(self) -> set[str]:
         return {
             e.prefix for e in self.events if isinstance(e, (BgpUpdateSent, RouteSelected, FibInstalled))

@@ -127,9 +127,10 @@ def _frozen_heap() -> Iterator[None]:
 
 
 def _pick_context() -> BaseContext:
-    # fork keeps worker start cheap and needs no importable __main__;
-    # everywhere it is unavailable (Windows, some macOS setups) spawn
-    # works because cells and context are shipped pickled either way.
+    # fork keeps worker start cheap and needs no importable __main__: a
+    # forked worker inherits its arguments unpickled. Everywhere fork is
+    # unavailable (Windows, some macOS setups) spawn pickles them, which
+    # is why cells and context must be picklable.
     # multiprocessing is imported only by a run that starts workers.
     import multiprocessing as mp
 
@@ -238,8 +239,12 @@ def map_cells(
     ``payload`` picklable: both cross a process boundary when
     ``workers > 1``. Workers collect per-cell telemetry exactly when the
     parent's active backend is enabled. ``progress`` is called after
-    each completion with ``(done, total, result)``.
+    each completion with ``(done, total, result)``. ``timeout_s`` of
+    None or 0 sets no per-cell timeout; a negative or NaN one is a
+    ``ValueError``.
     """
+    if timeout_s is not None and not timeout_s >= 0:  # NaN compares false
+        raise ValueError(f"timeout_s must be a non-negative number, got {timeout_s!r}")
     total = len(cells)
     results: dict[int, CellResult] = {}
     parent_backend = telemetry_registry.current()

@@ -12,7 +12,6 @@ up in a list.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 
 class Counter:
@@ -96,10 +95,6 @@ class Histogram:
         index = int(math.log(value / self.BASE) / self._LOG_GROWTH)
         self._buckets[index] = self._buckets.get(index, 0) + 1
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     # ------------------------------------------------------------------
 
     @property
@@ -124,9 +119,6 @@ class Histogram:
                 representative = lower * math.sqrt(self.GROWTH)
                 return min(max(representative, self.min), self.max)
         return self.max
-
-    def median(self) -> float:
-        return self.quantile(0.5)
 
     def state(self) -> dict:
         """Full mergeable state: unlike :meth:`summary`, this keeps the

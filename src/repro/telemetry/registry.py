@@ -48,9 +48,6 @@ class NullTelemetry:
     def inc(self, name: str, amount: int = 1) -> None:
         pass
 
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
     def observe(self, name: str, value: float) -> None:
         pass
 
@@ -127,9 +124,6 @@ class Telemetry:
 
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)

@@ -13,7 +13,6 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Region": ".geo",
     "REGIONS": ".geo",
-    "rtt_ms": ".geo",
     "AsClass": ".relationships",
     "AsInfo": ".relationships",
     "RelationshipDataset": ".relationships",

@@ -75,8 +75,3 @@ def link_latency_s(a: Location, b: Location, overhead_ms: float = 1.0) -> float:
     ``overhead_ms`` accounts for serialization, queuing, and equipment.
     """
     return (distance_km(a, b) / KM_PER_MS + overhead_ms) / 1000.0
-
-
-def rtt_ms(path_latencies_s: list[float]) -> float:
-    """Round-trip time in ms for a path given one-way per-link latencies."""
-    return sum(path_latencies_s) * 2.0 * 1000.0

@@ -24,16 +24,12 @@ per-site traffic-control differences (§5.4.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.bgp.policy import Relationship
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.topology.generator import Topology, TopologyParams, generate_topology
 from repro.topology.geo import place_in
 from repro.topology.relationships import AsClass, AsInfo
-
-if TYPE_CHECKING:
-    from repro.workload.capacity import CapacityProfile
 
 #: ASN shared by all sites, as PEERING's AS47065 is.
 CDN_ASN = 47065
@@ -99,19 +95,10 @@ class CdnDeployment:
 
     topology: Topology
     sites: dict[str, SiteSpec] = field(default_factory=dict)
-    #: per-site serving capacity (requests/s); None = every site is
-    #: unlimited, the pre-capacity behaviour
-    capacity: "CapacityProfile | None" = None
 
     @property
     def site_names(self) -> list[str]:
         return list(self.sites)
-
-    def capacity_for(self, site: str) -> float | None:
-        """The site's serving capacity (None = unlimited)."""
-        if self.capacity is None:
-            return None
-        return self.capacity.capacity_for(site)
 
     def site_node(self, name: str) -> str:
         """The router node id for a site name."""
@@ -126,10 +113,6 @@ class CdnDeployment:
             if name in self.sites:
                 return name
         return None
-
-    def site_info(self, name: str) -> AsInfo:
-        return self.topology.ases[self.site_node(name)]
-
 
 def build_deployment(
     topology: Topology | None = None,

@@ -29,7 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Origination": "repro.core.plan",
     "VerifyCheck": ".checks",
     "VerifyWorld": ".world",
-    "all_checks": ".checks",
     "default_world": ".world",
     "load_world": ".world",
     "resolve_codes": ".checks",

@@ -169,10 +169,6 @@ CAPACITY_VACUOUS = _register(VerifyCheck(
 ))
 
 
-def all_checks() -> list[VerifyCheck]:
-    return list(CHECKS.values())
-
-
 def resolve_codes(tokens: list[str]) -> set[str]:
     """Map ``VERnnn`` codes or kebab-case check names to check codes;
     ``ValueError`` for anything unknown."""

@@ -60,14 +60,6 @@ class CapacityProfile:
             return self.site_rps[site]
         return self.default_rps
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": CAPACITY_SCHEMA,
-            "name": self.name,
-            "default_rps": self.default_rps,
-            "site_rps": dict(sorted(self.site_rps.items())),
-        }
-
 
 #: the rows of :class:`CapacityProfile`; an absent or ``null``
 #: ``default_rps`` is how a profile says unlimited (inf is not)

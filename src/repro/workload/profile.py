@@ -210,9 +210,9 @@ class WorkloadProfile:
         return rate
 
     def expected_requests(self, duration_s: float, dt: float = 1.0) -> float:
-        """Trapezoidal estimate of the offered volume over a run."""
-        if duration_s <= 0:
-            return 0.0
+        """Trapezoidal estimate of the offered volume over a run of
+        ``duration_s`` > 0 (both callers pass a window the PRE135 check
+        admitted)."""
         steps = max(1, int(duration_s / dt))
         dt = duration_s / steps
         total = 0.0

@@ -38,44 +38,76 @@ PROFILE = "tests/fixtures/cli/profile.json"
 #: record, so the failover run's trace feeds the trace readers below it
 ARGVS: dict[str, list[str]] = {
     "topology": ["topology", "--sites"],
+    "seed-verbose-control-scoped": ["--seed", "7", "-v", "control", "--prepends", "3",
+                                    "--scoped"],
     "failover": ["failover", "-t", "anycast", "-s", "msn", "--targets", "3",
                  "--duration", "20", "--trace", "{tmp}/t.jsonl", "--metrics"],
     "failover-unknown-site": ["failover", "-s", "lhr"],
+    "failover-silent": ["failover", "-t", "anycast", "-s", "msn", "--targets", "3",
+                        "--duration", "20", "--silent", "--detection-delay", "5",
+                        "--profile", "{tmp}/p.json"],
+    "failover-zero-targets": ["failover", "--targets", "0"],
+    "failover-unwritable-trace": ["failover", "-s", "msn", "--trace", "{tmp}/t.jsonl/sub.jsonl"],
+    "failover-nan-duration-no-check": ["failover", "-s", "msn", "--duration", "nan",
+                                       "--no-check"],
     "compare": ["compare", "--sites", "msn", "--targets", "3", "--duration", "20"],
+    "compare-no-checkpoint": ["compare", "--sites", "msn", "--targets", "3", "--duration", "20",
+                              "--no-checkpoint"],
+    "compare-cell-timeout-nan": ["compare", "--cell-timeout", "nan"],
     "compare-workload": ["compare", "--sites", "msn", "--targets", "3", "--duration", "20",
                          "--workload", "constant"],
     "sweep": ["sweep", "-t", "anycast", "proactive-prepending", "--prepend", "2",
               "--sites", "msn", "sea1", "--targets", "3", "--duration", "20",
               "-o", "{tmp}/s.json"],
     "sweep-bad-workload": ["sweep", "--workload", "nosuch", "-o", "{tmp}/s.json"],
+    "sweep-workers": ["sweep", "-t", "anycast", "--sites", "msn", "sea1", "--targets", "3",
+                      "--duration", "20", "--workers", "2", "--cell-timeout", "60",
+                      "--no-progress", "-o", "{tmp}/w.json"],
     "control": ["control", "--prepends", "3"],
     "appendix": ["appendix", "withdrawal"],
     "drill": ["drill", "-t", "anycast", "--clients", "3", "--deadline", "20"],
     "drill-check-invariants": ["drill", "-t", "anycast", "--clients", "3", "--deadline", "20",
                                "--check-invariants"],
     "drill-missing-plan": ["drill", "--faults", "{tmp}/absent.json"],
+    "drill-missing-capacity": ["drill", "--capacity", "{tmp}/absent.json"],
     "playbook": ["playbook", "--drain", "ams", "--levels", "0", "3"],
     "scenario": ["scenario", "-t", "anycast", "-s", "msn", "-e", "fail:msn@10",
                  "--duration", "30", "--faults", "tests/fixtures/faults/one_timeline.json"],
     "scenario-drain": ["scenario", "-t", "anycast", "-s", "msn", "-e", "drain:msn@5",
                        "-e", "undrain:msn@15", "--duration", "30"],
     "scenario-refused": ["scenario", "-e", "recover:sea1@60", "--duration", "90"],
+    "scenario-grace-nan": ["scenario", "-e", "fail:msn@10", "--duration", "30", "--grace", "nan"],
     "configgen": ["configgen", "-t", "reactive-anycast", "--site", "ams"],
+    "configgen-out-dir": ["configgen", "-t", "reactive-anycast", "--site", "ams",
+                          "-o", "{tmp}/bird"],
     "configgen-unknown-specific-site": ["configgen", "--specific-site", "nosuch"],
     "trace": ["trace", "summarize", "{tmp}/t.jsonl", "--top", "3"],
     "trace-kind": ["trace", "summarize", "{tmp}/t.jsonl", "--kind", "probe_lost"],
     "trace-negative-top": ["trace", "summarize", "{tmp}/t.jsonl", "--top", "-2"],
+    "trace-prefix": ["trace", "summarize", "{tmp}/t.jsonl", "--prefix", "184.164.244.0/24",
+                     "--top", "2"],
+    "trace-missing": ["trace", "summarize", "{tmp}/absent.jsonl"],
+    "trace-unreadable": ["trace", "summarize", "{tmp}/w.json"],
     "explain": ["explain", "{tmp}/t.jsonl", "--site", "msn"],
+    "explain-prefix": ["explain", "{tmp}/t.jsonl", "--prefix", "184.164.244.0/24"],
     "report": ["report", "{tmp}/t.jsonl"],
+    "report-json": ["report", "{tmp}/t.jsonl", "--json", "{tmp}/ledger.json"],
     "profile": ["profile", PROFILE, "--top", "3"],
     "profile-negative-top": ["profile", PROFILE, "--top", "-1"],
     "lint": ["lint", "--select", "DET011", "src/repro/topology"],
     "lint-list-rules": ["lint", "--list-rules"],
     "lint-unknown-rule": ["lint", "--select", "DET999"],
+    "lint-ignore": ["lint", "--ignore", "DET011", "src/repro/topology"],
     "verify": ["verify", "-t", "anycast", "proactive-prepending", "--prepend", "5",
                "--duration", "100"],
     "verify-fixture": ["verify", "tests/fixtures/verify/bad_gao_cycle.json", "-f", "json"],
     "verify-select": ["verify", "--select", "VER203"],
+    "verify-site-strict-ignore": ["verify", "-s", "msn", "--strict", "--ignore", "VER223"],
+    "verify-capacity-unknown": ["verify", "tests/fixtures/verify/bad_capacity_unknown.json"],
+    "verify-capacity-vacuous": ["verify", "tests/fixtures/verify/bad_capacity_vacuous.json"],
+    "verify-fault-unknown": ["verify", "tests/fixtures/verify/bad_fault_unknown.json"],
+    "verify-fault-vacuous": ["verify", "tests/fixtures/verify/bad_fault_vacuous.json"],
+    "verify-plan-vacuous": ["verify", "tests/fixtures/verify/bad_plan_vacuous.json"],
     "verify-dispute-wheel": ["verify", "tests/fixtures/verify/bad_dispute_wheel.json"],
     "verify-damping": ["verify", "tests/fixtures/verify/bad_damping.json"],
     "verify-list-checks": ["verify", "--list-checks"],
@@ -86,6 +118,9 @@ ARGVS: dict[str, list[str]] = {
                                  "--duration", "-5"],
     "workload": ["workload", "flash-crowd", "--sample", "3"],
     "workload-negative-sample": ["workload", "flash-crowd", "--sample", "-1"],
+    "workload-diurnal": ["workload", "diurnal"],
+    "workload-json": ["workload", "flash-crowd", "--json"],
+    "workload-check": ["workload", "examples/workload_flashcrowd.json", "--check"],
 }
 
 #: host-time text: sweep's ``in 0.2s``, the wall histograms of the

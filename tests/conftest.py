@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.bgp.route import Route, Update
 from repro.bgp.session import SessionTiming
 from repro.topology.generator import TopologyParams, generate_topology
@@ -108,7 +109,7 @@ def build_line_network(n: int, seed: int = 0, timing: SessionTiming | None = Non
     for i in range(n):
         net.add_router(f"r{i}", 100 + i)
     for i in range(n - 1):
-        net.add_provider(f"r{i}", f"r{i + 1}")
+        net.connect(f"r{i}", f"r{i + 1}", Relationship.PROVIDER)
     return net
 
 

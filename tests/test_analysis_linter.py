@@ -7,7 +7,6 @@ from repro.analysis import (
     PARSE_ERROR_CODE,
     RULES,
     LintEngine,
-    lint_paths,
     render_json,
     render_text,
     resolve_codes,
@@ -81,7 +80,7 @@ class TestEngineMechanics:
     def test_lint_paths_walks_directories(self, tmp_path):
         (tmp_path / "good.py").write_text("x = 1\n")
         (tmp_path / "bad.py").write_text("import random\nrandom.seed(1)\n")
-        findings = lint_paths([tmp_path])
+        findings = LintEngine().lint_paths([tmp_path])
         assert [f.code for f in findings] == ["DET002"]
         assert findings[0].source.endswith("bad.py")
 
@@ -113,7 +112,7 @@ class TestSelfCheck:
     def test_src_repro_lints_clean(self):
         """The shipped tree must stay clean under its own linter (the
         same gate CI applies)."""
-        findings = lint_paths([REPO_ROOT / "src" / "repro"])
+        findings = LintEngine().lint_paths([REPO_ROOT / "src" / "repro"])
         assert findings == [], "\n" + render_text(findings)
 
     def test_rule_catalogue_is_documented(self):

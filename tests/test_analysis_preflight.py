@@ -123,6 +123,26 @@ class TestDeployment:
         findings = check_deployment(single)
         assert codes(findings) == ["PRE123"]
 
+    def test_a_site_without_a_node_links_or_the_cdn_class_is_pre122(self):
+        from repro.bgp.policy import Relationship
+        from repro.topology.generator import Topology
+        from repro.topology.testbed import CdnDeployment, SiteSpec
+
+        rng = random.Random(0)
+        topo = Topology(params=TopologyParams())
+        for node, as_class in (("site:lone", AsClass.CDN), ("site:stub", AsClass.STUB),
+                               ("transit", AsClass.TRANSIT)):
+            topo.add_as(AsInfo(node, 1, as_class, place_in("us-west", rng)))
+        topo.link("site:stub", "transit", Relationship.PROVIDER)
+        deployment = CdnDeployment(topology=topo, sites={
+            name: SiteSpec(name=name, region="us-west", providers=())
+            for name in ("ghost", "lone", "stub")
+        })
+        findings = check_deployment(deployment)
+        assert [(f.code, f.severity.blocking, f.message.split(" ", 2)[1]) for f in findings] == [
+            ("PRE122", True, "'ghost'"), ("PRE122", True, "'lone'"), ("PRE122", False, "'stub'"),
+        ]
+
 
 class TestTargets:
     def test_clean_targets(self, deployment):

@@ -19,9 +19,9 @@ class TestSeverity:
 
     def test_collector_ok_tracks_blocking_only(self):
         collector = FindingCollector()
-        collector.add(finding(severity=Severity.WARNING))
-        assert collector.ok and collector.warnings and not collector.errors
-        collector.add(finding())
+        collector.extend([finding(severity=Severity.WARNING)])
+        assert collector.ok and collector.findings and not collector.errors
+        collector.extend([finding()])
         assert not collector.ok and len(collector.errors) == 1
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.damping import DampingConfig, RouteDamping
 from repro.bgp.engine import EventEngine
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.net.addr import IPv4Prefix
 
 from tests.conftest import FAST_TIMING
@@ -140,8 +141,8 @@ class TestDampingInNetwork:
         net.add_router("origin", 1)
         net.add_router("mid", 2)
         net.add_router("edge", 3)
-        net.add_provider("origin", "mid")
-        net.add_provider("edge", "mid")
+        net.connect("origin", "mid", Relationship.PROVIDER)
+        net.connect("edge", "mid", Relationship.PROVIDER)
         return net
 
     def test_initial_announcement_is_not_a_flap(self):

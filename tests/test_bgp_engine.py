@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp.engine import CallbackError, EventEngine
+from repro.bgp.policy import Relationship
 
 
 class TestScheduling:
@@ -398,8 +399,8 @@ def small_network():
     network = BgpNetwork(seed=5, default_timing=SessionTiming(mrai=5.0, fib_delay=1.0))
     for node, asn in (("a", 1), ("b", 2), ("c", 3)):
         network.add_router(node, asn)
-    network.add_provider("a", "b")
-    network.add_provider("b", "c")
+    network.connect("a", "b", Relationship.PROVIDER)
+    network.connect("b", "c", Relationship.PROVIDER)
     prefix = IPv4Prefix.parse("184.164.244.0/24")
     network.announce("a", prefix)
     return network, prefix

@@ -21,10 +21,10 @@ def diamond() -> BgpNetwork:
     net = BgpNetwork(seed=0, default_timing=FAST_TIMING)
     for name, asn in (("origin", 1), ("left", 2), ("right", 3), ("top", 4)):
         net.add_router(name, asn)
-    net.add_provider("origin", "left")
-    net.add_provider("origin", "right")
-    net.add_provider("left", "top")
-    net.add_provider("right", "top")
+    net.connect("origin", "left", Relationship.PROVIDER)
+    net.connect("origin", "right", Relationship.PROVIDER)
+    net.connect("left", "top", Relationship.PROVIDER)
+    net.connect("right", "top", Relationship.PROVIDER)
     return net
 
 
@@ -202,7 +202,7 @@ class TestStaleMraiTimerAcrossReset:
             net = BgpNetwork(seed=9, default_timing=timing)
             net.add_router("a", 1)
             net.add_router("b", 2)
-            net.add_peering("a", "b")
+            net.connect("a", "b", Relationship.PEER)
         sent = active.counter("bgp.updates_sent")
 
         def mrai_timers():

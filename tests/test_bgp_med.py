@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.bgp.route import Route, better
 from repro.core.plan import apply_plan
 from repro.core.techniques import ProactiveMed, technique_by_name
@@ -49,9 +50,9 @@ class TestMedPropagation:
         net.add_router("site-b", 47065)
         net.add_router("shared", 100)
         net.add_router("client", 200)
-        net.add_provider("site-a", "shared")
-        net.add_provider("site-b", "shared")
-        net.add_provider("client", "shared")
+        net.connect("site-a", "shared", Relationship.PROVIDER)
+        net.connect("site-b", "shared", Relationship.PROVIDER)
+        net.connect("client", "shared", Relationship.PROVIDER)
         return net
 
     def test_shared_neighbor_honours_med(self):

@@ -36,7 +36,7 @@ class TestConstruction:
         net = BgpNetwork()
         net.add_router("a", 1)
         net.add_router("b", 2)
-        net.add_peering("a", "b")
+        net.connect("a", "b", Relationship.PEER)
         with pytest.raises(ValueError):
             net.connect("b", "a", Relationship.PEER)
 
@@ -50,7 +50,7 @@ class TestConstruction:
         net = BgpNetwork()
         net.add_router("cust", 1)
         net.add_router("prov", 2)
-        net.add_provider("cust", "prov")
+        net.connect("cust", "prov", Relationship.PROVIDER)
         assert net.neighbors("cust")["prov"] is Relationship.PROVIDER
         assert net.neighbors("prov")["cust"] is Relationship.CUSTOMER
 
@@ -58,7 +58,7 @@ class TestConstruction:
         net = BgpNetwork(default_timing=SessionTiming(latency=0.2))
         net.add_router("a", 1)
         net.add_router("b", 2)
-        net.add_peering("a", "b", latency=0.07)
+        net.connect("a", "b", Relationship.PEER, latency=0.07)
         assert net.link_latency[frozenset(("a", "b"))] == 0.07
 
     def test_sessions_count_into_the_networks_telemetry(self):
@@ -71,7 +71,7 @@ class TestConstruction:
             net.add_router("a", 1)
             net.add_router("b", 2)
         with telemetry.using(later):
-            net.add_peering("a", "b")
+            net.connect("a", "b", Relationship.PEER)
         net.announce("a", PFX)
         net.converge()
         assert counter_values(built)["bgp.updates_sent"] == 1

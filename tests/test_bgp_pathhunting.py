@@ -6,6 +6,7 @@ import itertools
 
 
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.net.addr import IPv4Address, IPv4Prefix
 
@@ -24,17 +25,17 @@ def rich_core(seed: int = 0, timing: SessionTiming = PACED) -> BgpNetwork:
     for i, node in enumerate(t1):
         net.add_router(node, 10 + i)
     for a, b in itertools.combinations(t1, 2):
-        net.add_peering(a, b)
+        net.connect(a, b, Relationship.PEER)
     asn = 100
     for i in range(5):
         for j in range(2):
             node = f"c-{i}-{j}"
             net.add_router(node, asn)
             asn += 1
-            net.add_provider(node, t1[i])
-            net.add_provider(node, t1[(i + 1 + j) % 5])
+            net.connect(node, t1[i], Relationship.PROVIDER)
+            net.connect(node, t1[(i + 1 + j) % 5], Relationship.PROVIDER)
     net.add_router("origin", 999)
-    net.add_provider("origin", "c-0-0")
+    net.connect("origin", "c-0-0", Relationship.PROVIDER)
     return net
 
 

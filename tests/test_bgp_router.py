@@ -96,9 +96,9 @@ class TestValleyFreeExport:
         net = BgpNetwork(seed=0, default_timing=FAST_TIMING)
         for name, asn in (("origin", 1), ("transit", 2), ("peer", 3), ("top", 4)):
             net.add_router(name, asn)
-        net.add_provider("origin", "transit")
-        net.add_peering("transit", "peer")
-        net.add_provider("transit", "top")
+        net.connect("origin", "transit", Relationship.PROVIDER)
+        net.connect("transit", "peer", Relationship.PEER)
+        net.connect("transit", "top", Relationship.PROVIDER)
         return net
 
     def test_customer_route_exported_to_peer_and_provider(self):
@@ -160,8 +160,8 @@ class TestLoopPrevention:
         net.add_router("site-a", 47065)
         net.add_router("site-b", 47065)
         net.add_router("mid", 1)
-        net.add_provider("site-a", "mid")
-        net.add_provider("site-b", "mid")
+        net.connect("site-a", "mid", Relationship.PROVIDER)
+        net.connect("site-b", "mid", Relationship.PROVIDER)
         net.announce("site-a", PFX)
         net.converge()
         assert net.router("site-b").best_route(PFX) is None

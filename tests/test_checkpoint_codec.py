@@ -11,6 +11,7 @@ import pytest
 from repro.bgp.damping import DampingConfig, RouteDamping
 from repro.bgp.engine import EventEngine
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.bgp.route import Route
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.checkpoint import (
@@ -221,7 +222,7 @@ class TestRoundTrip:
         table with its Loc-RIB's next hops, as the original's install
         wrote them -- no stand-in type, nothing deferred to first use."""
         net = converged_net()
-        net.announce("r0", PFX.supernet())  # a second length under the /24
+        net.announce("r0", IPv4Prefix.parse("184.164.244.0/23"))  # a second length under the /24
         net.converge()
         snapshot = snapshot_network(net)
         fork = restore_network(snapshot)
@@ -438,8 +439,8 @@ class TestDampingRoundTrip:
         net = BgpNetwork(seed=3, default_timing=RICH_TIMING, damping=self.DAMPING)
         for i in range(3):
             net.add_router(f"r{i}", 100 + i)
-        net.add_provider("r0", "r1")
-        net.add_provider("r1", "r2")
+        net.connect("r0", "r1", Relationship.PROVIDER)
+        net.connect("r1", "r2", Relationship.PROVIDER)
         net.announce("r0", PFX)
         net.converge()
         # One flap: penalty accrues but nothing is suppressed, so no

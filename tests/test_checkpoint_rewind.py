@@ -20,6 +20,7 @@ from repro import telemetry
 from repro.bgp.collector import RouteCollector
 from repro.bgp.damping import DampingConfig
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.bgp.session import Session
 from repro.checkpoint import CheckpointError, restore_network, rewind_network, snapshot_network
 from repro.core import experiment as experiment_module
@@ -124,8 +125,8 @@ class TestRewindNetwork:
         net = BgpNetwork(seed=3, default_timing=RICH_TIMING, damping=self.DAMPING)
         for i in range(3):
             net.add_router(f"r{i}", 100 + i)
-        net.add_provider("r0", "r1")
-        net.add_provider("r1", "r2")
+        net.connect("r0", "r1", Relationship.PROVIDER)
+        net.connect("r1", "r2", Relationship.PROVIDER)
         net.announce("r0", PFX)
         net.converge()
         snapshot = snapshot_network(net)
@@ -148,8 +149,8 @@ class TestRewindNetwork:
         net = BgpNetwork(seed=1, default_timing=RICH_TIMING)
         for i in range(4):
             net.add_router(f"r{i}", 100 + i)
-        net.add_provider("r0", "r1")
-        net.add_provider("r2", "r3")
+        net.connect("r0", "r1", Relationship.PROVIDER)
+        net.connect("r2", "r3", Relationship.PROVIDER)
         net.announce("r0", PFX)
         net.converge()
         snapshot = snapshot_network(net)
@@ -170,8 +171,8 @@ class TestRewindNetwork:
         net = BgpNetwork(seed=5, default_timing=RICH_TIMING)
         for i in range(3):
             net.add_router(f"r{i}", 100 + i)
-        net.add_provider("r1", "r0")
-        net.add_provider("r1", "r2")
+        net.connect("r1", "r0", Relationship.PROVIDER)
+        net.connect("r1", "r2", Relationship.PROVIDER)
         net.announce("r0", PFX)
         net.converge()
         snapshot = snapshot_network(net)
@@ -199,7 +200,7 @@ class TestRewindNetwork:
         lambda net: net.reset_session("r1", "r2"),
         lambda net: net.set_message_loss("r1", "r2", loss_prob=0.5),
         lambda net: net.fail_node("r2"),
-        lambda net: (net.add_router("r9", 109), net.add_provider("r9", "r2")),
+        lambda net: (net.add_router("r9", 109), net.connect("r9", "r2", Relationship.PROVIDER)),
         lambda net: RouteCollector("rrc", net).attach("r2"),
     ], ids=["fail-link", "restore-link", "reset-session", "message-loss", "fail-node",
             "connect", "collector-tap"])
@@ -215,7 +216,7 @@ class TestRewindNetwork:
         net = BgpNetwork(seed=1, default_timing=RICH_TIMING)
         net.add_router("r0", 100)
         net.add_router("r1", 101)
-        net.add_provider("r0", "r1")
+        net.connect("r0", "r1", Relationship.PROVIDER)
         snapshot = snapshot_network(net)
         fork = restore_network(snapshot)
         assert not fork.reshaped

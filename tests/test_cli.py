@@ -229,9 +229,7 @@ class TestExtendedCommands:
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["compare", "--duration", "20"], id="compare"),
-        pytest.param(
-            ["compare", "--duration", "20", "--include-combined"], id="combined"
-        ),
+        pytest.param(["failover", "-t", "combined", "--duration", "40"], id="combined"),
         pytest.param(
             ["compare", "--duration", "20", "--no-checkpoint"], id="no-checkpoint"
         ),

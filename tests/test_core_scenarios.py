@@ -115,7 +115,6 @@ class TestScenarioRunner:
         assert min(availability[3:6]) < 1.0
         # ...but the episode ends healthy.
         assert availability[-2] > 0.9
-        assert result.worst_bucket() < 1.0
 
     def test_unicast_outage_is_unbounded_without_dns(self, deployment):
         """Pure unicast with no DNS reaction: targets stay dark from the
@@ -205,7 +204,7 @@ class TestDrain:
             target_nodes=sea1_clients,
             timing=SCENARIO_TIMING,
         )
-        runner.drain(40.0, "sea1").undrain(120.0, "sea1")
+        runner.add_event(40.0, "drain", "sea1").add_event(120.0, "undrain", "sea1")
         result = runner.run()
         # Zero downtime through the whole maintenance window.
         assert result.mean_availability() > 0.98

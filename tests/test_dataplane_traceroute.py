@@ -61,14 +61,14 @@ class TestReverseTraceroute:
         dep, net, plane = converged
         rt = ReverseTraceroute(plane, dep.topology, support_prob=1.0)
         target = dep.topology.web_client_ases()[0].node_id
-        assert rt.measure(target, PROBE_SOURCE) is not None
+        assert rt.measure_pair(target, PROBE_SOURCE, PROBE_SOURCE) is not None
         assert rt.succeeded == 1
 
     def test_no_support_measures_nothing(self, converged):
         dep, net, plane = converged
         rt = ReverseTraceroute(plane, dep.topology, support_prob=0.0, rng=random.Random(1))
         target = dep.topology.web_client_ases()[0].node_id
-        assert rt.measure(target, PROBE_SOURCE) is None
+        assert rt.measure_pair(target, PROBE_SOURCE, PROBE_SOURCE) is None
         assert rt.attempted == 1
         assert rt.succeeded == 0
 

@@ -4,6 +4,7 @@
 from repro import telemetry
 from repro.bgp.engine import EventEngine
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.net.addr import IPv4Prefix
 from repro.topology.testbed import PROBE_SOURCE
 
@@ -51,8 +52,8 @@ class TestIdempotentOrigination:
         net.add_router("origin", 1)
         net.add_router("a", 2)
         net.add_router("b", 3)
-        net.add_provider("origin", "a")
-        net.add_provider("origin", "b")
+        net.connect("origin", "a", Relationship.PROVIDER)
+        net.connect("origin", "b", Relationship.PROVIDER)
         net.announce("origin", PFX)
         net.converge()
         assert net.router("b").best_route(PFX) is not None
@@ -125,7 +126,7 @@ class TestProberEdges:
         ]
         assert prober.logs[reachable].probes[0].site == "sea1"
         outcome = target_outcome(log, "ams", 0.0)
-        assert outcome.reconnection_s is None and not outcome.stabilized
+        assert outcome.reconnection_s is None and outcome.failover_s is None
         counters = counter_values(active)
         unreachable = sum(
             1 for e in tracer.events if e.kind == "probe_lost" and e.reason == "unreachable"

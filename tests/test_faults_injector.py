@@ -214,7 +214,7 @@ class TestPartialSiteFailure:
         net.add_router("hub", 100)
         for i in range(4):
             net.add_router(f"p{i}", 200 + i)
-            net.add_provider("hub", f"p{i}")
+            net.connect("hub", f"p{i}", Relationship.PROVIDER)
         return net
 
     def test_fails_fraction_then_restores(self):

@@ -30,10 +30,9 @@ class TestCleanNetwork:
     def test_converged_network_holds_all_invariants(self):
         net = converged_line()
         report = check_invariants(net)
-        assert report.ok
+        assert report.violations == []
         assert report.prefixes_checked == 1
         assert report.sessions_checked > 0
-        assert report.format_lines() == []
 
     def test_known_prefixes_covers_origins_and_loc_ribs(self):
         net = converged_line()
@@ -47,13 +46,13 @@ class TestCleanNetwork:
         net.converge()
         net.restore_link("r1", "r2")
         net.converge()
-        assert check_invariants(net).ok
+        assert check_invariants(net).violations == []
 
     def test_reset_session_settles_clean(self):
         net = converged_line()
         net.reset_session("r1", "r2")
         net.converge()
-        assert check_invariants(net).ok
+        assert check_invariants(net).violations == []
 
 
 class TestForwardingLoop:
@@ -108,7 +107,7 @@ class TestAdvertisedSync:
         session = net.routers["s1"].sessions["s2"]
         assert PFX in session.advertised
         assert PFX not in net.routers["s2"].adj_rib_in
-        assert check_invariants(net).ok
+        assert check_invariants(net).violations == []
 
     def test_lossy_link_leaves_detectable_divergence(self):
         """Losing an update genuinely desynchronises the two ends -- the
@@ -123,7 +122,7 @@ class TestAdvertisedSync:
         net.set_message_loss("r1", "r2")
         net.reset_session("r1", "r2")
         net.converge()
-        assert check_invariants(net).ok
+        assert check_invariants(net).violations == []
 
 
 class TestRibFibCoherence:

@@ -50,6 +50,19 @@ def full_plan() -> FaultPlan:
     )
 
 
+#: :func:`full_plan` as a plan file spells it
+FULL_PLAN_DOC = {"seed": 42, "faults": [
+    {"kind": "link_flap", "at": 1.0, "a": "r0", "b": "r1", "down_for": 5.0, "repeat": 2,
+     "period": 20.0},
+    {"kind": "session_reset", "at": 2.0, "a": "r1", "b": "r2"},
+    {"kind": "message_loss", "at": 3.0, "a": "r0", "b": "r1", "duration": 10.0,
+     "loss_prob": 0.5},
+    {"kind": "fib_delay", "at": 4.0, "node": "r2", "duration": 10.0, "extra_delay": 2.0},
+    {"kind": "partial_site_failure", "at": 5.0, "node": "r1", "fraction": 0.5,
+     "down_for": 5.0},
+]}
+
+
 class TestValidation:
     def test_all_kinds_registered(self):
         assert set(FAULT_KINDS) == {
@@ -89,9 +102,8 @@ class TestValidation:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        plan = full_plan()
-        assert FaultPlan.from_json(plan.to_json()) == plan
+    def test_a_plan_file_reads_to_its_plan(self):
+        assert FaultPlan.from_json(json.dumps(FULL_PLAN_DOC)) == full_plan()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match=r"faults\[0\]: unknown kind 'meteor_strike'"):
@@ -151,7 +163,7 @@ class TestSerialization:
 class TestLoading:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text(full_plan().to_json(), encoding="utf-8")
+        path.write_text(json.dumps(FULL_PLAN_DOC), encoding="utf-8")
         assert load_fault_plan(path) == full_plan()
 
     def test_invalid_json_mentions_path(self, tmp_path):

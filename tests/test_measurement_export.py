@@ -5,11 +5,8 @@ import json
 import pytest
 
 from repro.core.metrics import TargetOutcome
-from repro.measurement.control import ControlResult
 from repro.measurement.export import (
     cdf_to_dict,
-    control_result_to_dict,
-    load_json,
     outcome_to_dict,
     save_json,
 )
@@ -63,23 +60,12 @@ class TestCdfSerialization:
         assert "p50" not in data
 
 
-class TestControlSerialization:
-    def test_fields(self):
-        result = ControlResult(
-            site="sea1", nearby=40, not_routed_by_anycast=0.7,
-            controllable={3: 0.05, 5: 0.06},
-        )
-        data = control_result_to_dict(result)
-        assert data["controllable"] == {"3": 0.05, "5": 0.06}
-        json.dumps(data)
-
-
 class TestFileRoundtrip:
     def test_save_and_load(self, tmp_path):
         payload = {"experiment": "fig2", "values": [1, 2, 3]}
         path = save_json(tmp_path / "out" / "fig2.json", payload)
         assert path.exists()
-        assert load_json(path) == payload
+        assert json.loads(path.read_text()) == payload
 
     def test_full_result_export(self, tmp_path, deployment):
         """End to end: run a tiny failover and archive it."""
@@ -96,7 +82,7 @@ class TestFileRoundtrip:
         result = experiment.run_site(ReactiveAnycast(), "msn")
         data = failover_result_to_dict(result)
         path = save_json(tmp_path / "result.json", data)
-        loaded = load_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded["technique"] == "reactive-anycast"
         assert loaded["site"] == "msn"
         assert len(loaded["outcomes"]) == len(result.outcomes)

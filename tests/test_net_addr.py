@@ -131,15 +131,6 @@ class TestIPv4Prefix:
             IPv4Prefix.parse("0.0.0.0/0").subnets(21)
         assert len(IPv4Prefix.parse("10.0.0.0/8").subnets(16)) == 256
 
-    def test_supernet(self):
-        p24 = IPv4Prefix.parse("184.164.245.0/24")
-        assert str(p24.supernet()) == "184.164.244.0/23"
-        assert str(p24.supernet(16)) == "184.164.0.0/16"
-
-    def test_supernet_validates_length(self):
-        with pytest.raises(ValueError):
-            IPv4Prefix.parse("10.0.0.0/24").supernet(25)
-
     def test_ordering(self):
         a = IPv4Prefix.parse("10.0.0.0/8")
         b = IPv4Prefix.parse("10.0.0.0/16")

@@ -110,13 +110,6 @@ class TestLpmTrieBasics:
         assert table.lookup(A("10.1.2.3")) == (P("10.1.2.0/24"), "new")
         assert table.lookup(A("10.1.3.3")) is None  # the /8 and /16 probes went too
 
-    def test_clear(self):
-        table = LpmTable()
-        table.insert(P("10.0.0.0/8"), 1)
-        table.clear()
-        assert len(table) == 0
-        assert table.lookup(A("10.0.0.1")) is None
-
     def test_lookup_returns_matched_prefix(self):
         table = LpmTable()
         table.insert(P("10.1.2.0/24"), "v")

@@ -5,11 +5,11 @@ from __future__ import annotations
 import functools
 import gc
 
+from repro.bgp.engine import EventEngine
 from repro.net.addr import IPv4Prefix
 from repro.obs import (
     PROFILE_SCHEMA,
     EventProfiler,
-    callback_name,
     render_profile,
     watch_collector,
 )
@@ -131,15 +131,17 @@ class TestCollector:
 
 
 class TestCallbackName:
-    def test_qualname_preferred(self):
+    def test_the_engine_keys_a_callback_by_qualname_or_else_its_type(self):
         def inner():
             pass
 
-        assert "inner" in callback_name(inner)
-
-    def test_partial_falls_back_to_type_name(self):
-        bound = functools.partial(print, "x")
-        assert callback_name(bound) == "partial"
+        profiler = EventProfiler()
+        with using(Telemetry(profiler=profiler)):
+            engine = EventEngine()
+            engine.schedule(0.0, inner)
+            engine.schedule(0.0, functools.partial(sorted, ()))  # a partial has no qualname
+            engine.run_until_idle()
+        assert sorted(profiler.callbacks) == [inner.__qualname__, "partial"]
 
 
 class TestMerge:

@@ -131,6 +131,13 @@ class TestParallelPath:
         assert "timeout" in results[0].error
         assert [r.status for r in results[1:]] == [STATUS_OK, STATUS_OK]
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), -1.0])
+    def test_a_negative_or_nan_timeout_is_refused_before_any_worker_starts(self, timeout_s):
+        """NaN would poll with a zero wait and never time out; a negative
+        timeout would kill every cell at once."""
+        with pytest.raises(ValueError, match="timeout_s must be a non-negative number"):
+            map_cells(_scale, 2, _cells([1, 2]), workers=2, timeout_s=timeout_s)
+
     def test_progress_counts_every_completion(self):
         seen = []
         map_cells(

@@ -12,7 +12,6 @@ from repro.topology.geo import (
     distance_km,
     link_latency_s,
     place_in,
-    rtt_ms,
 )
 
 
@@ -63,9 +62,6 @@ class TestLatency:
         b = Location("x", 2000.0, 0.0)
         # 2000 km at 200 km/ms = 10 ms + 1 ms overhead
         assert abs(link_latency_s(a, b) - 0.011) < 1e-9
-
-    def test_rtt_ms_doubles_and_converts(self):
-        assert rtt_ms([0.010, 0.005]) == 30.0
 
     @given(
         st.floats(min_value=-1e4, max_value=1e4),

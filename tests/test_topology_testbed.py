@@ -39,11 +39,11 @@ class TestDeployment:
 
     def test_sites_share_cdn_asn(self, deployment):
         for site in deployment.site_names:
-            assert deployment.site_info(site).asn == CDN_ASN
+            assert deployment.topology.ases[deployment.site_node(site)].asn == CDN_ASN
 
     def test_sites_classified_as_cdn(self, deployment):
         for site in deployment.site_names:
-            assert deployment.site_info(site).as_class is AsClass.CDN
+            assert deployment.topology.ases[deployment.site_node(site)].as_class is AsClass.CDN
 
     def test_site_node_roundtrip(self, deployment):
         for site in deployment.site_names:

@@ -184,7 +184,7 @@ def line_network():
     network = BgpNetwork(seed=1, default_timing=SessionTiming(latency=0.01, jitter=0.0, mrai=10.0))
     network.add_router("a", 1)
     network.add_router("b", 2)
-    network.add_provider("a", "b")
+    network.connect("a", "b", Relationship.PROVIDER)
     return network
 
 

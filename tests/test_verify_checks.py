@@ -19,7 +19,6 @@ from repro.topology.testbed import build_deployment
 from repro.verify import (
     CHECKS,
     DEFAULT_TECHNIQUE_NAMES,
-    all_checks,
     default_world,
     load_world,
     resolve_codes,
@@ -229,7 +228,7 @@ class TestWorldSchema:
 
 class TestCatalogue:
     def test_codes_are_unique_and_ver_prefixed(self):
-        codes = [check.code for check in all_checks()]
+        codes = [check.code for check in CHECKS.values()]
         assert len(codes) == len(set(codes))
         assert all(code.startswith("VER2") for code in codes)
 

@@ -24,6 +24,7 @@ from repro.topology.propagation import (
     ambiguous_ties,
     propagate,
     settled_catchment,
+    solve_plan,
     spvp,
 )
 from repro.topology.testbed import PROBE_SOURCE, SPECIFIC_PREFIX, build_deployment
@@ -161,12 +162,16 @@ class TestAgreementMatrix:
     the FIB walk, and the simulator's Loc-RIBs are the reference both
     are held to: on a converged network all three must name the same
     site for every client, for every registered technique and specific
-    site, before and after that site fails.
+    site, before and after that site fails. Past the catchment, every
+    router's whole state must be the solver's: its Loc-RIB route and its
+    Adj-RIB-In for each planned prefix equal ``solve_plan``'s ``best``
+    and ``candidates``.
     """
 
     @staticmethod
     def simulated(deployment, plan, clients):
-        """⟨Loc-RIB read, FIB-walk landing⟩ once ``plan`` has converged."""
+        """⟨Loc-RIB read, FIB-walk landing, the network⟩ once ``plan``
+        has converged."""
         network = deployment.topology.build_network(seed=0)
         apply_plan(network, plan)
         network.converge()
@@ -184,13 +189,16 @@ class TestAgreementMatrix:
             c: delivery_verdict(walk.delivered_to, walk.reason, deployment)[0]
             for c, walk in walks.items()
         }
-        return rib, fib
+        return rib, fib, network
 
     def test_every_technique_and_site_agrees(self):
         mismatches = []
+        states = 0
         for params in WORLDS:
             deployment = build_deployment(params=params)
             clients = [info.node_id for info in deployment.topology.web_client_ases()]
+            graph = SymbolicGraph.from_topology(deployment.topology)
+            solved: dict[tuple, object] = {}
             #: many ⟨technique, site, state⟩ cells share a plan (anycast's
             #: ignores the site): simulate each distinct plan once
             checked: set[frozenset[Origination]] = set()
@@ -203,11 +211,19 @@ class TestAgreementMatrix:
                             continue
                         checked.add(frozenset(plan))
                         settled = settled_catchment(deployment, plan, clients)
-                        rib, fib = self.simulated(deployment, plan, clients)
+                        rib, fib, network = self.simulated(deployment, plan, clients)
                         wrong = [c for c in clients if not settled[c] == rib[c] == fib[c]]
+                        for prefix, result in solve_plan(graph, plan, solved).items():
+                            for node, router in network.routers.items():
+                                states += 1
+                                if (router.loc_rib.get(prefix) != result.best.get(node)
+                                        or router.adj_rib_in.get(prefix, {})
+                                        != result.candidates.get(node, {})):
+                                    wrong.append((str(prefix), node))
                         if wrong:
                             mismatches.append((params.seed, name, site, down, wrong[:3]))
         assert not mismatches, mismatches
+        assert states > 10_000  # every router, prefix and plan was compared
 
     def test_pass_matches_spvp(self):
         """The rank-ordered pass :func:`propagate` runs on Gao-Rexford

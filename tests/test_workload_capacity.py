@@ -20,6 +20,7 @@ from repro.parallel import matrix, run_sweep
 from repro.telemetry.trace import SiteOverloaded
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 from repro.workload import (
+    CAPACITY_SCHEMA,
     CapacityProfile,
     CapacityState,
     WorkloadAccount,
@@ -58,12 +59,12 @@ class TestProfileLoading:
         assert profile.site_rps == {}
         assert profile.capacity_for("anything") == 250.0
 
-    def test_json_file_round_trip(self, tmp_path):
-        original = CapacityProfile(
-            name="mixed", default_rps=None, site_rps={"sea1": 80.0}
-        )
+    def test_json_file_reads_to_its_profile(self, tmp_path):
         path = tmp_path / "capacity.json"
-        path.write_text(json.dumps(original.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps({
+            "schema": CAPACITY_SCHEMA, "name": "mixed", "default_rps": None,
+            "site_rps": {"sea1": 80.0},
+        }), encoding="utf-8")
         loaded = load_capacity(str(path))
         assert loaded.default_rps is None
         assert loaded.site_rps == {"sea1": 80.0}

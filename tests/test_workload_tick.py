@@ -317,7 +317,7 @@ def surge_run(deployment, technique: str) -> dict:
         duration_s=100.0, n_targets=4, timing=FAST_TIMING, seed=7,
         workload=builtin_profile("regional-surge"), capacity=load_capacity("150"),
     )
-    runner.brownout(20.0, "msn", factor=0.5)
+    runner.add_event(20.0, "brownout", "msn", factor=0.5)
     runner.add_event(50.0, "fail-silent", "sea1")
     runner.add_event(80.0, "unbrownout", "msn")
     tracer = telemetry.TraceRecorder()
