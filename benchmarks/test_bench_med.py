@@ -90,11 +90,11 @@ def _run():
                 deployment, ProactivePrepending(3), site, selection.targets
             ),
             "med-100": _control_under(
-                deployment, ProactiveMed(100), site, selection.targets
+                deployment, ProactiveMed(), site, selection.targets
             ),
         }
     failover = {}
-    for technique in (ProactivePrepending(3), ProactiveMed(100)):
+    for technique in (ProactivePrepending(3), ProactiveMed()):
         outcomes = pooled_outcomes(experiment.run_all_sites(technique, SITES))
         failover[technique.name] = Cdf.from_optional(
             [o.failover_s for o in outcomes]

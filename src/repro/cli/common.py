@@ -54,6 +54,7 @@ from functools import cached_property
 from pathlib import Path
 
 from repro import telemetry
+from repro.core.controller import DETECTION_DELAY_S
 from repro.core.techniques import TECHNIQUES, techniques_named
 
 logger = logging.getLogger(__name__)
@@ -159,7 +160,8 @@ WORKLOAD = (
 EXPERIMENT = (
     Flag("--targets", type=positive_int, default=20, help="targets per site"),
     Flag("--duration", type=float, default=300.0, help="probing window (sim s)"),
-    Flag("--detection-delay", type=float, default=2.0, help="monitoring reaction time (sim s)"),
+    Flag("--detection-delay", type=float, default=DETECTION_DELAY_S,
+         help="monitoring reaction time (sim s)"),
     Flag("--silent", action="store_true",
          help="silent failure: the site cannot withdraw its own prefixes"),
     Flag("--no-checkpoint", action="store_true",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 
 from repro.cli.common import (
     CHECK,
@@ -27,6 +28,14 @@ from repro.core.techniques import (
 from repro.measurement.plotting import render_cdfs
 from repro.measurement.stats import Cdf
 from repro.parallel import matrix
+
+
+def _seconds(value: float, width: int) -> str:
+    """``value`` in seconds, right-aligned in ``width`` columns; a quantile
+    that falls in the censored mass reads ``censored``."""
+    if math.isinf(value):
+        return f"{'censored':>{width}s}"
+    return f"{value:{width - 1}.1f}s"
 
 
 def run(args: argparse.Namespace, ctx: Prologue) -> int:
@@ -56,8 +65,8 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
         recon = Cdf.from_optional([o.reconnection_s for o in outcomes])
         failover = Cdf.from_optional([o.failover_s for o in outcomes])
         failover_cdfs[technique.name] = failover
-        print(f"{technique.name:26s} {recon.n:4d} {recon.median():9.1f}s "
-              f"{failover.median():7.1f}s {failover.quantile(0.9):7.1f}s")
+        print(f"{technique.name:26s} {recon.n:4d} {_seconds(recon.median(), 10)} "
+              f"{_seconds(failover.median(), 8)} {_seconds(failover.quantile(0.9), 8)}")
 
     if ctx.workload is not None:
         print("\nworkload (requests) per technique:")

@@ -36,7 +36,7 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
     ctx.admit(VerifyWorld(
         deployment=deployment, techniques=[drill.technique],
         timeline=timeline(drill.fault_plan), duration=drill.deadline_s,
-        detection_delay=drill.detection_delay, timing=drill.timing,
+        timing=drill.timing,
         target_nodes=clients, workload=drill.workload,
         capacity=drill.capacity, source="<run>",
     ))

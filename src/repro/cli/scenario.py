@@ -67,9 +67,8 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
         deployment=deployment, techniques=[runner.technique],
         specific_site=runner.specific_site,
         timeline=timeline(runner.fault_plan, runner.events),
-        damping=runner.damping, duration=runner.duration_s,
-        detection_delay=runner.detection_delay,
-        recovery_grace=runner.recovery_grace, timing=runner.timing,
+        duration=runner.duration_s, recovery_grace=runner.recovery_grace,
+        timing=runner.timing,
         workload=runner.workload, capacity=runner.capacity, source="<run>",
     ))
     catchment = anycast_catchment(deployment.topology, deployment)

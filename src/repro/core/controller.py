@@ -28,6 +28,13 @@ from repro.telemetry.trace import SiteFailed, SiteOverloaded
 from repro.topology.testbed import CdnDeployment
 from repro.workload.capacity import CapacityState
 
+#: seconds from a failure to the control system reacting (§5.2's
+#: monitoring delay); every run's default
+DETECTION_DELAY_S = 2.0
+
+#: the prepend depth a maintenance drain overlays on a site's announcements
+DRAIN_PREPEND = 5
+
 
 @dataclass(frozen=True, slots=True)
 class FailureEvent:
@@ -60,7 +67,7 @@ class CdnController:
     technique: Technique
     prefix: IPv4Prefix
     superprefix: IPv4Prefix
-    detection_delay: float = 2.0
+    detection_delay: float
     #: make-before-break on recovery: reactive/emergency announcements
     #: are rolled back only this many seconds after the recovered site
     #: re-announces, so its routes propagate before the backups vanish
@@ -68,17 +75,17 @@ class CdnController:
     #: per-run capacity view; set when a capacity profile is attached so
     #: overload reactions can record DNS divert fractions
     capacity_state: CapacityState | None = None
-    failures: list[FailureEvent] = field(default_factory=list)
+    failures: list[FailureEvent] = field(default_factory=list, init=False)
     #: the specific site of the last deploy(), for recovery
-    deployed_site: str | None = None
+    deployed_site: str | None = field(default=None, init=False)
     #: sites currently down; announcements are never (re)made from these.
     #: The run's one down set (the prober and the engine read this object)
-    down_sites: set = field(default_factory=set)
+    down_sites: set = field(default_factory=set, init=False)
     #: sites currently shed for overload: the run's one overload latch
-    overloaded_sites: set = field(default_factory=set)
-    #: sites drained for maintenance -> the prepend depth overlaid on
-    #: whatever the technique has them announce
-    drained_sites: dict = field(default_factory=dict)
+    overloaded_sites: set = field(default_factory=set, init=False)
+    #: sites drained for maintenance: each announces whatever the
+    #: technique has it announce, prepended :data:`DRAIN_PREPEND` times
+    drained_sites: set = field(default_factory=set, init=False)
 
     def target_plan(self) -> tuple[Origination, ...]:
         """What the technique wants announced in the current state."""
@@ -94,8 +101,10 @@ class CdnController:
         )
         if not self.drained_sites:
             return plan
-        depth = {self.deployment.site_node(s): p for s, p in self.drained_sites.items()}
-        return tuple(replace(o, prepend=depth.get(o.node, o.prepend)) for o in plan)
+        drained = {self.deployment.site_node(site) for site in self.drained_sites}
+        return tuple(
+            replace(o, prepend=DRAIN_PREPEND) if o.node in drained else o for o in plan
+        )
 
     def _reconcile(self, cause: int, grace: float = 0.0) -> None:
         """Move the network onto the target plan: announce it now, then
@@ -150,10 +159,10 @@ class CdnController:
         # propagate before the emergency announcements disappear.
         self._reconcile(cause, grace=self.recovery_grace)
 
-    def drain_site(self, site: str, prepend: int = 5) -> None:
+    def drain_site(self, site: str) -> None:
         """Gracefully drain a site for maintenance: re-announce its
-        prefixes with heavy prepending so traffic shifts to other sites
-        *before* the site goes down -- no packets are ever blackholed.
+        prefixes prepended :data:`DRAIN_PREPEND` times so traffic shifts to
+        other sites *before* the site goes down -- no packets are ever blackholed.
 
         This is the make-before-break counterpart of :meth:`fail_site`:
         the anycast-agility playbook applied to one site (§4's load-
@@ -161,8 +170,8 @@ class CdnController:
         """
         if site not in self.deployment.sites:
             raise KeyError(f"unknown site {site!r}")
-        self.drained_sites[site] = prepend
-        self._reconcile(self.network.root_cause("site-drain", site, f"prepend={prepend}"))
+        self.drained_sites.add(site)
+        self._reconcile(self.network.root_cause("site-drain", site, f"prepend={DRAIN_PREPEND}"))
 
     def undrain_site(self, site: str) -> None:
         """Restore a drained site's normal announcements."""
@@ -170,7 +179,7 @@ class CdnController:
             raise KeyError(f"unknown site {site!r}")
         if self.deployed_site is None:
             raise RuntimeError("undrain_site before deploy")
-        self.drained_sites.pop(site, None)
+        self.drained_sites.discard(site)
         self._reconcile(self.network.root_cause("site-undrain", site))
 
     def site_overloaded(self, site: str, offered_rps: float) -> None:

@@ -17,7 +17,6 @@ from repro.core.rig import RunRig
 from repro.core.techniques import Technique
 from repro.faults.invariants import check_invariants
 from repro.faults.plan import FaultPlan
-from repro.net.addr import IPv4Prefix
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
 from repro.topology.testbed import SECOND_PREFIX, CdnDeployment
@@ -59,17 +58,15 @@ class DrillOutcome:
 class RotationDrill:
     """Rotates a test-prefix failure through every site.
 
-    Uses :data:`SECOND_PREFIX` (the testbed's spare /24) by default so
-    production traffic on the primary prefix is never touched -- exactly
-    the paper's suggestion.
+    Uses :data:`SECOND_PREFIX` (the testbed's spare /24), so production
+    traffic on the primary prefix is never touched -- exactly the paper's
+    suggestion.
     """
 
     topology: Topology
     deployment: CdnDeployment
     technique: Technique
-    test_prefix: IPv4Prefix = SECOND_PREFIX
     deadline_s: float = 120.0
-    detection_delay: float = 2.0
     timing: SessionTiming | None = None
     seed: int = 0
     #: optional chaos: a fault timeline armed right after the initial
@@ -87,7 +84,7 @@ class RotationDrill:
     #: budget are lost to overload, the technique's shedding hooks fire,
     #: and the invariant audit adds the site-capacity check
     capacity: CapacityProfile | None = None
-    outcomes: list[DrillOutcome] = field(default_factory=list)
+    outcomes: list[DrillOutcome] = field(default_factory=list, init=False)
 
     def run_site(self, site: str, clients: list[str]) -> DrillOutcome:
         """Drill one site: deploy, fail, wait the deadline, audit."""
@@ -106,9 +103,8 @@ class RotationDrill:
                 self.deployment,
                 self.technique,
                 site,
-                prefix=self.test_prefix,
-                dst=self.test_prefix.address(1),
-                detection_delay=self.detection_delay,
+                prefix=SECOND_PREFIX,
+                dst=SECOND_PREFIX.address(1),
                 workload=self.workload,
                 capacity=self.capacity,
                 fault_plan=self.fault_plan,

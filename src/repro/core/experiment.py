@@ -35,9 +35,11 @@ from repro.checkpoint.codec import (
     rewind_network,
     snapshot_network,
 )
+from repro.core.controller import DETECTION_DELAY_S
 from repro.core.metrics import TargetOutcome, outcomes_for_run
 from repro.core.plan import Technique, apply_plan
 from repro.core.rig import RunRig, tagged_seed
+from repro.dataplane.ping import DRAIN_SLACK_S, PROBE_INTERVAL_S, PROBE_WINDOW_S
 from repro.fields import Field, violations
 from repro.measurement.catchment import anycast_catchment
 from repro.measurement.hitlist import Hitlist, TargetSelection, select_targets
@@ -57,7 +59,6 @@ from repro.workload.profile import WorkloadProfile
 _WINDOW = (
     Field("probe_interval", lo=0, lo_open=True),
     Field("probe_duration", lo=0, lo_open=True),
-    Field("drain_slack", lo=0),
 )
 
 
@@ -70,22 +71,16 @@ class FailoverConfig:
     """Experiment parameters (§5.2 defaults, scaled where noted)."""
 
     #: probing cadence and window ("every ~1.5s for ~600s")
-    probe_interval: float = 1.5
-    probe_duration: float = 600.0
+    probe_interval: float = PROBE_INTERVAL_S
+    probe_duration: float = PROBE_WINDOW_S
     #: monitoring/control reaction time after the failure
-    detection_delay: float = 2.0
+    detection_delay: float = DETECTION_DELAY_S
     #: targets selected per site (paper: 50 K; scaled to simulation size)
     targets_per_site: int = 40
-    #: §5.1 site-proximity bound
-    rtt_limit_ms: float = 50.0
-    #: §5.1 anycast filter ("not routed to site by anycast")
-    exclude_anycast_routed: bool = True
     #: base seed; each (site, technique) run perturbs it deterministically
     seed: int = 42
     #: session timing profile (defaults to the calibrated Internet profile)
     timing: SessionTiming | None = DEFAULT_INTERNET_TIMING
-    #: slack after the probing window for in-flight events
-    drain_slack: float = 30.0
     #: if True, the failed site does NOT withdraw its own announcements
     #: (silent crash); the controller withdraws them after detection
     silent_failure: bool = False
@@ -276,8 +271,7 @@ class FailoverExperiment:
             self.catchment,
             self.hitlist,
             max_targets=self.config.targets_per_site,
-            rtt_limit_ms=self.config.rtt_limit_ms,
-            exclude_anycast_routed=beyond and self.config.exclude_anycast_routed,
+            exclude_anycast_routed=beyond,
             seed=self.config.seed,
         )
         if not beyond:
@@ -434,7 +428,7 @@ class FailoverExperiment:
                     controllable, interval=config.probe_interval, duration=config.probe_duration
                 )
                 rig.start_workload(config.probe_duration, config.seed, run_tag)
-                network.run_for(config.probe_duration + config.drain_slack)
+                network.run_for(config.probe_duration + DRAIN_SLACK_S)
                 _note_replies(telemetry, rig.prober)
 
             with telemetry.phase("analyze", **tags):

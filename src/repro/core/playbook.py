@@ -19,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.plan import Origination
-from repro.net.addr import IPv4Prefix
 from repro.topology.generator import Topology
 from repro.topology.propagation import settled_catchment
 from repro.topology.testbed import SPECIFIC_PREFIX, CdnDeployment
@@ -50,8 +49,7 @@ class Playbook:
 
     topology: Topology
     deployment: CdnDeployment
-    prefix: IPv4Prefix = SPECIFIC_PREFIX
-    entries: list[PlaybookEntry] = field(default_factory=list)
+    entries: list[PlaybookEntry] = field(default_factory=list, init=False)
 
     # ------------------------------------------------------------------
 
@@ -60,7 +58,7 @@ class Playbook:
         per-site prepending settles to. Sites absent from ``prepends``
         announce plain."""
         plan = [
-            Origination(self.deployment.site_node(site), self.prefix, prepends.get(site, 0))
+            Origination(self.deployment.site_node(site), SPECIFIC_PREFIX, prepends.get(site, 0))
             for site in self.deployment.site_names
         ]
         clients = [info.node_id for info in self.topology.web_client_ases()]

@@ -12,7 +12,7 @@ import zlib
 from collections.abc import Iterable
 
 from repro.bgp.network import BgpNetwork
-from repro.core.controller import CdnController
+from repro.core.controller import DETECTION_DELAY_S, CdnController
 from repro.core.plan import Technique
 from repro.dataplane.forwarding import ForwardingPlane, delivery_verdict
 from repro.dataplane.ping import Prober
@@ -60,7 +60,7 @@ class RunRig:
         *,
         prefix: IPv4Prefix = SPECIFIC_PREFIX,
         dst: IPv4Address = PROBE_SOURCE,
-        detection_delay: float = 2.0,
+        detection_delay: float = DETECTION_DELAY_S,
         recovery_grace: float = 0.0,
         workload: WorkloadProfile | None = None,
         capacity: CapacityProfile | None = None,

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.core.rig import RunRig
 from repro.core.techniques import Technique
+from repro.dataplane.ping import DRAIN_SLACK_S, PROBE_INTERVAL_S, PROBE_WINDOW_S
 from repro.faults.plan import Action, FaultPlan
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
@@ -32,6 +32,10 @@ from repro.topology.testbed import CdnDeployment
 from repro.workload.capacity import CapacityProfile
 from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
+
+#: clients probed when a runner names no ``target_nodes``: the first
+#: web-client ASes
+SCENARIO_TARGETS = 20
 
 
 @dataclass(slots=True)
@@ -79,18 +83,15 @@ class ScenarioRunner:
     technique: Technique
     specific_site: str
     events: list[Action] = field(default_factory=list)
-    duration_s: float = 600.0
-    probe_interval: float = 1.5
+    duration_s: float = PROBE_WINDOW_S
     bucket_s: float = 10.0
-    n_targets: int = 20
-    #: explicit target AS nodes (overrides the first-n_targets default);
-    #: pick the failing site's catchment to observe its outage
+    #: explicit target AS nodes (default: the first
+    #: :data:`SCENARIO_TARGETS` web clients); pick the failing site's
+    #: catchment to observe its outage
     target_nodes: list[str] | None = None
-    detection_delay: float = 2.0
     #: make-before-break delay for rolling back emergency announcements
     recovery_grace: float = 0.0
     timing: SessionTiming | None = DEFAULT_INTERNET_TIMING
-    damping: DampingConfig | None = None
     seed: int = 0
     #: optional chaos: armed after the initial convergence, on the
     #: same timeline (and epoch) as the scripted ``events``
@@ -120,15 +121,12 @@ class ScenarioRunner:
     def run(self) -> ScenarioReport:
         """Execute the timeline and collect the availability series."""
         with (
-            self.topology.build_network(
-                seed=self.seed, timing=self.timing, damping=self.damping
-            ) as network,
+            self.topology.build_network(seed=self.seed, timing=self.timing) as network,
             RunRig(
                 network,
                 self.deployment,
                 self.technique,
                 self.specific_site,
-                detection_delay=self.detection_delay,
                 recovery_grace=self.recovery_grace,
                 workload=self.workload,
                 capacity=self.capacity,
@@ -139,7 +137,7 @@ class ScenarioRunner:
 
             nodes = self.target_nodes
             if nodes is None:
-                nodes = [i.node_id for i in self.topology.web_client_ases()[: self.n_targets]]
+                nodes = [i.node_id for i in self.topology.web_client_ases()[:SCENARIO_TARGETS]]
             targets: dict[IPv4Address, str] = {}
             for node in nodes:
                 prefix = self.topology.ases[node].prefix
@@ -156,12 +154,10 @@ class ScenarioRunner:
             with telemetry_registry.current().phase(
                 "scenario", technique=self.technique.name, site=focus_site
             ):
-                rig.prober.start(
-                    targets, interval=self.probe_interval, duration=self.duration_s
-                )
+                rig.prober.start(targets, interval=PROBE_INTERVAL_S, duration=self.duration_s)
                 tag = f"scenario/{self.technique.name}/{focus_site}"
                 rig.start_workload(self.duration_s, self.seed, tag, site=focus_site)
-                network.run_for(self.duration_s + 30.0)
+                network.run_for(self.duration_s + DRAIN_SLACK_S)
 
             report = self._report(rig, start, ordered)
             report.faults_injected = rig.injector.injected

@@ -37,6 +37,13 @@ _BACKUP = Rule("others")  # reactive: the other sites announce the /24
 _ANYCAST_LIKE = {"full_control": False, "selection_mode": "anycast-catchment"}
 _HIGH_RISK = Tradeoff("high", "high", "high")  # global failure-time reconfiguration
 
+#: the MED proactive-med's backup sites announce
+BACKUP_MED = 100
+#: the prepend depth shed-prepend re-originates an overloaded site's /24 with
+SHED_PREPEND = 5
+#: the share of an overloaded site's requests shed-dns diverts
+SHED_DNS_FRACTION = 0.5
+
 
 def Unicast() -> Technique:
     """DNS-based redirection over per-site unicast prefixes (§2): full
@@ -77,15 +84,14 @@ def ProactivePrepending(prepend: int = 3, restrict_to_shared_neighbors: bool = F
                      (_UNICAST, backup), full_control=False)
 
 
-def ProactiveMed(backup_med: int = 100) -> Technique:
+def ProactiveMed() -> Technique:
     """Anycast with MED-deterred backups (§4: "BGP MED could also be used
-    for neighbors that support it"). Only multi-site neighbors are
-    controlled (MED never crosses an AS boundary); backup paths are not
-    longer, so failover skips prepending's extra exploration."""
-    if backup_med < 1:
-        raise ValueError(f"backup_med must be >= 1, got {backup_med}")
-    return Technique(f"proactive-med-{backup_med}", Tradeoff("medium", "high", "low"),
-                     (Rule("specific", med=0), Rule("others", med=backup_med)), full_control=False)
+    for neighbors that support it"): the other sites announce MED
+    :data:`BACKUP_MED`. Only multi-site neighbors are controlled (MED
+    never crosses an AS boundary); backup paths are not longer, so
+    failover skips prepending's extra exploration."""
+    return Technique(f"proactive-med-{BACKUP_MED}", Tradeoff("medium", "high", "low"),
+                     (Rule("specific", med=0), Rule("others", med=BACKUP_MED)), full_control=False)
 
 
 def Combined() -> Technique:
@@ -95,15 +101,14 @@ def Combined() -> Technique:
     return Technique("combined", _HIGH_RISK, (_UNICAST, _COVER), on_failure=(_BACKUP,))
 
 
-def ShedPrepend(prepend: int = 5) -> Technique:
+def ShedPrepend() -> Technique:
     """Anycast that sheds an overloaded site by re-originating its /24
-    with ``prepend`` extra hops: most of its catchment drains over
-    pre-existing routes, clients with no alternative stay. No path
+    with :data:`SHED_PREPEND` extra hops: most of its catchment drains
+    over pre-existing routes, clients with no alternative stay. No path
     hunting: the brownout analogue of ``proactive-prepending``."""
-    if prepend < 1:
-        raise ValueError(f"prepend must be >= 1, got {prepend}")
-    return Technique(f"shed-prepend-{prepend}", Tradeoff("medium", "high", "low"), (_ANYCAST,),
-                     on_overload=(Rule("specific", prepend=prepend),), **_ANYCAST_LIKE)
+    return Technique(f"shed-prepend-{SHED_PREPEND}", Tradeoff("medium", "high", "low"),
+                     (_ANYCAST,), on_overload=(Rule("specific", prepend=SHED_PREPEND),),
+                     **_ANYCAST_LIKE)
 
 
 def ShedWithdraw() -> Technique:
@@ -115,17 +120,14 @@ def ShedWithdraw() -> Technique:
                      on_overload=(Rule("specific", ("super",)),), **_ANYCAST_LIKE)
 
 
-def ShedDns(fraction: float = 0.5, prepend: int = 1) -> Technique:
+def ShedDns() -> Technique:
     """The DNS-weighted hybrid (Sinha et al.'s routing/resolver split): on
-    overload one prepend nudges BGP and DNS steers ``fraction`` of the
-    site's remaining requests to the live site with most spare capacity."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if prepend < 0:
-        raise ValueError(f"prepend must be >= 0, got {prepend}")
+    overload one prepend nudges BGP and DNS steers
+    :data:`SHED_DNS_FRACTION` of the site's remaining requests to the live
+    site with most spare capacity."""
     return Technique("shed-dns", Tradeoff("high", "high", "low"), (_ANYCAST,),
-                     on_overload=(Rule("specific", prepend=prepend),),
-                     shed_dns_fraction=fraction, **_ANYCAST_LIKE)
+                     on_overload=(Rule("specific", prepend=1),),
+                     shed_dns_fraction=SHED_DNS_FRACTION, **_ANYCAST_LIKE)
 
 
 TECHNIQUES: dict[str, Callable[..., Technique]] = {  # Figure 2 / Table 2 + the shed family

@@ -30,6 +30,13 @@ from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.trace import ProbeLost, ProbeReply, ProbeSent, SiteSwitched
 from repro.topology.testbed import CdnDeployment
 
+#: §5.2's probing cadence and window: "every ~1.5s for ~600s"
+PROBE_INTERVAL_S = 1.5
+PROBE_WINDOW_S = 600.0
+#: how long a run goes on after its probing window, so the replies of
+#: the last rounds land before it is read
+DRAIN_SLACK_S = 30.0
+
 
 @dataclass(slots=True)
 class Probe:
@@ -205,8 +212,8 @@ class Prober:
     def start(
         self,
         targets: dict[IPv4Address, str],
-        interval: float = 1.5,
-        duration: float = 600.0,
+        interval: float,
+        duration: float,
     ) -> None:
         """Schedule paced probing of ``targets`` (address -> AS node).
 

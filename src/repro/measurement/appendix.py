@@ -34,6 +34,9 @@ from repro.topology.generator import Topology
 from repro.topology.relationships import AsClass
 from repro.topology.testbed import SPECIFIC_PREFIX, CdnDeployment
 
+#: origins of each hypergiant anycast event in the propagation study
+ANYCAST_ORIGINS = 3
+
 
 @dataclass(slots=True)
 class AppendixSamples:
@@ -129,13 +132,13 @@ def run_propagation_study(
     sites: list[str] | None = None,
     timing: SessionTiming | None = None,
     seed: int = 0,
-    anycast_origins: int = 3,
 ) -> AppendixSamples:
     """Appendix B: anycast announcement propagation, Manycast2-style
     prefixes (here: hypergiant anycast) vs testbed anycast.
 
-    Each event announces a fresh anycast prefix from several origins at
-    once and measures each collector peer's first-announcement delay.
+    Each event announces a fresh anycast prefix from
+    :data:`ANYCAST_ORIGINS` origins (a hypergiant and transits) at once
+    and measures each collector peer's first-announcement delay.
     """
     timing = timing or DEFAULT_INTERNET_TIMING
     sites = sites if sites is not None else deployment.site_names
@@ -149,7 +152,7 @@ def run_propagation_study(
     transits = [n for n in topology.ases if n.startswith("tr-")]
     for i, giant in enumerate(giants):
         prefix = topology.ases[giant].prefix.subnets(24)[-1]
-        origins = [giant] + rng.sample(transits, k=min(anycast_origins - 1, len(transits)))
+        origins = [giant] + rng.sample(transits, k=min(ANYCAST_ORIGINS - 1, len(transits)))
         with topology.build_network(seed=rng.getrandbits(30), timing=timing) as network:
             collector = _collector_over_core(network)
             event_time = network.now

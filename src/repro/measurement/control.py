@@ -63,7 +63,6 @@ def measure_control(
     anycast: dict[str, str | None],
     hitlist: Hitlist | None = None,
     prepends: tuple[int, ...] = (3, 5),
-    rtt_limit_ms: float = 50.0,
     seed: int = 0,
     restrict_to_shared_neighbors: bool = False,
 ) -> ControlResult:
@@ -81,7 +80,6 @@ def measure_control(
         anycast,
         hitlist,
         max_targets=10**9,  # Table 1 uses the full eligible population
-        rtt_limit_ms=rtt_limit_ms,
         exclude_anycast_routed=True,
         seed=seed,
     )

@@ -22,26 +22,28 @@ from repro.net.addr import IPv4Prefix
 #: Appendix A window within which a peer's updates count toward an event.
 CONVERGENCE_WINDOW_S = 1000.0
 
+#: the event-time estimator's burst: "5 withdrawals ... within 20 seconds"
+EVENT_BURST = 5
+EVENT_BURST_WINDOW_S = 20.0
+
 
 def estimate_event_time(
     entries: list[CollectorEntry],
     prefix: IPv4Prefix,
     announce: bool,
-    threshold: int = 5,
-    window_s: float = 20.0,
 ) -> float | None:
     """The paper's event-time estimator.
 
-    Returns the first time at which ``threshold`` updates of the given
-    kind (announcements or withdrawals) for ``prefix`` occur within
-    ``window_s`` seconds -- or None if that never happens (e.g. too few
-    collector peers saw the event).
+    Returns the first time at which :data:`EVENT_BURST` updates of the
+    given kind (announcements or withdrawals) for ``prefix`` occur within
+    :data:`EVENT_BURST_WINDOW_S` seconds -- or None if that never happens
+    (e.g. too few collector peers saw the event).
     """
     times = sorted(
         e.time for e in entries if e.prefix == prefix and e.announce == announce
     )
-    for i in range(len(times) - threshold + 1):
-        if times[i + threshold - 1] - times[i] <= window_s:
+    for i in range(len(times) - EVENT_BURST + 1):
+        if times[i + EVENT_BURST - 1] - times[i] <= EVENT_BURST_WINDOW_S:
             return times[i]
     return None
 
@@ -50,7 +52,6 @@ def withdrawal_convergence_times(
     collector: RouteCollector,
     prefix: IPv4Prefix,
     event_time: float,
-    window_s: float = CONVERGENCE_WINDOW_S,
 ) -> dict[str, float]:
     """Appendix A metric: per-peer last-update delay after a withdrawal.
 
@@ -63,7 +64,7 @@ def withdrawal_convergence_times(
     for entry in collector.entries:
         if entry.prefix != prefix:
             continue
-        if not event_time <= entry.time <= event_time + window_s:
+        if not event_time <= entry.time <= event_time + CONVERGENCE_WINDOW_S:
             continue
         current = per_peer.get(entry.peer)
         if current is None or entry.time >= current.time:
@@ -79,14 +80,13 @@ def propagation_times(
     collector: RouteCollector,
     prefix: IPv4Prefix,
     event_time: float,
-    window_s: float = CONVERGENCE_WINDOW_S,
 ) -> dict[str, float]:
     """Appendix B metric: per-peer first-announcement delay."""
     firsts: dict[str, float] = {}
     for entry in collector.entries:
         if entry.prefix != prefix or not entry.announce:
             continue
-        if entry.time < event_time or entry.time > event_time + window_s:
+        if entry.time < event_time or entry.time > event_time + CONVERGENCE_WINDOW_S:
             continue
         if entry.peer not in firsts or entry.time < firsts[entry.peer]:
             firsts[entry.peer] = entry.time

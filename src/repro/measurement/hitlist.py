@@ -23,6 +23,9 @@ from repro.net.addr import IPv4Address
 from repro.topology.generator import Topology
 from repro.topology.testbed import CdnDeployment
 
+#: §5.1's site-proximity bound: a target is nearby within this RTT
+RTT_LIMIT_MS = 50.0
+
 
 @dataclass(frozen=True, slots=True)
 class HitlistEntry:
@@ -95,7 +98,6 @@ def select_targets(
     catchment: dict[str, str | None],
     hitlist: Hitlist,
     max_targets: int = 50,
-    rtt_limit_ms: float = 50.0,
     exclude_anycast_routed: bool = True,
     seed: int = 0,
 ) -> TargetSelection:
@@ -106,7 +108,7 @@ def select_targets(
     Targets are spread across ASes (here: one address per AS, selected
     randomly when over budget), as the paper spreads its 50 K.
 
-    The RTT bound is twice
+    A target's RTT, held to :data:`RTT_LIMIT_MS`, is twice
     :meth:`~repro.topology.generator.Topology.settled_latency`, the
     topology's memo of the settled site -> client path's latency, so a
     client is solved and a ⟨site, client⟩ path walked once per topology,
@@ -118,7 +120,7 @@ def select_targets(
     eligible: list[HitlistEntry] = []
     for entry in hitlist.responsive_web_clients():
         latency = topology.settled_latency(site_node, entry.node)
-        if latency is None or 2.0 * latency * 1000.0 > rtt_limit_ms:
+        if latency is None or 2.0 * latency * 1000.0 > RTT_LIMIT_MS:
             continue
         selection.nearby += 1
         if catchment.get(entry.node) == site:

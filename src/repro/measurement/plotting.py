@@ -13,27 +13,25 @@ from repro.measurement.stats import Cdf
 
 #: Glyphs cycled across series.
 GLYPHS = "ox+*#@%&"
+#: chart size in characters
+WIDTH = 64
+HEIGHT = 16
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    """Decade ticks covering [lo, hi]."""
-    lo = max(lo, 1e-3)
+    """Decade ticks covering [lo, hi] (``lo`` > 0)."""
     first = math.floor(math.log10(lo))
     last = math.ceil(math.log10(max(hi, lo * 10)))
     return [10.0**e for e in range(first, last + 1)]
 
 
-def render_cdfs(
-    series: dict[str, Cdf],
-    width: int = 64,
-    height: int = 16,
-    log_x: bool = True,
-    x_label: str = "time (s)",
-) -> str:
-    """Render named CDFs as an ASCII chart (paper-figure style).
+def render_cdfs(series: dict[str, Cdf]) -> str:
+    """Render named CDFs as a :data:`WIDTH` x :data:`HEIGHT` ASCII chart
+    on a log time axis (paper-figure style).
 
     Censored mass keeps a curve from reaching 1.0, exactly as it keeps
-    the paper's CDFs from topping out.
+    the paper's CDFs from topping out. The axis is labelled at its decade
+    ticks, or at its two ends when no decade falls inside the range.
     """
     populated = {name: cdf for name, cdf in series.items() if cdf.n > 0}
     if not populated:
@@ -44,55 +42,39 @@ def render_cdfs(
         xs_all.extend(x for x in xs if x > 0)
     if not xs_all:
         return "(all samples censored)"
-    lo, hi = min(xs_all), max(xs_all)
-    if log_x:
-        lo = max(lo, 1e-3)
-        hi = max(hi, lo * 1.001)
+    lo = max(min(xs_all), 1e-3)
+    hi = max(max(xs_all), lo * 1.001)
+    log_lo, log_span = math.log10(lo), math.log10(hi) - math.log10(lo)
 
     def column(x: float) -> int:
-        if log_x:
-            frac = (math.log10(max(x, lo)) - math.log10(lo)) / (
-                math.log10(hi) - math.log10(lo)
-            )
-        else:
-            frac = (x - lo) / (hi - lo) if hi > lo else 0.0
-        return min(width - 1, max(0, int(frac * (width - 1))))
+        frac = (math.log10(max(x, lo)) - log_lo) / log_span
+        return min(WIDTH - 1, max(0, int(frac * (WIDTH - 1))))
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     for (name, cdf), glyph in zip(populated.items(), GLYPHS):
-        for col in range(width):
-            if log_x:
-                x = 10 ** (
-                    math.log10(lo)
-                    + col / (width - 1) * (math.log10(hi) - math.log10(lo))
-                )
-            else:
-                x = lo + col / (width - 1) * (hi - lo)
-            y = cdf.at(x)
-            row = height - 1 - min(height - 1, int(y * (height - 1)))
+        for col in range(WIDTH):
+            y = cdf.at(10 ** (log_lo + col / (WIDTH - 1) * log_span))
+            row = HEIGHT - 1 - min(HEIGHT - 1, int(y * (HEIGHT - 1)))
             # Later series overwrite on conflict so every curve stays
             # visible where they overlap.
             grid[row][col] = glyph
 
     lines = []
     for i, row in enumerate(grid):
-        y_value = 1.0 - i / (height - 1)
-        label = f"{y_value:4.2f} |" if i % 5 == 0 or i == height - 1 else "     |"
+        y_value = 1.0 - i / (HEIGHT - 1)
+        label = f"{y_value:4.2f} |" if i % 5 == 0 or i == HEIGHT - 1 else "     |"
         lines.append(label + "".join(row))
-    lines.append("     +" + "-" * width)
+    lines.append("     +" + "-" * WIDTH)
 
-    if log_x:
-        tick_line = [" "] * (width + 12)
-        for tick in _log_ticks(lo, hi):
-            if tick < lo or tick > hi:
-                continue
-            col = 6 + column(tick)
-            text = f"{tick:g}"
-            for offset, ch in enumerate(text):
-                if col + offset < len(tick_line):
-                    tick_line[col + offset] = ch
-        lines.append("".join(tick_line))
-    lines.append(f"      {x_label}")
+    tick_line = [" "] * (WIDTH + 12)
+    ticks = [tick for tick in _log_ticks(lo, hi) if lo <= tick <= hi] or [lo, hi]
+    for tick in ticks:
+        col = 6 + column(tick)
+        for offset, ch in enumerate(f"{tick:g}"):
+            if col + offset < len(tick_line):
+                tick_line[col + offset] = ch
+    lines.append("".join(tick_line))
+    lines.append("      time (s)")
     legend = "   ".join(
         f"{glyph} {name}" for (name, _), glyph in zip(populated.items(), GLYPHS)
     )

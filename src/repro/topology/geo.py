@@ -17,6 +17,9 @@ from dataclasses import dataclass
 #: fiber, i.e. 1 ms one-way per 200 km.
 KM_PER_MS = 200.0
 
+#: per-link serialization, queuing and equipment delay, ms
+LINK_OVERHEAD_MS = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class Region:
@@ -69,9 +72,7 @@ def distance_km(a: Location, b: Location) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def link_latency_s(a: Location, b: Location, overhead_ms: float = 1.0) -> float:
-    """One-way latency of a direct link between two placements, seconds.
-
-    ``overhead_ms`` accounts for serialization, queuing, and equipment.
-    """
-    return (distance_km(a, b) / KM_PER_MS + overhead_ms) / 1000.0
+def link_latency_s(a: Location, b: Location) -> float:
+    """One-way latency of a direct link between two placements, seconds:
+    propagation plus :data:`LINK_OVERHEAD_MS`."""
+    return (distance_km(a, b) / KM_PER_MS + LINK_OVERHEAD_MS) / 1000.0

@@ -82,9 +82,8 @@ def check_ambiguous_catchment(
         best = result.best.get(node)
         if best is None:
             continue
+        # A plan originates at sites only, so every best route has one.
         best_site = deployment.site_of_node(best.origin_node)
-        if best_site is None:
-            continue
         for tie in ambiguous_ties(result, node):
             tie_site = deployment.site_of_node(tie.origin_node)
             if tie_site is not None and tie_site != best_site:
@@ -124,13 +123,10 @@ def check_site_dark(
     if not clients:
         return
     dark: list[tuple[str, IPv4Prefix]] = []
-    seen: set[tuple[str, IPv4Prefix]] = set()
+    # A plan originates at sites only, one row per ⟨site, prefix⟩.
     for origination in plan:
-        site = world.deployment.site_of_node(origination.node)
-        if site is None or (site, origination.prefix) in seen:
-            continue
-        seen.add((site, origination.prefix))
         if reach(origination.node, origination.neighbors).isdisjoint(clients):
+            site = world.deployment.site_of_node(origination.node)
             dark.append((site, origination.prefix))
     for site, prefix in sorted(dark):
         yield checks.SITE_DARK.finding(

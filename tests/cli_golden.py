@@ -110,6 +110,9 @@ ARGVS: dict[str, list[str]] = {
     "verify-plan-vacuous": ["verify", "tests/fixtures/verify/bad_plan_vacuous.json"],
     "verify-dispute-wheel": ["verify", "tests/fixtures/verify/bad_dispute_wheel.json"],
     "verify-damping": ["verify", "tests/fixtures/verify/bad_damping.json"],
+    "verify-dead-prefix": ["verify", "tests/fixtures/verify/bad_dead_prefix.json"],
+    "verify-superprefix": ["verify", "tests/fixtures/verify/bad_superprefix.json"],
+    "verify-site-dark": ["verify", "tests/fixtures/verify/bad_site_dark.json"],
     "verify-list-checks": ["verify", "--list-checks"],
     "verify-missing-world": ["verify", "{tmp}/absent.json"],
     "verify-duration-nan": ["verify", "-t", "anycast", "--duration", "nan"],

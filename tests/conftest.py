@@ -59,6 +59,12 @@ def counter_values(telemetry) -> dict[str, int]:
     return {name: counter.value for name, counter in telemetry.counters.items()}
 
 
+def web_clients(topology, count: int) -> list[str]:
+    """The first ``count`` web-client AS nodes: the head of a scenario
+    runner's default target set."""
+    return [info.node_id for info in topology.web_client_ases()[:count]]
+
+
 def install_fib(network, node, prefix, next_hop) -> None:
     """Point ``node``'s FIB entry for ``prefix`` at ``next_hop`` (``node``
     itself: delivered there; None: no entry) the way the router does --

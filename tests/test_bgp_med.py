@@ -1,7 +1,5 @@
 """Tests for MED support and the proactive-med technique."""
 
-import pytest
-
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.route import Route, better
@@ -94,16 +92,11 @@ class TestMedPropagation:
 
 class TestProactiveMedTechnique:
     def test_registered(self):
-        technique = technique_by_name("proactive-med", backup_med=50)
-        assert technique.name == "proactive-med-50"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProactiveMed(0)
+        assert technique_by_name("proactive-med").name == "proactive-med-100"
 
     def test_announcements(self, deployment):
         net = deployment.topology.build_network(seed=3, timing=FAST_TIMING)
-        apply_plan(net, ProactiveMed(100).originations(deployment, "sea1"))
+        apply_plan(net, ProactiveMed().originations(deployment, "sea1"))
         net.converge()
         specific = net.router(deployment.site_node("sea1"))
         assert specific.origins.get(SPECIFIC_PREFIX).med == 0
@@ -114,7 +107,7 @@ class TestProactiveMedTechnique:
         """Unlike prepending, MED backups keep natural path lengths --
         a client's route to a backup site is as short as pure anycast's."""
         net_med = deployment.topology.build_network(seed=3, timing=FAST_TIMING)
-        apply_plan(net_med, ProactiveMed(100).originations(deployment, "sea1"))
+        apply_plan(net_med, ProactiveMed().originations(deployment, "sea1"))
         net_med.converge()
         net_any = deployment.topology.build_network(seed=3, timing=FAST_TIMING)
         for site in deployment.site_names:

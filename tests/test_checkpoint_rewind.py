@@ -224,6 +224,19 @@ class TestRewindNetwork:
         with pytest.raises(CheckpointError, match="reshaped"):
             rewind_network(fork, snapshot)
 
+    def test_a_router_the_snapshot_lacks_is_refused(self):
+        """A router added after the restore links nothing (the network
+        is not reshaped), but the snapshot has no state to rewind it to."""
+        net = BgpNetwork(seed=1, default_timing=RICH_TIMING)
+        net.add_router("r0", 100)
+        snapshot = snapshot_network(net)
+        fork = restore_network(snapshot)
+        fork.add_router("r9", 109)
+        fork.announce("r9", PFX)
+        assert not fork.reshaped
+        with pytest.raises(CheckpointError, match="'r9' is not in the snapshot"):
+            rewind_network(fork, snapshot)
+
 
 class TestHeldFork:
     @pytest.mark.parametrize("fault", [

@@ -49,9 +49,9 @@ class TestOriginations:
         assert "bgp_path.prepend" not in specific.normal
 
     def test_med_values(self, deployment):
-        backup = generate_bird_config(deployment, ProactiveMed(100), "ams", "sea1")
+        backup = generate_bird_config(deployment, ProactiveMed(), "ams", "sea1")
         assert "bgp_med = 100;" in backup.normal
-        intended = generate_bird_config(deployment, ProactiveMed(100), "sea1", "sea1")
+        intended = generate_bird_config(deployment, ProactiveMed(), "sea1", "sea1")
         assert "bgp_med = 0;" in intended.normal
 
 
@@ -130,7 +130,7 @@ class TestStructure:
     def test_all_sites_render_for_all_techniques(self, deployment):
         techniques = [
             Unicast(), Anycast(), ProactiveSuperprefix(), ReactiveAnycast(),
-            ProactivePrepending(5), ProactiveMed(50), Combined(),
+            ProactivePrepending(5), ProactiveMed(), Combined(),
         ]
         for technique in techniques:
             for site in deployment.site_names:

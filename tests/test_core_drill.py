@@ -87,9 +87,20 @@ class TestRotationDrill:
         assert [o.site for o in outcomes] == deployment.site_names
         assert drill.all_passed()
 
-    def test_uses_spare_prefix_by_default(self, deployment, topology):
-        drill = RotationDrill(topology, deployment, ReactiveAnycast())
-        assert drill.test_prefix == SECOND_PREFIX
+    def test_drills_the_spare_prefix(self, monkeypatch, deployment, topology, clients):
+        seen = []
+
+        class SpyRig(RunRig):
+            def __init__(self, *args, **kwargs):
+                seen.append((kwargs["prefix"], kwargs["dst"]))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(drill_module, "RunRig", SpyRig)
+        drill = RotationDrill(
+            topology, deployment, ReactiveAnycast(), deadline_s=20.0, timing=FAST_TIMING
+        )
+        drill.run_site("msn", clients[:3])
+        assert seen == [(SECOND_PREFIX, SECOND_PREFIX.address(1))]
 
     def test_all_passed_false_before_running(self, deployment, topology):
         drill = RotationDrill(topology, deployment, ReactiveAnycast())

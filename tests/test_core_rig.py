@@ -29,7 +29,7 @@ from repro.topology.testbed import SUPERPREFIX, CdnDeployment, SiteSpec
 from repro.workload import builtin_profile, load_capacity
 from repro.workload.engine import WorkloadEngine
 
-from tests.conftest import FAST_TIMING, hand_chunk
+from tests.conftest import FAST_TIMING, hand_chunk, web_clients
 from tests.forwarding_oracle import HopChainPlane
 
 
@@ -246,7 +246,7 @@ class TestSeedTags:
         runner = ScenarioRunner(
             topology=deployment.topology, deployment=deployment,
             technique=ReactiveAnycast(), specific_site="sea1", duration_s=20.0,
-            n_targets=4, timing=FAST_TIMING, seed=7,
+            target_nodes=web_clients(deployment.topology, 4), timing=FAST_TIMING, seed=7,
             workload=builtin_profile("constant"),
         )
         runner.fail(5.0, "sea1")

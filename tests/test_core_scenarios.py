@@ -9,7 +9,7 @@ from repro.core.techniques import Anycast, ReactiveAnycast, Unicast
 from repro.faults import Action
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, web_clients
 
 SCENARIO_TIMING = SessionTiming(latency=0.05, jitter=0.3, mrai=5.0, busy_prob=0.2)
 
@@ -83,7 +83,7 @@ class TestScenarioRunner:
             technique=technique,
             specific_site="sea1",
             duration_s=120.0,
-            n_targets=10,
+            target_nodes=web_clients(deployment.topology, 10),
             timing=SCENARIO_TIMING,
             bucket_s=10.0,
         )
@@ -223,13 +223,14 @@ class TestDrain:
             technique=Anycast(),
             prefix=SPECIFIC_PREFIX,
             superprefix=SUPERPREFIX,
+            detection_delay=1.0,
         )
         controller.deploy("ams")
         network.converge()
         clients = [a.node_id for a in deployment.topology.web_client_ases()]
         before = catchment_from_network(network, deployment, SPECIFIC_PREFIX, clients)
         before_count = sum(1 for s in before.values() if s == "ams")
-        controller.drain_site("ams", prepend=5)
+        controller.drain_site("ams")
         network.converge()
         after = catchment_from_network(network, deployment, SPECIFIC_PREFIX, clients)
         after_count = sum(1 for s in after.values() if s == "ams")

@@ -16,7 +16,7 @@ from repro.core.techniques import ReactiveAnycast
 from repro.faults import FaultInjector, FaultPlan, SessionReset, load_fault_plan
 from repro.topology.testbed import SECOND_PREFIX
 
-from tests.conftest import FAST_TIMING
+from tests.conftest import FAST_TIMING, web_clients
 
 EXAMPLE_PLAN = Path(__file__).resolve().parent.parent / "examples" / "faultplan.json"
 
@@ -149,7 +149,7 @@ class TestScenarioWiring:
             specific_site="sea1",
             duration_s=60.0,
             bucket_s=10.0,
-            n_targets=5,
+            target_nodes=web_clients(topology, 5),
             timing=FAST_TIMING,
             fault_plan=FaultPlan(
                 faults=(SessionReset(at=5.0, a="site:sea1", b="tr-us-west-0"),)

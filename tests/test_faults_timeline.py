@@ -29,6 +29,8 @@ from repro.faults import (
 from repro.faults.injector import _EFFECTS
 from repro.workload import CapacityProfile, builtin_profile
 
+from tests.conftest import web_clients
+
 
 class TestOneConstructor:
     def test_every_action_has_exactly_one_effect(self):
@@ -117,7 +119,8 @@ class TestBrownoutSpellingsAgree:
         runner = ScenarioRunner(
             topology=deployment.topology, deployment=deployment,
             technique=ShedPrepend(), specific_site="msn", duration_s=100.0,
-            n_targets=8, seed=7, workload=builtin_profile("constant"),
+            target_nodes=web_clients(deployment.topology, 8), seed=7,
+            workload=builtin_profile("constant"),
             capacity=CapacityProfile(name="uniform", default_rps=120.0),
             **timeline_kwargs,
         )

@@ -11,7 +11,7 @@ site role, before and after the specific site fails.
 import pytest
 
 from repro.configgen.bird import generate_bird_config
-from repro.core.controller import CdnController
+from repro.core.controller import DETECTION_DELAY_S, CdnController
 from repro.core.techniques import (
     Anycast,
     Combined,
@@ -35,7 +35,7 @@ TECHNIQUES = [
     ProactiveSuperprefix(),
     ReactiveAnycast(),
     ProactivePrepending(3),
-    ProactiveMed(100),
+    ProactiveMed(),
     Combined(),
     ShedPrepend(),
     ShedWithdraw(),
@@ -49,7 +49,7 @@ def simulator_originations(deployment, technique, site, specific_site, emergency
     network = deployment.topology.build_network(seed=1, timing=FAST_TIMING)
     controller = CdnController(
         network=network, deployment=deployment, technique=technique,
-        prefix=SPECIFIC_PREFIX, superprefix=SUPERPREFIX,
+        prefix=SPECIFIC_PREFIX, superprefix=SUPERPREFIX, detection_delay=DETECTION_DELAY_S,
     )
     controller.deploy(specific_site)
     if emergency:

@@ -7,6 +7,8 @@ from repro.bgp.damping import DampingConfig
 from repro.bgp.session import SessionTiming
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import ReactiveAnycast
+from repro.dataplane.ping import PROBE_INTERVAL_S, PROBE_WINDOW_S
+from repro.measurement.hitlist import RTT_LIMIT_MS
 
 
 class TestDampedExperiment:
@@ -34,10 +36,9 @@ class TestDampedExperiment:
 class TestConfigSurface:
     def test_failover_config_defaults_match_paper(self):
         config = FailoverConfig()
-        assert config.probe_interval == 1.5   # "every ~1.5s"
-        assert config.probe_duration == 600.0  # "for ~600s"
-        assert config.rtt_limit_ms == 50.0     # §5.1 proximity bound
-        assert config.exclude_anycast_routed   # §5.1 criterion
+        assert config.probe_interval == PROBE_INTERVAL_S == 1.5   # "every ~1.5s"
+        assert config.probe_duration == PROBE_WINDOW_S == 600.0  # "for ~600s"
+        assert RTT_LIMIT_MS == 50.0  # §5.1 proximity bound
         assert not config.silent_failure
         assert config.damping is None
 

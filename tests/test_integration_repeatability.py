@@ -13,6 +13,7 @@ very similar for both datasets."
 from repro.bgp.session import SessionTiming
 from repro.core.experiment import FailoverConfig, FailoverExperiment, pooled_outcomes
 from repro.core.techniques import ReactiveAnycast
+from repro.measurement.hitlist import select_targets
 from repro.measurement.stats import Cdf
 
 TIMING = SessionTiming(latency=0.05, jitter=0.5, mrai=10.0, busy_prob=0.3, fib_delay=1.0)
@@ -25,9 +26,21 @@ def failover_median(deployment, seed: int, exclude_anycast_routed: bool = True) 
         targets_per_site=10,
         timing=TIMING,
         seed=seed,
-        exclude_anycast_routed=exclude_anycast_routed,
     )
     experiment = FailoverExperiment(deployment.topology, deployment, config)
+    if not exclude_anycast_routed:
+        # The run's §5.1 selection, drawn without the criterion.
+        selections = {
+            f"{site}/beyond-anycast": select_targets(
+                deployment.topology, deployment, site, experiment.catchment,
+                experiment.hitlist, max_targets=config.targets_per_site,
+                exclude_anycast_routed=False, seed=seed,
+            )
+            for site in SITES
+        }
+        experiment = FailoverExperiment(
+            deployment.topology, deployment, config, selections=selections
+        )
     outcomes = pooled_outcomes(experiment.run_all_sites(ReactiveAnycast(), SITES))
     return Cdf.from_optional([o.failover_s for o in outcomes]).median()
 

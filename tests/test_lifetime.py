@@ -38,7 +38,7 @@ from repro.topology.generator import Topology
 from repro.topology.testbed import SPECIFIC_PREFIX
 from repro.workload import builtin_profile
 
-from tests.conftest import build_line_network
+from tests.conftest import build_line_network, web_clients
 
 ROOT = Path(__file__).resolve().parent.parent
 FAST = SessionTiming(latency=0.05, jitter=0.5, mrai=10.0, busy_prob=0.3, fib_delay=1.0)
@@ -121,7 +121,7 @@ def flash_crowd_cell(deployment):
 def scenario_run(deployment):
     runner = ScenarioRunner(
         deployment.topology, deployment, ReactiveAnycast(), "msn",
-        duration_s=60.0, n_targets=4, timing=FAST,
+        duration_s=60.0, target_nodes=web_clients(deployment.topology, 4), timing=FAST,
         fault_plan=load_fault_plan(ROOT / "examples" / "faultplan.json"),
     )
     runner.fail(10.0, "msn").recover(40.0, "msn")

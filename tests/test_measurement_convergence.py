@@ -52,11 +52,8 @@ class TestEstimator:
     def test_a_burst_spanning_exactly_the_window_counts(self):
         entries = [entry(100 + 5 * i, peer=f"p{i}", announce=False) for i in range(5)]
         assert estimate_event_time(entries, PFX, announce=False) == 100.0
-        assert estimate_event_time(entries, PFX, announce=False, window_s=19.9) is None
-
-    def test_threshold_configurable(self):
-        entries = [entry(100 + i, peer=f"p{i}", announce=False) for i in range(3)]
-        assert estimate_event_time(entries, PFX, announce=False, threshold=3) == 100.0
+        wider = [entry(100 + 5.025 * i, peer=f"p{i}", announce=False) for i in range(5)]
+        assert estimate_event_time(wider, PFX, announce=False) is None
 
 
 class TestSyntheticConvergence:
@@ -87,7 +84,7 @@ class TestSyntheticConvergence:
         collector = RouteCollector.__new__(RouteCollector)
         collector.entries = entries
         collector._peers = ["a"]
-        times = withdrawal_convergence_times(collector, PFX, 100.0, window_s=1000.0)
+        times = withdrawal_convergence_times(collector, PFX, 100.0)
         assert times == {"a": 50.0}
 
     def test_propagation_first_announcement(self):

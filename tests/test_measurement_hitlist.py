@@ -3,7 +3,7 @@
 import pytest
 
 from repro.measurement.catchment import anycast_catchment
-from repro.measurement.hitlist import Hitlist, select_targets
+from repro.measurement.hitlist import RTT_LIMIT_MS, Hitlist, select_targets
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +49,11 @@ class TestTargetSelection:
         from repro.topology.propagation import path_to
 
         hitlist = Hitlist(topology)
-        selection = select_targets(
-            topology, deployment, "sea1", catchment, hitlist, rtt_limit_ms=50.0
-        )
+        selection = select_targets(topology, deployment, "sea1", catchment, hitlist)
         site_node = deployment.site_node("sea1")
         for node in selection.targets.values():
             path = path_to(topology, site_node, node)
-            assert path is not None and 2.0 * topology.path_latency(path) * 1000 <= 50.0
+            assert path is not None and 2.0 * topology.path_latency(path) * 1000 <= RTT_LIMIT_MS
 
     def test_anycast_routed_targets_excluded(self, deployment, topology, catchment):
         hitlist = Hitlist(topology)

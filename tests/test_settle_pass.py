@@ -26,6 +26,7 @@ from repro.bgp.policy import Relationship
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.dataplane.forwarding import ForwardingPlane
+from repro.measurement.hitlist import RTT_LIMIT_MS
 from repro.measurement.performance import SiteRttTable
 from repro.topology import propagation
 from repro.topology.generator import Topology, TopologyParams, generate_topology
@@ -200,14 +201,13 @@ class TestLatencyMemo:
                     rtt = None if expected is None else 2.0 * expected * 1000.0
                     assert table.rtt_ms(client, site) == rtt
         experiment = FailoverExperiment(topology, deployment, FailoverConfig())
-        limit = experiment.config.rtt_limit_ms
         candidates = [entry.node for entry in experiment.hitlist.responsive_web_clients()]
         for site in deployment.site_names:
             node = deployment.site_node(site)
             nearby = [
                 client for client in candidates
                 if (latency := reference_latency(topology, node, client)) is not None
-                and 2.0 * latency * 1000.0 <= limit
+                and 2.0 * latency * 1000.0 <= RTT_LIMIT_MS
             ]
             selection = experiment.selection_for(site)
             assert selection.nearby == len(nearby)

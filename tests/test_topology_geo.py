@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.topology.geo import (
     KM_PER_MS,
+    LINK_OVERHEAD_MS,
     REGIONS,
     Location,
     distance_km,
@@ -55,7 +56,7 @@ class TestPlacement:
 class TestLatency:
     def test_zero_distance_has_overhead_only(self):
         loc = Location("x", 0.0, 0.0)
-        assert link_latency_s(loc, loc, overhead_ms=1.0) == 0.001
+        assert link_latency_s(loc, loc) == LINK_OVERHEAD_MS / 1000.0
 
     def test_latency_scales_with_distance(self):
         a = Location("x", 0.0, 0.0)

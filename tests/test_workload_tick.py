@@ -41,7 +41,7 @@ from repro.workload import (
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 from repro.workload.engine import served_within
 
-from tests.conftest import FAST_TIMING, install_fib
+from tests.conftest import FAST_TIMING, install_fib, web_clients
 from tests.divert_oracle import _serve_in_order
 from tests.test_workload_capacity import anycast_plane
 
@@ -314,7 +314,8 @@ def surge_run(deployment, technique: str) -> dict:
     runner = ScenarioRunner(
         topology=deployment.topology, deployment=deployment,
         technique=technique_by_name(technique), specific_site="sea1",
-        duration_s=100.0, n_targets=4, timing=FAST_TIMING, seed=7,
+        duration_s=100.0, target_nodes=web_clients(deployment.topology, 4),
+        timing=FAST_TIMING, seed=7,
         workload=builtin_profile("regional-surge"), capacity=load_capacity("150"),
     )
     runner.add_event(20.0, "brownout", "msn", factor=0.5)

@@ -145,9 +145,11 @@ KEPT: dict[str, str] = {
 #: accounted for: its function is in :data:`UNRUN`
 TRIAGED = frozenset({
     "repro/analysis/preflight.py",
+    "repro/checkpoint/codec.py",
     "repro/cli/common.py",
     "repro/faults/invariants.py",
     "repro/verify/capacity.py",
+    "repro/verify/plans.py",
     "repro/verify/vacuity.py",
     "repro/workload/profile.py",
 })
@@ -180,6 +182,20 @@ UNRUN: dict[str, str] = {
     "repro/analysis/preflight.py::check_capacity":
         "PRE153 on a capacity total below the workload's base rate: a check on outside "
         "input (tests/test_workload_capacity.py)",
+    "repro/checkpoint/codec.py::snapshot_network":
+        "NotQuiescentError on queued events or a running MRAI timer (tests/test_update_path.py, "
+        "tests/test_checkpoint_codec.py), and a damped router's state: no source forks a "
+        "damped network (tests/test_checkpoint_codec.py)",
+    "repro/checkpoint/codec.py::restore_network":
+        "a snapshot of another schema, damping state without its config or a session without "
+        "its link entry: checks on a snapshot read from bytes; a lossy link: no source forks "
+        "one (tests/test_checkpoint_codec.py)",
+    "repro/checkpoint/codec.py::rewind_network":
+        "a reshaped network or a router the snapshot lacks: refusals of a misuse "
+        "(tests/test_checkpoint_rewind.py)",
+    "repro/checkpoint/codec.py::_load":
+        "a damped router's state: no source forks a damped network "
+        "(tests/test_checkpoint_codec.py)",
     "repro/cli/common.py::Prologue.pool":
         "the progress line of a parallel sweep prints host wall time and completion "
         "order, which no golden can hold",
@@ -197,6 +213,12 @@ UNRUN: dict[str, str] = {
     "repro/verify/capacity.py::check_capacity_vacuity":
         "VER243 on a profile that limits no site or none below the peak: checks on outside "
         "input (tests/test_verify_checks.py); the verify-capacity-vacuous golden runs the first",
+    "repro/verify/plans.py::check_dead_prefix":
+        "a world with no web-client AS: a check on outside input; the verify-dead-prefix "
+        "golden runs the finding",
+    "repro/verify/plans.py::check_superprefix_cover":
+        "VER222 on a superprefix equal to the specific prefix: a check on outside input "
+        "(tests/test_verify_checks.py); the verify-superprefix golden runs the uncovered one",
     "repro/verify/vacuity.py::check_timeline":
         "VER231-VER233 on an empty plan, an unknown site or node, a missing link or an "
         "uncovered node: checks on outside input (tests/test_verify_checks.py); the "
