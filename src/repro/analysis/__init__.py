@@ -34,8 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "check_events": ".preflight",
     "check_prefix_plan": ".preflight",
     "check_run_shape": ".preflight",
-    "check_targets": ".preflight",
-    "check_timing": ".preflight",
     "check_topology": ".preflight",
     "check_workload": ".preflight",
     "preflight_run": ".preflight",

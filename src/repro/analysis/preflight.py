@@ -1,8 +1,9 @@
 """Semantic pre-flight validation (the ``PRE`` series).
 
 Static checks on the *objects* of a run — :class:`Topology`,
-:class:`CdnDeployment`, scenario timelines, announcement plans, BGP
-timing/damping parameters — executed before any simulated event fires.
+:class:`CdnDeployment`, scenario timelines, announcement plans, the
+run's shape, workload and capacity profiles — executed before any
+simulated event fires.
 A misconfigured run otherwise fails mid-simulation (or worse, completes
 and quietly corrupts the failover CDFs the paper's comparisons rest on).
 
@@ -19,11 +20,9 @@ superprefix geometry, capacity vacuity -- have no PRE code.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.analysis.findings import Finding, FindingCollector, Severity, emit_findings
-from repro.bgp.damping import DampingConfig
-from repro.bgp.session import TIMING_FIELDS, SessionTiming
 from repro.core.plan import Technique
 from repro.faults.plan import Action
 from repro.fields import Field, violations
@@ -37,10 +36,6 @@ from repro.workload.profile import PROFILE_FIELDS, RATE_KINDS, SHAPE_FIELDS, Wor
 #: expected request volumes past this trigger a PRE145 advisory (the
 #: stream is O(1) memory regardless, but the run time is linear in it)
 WORKLOAD_VOLUME_CEILING = 20_000_000
-
-#: MRAI values beyond this are treated as a misconfiguration smell (the
-#: RFC 4271 default is 30 s; ``DEFAULT_INTERNET_TIMING`` uses 50 s).
-MRAI_SANITY_CEILING_S = 60.0
 
 #: the rows of a run's shape: ``--duration`` (``drill --deadline``, a
 #: world document's ``duration``), ``--detection-delay`` and
@@ -247,75 +242,8 @@ def check_deployment(deployment: CdnDeployment) -> list[Finding]:
     return findings
 
 
-def check_targets(
-    topology: Topology, target_nodes: Sequence[str] | None
-) -> list[Finding]:
-    """Probe targets must exist and originate a client prefix."""
-    findings: list[Finding] = []
-    if not target_nodes:
-        return findings
-    for node in target_nodes:
-        info = topology.ases.get(node)
-        if info is None:
-            findings.append(_error(
-                "PRE124", f"probe target {node!r} is not in the topology",
-                "targets",
-            ))
-        elif info.prefix is None:
-            findings.append(_error(
-                "PRE124",
-                f"probe target {node!r} has no client prefix; probes to it "
-                "cannot be addressed",
-                "targets",
-            ))
-    return findings
-
-
 # ----------------------------------------------------------------------
-# Protocol parameters
-
-
-def check_timing(
-    timing: SessionTiming | None,
-    damping: DampingConfig | None = None,
-) -> list[Finding]:
-    """MRAI / latency / damping parameter sanity."""
-    findings: list[Finding] = []
-    if timing is not None:
-        findings.extend(audit(TIMING_FIELDS, timing, "timing"))
-        if timing.mrai == 0:
-            findings.append(_warning(
-                "PRE130",
-                "MRAI is 0: update pacing is disabled, so withdrawal "
-                "path-hunting will not show the paper's convergence tail",
-                "timing",
-            ))
-        elif timing.mrai > MRAI_SANITY_CEILING_S:
-            findings.append(_warning(
-                "PRE132",
-                f"MRAI {timing.mrai:g}s exceeds the sanity ceiling "
-                f"({MRAI_SANITY_CEILING_S:g}s; RFC 4271 suggests 30s)",
-                "timing",
-            ))
-    if damping is not None:
-        if damping.suppress_threshold <= damping.penalty_per_flap:
-            findings.append(_warning(
-                "PRE133",
-                "damping suppresses on the first flap "
-                f"(penalty_per_flap={damping.penalty_per_flap:g} >= "
-                f"suppress_threshold={damping.suppress_threshold:g}); every "
-                "withdrawal will look like a damping outage",
-                "damping",
-            ))
-        if damping.max_penalty < damping.suppress_threshold:
-            findings.append(_warning(
-                "PRE134",
-                f"max_penalty {damping.max_penalty:g} is below the suppress "
-                f"threshold {damping.suppress_threshold:g}; no route can ever "
-                "be suppressed",
-                "damping",
-            ))
-    return findings
+# Run shape
 
 
 def check_run_shape(
@@ -425,9 +353,6 @@ def preflight_run(
     duration: float | None = None,
     detection_delay: float | None = None,
     recovery_grace: float | None = None,
-    timing: SessionTiming | None = None,
-    damping: DampingConfig | None = None,
-    target_nodes: Sequence[str] | None = None,
     workload: WorkloadProfile | None = None,
     capacity: CapacityProfile | None = None,
 ) -> FindingCollector:
@@ -447,9 +372,7 @@ def preflight_run(
             e if isinstance(e, Action) else Action(e[2], e[0], e[1]) for e in events
         ]
         collector.extend(check_events(timeline, capacity))
-    collector.extend(check_timing(timing, damping))
     collector.extend(check_run_shape(duration, detection_delay, recovery_grace))
-    collector.extend(check_targets(deployment.topology, target_nodes))
     collector.extend(check_workload(workload, duration))
     collector.extend(check_capacity(capacity, deployment, workload))
     emit_findings(collector.findings, layer="preflight")

@@ -37,8 +37,6 @@ RULES: dict[str, "type[LintRule]"] = {}
 
 def register(cls: "type[LintRule]") -> "type[LintRule]":
     """Class decorator adding a rule to :data:`RULES`."""
-    if cls.code in RULES:
-        raise ValueError(f"duplicate lint rule code {cls.code!r}")
     RULES[cls.code] = cls
     return cls
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.route import Update
-from repro.bgp.session import Session, SessionTiming
+from repro.bgp.session import Session
 from repro.net.addr import IPv4Prefix
 
 
@@ -44,8 +44,9 @@ class RouteCollector:
         """Node ids of the routers feeding this collector."""
         return list(self._peers)
 
-    def attach(self, node_id: str, timing: SessionTiming | None = None) -> None:
-        """Peer with ``node_id``: receive its full table plus all updates."""
+    def attach(self, node_id: str) -> None:
+        """Peer with ``node_id`` over a session of the network's default
+        timing: receive its full table plus all updates."""
         if node_id in self._peers:
             raise ValueError(f"collector {self.name!r} already peers with {node_id!r}")
         router = self.network.routers[node_id]
@@ -65,7 +66,7 @@ class RouteCollector:
             remote_id,
             Relationship.COLLECTOR,
             record,
-            timing or self.network.default_timing,
+            self.network.default_timing,
         )
         # A tap is a session the network's snapshot never held.
         self.network.reshaped = True

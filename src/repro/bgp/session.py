@@ -40,21 +40,16 @@ if TYPE_CHECKING:
     from repro.telemetry.registry import NullTelemetry, Telemetry
 
 
-#: the rows of :class:`SessionTiming`, all reported under PRE131 by the
-#: pre-run gate. Construction refuses only what every session's draws
-#: read; the pacing fields a profile may hold out of range, so that the
-#: gate has something to report.
-_PACING = (
-    Field("latency", lo=0, code="PRE131"),
-    Field("jitter", lo=0, code="PRE131"),
-    Field("mrai", lo=0, code="PRE131"),
+#: the rows of :class:`SessionTiming`, refused at construction: every
+#: session draws its delays and timers from them.
+TIMING_FIELDS = (
+    Field("latency", lo=0),
+    Field("jitter", lo=0),
+    Field("mrai", lo=0),
+    Field("busy_prob", lo=0, hi=1),
+    Field("mrai_sigma", lo=0),
+    Field("fib_delay", lo=0),
 )
-_DRAWS = (
-    Field("busy_prob", lo=0, hi=1, code="PRE131"),
-    Field("mrai_sigma", lo=0, code="PRE131"),
-    Field("fib_delay", lo=0, code="PRE131"),
-)
-TIMING_FIELDS = (*_PACING, *_DRAWS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +86,7 @@ class SessionTiming:
     fib_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        for _, message in violations(_DRAWS, self):
+        for _, message in violations(TIMING_FIELDS, self):
             raise ValueError(message)
 
 

@@ -346,7 +346,6 @@ class Prologue:
     @cached_property
     def experiment(self):
         """The ``EXPERIMENT`` block's Fig. 2 run over the deployment."""
-        from repro.bgp.session import DEFAULT_INTERNET_TIMING
         from repro.core.experiment import FailoverConfig, FailoverExperiment
 
         args = self.args
@@ -356,7 +355,6 @@ class Prologue:
                 targets_per_site=args.targets,
                 detection_delay=args.detection_delay,
                 seed=args.seed,
-                timing=DEFAULT_INTERNET_TIMING,
                 silent_failure=args.silent,
                 workload=self.workload,
                 capacity=self.capacity,
@@ -374,15 +372,14 @@ class Prologue:
         """The run ``ctx.experiment`` is about to make, as the gate's one
         world: read from the flags, since a shape ``FailoverConfig``
         refuses must reach the gate as a finding, not a traceback."""
-        from repro.bgp.session import DEFAULT_INTERNET_TIMING
         from repro.verify import VerifyWorld
 
         args = self.args
         return VerifyWorld(
             deployment=self.deployment, techniques=techniques,
             specific_site=specific_site, duration=args.duration,
-            detection_delay=args.detection_delay, timing=DEFAULT_INTERNET_TIMING,
-            workload=self.workload, capacity=self.capacity, source="<run>",
+            detection_delay=args.detection_delay, workload=self.workload,
+            capacity=self.capacity, source="<run>",
         )
 
     def admit(self, world) -> None:
@@ -437,9 +434,8 @@ def gate(args: argparse.Namespace, world) -> bool:
         ("preflight", lambda: preflight_run(
             world.deployment, prefix=world.prefix, events=world.timeline,
             duration=world.duration, detection_delay=world.detection_delay,
-            recovery_grace=world.recovery_grace, timing=world.timing,
-            damping=world.damping, target_nodes=world.target_nodes,
-            workload=world.workload, capacity=world.capacity,
+            recovery_grace=world.recovery_grace, workload=world.workload,
+            capacity=world.capacity,
         )),
         ("verify", lambda: verify_world(world)),
     )

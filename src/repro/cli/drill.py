@@ -36,9 +36,7 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
     ctx.admit(VerifyWorld(
         deployment=deployment, techniques=[drill.technique],
         timeline=timeline(drill.fault_plan), duration=drill.deadline_s,
-        timing=drill.timing,
-        target_nodes=clients, workload=drill.workload,
-        capacity=drill.capacity, source="<run>",
+        workload=drill.workload, capacity=drill.capacity, source="<run>",
     ))
     try:
         outcomes = drill.run_rotation(clients, **ctx.pool(len(deployment.site_names)))

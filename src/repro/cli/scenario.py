@@ -68,7 +68,6 @@ def run(args: argparse.Namespace, ctx: Prologue) -> int:
         specific_site=runner.specific_site,
         timeline=timeline(runner.fault_plan, runner.events),
         duration=runner.duration_s, recovery_grace=runner.recovery_grace,
-        timing=runner.timing,
         workload=runner.workload, capacity=runner.capacity, source="<run>",
     ))
     catchment = anycast_catchment(deployment.topology, deployment)

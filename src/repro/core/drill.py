@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bgp.session import SessionTiming
+from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.core.rig import RunRig
 from repro.core.techniques import Technique
 from repro.faults.invariants import check_invariants
@@ -67,7 +67,9 @@ class RotationDrill:
     deployment: CdnDeployment
     technique: Technique
     deadline_s: float = 120.0
-    timing: SessionTiming | None = None
+    #: the calibrated profile every other runner uses, so the deadline
+    #: is judged at the pace a real failover converges at
+    timing: SessionTiming = DEFAULT_INTERNET_TIMING
     seed: int = 0
     #: optional chaos: a fault timeline armed right after the initial
     #: convergence (fault times are relative to that instant), so faults

@@ -79,8 +79,8 @@ class FailoverConfig:
     targets_per_site: int = 40
     #: base seed; each (site, technique) run perturbs it deterministically
     seed: int = 42
-    #: session timing profile (defaults to the calibrated Internet profile)
-    timing: SessionTiming | None = DEFAULT_INTERNET_TIMING
+    #: session timing profile
+    timing: SessionTiming = DEFAULT_INTERNET_TIMING
     #: if True, the failed site does NOT withdraw its own announcements
     #: (silent crash); the controller withdraws them after detection
     silent_failure: bool = False

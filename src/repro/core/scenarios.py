@@ -91,7 +91,7 @@ class ScenarioRunner:
     target_nodes: list[str] | None = None
     #: make-before-break delay for rolling back emergency announcements
     recovery_grace: float = 0.0
-    timing: SessionTiming | None = DEFAULT_INTERNET_TIMING
+    timing: SessionTiming = DEFAULT_INTERNET_TIMING
     seed: int = 0
     #: optional chaos: armed after the initial convergence, on the
     #: same timeline (and epoch) as the scripted ``events``

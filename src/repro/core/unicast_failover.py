@@ -9,7 +9,7 @@ expiry (Allman).
 
 The model, per client: the client last looked the CDN's name up at a
 uniformly random age within one TTL before the failure, through a
-resolver it shares with ``clients_per_resolver - 1`` others. The
+resolver it shares with ``CLIENTS_PER_RESOLVER - 1`` others. The
 group's first-listed client filled that resolver's cache, so the whole
 group holds the dead site's record for that client's remaining TTL,
 ``ttl - age``; each client then keeps it for a further
@@ -32,15 +32,16 @@ from dataclasses import dataclass
 from repro.dns.client import TtlViolationModel
 from repro.fields import Field, violations
 
+#: how many clients share each recursive resolver's cache
+CLIENTS_PER_RESOLVER = 10
+
 #: the rows of :class:`UnicastFailoverConfig`, refused at construction:
-#: a population without clients has no median switch delay, resolvers
-#: shared by no clients cannot split it, and a NaN or infinite TTL
-#: leaves no remaining TTL to time a switch by (nor does one so large
-#: that the failure time ``2 * ttl`` overflows).
+#: a population without clients has no median switch delay, and a NaN
+#: or infinite TTL leaves no remaining TTL to time a switch by (nor does
+#: one so large that the failure time ``2 * ttl`` overflows).
 _ROWS = (
     Field("n_clients", kind=int, lo=1),
     Field("ttl", lo=0, hi=2**31 - 1, why="RFC 2181 caps a TTL at 2^31 - 1 s"),
-    Field("clients_per_resolver", kind=int, lo=1),
 )
 
 
@@ -52,8 +53,6 @@ class UnicastFailoverConfig:
     #: authoritative record TTL (Akamai-style 20 s by default; set to
     #: 600 s for the top-domain median the paper quotes)
     ttl: float = 20.0
-    #: how many clients share each recursive resolver's cache
-    clients_per_resolver: int = 10
     violation: TtlViolationModel = TtlViolationModel(violation_prob=0.3)
     seed: int = 0
 
@@ -96,7 +95,7 @@ def simulate_unicast_failover(
     delays = []
     for i, client_rng in enumerate(client_rngs):
         looked_up = failure - rng.uniform(0, ttl)
-        if i % config.clients_per_resolver == 0:
+        if i % CLIENTS_PER_RESOLVER == 0:
             # The group's first-listed client fills its resolver's cache.
             expires = held = looked_up + ttl
         else:

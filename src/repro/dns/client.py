@@ -19,18 +19,13 @@ from repro.fields import Field, violations
 #: Median seconds past TTL expiry observed by Allman 2020.
 ALLMAN_MEDIAN_OVERSTAY_S = 890.0
 
+#: lognormal shape of the overstay: a heavy tail similar in spirit to the
+#: measured distribution
+OVERSTAY_SIGMA = 1.2
+
 #: the rows of :class:`TtlViolationModel`, refused at construction: a
-#: NaN or infinite number would turn every overstay into NaN or inf. The
-#: upper bounds keep the lognormal draw ``exp(log(median) + z * sigma)``
-#: finite: ``normalvariate`` returns ``|z| <= 2 * sqrt(53 * log(2))``
-#: (< 12.2), and ``log(2**31 - 1) + 12.2 * 50`` (631.5) is below the log of
-#: the largest float (709.78). ``2**31 - 1`` s is RFC 2181's longest TTL.
-_OVERFLOW = "exp(log(median_overstay) + 12.2 * sigma) must stay finite"
-_ROWS = (
-    Field("violation_prob", lo=0, hi=1),
-    Field("median_overstay", lo=0, hi=2**31 - 1, why=_OVERFLOW),
-    Field("sigma", lo=0, hi=50, why=_OVERFLOW),
-)
+#: NaN probability would make every record overstay
+_ROWS = (Field("violation_prob", lo=0, hi=1),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,15 +33,13 @@ class TtlViolationModel:
     """How a client (mis)handles record expiry.
 
     Attributes:
-        violation_prob: probability a given record is used past expiry.
-        median_overstay: median of the lognormal extra-use duration.
-        sigma: lognormal shape; the default gives a heavy tail similar in
-            spirit to the measured distribution.
+        violation_prob: probability a given record is used past expiry,
+            for a lognormal extra-use duration of median
+            :data:`ALLMAN_MEDIAN_OVERSTAY_S` and shape
+            :data:`OVERSTAY_SIGMA`.
     """
 
     violation_prob: float = 0.3
-    median_overstay: float = ALLMAN_MEDIAN_OVERSTAY_S
-    sigma: float = 1.2
 
     def __post_init__(self) -> None:
         for _, message in violations(_ROWS, self):
@@ -57,7 +50,7 @@ class TtlViolationModel:
         client honours the TTL this time)."""
         if rng.random() >= self.violation_prob:
             return 0.0
-        return rng.lognormvariate(math.log(max(self.median_overstay, 1e-9)), self.sigma)
+        return rng.lognormvariate(math.log(ALLMAN_MEDIAN_OVERSTAY_S), OVERSTAY_SIGMA)
 
     @classmethod
     def compliant(cls) -> "TtlViolationModel":

@@ -72,7 +72,7 @@ def run_withdrawal_study(
     topology: Topology,
     deployment: CdnDeployment,
     sites: list[str] | None = None,
-    timing: SessionTiming | None = None,
+    timing: SessionTiming = DEFAULT_INTERNET_TIMING,
     seed: int = 0,
     use_estimator: bool = True,
 ) -> AppendixSamples:
@@ -84,7 +84,6 @@ def run_withdrawal_study(
     ``use_estimator=False`` uses ground truth everywhere, for measuring
     the estimator's own error.
     """
-    timing = timing or DEFAULT_INTERNET_TIMING
     sites = sites if sites is not None else deployment.site_names
     samples = AppendixSamples()
     rng = random.Random(seed)
@@ -130,7 +129,7 @@ def run_propagation_study(
     topology: Topology,
     deployment: CdnDeployment,
     sites: list[str] | None = None,
-    timing: SessionTiming | None = None,
+    timing: SessionTiming = DEFAULT_INTERNET_TIMING,
     seed: int = 0,
 ) -> AppendixSamples:
     """Appendix B: anycast announcement propagation, Manycast2-style
@@ -140,7 +139,6 @@ def run_propagation_study(
     :data:`ANYCAST_ORIGINS` origins (a hypergiant and transits) at once
     and measures each collector peer's first-announcement delay.
     """
-    timing = timing or DEFAULT_INTERNET_TIMING
     sites = sites if sites is not None else deployment.site_names
     samples = AppendixSamples()
     rng = random.Random(seed)

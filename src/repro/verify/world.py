@@ -4,9 +4,10 @@ A :class:`VerifyWorld` is a topology + CDN deployment, the techniques
 whose announcement plans should be checked, the prefix plan, optional
 per-AS preference overrides and damping parameters, the timeline (the
 fault plan's edges and the scripted events, one tuple), and the run's
-shape (duration, detection delay, session timing, probe targets). The experiment commands build one from the
-objects they are about to run (:func:`repro.cli.common.gate`); the
-verifier's own worlds come from two places:
+shape (duration, detection delay, recovery grace). The experiment
+commands build one from the objects they are about to run
+(:func:`repro.cli.common.gate`); the verifier's own worlds come from
+two places:
 
 * :func:`default_world` — the shipped testbed deployment at a seed,
   the one the CLI registrar builds for every command; and
@@ -48,14 +49,12 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.preflight import DURATION
 from repro.bgp.damping import DAMPING_FIELDS, DampingConfig
 from repro.bgp.policy import Relationship
-from repro.bgp.session import SessionTiming
 from repro.core.techniques import Technique, techniques_named
 from repro.faults.plan import Action, FaultPlan, load_fault_plan, timeline
 from repro.fields import Field, read, violations
@@ -109,11 +108,9 @@ class VerifyWorld:
     #: per-site capacity the VER24x checks verify against
     capacity: CapacityProfile | None = None
     #: run shape only the PRE stage of the gate reads: the controller's
-    #: reaction time and recovery grace, session timing, probe target nodes
+    #: reaction time and recovery grace
     detection_delay: float | None = None
     recovery_grace: float | None = None
-    timing: SessionTiming | None = None
-    target_nodes: Sequence[str] | None = None
     #: VER codes suppressed for this world (the fixture-level analogue
     #: of the linter's ``# repro: noqa[CODE]``)
     suppress: frozenset[str] = frozenset()

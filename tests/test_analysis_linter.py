@@ -11,6 +11,7 @@ from repro.analysis import (
     render_text,
     resolve_codes,
 )
+from repro.analysis import rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,6 +115,18 @@ class TestSelfCheck:
         same gate CI applies)."""
         findings = LintEngine().lint_paths([REPO_ROOT / "src" / "repro"])
         assert findings == [], "\n" + render_text(findings)
+
+    def test_every_rule_class_has_its_own_code(self):
+        """``register`` keys a rule by its code, so a second rule under
+        one code would replace the first."""
+        classes = [
+            value for value in vars(rules).values()
+            if isinstance(value, type) and issubclass(value, rules.LintRule)
+            and value is not rules.LintRule
+        ]
+        assert sorted(classes, key=lambda cls: cls.code) == sorted(
+            RULES.values(), key=lambda cls: cls.code
+        )
 
     def test_rule_catalogue_is_documented(self):
         """Every rule code appears in docs/static-analysis.md."""

@@ -8,13 +8,9 @@ from repro.analysis import (
     check_events,
     check_prefix_plan,
     check_run_shape,
-    check_targets,
-    check_timing,
     check_topology,
     preflight_run,
 )
-from repro.bgp.damping import DampingConfig
-from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.core.techniques import Anycast, Combined, ReactiveAnycast
 from repro.faults import Action, Brownout, FaultPlan, timeline
 from repro.net.addr import IPv4Address, IPv4Prefix
@@ -144,55 +140,6 @@ class TestDeployment:
         ]
 
 
-class TestTargets:
-    def test_clean_targets(self, deployment):
-        nodes = [info.node_id for info in deployment.topology.web_client_ases()[:3]]
-        assert check_targets(deployment.topology, nodes) == []
-
-    def test_unknown_target(self, deployment):
-        findings = check_targets(deployment.topology, ["no-such-as"])
-        assert codes(findings) == ["PRE124"]
-
-    def test_target_without_prefix(self, deployment):
-        findings = check_targets(deployment.topology, ["t1-0"])  # tier-1: no prefix
-        assert codes(findings) == ["PRE124"]
-
-    def test_none_is_clean(self, deployment):
-        assert check_targets(deployment.topology, None) == []
-
-
-class TestTiming:
-    def test_default_profile_is_clean(self):
-        assert check_timing(DEFAULT_INTERNET_TIMING) == []
-
-    def test_zero_mrai_warns(self):
-        findings = check_timing(SessionTiming(mrai=0.0))
-        assert codes(findings) == ["PRE130"]
-        assert not findings[0].severity.blocking
-
-    def test_negative_latency_is_error(self):
-        findings = check_timing(SessionTiming(latency=-1.0))
-        assert "PRE131" in codes(findings)
-
-    def test_huge_mrai_warns(self):
-        findings = check_timing(SessionTiming(mrai=120.0))
-        assert codes(findings) == ["PRE132"]
-
-    def test_damping_first_flap_suppression_warns(self):
-        damping = DampingConfig(penalty_per_flap=2000.0, suppress_threshold=2000.0,
-                                reuse_threshold=750.0)
-        findings = check_timing(DEFAULT_INTERNET_TIMING, damping)
-        assert codes(findings) == ["PRE133"]
-
-    def test_damping_never_suppresses_warns(self):
-        damping = DampingConfig(max_penalty=1000.0)
-        findings = check_timing(DEFAULT_INTERNET_TIMING, damping)
-        assert codes(findings) == ["PRE134"]
-
-    def test_default_damping_is_clean(self):
-        assert check_timing(DEFAULT_INTERNET_TIMING, DampingConfig()) == []
-
-
 class TestRunShape:
     def test_clean(self):
         assert check_run_shape(duration=300.0, detection_delay=2.0) == []
@@ -220,7 +167,6 @@ class TestPreflightRun:
             deployment, ReactiveAnycast(),
             events=[("fail", "sea1", 60.0), ("recover", "sea1", 200.0)],
             duration=300.0, detection_delay=2.0,
-            timing=DEFAULT_INTERNET_TIMING,
         )
         assert report.ok
         assert report.findings == []

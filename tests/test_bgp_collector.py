@@ -81,17 +81,19 @@ class TestCollector:
         RouteCollector("ris", net).attach("r1")
         assert net.reshaped
 
-    def test_attach_uses_its_own_timing(self):
+    def test_attach_uses_the_network_default_timing(self):
+        """Both hops -- r0 to r1, r1 to the collector -- take the
+        network's latency."""
         arrivals = {}
         for latency in (0.05, 30.0):
-            net = build_line_network(2)
+            net = build_line_network(2, timing=SessionTiming(latency=latency, jitter=0.0, mrai=0.0))
             coll = RouteCollector("ris", net)
-            coll.attach("r1", SessionTiming(latency=latency, jitter=0.0, mrai=0.0))
+            coll.attach("r1")
             net.announce("r0", PFX)
             net.converge()
             arrivals[latency] = [e.time for e in coll.entries if e.announce]
         assert len(arrivals[0.05]) == len(arrivals[30.0]) == 1
-        assert arrivals[30.0][0] - arrivals[0.05][0] >= 29.0
+        assert arrivals[30.0][0] - arrivals[0.05][0] >= 59.0
 
     def test_clear(self):
         net, coll = collector_on_line()

@@ -1,5 +1,6 @@
 """Unit tests for eBGP session delivery and MRAI pacing."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro import telemetry
 from repro.bgp.engine import EventEngine
 from repro.bgp.policy import Relationship
-from repro.bgp.session import DEFAULT_INTERNET_TIMING, Session, SessionTiming
+from repro.bgp.session import DEFAULT_INTERNET_TIMING, TIMING_FIELDS, Session, SessionTiming
 from repro.net.addr import IPv4Prefix
 
 from tests.conftest import heard
@@ -172,17 +173,17 @@ class TestTimingModel:
         assert delayed > 5
         assert all(d <= 23.0 for d in delays)
 
+    @pytest.mark.parametrize("row", TIMING_FIELDS, ids=lambda row: row.name)
+    @pytest.mark.parametrize("value, message", [
+        (-1.0, "is (negative|outside)"), (math.nan, "is not finite"), (math.inf, "is not finite"),
+    ], ids=["negative", "nan", "inf"])
+    def test_construction_refuses_every_row(self, row, value, message):
+        with pytest.raises(ValueError, match=f"^{row.name} .* {message}"):
+            SessionTiming(**{row.name: value})
+
     def test_busy_prob_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="busy_prob 1.5 is outside"):
             SessionTiming(busy_prob=1.5)
-
-    def test_mrai_sigma_validation(self):
-        with pytest.raises(ValueError):
-            SessionTiming(mrai_sigma=-1.0)
-
-    def test_fib_delay_validation(self):
-        with pytest.raises(ValueError):
-            SessionTiming(fib_delay=-1.0)
 
     def test_mrai_sigma_spreads_session_mrais(self):
         timing = SessionTiming(mrai=30.0, mrai_sigma=1.0)

@@ -5,8 +5,6 @@ import json
 
 import pytest
 
-from repro.bgp.damping import DampingConfig
-from repro.bgp.session import SessionTiming
 from repro.cli import build_parser, main
 from repro.cli.common import gate
 from repro.core.techniques import Anycast
@@ -177,14 +175,3 @@ class TestPreflightGate:
         )
         assert gate(argparse.Namespace(no_check=False), world)
         assert "VER233" in capsys.readouterr().err
-
-    def test_gate_feeds_timing_and_damping(self, deployment, capsys):
-        """The run's protocol parameters reach PRE13x through the world."""
-        world = run_world(
-            deployment,
-            timing=SessionTiming(latency=0.01, jitter=0.0, mrai=0.0),
-            damping=DampingConfig(max_penalty=100.0),
-        )
-        assert gate(argparse.Namespace(no_check=False), world)
-        err = capsys.readouterr().err
-        assert "PRE130" in err and "PRE134" in err

@@ -1,16 +1,16 @@
 """Tests for the DNS-bound unicast failover model."""
 
 import math
-import sys
 
 import pytest
 
 from repro.core.unicast_failover import (
+    CLIENTS_PER_RESOLVER,
     UnicastFailoverConfig,
     simulate_unicast_failover,
 )
 from repro.dns import client as client_module
-from repro.dns.client import TtlViolationModel
+from repro.dns.client import ALLMAN_MEDIAN_OVERSTAY_S, TtlViolationModel
 
 
 class TestUnicastFailover:
@@ -63,29 +63,30 @@ class TestUnicastFailover:
         """The §2 problem: after the CDN repoints DNS, a resolver keeps
         handing out its cached record until that expires, so compliant
         clients behind one resolver all switch together."""
+        size = CLIENTS_PER_RESOLVER
         result = simulate_unicast_failover(
-            UnicastFailoverConfig(n_clients=20, ttl=20.0, clients_per_resolver=5,
+            UnicastFailoverConfig(n_clients=4 * size, ttl=20.0,
                                   violation=TtlViolationModel.compliant(), seed=7)
         )
-        groups = [result.switch_delays[i:i + 5] for i in range(0, 20, 5)]
+        groups = [result.switch_delays[i:i + size] for i in range(0, 4 * size, size)]
         for group in groups:
-            assert group == pytest.approx([group[0]] * 5, abs=1e-9)
+            assert group == pytest.approx([group[0]] * size, abs=1e-9)
             assert 0.0 < group[0] <= 20.0
         assert len({round(group[0], 6) for group in groups}) == 4
 
-    def test_a_violator_keeps_its_overstay(self):
+    def test_a_violator_keeps_its_overstay(self, monkeypatch):
         """Past its group's expiry a violating client clings to the dead
-        site's record for its sampled overstay."""
+        site's record for its sampled overstay: with no spread, the
+        median."""
         def delays(violation):
             return simulate_unicast_failover(
                 UnicastFailoverConfig(n_clients=30, ttl=20.0, violation=violation, seed=8)
             ).switch_delays
 
+        monkeypatch.setattr(client_module, "OVERSTAY_SIGMA", 0.0)
         compliant = delays(TtlViolationModel.compliant())
-        clinging = delays(
-            TtlViolationModel(violation_prob=1.0, median_overstay=1000.0, sigma=0.0)
-        )
-        assert clinging == pytest.approx([d + 1000.0 for d in compliant])
+        clinging = delays(TtlViolationModel(violation_prob=1.0))
+        assert clinging == pytest.approx([d + ALLMAN_MEDIAN_OVERSTAY_S for d in compliant])
 
     def test_deterministic(self):
         a = simulate_unicast_failover(UnicastFailoverConfig(seed=6))
@@ -101,10 +102,6 @@ class TestUnicastFailoverConfig:
         with pytest.raises(ValueError, match="n_clients 0 is outside"):
             UnicastFailoverConfig(n_clients=0)
 
-    def test_no_clients_per_resolver_refused(self):
-        with pytest.raises(ValueError, match="clients_per_resolver 0 is outside"):
-            UnicastFailoverConfig(clients_per_resolver=0)
-
     @pytest.mark.parametrize("build, message", [
         (lambda: UnicastFailoverConfig(ttl=-5.0), "ttl -5 is outside"),
         (lambda: UnicastFailoverConfig(ttl=math.nan), "ttl nan is not finite"),
@@ -113,21 +110,9 @@ class TestUnicastFailoverConfig:
         (lambda: TtlViolationModel(violation_prob=math.nan), "violation_prob nan is not finite"),
         (lambda: TtlViolationModel(violation_prob=-0.1), "violation_prob -0.1 is outside"),
         (lambda: TtlViolationModel(violation_prob=1.5), "violation_prob 1.5 is outside"),
-        (lambda: TtlViolationModel(median_overstay=math.nan), "median_overstay nan is not finite"),
-        (lambda: TtlViolationModel(median_overstay=math.inf), "median_overstay inf is not finite"),
-        (lambda: TtlViolationModel(median_overstay=-1.0), "median_overstay -1 is outside \\[0, "),
-        (lambda: TtlViolationModel(violation_prob=1.0, median_overstay=1e308),
-         "median_overstay 1e[+]308 is outside .*must stay finite"),
-        (lambda: TtlViolationModel(sigma=math.nan), "sigma nan is not finite"),
-        (lambda: TtlViolationModel(sigma=math.inf), "sigma inf is not finite"),
-        (lambda: TtlViolationModel(sigma=-1.0), "sigma -1 is outside \\[0, 50\\]"),
-        (lambda: TtlViolationModel(violation_prob=1.0, sigma=1e308),
-         "sigma 1e[+]308 is outside .*must stay finite"),
     ], ids=[
         "ttl-negative", "ttl-nan", "ttl-inf", "ttl-past-rfc2181",
         "violation_prob-nan", "violation_prob-negative", "violation_prob-above-1",
-        "median_overstay-nan", "median_overstay-inf", "median_overstay-negative",
-        "median_overstay-1e308", "sigma-nan", "sigma-inf", "sigma-negative", "sigma-1e308",
     ])
     def test_bad_numbers_refused(self, build, message):
         """A number that would make the medians NaN, inf or silently 0
@@ -135,33 +120,13 @@ class TestUnicastFailoverConfig:
         with pytest.raises(ValueError, match=message):
             build()
 
-    def test_zero_ttl_and_zero_sigma_accepted(self):
-        """The interval ends are values: a 0 s TTL switches at the
-        failure, and ``sigma=0`` makes every overstay the median."""
+    def test_zero_ttl_accepted(self):
+        """The interval's end is a value: a 0 s TTL switches every
+        compliant client at the failure."""
         result = simulate_unicast_failover(UnicastFailoverConfig(
-            n_clients=5, ttl=0.0,
-            violation=TtlViolationModel(violation_prob=1.0, median_overstay=60.0, sigma=0.0),
+            n_clients=5, ttl=0.0, violation=TtlViolationModel.compliant(),
         ))
-        assert result.switch_delays == pytest.approx([60.0] * 5)
-
-    def test_upper_bounds_keep_every_overstay_finite(self):
-        """``normalvariate``'s ``|z|`` is at most ``2 * sqrt(-log(2**-53))``
-        (its ratio of uniforms), so at the rows' upper ends the lognormal
-        exponent stays below the log of the largest float, and a run there
-        ends in finite delays."""
-        rows = {row.name: row for row in client_module._ROWS}
-        max_z = 2 * math.sqrt(-math.log(2.0**-53))
-        assert max_z < 12.2
-        exponent = math.log(rows["median_overstay"].hi) + 12.2 * rows["sigma"].hi
-        assert exponent < math.log(sys.float_info.max)
-        result = simulate_unicast_failover(UnicastFailoverConfig(
-            n_clients=50, violation=TtlViolationModel(
-                violation_prob=1.0,
-                median_overstay=rows["median_overstay"].hi,
-                sigma=rows["sigma"].hi,
-            ),
-        ))
-        assert all(math.isfinite(delay) for delay in result.switch_delays)
+        assert result.switch_delays == [0.0] * 5
 
 
 class TestPinnedDelays:

@@ -31,5 +31,3 @@ class TestTtlViolationModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             TtlViolationModel(violation_prob=2.0)
-        with pytest.raises(ValueError):
-            TtlViolationModel(median_overstay=-1.0)

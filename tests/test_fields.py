@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import preflight_run
 from repro.analysis.preflight import RUN_SHAPE
-from repro.bgp.session import TIMING_FIELDS
 from repro.cli import main
 from repro.core.techniques import TECHNIQUES
 from repro.faults.plan import FAULT_KINDS, PLAN_FIELDS, FaultPlan, timeline
@@ -187,7 +186,7 @@ def through_the_gate(world) -> set[str]:
     report = preflight_run(
         world.deployment, prefix=world.prefix, events=world.timeline,
         duration=world.duration, detection_delay=world.detection_delay,
-        timing=world.timing, damping=world.damping, workload=world.workload,
+        recovery_grace=world.recovery_grace, workload=world.workload,
         capacity=world.capacity,
     )
     verify_world(world)
@@ -263,7 +262,6 @@ def test_nan_damping_is_refused_at_load():
     *(("workload.md", rows) for rows in SHAPE_FIELDS.values()),
     ("load.md", CAPACITY_FIELDS),
     *(("faults.md", fault.FIELDS) for fault in FAULT_KINDS.values()),
-    ("static-analysis.md", TIMING_FIELDS),
     ("static-analysis.md", RUN_SHAPE),
 ])
 def test_every_row_is_in_the_table_that_documents_it(doc, rows):

@@ -51,6 +51,8 @@ OWNERS: dict[str, str] = {
     "propagation_times": "repro/measurement/convergence.py::propagation_times",
     "run_propagation_study": "repro/measurement/appendix.py::run_propagation_study",
     "link_latency_s": "repro/topology/geo.py::link_latency_s",
+    "TtlViolationModel": "repro/dns/client.py::TtlViolationModel",
+    "UnicastFailoverConfig": "repro/core/unicast_failover.py::UnicastFailoverConfig",
 }
 
 #: ``owner.value`` -> why it stays settable although no caller sets it
@@ -58,6 +60,8 @@ KEEP: dict[str, str] = {
     "FailoverConfig.probe_interval":
         "the probing cadence a calibration of the Fig. 2 fit moves; Prober.start's "
         "refusal and the probe-window hang tests drive it",
+    "FailoverConfig.timing":
+        "the tests' fast session timings keep tier-1 short; a timing calibration fits it",
     "ScenarioRunner.timing":
         "the tests' fast session timings keep tier-1 short; a timing calibration fits it",
     "RotationDrill.timing":
@@ -66,8 +70,9 @@ KEEP: dict[str, str] = {
         "the Appendix B tests run a fast session timing to stay short",
 }
 
-#: the values the scope may hold (84 when the census was first taken)
-VALUES_CEILING = 47
+#: the values the scope may hold (84 when the census was first taken, 55
+#: when the DNS model joined it)
+VALUES_CEILING = 52
 
 
 def _parse(path: pathlib.Path) -> ast.Module:

@@ -145,9 +145,11 @@ KEPT: dict[str, str] = {
 #: accounted for: its function is in :data:`UNRUN`
 TRIAGED = frozenset({
     "repro/analysis/preflight.py",
+    "repro/analysis/rules.py",
     "repro/checkpoint/codec.py",
     "repro/cli/common.py",
     "repro/faults/invariants.py",
+    "repro/parallel/pool.py",
     "repro/verify/capacity.py",
     "repro/verify/plans.py",
     "repro/verify/vacuity.py",
@@ -170,18 +172,40 @@ UNRUN: dict[str, str] = {
     "repro/analysis/preflight.py::check_deployment":
         "PRE122 / PRE123 on a broken deployment: checks on what a library caller builds "
         "(tests/test_analysis_preflight.py)",
-    "repro/analysis/preflight.py::check_targets":
-        "PRE124 on a probe target the topology lacks: a check on what a library caller "
-        "passes (tests/test_analysis_preflight.py)",
-    "repro/analysis/preflight.py::check_timing":
-        "PRE130-PRE134 on session timings no command line sets: checks on what a library "
-        "caller passes (tests/test_analysis_preflight.py)",
     "repro/analysis/preflight.py::check_workload":
         "PRE143 (an unknown rate shape) and PRE145 (the volume ceiling) on a user profile: "
         "checks on outside input (tests/test_workload_profile.py)",
     "repro/analysis/preflight.py::check_capacity":
         "PRE153 on a capacity total below the workload's base rate: a check on outside "
         "input (tests/test_workload_capacity.py)",
+    **_kept(
+        "a finding, or a file outside the repro package: the lint source lints the shipped "
+        "package, which CI holds clean (tests/test_analysis_rules.py trips each rule)",
+        "repro/analysis/rules.py::UnseededRandom.check",
+        "repro/analysis/rules.py::ModuleLevelRandom.check",
+        "repro/analysis/rules.py::HashDerivedSeed.check",
+        "repro/analysis/rules.py::SetIterationOrder.check",
+        "repro/analysis/rules.py::FloatTimeEquality.check",
+        "repro/analysis/rules.py::MutableDefaultArgument.check",
+        "repro/analysis/rules.py::OsEntropy.check",
+        "repro/analysis/rules.py::SetToSequence.check",
+        "repro/analysis/rules.py::UnsortedFsIteration.check",
+        "repro/analysis/rules.py::SingleCallSite.check",
+        "repro/analysis/rules.py::NumpyTranscendental.check",
+        "repro/analysis/rules.py::UnusedImport.check",
+        "repro/analysis/rules.py::UndefinedAnnotationName.check",
+        "repro/analysis/rules.py::UndefinedAnnotationName._visit",
+    ),
+    **_kept(
+        "a code shape the shipped package does not hold -- a seed passed by keyword, a "
+        "top-level try, an unparsable quoted annotation, __all__, a star import, Literal "
+        "(tests/test_analysis_rules.py lints most of them)",
+        "repro/analysis/rules.py::_call_args",
+        "repro/analysis/rules.py::_module_level",
+        "repro/analysis/rules.py::_used_names",
+        "repro/analysis/rules.py::_module_bindings",
+        "repro/analysis/rules.py::_annotation_names",
+    ),
     "repro/checkpoint/codec.py::snapshot_network":
         "NotQuiescentError on queued events or a running MRAI timer (tests/test_update_path.py, "
         "tests/test_checkpoint_codec.py), and a damped router's state: no source forks a "
@@ -210,6 +234,22 @@ UNRUN: dict[str, str] = {
         "repro/faults/invariants.py::_advertised_sync",
         "repro/faults/invariants.py::_rib_fib_coherence",
     ),
+    "repro/parallel/pool.py::_pick_context": "a platform without fork starts spawn workers",
+    "repro/parallel/pool.py::_run_one":
+        "a cell that raises in a worker (tests/test_parallel_pool.py)",
+    "repro/parallel/pool.py::_worker_main": "a parent that dies while its workers wait",
+    "repro/parallel/pool.py::map_cells":
+        "a refused timeout from a library caller (the CLI refuses it first), a cell that "
+        "raises, a serial run with a progress callback, a crashed or timed-out worker, an "
+        "interrupted sweep (tests/test_parallel_pool.py)",
+    "repro/parallel/pool.py::map_cells.assign_or_retire":
+        "a worker that died before its exit sentinel",
+    "repro/parallel/pool.py::map_cells.record":
+        "the progress line of a parallel sweep prints host wall time and completion order, "
+        "which no golden can hold",
+    "repro/parallel/pool.py::merge_telemetry":
+        "a crashed cell under telemetry, and the cell-bracketed trace of a parallel "
+        "--trace run, which no source writes (tests/test_parallel_pool.py)",
     "repro/verify/capacity.py::check_capacity_vacuity":
         "VER243 on a profile that limits no site or none below the peak: checks on outside "
         "input (tests/test_verify_checks.py); the verify-capacity-vacuous golden runs the first",
